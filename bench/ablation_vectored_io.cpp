@@ -6,7 +6,8 @@
 // applications: every fragment used to become its own backend call and
 // pay the full per-request latency.  Two views:
 //   (1) dataset path: backend calls + modelled PFS time for the same
-//       strided write, scalar loop vs one vectored write_v;
+//       strided write, scalar loop vs one vectored write_v, and the
+//       vectored write again through resilient/qos/cached decorators;
 //   (2) collective: 16 ranks writing interleaved slabs direct vs
 //       through aggregator ranks (merged requests).
 // Both views run on Throttled(Memory) with time_scale = 0, so every
@@ -14,8 +15,9 @@
 #include "bench/bench_util.h"
 #include "h5/file.h"
 #include "pmpi/world.h"
+#include "sched/fair_scheduler.h"
+#include "storage/backend_stack.h"
 #include "storage/memory_backend.h"
-#include "storage/throttled_backend.h"
 #include "vol/collective_writer.h"
 #include "vol/native_connector.h"
 
@@ -44,29 +46,41 @@ int main() {
     std::printf("\ndataset path (64x64 chunked 8x8, stride-2 hyperslab, "
                 "1 ms/request latency):\n");
     std::printf("  %10s | %12s | %12s\n", "path", "backend ops", "model time");
-    std::uint64_t ops[2] = {0, 0};
-    double seconds[2] = {0.0, 0.0};
-    for (int vectored = 0; vectored < 2; ++vectored) {
+    // Rows: scalar, vectored, and vectored again through the decorator
+    // stack (retry, admission, write-through cache) above the throttle,
+    // which must hand the batch down intact.
+    const char* rows[3] = {"scalar", "vectored", "stack"};
+    std::uint64_t ops[3] = {0, 0, 0};
+    double seconds[3] = {0.0, 0.0, 0.0};
+    for (int row = 0; row < 3; ++row) {
       storage::ThrottleParams throttle;
       throttle.bandwidth = 256.0 * kMiB;
       throttle.latency = 1e-3;
       throttle.time_scale = 0.0;  // model time only: deterministic
       auto throttled = std::make_shared<storage::ThrottledBackend>(
           std::make_shared<storage::MemoryBackend>(), throttle);
+      storage::BackendPtr top = throttled;
+      if (row == 2) {
+        storage::CacheOptions cache;
+        cache.consistency = storage::CacheConsistency::kAfterWrite;
+        top = storage::BackendStack::wrap(throttled)
+                  .resilient({})
+                  .qos(std::make_shared<sched::FairScheduler>())
+                  .cached(cache)
+                  .build();
+      }
       h5::FileProps props;
-      props.vectored_io = vectored == 1;
-      auto file = h5::File::create(throttled, props);
+      props.vectored_io = row > 0;
+      auto file = h5::File::create(top, props);
       auto ds = file->root().create_dataset(
           "d", h5::Datatype::kInt32, dims, h5::DatasetCreateProps::chunked({8, 8}));
       const auto before = throttled->stats();
       const double t0 = throttled->modelled_delay_seconds();
       ds.write(selection, std::span<const std::int32_t>(payload));
-      ops[vectored] = throttled->stats().write_ops - before.write_ops;
-      seconds[vectored] = throttled->modelled_delay_seconds() - t0;
-      std::printf("  %10s | %12llu | %10.4f s\n",
-                  vectored ? "vectored" : "scalar",
-                  static_cast<unsigned long long>(ops[vectored]),
-                  seconds[vectored]);
+      ops[row] = throttled->stats().write_ops - before.write_ops;
+      seconds[row] = throttled->modelled_delay_seconds() - t0;
+      std::printf("  %10s | %12llu | %10.4f s\n", rows[row],
+                  static_cast<unsigned long long>(ops[row]), seconds[row]);
     }
     std::printf("  %.0fx fewer requests, %.1fx less modelled PFS time.\n",
                 static_cast<double>(ops[0]) / static_cast<double>(ops[1]),
@@ -76,6 +90,8 @@ int main() {
     values.push_back({"vectored_write_ops", static_cast<double>(ops[1]), "ops"});
     values.push_back({"scalar_model_seconds", seconds[0], "s"});
     values.push_back({"vectored_model_seconds", seconds[1], "s"});
+    values.push_back({"stack_write_ops", static_cast<double>(ops[2]), "ops"});
+    values.push_back({"stack_model_seconds", seconds[2], "s"});
   }
 
   // (2) Collective: 16 ranks, 2 extents each, interleaved; direct writes

@@ -14,14 +14,18 @@
 #      bench/baselines/ (hard gate; regenerate intentional moves with
 #      ci/update_baselines.sh).  The sanitizer presets build with
 #      APIO_BUILD_BENCHMARKS=OFF, so sanitized runs never hit the gate.
-#   4. trace artifacts: a small traced VPIC run through `apio_profile
+#   4. bench/e2e exact-count gate: ci/e2e_det.sh builds apio_e2e in
+#      build-e2e, runs its four workloads at --scale 0.02 and turns the
+#      `det` lines into bench JSON; apio_bench_compare --tol-det 0 diffs
+#      them against bench/baselines/e2e/ (any drift fails),
+#   5. trace artifacts: a small traced VPIC run through `apio_profile
 #      trace` archives build/trace-report.json (critical-path report)
 #      and build/trace-metrics.prom (Prometheus snapshot),
-#   5. clang-tidy preset (skipped with a notice when clang-tidy is not
+#   6. clang-tidy preset (skipped with a notice when clang-tidy is not
 #      installed — the GCC-only CI image does not ship it),
-#   6. ThreadSanitizer build + the `tsan`-labelled suite (the whole unit
+#   7. ThreadSanitizer build + the `tsan`-labelled suite (the whole unit
 #      suite plus reduced-iteration stress tests; zero reports allowed),
-#   7. Address+UB-sanitizer build + the fault-matrix resilience suite:
+#   8. Address+UB-sanitizer build + the fault-matrix resilience suite:
 #      the retry/degraded-mode paths juggle staged buffers across the
 #      background stream, so they run under asan/ubsan explicitly.
 #
@@ -38,18 +42,18 @@ for arg in "$@"; do
   esac
 done
 
-echo "==> [1/7] default build + full test suite"
+echo "==> [1/8] default build + full test suite"
 cmake --preset default
 cmake --build --preset default -j "${JOBS}"
 ctest --preset default -j "${JOBS}"
 
-echo "==> [2/7] static analysis (apio_analyze)"
+echo "==> [2/8] static analysis (apio_analyze)"
 build/tools/apio_analyze . \
   --baseline tools/analysis/baseline.json \
   --json build/analysis-report.json
 echo "    report archived at build/analysis-report.json"
 
-echo "==> [3/7] bench regression gate"
+echo "==> [3/8] bench regression gate"
 BENCH_JSON_DIR="build/bench-json"
 rm -rf "${BENCH_JSON_DIR}"
 mkdir -p "${BENCH_JSON_DIR}"
@@ -94,14 +98,21 @@ build/tools/apio_bench_compare \
   "${BENCH_JSON_DIR}/ablation_cache.jsonl" \
   --baselines bench/baselines --tol-det 10 --tol-wall 60
 
-echo "==> [4/7] trace artifacts (apio_profile trace)"
+echo "==> [4/8] bench/e2e exact-count gate"
+# Every det count of the four workloads must match exactly: a layer
+# that splits a vectored batch or adds a backend call per op moves them.
+ci/e2e_det.sh "${BENCH_JSON_DIR}/e2e_det.jsonl"
+build/tools/apio_bench_compare "${BENCH_JSON_DIR}/e2e_det.jsonl" \
+  --baselines bench/baselines/e2e --tol-det 0
+
+echo "==> [5/8] trace artifacts (apio_profile trace)"
 build/tools/apio_profile trace --ranks 4 --steps 2 \
   --export-report build/trace-report.json \
   --export-prom build/trace-metrics.prom >/dev/null
 echo "    critical-path report archived at build/trace-report.json"
 echo "    Prometheus snapshot archived at build/trace-metrics.prom"
 
-echo "==> [5/7] clang-tidy"
+echo "==> [6/8] clang-tidy"
 if command -v clang-tidy >/dev/null 2>&1; then
   cmake --preset tidy
   cmake --build --preset tidy -j "${JOBS}"
@@ -110,15 +121,15 @@ else
 fi
 
 if [[ "${SKIP_TSAN}" -eq 1 ]]; then
-  echo "==> [6/7] ThreadSanitizer suite skipped (--skip-tsan)"
+  echo "==> [7/8] ThreadSanitizer suite skipped (--skip-tsan)"
 else
-  echo "==> [6/7] ThreadSanitizer build + tsan-labelled suite"
+  echo "==> [7/8] ThreadSanitizer build + tsan-labelled suite"
   cmake --preset tsan
   cmake --build --preset tsan -j "${JOBS}"
   ctest --preset tsan -j "${JOBS}"
 fi
 
-echo "==> [7/7] asan-ubsan build + fault-matrix resilience suite"
+echo "==> [8/8] asan-ubsan build + fault-matrix resilience suite"
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "${JOBS}"
 ctest --preset asan-ubsan -j "${JOBS}" -R 'Resilience|FaultInjection'

@@ -54,37 +54,24 @@ class Backend {
   virtual void write(std::uint64_t offset, std::span<const std::byte> data) = 0;
 
   /// Vectored write: the extents must be sorted by offset and pairwise
-  /// non-overlapping (h5::IoVector produces exactly this shape).  Leaf
-  /// backends override with one batched transfer (pwritev, single-lock
-  /// memcpy loop) counted as a single operation; the default — which
-  /// decorators inherit — falls back to one write() per extent so
-  /// per-extent metrics, throttling, fault injection and retries keep
-  /// their scalar-path semantics.  Returns the bytes transferred; a
-  /// completed call transfers every extent in full (partial kernel
-  /// transfers are retried internally), so callers check the count
-  /// against the bytes they submitted.
+  /// non-overlapping (h5::IoVector produces exactly this shape).  Every
+  /// backend implements it as ONE operation: leaves as one batched
+  /// transfer (pwritev, single-lock memcpy loop), decorators by passing
+  /// the whole batch inward through their policy (storage::Decorator),
+  /// so the aggregation built above survives every layer.  Only
+  /// FaultyBackend splits a batch per extent, to model a mid-batch
+  /// fault.  Returns the bytes transferred; a completed call transfers
+  /// every extent in full (partial kernel transfers are retried
+  /// internally), so callers check the count against the bytes they
+  /// submitted.  A failed call throws without a byte count.
   [[nodiscard]] virtual std::uint64_t write_v(
-      std::span<const WriteExtent> extents) {
-    std::uint64_t total = 0;
-    for (const auto& e : extents) {
-      write(e.offset, e.data);
-      total += e.data.size();
-    }
-    return total;
-  }
+      std::span<const WriteExtent> extents) = 0;
 
   /// Vectored read, same extent contract as write_v.  Every extent must
   /// lie inside the object (throws IoError otherwise).  Returns the
   /// bytes transferred into the extents' buffers.
   [[nodiscard]] virtual std::uint64_t read_v(
-      std::span<const ReadExtent> extents) {
-    std::uint64_t total = 0;
-    for (const auto& e : extents) {
-      read(e.offset, e.out);
-      total += e.out.size();
-    }
-    return total;
-  }
+      std::span<const ReadExtent> extents) = 0;
 
   /// Persists buffered data (no-op for memory backends).
   virtual void flush() = 0;
@@ -132,5 +119,17 @@ class Backend {
 };
 
 using BackendPtr = std::shared_ptr<Backend>;
+
+/// Total payload of an extent list.
+inline std::uint64_t extent_bytes(std::span<const WriteExtent> extents) {
+  std::uint64_t total = 0;
+  for (const auto& e : extents) total += e.data.size();
+  return total;
+}
+inline std::uint64_t extent_bytes(std::span<const ReadExtent> extents) {
+  std::uint64_t total = 0;
+  for (const auto& e : extents) total += e.out.size();
+  return total;
+}
 
 }  // namespace apio::storage

@@ -23,16 +23,15 @@ BackendStack BackendStack::wrap(BackendPtr leaf) {
   return BackendStack(std::move(leaf));
 }
 
-void BackendStack::require_order(Stage next, const char* layer) {
+void BackendStack::require_order(Stage next) {
   APIO_INVARIANT(static_cast<int>(next) > static_cast<int>(stage_),
                  "backend decorator order is leaf < throttled < resilient < "
                  "qos < cached, each layer at most once");
-  (void)layer;
   stage_ = next;
 }
 
 BackendStack& BackendStack::throttled(ThrottleParams params) {
-  require_order(Stage::kThrottled, "throttled");
+  require_order(Stage::kThrottled);
   backend_ = std::make_shared<ThrottledBackend>(std::move(backend_), params);
   return *this;
 }
@@ -40,7 +39,7 @@ BackendStack& BackendStack::throttled(ThrottleParams params) {
 BackendStack& BackendStack::resilient(ResilienceOptions options,
                                       const Clock* clock,
                                       resilience::Sleeper* sleeper) {
-  require_order(Stage::kResilient, "resilient");
+  require_order(Stage::kResilient);
   backend_ = std::make_shared<ResilientBackend>(std::move(backend_),
                                                 std::move(options), clock,
                                                 sleeper);
@@ -49,14 +48,14 @@ BackendStack& BackendStack::resilient(ResilienceOptions options,
 
 BackendStack& BackendStack::qos(sched::FairSchedulerPtr scheduler,
                                 QosOptions options) {
-  require_order(Stage::kQos, "qos");
+  require_order(Stage::kQos);
   backend_ = std::make_shared<QosBackend>(
       std::move(backend_), std::move(scheduler), std::move(options));
   return *this;
 }
 
 BackendStack& BackendStack::cached(CacheOptions options, BackendPtr staging) {
-  require_order(Stage::kCached, "cached");
+  require_order(Stage::kCached);
   backend_ = std::make_shared<CachedBackend>(std::move(backend_), options,
                                              std::move(staging));
   return *this;

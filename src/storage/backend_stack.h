@@ -84,7 +84,7 @@ class BackendStack {
 
   explicit BackendStack(BackendPtr leaf);
 
-  void require_order(Stage next, const char* layer);
+  void require_order(Stage next);
 
   BackendPtr backend_;
   Stage stage_ = Stage::kLeaf;

@@ -205,75 +205,95 @@ std::string CachedBackend::name() const {
 }
 
 void CachedBackend::read(std::uint64_t offset, std::span<std::byte> out) {
-  APIO_INVARIANT(offset + out.size() >= offset,
-                 "read range overflows offset space");
-  const std::uint64_t begin = offset;
-  const std::uint64_t end = offset + out.size();
+  const ReadExtent extent{offset, out};
+  (void)read_v({&extent, 1});
+}
+
+void CachedBackend::write(std::uint64_t offset,
+                          std::span<const std::byte> data) {
+  const WriteExtent extent{offset, data};
+  (void)write_v({&extent, 1});
+}
+
+std::uint64_t CachedBackend::read_v(std::span<const ReadExtent> extents) {
+  if (extents.empty()) return 0;
   const double t0 = obs::steady_seconds();
-  bool hit = false;
+  const auto touch_locked = [&] {
+    for (const auto& e : extents) {
+      touch_blocks_locked(e.offset, e.offset + e.out.size());
+    }
+  };
+  bool hit = true;
   {
     std::lock_guard lock(mutex_);
-    if (end > logical_size_) {
-      throw IoError("cached backend: read past end of object (offset " +
-                    std::to_string(offset) + " + " +
-                    std::to_string(out.size()) + " > " +
-                    std::to_string(logical_size_) + ")");
+    for (const auto& e : extents) {
+      const std::uint64_t end = e.offset + e.out.size();
+      APIO_INVARIANT(end >= e.offset, "read range overflows offset space");
+      if (end > logical_size_) {
+        throw IoError("cached backend: read past end of object (offset " +
+                      std::to_string(e.offset) + " + " +
+                      std::to_string(e.out.size()) + " > " +
+                      std::to_string(logical_size_) + ")");
+      }
+      hit = hit && interval_gaps(valid_, e.offset, end).empty();
     }
-    hit = interval_gaps(valid_, begin, end).empty();
-    if (hit) touch_blocks_locked(begin, end);
+    if (hit) touch_locked();
   }
   if (!hit) {
-    fill_from_inner(begin, end);
+    fill_from_inner(extents);
     std::lock_guard lock(mutex_);
-    touch_blocks_locked(begin, end);
+    touch_locked();
   }
   // Staged bytes persist even if the bookkeeping evicts them between
   // the check above and this copy, so the read stays safe; only an
   // overlapping concurrent write could change them (a data race by the
   // Backend contract, as in MPI-IO).
-  staging_->read(offset, out);
-  count_read(out.size());
+  const std::uint64_t moved = staging_->read_v(extents);
+  count_read(moved);
   if (hit) {
     hits_.fetch_add(1, std::memory_order_relaxed);
-    hit_bytes_.fetch_add(out.size(), std::memory_order_relaxed);
+    hit_bytes_.fetch_add(moved, std::memory_order_relaxed);
     cache_hits_counter().increment();
-    cache_hit_bytes_counter().add(out.size());
+    cache_hit_bytes_counter().add(moved);
     if (const auto* ctx = obs::trace::current_trace()) {
       obs::trace::record_phase(*ctx, obs::trace::Phase::kCacheHit, t0,
-                               obs::steady_seconds() - t0, out.size(),
-                               "staging");
+                               obs::steady_seconds() - t0, moved, "staging");
     }
   } else {
     enforce_capacity();
   }
+  return moved;
 }
 
-void CachedBackend::write(std::uint64_t offset,
-                          std::span<const std::byte> data) {
-  APIO_INVARIANT(offset + data.size() >= offset,
-                 "write range overflows offset space");
-  const std::uint64_t begin = offset;
-  const std::uint64_t end = offset + data.size();
-  staging_->write(offset, data);
+std::uint64_t CachedBackend::write_v(std::span<const WriteExtent> extents) {
+  if (extents.empty()) return 0;
+  const std::uint64_t moved = staging_->write_v(extents);
   {
     std::lock_guard lock(mutex_);
-    interval_add(valid_, begin, end);
-    interval_add(dirty_, begin, end);
-    touch_blocks_locked(begin, end);
-    logical_size_ = std::max(logical_size_, end);
+    for (const auto& e : extents) {
+      const std::uint64_t end = e.offset + e.data.size();
+      APIO_INVARIANT(end >= e.offset, "write range overflows offset space");
+      interval_add(valid_, e.offset, end);
+      interval_add(dirty_, e.offset, end);
+      touch_blocks_locked(e.offset, end);
+      logical_size_ = std::max(logical_size_, end);
+    }
     recount_locked();
   }
-  count_write(data.size());
+  count_write(moved);
   if (options_.consistency == CacheConsistency::kAfterWrite) {
     // Write-through: forward immediately; the staged copy only serves
-    // re-reads.  A failed forward keeps the range dirty so a later
+    // re-reads.  A failed forward keeps the batch dirty so a later
     // drain (close, explicit) retries it.
-    inner_->write(offset, data);
+    (void)inner_->write_v(extents);
     std::lock_guard lock(mutex_);
-    interval_sub(dirty_, begin, end);
+    for (const auto& e : extents) {
+      interval_sub(dirty_, e.offset, e.offset + e.data.size());
+    }
     recount_locked();
   }
   enforce_capacity();
+  return moved;
 }
 
 void CachedBackend::flush() {
@@ -323,6 +343,8 @@ void CachedBackend::touch_blocks_locked(std::uint64_t begin,
   const std::uint64_t first = begin / options_.block_bytes;
   const std::uint64_t last = (end - 1) / options_.block_bytes;
   for (std::uint64_t block = first; block <= last; ++block) {
+    // Extents of one batch often share a block: it is already hottest.
+    if (!lru_.empty() && lru_.front() == block) continue;
     auto pos = lru_pos_.find(block);
     if (pos != lru_pos_.end()) lru_.erase(pos->second);
     lru_.push_front(block);
@@ -347,26 +369,42 @@ void CachedBackend::recount_locked() {
   cache_dirty_gauge().note_watermark();
 }
 
-void CachedBackend::fill_from_inner(std::uint64_t begin, std::uint64_t end) {
+void CachedBackend::fill_from_inner(std::span<const ReadExtent> extents) {
+  // The extents are sorted and disjoint, so their gaps are too: one
+  // vectored fetch and one vectored staging write cover them all.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> gaps;
   {
     std::lock_guard lock(mutex_);
-    gaps = interval_gaps(valid_, begin, end);
+    for (const auto& e : extents) {
+      const auto g = interval_gaps(valid_, e.offset, e.offset + e.out.size());
+      gaps.insert(gaps.end(), g.begin(), g.end());
+    }
   }
   if (gaps.empty()) return;
+  std::uint64_t gap_bytes = 0;
+  for (const auto& [gb, ge] : gaps) gap_bytes += ge - gb;
+  std::vector<std::byte> buf(gap_bytes);
+  std::vector<ReadExtent> fetch;
+  std::vector<WriteExtent> stage;
+  fetch.reserve(gaps.size());
+  stage.reserve(gaps.size());
   const std::uint64_t inner_size = inner_->size();
+  std::uint64_t pos = 0;
   std::uint64_t fetched = 0;
   for (const auto& [gb, ge] : gaps) {
+    const auto slot = std::span<std::byte>(buf).subspan(pos, ge - gb);
+    pos += ge - gb;
     // Bytes past the inner end-of-object exist only logically (grown
     // by staged writes / truncate): zero-fill those, fetch the rest.
-    std::vector<std::byte> buf(ge - gb);
     const std::uint64_t readable_end = std::min(ge, inner_size);
     if (gb < readable_end) {
-      inner_->read(gb, std::span<std::byte>(buf).first(readable_end - gb));
+      fetch.push_back({gb, slot.first(readable_end - gb)});
       fetched += readable_end - gb;
     }
-    staging_->write(gb, buf);
+    stage.push_back({gb, slot});
   }
+  if (!fetch.empty()) (void)inner_->read_v(fetch);
+  (void)staging_->write_v(stage);
   misses_.fetch_add(1, std::memory_order_relaxed);
   miss_bytes_.fetch_add(fetched, std::memory_order_relaxed);
   cache_misses_counter().increment();

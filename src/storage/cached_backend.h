@@ -110,12 +110,17 @@ class CachedBackend final : public Backend, public obs::EpochSink {
   ~CachedBackend() override;
 
   std::uint64_t size() const override;
+  /// The scalar calls are one-extent batches.
   void read(std::uint64_t offset, std::span<std::byte> out) override;
   void write(std::uint64_t offset, std::span<const std::byte> data) override;
-  // write_v/read_v inherit the per-extent base fallback: each extent
-  // passes through the hit/miss and dirty bookkeeping individually.
-  // Coalescing happens where it pays — on the drain path, which always
-  // leaves as vectored write_v batches.
+  /// A batch is one staging transfer, one bookkeeping pass under the
+  /// lock and one capacity check; a write-through (kAfterWrite) forward
+  /// and a read miss's fetch reach the inner backend as one vectored
+  /// call too.  A read_v is one hit only when every extent is staged.
+  [[nodiscard]] std::uint64_t write_v(
+      std::span<const WriteExtent> extents) override;
+  [[nodiscard]] std::uint64_t read_v(
+      std::span<const ReadExtent> extents) override;
   void flush() override;
   void close() override;
   void truncate(std::uint64_t new_size) override;
@@ -157,8 +162,9 @@ class CachedBackend final : public Backend, public obs::EpochSink {
   /// the modelled scale; correctness over micro-optimisation).
   void recount_locked();
 
-  /// Fetches [begin, end) gaps from the inner backend into staging.
-  void fill_from_inner(std::uint64_t begin, std::uint64_t end);
+  /// Fetches the unstaged parts of `extents` from the inner backend into
+  /// staging.
+  void fill_from_inner(std::span<const ReadExtent> extents);
   /// Writes the given dirty intervals to the inner backend (vectored,
   /// lowest extent last) and clears them from the dirty set on success.
   /// Caller holds drain_mutex_ but NOT mutex_.

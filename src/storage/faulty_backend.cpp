@@ -16,18 +16,13 @@ bool ranges_intersect(std::uint64_t begin_a, std::uint64_t end_a,
 }  // namespace
 
 FaultyBackend::FaultyBackend(BackendPtr inner, FaultPlan plan)
-    : inner_(std::move(inner)),
+    : Decorator(std::move(inner), "faulty"),
       plan_(plan),
       writes_left_(plan.fail_writes_after),
       reads_left_(plan.fail_reads_after),
-      flushes_left_(plan.fail_flush ? 0 : plan.fail_flushes_after) {
-  APIO_REQUIRE(inner_ != nullptr, "FaultyBackend requires an inner backend");
-  if (plan_.fail_flush && plan_.fail_flushes_after < 0) {
-    plan_.fail_flushes_after = 0;
-  }
-}
+      flushes_left_(plan.fail_flushes_after) {}
 
-void FaultyBackend::maybe_fault(OpKind kind, std::uint64_t offset,
+void FaultyBackend::maybe_fault(obs::IoOp op, std::uint64_t offset,
                                 std::uint64_t bytes) {
   // Acquire pairs with the release store in heal(): a thread that sees
   // the healed flag also sees the freshly reset counters below.
@@ -38,22 +33,23 @@ void FaultyBackend::maybe_fault(OpKind kind, std::uint64_t offset,
   std::uint64_t every_n = 0;
   std::atomic<std::int64_t>* left = nullptr;
   std::atomic<std::uint64_t>* calls = nullptr;
-  switch (kind) {
-    case OpKind::kRead:
+  switch (op) {
+    case obs::IoOp::kRead:
       op_name = "read";
       countdown = plan_.fail_reads_after;
       every_n = plan_.fail_every_n_reads;
       left = &reads_left_;
       calls = &read_calls_;
       break;
-    case OpKind::kWrite:
+    case obs::IoOp::kWrite:
       op_name = "write";
       countdown = plan_.fail_writes_after;
       every_n = plan_.fail_every_n_writes;
       left = &writes_left_;
       calls = &write_calls_;
       break;
-    case OpKind::kFlush:
+    case obs::IoOp::kFlush:
+    case obs::IoOp::kPrefetch:  // a connector-level op; never reaches here
       countdown = plan_.fail_flushes_after;
       every_n = plan_.fail_every_n_flushes;
       left = &flushes_left_;
@@ -73,7 +69,7 @@ void FaultyBackend::maybe_fault(OpKind kind, std::uint64_t offset,
     fault = true;
     pattern = "every-n";
   }
-  if (!fault && kind != OpKind::kFlush &&
+  if (!fault && op != obs::IoOp::kFlush &&
       plan_.fault_offset_begin < plan_.fault_offset_end &&
       ranges_intersect(offset, offset + bytes, plan_.fault_offset_begin,
                        plan_.fault_offset_end)) {
@@ -90,31 +86,28 @@ void FaultyBackend::maybe_fault(OpKind kind, std::uint64_t offset,
 
   std::string message = std::string("injected ") + op_name + " fault (" +
                         pattern + ")";
-  if (kind != OpKind::kFlush) {
+  if (op != obs::IoOp::kFlush) {
     message += " at offset " + std::to_string(offset);
   }
   if (plan_.transient) throw TransientIoError(message);
   throw IoError(message);
 }
 
-void FaultyBackend::read(std::uint64_t offset, std::span<std::byte> out) {
-  APIO_INVARIANT(offset + out.size() >= offset,
-                 "read range overflows offset space");
-  maybe_fault(OpKind::kRead, offset, out.size());
-  inner_->read(offset, out);
-  count_read(out.size());
+void FaultyBackend::around(obs::IoOp op, std::uint64_t offset,
+                           std::uint64_t bytes, Transfer transfer) {
+  APIO_INVARIANT(offset + bytes >= offset, "range overflows offset space");
+  maybe_fault(op, offset, bytes);
+  transfer();
 }
 
-void FaultyBackend::write(std::uint64_t offset, std::span<const std::byte> data) {
-  maybe_fault(OpKind::kWrite, offset, data.size());
-  inner_->write(offset, data);
-  count_write(data.size());
+std::uint64_t FaultyBackend::write_v(std::span<const WriteExtent> extents) {
+  for (const auto& e : extents) write(e.offset, e.data);
+  return extent_bytes(extents);
 }
 
-void FaultyBackend::flush() {
-  maybe_fault(OpKind::kFlush, 0, 0);
-  inner_->flush();
-  count_flush();
+std::uint64_t FaultyBackend::read_v(std::span<const ReadExtent> extents) {
+  for (const auto& e : extents) read(e.offset, e.out);
+  return extent_bytes(extents);
 }
 
 void FaultyBackend::reset_counters() {
@@ -137,9 +130,6 @@ void FaultyBackend::arm() { healed_.store(false, std::memory_order_release); }
 
 void FaultyBackend::set_plan(FaultPlan plan) {
   plan_ = plan;
-  if (plan_.fail_flush && plan_.fail_flushes_after < 0) {
-    plan_.fail_flushes_after = 0;
-  }
   reset_counters();
 }
 

@@ -24,7 +24,7 @@
 
 #include <atomic>
 
-#include "storage/backend.h"
+#include "storage/decorator.h"
 
 namespace apio::storage {
 
@@ -35,8 +35,6 @@ struct FaultPlan {
   std::int64_t fail_writes_after = -1;
   std::int64_t fail_reads_after = -1;
   std::int64_t fail_flushes_after = -1;
-  /// Legacy alias for fail_flushes_after = 0 (kept for existing plans).
-  bool fail_flush = false;
   /// Recurring patterns: every n-th call of the kind fails (1-indexed
   /// call counter; 0 = pattern off).  n = 1 fails every call.
   std::uint64_t fail_every_n_writes = 0;
@@ -56,21 +54,18 @@ struct FaultPlan {
   std::int64_t heal_after_faults = -1;
 };
 
-class FaultyBackend final : public Backend {
+class FaultyBackend final : public Decorator {
  public:
   FaultyBackend(BackendPtr inner, FaultPlan plan);
 
-  std::uint64_t size() const override { return inner_->size(); }
-  void read(std::uint64_t offset, std::span<std::byte> out) override;
-  void write(std::uint64_t offset, std::span<const std::byte> data) override;
-  // write_v/read_v deliberately inherit the base per-extent fallback:
-  // each extent passes through maybe_fault() individually, so countdown
-  // and every-N plans can fail an aggregated transfer partway through
-  // (prefix written, suffix rejected) just like a real mid-batch fault.
-  void flush() override;
-  void close() override { inner_->close(); }
-  void truncate(std::uint64_t new_size) override { inner_->truncate(new_size); }
-  std::string name() const override { return "faulty(" + inner_->name() + ")"; }
+  /// The one decorator that splits a batch: each extent is its own
+  /// write()/read() through the fault check, so countdown and every-N
+  /// plans can fail an aggregated transfer partway through (prefix
+  /// written, suffix rejected) just like a real mid-batch fault.
+  [[nodiscard]] std::uint64_t write_v(
+      std::span<const WriteExtent> extents) override;
+  [[nodiscard]] std::uint64_t read_v(
+      std::span<const ReadExtent> extents) override;
 
   /// Operations rejected so far (monotone across heal/arm cycles).
   std::uint64_t faults_injected() const {
@@ -97,9 +92,12 @@ class FaultyBackend final : public Backend {
   bool healed() const { return healed_.load(std::memory_order_acquire); }
 
  private:
-  enum class OpKind { kRead, kWrite, kFlush };
+  /// Throws the planned error when the operation should fail, else runs
+  /// the transfer.  `offset`/`bytes` describe the touched range (0/0
+  /// for flush).
+  void around(obs::IoOp op, std::uint64_t offset, std::uint64_t bytes,
+              Transfer transfer) override;
 
-  BackendPtr inner_;
   FaultPlan plan_;
   std::atomic<std::int64_t> writes_left_;
   std::atomic<std::int64_t> reads_left_;
@@ -110,10 +108,7 @@ class FaultyBackend final : public Backend {
   std::atomic<std::uint64_t> faults_{0};
   std::atomic<bool> healed_{false};
 
-  /// Throws the planned error when the operation should fail.
-  /// `offset`/`bytes` describe the touched range (0/0 for flush).
-  void maybe_fault(OpKind kind, std::uint64_t offset, std::uint64_t bytes);
-
+  void maybe_fault(obs::IoOp op, std::uint64_t offset, std::uint64_t bytes);
   void reset_counters();
 };
 

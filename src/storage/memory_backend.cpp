@@ -69,8 +69,7 @@ std::uint64_t MemoryBackend::write_v(std::span<const WriteExtent> extents) {
 
 std::uint64_t MemoryBackend::read_v(std::span<const ReadExtent> extents) {
   if (extents.empty()) return 0;
-  std::uint64_t total = 0;
-  for (const auto& e : extents) total += e.out.size();
+  const std::uint64_t total = extent_bytes(extents);
   obs::TimedOp op("storage.read", obs::Category::kStorage, storage_read_hist(),
                   &storage_bytes_read(), total);
   obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, total, "memory");

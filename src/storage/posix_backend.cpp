@@ -121,8 +121,7 @@ void PosixBackend::write(std::uint64_t offset, std::span<const std::byte> data) 
 
 std::uint64_t PosixBackend::write_v(std::span<const WriteExtent> extents) {
   if (extents.empty()) return 0;
-  std::uint64_t total = 0;
-  for (const auto& e : extents) total += e.data.size();
+  const std::uint64_t total = extent_bytes(extents);
   obs::TimedOp op("storage.write", obs::Category::kStorage, storage_write_hist(),
                   &storage_bytes_written(), total);
   obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, total, "posix");
@@ -175,8 +174,7 @@ std::uint64_t PosixBackend::write_v(std::span<const WriteExtent> extents) {
 
 std::uint64_t PosixBackend::read_v(std::span<const ReadExtent> extents) {
   if (extents.empty()) return 0;
-  std::uint64_t total = 0;
-  for (const auto& e : extents) total += e.out.size();
+  const std::uint64_t total = extent_bytes(extents);
   obs::TimedOp op("storage.read", obs::Category::kStorage, storage_read_hist(),
                   &storage_bytes_read(), total);
   obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, total, "posix");

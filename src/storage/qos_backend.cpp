@@ -1,7 +1,5 @@
 #include "storage/qos_backend.h"
 
-#include <numeric>
-
 #include "common/error.h"
 #include "obs/trace_context.h"
 
@@ -34,10 +32,9 @@ class Admission {
 
 QosBackend::QosBackend(BackendPtr inner, sched::FairSchedulerPtr scheduler,
                        QosOptions options)
-    : inner_(std::move(inner)),
+    : Decorator(std::move(inner), "qos"),
       scheduler_(std::move(scheduler)),
       options_(std::move(options)) {
-  APIO_REQUIRE(inner_ != nullptr, "QosBackend needs an inner backend");
   APIO_REQUIRE(scheduler_ != nullptr, "QosBackend needs a scheduler");
 }
 
@@ -56,40 +53,11 @@ sched::IoRequest QosBackend::request_for(obs::IoOp op,
   return request;
 }
 
-void QosBackend::read(std::uint64_t offset, std::span<std::byte> out) {
-  Admission grant(*scheduler_, request_for(obs::IoOp::kRead, out.size()));
-  obs::trace::ScopedPhase held(obs::trace::Phase::kAdmission, out.size());
-  inner_->read(offset, out);
-}
-
-void QosBackend::write(std::uint64_t offset, std::span<const std::byte> data) {
-  Admission grant(*scheduler_, request_for(obs::IoOp::kWrite, data.size()));
-  obs::trace::ScopedPhase held(obs::trace::Phase::kAdmission, data.size());
-  inner_->write(offset, data);
-}
-
-std::uint64_t QosBackend::write_v(std::span<const WriteExtent> extents) {
-  const std::uint64_t total = std::accumulate(
-      extents.begin(), extents.end(), std::uint64_t{0},
-      [](std::uint64_t n, const WriteExtent& e) { return n + e.data.size(); });
-  Admission grant(*scheduler_, request_for(obs::IoOp::kWrite, total));
-  obs::trace::ScopedPhase held(obs::trace::Phase::kAdmission, total);
-  return inner_->write_v(extents);
-}
-
-std::uint64_t QosBackend::read_v(std::span<const ReadExtent> extents) {
-  const std::uint64_t total = std::accumulate(
-      extents.begin(), extents.end(), std::uint64_t{0},
-      [](std::uint64_t n, const ReadExtent& e) { return n + e.out.size(); });
-  Admission grant(*scheduler_, request_for(obs::IoOp::kRead, total));
-  obs::trace::ScopedPhase held(obs::trace::Phase::kAdmission, total);
-  return inner_->read_v(extents);
-}
-
-void QosBackend::flush() {
-  Admission grant(*scheduler_, request_for(obs::IoOp::kFlush, 0));
-  obs::trace::ScopedPhase held(obs::trace::Phase::kAdmission);
-  inner_->flush();
+void QosBackend::around(obs::IoOp op, std::uint64_t /*offset*/,
+                        std::uint64_t bytes, Transfer transfer) {
+  Admission grant(*scheduler_, request_for(op, bytes));
+  obs::trace::ScopedPhase held(obs::trace::Phase::kAdmission, bytes);
+  transfer();
 }
 
 }  // namespace apio::storage

@@ -26,7 +26,7 @@
 #include <memory>
 
 #include "sched/fair_scheduler.h"
-#include "storage/backend.h"
+#include "storage/decorator.h"
 
 namespace apio::storage {
 
@@ -37,35 +37,24 @@ struct QosOptions {
   sched::Lane flush_lane = sched::Lane::kPriority;
 };
 
-class QosBackend final : public Backend {
+/// close() and truncate() take no admission slot: close() is a
+/// lifecycle announcement (any cache drain it triggers arrives as
+/// ordinary write_v/flush traffic from the outer tier and is admitted
+/// there), and truncate() is a rare metadata operation that must be
+/// externally serialised anyway, per the Backend contract.
+class QosBackend final : public Decorator {
  public:
   QosBackend(BackendPtr inner, sched::FairSchedulerPtr scheduler,
              QosOptions options = {});
-
-  std::uint64_t size() const override { return inner_->size(); }
-  void read(std::uint64_t offset, std::span<std::byte> out) override;
-  void write(std::uint64_t offset, std::span<const std::byte> data) override;
-  [[nodiscard]] std::uint64_t write_v(
-      std::span<const WriteExtent> extents) override;
-  [[nodiscard]] std::uint64_t read_v(
-      std::span<const ReadExtent> extents) override;
-  void flush() override;
-  // close() is a lifecycle announcement, not a transfer: it takes no
-  // admission slot (any cache drain it triggers arrives as ordinary
-  // write_v/flush traffic from the outer tier and is admitted there).
-  void close() override { inner_->close(); }
-  /// Rare metadata operation; passes through unadmitted (it must be
-  /// externally serialised anyway, per the Backend contract).
-  void truncate(std::uint64_t new_size) override { inner_->truncate(new_size); }
-  std::string name() const override { return "qos(" + inner_->name() + ")"; }
 
   const sched::FairSchedulerPtr& scheduler() const { return scheduler_; }
   const QosOptions& options() const { return options_; }
 
  private:
+  void around(obs::IoOp op, std::uint64_t offset, std::uint64_t bytes,
+              Transfer transfer) override;
   sched::IoRequest request_for(obs::IoOp op, std::uint64_t bytes) const;
 
-  BackendPtr inner_;
   sched::FairSchedulerPtr scheduler_;
   QosOptions options_;
 };

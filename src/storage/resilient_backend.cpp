@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/error.h"
 #include "obs/metrics.h"
 #include "obs/trace_context.h"
 
@@ -24,47 +23,32 @@ obs::Counter& layer_retries_counter() {
 ResilientBackend::ResilientBackend(BackendPtr inner, ResilienceOptions options,
                                    const Clock* clock,
                                    resilience::Sleeper* sleeper)
-    : inner_(std::move(inner)),
+    : Decorator(std::move(inner), "resilient"),
       options_(std::move(options)),
       clock_(clock != nullptr ? clock : &default_clock()),
       sleeper_(sleeper != nullptr ? sleeper : &resilience::wall_sleeper()) {
-  APIO_REQUIRE(inner_ != nullptr, "ResilientBackend requires an inner backend");
   options_.retry.validate();
   if (options_.enable_breaker) {
     breaker_ = std::make_unique<resilience::CircuitBreaker>(
-        options_.breaker, clock_, "storage:" + inner_->name());
+        options_.breaker, clock_, "storage:" + this->inner()->name());
   }
 }
 
-template <typename Fn>
-void ResilientBackend::run(Fn&& fn) {
+void ResilientBackend::around(obs::IoOp op, std::uint64_t /*offset*/,
+                              std::uint64_t bytes, Transfer transfer) {
+  if (op == obs::IoOp::kFlush) return run(transfer);
+  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, bytes, "resilient");
+  run(transfer);
+}
+
+void ResilientBackend::run(Transfer transfer) {
   const auto outcome = resilience::run_with_retry(
-      options_.retry, *clock_, *sleeper_, breaker_.get(), std::forward<Fn>(fn));
+      options_.retry, *clock_, *sleeper_, breaker_.get(), transfer);
   if (outcome.attempts > 1) {
     const auto extra = static_cast<std::uint64_t>(outcome.attempts - 1);
     retries_.fetch_add(extra, std::memory_order_relaxed);
     if (obs::enabled()) layer_retries_counter().add(extra);
   }
-}
-
-void ResilientBackend::read(std::uint64_t offset, std::span<std::byte> out) {
-  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, out.size(),
-                               "resilient");
-  run([&] { inner_->read(offset, out); });
-  count_read(out.size());
-}
-
-void ResilientBackend::write(std::uint64_t offset,
-                             std::span<const std::byte> data) {
-  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, data.size(),
-                               "resilient");
-  run([&] { inner_->write(offset, data); });
-  count_write(data.size());
-}
-
-void ResilientBackend::flush() {
-  run([&] { inner_->flush(); });
-  count_flush();
 }
 
 }  // namespace apio::storage

@@ -5,6 +5,16 @@
 // breaker that sheds load during a sustained outage.  Truncate is a
 // rare metadata operation and passes through unretried.
 //
+// A failed vectored batch is retried WHOLE, as one write_v/read_v:
+// positional transfers are idempotent, so re-sending extents that had
+// already landed is harmless, and write_v throws without a byte count,
+// so retrying only the unfinished suffix would need partial-progress
+// reporting through every layer.  The cost of the simpler rule: under a
+// fault pattern that recurs within one batch — a per-extent fault
+// injector failing every N-th call with N no larger than the batch's
+// extent count — every attempt of the batch faults, and the retry
+// budget can run out where per-extent retries would have finished.
+//
 // Retry cost is recorded through the shared io.* resilience metrics
 // (io.retries, io.retry_backoff_seconds, io.deadline_exhausted,
 // io.breaker_*) plus a layer-local storage.resilient.retries counter,
@@ -18,7 +28,7 @@
 #include "common/clock.h"
 #include "resilience/circuit_breaker.h"
 #include "resilience/retry.h"
-#include "storage/backend.h"
+#include "storage/decorator.h"
 
 namespace apio::storage {
 
@@ -29,7 +39,7 @@ struct ResilienceOptions {
   bool enable_breaker = true;
 };
 
-class ResilientBackend final : public Backend {
+class ResilientBackend final : public Decorator {
  public:
   /// `clock` defaults to the wall clock and `sleeper` to the blocking
   /// wall sleeper; tests inject a resilience::ManualClock as both so
@@ -37,19 +47,6 @@ class ResilientBackend final : public Backend {
   ResilientBackend(BackendPtr inner, ResilienceOptions options,
                    const Clock* clock = nullptr,
                    resilience::Sleeper* sleeper = nullptr);
-
-  std::uint64_t size() const override { return inner_->size(); }
-  void read(std::uint64_t offset, std::span<std::byte> out) override;
-  void write(std::uint64_t offset, std::span<const std::byte> data) override;
-  // write_v/read_v deliberately inherit the base per-extent fallback so
-  // each extent is retried under the policy independently — a transient
-  // fault mid-batch re-runs only the failed extent, not the whole list.
-  void flush() override;
-  void close() override { inner_->close(); }
-  void truncate(std::uint64_t new_size) override { inner_->truncate(new_size); }
-  std::string name() const override {
-    return "resilient(" + inner_->name() + ")";
-  }
 
   /// Re-executed attempts across all operations so far.
   std::uint64_t retries() const {
@@ -62,10 +59,10 @@ class ResilientBackend final : public Backend {
   const ResilienceOptions& options() const { return options_; }
 
  private:
-  template <typename Fn>
-  void run(Fn&& fn);
+  void around(obs::IoOp op, std::uint64_t offset, std::uint64_t bytes,
+              Transfer transfer) override;
+  void run(Transfer transfer);
 
-  BackendPtr inner_;
   ResilienceOptions options_;
   const Clock* clock_;
   resilience::Sleeper* sleeper_;

@@ -26,8 +26,7 @@ void sleep_seconds(double s) {
 }  // namespace
 
 ThrottledBackend::ThrottledBackend(BackendPtr inner, ThrottleParams params)
-    : inner_(std::move(inner)), params_(params) {
-  APIO_REQUIRE(inner_ != nullptr, "ThrottledBackend requires an inner backend");
+    : Decorator(std::move(inner), "throttled"), params_(params) {
   APIO_REQUIRE(params_.bandwidth > 0, "throttle bandwidth must be positive");
   APIO_REQUIRE(params_.time_scale >= 0, "time_scale must be >= 0");
 }
@@ -59,45 +58,12 @@ void ThrottledBackend::throttle(std::uint64_t bytes) {
   }
 }
 
-void ThrottledBackend::read(std::uint64_t offset, std::span<std::byte> out) {
-  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, out.size(),
-                               "throttled");
-  throttle(out.size());
-  inner_->read(offset, out);
-  count_read(out.size());
-}
-
-void ThrottledBackend::write(std::uint64_t offset, std::span<const std::byte> data) {
-  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, data.size(),
-                               "throttled");
-  throttle(data.size());
-  inner_->write(offset, data);
-  count_write(data.size());
-}
-
-std::uint64_t ThrottledBackend::write_v(std::span<const WriteExtent> extents) {
-  std::uint64_t total = 0;
-  for (const auto& e : extents) total += e.data.size();
-  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, total, "throttled");
-  throttle(total);
-  const std::uint64_t moved = inner_->write_v(extents);
-  count_write(moved);
-  return moved;
-}
-
-std::uint64_t ThrottledBackend::read_v(std::span<const ReadExtent> extents) {
-  std::uint64_t total = 0;
-  for (const auto& e : extents) total += e.out.size();
-  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, total, "throttled");
-  throttle(total);
-  const std::uint64_t moved = inner_->read_v(extents);
-  count_read(moved);
-  return moved;
-}
-
-void ThrottledBackend::flush() {
-  inner_->flush();
-  count_flush();
+void ThrottledBackend::around(obs::IoOp op, std::uint64_t /*offset*/,
+                              std::uint64_t bytes, Transfer transfer) {
+  if (op == obs::IoOp::kFlush) return transfer();
+  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, bytes, "throttled");
+  throttle(bytes);
+  transfer();
 }
 
 double ThrottledBackend::modelled_delay_seconds() const {

@@ -7,7 +7,7 @@
 #pragma once
 
 #include "common/debug/lock_rank.h"
-#include "storage/backend.h"
+#include "storage/decorator.h"
 
 namespace apio::storage {
 
@@ -26,25 +26,14 @@ struct ThrottleParams {
   bool shared_channel = true;
 };
 
-class ThrottledBackend final : public Backend {
+/// Each read/write is charged latency + bytes/bandwidth; flushes pass
+/// unthrottled.  A vectored call is one aggregated request on the
+/// modelled PFS: the budget is charged once for its total rather than
+/// per extent, which is exactly the cost reduction aggregation buys on
+/// a latency-bound file system.
+class ThrottledBackend final : public Decorator {
  public:
   ThrottledBackend(BackendPtr inner, ThrottleParams params);
-
-  std::uint64_t size() const override { return inner_->size(); }
-  void read(std::uint64_t offset, std::span<std::byte> out) override;
-  void write(std::uint64_t offset, std::span<const std::byte> data) override;
-  /// A vectored call is one aggregated request on the modelled PFS: the
-  /// budget is charged once (latency + total/bandwidth) rather than
-  /// per-extent, which is exactly the cost reduction aggregation buys
-  /// on a latency-bound file system.
-  [[nodiscard]] std::uint64_t write_v(
-      std::span<const WriteExtent> extents) override;
-  [[nodiscard]] std::uint64_t read_v(
-      std::span<const ReadExtent> extents) override;
-  void flush() override;
-  void close() override { inner_->close(); }
-  void truncate(std::uint64_t new_size) override { inner_->truncate(new_size); }
-  std::string name() const override { return "throttled(" + inner_->name() + ")"; }
 
   /// Total modelled delay injected so far, in modelled seconds.
   double modelled_delay_seconds() const;
@@ -52,7 +41,9 @@ class ThrottledBackend final : public Backend {
   const ThrottleParams& params() const { return params_; }
 
  private:
-  BackendPtr inner_;
+  void around(obs::IoOp op, std::uint64_t offset, std::uint64_t bytes,
+              Transfer transfer) override;
+
   ThrottleParams params_;
 
   mutable debug::RankedMutex<debug::LockRank::kStorageWrapper> channel_mutex_;

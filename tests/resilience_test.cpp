@@ -344,6 +344,39 @@ TEST(ResilienceResilientBackendTest, RetriesTransientWritesToCompletion) {
   EXPECT_EQ(backend.name(), "resilient(faulty(memory))");
 }
 
+TEST(ResilienceResilientBackendTest, RetriesFailedVectoredBatchWhole) {
+  FaultPlan plan;
+  plan.fail_writes_after = 1;   // extent 1 lands, extent 2 faults...
+  plan.transient = true;
+  plan.heal_after_faults = 1;   // ...and that one fault ends the outage
+  auto leaf = std::make_shared<storage::MemoryBackend>();
+  auto faulty = std::make_shared<FaultyBackend>(leaf, plan);
+
+  ManualClock manual;
+  storage::ResilienceOptions ro;
+  ro.retry.max_attempts = 3;
+  storage::ResilientBackend backend(faulty, ro, &manual, &manual);
+
+  const std::vector<std::uint8_t> a{1, 2, 3, 4};
+  const std::vector<std::uint8_t> b{5, 6, 7};
+  const std::vector<std::uint8_t> c{8, 9};
+  const std::vector<storage::WriteExtent> batch{
+      {0, bytes_of(a)}, {10, bytes_of(b)}, {20, bytes_of(c)}};
+  EXPECT_EQ(backend.write_v(batch), 9u);
+  EXPECT_EQ(backend.retries(), 1u);
+  EXPECT_EQ(faulty->faults_injected(), 1u);
+  EXPECT_EQ(backend.stats().write_ops, 1u) << "one vectored call, one op";
+  // The retry re-sent the whole batch: extent 1 landed twice.
+  EXPECT_EQ(leaf->stats().write_ops, 4u);
+
+  for (const auto& [offset, want] :
+       {std::pair{0u, a}, std::pair{10u, b}, std::pair{20u, c}}) {
+    std::vector<std::uint8_t> got(want.size());
+    leaf->read(offset, writable(got));
+    EXPECT_EQ(got, want) << "extent at " << offset;
+  }
+}
+
 TEST(ResilienceResilientBackendTest, PermanentErrorsAreNotRetried) {
   FaultPlan plan;
   plan.fail_every_n_writes = 1;  // every write fails, classified permanent

@@ -7,6 +7,9 @@
 
 #include "common/error.h"
 #include "common/units.h"
+#include "sched/fair_scheduler.h"
+#include "storage/backend_stack.h"
+#include "storage/faulty_backend.h"
 #include "storage/memory_backend.h"
 #include "storage/pfs_model.h"
 #include "storage/posix_backend.h"
@@ -26,17 +29,95 @@ std::string temp_path(const std::string& name) {
 }
 
 // ---------------------------------------------------------------------------
-// Backend behaviours shared by memory and posix: exercised via a
-// parameterized suite.
+// Backend behaviours every layer must keep: the leaves, each decorator
+// over a memory leaf, the cache in each visibility mode and the full
+// builder stack, exercised via a parameterized suite.
 
-enum class BackendKind { kMemory, kPosix };
+enum class BackendKind {
+  kMemory,
+  kPosix,
+  kThrottled,
+  kResilient,
+  kQos,
+  kCachedAfterWrite,
+  kCachedAfterClose,
+  kCachedAfterEpoch,
+  kCachedAfterJob,
+  kFaultyHealed,
+  kFullStack,
+};
+
+const char* kind_name(BackendKind kind) {
+  switch (kind) {
+    case BackendKind::kMemory: return "Memory";
+    case BackendKind::kPosix: return "Posix";
+    case BackendKind::kThrottled: return "Throttled";
+    case BackendKind::kResilient: return "Resilient";
+    case BackendKind::kQos: return "Qos";
+    case BackendKind::kCachedAfterWrite: return "CachedAfterWrite";
+    case BackendKind::kCachedAfterClose: return "CachedAfterClose";
+    case BackendKind::kCachedAfterEpoch: return "CachedAfterEpoch";
+    case BackendKind::kCachedAfterJob: return "CachedAfterJob";
+    case BackendKind::kFaultyHealed: return "FaultyHealed";
+    case BackendKind::kFullStack: return "FullStack";
+  }
+  return "?";
+}
+
+ThrottleParams free_throttle() {
+  ThrottleParams params;
+  params.bandwidth = 1e12;
+  params.time_scale = 0.0;  // model time only, no wall sleeping
+  return params;
+}
+
+CacheOptions cache_mode(CacheConsistency mode) {
+  CacheOptions options;
+  options.consistency = mode;
+  return options;
+}
 
 class BackendContractTest : public ::testing::TestWithParam<BackendKind> {
  protected:
   BackendPtr make_backend() {
-    if (GetParam() == BackendKind::kMemory) return std::make_shared<MemoryBackend>();
-    path_ = temp_path("apio_backend_contract_test.bin");
-    return std::make_shared<PosixBackend>(path_, PosixBackend::Mode::kCreateTruncate);
+    auto memory = BackendStack::memory();
+    switch (GetParam()) {
+      case BackendKind::kMemory:
+        return memory.build();
+      case BackendKind::kPosix:
+        path_ = temp_path("apio_backend_contract_test.bin");
+        return BackendStack::posix(path_).build();
+      case BackendKind::kThrottled:
+        return memory.throttled(free_throttle()).build();
+      case BackendKind::kResilient:
+        return memory.resilient({}).build();
+      case BackendKind::kQos:
+        return memory.qos(scheduler_).build();
+      case BackendKind::kCachedAfterWrite:
+        return memory.cached(cache_mode(CacheConsistency::kAfterWrite)).build();
+      case BackendKind::kCachedAfterClose:
+        return memory.cached(cache_mode(CacheConsistency::kAfterClose)).build();
+      case BackendKind::kCachedAfterEpoch:
+        return memory.cached(cache_mode(CacheConsistency::kAfterEpoch)).build();
+      case BackendKind::kCachedAfterJob:
+        return memory.cached(cache_mode(CacheConsistency::kAfterJob)).build();
+      case BackendKind::kFaultyHealed: {
+        FaultPlan plan;
+        plan.fail_every_n_writes = 1;
+        plan.fail_every_n_reads = 1;
+        plan.fail_every_n_flushes = 1;
+        auto faulty = std::make_shared<FaultyBackend>(memory.build(), plan);
+        faulty->heal();
+        return faulty;
+      }
+      case BackendKind::kFullStack:
+        return memory.throttled(free_throttle())
+            .resilient({})
+            .qos(scheduler_)
+            .cached()
+            .build();
+    }
+    return nullptr;
   }
 
   void TearDown() override {
@@ -44,6 +125,7 @@ class BackendContractTest : public ::testing::TestWithParam<BackendKind> {
   }
 
   std::string path_;
+  sched::FairSchedulerPtr scheduler_ = std::make_shared<sched::FairScheduler>();
 };
 
 TEST_P(BackendContractTest, StartsEmpty) {
@@ -145,12 +227,57 @@ TEST_P(BackendContractTest, ConcurrentDisjointWrites) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllBackends, BackendContractTest,
-                         ::testing::Values(BackendKind::kMemory, BackendKind::kPosix),
-                         [](const auto& info) {
-                           return info.param == BackendKind::kMemory ? "Memory"
-                                                                     : "Posix";
-                         });
+TEST_P(BackendContractTest, GappedVectoredRoundTrip) {
+  auto b = make_backend();
+  const auto x = make_bytes({1, 2, 3, 4});
+  const auto y = make_bytes({5, 6, 7});
+  const auto z = make_bytes({8, 9, 10, 11, 12});
+  const std::vector<WriteExtent> writes{{0, x}, {10, y}, {20, z}};
+  EXPECT_EQ(b->write_v(writes), 12u);
+  EXPECT_EQ(b->size(), 25u);
+
+  std::vector<std::byte> rx(4), ry(3), rz(5);
+  const std::vector<ReadExtent> reads{{0, rx}, {10, ry}, {20, rz}};
+  EXPECT_EQ(b->read_v(reads), 12u);
+  EXPECT_EQ(rx, x);
+  EXPECT_EQ(ry, y);
+  EXPECT_EQ(rz, z);
+
+  std::vector<std::byte> holes(6);
+  const std::vector<ReadExtent> gaps{{4, std::span(holes).first(3)},
+                                     {17, std::span(holes).last(3)}};
+  EXPECT_EQ(b->read_v(gaps), 6u);
+  for (auto v : holes) EXPECT_EQ(std::to_integer<int>(v), 0);
+}
+
+TEST_P(BackendContractTest, StatsCountOneOpPerVectoredCall) {
+  if (GetParam() == BackendKind::kFaultyHealed) {
+    GTEST_SKIP() << "the fault injector splits a batch per extent on purpose";
+  }
+  auto b = make_backend();
+  const auto data = make_bytes({1, 2, 3, 4});
+  const std::vector<WriteExtent> writes{{0, data}, {8, data}, {16, data}};
+  EXPECT_EQ(b->write_v(writes), 12u);
+  std::vector<std::byte> r0(4), r1(4), r2(4);
+  const std::vector<ReadExtent> reads{{0, r0}, {8, r1}, {16, r2}};
+  EXPECT_EQ(b->read_v(reads), 12u);
+  const auto stats = b->stats();
+  EXPECT_EQ(stats.write_ops, 1u);
+  EXPECT_EQ(stats.read_ops, 1u);
+  EXPECT_EQ(stats.bytes_written, 12u);
+  EXPECT_EQ(stats.bytes_read, 12u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllBackends, BackendContractTest,
+    ::testing::Values(BackendKind::kMemory, BackendKind::kPosix,
+                      BackendKind::kThrottled, BackendKind::kResilient,
+                      BackendKind::kQos, BackendKind::kCachedAfterWrite,
+                      BackendKind::kCachedAfterClose,
+                      BackendKind::kCachedAfterEpoch,
+                      BackendKind::kCachedAfterJob, BackendKind::kFaultyHealed,
+                      BackendKind::kFullStack),
+    [](const auto& info) { return kind_name(info.param); });
 
 // ---------------------------------------------------------------------------
 // PosixBackend specifics
