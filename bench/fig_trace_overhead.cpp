@@ -35,8 +35,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "obs/metrics.h"
 #include "obs/record.h"
-#include "obs/span.h"
 #include "obs/trace_context.h"
 #include "storage/memory_backend.h"
 #include "storage/throttled_backend.h"

@@ -19,8 +19,9 @@
 #      `det` lines into bench JSON; apio_bench_compare --tol-det 0 diffs
 #      them against bench/baselines/e2e/ (any drift fails),
 #   5. trace artifacts: a small traced VPIC run through `apio_profile
-#      trace` archives build/trace-report.json (critical-path report)
-#      and build/trace-metrics.prom (Prometheus snapshot),
+#      trace` archives build/trace-report.json (critical-path report),
+#      build/trace-metrics.prom (Prometheus snapshot) and
+#      build/trace-chrome.json (Chrome timeline, checked to parse),
 #   6. clang-tidy preset (skipped with a notice when clang-tidy is not
 #      installed — the GCC-only CI image does not ship it),
 #   7. ThreadSanitizer build + the `tsan`-labelled suite (the whole unit
@@ -108,9 +109,12 @@ build/tools/apio_bench_compare "${BENCH_JSON_DIR}/e2e_det.jsonl" \
 echo "==> [5/8] trace artifacts (apio_profile trace)"
 build/tools/apio_profile trace --ranks 4 --steps 2 \
   --export-report build/trace-report.json \
-  --export-prom build/trace-metrics.prom >/dev/null
+  --export-prom build/trace-metrics.prom \
+  --chrome build/trace-chrome.json >/dev/null
+python3 -m json.tool build/trace-chrome.json >/dev/null
 echo "    critical-path report archived at build/trace-report.json"
 echo "    Prometheus snapshot archived at build/trace-metrics.prom"
+echo "    Chrome timeline (validated JSON) archived at build/trace-chrome.json"
 
 echo "==> [6/8] clang-tidy"
 if command -v clang-tidy >/dev/null 2>&1; then

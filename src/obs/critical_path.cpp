@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/units.h"
+#include "obs/metrics.h"
 
 namespace apio::obs::trace {
 
@@ -282,7 +283,7 @@ std::string CriticalPathAnalyzer::to_json(double straggler_threshold) const {
   os << "},\"tenants\":{";
   first = true;
   for (const auto& [tenant, p] : tenant_percentiles()) {
-    os << (first ? "" : ",") << "\"" << tenant
+    os << (first ? "" : ",") << "\"" << json_escape(tenant)
        << "\":{\"count\":" << p.count << ",\"p50\":" << p.p50
        << ",\"p95\":" << p.p95 << ",\"p99\":" << p.p99 << "}";
     first = false;

@@ -7,7 +7,6 @@
 
 #include "common/units.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 
 namespace apio::obs {
 

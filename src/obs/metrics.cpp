@@ -1,7 +1,9 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <sstream>
 
 #include "common/units.h"
@@ -14,6 +16,10 @@ std::atomic<bool> g_enabled{false};
 std::atomic<int> g_next_slot{0};
 
 thread_local int t_shard = -1;
+thread_local int t_rank = -1;
+thread_local int t_stream = -1;
+
+}  // namespace
 
 std::string json_escape(const std::string& s) {
   std::string out;
@@ -38,8 +44,6 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-}  // namespace
-
 bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 void set_enabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
 
@@ -53,6 +57,22 @@ int thread_shard() {
 
 void set_thread_shard(int shard) {
   t_shard = shard >= 0 ? shard % static_cast<int>(kShards) : -1;
+}
+
+int thread_rank() { return t_rank; }
+void set_thread_rank(int rank) {
+  t_rank = rank;
+  // Rank threads shard the counters by rank, so per-shard snapshot
+  // values read as per-rank values (the paper's per-rank accounting).
+  if (rank >= 0) set_thread_shard(rank);
+}
+
+int thread_stream() { return t_stream; }
+void set_thread_stream(int stream) { t_stream = stream; }
+
+double steady_seconds() {
+  using namespace std::chrono;
+  return duration<double>(steady_clock::now().time_since_epoch()).count();
 }
 
 // ---------------------------------------------------------------------------

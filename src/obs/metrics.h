@@ -35,6 +35,23 @@ inline constexpr std::size_t kShards = 16;
 int thread_shard();
 void set_thread_shard(int shard);
 
+/// Thread identity used to label trace spans (Chrome lanes).  pmpi::run
+/// sets the rank on rank threads, which also pins their counter shard
+/// to the rank; ExecutionStream workers set the stream id.  Both are -1
+/// on every other thread.
+int thread_rank();
+void set_thread_rank(int rank);
+int thread_stream();
+void set_thread_stream(int stream);
+
+/// Monotonic wall time in seconds (steady_clock).
+double steady_seconds();
+
+/// `s` escaped for the inside of a JSON string literal: quotes,
+/// backslashes and every control character, so a value can never break
+/// a document or a JSONL line.
+std::string json_escape(const std::string& s);
+
 /// Monotone counter, sharded per thread slot.
 class Counter {
  public:

@@ -1,7 +1,10 @@
 #include "obs/telemetry.h"
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <iomanip>
+#include <limits>
 #include <sstream>
 
 namespace apio::obs::trace {
@@ -20,11 +23,12 @@ std::string prom_name(const std::string& name) {
   return out;
 }
 
-void append_escaped(std::ostringstream& os, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
+/// Chrome lane of a span: rank threads on 1000+rank, stream workers on
+/// 2000+stream, any other thread on lane 0.
+int chrome_lane(const TraceSpan& span) {
+  if (span.rank >= 0) return 1000 + span.rank;
+  if (span.stream >= 0) return 2000 + span.stream;
+  return 0;
 }
 
 }  // namespace
@@ -79,9 +83,8 @@ std::string trace_to_json(const CompletedTrace& trace) {
     os << ",\"parent_trace_id\":" << trace.parent_trace_id
        << ",\"parent_span_id\":" << trace.parent_span_id;
   }
-  os << ",\"op\":\"" << to_string(trace.op) << "\",\"tenant\":\"";
-  append_escaped(os, trace.tenant);
-  os << "\",\"bytes\":" << trace.bytes
+  os << ",\"op\":\"" << to_string(trace.op) << "\",\"tenant\":\""
+     << json_escape(trace.tenant) << "\",\"bytes\":" << trace.bytes
      << ",\"failed\":" << (trace.failed ? "true" : "false")
      << ",\"start\":" << trace.start_seconds
      << ",\"duration\":" << trace.duration_seconds << ",\"spans\":[";
@@ -92,13 +95,38 @@ std::string trace_to_json(const CompletedTrace& trace) {
        << phase_name(s.phase) << "\",\"start\":" << s.start_seconds
        << ",\"duration\":" << s.duration_seconds << ",\"bytes\":" << s.bytes
        << ",\"rank\":" << s.rank;
-    if (!s.detail.empty()) {
-      os << ",\"detail\":\"";
-      append_escaped(os, s.detail);
-      os << "\"";
-    }
+    if (!s.detail.empty()) os << ",\"detail\":\"" << json_escape(s.detail) << "\"";
     os << "}";
     first = false;
+  }
+  os << "]}";
+  return os.str();
+}
+
+std::string to_chrome_json(const std::vector<CompletedTrace>& traces) {
+  // Timestamps count from the earliest recorded span, so the viewer
+  // opens at the start of the run.
+  double origin = std::numeric_limits<double>::infinity();
+  for (const auto& t : traces) {
+    for (const auto& s : t.spans) origin = std::min(origin, s.start_seconds);
+  }
+  std::ostringstream os;
+  os << std::fixed << std::setprecision(3);  // microseconds to the ns
+  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  bool first = true;
+  for (const auto& t : traces) {
+    for (const auto& s : t.spans) {
+      os << (first ? "" : ",") << "{\"name\":\"" << phase_name(s.phase)
+         << "\",\"cat\":\"" << to_string(t.op)
+         << "\",\"ph\":\"X\",\"pid\":0,\"tid\":" << chrome_lane(s)
+         << ",\"ts\":" << (s.start_seconds - origin) * 1e6
+         << ",\"dur\":" << s.duration_seconds * 1e6
+         << ",\"args\":{\"trace_id\":" << t.trace_id << ",\"bytes\":" << s.bytes
+         << ",\"rank\":" << s.rank << ",\"stream\":" << s.stream;
+      if (!s.detail.empty()) os << ",\"detail\":\"" << json_escape(s.detail) << "\"";
+      os << "}}";
+      first = false;
+    }
   }
   os << "]}";
   return os.str();

@@ -44,6 +44,13 @@ std::string to_prometheus(const RegistrySnapshot& snapshot,
 /// One completed trace as a single JSON line (no trailing newline).
 std::string trace_to_json(const CompletedTrace& trace);
 
+/// Chrome trace_event JSON ({"traceEvents":[...]}, load it in
+/// chrome://tracing or Perfetto) of every recorded phase span: one
+/// complete ("X") event per span, ts/dur in microseconds from the
+/// earliest span.  Lanes: rank threads on tid 1000+rank, execution
+/// streams on 2000+stream, other threads on 0.
+std::string to_chrome_json(const std::vector<CompletedTrace>& traces);
+
 class TelemetryExporter {
  public:
   explicit TelemetryExporter(TelemetryOptions options);

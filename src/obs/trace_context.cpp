@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "obs/span.h"
+#include "obs/metrics.h"
 
 namespace apio::obs::trace {
 
@@ -270,20 +270,18 @@ void record_phase(const TraceContext& context, Phase phase,
   span.duration_seconds = duration_seconds;
   span.bytes = bytes;
   span.rank = thread_rank();
+  span.stream = thread_stream();
   span.detail = std::move(detail);
   collector.record(context, std::move(span));
 }
 
-ScopedPhase::ScopedPhase(Phase phase, std::uint64_t bytes,
-                         const char* detail) {
+ScopedPhase::ScopedPhase(Phase phase, std::uint64_t bytes, const char* detail)
+    : phase_(phase), bytes_(bytes), detail_(detail) {
   const TraceContext* ctx = current_trace();
   if (ctx == nullptr || !ctx->sampled) return;
   auto& collector = TraceCollector::instance();
   if (!collector.enabled()) return;
   active_ = true;
-  phase_ = phase;
-  bytes_ = bytes;
-  detail_ = detail;
   context_ = *ctx;
   span_id_ = collector.new_span_id(context_);
   parent_ = t_phase_stack.empty() ? context_.span_id : t_phase_stack.back();
@@ -291,10 +289,25 @@ ScopedPhase::ScopedPhase(Phase phase, std::uint64_t bytes,
   start_ = steady_seconds();
 }
 
+ScopedPhase::ScopedPhase(Phase phase, std::uint64_t bytes, const char* detail,
+                         Histogram& latency, Counter* bytes_counter)
+    : ScopedPhase(phase, bytes, detail) {
+  if (!obs::enabled()) return;
+  latency_ = &latency;
+  bytes_counter_ = bytes_counter;
+  if (!active_) start_ = steady_seconds();
+}
+
 void ScopedPhase::finish() {
+  if (!active_ && latency_ == nullptr) return;
+  const double end = steady_seconds();
+  if (latency_ != nullptr) {
+    latency_->record_seconds(end - start_);
+    if (bytes_counter_ != nullptr) bytes_counter_->add(bytes_);
+    latency_ = nullptr;
+  }
   if (!active_) return;
   active_ = false;
-  const double end = steady_seconds();
   // Unwind the stack down to (and including) this span: an early
   // finish() with nested phases still open must not leave dangling
   // parents behind.
@@ -305,12 +318,13 @@ void ScopedPhase::finish() {
   }
   TraceSpan span;
   span.span_id = span_id_;
-  span.parent_span_id = parent_ == context_.span_id ? context_.span_id : parent_;
+  span.parent_span_id = parent_;
   span.phase = phase_;
   span.start_seconds = start_;
   span.duration_seconds = end - start_;
   span.bytes = bytes_;
   span.rank = thread_rank();
+  span.stream = thread_stream();
   if (detail_ != nullptr) span.detail = detail_;
   TraceCollector::instance().record(context_, std::move(span));
 }

@@ -1,11 +1,12 @@
 // Causal request tracing: follow ONE I/O request through every layer.
 //
-// The metrics registry answers "how much, in aggregate"; the Chrome
-// span buffer answers "what ran when, per thread".  Neither can answer
-// the paper's per-request question — where did *this* write spend its
-// time once it left the application?  obs::trace does: every request
-// submitted through the async VOL mints a TraceContext (trace id +
-// root span id) that travels with the operation across threads —
+// The metrics registry answers "how much, in aggregate"; it cannot
+// answer the paper's per-request question — where did *this* write
+// spend its time once it left the application?  obs::trace does, and
+// its completed-trace ring is the one span stream every timeline view
+// renders from (Chrome JSON, critical path, JSONL export).  Every
+// request submitted through a VOL connector mints a TraceContext
+// (trace id + root span id) that travels with the operation across threads —
 // issuing rank -> FIFO chain -> tasking pool -> retry attempts ->
 // scheduler admission -> backend decorator stack — and every layer
 // records phase-named child spans against it.  A completed request
@@ -47,6 +48,11 @@
 #include <vector>
 
 #include "obs/record.h"
+
+namespace apio::obs {
+class Counter;
+class Histogram;
+}  // namespace apio::obs
 
 namespace apio::obs::trace {
 
@@ -97,6 +103,7 @@ struct TraceSpan {
   double duration_seconds = 0.0;
   std::uint64_t bytes = 0;
   int rank = -1;       ///< pmpi rank of the recording thread
+  int stream = -1;     ///< execution-stream id of the recording thread
   std::string detail;  ///< free-form annotation (backend name, attempt no.)
 };
 
@@ -261,14 +268,23 @@ void record_phase(const TraceContext& context, Phase phase,
                   double start_seconds, double duration_seconds,
                   std::uint64_t bytes = 0, std::string detail = {});
 
-/// RAII phase span on the bound context.  Construction samples the
-/// clock and pushes onto the thread's phase stack (so nested phases
-/// parent correctly); destruction (or finish()) pops and records.
-/// Near-zero cost when the thread is unbound or the trace unsampled.
+/// RAII phase span on the bound context — the one timing primitive of
+/// the stack.  Construction samples the clock and pushes onto the
+/// thread's phase stack (so nested phases parent correctly);
+/// destruction (or finish()) pops and records.
+///
+/// The metric-sink form also feeds the registry: when obs::enabled(),
+/// the same pair of clock reads records one `latency` sample and adds
+/// `bytes` to `bytes_counter` (when given).  The span and the metrics
+/// are gated independently, so either may be on alone.  Near-zero cost
+/// when metrics are off and the thread is unbound or the trace
+/// unsampled.
 class ScopedPhase {
  public:
   explicit ScopedPhase(Phase phase, std::uint64_t bytes = 0,
                        const char* detail = nullptr);
+  ScopedPhase(Phase phase, std::uint64_t bytes, const char* detail,
+              Histogram& latency, Counter* bytes_counter = nullptr);
   ~ScopedPhase();
 
   ScopedPhase(const ScopedPhase&) = delete;
@@ -278,7 +294,9 @@ class ScopedPhase {
   void finish();
 
  private:
-  bool active_ = false;
+  bool active_ = false;           ///< recording a trace span
+  Histogram* latency_ = nullptr;  ///< non-null while metrics are owed
+  Counter* bytes_counter_ = nullptr;
   Phase phase_ = Phase::kOther;
   std::uint64_t bytes_ = 0;
   const char* detail_ = nullptr;

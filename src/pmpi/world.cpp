@@ -9,7 +9,6 @@
 #include "common/debug/thread_role.h"
 #include "common/error.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 
 namespace apio::pmpi {
 
@@ -44,7 +43,6 @@ void World::barrier() {
   // cost the paper's Fig. 7 overlap analysis charges against I/O modes.
   const bool timed = obs::enabled();
   const double t0 = timed ? obs::steady_seconds() : 0.0;
-  obs::ScopedSpan span("barrier", obs::Category::kPmpi);
   std::unique_lock lock(barrier_mutex_);
   const std::uint64_t my_generation = barrier_generation_;
   APIO_INVARIANT(barrier_arrived_ >= 0 && barrier_arrived_ < size_,

@@ -43,6 +43,12 @@ thread_local const SubmissionContext* t_submission = nullptr;
 
 const SubmissionContext* current_submission() { return t_submission; }
 
+TenantId current_tenant() {
+  return t_submission != nullptr && !t_submission->tenant.empty()
+             ? t_submission->tenant
+             : TenantId(kDefaultTenant);
+}
+
 ScopedSubmission::ScopedSubmission(SubmissionContext context)
     : context_(std::move(context)), previous_(t_submission) {
   t_submission = &context_;

@@ -84,6 +84,9 @@ struct SubmissionContext {
 /// The calling thread's current submission binding; null when unbound.
 const SubmissionContext* current_submission();
 
+/// The bound submission's tenant; kDefaultTenant when unbound or unnamed.
+TenantId current_tenant();
+
 /// RAII binding of a SubmissionContext to the current thread.  Nests:
 /// the previous binding is restored on destruction (the adaptive
 /// connector may re-bind around an inner connector's issue path).

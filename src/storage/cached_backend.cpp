@@ -6,7 +6,6 @@
 #include "common/debug/invariant.h"
 #include "common/error.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 #include "obs/trace_context.h"
 #include "storage/memory_backend.h"
 

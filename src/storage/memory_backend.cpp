@@ -5,7 +5,6 @@
 #include "common/debug/invariant.h"
 #include "common/error.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 #include "obs/trace_context.h"
 #include "storage/obs_metrics.h"
 
@@ -18,10 +17,8 @@ std::uint64_t MemoryBackend::size() const {
 
 void MemoryBackend::read(std::uint64_t offset, std::span<std::byte> out) {
   APIO_INVARIANT(offset + out.size() >= offset, "read range overflows offset space");
-  obs::TimedOp op("storage.read", obs::Category::kStorage, storage_read_hist(),
-                  &storage_bytes_read(), out.size());
-  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, out.size(),
-                               "memory");
+  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, out.size(), "memory",
+                               storage_read_hist(), &storage_bytes_read());
   std::lock_guard lock(mutex_);
   if (offset + out.size() > data_.size()) {
     throw IoError("memory backend: read past end of object (offset " +
@@ -34,10 +31,8 @@ void MemoryBackend::read(std::uint64_t offset, std::span<std::byte> out) {
 
 void MemoryBackend::write(std::uint64_t offset, std::span<const std::byte> data) {
   APIO_INVARIANT(offset + data.size() >= offset, "write range overflows offset space");
-  obs::TimedOp op("storage.write", obs::Category::kStorage, storage_write_hist(),
-                  &storage_bytes_written(), data.size());
-  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, data.size(),
-                               "memory");
+  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, data.size(), "memory",
+                               storage_write_hist(), &storage_bytes_written());
   std::lock_guard lock(mutex_);
   const std::uint64_t end = offset + data.size();
   if (end > data_.size()) data_.resize(end);
@@ -55,9 +50,8 @@ std::uint64_t MemoryBackend::write_v(std::span<const WriteExtent> extents) {
     total += e.data.size();
     max_end = std::max(max_end, e.offset + e.data.size());
   }
-  obs::TimedOp op("storage.write", obs::Category::kStorage, storage_write_hist(),
-                  &storage_bytes_written(), total);
-  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, total, "memory");
+  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, total, "memory",
+                               storage_write_hist(), &storage_bytes_written());
   std::lock_guard lock(mutex_);
   if (max_end > data_.size()) data_.resize(max_end);
   for (const auto& e : extents) {
@@ -70,9 +64,8 @@ std::uint64_t MemoryBackend::write_v(std::span<const WriteExtent> extents) {
 std::uint64_t MemoryBackend::read_v(std::span<const ReadExtent> extents) {
   if (extents.empty()) return 0;
   const std::uint64_t total = extent_bytes(extents);
-  obs::TimedOp op("storage.read", obs::Category::kStorage, storage_read_hist(),
-                  &storage_bytes_read(), total);
-  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, total, "memory");
+  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, total, "memory",
+                               storage_read_hist(), &storage_bytes_read());
   std::lock_guard lock(mutex_);
   for (const auto& e : extents) {
     APIO_INVARIANT(e.offset + e.out.size() >= e.offset,

@@ -13,7 +13,6 @@
 #include "common/debug/invariant.h"
 #include "common/error.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 #include "obs/trace_context.h"
 #include "storage/obs_metrics.h"
 
@@ -85,10 +84,8 @@ std::uint64_t PosixBackend::size() const {
 
 void PosixBackend::read(std::uint64_t offset, std::span<std::byte> out) {
   APIO_INVARIANT(offset + out.size() >= offset, "read range overflows offset space");
-  obs::TimedOp op("storage.read", obs::Category::kStorage, storage_read_hist(),
-                  &storage_bytes_read(), out.size());
-  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, out.size(),
-                               "posix");
+  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, out.size(), "posix",
+                               storage_read_hist(), &storage_bytes_read());
   std::size_t done = 0;
   while (done < out.size()) {
     const ssize_t n = ::pread(fd_, out.data() + done, out.size() - done,
@@ -107,10 +104,8 @@ void PosixBackend::read(std::uint64_t offset, std::span<std::byte> out) {
 
 void PosixBackend::write(std::uint64_t offset, std::span<const std::byte> data) {
   APIO_INVARIANT(offset + data.size() >= offset, "write range overflows offset space");
-  obs::TimedOp op("storage.write", obs::Category::kStorage, storage_write_hist(),
-                  &storage_bytes_written(), data.size());
-  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, data.size(),
-                               "posix");
+  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, data.size(), "posix",
+                               storage_write_hist(), &storage_bytes_written());
   detail::write_fully(
       [this](const std::byte* buf, std::size_t len, std::uint64_t off) {
         return static_cast<long>(::pwrite(fd_, buf, len, static_cast<off_t>(off)));
@@ -122,9 +117,8 @@ void PosixBackend::write(std::uint64_t offset, std::span<const std::byte> data) 
 std::uint64_t PosixBackend::write_v(std::span<const WriteExtent> extents) {
   if (extents.empty()) return 0;
   const std::uint64_t total = extent_bytes(extents);
-  obs::TimedOp op("storage.write", obs::Category::kStorage, storage_write_hist(),
-                  &storage_bytes_written(), total);
-  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, total, "posix");
+  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, total, "posix",
+                               storage_write_hist(), &storage_bytes_written());
 
   // Group file-contiguous extents into one pwritev each (a gather from
   // many memory spans into one contiguous file run), splitting batches
@@ -175,9 +169,8 @@ std::uint64_t PosixBackend::write_v(std::span<const WriteExtent> extents) {
 std::uint64_t PosixBackend::read_v(std::span<const ReadExtent> extents) {
   if (extents.empty()) return 0;
   const std::uint64_t total = extent_bytes(extents);
-  obs::TimedOp op("storage.read", obs::Category::kStorage, storage_read_hist(),
-                  &storage_bytes_read(), total);
-  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, total, "posix");
+  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, total, "posix",
+                               storage_read_hist(), &storage_bytes_read());
 
   std::vector<struct iovec> iov;
   std::size_t i = 0;

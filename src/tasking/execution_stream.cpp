@@ -6,7 +6,6 @@
 #include "common/error.h"
 #include "common/log.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 
 namespace apio::tasking {
 namespace {
@@ -55,7 +54,6 @@ void ExecutionStream::run() {
     if (timed) pop_wait_hist().record_seconds(obs::steady_seconds() - wait_start);
     if (!task) return;  // pool closed and drained
     try {
-      obs::ScopedSpan span("task.run", obs::Category::kTasking);
       (*task)();
       if (timed) tasks_run_counter().increment();
     } catch (const std::exception& e) {

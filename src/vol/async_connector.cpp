@@ -8,7 +8,6 @@
 #include "common/debug/thread_role.h"
 #include "common/error.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 #include "obs/trace_context.h"
 #include "vol/selection_token.h"
 
@@ -76,16 +75,6 @@ std::uint64_t selection_offset_bytes(const h5::Dataset& ds,
   const std::size_t rank = std::min(start.size(), pitches.size());
   for (std::size_t i = 0; i < rank; ++i) elems += start[i] * pitches[i];
   return elems * ds.element_size();
-}
-
-const char* execute_label(obs::IoOp kind) {
-  switch (kind) {
-    case obs::IoOp::kWrite: return "write.execute";
-    case obs::IoOp::kRead: return "read.execute";
-    case obs::IoOp::kPrefetch: return "prefetch.execute";
-    case obs::IoOp::kFlush: return "flush.execute";
-  }
-  return "execute";
 }
 
 }  // namespace
@@ -172,9 +161,9 @@ void AsyncConnector::shutdown_machinery() {
   stats_.term_seconds = clock_->now() - t0;
 }
 
-void AsyncConnector::enqueue_op(std::shared_ptr<AsyncOp> op) {
+void AsyncConnector::enqueue_op(std::shared_ptr<AsyncOp> op,
+                                obs::trace::ScopedPhase& submit) {
   if (closed_.load()) throw StateError("AsyncConnector used after close()");
-  obs::ScopedSpan span("enqueue", obs::Category::kVol);
 
   // Submission identity, resolved at issue time: connector-level tenant
   // wins, then the issuing thread's binding.  Flushes ride the priority
@@ -201,6 +190,10 @@ void AsyncConnector::enqueue_op(std::shared_ptr<AsyncOp> op) {
                                   : &resilience::wall_sleeper(),
       options_.breaker.get());
 
+  // Once the op is on the FIFO, its waits and attempts run on other
+  // threads as siblings of the submit phase; closing submit first keeps
+  // the request's phases disjoint, so their self times sum to its wall.
+  submit.finish();
   op->fifo_enqueue_time = obs::steady_seconds();
 
   std::lock_guard lock(order_mutex_);
@@ -223,10 +216,6 @@ void AsyncConnector::enqueue_op(std::shared_ptr<AsyncOp> op) {
 }
 
 void AsyncConnector::execute_op(AsyncOp& op) {
-  obs::TimedOp execute_span(
-      execute_label(op.kind), obs::Category::kVol, execute_hist(),
-      op.kind == obs::IoOp::kPrefetch ? nullptr : &executed_bytes_counter(),
-      op.bytes);
   switch (op.kind) {
     case obs::IoOp::kWrite:
       if (options_.staging_backend) {
@@ -267,8 +256,13 @@ void AsyncConnector::run_attempt(const std::shared_ptr<AsyncOp>& op) {
     op->pool_push_time = 0.0;
   }
   try {
-    obs::trace::ScopedPhase attempt(obs::trace::Phase::kAttempt, op->bytes);
+    // A breaker-rejected attempt executes nothing, so it opens no
+    // attempt phase and adds nothing to the execute metrics.
     op->session->check_breaker();
+    obs::Counter* executed =
+        op->kind == obs::IoOp::kPrefetch ? nullptr : &executed_bytes_counter();
+    obs::trace::ScopedPhase attempt(obs::trace::Phase::kAttempt, op->bytes,
+                                    nullptr, execute_hist(), executed);
     execute_op(*op);
     attempt.finish();
     op->session->note_success();
@@ -386,10 +380,8 @@ RequestPtr AsyncConnector::dataset_write(h5::Dataset ds,
   op->selection = selection;
   op->bytes = data.size();
   {
-    obs::trace::ScopedPhase stage_span(obs::trace::Phase::kStageCopy,
-                                       data.size());
-    obs::TimedOp stage_op("stage_copy", obs::Category::kVol, stage_hist(),
-                          &staged_bytes_counter(), data.size());
+    obs::trace::ScopedPhase stage_span(obs::trace::Phase::kStageCopy, data.size(),
+                                       nullptr, stage_hist(), &staged_bytes_counter());
     if (options_.staging_backend) {
       op->device_offset = staging_device_offset_.fetch_add(data.size());
       options_.staging_backend->write(op->device_offset, data);
@@ -435,7 +427,7 @@ RequestPtr AsyncConnector::dataset_write(h5::Dataset ds,
   }
 
   auto request_info = op->info;
-  enqueue_op(op);
+  enqueue_op(op, submit_phase);
   {
     std::lock_guard lock(stats_mutex_);
     ++stats_.writes_enqueued;
@@ -465,7 +457,6 @@ RequestPtr AsyncConnector::dataset_read(h5::Dataset ds,
   }
   if (hit) {
     if (obs::enabled()) prefetch_hits_counter().increment();
-    obs::ScopedSpan span("read.cache_hit", obs::Category::kVol, out.size());
     entry.ready->wait();  // normally already complete
     APIO_REQUIRE(entry.data->size() == out.size(),
                  "prefetched buffer size does not match read selection");
@@ -544,7 +535,7 @@ RequestPtr AsyncConnector::dataset_read(h5::Dataset ds,
   }
 
   auto request_info = op->info;
-  enqueue_op(op);
+  enqueue_op(op, submit_phase);
   {
     std::lock_guard lock(stats_mutex_);
     ++stats_.reads_enqueued;
@@ -579,7 +570,7 @@ void AsyncConnector::prefetch(h5::Dataset ds, const h5::Selection& selection) {
   op->info.bytes = bytes;
 
   auto buffer = op->buffer;
-  enqueue_op(op);
+  enqueue_op(op, submit_phase);
   {
     std::lock_guard lock(cache_mutex_);
     cache_.emplace(key, CacheEntry{op->done, buffer});
@@ -633,7 +624,7 @@ RequestPtr AsyncConnector::flush() {
   }
 
   auto request_info = op->info;
-  enqueue_op(op);
+  enqueue_op(op, submit_phase);
   return std::make_shared<Request>(op->done, std::move(request_info),
                                    op->outcome);
 }

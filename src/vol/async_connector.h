@@ -37,6 +37,10 @@
 #include "tasking/execution_stream.h"
 #include "vol/connector.h"
 
+namespace apio::obs::trace {
+class ScopedPhase;
+}  // namespace apio::obs::trace
+
 namespace apio::vol {
 
 /// Tunables for the async connector.
@@ -171,7 +175,9 @@ class AsyncConnector final : public Connector {
   /// Chains `op` behind the connector's FIFO tail.  The op enters the
   /// pool when its predecessor reaches its *final* outcome (successors
   /// wait out a predecessor's retries, preserving FIFO semantics).
-  void enqueue_op(std::shared_ptr<AsyncOp> op);
+  /// Closes `submit` before the op becomes visible to the FIFO, so the
+  /// submit window never overlaps the op's FIFO/pool/attempt phases.
+  void enqueue_op(std::shared_ptr<AsyncOp> op, obs::trace::ScopedPhase& submit);
 
   /// Executes one attempt on the background stream; on failure consults
   /// the op's retry session and either re-enqueues, degrades (write

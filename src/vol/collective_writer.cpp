@@ -6,7 +6,6 @@
 #include "common/clock.h"
 #include "common/error.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 #include "obs/trace_context.h"
 #include "sched/io_request.h"
 
@@ -75,11 +74,7 @@ CollectiveWriteResult collective_write(Connector& connector, pmpi::Communicator&
   for (const auto& e : extents) my_bytes += e.data.size();
   const auto seal_rank_trace = [&] {
     if (!rank_trace.recording()) return;
-    const sched::SubmissionContext* sub = sched::current_submission();
-    collector.complete(rank_trace, obs::IoOp::kWrite,
-                       sub != nullptr && !sub->tenant.empty()
-                           ? sub->tenant
-                           : sched::kDefaultTenant,
+    collector.complete(rank_trace, obs::IoOp::kWrite, sched::current_tenant(),
                        my_bytes, /*failed=*/false, rank_trace_start,
                        obs::steady_seconds());
   };

@@ -2,7 +2,8 @@
 
 #include "common/error.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
+#include "obs/trace_context.h"
+#include "sched/io_request.h"
 #include "vol/selection_token.h"
 
 namespace apio::vol {
@@ -32,6 +33,33 @@ obs::Counter& sync_bytes_read() {
   return c;
 }
 
+/// Runs one synchronous call as a traced request, the way AsyncConnector
+/// traces its ops: mint and bind a context, time `transfer` as the
+/// request's single attempt (which also feeds `latency` and
+/// `byte_counter` when metrics are on), then seal the trace.
+template <typename Transfer>
+void traced_call(obs::IoOp op, std::uint64_t bytes, obs::Histogram& latency,
+                 obs::Counter& byte_counter, Transfer&& transfer) {
+  auto& collector = obs::trace::TraceCollector::instance();
+  const obs::trace::TraceContext trace = collector.start_trace();
+  const double start = trace.recording() ? obs::steady_seconds() : 0.0;
+  obs::trace::ScopedTraceContext bind(trace);
+  const auto seal = [&](bool failed) {
+    if (!trace.recording()) return;
+    collector.complete(trace, op, sched::current_tenant(), bytes, failed, start,
+                       obs::steady_seconds());
+  };
+  try {
+    obs::trace::ScopedPhase attempt(obs::trace::Phase::kAttempt, bytes, nullptr,
+                                    latency, &byte_counter);
+    transfer();
+  } catch (...) {
+    seal(true);
+    throw;
+  }
+  seal(false);
+}
+
 }  // namespace
 
 NativeConnector::NativeConnector(h5::FilePtr file, const Clock* clock)
@@ -43,11 +71,8 @@ RequestPtr NativeConnector::dataset_write(h5::Dataset ds,
                                           const h5::Selection& selection,
                                           std::span<const std::byte> data) {
   const double t0 = clock_->now();
-  {
-    obs::TimedOp op("write.sync", obs::Category::kVol, sync_write_hist(),
-                    &sync_bytes_written(), data.size());
-    ds.write_raw(selection, data);
-  }
+  traced_call(IoOp::kWrite, data.size(), sync_write_hist(), sync_bytes_written(),
+              [&] { ds.write_raw(selection, data); });
   const double dt = clock_->now() - t0;
   if (has_observers()) {
     IoRecord record;
@@ -72,11 +97,8 @@ RequestPtr NativeConnector::dataset_read(h5::Dataset ds,
                                          const h5::Selection& selection,
                                          std::span<std::byte> out) {
   const double t0 = clock_->now();
-  {
-    obs::TimedOp op("read.sync", obs::Category::kVol, sync_read_hist(),
-                    &sync_bytes_read(), out.size());
-    ds.read_raw(selection, out);
-  }
+  traced_call(IoOp::kRead, out.size(), sync_read_hist(), sync_bytes_read(),
+              [&] { ds.read_raw(selection, out); });
   const double dt = clock_->now() - t0;
   if (has_observers()) {
     IoRecord record;

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <thread>
 
+#include "common/clock.h"
 #include "common/debug/lock_rank.h"
 #include "common/error.h"
 #include "common/units.h"
@@ -199,7 +200,7 @@ class TraceRecorder::Sink final : public IoObserver {
   std::vector<TraceEvent> events_;
 };
 
-TraceRecorder::TraceRecorder(ConnectorPtr inner, const Clock* /*clock*/)
+TraceRecorder::TraceRecorder(ConnectorPtr inner)
     : inner_(std::move(inner)), sink_(std::make_shared<Sink>()) {
   APIO_REQUIRE(inner_ != nullptr, "TraceRecorder requires an inner connector");
   inner_->add_observer(sink_);

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "common/clock.h"
 #include "common/debug/lock_rank.h"
 #include "vol/connector.h"
 
@@ -71,9 +70,7 @@ class Trace {
 /// trace() sorts by issue time and rebases it to the first operation.
 class TraceRecorder final : public Connector {
  public:
-  /// The clock parameter is accepted for interface stability but no
-  /// longer consulted: timings come from the inner connector's records.
-  explicit TraceRecorder(ConnectorPtr inner, const Clock* clock = nullptr);
+  explicit TraceRecorder(ConnectorPtr inner);
   ~TraceRecorder() override;
 
   const h5::FilePtr& file() const override { return inner_->file(); }

@@ -1,7 +1,9 @@
 // Tests for the observability layer: metrics registry sharding and
-// snapshots, span tracing with Chrome trace_event export, the
-// composable observer chain, and end-to-end coherence of counters
-// against connector statistics under multi-threaded load.
+// snapshots, the one span stream (ScopedPhase spans in the trace ring,
+// its metric sink and the Chrome trace_event export), JSON escaping of
+// every exported string, the composable observer chain, and end-to-end
+// coherence of counters against connector statistics under
+// multi-threaded load.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +12,7 @@
 #include <cstdlib>
 #include <map>
 #include <mutex>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -17,11 +20,15 @@
 #include <vector>
 
 #include "model/advisor.h"
+#include "obs/critical_path.h"
 #include "obs/metrics.h"
 #include "obs/metrics_observer.h"
 #include "obs/record.h"
-#include "obs/span.h"
+#include "obs/telemetry.h"
+#include "obs/trace_context.h"
 #include "pmpi/world.h"
+#include "resilience/circuit_breaker.h"
+#include "resilience/retry.h"
 #include "storage/memory_backend.h"
 #include "vol/async_connector.h"
 #include "vol/native_connector.h"
@@ -168,6 +175,8 @@ class JsonParser {
           }
           default: fail("bad escape");
         }
+      } else if (static_cast<unsigned char>(c) < 0x20) {
+        fail("raw control character in string");
       } else {
         v.string += c;
       }
@@ -215,23 +224,35 @@ class JsonParser {
   }
 };
 
-/// RAII: metrics + tracing on with clean registry/tracer, everything
-/// off and wiped again on scope exit so tests stay independent.
+/// RAII: metrics on and the trace collector recording every request,
+/// both wiped first; everything off and wiped again on scope exit so
+/// tests stay independent.
 class ScopedObservability {
  public:
   ScopedObservability() {
     Registry::instance().reset();
-    Tracer::instance().clear();
+    auto& collector = trace::TraceCollector::instance();
+    collector.clear();
+    collector.set_sampling_period(1);
+    collector.set_enabled(true);
     set_enabled(true);
-    set_tracing_enabled(true);
   }
   ~ScopedObservability() {
     set_enabled(false);
-    set_tracing_enabled(false);
+    auto& collector = trace::TraceCollector::instance();
+    collector.set_enabled(false);
+    collector.clear();
     Registry::instance().reset();
-    Tracer::instance().clear();
   }
 };
+
+/// The events of a rendered Chrome timeline, parsed.
+std::vector<JsonValue> chrome_events(const std::vector<trace::CompletedTrace>& traces) {
+  const JsonValue root = JsonParser(trace::to_chrome_json(traces)).parse();
+  EXPECT_EQ(root.type, JsonValue::Type::kObject);
+  EXPECT_TRUE(root.has("traceEvents"));
+  return root.at("traceEvents").array;
+}
 
 h5::FilePtr mem_file() {
   return h5::File::create(std::make_shared<storage::MemoryBackend>());
@@ -544,52 +565,148 @@ TEST(MetricsObserverTest, RoutesOpsToRegistryCounters) {
 }
 
 // ---------------------------------------------------------------------------
-// Span tracing
+// One span stream: ScopedPhase, its metric sink, the Chrome renderer
 
 TEST(TracerTest, DisabledSpansCostNothingAndRecordNothing) {
-  Tracer::instance().clear();
-  ASSERT_FALSE(tracing_enabled());
+  auto& collector = trace::TraceCollector::instance();
+  collector.clear();
+  ASSERT_FALSE(collector.enabled());
+  const trace::TraceContext ctx = collector.start_trace();
+  EXPECT_FALSE(ctx.recording());
   {
-    ScopedSpan span("invisible", Category::kApp, 123);
+    trace::ScopedTraceContext bind(ctx);
+    trace::ScopedPhase phase(trace::Phase::kAttempt, 123, "invisible");
   }
-  EXPECT_EQ(Tracer::instance().size(), 0u);
+  collector.complete(ctx, IoOp::kWrite, "t", 123, false, 0.0, 1.0);
+  EXPECT_TRUE(collector.drain().empty());
+  EXPECT_EQ(collector.watermark().started, 0u);
 }
 
 TEST(TracerTest, ChromeExportIsValidTraceEventJson) {
   ScopedObservability scoped;
-  {
-    ScopedSpan outer("outer", Category::kVol, 4096);
-    ScopedSpan inner("in\"ner\\path", Category::kTasking);
-  }
+  auto& collector = trace::TraceCollector::instance();
+  // One request per thread identity: unlabelled, rank 3, stream 5.
+  const auto traced = [&](trace::Phase phase, const char* detail) {
+    const trace::TraceContext ctx = collector.start_trace();
+    {
+      trace::ScopedTraceContext bind(ctx);
+      trace::ScopedPhase outer(phase, 4096);
+      trace::ScopedPhase inner(trace::Phase::kBackend, 4096, detail);
+    }
+    collector.complete(ctx, IoOp::kWrite, "t", 4096, false, steady_seconds(),
+                       steady_seconds());
+  };
+  traced(trace::Phase::kAttempt, "in\"ner\\path");
   set_thread_rank(3);
-  { ScopedSpan ranked("ranked", Category::kPmpi); }
+  traced(trace::Phase::kSubmit, "memory");
   set_thread_rank(-1);
+  set_thread_stream(5);
+  traced(trace::Phase::kAttempt, "memory");
+  set_thread_stream(-1);
 
-  const std::string json = Tracer::instance().to_chrome_json();
-  JsonValue root = JsonParser(json).parse();
-  ASSERT_EQ(root.type, JsonValue::Type::kObject);
-  ASSERT_TRUE(root.has("traceEvents"));
-  const auto& events = root.at("traceEvents").array;
-  ASSERT_EQ(events.size(), 3u);
+  const auto events = chrome_events(collector.drain());
+  ASSERT_EQ(events.size(), 6u);
   bool saw_escaped = false;
-  bool saw_rank_lane = false;
+  std::map<std::string, std::vector<double>> lanes;
   for (const auto& event : events) {
     ASSERT_EQ(event.type, JsonValue::Type::kObject);
-    for (const char* key : {"name", "cat", "ph", "ts", "dur", "pid", "tid"}) {
+    for (const char* key : {"name", "cat", "ph", "ts", "dur", "pid", "tid", "args"}) {
       EXPECT_TRUE(event.has(key)) << key;
     }
     EXPECT_EQ(event.at("ph").string, "X");
+    EXPECT_EQ(event.at("cat").string, "write");
+    EXPECT_GE(event.at("ts").number, 0.0);
     EXPECT_GE(event.at("dur").number, 0.0);
-    if (event.at("name").string == "in\"ner\\path") saw_escaped = true;
-    // pmpi ranks land in the 1000+rank lane.
-    if (event.at("cat").string == "pmpi") {
-      EXPECT_EQ(event.at("tid").number, 1003.0);
-      saw_rank_lane = true;
+    const auto& args = event.at("args");
+    if (args.has("detail") && args.at("detail").string == "in\"ner\\path") {
+      saw_escaped = true;
     }
+    lanes[event.at("name").string].push_back(event.at("tid").number);
   }
   EXPECT_TRUE(saw_escaped);
-  EXPECT_TRUE(saw_rank_lane);
-  EXPECT_NE(Tracer::instance().summary().find("outer"), std::string::npos);
+  // Lanes: unlabelled threads on 0, rank 3 on 1003, stream 5 on 2005.
+  EXPECT_EQ(lanes["submit"], std::vector<double>{1003.0});
+  EXPECT_EQ(lanes["attempt"], (std::vector<double>{0.0, 2005.0}));
+  EXPECT_EQ(lanes["backend"], (std::vector<double>{0.0, 1003.0, 2005.0}));
+}
+
+TEST(ScopedPhaseTest, MetricSinkAndSpanAreGatedIndependently) {
+  auto& collector = trace::TraceCollector::instance();
+  auto& latency = Registry::instance().histogram("obs_test.phase_seconds");
+  auto& bytes = Registry::instance().counter("obs_test.phase_bytes");
+  Registry::instance().reset();
+  collector.clear();
+  collector.set_sampling_period(1);
+  collector.set_enabled(true);
+
+  // Metrics on, thread unbound: one latency sample and N bytes, no span.
+  set_enabled(true);
+  { trace::ScopedPhase phase(trace::Phase::kBackend, 64, "probe", latency, &bytes); }
+  EXPECT_EQ(latency.count(), 1u);
+  EXPECT_EQ(bytes.total(), 64u);
+  EXPECT_EQ(collector.watermark().late_spans, 0u);
+  EXPECT_TRUE(collector.drain().empty());
+
+  // Bound to a sampled trace, metrics off: exactly one span, no sample.
+  set_enabled(false);
+  const trace::TraceContext sampled = collector.start_trace();
+  ASSERT_TRUE(sampled.recording());
+  {
+    trace::ScopedTraceContext bind(sampled);
+    trace::ScopedPhase phase(trace::Phase::kBackend, 64, "probe", latency, &bytes);
+  }
+  collector.complete(sampled, IoOp::kWrite, "t", 64, false, 0.0, 1.0);
+  const auto traces = collector.drain();
+  ASSERT_EQ(traces.size(), 1u);
+  ASSERT_EQ(traces[0].spans.size(), 1u);
+  EXPECT_EQ(traces[0].spans[0].phase, trace::Phase::kBackend);
+  EXPECT_EQ(traces[0].spans[0].bytes, 64u);
+  EXPECT_EQ(traces[0].spans[0].detail, "probe");
+  EXPECT_EQ(latency.count(), 1u);
+  EXPECT_EQ(bytes.total(), 64u);
+
+  // Both off: nothing recorded anywhere.
+  collector.set_enabled(false);
+  const trace::TraceContext off = collector.start_trace();
+  {
+    trace::ScopedTraceContext bind(off);
+    trace::ScopedPhase phase(trace::Phase::kBackend, 64, "probe", latency, &bytes);
+  }
+  EXPECT_EQ(latency.count(), 1u);
+  EXPECT_EQ(bytes.total(), 64u);
+  EXPECT_TRUE(collector.drain().empty());
+
+  collector.clear();
+  Registry::instance().reset();
+}
+
+// Every string a trace export carries goes through obs::json_escape: a
+// tenant with a quote and a newline must leave the JSONL line one line
+// and the critical-path report parseable.
+TEST(JsonEscapeTest, HostileTenantAndDetailStayValidJson) {
+  trace::CompletedTrace t;
+  t.trace_id = 1;
+  t.root_span_id = 1;
+  t.tenant = "a\"b\nc";
+  t.bytes = 8;
+  t.duration_seconds = 1e-3;
+  trace::TraceSpan span;
+  span.span_id = 2;
+  span.parent_span_id = 1;
+  span.phase = trace::Phase::kBackend;
+  span.duration_seconds = 5e-4;
+  span.detail = "d\\e\tf";
+  t.spans.push_back(span);
+
+  const std::string line = trace::trace_to_json(t);
+  EXPECT_EQ(line.find('\n'), std::string::npos) << line;
+  const JsonValue parsed = JsonParser(line).parse();
+  EXPECT_EQ(parsed.at("tenant").string, "a\"b\nc");
+  EXPECT_EQ(parsed.at("spans").array.at(0).at("detail").string, "d\\e\tf");
+
+  const JsonValue report =
+      JsonParser(trace::CriticalPathAnalyzer({t}).to_json()).parse();
+  EXPECT_TRUE(report.at("tenants").has("a\"b\nc"));
 }
 
 // ---------------------------------------------------------------------------
@@ -621,18 +738,36 @@ TEST(ObsEndToEndTest, WorkloadEmitsSpansFromAllFourLayers) {
   const auto stats = connector->stats();
   connector->close();
 
-  // Spans from vol, tasking, pmpi and storage must all be present.
-  bool saw[4] = {false, false, false, false};
-  for (const auto& span : Tracer::instance().spans()) {
-    if (span.category == Category::kVol) saw[0] = true;
-    if (span.category == Category::kTasking) saw[1] = true;
-    if (span.category == Category::kPmpi) saw[2] = true;
-    if (span.category == Category::kStorage) saw[3] = true;
+  // The vol submit window and staging copy on both rank lanes, the
+  // tasking stream's attempt on a stream lane, the storage leaf inside
+  // it — all from the one trace ring.
+  auto traces = trace::TraceCollector::instance().drain();
+  ASSERT_EQ(traces.size(), 2u);
+  // A hostile annotation must not break the rendered document.
+  trace::CompletedTrace odd;
+  trace::TraceSpan quoted;
+  quoted.phase = trace::Phase::kOther;
+  quoted.detail = "q\"uo\\te";
+  odd.spans.push_back(quoted);
+  traces.push_back(odd);
+
+  std::map<std::string, std::set<double>> lanes;
+  bool saw_memory_leaf = false;
+  bool saw_quoted = false;
+  for (const auto& event : chrome_events(traces)) {
+    const std::string name = event.at("name").string;
+    lanes[name].insert(event.at("tid").number);
+    const auto& args = event.at("args");
+    if (!args.has("detail")) continue;
+    saw_memory_leaf |= name == "backend" && args.at("detail").string == "memory";
+    saw_quoted |= args.at("detail").string == "q\"uo\\te";
   }
-  EXPECT_TRUE(saw[0]) << "no vol span";
-  EXPECT_TRUE(saw[1]) << "no tasking span";
-  EXPECT_TRUE(saw[2]) << "no pmpi span";
-  EXPECT_TRUE(saw[3]) << "no storage span";
+  EXPECT_EQ(lanes["submit"], (std::set<double>{1000.0, 1001.0}));
+  EXPECT_EQ(lanes["stage_copy"], (std::set<double>{1000.0, 1001.0}));
+  ASSERT_FALSE(lanes["attempt"].empty());
+  for (double tid : lanes["attempt"]) EXPECT_GE(tid, 2000.0);
+  EXPECT_TRUE(saw_memory_leaf) << "no memory leaf span";
+  EXPECT_TRUE(saw_quoted);
 
   // Registry counters agree with the connector's own accounting and the
   // observer bridge.
@@ -647,8 +782,44 @@ TEST(ObsEndToEndTest, WorkloadEmitsSpansFromAllFourLayers) {
   EXPECT_EQ(staged.per_shard[0], kBytesPerRank);
   EXPECT_EQ(staged.per_shard[1], kBytesPerRank);
 
-  // The Chrome export of a real run parses.
-  EXPECT_NO_THROW(JsonParser(Tracer::instance().to_chrome_json()).parse());
+  // pmpi: both ranks passed both barriers, timed into the registry.
+  EXPECT_GE(snap.histograms.at("pmpi.barrier_wait_seconds").count, 4u);
+}
+
+// The execute metrics ride the kAttempt phase, which opens only after
+// the breaker admits the attempt: a rejected attempt moves no bytes and
+// must count none.
+TEST(ObsEndToEndTest, BreakerRejectedAttemptsExecuteNoBytes) {
+  ScopedObservability scoped;
+  resilience::ManualClock clock;
+  resilience::BreakerOptions breaker_options;
+  breaker_options.failure_threshold = 1;
+  breaker_options.open_seconds = 100.0;
+  auto breaker = std::make_shared<resilience::CircuitBreaker>(breaker_options, &clock);
+  breaker->on_failure();  // open for the whole test
+  vol::AsyncOptions options;
+  options.retry.max_attempts = 1;
+  options.breaker = breaker;
+
+  auto file = mem_file();
+  auto ds = file->root().create_dataset("d", h5::Datatype::kUInt8, {64});
+  vol::AsyncConnector connector(file, options, &clock);
+  const std::vector<std::uint8_t> data(64, 7);
+  auto request = connector.dataset_write(
+      ds, h5::Selection::all(), std::as_bytes(std::span<const std::uint8_t>(data)));
+  EXPECT_THROW(request->wait(), resilience::BreakerOpenError);
+  connector.close();
+
+  const auto snap = Registry::instance().snapshot();
+  EXPECT_EQ(snap.counter_total("vol.async.bytes_staged"), 64u);
+  EXPECT_EQ(snap.counter_total("vol.async.bytes_executed"), 0u);
+  EXPECT_EQ(snap.counter_total("vol.async.failed_ops"), 1u);
+  const auto traces = trace::TraceCollector::instance().drain();
+  ASSERT_EQ(traces.size(), 1u);
+  EXPECT_TRUE(traces[0].failed);
+  for (const auto& span : traces[0].spans) {
+    EXPECT_NE(span.phase, trace::Phase::kAttempt);
+  }
 }
 
 // The satellite stress requirement: one connector hammered from 8

@@ -43,7 +43,8 @@
 //   trace-phase   causal-trace spans in src/ must be attributed to a
 //                 named phase from the obs::trace::Phase enum: every
 //                 ScopedPhase / record_phase line must spell a
-//                 Phase::k... constant on the same line, and raw
+//                 Phase::k... constant on the same line (references
+//                 to an already-open ScopedPhase are exempt), and raw
 //                 TraceContext{...} construction (forging a context
 //                 instead of propagating one) is flagged.  The
 //                 collective writer's deliberate cross-rank context
@@ -182,7 +183,11 @@ void lint_file(const fs::path& root, const fs::path& file) {
     }
 
     if (in_src && !is_trace_impl) {
-      if ((has_token(code, "ScopedPhase") || has_token(code, "record_phase")) &&
+      // A ScopedPhase reference or forward declaration opens no span.
+      const bool opens_phase = has_token(code, "ScopedPhase") &&
+                               !contains(code, "ScopedPhase&") &&
+                               !contains(code, "class ScopedPhase");
+      if ((opens_phase || has_token(code, "record_phase")) &&
           !contains(code, "Phase::k") && !waived(raw, "trace-phase")) {
         report(sf.path, lineno, "trace-phase",
                "trace spans must name a phase from the obs::trace::Phase "

@@ -8,20 +8,23 @@
 //   apio_profile replay <trace.csv> [--mode sync|async] [--pfs-mibps N]
 //                [--chrome FILE]
 //       Re-executes the trace against a synthesized twin container on a
-//       throttled in-memory "PFS", with the full observability layer
-//       enabled: prints the metrics-registry summary and span summary,
-//       and optionally writes a Chrome trace_event JSON (load it in
-//       chrome://tracing or Perfetto).  Dataset geometry is synthesized
-//       byte-addressed; op order, sizes and inter-op gaps are preserved.
+//       throttled in-memory "PFS", with the metrics registry enabled:
+//       prints the registry summary, and with --chrome records every
+//       request's spans and writes them as Chrome trace_event JSON (load
+//       it in chrome://tracing or Perfetto).  Dataset geometry is
+//       synthesized byte-addressed; op order, sizes and inter-op gaps are
+//       preserved.
 //
 //   apio_profile run vpic [--ranks N] [--particles N] [--steps N]
 //                [--mode sync|async|adaptive] [--pfs-mibps N] [--qos]
 //                [--chrome FILE]
 //       Runs the VPIC-IO checkpoint kernel over in-process MPI ranks
-//       with metrics + tracing on, then cross-checks the registry's
-//       byte counters against the connector's own AsyncStats and exits
-//       non-zero on disagreement.  --qos routes the PFS through a
-//       sched::FairScheduler admission gate and attributes the kernel
+//       with metrics on (and every request traced for --chrome), then
+//       cross-checks the registry's byte counters against the
+//       connector's own AsyncStats and exits non-zero on disagreement.
+//       Async runs lay out rank and stream lanes in the Chrome
+//       timeline, sync runs rank lanes only.  --qos routes the PFS
+//       through a sched::FairScheduler admission gate and attributes the kernel
 //       to a "vpic" tenant; the report then includes a sched: block
 //       (per-tenant bytes/share, p99 submit->grant wait, deadline
 //       misses).
@@ -29,7 +32,7 @@
 //   apio_profile trace [--ranks N] [--particles N] [--steps N]
 //                [--pfs-mibps N] [--sample-rate N]
 //                [--straggler-threshold X] [--export-prom FILE]
-//                [--export-jsonl FILE] [--export-report FILE]
+//                [--export-jsonl FILE] [--export-report FILE] [--chrome FILE]
 //       Runs the VPIC-IO kernel under QoS with end-to-end causal
 //       request tracing (obs::trace) enabled: every write carries a
 //       TraceContext from submission through queue wait, admission,
@@ -38,7 +41,8 @@
 //       per-tenant latency, stragglers (with the phase that blew up)
 //       and span flames for the slowest requests.  A TelemetryExporter
 //       runs live during the kernel when --export-prom/--export-jsonl
-//       are given; --export-report writes the analyzer's JSON.
+//       are given; --export-report writes the analyzer's JSON and
+//       --chrome the sampled requests' spans as Chrome trace_event JSON.
 //
 //   apio_profile analyze [--scenario ideal|partial|slowdown|all]
 //                [--ranks N] [--epochs N] [--bytes-mib N] [--pfs-mibps N]
@@ -71,7 +75,6 @@
 #include "obs/epoch_analyzer.h"
 #include "obs/metrics.h"
 #include "obs/metrics_observer.h"
-#include "obs/span.h"
 #include "obs/telemetry.h"
 #include "obs/trace_context.h"
 #include "sched/fair_scheduler.h"
@@ -101,7 +104,7 @@ int usage(const char* argv0) {
                "       %s trace [--ranks N] [--particles N] [--steps N] "
                "[--pfs-mibps N] [--sample-rate N] [--straggler-threshold X] "
                "[--export-prom FILE] [--export-jsonl FILE] "
-               "[--export-report FILE]\n"
+               "[--export-report FILE] [--chrome FILE]\n"
                "       %s analyze [--scenario ideal|partial|slowdown|all] "
                "[--ranks N] [--epochs N] [--bytes-mib N] [--pfs-mibps N] "
                "[--chrome FILE] [--max-drift PCT]\n",
@@ -136,21 +139,37 @@ storage::BackendPtr make_pfs(double mibps,
   return stack.build();
 }
 
-/// Turns the registry + tracer on and resets both, so one invocation's
-/// numbers never leak into the next.
+/// Turns the registry on and resets it, so one invocation's numbers
+/// never leak into the next.
 void enable_observability() {
   obs::Registry::instance().reset();
-  obs::Tracer::instance().clear();
   obs::set_enabled(true);
-  obs::set_tracing_enabled(true);
 }
 
-void write_chrome_trace(const std::string& path) {
+/// Starts a fresh trace ring recording 1-in-`sampling_period` requests.
+void start_tracing(std::uint64_t sampling_period) {
+  auto& collector = obs::trace::TraceCollector::instance();
+  collector.clear();
+  collector.set_sampling_period(sampling_period);
+  collector.set_enabled(true);
+}
+
+/// Stops the collector and takes every completed trace from the ring.
+std::vector<obs::trace::CompletedTrace> stop_tracing() {
+  auto& collector = obs::trace::TraceCollector::instance();
+  collector.set_enabled(false);
+  return collector.drain();
+}
+
+void write_chrome_trace(const std::string& path,
+                        const std::vector<obs::trace::CompletedTrace>& traces) {
   std::ofstream out(path);
   if (!out) throw IoError("cannot write '" + path + "'");
-  out << obs::Tracer::instance().to_chrome_json();
-  std::printf("Chrome trace (%zu spans) -> %s\n",
-              obs::Tracer::instance().size(), path.c_str());
+  out << obs::trace::to_chrome_json(traces);
+  std::size_t spans = 0;
+  for (const auto& t : traces) spans += t.spans.size();
+  std::printf("Chrome trace (%zu spans from %zu requests) -> %s\n", spans,
+              traces.size(), path.c_str());
 }
 
 /// Resilience summary: how much of the run was spent surviving faults.
@@ -248,7 +267,6 @@ void print_observability_report() {
   // Multi-tenant QoS summary (per-tenant bytes/share, wait percentile
   // spread, deadline misses); empty for non-QoS profiles.
   std::fputs(sched::render_sched_report(snap).c_str(), stdout);
-  std::fputs(obs::Tracer::instance().summary().c_str(), stdout);
 }
 
 int cmd_report(const char* csv_path) {
@@ -296,6 +314,7 @@ int cmd_replay(const vol::Trace& trace, const std::string& mode, double mibps,
   }
 
   enable_observability();
+  if (!chrome_path.empty()) start_tracing(1);
   std::shared_ptr<vol::Connector> connector;
   if (mode == "async") {
     connector = std::make_shared<vol::AsyncConnector>(file);
@@ -310,7 +329,7 @@ int cmd_replay(const vol::Trace& trace, const std::string& mode, double mibps,
   const auto result = replay_trace(replayable, *connector, options);
   connector->close();
   obs::set_enabled(false);
-  obs::set_tracing_enabled(false);
+  const auto traces = stop_tracing();
 
   std::printf("replayed %zu ops (%s written, %s read) in %s; blocking %s\n",
               result.operations, format_bytes(result.bytes_written).c_str(),
@@ -318,7 +337,7 @@ int cmd_replay(const vol::Trace& trace, const std::string& mode, double mibps,
               format_seconds(result.total_seconds).c_str(),
               format_seconds(result.blocking_seconds).c_str());
   print_observability_report();
-  if (!chrome_path.empty()) write_chrome_trace(chrome_path);
+  if (!chrome_path.empty()) write_chrome_trace(chrome_path, traces);
   return 0;
 }
 
@@ -333,6 +352,7 @@ int cmd_run_vpic(int ranks, std::uint64_t particles, int steps,
   workloads::VpicIoKernel kernel(params);
 
   enable_observability();
+  if (!chrome_path.empty()) start_tracing(1);
   // --qos interposes a FairScheduler in front of the throttled PFS and
   // attributes the kernel's traffic to a "vpic" tenant, so the sched:
   // block of the report (shares, waits, misses) is populated.
@@ -369,7 +389,7 @@ int cmd_run_vpic(int ranks, std::uint64_t particles, int steps,
       async != nullptr ? async->stats() : vol::AsyncStats{};
   connector->close();
   obs::set_enabled(false);
-  obs::set_tracing_enabled(false);
+  const auto traces = stop_tracing();
 
   std::printf("vpic: %d ranks x %llu particles x 8 props x %d steps (%s mode)\n",
               ranks, static_cast<unsigned long long>(particles), steps,
@@ -386,7 +406,7 @@ int cmd_run_vpic(int ranks, std::uint64_t particles, int steps,
                     .c_str());
   }
   print_observability_report();
-  if (!chrome_path.empty()) write_chrome_trace(chrome_path);
+  if (!chrome_path.empty()) write_chrome_trace(chrome_path, traces);
 
   if (async != nullptr) {
     // Cross-check: the registry's staging byte counter and the observer
@@ -418,7 +438,7 @@ int cmd_run_vpic(int ranks, std::uint64_t particles, int steps,
 int cmd_trace(int ranks, std::uint64_t particles, int steps, double mibps,
               int sample_rate, double straggler_threshold,
               const std::string& prom_path, const std::string& jsonl_path,
-              const std::string& report_path) {
+              const std::string& report_path, const std::string& chrome_path) {
   workloads::VpicParams params;
   params.particles_per_rank = particles;
   params.time_steps = steps;
@@ -426,10 +446,7 @@ int cmd_trace(int ranks, std::uint64_t particles, int steps, double mibps,
   workloads::VpicIoKernel kernel(params);
 
   enable_observability();
-  auto& collector = obs::trace::TraceCollector::instance();
-  collector.clear();
-  collector.set_sampling_period(static_cast<std::uint64_t>(sample_rate));
-  collector.set_enabled(true);
+  start_tracing(static_cast<std::uint64_t>(sample_rate));
 
   auto scheduler = std::make_shared<sched::FairScheduler>();
   scheduler->register_tenant("vpic", 1.0);
@@ -452,11 +469,8 @@ int cmd_trace(int ranks, std::uint64_t particles, int steps, double mibps,
   connector->wait_all();
   connector->close();
   exporter.stop();
-  collector.set_enabled(false);
   obs::set_enabled(false);
-  obs::set_tracing_enabled(false);
-
-  const auto traces = collector.drain();
+  const auto traces = stop_tracing();
   obs::trace::CriticalPathAnalyzer analyzer(traces);
   std::printf("vpic trace: %d ranks x %llu particles x 8 props x %d steps, "
               "sampling 1-in-%d\n",
@@ -477,6 +491,7 @@ int cmd_trace(int ranks, std::uint64_t particles, int steps, double mibps,
   if (!jsonl_path.empty()) {
     std::printf("trace jsonl -> %s\n", jsonl_path.c_str());
   }
+  if (!chrome_path.empty()) write_chrome_trace(chrome_path, traces);
   return traces.empty() ? 1 : 0;
 }
 
@@ -742,7 +757,7 @@ int main(int argc, char** argv) {
       }
       return cmd_trace(ranks, particles, steps, mibps, sample_rate,
                        straggler_threshold, prom_path, jsonl_path,
-                       report_path);
+                       report_path, chrome_path);
     }
     if (cmd == "analyze") {
       ranks = 2;
