@@ -133,9 +133,9 @@ else
   ctest --preset tsan -j "${JOBS}"
 fi
 
-echo "==> [8/8] asan-ubsan build + fault-matrix resilience suite"
+echo "==> [8/8] asan-ubsan build + fault-matrix resilience and async-connector suites"
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "${JOBS}"
-ctest --preset asan-ubsan -j "${JOBS}" -R 'Resilience|FaultInjection'
+ctest --preset asan-ubsan -j "${JOBS}" -R 'Resilience|FaultInjection|AsyncConnector'
 
 echo "==> all checks passed"

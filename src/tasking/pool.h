@@ -29,8 +29,8 @@ class Pool {
   void push(TaskFn task);
 
   /// Enqueues a task unless the pool is closed; returns false instead of
-  /// throwing in that case.  Used by code that schedules follow-up work
-  /// from continuations (e.g. retry re-enqueue) and must degrade
+  /// throwing in that case.  Used by code that schedules work from
+  /// continuations (the async VOL's FIFO hand-off) and must degrade
   /// gracefully when it races shutdown.
   bool try_push(TaskFn task);
 

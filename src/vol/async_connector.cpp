@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <optional>
+#include <utility>
 #include <sstream>
 
 #include "common/debug/invariant.h"
@@ -77,55 +78,63 @@ std::uint64_t selection_offset_bytes(const h5::Dataset& ds,
   return elems * ds.element_size();
 }
 
+/// Identity captured at issue time so a failure can be reported with
+/// full context after the issuing call returned.
+RequestInfo request_info(const h5::File& file, obs::IoOp kind,
+                         const h5::Dataset* ds, const h5::Selection& selection,
+                         std::uint64_t bytes) {
+  RequestInfo info;
+  info.op = kind;
+  info.bytes = bytes;
+  if (ds != nullptr) {
+    info.dataset_path = file.path_of(*ds);
+    info.selection = selection_to_token(selection);
+    info.offset = selection_offset_bytes(*ds, selection);
+  }
+  return info;
+}
+
 }  // namespace
 
 struct AsyncConnector::AsyncOp {
-  obs::IoOp kind = obs::IoOp::kWrite;
+  AsyncOp(obs::IoOp op_kind, resilience::RetrySession retry)
+      : kind(op_kind), session(std::move(retry)) {}
+
+  obs::IoOp kind;
   std::optional<h5::Dataset> ds;
   h5::Selection selection = h5::Selection::all();
-  /// Write payload when staging in DRAM.
+  /// Write payload: the DRAM staging copy, or the staging device's bytes
+  /// once staged_payload() read them back.
   std::shared_ptr<std::vector<std::byte>> staged;
   /// Write payload location when staging on a device.
   std::uint64_t device_offset = 0;
+  /// True while the op holds `bytes` of the max_staged_bytes budget.
+  bool holds_staging = false;
   /// Read destination (caller-owned until completion).
   std::span<std::byte> out;
   /// Prefetch destination (cache-owned).
   std::shared_ptr<std::vector<std::byte>> buffer;
   std::uint64_t bytes = 0;
 
-  tasking::EventualPtr done;
-  RequestInfo info;
-  RequestOutcomePtr outcome;
+  tasking::EventualPtr done = tasking::Eventual::make();
+  RequestOutcomePtr outcome = std::make_shared<RequestOutcome>();
   /// Fair-share identity captured at issue time; re-bound on the
-  /// background stream around every attempt so a QosBackend under the
+  /// background stream for the op's attempts so a QosBackend under the
   /// file charges the issuing tenant.
   sched::SubmissionContext submission;
-  std::unique_ptr<resilience::RetrySession> session;
-  /// Observer record emission; run on final success only.
-  std::function<void()> on_complete;
+  /// Anchored at issue, so the deadline covers the FIFO wait too.
+  resilience::RetrySession session;
+  /// The completion record, filled at issue when observers are attached
+  /// and emitted on success only.
+  std::optional<IoRecord> record;
 
   /// Causal trace identity, minted at submission; re-bound alongside
-  /// the submission context around every attempt.
+  /// the submission context on the background stream.
   obs::trace::TraceContext trace;
   double trace_start = 0.0;       ///< root span start (steady_seconds)
   double fifo_enqueue_time = 0.0; ///< FIFO-wait phase anchor
   double pool_push_time = 0.0;    ///< pool-wait phase anchor
 };
-
-/// Records the completion phase and seals the op's trace.  Must run
-/// before the eventual fires so waiters observe a sealed trace.
-void AsyncConnector::seal_trace(const AsyncOp& op, bool failed,
-                                double completion_start) {
-  if (!op.trace.recording()) return;
-  const double now = obs::steady_seconds();
-  obs::trace::record_phase(op.trace, obs::trace::Phase::kComplete,
-                           completion_start, now - completion_start);
-  obs::trace::TraceCollector::instance().complete(
-      op.trace, op.kind,
-      op.submission.tenant.empty() ? sched::kDefaultTenant
-                                   : op.submission.tenant,
-      op.bytes, failed, op.trace_start, now);
-}
 
 AsyncConnector::AsyncConnector(h5::FilePtr file, AsyncOptions options,
                                const Clock* clock)
@@ -161,44 +170,68 @@ void AsyncConnector::shutdown_machinery() {
   stats_.term_seconds = clock_->now() - t0;
 }
 
-void AsyncConnector::enqueue_op(std::shared_ptr<AsyncOp> op,
-                                obs::trace::ScopedPhase& submit) {
+template <typename Prepare>
+RequestPtr AsyncConnector::submit(obs::IoOp kind, const h5::Dataset* ds,
+                                  const h5::Selection& selection,
+                                  std::uint64_t bytes, double t0,
+                                  Prepare&& prepare) {
   if (closed_.load()) throw StateError("AsyncConnector used after close()");
-
-  // Submission identity, resolved at issue time: connector-level tenant
-  // wins, then the issuing thread's binding.  Flushes ride the priority
-  // lane (they are the latency-sensitive barrier ops the fairness gate
-  // protects); the op's admission deadline is the same issue-anchored
-  // budget its retries run under.
+  auto op = std::make_shared<AsyncOp>(
+      kind, resilience::RetrySession(
+                options_.retry, clock_,
+                options_.sleeper != nullptr ? options_.sleeper
+                                            : &resilience::wall_sleeper(),
+                options_.breaker.get()));
+  if (ds != nullptr) op->ds = *ds;
+  op->selection = selection;
+  op->bytes = bytes;
+  // Submission identity: connector-level tenant wins, then the issuing
+  // thread's binding.  Data ops ride the bulk lane; the admission
+  // deadline is the same issue-anchored budget the retries run under.
   if (const sched::SubmissionContext* ctx = sched::current_submission()) {
     op->submission = *ctx;
   }
   if (!options_.tenant.empty()) op->submission.tenant = options_.tenant;
-  op->submission.lane = op->kind == obs::IoOp::kFlush
-                            ? sched::Lane::kPriority
-                            : sched::Lane::kBulk;
+  op->submission.lane = sched::Lane::kBulk;
   if (options_.retry.deadline_seconds > 0.0) {
     op->submission.deadline =
         sched::IoRequest::deadline_from(options_.retry, clock_->now());
   }
 
-  op->done = tasking::Eventual::make();
-  op->outcome = std::make_shared<RequestOutcome>();
-  op->session = std::make_unique<resilience::RetrySession>(
-      options_.retry, clock_,
-      options_.sleeper != nullptr ? options_.sleeper
-                                  : &resilience::wall_sleeper(),
-      options_.breaker.get());
+  op->trace = obs::trace::TraceCollector::instance().start_trace();
+  op->trace_start = obs::steady_seconds();
+  obs::trace::ScopedTraceContext trace_bind(op->trace);
+  obs::trace::ScopedPhase submit_phase(obs::trace::Phase::kSubmit, bytes);
+  RequestInfo info;
+  try {
+    prepare(*op);
+    // Only a write blocks its caller, for the staging copy.
+    const double blocking = kind == obs::IoOp::kWrite ? clock_->now() - t0 : 0.0;
+    // Resolved unconditionally: failures must carry the identity even
+    // with no observer attached, and the background stream has no
+    // business touching the container's path index.
+    info = request_info(*file_, kind, ds, selection, bytes);
+    // A prefetch reports at issue (prefetch()); the rest on completion.
+    if (has_observers() && kind != obs::IoOp::kPrefetch) {
+      op->record = make_record(kind, bytes, /*async=*/true, t0, blocking, 0.0);
+      op->record->dataset_path = info.dataset_path;
+      op->record->selection = info.selection;
+      op->record->trace_id = op->trace.trace_id;
+      op->record->span_id = op->trace.span_id;
+    }
+  } catch (...) {
+    release_staging(*op);  // the op never reached the FIFO
+    throw;
+  }
+  auto request = std::make_shared<Request>(op->done, std::move(info), op->outcome);
 
   // Once the op is on the FIFO, its waits and attempts run on other
   // threads as siblings of the submit phase; closing submit first keeps
   // the request's phases disjoint, so their self times sum to its wall.
-  submit.finish();
+  submit_phase.finish();
   op->fifo_enqueue_time = obs::steady_seconds();
-
   std::lock_guard lock(order_mutex_);
-  tasking::EventualPtr prev = last_op_;
-  last_op_ = op->done;
+  tasking::EventualPtr prev = std::exchange(last_op_, op->done);
   // FIFO chain: the new op enters the pool only when its predecessor
   // reached its final outcome (including any retries).  A predecessor
   // failure does not cancel successors — the async VOL records errors
@@ -209,22 +242,26 @@ void AsyncConnector::enqueue_op(std::shared_ptr<AsyncOp> op,
                              op->fifo_enqueue_time,
                              op->pool_push_time - op->fifo_enqueue_time);
     if (!pool_->try_push([this, op] { run_attempt(op); })) {
-      finish_failure(op, std::make_exception_ptr(StateError(
-                             "async operation dropped: connector shut down")));
+      finish(op, std::make_exception_ptr(StateError(
+                     "async operation dropped: connector shut down")));
     }
   });
+  return request;
+}
+
+std::span<const std::byte> AsyncConnector::staged_payload(AsyncOp& op) {
+  if (!op.staged) {
+    auto from_device = std::make_shared<std::vector<std::byte>>(op.bytes);
+    options_.staging_backend->read(op.device_offset, *from_device);
+    op.staged = std::move(from_device);
+  }
+  return *op.staged;
 }
 
 void AsyncConnector::execute_op(AsyncOp& op) {
   switch (op.kind) {
     case obs::IoOp::kWrite:
-      if (options_.staging_backend) {
-        std::vector<std::byte> from_device(op.bytes);
-        options_.staging_backend->read(op.device_offset, from_device);
-        op.ds->write_raw(op.selection, from_device);
-      } else {
-        op.ds->write_raw(op.selection, *op.staged);
-      }
+      op.ds->write_raw(op.selection, staged_payload(op));
       break;
     case obs::IoOp::kRead:
       op.ds->read_raw(op.selection, op.out);
@@ -241,85 +278,67 @@ void AsyncConnector::execute_op(AsyncOp& op) {
 void AsyncConnector::run_attempt(const std::shared_ptr<AsyncOp>& op) {
   APIO_ASSERT_ON_STREAM();
   // Background threads do not inherit the issuer's thread-local
-  // submission binding; restore it for the whole attempt (storage
-  // transfer AND sync-fallback replay) so QosBackend admission charges
-  // the right tenant.
+  // bindings: restore the submission identity (so QosBackend admission
+  // charges the right tenant) and the trace for every attempt, backoff
+  // and sync-fallback replay, and close the pool-wait gap.
   sched::ScopedSubmission bind(op->submission);
-  // Re-bind the trace next to the submission identity and close the
-  // pool-wait gap (push time -> this pickup).
   obs::trace::ScopedTraceContext trace_bind(op->trace);
-  if (op->pool_push_time > 0.0) {
-    const double picked_up = obs::steady_seconds();
-    obs::trace::record_phase(op->trace, obs::trace::Phase::kPoolWait,
-                             op->pool_push_time,
-                             picked_up - op->pool_push_time);
-    op->pool_push_time = 0.0;
-  }
-  try {
-    // A breaker-rejected attempt executes nothing, so it opens no
-    // attempt phase and adds nothing to the execute metrics.
-    op->session->check_breaker();
-    obs::Counter* executed =
-        op->kind == obs::IoOp::kPrefetch ? nullptr : &executed_bytes_counter();
-    obs::trace::ScopedPhase attempt(obs::trace::Phase::kAttempt, op->bytes,
-                                    nullptr, execute_hist(), executed);
-    execute_op(*op);
-    attempt.finish();
-    op->session->note_success();
-    finish_success(op);
-    return;
-  } catch (...) {
-    std::exception_ptr error = std::current_exception();
-    if (op->session->backoff_and_retry(error)) {
-      // Re-enqueue the same op; when the pool closed under us (shutdown
-      // racing a retry) fail the request instead of wedging the drain.
-      op->pool_push_time = obs::steady_seconds();
-      if (pool_->try_push([this, op] { run_attempt(op); })) return;
-      error = std::make_exception_ptr(
-          StateError("async retry abandoned: connector shut down"));
+  obs::trace::record_phase(op->trace, obs::trace::Phase::kPoolWait,
+                           op->pool_push_time,
+                           obs::steady_seconds() - op->pool_push_time);
+  std::exception_ptr error;
+  for (;;) {
+    try {
+      // A breaker-rejected attempt executes nothing, so it opens no
+      // attempt phase and adds nothing to the execute metrics.
+      op->session.check_breaker();
+      obs::Counter* executed =
+          op->kind == obs::IoOp::kPrefetch ? nullptr : &executed_bytes_counter();
+      obs::trace::ScopedPhase attempt(obs::trace::Phase::kAttempt, op->bytes,
+                                      nullptr, execute_hist(), executed);
+      execute_op(*op);
+      attempt.finish();
+      op->session.note_success();
+      finish(op, nullptr);
+      return;
+    } catch (...) {
+      error = std::current_exception();
+      if (!op->session.backoff_and_retry(error)) break;
     }
-    // Policy exhausted (or error permanent / deadline overrun).
-    if (op->kind == obs::IoOp::kWrite && options_.sync_fallback) {
-      try {
-        // Degraded mode: replay the staged buffer through the native
-        // synchronous path, outside policy and breaker — the last
-        // resort before reporting data loss.
-        obs::trace::ScopedPhase fallback(obs::trace::Phase::kFallback,
-                                         op->bytes);
-        if (options_.staging_backend) {
-          std::vector<std::byte> from_device(op->bytes);
-          options_.staging_backend->read(op->device_offset, from_device);
-          op->ds->write_raw(op->selection, from_device);
-        } else {
-          op->ds->write_raw(op->selection, *op->staged);
-        }
-        fallback.finish();
-        op->outcome->degraded = true;
-        finish_success(op);
-        return;
-      } catch (...) {
-        error = std::current_exception();
-      }
-    }
-    finish_failure(op, std::move(error));
   }
+  // Policy exhausted (or error permanent / deadline overrun).
+  if (op->kind == obs::IoOp::kWrite && options_.sync_fallback) {
+    try {
+      // Degraded mode: replay the staged buffer through the native
+      // synchronous path, outside policy and breaker — the last resort
+      // before reporting data loss.
+      obs::trace::ScopedPhase fallback(obs::trace::Phase::kFallback, op->bytes);
+      op->ds->write_raw(op->selection, staged_payload(*op));
+      fallback.finish();
+      op->outcome->degraded = true;
+      error = nullptr;
+    } catch (...) {
+      error = std::current_exception();
+    }
+  }
+  finish(op, std::move(error));
 }
 
-void AsyncConnector::finish_success(const std::shared_ptr<AsyncOp>& op) {
+void AsyncConnector::finish(const std::shared_ptr<AsyncOp>& op,
+                            std::exception_ptr error) {
   const double completion_start = obs::steady_seconds();
+  const bool failed = error != nullptr;
   // The outcome must be fully written before the eventual completes:
   // completion is the release point observers synchronize on.
-  op->outcome->attempts = std::max(op->session->attempts(), 1);
-  op->outcome->deadline_exhausted = op->session->deadline_exhausted();
-  const std::uint64_t retries =
-      static_cast<std::uint64_t>(op->outcome->attempts - 1);
-  if (op->kind == obs::IoOp::kWrite) {
-    op->staged.reset();
-    note_unstaged(op->bytes);
-  }
+  RequestOutcome& outcome = *op->outcome;
+  outcome.attempts = std::max(op->session.attempts(), 1);
+  outcome.deadline_exhausted = op->session.deadline_exhausted();
+  const auto retries = static_cast<std::uint64_t>(outcome.attempts - 1);
+  release_staging(*op);
   if (obs::enabled()) {
     if (retries > 0) retries_counter().add(retries);
-    if (op->outcome->degraded) {
+    if (failed) failed_counter().increment();
+    if (outcome.degraded) {
       degraded_counter().increment();
       io_degraded_counter().increment();
     }
@@ -327,113 +346,58 @@ void AsyncConnector::finish_success(const std::shared_ptr<AsyncOp>& op) {
   {
     std::lock_guard lock(stats_mutex_);
     stats_.retries += retries;
-    if (op->outcome->degraded) ++stats_.degraded_ops;
+    if (failed) ++stats_.failed_ops;
+    if (outcome.degraded) ++stats_.degraded_ops;
   }
-  if (op->on_complete) op->on_complete();
-  seal_trace(*op, /*failed=*/false, completion_start);
-  op->done->set();
-}
-
-void AsyncConnector::finish_failure(const std::shared_ptr<AsyncOp>& op,
-                                    std::exception_ptr error) {
-  const double completion_start = obs::steady_seconds();
-  op->outcome->attempts = std::max(op->session->attempts(), 1);
-  op->outcome->deadline_exhausted = op->session->deadline_exhausted();
-  const std::uint64_t retries =
-      static_cast<std::uint64_t>(op->outcome->attempts - 1);
-  if (op->kind == obs::IoOp::kWrite) {
-    op->staged.reset();
-    note_unstaged(op->bytes);
+  if (op->record && !failed) {
+    op->record->completion_seconds = clock_->now() - op->record->issue_time;
+    observe(*op->record);
   }
-  if (obs::enabled()) {
-    if (retries > 0) retries_counter().add(retries);
-    failed_counter().increment();
+  // Seal the trace before the eventual fires, so waiters observe it
+  // sealed.
+  if (op->trace.recording()) {
+    const double now = obs::steady_seconds();
+    obs::trace::record_phase(op->trace, obs::trace::Phase::kComplete,
+                             completion_start, now - completion_start);
+    obs::trace::TraceCollector::instance().complete(
+        op->trace, op->kind,
+        op->submission.tenant.empty() ? sched::kDefaultTenant
+                                      : op->submission.tenant,
+        op->bytes, failed, op->trace_start, now);
   }
-  {
-    std::lock_guard lock(stats_mutex_);
-    stats_.retries += retries;
-    ++stats_.failed_ops;
+  if (failed) {
+    op->done->set_error(std::move(error));
+  } else {
+    op->done->set();
   }
-  seal_trace(*op, /*failed=*/true, completion_start);
-  op->done->set_error(std::move(error));
 }
 
 RequestPtr AsyncConnector::dataset_write(h5::Dataset ds,
                                          const h5::Selection& selection,
                                          std::span<const std::byte> data) {
-  const double t0 = clock_->now();
-  auto op = std::make_shared<AsyncOp>();
-  op->trace = obs::trace::TraceCollector::instance().start_trace();
-  op->trace_start = obs::steady_seconds();
-  obs::trace::ScopedTraceContext trace_bind(op->trace);
-  obs::trace::ScopedPhase submit_phase(obs::trace::Phase::kSubmit,
-                                       data.size());
-
-  // The transactional copy: a non-zero-copy into a private staging area
-  // so the caller may immediately reuse (or mutate) its memory while
-  // the background thread performs the actual storage transfer.  The
-  // staging area is either a DRAM buffer or, when configured, a
-  // node-local staging device (SSD) region.
-  note_staged(data.size());
-  op->kind = obs::IoOp::kWrite;
-  op->ds = ds;
-  op->selection = selection;
-  op->bytes = data.size();
-  {
-    obs::trace::ScopedPhase stage_span(obs::trace::Phase::kStageCopy, data.size(),
-                                       nullptr, stage_hist(), &staged_bytes_counter());
-    if (options_.staging_backend) {
-      op->device_offset = staging_device_offset_.fetch_add(data.size());
-      options_.staging_backend->write(op->device_offset, data);
-    } else {
-      op->staged =
-          std::make_shared<std::vector<std::byte>>(data.begin(), data.end());
-    }
-  }
-  const double blocking = clock_->now() - t0;
-
-  // Identity is captured at issue time unconditionally — failures must
-  // carry it even when no observer is attached (the background stream
-  // has no business touching the container's path index).
-  op->info.op = obs::IoOp::kWrite;
-  op->info.dataset_path = file_->path_of(ds);
-  op->info.selection = selection_to_token(selection);
-  op->info.offset = selection_offset_bytes(ds, selection);
-  op->info.bytes = data.size();
-
-  if (has_observers()) {
-    op->on_complete = [this, t0, blocking, bytes = data.size(),
-                       ranks = reported_ranks(),
-                       origin_rank = obs::thread_rank(),
-                       path = op->info.dataset_path,
-                       token = op->info.selection,
-                       trace_id = op->trace.trace_id,
-                       span_id = op->trace.span_id] {
-      IoRecord record;
-      record.op = IoOp::kWrite;
-      record.dataset_path = path;
-      record.selection = token;
-      record.bytes = bytes;
-      record.ranks = ranks;
-      record.origin_rank = origin_rank;
-      record.issue_time = t0;
-      record.blocking_seconds = blocking;
-      record.completion_seconds = clock_->now() - t0;
-      record.async = true;
-      record.trace_id = trace_id;
-      record.span_id = span_id;
-      observe(record);
-    };
-  }
-
-  auto request_info = op->info;
-  enqueue_op(op, submit_phase);
-  {
-    std::lock_guard lock(stats_mutex_);
-    ++stats_.writes_enqueued;
-  }
-  return std::make_shared<Request>(op->done, std::move(request_info),
-                                   op->outcome);
+  auto request = submit(
+      obs::IoOp::kWrite, &ds, selection, data.size(), clock_->now(),
+      [&](AsyncOp& op) {
+        // The transactional copy: a non-zero-copy into a private staging
+        // area so the caller may immediately reuse (or mutate) its memory
+        // while the background thread performs the actual storage
+        // transfer.  The staging area is either a DRAM buffer or, when
+        // configured, a node-local staging device (SSD) region.
+        take_staging(op);
+        obs::trace::ScopedPhase stage_span(obs::trace::Phase::kStageCopy,
+                                           data.size(), nullptr, stage_hist(),
+                                           &staged_bytes_counter());
+        if (options_.staging_backend) {
+          op.device_offset = staging_device_offset_.fetch_add(data.size());
+          options_.staging_backend->write(op.device_offset, data);
+        } else {
+          op.staged =
+              std::make_shared<std::vector<std::byte>>(data.begin(), data.end());
+        }
+      });
+  std::lock_guard lock(stats_mutex_);
+  ++stats_.writes_enqueued;
+  return request;
 }
 
 RequestPtr AsyncConnector::dataset_read(h5::Dataset ds,
@@ -445,104 +409,43 @@ RequestPtr AsyncConnector::dataset_read(h5::Dataset ds,
   // Prefetch-cache hit: the data was pulled into node-local memory
   // during a previous compute phase; serve it with a memcpy.
   CacheEntry entry;
-  bool hit = false;
   {
     std::lock_guard lock(cache_mutex_);
     auto it = cache_.find(key);
     if (it != cache_.end()) {
       entry = it->second;
       cache_.erase(it);
-      hit = true;
     }
   }
-  if (hit) {
+  if (entry.ready) {
     if (obs::enabled()) prefetch_hits_counter().increment();
     entry.ready->wait();  // normally already complete
     APIO_REQUIRE(entry.data->size() == out.size(),
                  "prefetched buffer size does not match read selection");
     std::memcpy(out.data(), entry.data->data(), out.size());
-    const double dt = clock_->now() - t0;
     if (has_observers()) {
-      IoRecord record;
-      record.op = IoOp::kRead;
-      record.bytes = out.size();
-      record.ranks = reported_ranks();
-      record.origin_rank = obs::thread_rank();
-      record.issue_time = t0;
-      record.blocking_seconds = dt;
-      record.completion_seconds = dt;
-      record.async = true;
-      record.cache_hit = true;
-      if (observers_want_detail()) {
-        record.dataset_path = file_->path_of(ds);
-        record.selection = selection_to_token(selection);
-      }
-      observe(record);
+      const double dt = clock_->now() - t0;
+      IoRecord hit = make_record(IoOp::kRead, out.size(), /*async=*/true, t0, dt,
+                                 dt, &ds, selection);
+      hit.cache_hit = true;
+      observe(hit);
     }
     {
       std::lock_guard lock(stats_mutex_);
       ++stats_.cache_hits;
     }
-    RequestInfo info;
-    info.op = obs::IoOp::kRead;
-    info.dataset_path = file_->path_of(ds);
-    info.selection = selection_to_token(selection);
-    info.offset = selection_offset_bytes(ds, selection);
-    info.bytes = out.size();
-    return std::make_shared<Request>(tasking::Eventual::make_ready(),
-                                     std::move(info));
+    return std::make_shared<Request>(
+        tasking::Eventual::make_ready(),
+        request_info(*file_, obs::IoOp::kRead, &ds, selection, out.size()));
   }
 
   if (obs::enabled()) prefetch_misses_counter().increment();
-  auto op = std::make_shared<AsyncOp>();
-  op->trace = obs::trace::TraceCollector::instance().start_trace();
-  op->trace_start = obs::steady_seconds();
-  obs::trace::ScopedTraceContext trace_bind(op->trace);
-  obs::trace::ScopedPhase submit_phase(obs::trace::Phase::kSubmit, out.size());
-  op->kind = obs::IoOp::kRead;
-  op->ds = ds;
-  op->selection = selection;
-  op->out = out;
-  op->bytes = out.size();
-  op->info.op = obs::IoOp::kRead;
-  op->info.dataset_path = file_->path_of(ds);
-  op->info.selection = selection_to_token(selection);
-  op->info.offset = selection_offset_bytes(ds, selection);
-  op->info.bytes = out.size();
-
-  if (has_observers()) {
-    op->on_complete = [this, t0, bytes = out.size(), ranks = reported_ranks(),
-                       origin_rank = obs::thread_rank(),
-                       path = op->info.dataset_path,
-                       token = op->info.selection,
-                       trace_id = op->trace.trace_id,
-                       span_id = op->trace.span_id] {
-      IoRecord record;
-      record.op = IoOp::kRead;
-      record.dataset_path = path;
-      record.selection = token;
-      record.bytes = bytes;
-      record.ranks = ranks;
-      record.origin_rank = origin_rank;
-      record.issue_time = t0;
-      record.blocking_seconds = 0.0;  // caller was not blocked
-      record.completion_seconds = clock_->now() - t0;
-      record.async = true;
-      record.trace_id = trace_id;
-      record.span_id = span_id;
-      observe(record);
-    };
-  }
-
-  auto request_info = op->info;
-  enqueue_op(op, submit_phase);
-  {
-    std::lock_guard lock(stats_mutex_);
-    ++stats_.reads_enqueued;
-    ++stats_.cache_misses;
-  }
-  return std::make_shared<Request>(op->done, std::move(request_info),
-                                   op->outcome);
+  auto request = submit(obs::IoOp::kRead, &ds, selection, out.size(), t0,
+                        [&](AsyncOp& op) { op.out = out; });
+  std::lock_guard lock(stats_mutex_);
+  ++stats_.reads_enqueued;
+  ++stats_.cache_misses;
+  return request;
 }
 
 void AsyncConnector::prefetch(h5::Dataset ds, const h5::Selection& selection) {
@@ -553,107 +456,62 @@ void AsyncConnector::prefetch(h5::Dataset ds, const h5::Selection& selection) {
     if (cache_.count(key) > 0) return;  // already in flight
   }
   const std::uint64_t bytes = selection.npoints(ds.dims()) * ds.element_size();
-  auto op = std::make_shared<AsyncOp>();
-  op->trace = obs::trace::TraceCollector::instance().start_trace();
-  op->trace_start = obs::steady_seconds();
-  obs::trace::ScopedTraceContext trace_bind(op->trace);
-  obs::trace::ScopedPhase submit_phase(obs::trace::Phase::kSubmit, bytes);
-  op->kind = obs::IoOp::kPrefetch;
-  op->ds = ds;
-  op->selection = selection;
-  op->buffer = std::make_shared<std::vector<std::byte>>(bytes);
-  op->bytes = bytes;
-  op->info.op = obs::IoOp::kPrefetch;
-  op->info.dataset_path = file_->path_of(ds);
-  op->info.selection = selection_to_token(selection);
-  op->info.offset = selection_offset_bytes(ds, selection);
-  op->info.bytes = bytes;
-
-  auto buffer = op->buffer;
-  enqueue_op(op, submit_phase);
+  std::shared_ptr<std::vector<std::byte>> buffer;
+  auto request = submit(obs::IoOp::kPrefetch, &ds, selection, bytes, t0,
+                        [&](AsyncOp& op) {
+                          buffer = std::make_shared<std::vector<std::byte>>(bytes);
+                          op.buffer = buffer;
+                        });
   {
     std::lock_guard lock(cache_mutex_);
-    cache_.emplace(key, CacheEntry{op->done, buffer});
+    cache_.emplace(key, CacheEntry{request->eventual(), buffer});
   }
+  // Reported at issue: the caller's cost is the enqueue.
   if (has_observers()) {
-    IoRecord record;
-    record.op = IoOp::kPrefetch;
-    record.bytes = bytes;
-    record.ranks = reported_ranks();
-    record.origin_rank = obs::thread_rank();
-    record.issue_time = t0;
-    record.blocking_seconds = clock_->now() - t0;
-    record.async = true;
-    if (observers_want_detail()) {
-      record.dataset_path = op->info.dataset_path;
-      record.selection = op->info.selection;
-    }
-    observe(record);
+    observe(make_record(IoOp::kPrefetch, bytes, /*async=*/true, t0,
+                        clock_->now() - t0, 0.0, &ds, selection));
   }
   std::lock_guard lock(stats_mutex_);
   ++stats_.prefetches_enqueued;
 }
 
 RequestPtr AsyncConnector::flush() {
-  const double t0 = clock_->now();
-  auto op = std::make_shared<AsyncOp>();
-  op->trace = obs::trace::TraceCollector::instance().start_trace();
-  op->trace_start = obs::steady_seconds();
-  obs::trace::ScopedTraceContext trace_bind(op->trace);
-  obs::trace::ScopedPhase submit_phase(obs::trace::Phase::kSubmit);
-  op->kind = obs::IoOp::kFlush;
-  op->info.op = obs::IoOp::kFlush;
-
-  if (has_observers()) {
-    op->on_complete = [this, t0, ranks = reported_ranks(),
-                       origin_rank = obs::thread_rank(),
-                       trace_id = op->trace.trace_id,
-                       span_id = op->trace.span_id] {
-      IoRecord record;
-      record.op = IoOp::kFlush;
-      record.trace_id = trace_id;
-      record.span_id = span_id;
-      record.ranks = ranks;
-      record.origin_rank = origin_rank;
-      record.issue_time = t0;
-      record.blocking_seconds = 0.0;  // caller was not blocked
-      record.completion_seconds = clock_->now() - t0;
-      record.async = true;
-      observe(record);
-    };
-  }
-
-  auto request_info = op->info;
-  enqueue_op(op, submit_phase);
-  return std::make_shared<Request>(op->done, std::move(request_info),
-                                   op->outcome);
+  // Flushes ride the priority lane: they are the latency-sensitive
+  // barrier ops the fairness gate protects.
+  return submit(obs::IoOp::kFlush, nullptr, h5::Selection::all(), 0,
+                clock_->now(), [](AsyncOp& op) {
+                  op.submission.lane = sched::Lane::kPriority;
+                });
 }
 
-void AsyncConnector::note_staged(std::uint64_t bytes) {
+void AsyncConnector::take_staging(AsyncOp& op) {
   if (options_.max_staged_bytes > 0) {
     std::unique_lock lock(staging_mutex_);
     staging_cv_.wait(lock, [&] {
-      return staged_outstanding_.load() + bytes <= options_.max_staged_bytes ||
+      return staged_outstanding_.load() + op.bytes <= options_.max_staged_bytes ||
              staged_outstanding_.load() == 0;
     });
   }
-  const std::uint64_t now_staged = staged_outstanding_.fetch_add(bytes) + bytes;
+  op.holds_staging = true;
+  const std::uint64_t now_staged = staged_outstanding_.fetch_add(op.bytes) + op.bytes;
   if (obs::enabled()) {
     static auto& gauge = obs::Registry::instance().gauge("vol.async.staged_outstanding");
     gauge.set(static_cast<std::int64_t>(now_staged));
     gauge.note_watermark();
   }
   std::lock_guard lock(stats_mutex_);
-  stats_.bytes_staged += bytes;
+  stats_.bytes_staged += op.bytes;
   stats_.staged_high_watermark = std::max(stats_.staged_high_watermark, now_staged);
 }
 
-void AsyncConnector::note_unstaged(std::uint64_t bytes) {
-  const std::uint64_t before = staged_outstanding_.fetch_sub(bytes);
-  APIO_INVARIANT(before >= bytes, "staging accounting underflow");
+void AsyncConnector::release_staging(AsyncOp& op) {
+  op.staged.reset();
+  if (!std::exchange(op.holds_staging, false)) return;
+  const std::uint64_t before = staged_outstanding_.fetch_sub(op.bytes);
+  APIO_INVARIANT(before >= op.bytes, "staging accounting underflow");
   if (obs::enabled()) {
     static auto& gauge = obs::Registry::instance().gauge("vol.async.staged_outstanding");
-    gauge.set(static_cast<std::int64_t>(before - bytes));
+    gauge.set(static_cast<std::int64_t>(before - op.bytes));
   }
   if (options_.max_staged_bytes > 0) {
     std::lock_guard lock(staging_mutex_);

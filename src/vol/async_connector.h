@@ -25,6 +25,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <map>
 #include <memory>
 #include <string>
@@ -36,10 +37,6 @@
 #include "sched/io_request.h"
 #include "tasking/execution_stream.h"
 #include "vol/connector.h"
-
-namespace apio::obs::trace {
-class ScopedPhase;
-}  // namespace apio::obs::trace
 
 namespace apio::vol {
 
@@ -56,7 +53,8 @@ struct AsyncOptions {
   /// recycled only across connector lifetimes.
   storage::BackendPtr staging_backend;
   /// Retry policy for background operations: a failed attempt is
-  /// re-enqueued under backoff instead of failing the request outright.
+  /// re-executed on the stream under backoff instead of failing the
+  /// request outright.
   /// The default (max_attempts = 1) reproduces pre-resilience behavior.
   resilience::RetryPolicy retry;
   /// Degraded mode: when a write's retries are exhausted, replay the
@@ -142,8 +140,8 @@ class AsyncConnector final : public Connector {
   };
 
   /// One background operation's full state: payload, identity, retry
-  /// session and completion plumbing.  Heap-shared because the retry
-  /// loop re-enqueues the same operation into the pool.
+  /// session, completion record and trace.  Heap-shared between the
+  /// FIFO continuation and the background stream.
   struct AsyncOp;
 
   h5::FilePtr file_;
@@ -172,40 +170,48 @@ class AsyncConnector final : public Connector {
   /// StateError, not tear a plain bool.
   std::atomic<bool> closed_{false};
 
-  /// Chains `op` behind the connector's FIFO tail.  The op enters the
-  /// pool when its predecessor reaches its *final* outcome (successors
-  /// wait out a predecessor's retries, preserving FIFO semantics).
-  /// Closes `submit` before the op becomes visible to the FIFO, so the
-  /// submit window never overlaps the op's FIFO/pool/attempt phases.
-  void enqueue_op(std::shared_ptr<AsyncOp> op, obs::trace::ScopedPhase& submit);
+  /// The one submission path, for every entry point: mints and binds
+  /// the op's trace, opens its submit phase, runs `prepare` (what the
+  /// entry point adds: the write's stage copy, the read's destination,
+  /// the prefetch buffer, the flush's lane), resolves the RequestInfo,
+  /// captures the completion record, then chains the op behind the
+  /// FIFO tail.  The op enters the pool when its predecessor reaches its
+  /// final outcome, so successors wait out a predecessor's retries.
+  /// Staging budget taken by `prepare` is returned if the op throws
+  /// before reaching the FIFO.
+  template <typename Prepare>
+  RequestPtr submit(obs::IoOp kind, const h5::Dataset* ds,
+                    const h5::Selection& selection, std::uint64_t bytes,
+                    double t0, Prepare&& prepare);
 
-  /// Executes one attempt on the background stream; on failure consults
-  /// the op's retry session and either re-enqueues, degrades (write
-  /// sync-fallback) or fails the request.
+  /// Runs the op on the background stream: retries inline under the
+  /// op's session (the FIFO chain keeps at most one of this connector's
+  /// ops in its pool, so nothing else could run between attempts), then
+  /// degrades (write sync-fallback) or fails the request.
   void run_attempt(const std::shared_ptr<AsyncOp>& op);
 
   /// Performs the actual storage transfer for the op's kind.
   void execute_op(AsyncOp& op);
 
-  /// Final-outcome paths: fill the shared RequestOutcome, release
-  /// staging accounting (writes, exactly once), update stats/counters,
-  /// then complete the eventual.
-  void finish_success(const std::shared_ptr<AsyncOp>& op);
-  void finish_failure(const std::shared_ptr<AsyncOp>& op,
-                      std::exception_ptr error);
+  /// The write's staged bytes, read back once from the staging device
+  /// when one is configured.
+  std::span<const std::byte> staged_payload(AsyncOp& op);
 
-  /// Records the completion phase and seals the op's trace (runs before
-  /// the eventual fires so waiters observe a sealed trace).
-  static void seal_trace(const AsyncOp& op, bool failed,
-                         double completion_start);
+  /// The one final-outcome path (`error` null on success): fills the
+  /// shared RequestOutcome, returns the staging budget, updates
+  /// stats/counters, emits the record (success only), seals the trace,
+  /// then completes the eventual.
+  void finish(const std::shared_ptr<AsyncOp>& op, std::exception_ptr error);
 
   /// Drains and joins the background machinery without closing the file.
   void shutdown_machinery();
 
   static std::string cache_key(const h5::Dataset& ds, const h5::Selection& selection);
 
-  void note_staged(std::uint64_t bytes);
-  void note_unstaged(std::uint64_t bytes);
+  /// Takes the op's bytes from the max_staged_bytes budget (blocking
+  /// while it is exhausted); release_staging() returns them exactly once.
+  void take_staging(AsyncOp& op);
+  void release_staging(AsyncOp& op);
 };
 
 }  // namespace apio::vol

@@ -14,8 +14,10 @@
 #include <string>
 
 #include "h5/file.h"
+#include "obs/metrics.h"
 #include "vol/observer.h"
 #include "vol/request.h"
+#include "vol/selection_token.h"
 
 namespace apio::vol {
 
@@ -96,6 +98,30 @@ class Connector {
 
   void observe(const IoRecord& record) {
     if (!observers_->empty()) observers_->on_io(record);
+  }
+
+  /// The one IoRecord builder: op, bytes, the async flag, reported
+  /// ranks, the issuing rank and the call's timings.  The dataset path
+  /// and selection token of `ds` are added only when an observer wants
+  /// them (the path is a reverse lookup in the container).
+  IoRecord make_record(IoOp op, std::uint64_t bytes, bool async,
+                       double issue_time, double blocking_seconds,
+                       double completion_seconds, const h5::Dataset* ds = nullptr,
+                       const h5::Selection& selection = h5::Selection::all()) const {
+    IoRecord record;
+    record.op = op;
+    record.bytes = bytes;
+    record.async = async;
+    record.ranks = reported_ranks();
+    record.origin_rank = obs::thread_rank();
+    record.issue_time = issue_time;
+    record.blocking_seconds = blocking_seconds;
+    record.completion_seconds = completion_seconds;
+    if (ds != nullptr && observers_want_detail()) {
+      record.dataset_path = file()->path_of(*ds);
+      record.selection = selection_to_token(selection);
+    }
+    return record;
   }
 
  private:

@@ -4,7 +4,6 @@
 #include "obs/metrics.h"
 #include "obs/trace_context.h"
 #include "sched/io_request.h"
-#include "vol/selection_token.h"
 
 namespace apio::vol {
 namespace {
@@ -62,98 +61,52 @@ void traced_call(obs::IoOp op, std::uint64_t bytes, obs::Histogram& latency,
 
 }  // namespace
 
-NativeConnector::NativeConnector(h5::FilePtr file, const Clock* clock)
-    : file_(std::move(file)), clock_(clock != nullptr ? clock : &wall_clock_) {
+NativeConnector::NativeConnector(h5::FilePtr file) : file_(std::move(file)) {
   APIO_REQUIRE(file_ != nullptr, "NativeConnector requires an open file");
+}
+
+void NativeConnector::report(IoOp op, std::uint64_t bytes, double t0,
+                             const h5::Dataset* ds, const h5::Selection& selection) {
+  if (!has_observers()) return;
+  const double dt = clock_.now() - t0;
+  observe(make_record(op, bytes, /*async=*/false, t0, dt, dt, ds, selection));
 }
 
 RequestPtr NativeConnector::dataset_write(h5::Dataset ds,
                                           const h5::Selection& selection,
                                           std::span<const std::byte> data) {
-  const double t0 = clock_->now();
+  const double t0 = clock_.now();
   traced_call(IoOp::kWrite, data.size(), sync_write_hist(), sync_bytes_written(),
               [&] { ds.write_raw(selection, data); });
-  const double dt = clock_->now() - t0;
-  if (has_observers()) {
-    IoRecord record;
-    record.op = IoOp::kWrite;
-    record.bytes = data.size();
-    record.ranks = reported_ranks();
-    record.origin_rank = obs::thread_rank();
-    record.issue_time = t0;
-    record.blocking_seconds = dt;
-    record.completion_seconds = dt;
-    record.async = false;
-    if (observers_want_detail()) {
-      record.dataset_path = file_->path_of(ds);
-      record.selection = selection_to_token(selection);
-    }
-    observe(record);
-  }
+  report(IoOp::kWrite, data.size(), t0, &ds, selection);
   return completed_request();
 }
 
 RequestPtr NativeConnector::dataset_read(h5::Dataset ds,
                                          const h5::Selection& selection,
                                          std::span<std::byte> out) {
-  const double t0 = clock_->now();
+  const double t0 = clock_.now();
   traced_call(IoOp::kRead, out.size(), sync_read_hist(), sync_bytes_read(),
               [&] { ds.read_raw(selection, out); });
-  const double dt = clock_->now() - t0;
-  if (has_observers()) {
-    IoRecord record;
-    record.op = IoOp::kRead;
-    record.bytes = out.size();
-    record.ranks = reported_ranks();
-    record.origin_rank = obs::thread_rank();
-    record.issue_time = t0;
-    record.blocking_seconds = dt;
-    record.completion_seconds = dt;
-    record.async = false;
-    if (observers_want_detail()) {
-      record.dataset_path = file_->path_of(ds);
-      record.selection = selection_to_token(selection);
-    }
-    observe(record);
-  }
+  report(IoOp::kRead, out.size(), t0, &ds, selection);
   return completed_request();
 }
 
 void NativeConnector::prefetch(h5::Dataset ds, const h5::Selection& selection) {
   // Synchronous mode has no background machinery to prefetch with; the
-  // hint is still reported so trace sinks capture the full call stream.
+  // hint is still reported (taking no time) so trace sinks capture the
+  // full call stream.
   if (has_observers()) {
-    const double t0 = clock_->now();
-    IoRecord record;
-    record.op = IoOp::kPrefetch;
-    record.bytes = selection.npoints(ds.dims()) * ds.element_size();
-    record.ranks = reported_ranks();
-    record.origin_rank = obs::thread_rank();
-    record.issue_time = t0;
-    record.async = false;
-    if (observers_want_detail()) {
-      record.dataset_path = file_->path_of(ds);
-      record.selection = selection_to_token(selection);
-    }
-    observe(record);
+    observe(make_record(IoOp::kPrefetch,
+                        selection.npoints(ds.dims()) * ds.element_size(),
+                        /*async=*/false, clock_.now(), 0.0, 0.0, &ds, selection));
   }
 }
 
 RequestPtr NativeConnector::flush() {
-  const double t0 = clock_->now();
+  const double t0 = clock_.now();
   file_->flush();
-  const double dt = clock_->now() - t0;
-  if (has_observers()) {
-    IoRecord record;
-    record.op = IoOp::kFlush;
-    record.ranks = reported_ranks();
-    record.origin_rank = obs::thread_rank();
-    record.issue_time = t0;
-    record.blocking_seconds = dt;
-    record.completion_seconds = dt;
-    record.async = false;
-    observe(record);
-  }
+  report(IoOp::kFlush, 0, t0);
   return completed_request();
 }
 

@@ -9,7 +9,7 @@ namespace apio::vol {
 
 class NativeConnector final : public Connector {
  public:
-  explicit NativeConnector(h5::FilePtr file, const Clock* clock = nullptr);
+  explicit NativeConnector(h5::FilePtr file);
 
   const h5::FilePtr& file() const override { return file_; }
 
@@ -23,9 +23,14 @@ class NativeConnector final : public Connector {
   void close() override;
 
  private:
+  /// Reports a completed blocking call issued at `t0`: the caller was
+  /// blocked for the whole transfer.
+  void report(IoOp op, std::uint64_t bytes, double t0,
+              const h5::Dataset* ds = nullptr,
+              const h5::Selection& selection = h5::Selection::all());
+
   h5::FilePtr file_;
-  WallClock wall_clock_;
-  const Clock* clock_;
+  WallClock clock_;
 };
 
 }  // namespace apio::vol

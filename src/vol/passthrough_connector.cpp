@@ -4,17 +4,17 @@
 
 namespace apio::vol {
 
-PassthroughConnector::PassthroughConnector(ConnectorPtr inner, const Clock* clock)
-    : inner_(std::move(inner)), clock_(clock != nullptr ? clock : &wall_clock_) {
+PassthroughConnector::PassthroughConnector(ConnectorPtr inner)
+    : inner_(std::move(inner)) {
   APIO_REQUIRE(inner_ != nullptr, "PassthroughConnector requires an inner connector");
 }
 
 RequestPtr PassthroughConnector::dataset_write(h5::Dataset ds,
                                                const h5::Selection& selection,
                                                std::span<const std::byte> data) {
-  const double t0 = clock_->now();
+  const double t0 = clock_.now();
   auto request = inner_->dataset_write(ds, selection, data);
-  const double dt = clock_->now() - t0;
+  const double dt = clock_.now() - t0;
   std::lock_guard lock(mutex_);
   ++stats_.writes;
   stats_.bytes_written += data.size();
@@ -25,9 +25,9 @@ RequestPtr PassthroughConnector::dataset_write(h5::Dataset ds,
 RequestPtr PassthroughConnector::dataset_read(h5::Dataset ds,
                                               const h5::Selection& selection,
                                               std::span<std::byte> out) {
-  const double t0 = clock_->now();
+  const double t0 = clock_.now();
   auto request = inner_->dataset_read(ds, selection, out);
-  const double dt = clock_->now() - t0;
+  const double dt = clock_.now() - t0;
   std::lock_guard lock(mutex_);
   ++stats_.reads;
   stats_.bytes_read += out.size();

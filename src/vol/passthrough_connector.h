@@ -27,7 +27,7 @@ struct PassthroughStats {
 
 class PassthroughConnector final : public Connector {
  public:
-  explicit PassthroughConnector(ConnectorPtr inner, const Clock* clock = nullptr);
+  explicit PassthroughConnector(ConnectorPtr inner);
 
   const h5::FilePtr& file() const override { return inner_->file(); }
 
@@ -54,8 +54,7 @@ class PassthroughConnector final : public Connector {
 
  private:
   ConnectorPtr inner_;
-  WallClock wall_clock_;
-  const Clock* clock_;
+  WallClock clock_;
   mutable debug::RankedMutex<debug::LockRank::kCounters> mutex_;
   PassthroughStats stats_;
 };

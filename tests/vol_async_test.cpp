@@ -6,8 +6,10 @@
 #include <numeric>
 
 #include "common/error.h"
-#include "storage/memory_backend.h"
+#include "obs/metrics.h"
 #include "storage/backend_stack.h"
+#include "storage/faulty_backend.h"
+#include "storage/memory_backend.h"
 #include "vol/async_connector.h"
 
 namespace apio::vol {
@@ -274,6 +276,42 @@ TEST(AsyncConnectorTest, BackpressureBoundsStagedBytes) {
   // exceed it only when the queue was empty; 2 chunks fit exactly).
   EXPECT_LE(stats.staged_high_watermark, options.max_staged_bytes);
   conn->close();
+}
+
+TEST(AsyncConnectorTest, FailedSubmitReturnsStagingBudget) {
+  obs::set_enabled(true);
+  auto& gauge = obs::Registry::instance().gauge("vol.async.staged_outstanding");
+  // A staging device whose first write fails; it heals after that.
+  storage::FaultPlan plan;
+  plan.fail_writes_after = 0;
+  plan.heal_after_faults = 1;
+  AsyncOptions options;
+  options.max_staged_bytes = 4096;
+  options.staging_backend = std::make_shared<storage::FaultyBackend>(
+      std::make_shared<storage::MemoryBackend>(), plan);
+  auto conn = make_connector(options);
+  auto ds = conn->file()->root().create_dataset("d", h5::Datatype::kUInt8, {4096});
+  const std::vector<std::uint8_t> data(4096, 7);
+  const auto bytes = std::as_bytes(std::span<const std::uint8_t>(data));
+  const std::int64_t before = gauge.value();
+
+  // Each failure must hand the budget back; asserting here keeps a leak
+  // from hanging the full-budget write below.
+  EXPECT_THROW(conn->dataset_write(ds, h5::Selection::all(), bytes), IoError);
+  ASSERT_EQ(gauge.value(), before);
+  // A handle from another container fails the path lookup after the
+  // staging copy.
+  auto other = h5::File::create(std::make_shared<storage::MemoryBackend>());
+  auto foreign = other->root().create_dataset("d", h5::Datatype::kUInt8, {4096});
+  EXPECT_THROW(conn->dataset_write(foreign, h5::Selection::all(), bytes),
+               NotFoundError);
+  ASSERT_EQ(gauge.value(), before);
+
+  conn->dataset_write(ds, h5::Selection::all(), bytes)->wait();
+  EXPECT_EQ(ds.read_vector<std::uint8_t>(h5::Selection::all()), data);
+  EXPECT_EQ(gauge.value(), before);
+  conn->close();
+  obs::set_enabled(false);
 }
 
 TEST(AsyncConnectorTest, UseAfterCloseThrows) {

@@ -1,10 +1,12 @@
 // Tests for the VOL extensions: event sets (H5ES semantics), the
-// passthrough/stacking connector, and SSD-staged transactional copies.
+// passthrough/stacking connector, SSD-staged transactional copies, and
+// the IoRecord each connector reports per operation.
 #include <gtest/gtest.h>
 
 #include <numeric>
 
 #include "common/error.h"
+#include "obs/trace_context.h"
 #include "storage/memory_backend.h"
 #include "storage/backend_stack.h"
 #include "vol/async_connector.h"
@@ -211,6 +213,177 @@ TEST(SsdStagingTest, SequentialWritesUseDistinctRegions) {
   // Bump allocation: 4 writes x 32 bytes on the device.
   EXPECT_EQ(ssd->size(), 4u * 32);
   conn->close();
+}
+
+// ---------------------------------------------------------------------------
+// IoRecord contract: the fields each connector reports per operation
+
+/// Keeps every record and asks for the dataset path and selection.
+class DetailObserver final : public IoObserver {
+ public:
+  void on_io(const IoRecord& record) override {
+    std::lock_guard<std::mutex> lock(mutex_);
+    records_.push_back(record);
+  }
+  bool wants_detail() const override { return true; }
+  std::vector<IoRecord> records() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return records_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::vector<IoRecord> records_;
+};
+
+/// Traces every request (sampling period 1) for the test's lifetime.
+class IoRecordContractTest : public testing::Test {
+ protected:
+  void SetUp() override {
+    auto& collector = obs::trace::TraceCollector::instance();
+    collector.clear();
+    collector.set_sampling_period(1);
+    collector.set_enabled(true);
+  }
+  void TearDown() override {
+    auto& collector = obs::trace::TraceCollector::instance();
+    collector.set_enabled(false);
+    collector.clear();
+  }
+};
+
+/// The fields every record carries: kind, payload, async flag, cache
+/// hit, rank count and a non-negative caller-blocking time.
+void expect_record(const IoRecord& r, IoOp op, std::uint64_t bytes, bool async,
+                   bool cache_hit = false) {
+  EXPECT_EQ(r.op, op);
+  EXPECT_EQ(r.bytes, bytes);
+  EXPECT_EQ(r.async, async);
+  EXPECT_EQ(r.cache_hit, cache_hit);
+  EXPECT_EQ(r.ranks, 3);
+  EXPECT_GE(r.blocking_seconds, 0.0);
+}
+
+void expect_detail(const IoRecord& r) {
+  EXPECT_EQ(r.dataset_path, "d");
+  EXPECT_EQ(r.selection, "all");
+}
+
+void expect_traced(const IoRecord& r) {
+  EXPECT_NE(r.trace_id, 0u);
+  EXPECT_NE(r.span_id, 0u);
+}
+
+TEST_F(IoRecordContractTest, AsyncConnectorReportsOneRecordPerOp) {
+  auto conn = make_async();
+  auto observer = std::make_shared<DetailObserver>();
+  conn->add_observer(observer);
+  conn->set_reported_ranks(3);
+  auto ds = conn->file()->root().create_dataset("d", h5::Datatype::kUInt8, {64});
+  const std::vector<std::uint8_t> data(64, 5);
+  std::vector<std::uint8_t> out(64);
+  const auto out_bytes = std::as_writable_bytes(std::span<std::uint8_t>(out));
+
+  conn->dataset_write(ds, h5::Selection::all(),
+                      std::as_bytes(std::span<const std::uint8_t>(data)))
+      ->wait();
+  conn->dataset_read(ds, h5::Selection::all(), out_bytes)->wait();  // miss
+  conn->prefetch(ds, h5::Selection::all());
+  conn->wait_all();
+  conn->dataset_read(ds, h5::Selection::all(), out_bytes)->wait();  // hit
+  conn->flush()->wait();
+
+  const auto records = observer->records();
+  ASSERT_EQ(records.size(), 5u);
+  const IoRecord& write = records[0];
+  expect_record(write, IoOp::kWrite, 64, true);
+  expect_detail(write);
+  expect_traced(write);
+  // The caller blocked for the staging copy only.
+  EXPECT_LE(write.blocking_seconds, write.completion_seconds);
+
+  const IoRecord& miss = records[1];
+  expect_record(miss, IoOp::kRead, 64, true);
+  expect_detail(miss);
+  expect_traced(miss);
+  EXPECT_EQ(miss.blocking_seconds, 0.0);
+  EXPECT_GT(miss.completion_seconds, 0.0);
+
+  // Reported at issue: blocking covers the enqueue, no completion yet.
+  const IoRecord& prefetch = records[2];
+  expect_record(prefetch, IoOp::kPrefetch, 64, true);
+  expect_detail(prefetch);
+  EXPECT_EQ(prefetch.completion_seconds, 0.0);
+
+  const IoRecord& hit = records[3];
+  expect_record(hit, IoOp::kRead, 64, true, /*cache_hit=*/true);
+  expect_detail(hit);
+  EXPECT_LE(hit.blocking_seconds, hit.completion_seconds);
+
+  const IoRecord& flush = records[4];
+  expect_record(flush, IoOp::kFlush, 0, true);
+  expect_traced(flush);
+  EXPECT_EQ(flush.blocking_seconds, 0.0);
+  EXPECT_TRUE(flush.dataset_path.empty());
+  conn->close();
+}
+
+TEST_F(IoRecordContractTest, NativeConnectorReportsOneRecordPerOp) {
+  auto file = h5::File::create(std::make_shared<storage::MemoryBackend>());
+  NativeConnector conn(file);
+  auto observer = std::make_shared<DetailObserver>();
+  conn.add_observer(observer);
+  conn.set_reported_ranks(3);
+  auto ds = file->root().create_dataset("d", h5::Datatype::kUInt8, {64});
+  const std::vector<std::uint8_t> data(64, 5);
+  std::vector<std::uint8_t> out(64);
+
+  conn.dataset_write(ds, h5::Selection::all(),
+                     std::as_bytes(std::span<const std::uint8_t>(data)));
+  conn.dataset_read(ds, h5::Selection::all(),
+                    std::as_writable_bytes(std::span<std::uint8_t>(out)));
+  conn.prefetch(ds, h5::Selection::all());
+  conn.flush();
+
+  const auto records = observer->records();
+  ASSERT_EQ(records.size(), 4u);
+  const IoOp ops[] = {IoOp::kWrite, IoOp::kRead, IoOp::kPrefetch, IoOp::kFlush};
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const IoRecord& r = records[i];
+    expect_record(r, ops[i], ops[i] == IoOp::kFlush ? 0 : 64, false);
+    // Synchronous calls complete when they return.
+    EXPECT_EQ(r.blocking_seconds, r.completion_seconds);
+    if (ops[i] == IoOp::kFlush) {
+      EXPECT_TRUE(r.dataset_path.empty());
+    } else {
+      expect_detail(r);
+    }
+  }
+  EXPECT_EQ(records[2].blocking_seconds, 0.0);  // a hint, nothing moved
+}
+
+TEST_F(IoRecordContractTest, FailedOpsReportNoRecord) {
+  // A buffer that does not match the selection fails the transfer.
+  const std::vector<std::uint8_t> bad(3, 1);
+  const auto bad_bytes = std::as_bytes(std::span<const std::uint8_t>(bad));
+
+  auto async = make_async();
+  auto async_observer = std::make_shared<DetailObserver>();
+  async->add_observer(async_observer);
+  auto ds = async->file()->root().create_dataset("d", h5::Datatype::kUInt8, {64});
+  auto req = async->dataset_write(ds, h5::Selection::all(), bad_bytes);
+  EXPECT_THROW(req->wait(), InvalidArgumentError);
+  async->close();
+  EXPECT_TRUE(async_observer->records().empty());
+
+  auto file = h5::File::create(std::make_shared<storage::MemoryBackend>());
+  NativeConnector native(file);
+  auto native_observer = std::make_shared<DetailObserver>();
+  native.add_observer(native_observer);
+  auto nds = file->root().create_dataset("d", h5::Datatype::kUInt8, {64});
+  EXPECT_THROW(native.dataset_write(nds, h5::Selection::all(), bad_bytes),
+               InvalidArgumentError);
+  EXPECT_TRUE(native_observer->records().empty());
 }
 
 }  // namespace
