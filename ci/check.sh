@@ -30,7 +30,8 @@
 #      the retry/degraded-mode paths juggle staged buffers across the
 #      background stream, so they run under asan/ubsan explicitly, and
 #      so do the backend suites, for the posix sieve's bounce-buffer
-#      offset arithmetic.
+#      offset arithmetic, and the handle-lifetime and path-index suites,
+#      for handles that outlive Group::remove and recycled buffers.
 #
 # Usage: ci/check.sh [--skip-tsan]
 set -euo pipefail
@@ -135,10 +136,10 @@ else
   ctest --preset tsan -j "${JOBS}"
 fi
 
-echo "==> [8/8] asan-ubsan build + fault-matrix, async-connector and backend suites"
+echo "==> [8/8] asan-ubsan build + fault-matrix, async-connector, backend, handle-lifetime and path-index suites"
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "${JOBS}"
 ctest --preset asan-ubsan -j "${JOBS}" \
-  -R 'Resilience|FaultInjection|AsyncConnector|VectoredBackend|BackendContract'
+  -R 'Resilience|FaultInjection|AsyncConnector|VectoredBackend|BackendContract|HandleLifetime|PathIndex'
 
 echo "==> all checks passed"

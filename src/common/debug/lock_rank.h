@@ -30,7 +30,7 @@ enum class LockRank : int {
   kVolCache = 14,       ///< AsyncConnector prefetch cache
   kVolEventSet = 18,    ///< EventSet request/error lists
   kVolTrace = 22,       ///< TraceRecorder event list
-  kVolStaging = 26,     ///< AsyncConnector back-pressure gate
+  kVolStaging = 26,     ///< AsyncConnector staging budget + buffer recycler
   // -- pmpi (rank threads; collectives never nest their locks) --------
   kPmpiSplit = 30,      ///< World split() rendezvous map
   kPmpiCollective = 34, ///< World collective exchange slots

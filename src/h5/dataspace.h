@@ -11,6 +11,7 @@
 // and the chunked dataset layouts build on.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -31,6 +32,9 @@ struct Hyperslab {
   /// than `count` — callers may invoke this before validate(), so it
   /// must be safe on malformed slabs.
   std::uint64_t npoints() const;
+
+  /// Member-wise; lets a selection key an ordered map.
+  auto operator<=>(const Hyperslab&) const = default;
 };
 
 /// A selection over a dataspace: everything or a hyperslab.
@@ -54,6 +58,9 @@ class Selection {
   /// Throws InvalidArgumentError when the selection does not fit in
   /// `extent` (rank mismatch, out-of-bounds, block > stride).
   void validate(const Dims& extent) const;
+
+  /// Member-wise: equal selections were built from equal slabs.
+  auto operator<=>(const Selection&) const = default;
 
  private:
   bool is_all_ = true;

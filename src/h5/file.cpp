@@ -84,6 +84,13 @@ void validate_name(const std::string& name) {
                "object names must not contain '/' — use File::ensure_path");
 }
 
+/// Marks a group and everything below it removed.
+void mark_removed(meta::GroupNode& group) {
+  group.removed.store(true, std::memory_order_release);
+  for (auto& [name, ds] : group.datasets) ds->removed.store(true, std::memory_order_release);
+  for (auto& [name, child] : group.groups) mark_removed(*child);
+}
+
 /// Decomposes a selection over a chunked dataset into chunk-local
 /// segments: each row run is split at chunk boundaries of the last
 /// dimension and reported as fn(chunk_coord, local_linear_elem,
@@ -181,6 +188,9 @@ void Dataset::require_dtype(Datatype t) const {
 void Dataset::require_valid() const {
   if (file_ == nullptr || node_ == nullptr) throw StateError("null Dataset handle");
   if (!file_->is_open()) throw StateError("Dataset handle used after file close");
+  if (node_->removed.load(std::memory_order_acquire)) {
+    throw StateError("Dataset handle '" + node_->path + "' used after remove");
+  }
 }
 
 void Dataset::write_raw(const Selection& selection, std::span<const std::byte> data) {
@@ -453,6 +463,9 @@ const std::string& Group::name() const {
 void Group::require_valid() const {
   if (file_ == nullptr || node_ == nullptr) throw StateError("null Group handle");
   if (!file_->is_open()) throw StateError("Group handle used after file close");
+  if (node_->removed.load(std::memory_order_acquire)) {
+    throw StateError("Group handle '" + node_->path + "' used after remove");
+  }
 }
 
 Group Group::create_group(const std::string& child_name) {
@@ -464,6 +477,7 @@ Group Group::create_group(const std::string& child_name) {
                "name '" + child_name + "' already exists in group '" + node_->name + "'");
   auto child = std::make_unique<meta::GroupNode>();
   child->name = child_name;
+  child->path = meta::child_path(node_->path, child_name);
   meta::GroupNode* raw = child.get();
   node_->groups.emplace(child_name, std::move(child));
   return Group(file_, raw);
@@ -511,6 +525,7 @@ Dataset Group::create_dataset(const std::string& ds_name, Datatype dtype, Dims d
                "name '" + ds_name + "' already exists in group '" + node_->name + "'");
   auto ds = std::make_unique<meta::DatasetNode>();
   ds->name = ds_name;
+  ds->path = meta::child_path(node_->path, ds_name);
   ds->dtype = dtype;
   ds->dims = std::move(dims);
   ds->layout = props.layout;
@@ -573,8 +588,21 @@ std::vector<std::string> Group::dataset_names() const {
 void Group::remove(const std::string& child_name) {
   require_valid();
   std::lock_guard<std::mutex> lock(file_->meta_mutex_);
-  if (node_->groups.erase(child_name) > 0) return;
-  if (node_->datasets.erase(child_name) > 0) return;
+  // The unlinked node moves to the File, marked removed, so a handle
+  // that outlives the unlink (or an async op still queued for it) fails
+  // require_valid() instead of reading freed memory.
+  if (auto it = node_->groups.find(child_name); it != node_->groups.end()) {
+    mark_removed(*it->second);
+    file_->unlinked_groups_.push_back(std::move(it->second));
+    node_->groups.erase(it);
+    return;
+  }
+  if (auto it = node_->datasets.find(child_name); it != node_->datasets.end()) {
+    it->second->removed.store(true, std::memory_order_release);
+    file_->unlinked_datasets_.push_back(std::move(it->second));
+    node_->datasets.erase(it);
+    return;
+  }
   throw NotFoundError("'" + child_name + "' not found in group '" + node_->name + "'");
 }
 
@@ -727,36 +755,16 @@ Dataset File::dataset_at(std::string_view path) {
   return g.open_dataset(std::string(path.substr(slash + 1)));
 }
 
-namespace {
-
-bool find_dataset_path(const meta::GroupNode& group, const void* target,
-                       std::string& path) {
-  for (const auto& [name, ds] : group.datasets) {
-    if (ds.get() == target) {
-      path = path.empty() ? name : path + "/" + name;
-      return true;
-    }
-  }
-  for (const auto& [name, child] : group.groups) {
-    std::string sub = path.empty() ? name : path + "/" + name;
-    std::string found = sub;
-    if (find_dataset_path(*child, target, found)) {
-      path = found;
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
 std::string File::path_of(const Dataset& ds) const {
-  std::lock_guard<std::mutex> lock(meta_mutex_);
-  std::string path;
-  if (!find_dataset_path(*root_, ds.object_key(), path)) {
+  // No lock: a node's path is fixed before any handle to it exists, and
+  // an unlinked node stays alive until the File goes away.
+  if (ds.file_ != this || ds.node_ == nullptr) {
     throw NotFoundError("dataset handle does not belong to this file");
   }
-  return path;
+  if (ds.node_->removed.load(std::memory_order_acquire)) {
+    throw NotFoundError("dataset '" + ds.node_->path + "' was removed");
+  }
+  return ds.node_->path;
 }
 
 std::uint64_t File::allocate(std::uint64_t size) {

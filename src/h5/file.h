@@ -33,7 +33,10 @@ class Group;
 using FilePtr = std::shared_ptr<File>;
 
 /// Handle to a dataset.  Lightweight; valid while the file is open and
-/// the dataset is not removed.
+/// the dataset is not removed.  Using a handle after Group::remove
+/// unlinked its dataset (or a group above it) throws StateError: the
+/// File keeps unlinked nodes alive, so the check never reads freed
+/// memory.
 class Dataset {
  public:
   Dataset() = default;
@@ -117,8 +120,9 @@ class Dataset {
   void attribute_raw(const std::string& attr_name, Datatype expected,
                      std::span<std::byte> out) const;
 
-  /// Stable identity of the underlying object while the file is open;
-  /// used as a cache key by the async VOL's prefetcher.
+  /// Stable identity of the underlying object for the File's lifetime
+  /// (removed nodes are not freed, so no address is reused); used as a
+  /// cache key by the async VOL's prefetcher.
   const void* object_key() const { return node_; }
 
  private:
@@ -134,7 +138,8 @@ class Dataset {
   meta::DatasetNode* node_ = nullptr;
 };
 
-/// Handle to a group.  Lightweight; valid while the file is open.
+/// Handle to a group.  Lightweight; valid while the file is open and
+/// the group is not removed (same rule as Dataset).
 class Group {
  public:
   Group() = default;
@@ -156,7 +161,8 @@ class Group {
   std::vector<std::string> dataset_names() const;
 
   /// Unlinks a child group or dataset (raw data extents are not
-  /// reclaimed, matching HDF5-without-h5repack behaviour).
+  /// reclaimed, matching HDF5-without-h5repack behaviour).  Handles to
+  /// the child and everything below it become invalid (StateError).
   void remove(const std::string& child_name);
 
   template <typename T>
@@ -213,9 +219,11 @@ class File : public std::enable_shared_from_this<File> {
   /// Opens the dataset at a `/`-separated path ("particles/x").
   Dataset dataset_at(std::string_view path);
 
-  /// Inverse of dataset_at: full path of an open dataset handle
-  /// ("a/b/d").  Throws NotFoundError when the handle does not belong
-  /// to this file.  Used by trace recording and diagnostics.
+  /// Inverse of dataset_at: full path of a dataset handle ("a/b/d").
+  /// The path is captured when the dataset is created or loaded, so the
+  /// lookup is O(1) and takes no lock.  Throws NotFoundError when the
+  /// handle belongs to another file or its dataset was removed.  Used by
+  /// the VOL's request identity, trace recording and diagnostics.
   std::string path_of(const Dataset& ds) const;
 
   /// Serialises metadata and flushes the backend (shadow update: data
@@ -262,6 +270,10 @@ class File : public std::enable_shared_from_this<File> {
   storage::BackendPtr backend_;
   FileProps props_;
   std::unique_ptr<meta::GroupNode> root_;
+  /// Nodes unlinked by Group::remove, kept (marked removed) for the
+  /// File's lifetime so stale handles can detect the removal.
+  std::vector<std::unique_ptr<meta::GroupNode>> unlinked_groups_;
+  std::vector<std::unique_ptr<meta::DatasetNode>> unlinked_datasets_;
   mutable std::mutex meta_mutex_;
   /// Serialises whole-chunk read-modify-write cycles of filtered
   /// datasets (parallel HDF5 semantics: filtered chunks are not

@@ -76,10 +76,11 @@ void put_dataset(ByteWriter& out, const DatasetNode& ds) {
   put_attributes(out, ds.attributes);
 }
 
-std::unique_ptr<DatasetNode> get_dataset(ByteReader& in) {
+std::unique_ptr<DatasetNode> get_dataset(ByteReader& in, const GroupNode& parent) {
   if (in.get_u8() != kDatasetTag) throw FormatError("bad dataset tag");
   auto ds = std::make_unique<DatasetNode>();
   ds->name = in.get_string();
+  ds->path = child_path(parent.path, ds->name);
   ds->dtype = datatype_from_code(in.get_u8());
   ds->dims = get_dims(in);
   const std::uint8_t layout = in.get_u8();
@@ -112,20 +113,22 @@ void put_group(ByteWriter& out, const GroupNode& group) {
   for (const auto& [name, child] : group.groups) put_group(out, *child);
 }
 
-std::unique_ptr<GroupNode> get_group(ByteReader& in) {
+/// `parent` is null for the root.
+std::unique_ptr<GroupNode> get_group(ByteReader& in, const GroupNode* parent) {
   if (in.get_u8() != kGroupTag) throw FormatError("bad group tag");
   auto group = std::make_unique<GroupNode>();
   group->name = in.get_string();
+  if (parent != nullptr) group->path = child_path(parent->path, group->name);
   group->attributes = get_attributes(in);
   const std::uint32_t ndatasets = in.get_u32();
   for (std::uint32_t i = 0; i < ndatasets; ++i) {
-    auto ds = get_dataset(in);
+    auto ds = get_dataset(in, *group);
     std::string name = ds->name;
     group->datasets.emplace(std::move(name), std::move(ds));
   }
   const std::uint32_t ngroups = in.get_u32();
   for (std::uint32_t i = 0; i < ngroups; ++i) {
-    auto child = get_group(in);
+    auto child = get_group(in, group.get());
     std::string name = child->name;
     group->groups.emplace(std::move(name), std::move(child));
   }
@@ -134,12 +137,16 @@ std::unique_ptr<GroupNode> get_group(ByteReader& in) {
 
 }  // namespace
 
+std::string child_path(const std::string& parent, const std::string& name) {
+  return parent.empty() ? name : parent + "/" + name;
+}
+
 void serialize_tree(const GroupNode& root, ByteWriter& out) {
   put_group(out, root);
 }
 
 std::unique_ptr<GroupNode> deserialize_tree(ByteReader& in) {
-  return get_group(in);
+  return get_group(in, nullptr);
 }
 
 }  // namespace apio::h5::meta

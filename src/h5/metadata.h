@@ -4,6 +4,7 @@
 // a crash before the superblock rewrite leaves the old tree intact).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -38,6 +39,12 @@ struct ChunkLocation {
 /// A dataset's metadata: shape, layout, filter and raw-data location.
 struct DatasetNode {
   std::string name;
+  /// In memory only, never serialised: the `/`-joined path from the root
+  /// ("a/b/d"), fixed when the node is created or loaded.
+  std::string path;
+  /// In memory only: set once when Group::remove unlinks the node or a
+  /// group above it.  Handles check it before every use.
+  std::atomic<bool> removed{false};
   Datatype dtype = Datatype::kUInt8;
   Dims dims;
   Layout layout = Layout::kContiguous;
@@ -57,10 +64,16 @@ struct DatasetNode {
 /// A group: named container of groups and datasets.
 struct GroupNode {
   std::string name;
+  /// In memory only, as for DatasetNode ("" for the root).
+  std::string path;
+  std::atomic<bool> removed{false};
   std::map<std::string, std::unique_ptr<GroupNode>> groups;
   std::map<std::string, std::unique_ptr<DatasetNode>> datasets;
   std::vector<AttributeNode> attributes;
 };
+
+/// Path of the child `name` of the group at `parent` ("" = the root).
+std::string child_path(const std::string& parent, const std::string& name);
 
 /// Serialises a metadata tree rooted at `root`.
 void serialize_tree(const GroupNode& root, ByteWriter& out);

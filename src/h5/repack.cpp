@@ -10,12 +10,12 @@ namespace {
 void visit_group(const std::string& path, Group group, const ObjectVisitor& visitor) {
   if (visitor.on_group) visitor.on_group(path, group);
   for (const auto& name : group.dataset_names()) {
-    const std::string child_path = path.empty() ? name : path + "/" + name;
-    if (visitor.on_dataset) visitor.on_dataset(child_path, group.open_dataset(name));
+    if (visitor.on_dataset) {
+      visitor.on_dataset(meta::child_path(path, name), group.open_dataset(name));
+    }
   }
   for (const auto& name : group.group_names()) {
-    const std::string child_path = path.empty() ? name : path + "/" + name;
-    visit_group(child_path, group.open_group(name), visitor);
+    visit_group(meta::child_path(path, name), group.open_group(name), visitor);
   }
 }
 

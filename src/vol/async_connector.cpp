@@ -3,7 +3,6 @@
 #include <cstring>
 #include <optional>
 #include <utility>
-#include <sstream>
 
 #include "common/debug/invariant.h"
 #include "common/debug/thread_role.h"
@@ -103,20 +102,21 @@ struct AsyncConnector::AsyncOp {
   obs::IoOp kind;
   std::optional<h5::Dataset> ds;
   h5::Selection selection = h5::Selection::all();
-  /// Write payload: the DRAM staging copy, or the staging device's bytes
-  /// once staged_payload() read them back.
-  std::shared_ptr<std::vector<std::byte>> staged;
+  /// The op's recycled buffer: the write's DRAM staging copy (or the
+  /// staging device's bytes once staged_payload() read them back), or
+  /// the prefetch destination, shared with its cache entry.
+  Buffer buffer;
   /// Write payload location when staging on a device.
   std::uint64_t device_offset = 0;
   /// True while the op holds `bytes` of the max_staged_bytes budget.
   bool holds_staging = false;
   /// Read destination (caller-owned until completion).
   std::span<std::byte> out;
-  /// Prefetch destination (cache-owned).
-  std::shared_ptr<std::vector<std::byte>> buffer;
   std::uint64_t bytes = 0;
 
-  tasking::EventualPtr done = tasking::Eventual::make();
+  /// Set by submit(), unless `prepare` supplied one (a prefetch shares
+  /// its cache entry's).
+  tasking::EventualPtr done;
   RequestOutcomePtr outcome = std::make_shared<RequestOutcome>();
   /// Fair-share identity captured at issue time; re-bound on the
   /// background stream for the op's attempts so a QosBackend under the
@@ -205,11 +205,13 @@ RequestPtr AsyncConnector::submit(obs::IoOp kind, const h5::Dataset* ds,
   RequestInfo info;
   try {
     prepare(*op);
+    if (!op->done) op->done = tasking::Eventual::make();
     // Only a write blocks its caller, for the staging copy.
     const double blocking = kind == obs::IoOp::kWrite ? clock_->now() - t0 : 0.0;
-    // Resolved unconditionally: failures must carry the identity even
-    // with no observer attached, and the background stream has no
-    // business touching the container's path index.
+    // Resolved unconditionally, before the op is queued: failures must
+    // carry the identity even with no observer attached, and a dataset
+    // removed while the op waits in the FIFO has no path left to
+    // resolve.  path_of reads the path the node captured at creation.
     info = request_info(*file_, kind, ds, selection, bytes);
     // A prefetch reports at issue (prefetch()); the rest on completion.
     if (has_observers() && kind != obs::IoOp::kPrefetch) {
@@ -250,12 +252,13 @@ RequestPtr AsyncConnector::submit(obs::IoOp kind, const h5::Dataset* ds,
 }
 
 std::span<const std::byte> AsyncConnector::staged_payload(AsyncOp& op) {
-  if (!op.staged) {
-    auto from_device = std::make_shared<std::vector<std::byte>>(op.bytes);
+  if (!op.buffer) {
+    Buffer from_device = take_buffer(op.bytes);
+    from_device->resize(op.bytes);  // a no-op for a recycled buffer
     options_.staging_backend->read(op.device_offset, *from_device);
-    op.staged = std::move(from_device);
+    op.buffer = std::move(from_device);
   }
-  return *op.staged;
+  return *op.buffer;
 }
 
 void AsyncConnector::execute_op(AsyncOp& op) {
@@ -391,8 +394,8 @@ RequestPtr AsyncConnector::dataset_write(h5::Dataset ds,
           op.device_offset = staging_device_offset_.fetch_add(data.size());
           options_.staging_backend->write(op.device_offset, data);
         } else {
-          op.staged =
-              std::make_shared<std::vector<std::byte>>(data.begin(), data.end());
+          op.buffer = take_buffer(data.size());
+          op.buffer->assign(data.begin(), data.end());
         }
       });
   std::lock_guard lock(stats_mutex_);
@@ -404,16 +407,15 @@ RequestPtr AsyncConnector::dataset_read(h5::Dataset ds,
                                         const h5::Selection& selection,
                                         std::span<std::byte> out) {
   const double t0 = clock_->now();
-  const std::string key = cache_key(ds, selection);
 
   // Prefetch-cache hit: the data was pulled into node-local memory
   // during a previous compute phase; serve it with a memcpy.
   CacheEntry entry;
   {
     std::lock_guard lock(cache_mutex_);
-    auto it = cache_.find(key);
+    auto it = cache_.find(CacheKey{ds.object_key(), selection});
     if (it != cache_.end()) {
-      entry = it->second;
+      entry = std::move(it->second);
       cache_.erase(it);
     }
   }
@@ -423,6 +425,7 @@ RequestPtr AsyncConnector::dataset_read(h5::Dataset ds,
     APIO_REQUIRE(entry.data->size() == out.size(),
                  "prefetched buffer size does not match read selection");
     std::memcpy(out.data(), entry.data->data(), out.size());
+    recycle(entry.data);
     if (has_observers()) {
       const double dt = clock_->now() - t0;
       IoRecord hit = make_record(IoOp::kRead, out.size(), /*async=*/true, t0, dt,
@@ -450,21 +453,36 @@ RequestPtr AsyncConnector::dataset_read(h5::Dataset ds,
 
 void AsyncConnector::prefetch(h5::Dataset ds, const h5::Selection& selection) {
   const double t0 = clock_->now();
-  const std::string key = cache_key(ds, selection);
-  {
-    std::lock_guard lock(cache_mutex_);
-    if (cache_.count(key) > 0) return;  // already in flight
-  }
   const std::uint64_t bytes = selection.npoints(ds.dims()) * ds.element_size();
-  std::shared_ptr<std::vector<std::byte>> buffer;
-  auto request = submit(obs::IoOp::kPrefetch, &ds, selection, bytes, t0,
-                        [&](AsyncOp& op) {
-                          buffer = std::make_shared<std::vector<std::byte>>(bytes);
-                          op.buffer = buffer;
-                        });
+  const CacheKey key{ds.object_key(), selection};
+  // The entry is complete when it is published: a read that finds it
+  // waits on the prefetch's eventual, then copies its buffer.
+  CacheEntry entry{tasking::Eventual::make(), take_buffer(bytes)};
+  entry.data->resize(bytes);  // a no-op for a recycled buffer
+  bool reserved = false;
   {
+    // Reserved under the same lock as the duplicate check, so two
+    // threads prefetching one selection submit it once.
     std::lock_guard lock(cache_mutex_);
-    cache_.emplace(key, CacheEntry{request->eventual(), buffer});
+    reserved = cache_.try_emplace(key, entry).second;
+  }
+  if (!reserved) {  // already in flight
+    recycle(entry.data);
+    return;
+  }
+  try {
+    submit(obs::IoOp::kPrefetch, &ds, selection, bytes, t0, [&](AsyncOp& op) {
+      op.done = entry.ready;
+      op.buffer = entry.data;
+    });
+  } catch (...) {
+    // A read may already hold the entry: fail it rather than leave it
+    // waiting, and unpublish the entry unless a read consumed it.
+    entry.ready->set_error(std::current_exception());
+    std::lock_guard lock(cache_mutex_);
+    auto it = cache_.find(key);
+    if (it != cache_.end() && it->second.ready == entry.ready) cache_.erase(it);
+    throw;
   }
   // Reported at issue: the caller's cost is the enqueue.
   if (has_observers()) {
@@ -485,15 +503,19 @@ RequestPtr AsyncConnector::flush() {
 }
 
 void AsyncConnector::take_staging(AsyncOp& op) {
-  if (options_.max_staged_bytes > 0) {
+  std::uint64_t now_staged = 0;
+  {
     std::unique_lock lock(staging_mutex_);
-    staging_cv_.wait(lock, [&] {
-      return staged_outstanding_.load() + op.bytes <= options_.max_staged_bytes ||
-             staged_outstanding_.load() == 0;
-    });
+    if (options_.max_staged_bytes > 0) {
+      staging_cv_.wait(lock, [&] {
+        return staged_outstanding_ + op.bytes <= options_.max_staged_bytes ||
+               staged_outstanding_ == 0;
+      });
+    }
+    op.holds_staging = true;
+    now_staged = staged_outstanding_ += op.bytes;
+    staged_hwm_ = std::max(staged_hwm_, now_staged);
   }
-  op.holds_staging = true;
-  const std::uint64_t now_staged = staged_outstanding_.fetch_add(op.bytes) + op.bytes;
   if (obs::enabled()) {
     static auto& gauge = obs::Registry::instance().gauge("vol.async.staged_outstanding");
     gauge.set(static_cast<std::int64_t>(now_staged));
@@ -505,18 +527,49 @@ void AsyncConnector::take_staging(AsyncOp& op) {
 }
 
 void AsyncConnector::release_staging(AsyncOp& op) {
-  op.staged.reset();
+  recycle(op.buffer);
   if (!std::exchange(op.holds_staging, false)) return;
-  const std::uint64_t before = staged_outstanding_.fetch_sub(op.bytes);
-  APIO_INVARIANT(before >= op.bytes, "staging accounting underflow");
+  std::uint64_t now_staged = 0;
+  {
+    std::lock_guard lock(staging_mutex_);
+    APIO_INVARIANT(staged_outstanding_ >= op.bytes, "staging accounting underflow");
+    now_staged = staged_outstanding_ -= op.bytes;
+    if (options_.max_staged_bytes > 0) staging_cv_.notify_all();
+  }
   if (obs::enabled()) {
     static auto& gauge = obs::Registry::instance().gauge("vol.async.staged_outstanding");
-    gauge.set(static_cast<std::int64_t>(before - op.bytes));
+    gauge.set(static_cast<std::int64_t>(now_staged));
   }
-  if (options_.max_staged_bytes > 0) {
+}
+
+AsyncConnector::Buffer AsyncConnector::take_buffer(std::uint64_t bytes) {
+  {
     std::lock_guard lock(staging_mutex_);
-    staging_cv_.notify_all();
+    auto bin = free_buffers_.find(bytes);
+    if (bin != free_buffers_.end()) {
+      Buffer buffer = std::move(bin->second.back());
+      bin->second.pop_back();
+      if (bin->second.empty()) free_buffers_.erase(bin);
+      free_bytes_ -= bytes;
+      return buffer;
+    }
   }
+  return std::make_shared<std::vector<std::byte>>();
+}
+
+void AsyncConnector::recycle(Buffer& buffer) {
+  if (buffer != nullptr && buffer.use_count() == 1) {
+    const std::uint64_t bytes = buffer->size();
+    std::lock_guard lock(staging_mutex_);
+    // Capped at the staged high-water mark: the list never holds more
+    // than the connector has already had in flight at once.
+    if (free_bytes_ + bytes <= staged_hwm_) {
+      free_buffers_[bytes].push_back(std::move(buffer));
+      free_bytes_ += bytes;
+      return;
+    }
+  }
+  buffer.reset();
 }
 
 void AsyncConnector::wait_all() {
@@ -545,27 +598,6 @@ AsyncStats AsyncConnector::stats() const {
 void AsyncConnector::clear_cache() {
   std::lock_guard lock(cache_mutex_);
   cache_.clear();
-}
-
-std::string AsyncConnector::cache_key(const h5::Dataset& ds,
-                                      const h5::Selection& selection) {
-  std::ostringstream os;
-  os << ds.object_key() << '|';
-  if (selection.is_all()) {
-    os << "all";
-  } else {
-    const h5::Hyperslab& slab = selection.slab();
-    auto emit = [&os](const h5::Dims& dims) {
-      os << '[';
-      for (std::uint64_t d : dims) os << d << ',';
-      os << ']';
-    };
-    emit(slab.start);
-    emit(slab.stride);
-    emit(slab.count);
-    emit(slab.block);
-  }
-  return os.str();
 }
 
 }  // namespace apio::vol

@@ -29,6 +29,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/clock.h"
@@ -134,9 +135,18 @@ class AsyncConnector final : public Connector {
   void clear_cache();
 
  private:
+  using Buffer = std::shared_ptr<std::vector<std::byte>>;
+
+  /// A prefetch is cached under its dataset's identity and selection.
+  struct CacheKey {
+    const void* object = nullptr;
+    h5::Selection selection;
+    auto operator<=>(const CacheKey&) const = default;
+  };
+
   struct CacheEntry {
     tasking::EventualPtr ready;
-    std::shared_ptr<std::vector<std::byte>> data;
+    Buffer data;
   };
 
   /// One background operation's full state: payload, identity, retry
@@ -156,14 +166,21 @@ class AsyncConnector final : public Connector {
   tasking::EventualPtr last_op_;
 
   debug::RankedMutex<debug::LockRank::kVolCache> cache_mutex_;
-  std::map<std::string, CacheEntry> cache_;
+  std::map<CacheKey, CacheEntry> cache_;
 
   mutable debug::RankedMutex<debug::LockRank::kCounters> stats_mutex_;
   AsyncStats stats_;
-  std::atomic<std::uint64_t> staged_outstanding_{0};
   std::atomic<std::uint64_t> staging_device_offset_{0};
   std::condition_variable_any staging_cv_;
+  /// Guards the staging budget, its high-water mark and the buffer
+  /// recycler's free list.
   debug::RankedMutex<debug::LockRank::kVolStaging> staging_mutex_;
+  std::uint64_t staged_outstanding_ = 0;
+  std::uint64_t staged_hwm_ = 0;
+  /// Recycled staging and prefetch buffers, binned by exact size, so a
+  /// take or a give is O(1).  Holds at most staged_hwm_ bytes.
+  std::unordered_map<std::uint64_t, std::vector<Buffer>> free_buffers_;
+  std::uint64_t free_bytes_ = 0;
 
   /// Set by shutdown_machinery(); read by every entry point.  Atomic:
   /// a close() racing in-flight operations must fail them with
@@ -173,9 +190,9 @@ class AsyncConnector final : public Connector {
   /// The one submission path, for every entry point: mints and binds
   /// the op's trace, opens its submit phase, runs `prepare` (what the
   /// entry point adds: the write's stage copy, the read's destination,
-  /// the prefetch buffer, the flush's lane), resolves the RequestInfo,
-  /// captures the completion record, then chains the op behind the
-  /// FIFO tail.  The op enters the pool when its predecessor reaches its
+  /// the prefetch's buffer and cache eventual, the flush's lane),
+  /// resolves the RequestInfo, captures the completion record, then
+  /// chains the op behind the FIFO tail.  The op enters the pool when its predecessor reaches its
   /// final outcome, so successors wait out a predecessor's retries.
   /// Staging budget taken by `prepare` is returned if the op throws
   /// before reaching the FIFO.
@@ -198,7 +215,9 @@ class AsyncConnector final : public Connector {
   std::span<const std::byte> staged_payload(AsyncOp& op);
 
   /// The one final-outcome path (`error` null on success): fills the
-  /// shared RequestOutcome, returns the staging budget, updates
+  /// shared RequestOutcome, returns the staging budget and the op's
+  /// buffer (before completion, so a prefetch's consumer holds the
+  /// buffer's last reference and can recycle it), updates
   /// stats/counters, emits the record (success only), seals the trace,
   /// then completes the eventual.
   void finish(const std::shared_ptr<AsyncOp>& op, std::exception_ptr error);
@@ -206,12 +225,18 @@ class AsyncConnector final : public Connector {
   /// Drains and joins the background machinery without closing the file.
   void shutdown_machinery();
 
-  static std::string cache_key(const h5::Dataset& ds, const h5::Selection& selection);
-
   /// Takes the op's bytes from the max_staged_bytes budget (blocking
-  /// while it is exhausted); release_staging() returns them exactly once.
+  /// while it is exhausted); release_staging() returns them exactly once
+  /// and recycles the op's buffer.
   void take_staging(AsyncOp& op);
   void release_staging(AsyncOp& op);
+
+  /// A buffer of exactly `bytes` from the free list, or a fresh empty
+  /// one (the caller sizes it).  A recycled buffer's contents are stale.
+  Buffer take_buffer(std::uint64_t bytes);
+  /// Drops the caller's reference; when it was the only one and the
+  /// free list has room, the buffer goes back on the list.
+  void recycle(Buffer& buffer);
 };
 
 }  // namespace apio::vol

@@ -103,7 +103,8 @@ class Connector {
   /// The one IoRecord builder: op, bytes, the async flag, reported
   /// ranks, the issuing rank and the call's timings.  The dataset path
   /// and selection token of `ds` are added only when an observer wants
-  /// them (the path is a reverse lookup in the container).
+  /// them (each is a string built per record; the path is an O(1) read
+  /// of the one the dataset captured at creation).
   IoRecord make_record(IoOp op, std::uint64_t bytes, bool async,
                        double issue_time, double blocking_seconds,
                        double completion_seconds, const h5::Dataset* ds = nullptr,

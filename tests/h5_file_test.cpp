@@ -7,6 +7,7 @@
 
 #include "common/error.h"
 #include "h5/file.h"
+#include "h5/repack.h"
 #include "storage/memory_backend.h"
 
 namespace apio::h5 {
@@ -501,6 +502,102 @@ TEST(MetadataScaleTest, HundredsOfDatasetsPersist) {
     auto v = g.open_dataset("d7").read_vector<std::int32_t>(Selection::all());
     EXPECT_EQ(v, (std::vector<std::int32_t>{step, 7}));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Handle lifetime across Group::remove
+
+TEST(HandleLifetimeTest, DatasetUsedAfterRemoveThrowsStateError) {
+  auto file = make_file();
+  auto ds = file->root().create_dataset("d", Datatype::kInt32, {4});
+  ds.write<std::int32_t>(Selection::all(), std::vector<std::int32_t>{1, 2, 3, 4});
+  file->root().remove("d");
+
+  EXPECT_THROW(ds.dims(), StateError);
+  EXPECT_THROW(ds.name(), StateError);
+  EXPECT_THROW(ds.read_vector<std::int32_t>(Selection::all()), StateError);
+  EXPECT_THROW(ds.write<std::int32_t>(Selection::all(), std::vector<std::int32_t>(4)),
+               StateError);
+  EXPECT_THROW(ds.set_attribute<std::int32_t>("a", 1), StateError);
+  EXPECT_THROW(file->path_of(ds), NotFoundError);
+
+  // The name is free again, and the new dataset is a different object.
+  auto again = file->root().create_dataset("d", Datatype::kInt8, {2});
+  EXPECT_NE(again.object_key(), ds.object_key());
+  EXPECT_EQ(file->path_of(again), "d");
+  EXPECT_EQ(again.dims(), (Dims{2}));
+  EXPECT_THROW(ds.dims(), StateError);
+}
+
+TEST(HandleLifetimeTest, HandlesBelowRemovedGroupThrowStateError) {
+  auto file = make_file();
+  auto inner = file->ensure_path("a/b");
+  auto deep = inner.create_dataset("d", Datatype::kFloat32, {8});
+  auto shallow = file->root().open_group("a").create_dataset("e", Datatype::kInt8, {1});
+  auto kept = file->root().create_dataset("kept", Datatype::kInt8, {1});
+  file->root().remove("a");
+
+  EXPECT_THROW(inner.name(), StateError);
+  EXPECT_THROW(inner.create_dataset("x", Datatype::kInt8, {1}), StateError);
+  EXPECT_THROW(deep.dims(), StateError);
+  EXPECT_THROW(shallow.npoints(), StateError);
+  EXPECT_THROW(file->path_of(deep), NotFoundError);
+  EXPECT_THROW(file->path_of(shallow), NotFoundError);
+  EXPECT_EQ(file->path_of(kept), "kept");
+  EXPECT_EQ(kept.dims(), (Dims{1}));
+  EXPECT_FALSE(file->root().has_group("a"));
+}
+
+// ---------------------------------------------------------------------------
+// The path index: every dataset keeps the path it was created or loaded at
+
+TEST(PathIndexTest, PathOfMatchesCreationPathAcross16kDatasets) {
+  constexpr int kGroups = 16;
+  constexpr int kSubgroups = 15;
+  constexpr int kPerGroup = 64;
+  auto backend = std::make_shared<storage::MemoryBackend>();
+  auto file = File::create(backend);
+  std::vector<std::string> paths;
+  std::vector<Dataset> handles;
+  auto add = [&](Group& g, const std::string& dir) {
+    for (int d = 0; d < kPerGroup; ++d) {
+      const std::string name = "d" + std::to_string(d);
+      handles.push_back(g.create_dataset(name, Datatype::kUInt8, {1}));
+      paths.push_back(dir + "/" + name);
+    }
+  };
+  // Datasets at depth 2 and 3: 16 * (64 + 15 * 64) = 16,384.
+  for (int a = 0; a < kGroups; ++a) {
+    const std::string top = "g" + std::to_string(a);
+    Group g = file->root().create_group(top);
+    add(g, top);
+    for (int b = 0; b < kSubgroups; ++b) {
+      const std::string sub = "s" + std::to_string(b);
+      Group s = g.create_group(sub);
+      add(s, top + "/" + sub);
+    }
+  }
+  ASSERT_EQ(handles.size(), 16384u);
+  for (std::size_t i = 0; i < handles.size(); ++i) {
+    ASSERT_EQ(file->path_of(handles[i]), paths[i]);
+  }
+
+  // Deserialized paths.
+  file->flush();
+  auto reopened = File::open(backend);
+  for (const auto& path : paths) {
+    ASSERT_EQ(reopened->path_of(reopened->dataset_at(path)), path);
+  }
+
+  // Paths rebuilt by repack's create_group/create_dataset.
+  auto packed = make_file();
+  const RepackResult result = repack(reopened, packed);
+  EXPECT_EQ(result.datasets_copied, paths.size());
+  for (const auto& path : paths) {
+    ASSERT_EQ(packed->path_of(packed->dataset_at(path)), path);
+  }
+  // A handle of one container is foreign to the others.
+  EXPECT_THROW(packed->path_of(handles.front()), NotFoundError);
 }
 
 }  // namespace
