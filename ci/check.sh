@@ -30,8 +30,10 @@
 #      the retry/degraded-mode paths juggle staged buffers across the
 #      background stream, so they run under asan/ubsan explicitly, and
 #      so do the backend suites, for the posix sieve's bounce-buffer
-#      offset arithmetic, and the handle-lifetime and path-index suites,
-#      for handles that outlive Group::remove and recycled buffers.
+#      offset arithmetic, the handle-lifetime and path-index suites,
+#      for handles that outlive Group::remove and recycled buffers, and
+#      the cache and paged-memory suites, for drains that hand pinned
+#      staging pages to the inner tier while eviction frees pages.
 #
 # Usage: ci/check.sh [--skip-tsan]
 set -euo pipefail
@@ -136,10 +138,10 @@ else
   ctest --preset tsan -j "${JOBS}"
 fi
 
-echo "==> [8/8] asan-ubsan build + fault-matrix, async-connector, backend, handle-lifetime and path-index suites"
+echo "==> [8/8] asan-ubsan build + fault-matrix, async-connector, backend, handle-lifetime, path-index, cache and paged-memory suites"
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "${JOBS}"
 ctest --preset asan-ubsan -j "${JOBS}" \
-  -R 'Resilience|FaultInjection|AsyncConnector|VectoredBackend|BackendContract|HandleLifetime|PathIndex'
+  -R 'Resilience|FaultInjection|AsyncConnector|VectoredBackend|BackendContract|HandleLifetime|PathIndex|Cache|PagedMemory'
 
 echo "==> all checks passed"

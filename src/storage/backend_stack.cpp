@@ -54,10 +54,9 @@ BackendStack& BackendStack::qos(sched::FairSchedulerPtr scheduler,
   return *this;
 }
 
-BackendStack& BackendStack::cached(CacheOptions options, BackendPtr staging) {
+BackendStack& BackendStack::cached(CacheOptions options) {
   require_order(Stage::kCached);
-  backend_ = std::make_shared<CachedBackend>(std::move(backend_), options,
-                                             std::move(staging));
+  backend_ = std::make_shared<CachedBackend>(std::move(backend_), options);
   return *this;
 }
 

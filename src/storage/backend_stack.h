@@ -63,9 +63,9 @@ class BackendStack {
   BackendStack& qos(sched::FairSchedulerPtr scheduler, QosOptions options = {});
 
   /// Write-back burst-buffer tier; always outermost (hits bypass
-  /// admission and throttle; drains pass through them).  `staging`
-  /// defaults to a fresh in-memory backend.
-  BackendStack& cached(CacheOptions options = {}, BackendPtr staging = nullptr);
+  /// admission and throttle; drains pass through them).  The cache
+  /// stages into its own paged memory store.
+  BackendStack& cached(CacheOptions options = {});
 
   /// The finished chain.  The builder stays usable as a handle but adds
   /// no further layers below ones already applied.

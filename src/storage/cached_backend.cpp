@@ -119,10 +119,10 @@ void CachedBackend::interval_sub(IntervalMap& map, std::uint64_t begin,
   }
 }
 
-std::vector<std::pair<std::uint64_t, std::uint64_t>>
-CachedBackend::interval_gaps(const IntervalMap& map, std::uint64_t begin,
-                             std::uint64_t end) {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> gaps;
+CachedBackend::Ranges CachedBackend::interval_gaps(const IntervalMap& map,
+                                                  std::uint64_t begin,
+                                                  std::uint64_t end) {
+  Ranges gaps;
   std::uint64_t pos = begin;
   auto it = map.upper_bound(begin);
   if (it != map.begin() && std::prev(it)->second > begin) --it;
@@ -157,12 +157,8 @@ CachedBackend::IntervalMap CachedBackend::interval_intersect(
 // ---------------------------------------------------------------------------
 // Lifecycle
 
-CachedBackend::CachedBackend(BackendPtr inner, CacheOptions options,
-                             BackendPtr staging)
-    : inner_(std::move(inner)),
-      staging_(staging ? std::move(staging)
-                       : std::make_shared<MemoryBackend>()),
-      options_(options) {
+CachedBackend::CachedBackend(BackendPtr inner, CacheOptions options)
+    : inner_(std::move(inner)), options_(options) {
   APIO_REQUIRE(inner_ != nullptr, "CachedBackend needs an inner backend");
   APIO_REQUIRE(options_.block_bytes > 0, "cache block size must be positive");
   APIO_REQUIRE(options_.capacity_bytes >= options_.block_bytes,
@@ -217,37 +213,43 @@ void CachedBackend::write(std::uint64_t offset,
 std::uint64_t CachedBackend::read_v(std::span<const ReadExtent> extents) {
   if (extents.empty()) return 0;
   const double t0 = obs::steady_seconds();
-  const auto touch_locked = [&] {
-    for (const auto& e : extents) {
-      touch_blocks_locked(e.offset, e.offset + e.out.size());
-    }
-  };
+  // Each round finds the unstaged gaps and, once there are none, copies
+  // out in the same hold of the lock, so no eviction can free a page
+  // between the check and the copy.  A miss fetches its gaps outside
+  // the lock and stages them at the start of the next round; an
+  // eviction in between only costs another round.
   bool hit = true;
-  {
-    std::lock_guard lock(mutex_);
-    for (const auto& e : extents) {
-      const std::uint64_t end = e.offset + e.out.size();
-      APIO_INVARIANT(end >= e.offset, "read range overflows offset space");
-      if (end > logical_size_) {
-        throw IoError("cached backend: read past end of object (offset " +
-                      std::to_string(e.offset) + " + " +
-                      std::to_string(e.out.size()) + " > " +
-                      std::to_string(logical_size_) + ")");
+  Ranges gaps;
+  std::vector<std::byte> fetched;
+  std::uint64_t moved = 0;
+  for (;;) {
+    {
+      std::lock_guard lock(mutex_);
+      stage_fetched_locked(gaps, fetched);
+      gaps.clear();
+      for (const auto& e : extents) {
+        const std::uint64_t end = e.offset + e.out.size();
+        APIO_INVARIANT(end >= e.offset, "read range overflows offset space");
+        if (end > logical_size_) {
+          throw IoError("cached backend: read past end of object (offset " +
+                        std::to_string(e.offset) + " + " +
+                        std::to_string(e.out.size()) + " > " +
+                        std::to_string(logical_size_) + ")");
+        }
+        const auto g = interval_gaps(valid_, e.offset, end);
+        gaps.insert(gaps.end(), g.begin(), g.end());
       }
-      hit = hit && interval_gaps(valid_, e.offset, end).empty();
+      if (gaps.empty()) {
+        for (const auto& e : extents) {
+          touch_blocks_locked(e.offset, e.offset + e.out.size());
+        }
+        moved = staging_.read_v(extents);
+        break;
+      }
     }
-    if (hit) touch_locked();
+    hit = false;
+    fetch(gaps, fetched);
   }
-  if (!hit) {
-    fill_from_inner(extents);
-    std::lock_guard lock(mutex_);
-    touch_locked();
-  }
-  // Staged bytes persist even if the bookkeeping evicts them between
-  // the check above and this copy, so the read stays safe; only an
-  // overlapping concurrent write could change them (a data race by the
-  // Backend contract, as in MPI-IO).
-  const std::uint64_t moved = staging_->read_v(extents);
   count_read(moved);
   if (hit) {
     hits_.fetch_add(1, std::memory_order_relaxed);
@@ -266,14 +268,17 @@ std::uint64_t CachedBackend::read_v(std::span<const ReadExtent> extents) {
 
 std::uint64_t CachedBackend::write_v(std::span<const WriteExtent> extents) {
   if (extents.empty()) return 0;
-  const std::uint64_t moved = staging_->write_v(extents);
+  std::uint64_t moved = 0;
   {
     std::lock_guard lock(mutex_);
+    moved = staging_.write_v(extents);
     for (const auto& e : extents) {
       const std::uint64_t end = e.offset + e.data.size();
       APIO_INVARIANT(end >= e.offset, "write range overflows offset space");
+      if (e.data.empty()) continue;  // an empty extent does not grow the object
       interval_add(valid_, e.offset, end);
       interval_add(dirty_, e.offset, end);
+      if (writing_back_) interval_add(rewritten_, e.offset, end);
       touch_blocks_locked(e.offset, end);
       logical_size_ = std::max(logical_size_, end);
     }
@@ -317,6 +322,7 @@ void CachedBackend::truncate(std::uint64_t new_size) {
     constexpr std::uint64_t kMaxOffset = ~std::uint64_t{0};
     interval_sub(valid_, new_size, kMaxOffset);
     interval_sub(dirty_, new_size, kMaxOffset);
+    interval_sub(rewritten_, new_size, kMaxOffset);
     logical_size_ = new_size;
     recount_locked();
     // Drop LRU entries for blocks that no longer hold valid bytes.
@@ -324,13 +330,13 @@ void CachedBackend::truncate(std::uint64_t new_size) {
     blocks.reserve(lru_pos_.size());
     for (const auto& [block, it] : lru_pos_) blocks.push_back(block);
     for (const std::uint64_t block : blocks) drop_block_if_empty_locked(block);
+    if (staging_.size() > new_size) staging_.truncate(new_size);
   }
   // Metadata operations are externally serialised (Backend contract),
   // so propagating eagerly keeps shrink/regrow honest in every mode:
   // a regrow reads the inner backend's zero-fill, never stale staged
   // bytes.
   inner_->truncate(new_size);
-  if (staging_->size() > new_size) staging_->truncate(new_size);
 }
 
 // ---------------------------------------------------------------------------
@@ -360,6 +366,16 @@ void CachedBackend::drop_block_if_empty_locked(std::uint64_t block) {
   lru_pos_.erase(pos);
 }
 
+void CachedBackend::release_pages_locked(std::uint64_t begin,
+                                         std::uint64_t end) {
+  constexpr std::uint64_t kPage = MemoryBackend::kPageBytes;
+  for (std::uint64_t p = begin / kPage * kPage; p < end; p += kPage) {
+    if (interval_intersect(valid_, p, p + kPage).empty()) {
+      staging_.discard(p, kPage);
+    }
+  }
+}
+
 void CachedBackend::recount_locked() {
   cached_bytes_ = interval_total(valid_);
   cache_cached_gauge().set(static_cast<std::int64_t>(cached_bytes_));
@@ -368,80 +384,89 @@ void CachedBackend::recount_locked() {
   cache_dirty_gauge().note_watermark();
 }
 
-void CachedBackend::fill_from_inner(std::span<const ReadExtent> extents) {
-  // The extents are sorted and disjoint, so their gaps are too: one
-  // vectored fetch and one vectored staging write cover them all.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> gaps;
-  {
-    std::lock_guard lock(mutex_);
-    for (const auto& e : extents) {
-      const auto g = interval_gaps(valid_, e.offset, e.offset + e.out.size());
-      gaps.insert(gaps.end(), g.begin(), g.end());
-    }
-  }
-  if (gaps.empty()) return;
+void CachedBackend::fetch(const Ranges& gaps, std::vector<std::byte>& buf) {
+  // The read extents are sorted and disjoint, so their gaps are too:
+  // one vectored fetch covers them all.
   std::uint64_t gap_bytes = 0;
   for (const auto& [gb, ge] : gaps) gap_bytes += ge - gb;
-  std::vector<std::byte> buf(gap_bytes);
-  std::vector<ReadExtent> fetch;
-  std::vector<WriteExtent> stage;
-  fetch.reserve(gaps.size());
-  stage.reserve(gaps.size());
+  buf.assign(gap_bytes, std::byte{0});
+  std::vector<ReadExtent> reads;
+  reads.reserve(gaps.size());
   const std::uint64_t inner_size = inner_->size();
   std::uint64_t pos = 0;
   std::uint64_t fetched = 0;
   for (const auto& [gb, ge] : gaps) {
-    const auto slot = std::span<std::byte>(buf).subspan(pos, ge - gb);
-    pos += ge - gb;
     // Bytes past the inner end-of-object exist only logically (grown
-    // by staged writes / truncate): zero-fill those, fetch the rest.
+    // by staged writes / truncate): they stay zero, the rest is fetched.
     const std::uint64_t readable_end = std::min(ge, inner_size);
     if (gb < readable_end) {
-      fetch.push_back({gb, slot.first(readable_end - gb)});
+      reads.push_back({gb, std::span(buf).subspan(pos, readable_end - gb)});
       fetched += readable_end - gb;
     }
-    stage.push_back({gb, slot});
+    pos += ge - gb;
   }
-  if (!fetch.empty()) (void)inner_->read_v(fetch);
-  (void)staging_->write_v(stage);
+  if (!reads.empty()) (void)inner_->read_v(reads);
   misses_.fetch_add(1, std::memory_order_relaxed);
   miss_bytes_.fetch_add(fetched, std::memory_order_relaxed);
   cache_misses_counter().increment();
   cache_miss_bytes_counter().add(fetched);
-  std::lock_guard lock(mutex_);
+}
+
+void CachedBackend::stage_fetched_locked(const Ranges& gaps,
+                                         std::span<const std::byte> buf) {
+  std::vector<WriteExtent> stage;
+  std::uint64_t pos = 0;
   for (const auto& [gb, ge] : gaps) {
-    interval_add(valid_, gb, ge);
+    for (const auto& [sb, se] : interval_gaps(valid_, gb, ge)) {
+      stage.push_back({sb, buf.subspan(pos + (sb - gb), se - sb)});
+    }
+    pos += ge - gb;
+  }
+  if (stage.empty()) return;
+  (void)staging_.write_v(stage);
+  for (const auto& e : stage) {
+    interval_add(valid_, e.offset, e.offset + e.data.size());
   }
   recount_locked();
 }
 
-void CachedBackend::write_back(const IntervalMap& extents) {
-  if (extents.empty()) return;
+std::uint64_t CachedBackend::write_back(std::uint64_t begin,
+                                        std::uint64_t end) {
+  // The lowest-offset interval goes LAST, whole: containers keep their
+  // header (superblock) at offset 0 and rely on shadow-update ordering
+  // — data and metadata land before the header points at them.  Both
+  // batches are spans over the pinned staging pages, one extent per
+  // page, and stay on the vectored write_v fast path.  The dirty set is
+  // read in the same hold as the gather: a range another write-back
+  // cleaned meanwhile may already have been evicted and its page freed.
+  MemoryBackend::Pinned rest(staging_);
+  MemoryBackend::Pinned lowest(staging_);
+  IntervalMap extents;
+  {
+    std::lock_guard lock(mutex_);
+    extents = interval_intersect(dirty_, begin, end);
+    if (extents.empty()) return 0;
+    for (auto it = std::next(extents.begin()); it != extents.end(); ++it) {
+      staging_.gather(it->first, it->second - it->first, rest);
+    }
+    const auto& [lb, le] = *extents.begin();
+    staging_.gather(lb, le - lb, lowest);
+    writing_back_ = true;
+  }
   const std::uint64_t total = interval_total(extents);
   // Span declared before the transfers: it records after they finish,
   // attributing the whole PFS-bound drain to kCacheFlush.
   obs::trace::ScopedPhase span(obs::trace::Phase::kCacheFlush, total,
                                "cached");
-  std::vector<std::vector<std::byte>> buffers;
-  std::vector<WriteExtent> batch;
-  buffers.reserve(extents.size());
-  batch.reserve(extents.size());
-  for (const auto& [b, e] : extents) {
-    buffers.emplace_back(e - b);
-    staging_->read(b, buffers.back());
-    batch.push_back({b, std::span<const std::byte>(buffers.back())});
-  }
+  const auto finish_locked = [&] {
+    writing_back_ = false;
+    rewritten_.clear();
+    recount_locked();
+  };
   try {
-    // The lowest-offset extent goes LAST: containers keep their header
-    // (superblock) at offset 0 and rely on shadow-update ordering —
-    // data and metadata land before the header points at them.  Both
-    // batches stay on the vectored write_v fast path.
     std::uint64_t written = 0;
-    if (batch.size() > 1) {
-      written += inner_->write_v(
-          std::span<const WriteExtent>(batch).subspan(1));
-    }
-    written += inner_->write_v(std::span<const WriteExtent>(batch).first(1));
+    if (!rest.extents().empty()) written += inner_->write_v(rest.extents());
+    written += inner_->write_v(lowest.extents());
     if (written != total) {
       throw IoError("cached backend: short drain write (" +
                     std::to_string(written) + " of " + std::to_string(total) +
@@ -449,19 +474,29 @@ void CachedBackend::write_back(const IntervalMap& extents) {
     }
   } catch (...) {
     // Dirty set untouched: the same extents retry on the next drain.
+    {
+      std::lock_guard lock(mutex_);
+      finish_locked();
+    }
     flush_failures_.fetch_add(1, std::memory_order_relaxed);
     cache_flush_failures_counter().increment();
     throw;
   }
   {
     std::lock_guard lock(mutex_);
-    for (const auto& [b, e] : extents) interval_sub(dirty_, b, e);
-    recount_locked();
+    for (const auto& [b, e] : extents) {
+      interval_sub(dirty_, b, e);
+      for (const auto& [rb, re] : interval_intersect(rewritten_, b, e)) {
+        interval_add(dirty_, rb, re);
+      }
+    }
+    finish_locked();
   }
   flushes_.fetch_add(1, std::memory_order_relaxed);
   flushed_bytes_.fetch_add(total, std::memory_order_relaxed);
   cache_flushes_counter().increment();
   cache_flushed_bytes_counter().add(total);
+  return total;
 }
 
 void CachedBackend::enforce_capacity() {
@@ -469,16 +504,17 @@ void CachedBackend::enforce_capacity() {
   // delay eviction, not wedge it — capacity is a soft budget.
   constexpr int kMaxRounds = 256;
   for (int round = 0; round < kMaxRounds; ++round) {
-    IntervalMap victim_dirty;
+    std::uint64_t b = 0;
+    std::uint64_t e = 0;
     {
       std::lock_guard lock(mutex_);
       if (cached_bytes_ <= options_.capacity_bytes || lru_.empty()) return;
       const std::uint64_t block = lru_.back();
-      const std::uint64_t b = block * options_.block_bytes;
-      const std::uint64_t e = b + options_.block_bytes;
-      victim_dirty = interval_intersect(dirty_, b, e);
-      if (victim_dirty.empty()) {
+      b = block * options_.block_bytes;
+      e = b + options_.block_bytes;
+      if (interval_intersect(dirty_, b, e).empty()) {
         interval_sub(valid_, b, e);
+        release_pages_locked(b, e);
         lru_.pop_back();
         lru_pos_.erase(block);
         recount_locked();
@@ -491,17 +527,16 @@ void CachedBackend::enforce_capacity() {
     // then the next round evicts the now-clean block.
     //
     // The analyzer's virtual-dispatch over-approximation resolves
-    // write_back's staging_->read / inner_->write_v to every read/write
-    // override (including this class's own, and h5::Dataset's), closing
-    // a cycle back into kStorageCache that cannot occur: staging_ and
-    // inner_ are never a CachedBackend (BackendStack keeps the cache
-    // outermost and unique), so the only lock under drain_mutex_ here
-    // is the higher-ranked wrapper state.
+    // write_back's inner_->write_v to every write_v override (including
+    // this class's own), closing a cycle back into kStorageCache that
+    // cannot occur: inner_ is never a CachedBackend (BackendStack keeps
+    // the cache outermost and unique), so the only locks under
+    // drain_mutex_ here are the higher-ranked wrapper and staging state.
+    std::uint64_t wb = 0;
     {
       std::lock_guard drain_lock(drain_mutex_);
-      write_back(victim_dirty);  // apio-lint: allow(lock-rank)
+      wb = write_back(b, e);  // apio-lint: allow(lock-rank)
     }
-    const std::uint64_t wb = interval_total(victim_dirty);
     writeback_bytes_.fetch_add(wb, std::memory_order_relaxed);
     cache_writeback_bytes_counter().add(wb);
   }
@@ -510,19 +545,12 @@ void CachedBackend::enforce_capacity() {
 void CachedBackend::drain() {
   std::lock_guard drain_lock(drain_mutex_);
   // Same dispatch over-approximation as in enforce_capacity: the
-  // drain path's staging_/inner_ calls never re-enter CachedBackend.
+  // drain path's inner_ calls never re-enter CachedBackend.
   drain_internal();  // apio-lint: allow(lock-rank)
 }
 
 void CachedBackend::drain_internal() {
-  IntervalMap snapshot;
-  {
-    std::lock_guard lock(mutex_);
-    snapshot = dirty_;
-  }
-  if (snapshot.empty()) return;
-  write_back(snapshot);
-  inner_->flush();
+  if (write_back(0, ~std::uint64_t{0}) > 0) inner_->flush();
 }
 
 void CachedBackend::on_epoch_event(const obs::EpochEvent& event) {
@@ -549,6 +577,7 @@ CacheSnapshot CachedBackend::cache_snapshot() const {
   s.evictions = evictions_.load(std::memory_order_relaxed);
   s.writeback_bytes = writeback_bytes_.load(std::memory_order_relaxed);
   s.lost_bytes = lost_bytes_.load(std::memory_order_relaxed);
+  s.resident_bytes = staging_.resident_bytes();
   std::lock_guard lock(mutex_);
   s.dirty_bytes = interval_total(dirty_);
   s.cached_bytes = cached_bytes_;

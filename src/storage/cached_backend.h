@@ -2,11 +2,12 @@
 // backend, with bbThemis-style selectable visibility (ROADMAP item:
 // after-write / after-close / after-epoch / after-job).
 //
-// The cache interposes a node-local staging area (an in-memory backend
-// by default, a local-POSIX file for real burst buffers) between the
-// application and the parallel file system.  Writes land in staging and
-// are absorbed off the critical path; the consistency mode decides when
-// the dirty extents become visible on the PFS tier:
+// The cache interposes a node-local staging area between the
+// application and the parallel file system: its own paged
+// MemoryBackend, which mirrors the inner backend's byte addresses.
+// Writes land in staging and are absorbed off the critical path; the
+// consistency mode decides when the dirty extents become visible on the
+// PFS tier:
 //
 //   kAfterWrite  write-through: every write is forwarded immediately
 //                (the staging copy only accelerates re-reads).
@@ -23,12 +24,18 @@
 // Reads are served read-through: missing ranges are fetched from the
 // PFS into staging, and staged bytes are evicted least-recently-used
 // when the configured capacity is exceeded (dirty victims are written
-// back first — the cache never silently drops unflushed data).  Dirty
-// extents are kept byte-granular and coalesced, and every drain goes
-// to the PFS as vectored write_v batches, preserving the aggregation
-// fast path.  The lowest-offset dirty extent is always written last so
-// a container's shadow-update discipline (header block at offset 0
-// points at data written before it) survives a mid-drain crash.
+// back first — the cache never silently drops unflushed data).  A
+// staging page that no longer holds a staged byte is freed, so with
+// page-sized blocks (the default) the footprint stays within the
+// capacity plus one page.  Dirty extents are kept byte-granular and
+// coalesced, and every drain goes to the PFS as vectored write_v
+// batches, preserving the aggregation fast path.  A drain copies
+// nothing: its extents are spans over the staging pages (one per page),
+// pinned for the duration of the inner write, so a write racing the
+// drain lands in a copy of the page and stays dirty for the next drain.
+// The lowest-offset dirty interval is always written last, whole, so a
+// container's shadow-update discipline (header block at offset 0 points
+// at data written before it) survives a mid-drain crash.
 //
 // Failure semantics: a drain that fails (e.g. the resilience breaker
 // is open on the PFS tier) surfaces the inner error — TransientIoError
@@ -58,6 +65,7 @@
 #include "common/debug/lock_rank.h"
 #include "obs/epoch_analyzer.h"
 #include "storage/backend.h"
+#include "storage/memory_backend.h"
 
 namespace apio::storage {
 
@@ -80,7 +88,7 @@ struct CacheOptions {
   /// Staged-byte budget; LRU eviction keeps the cache at or under it.
   std::uint64_t capacity_bytes = 64ull << 20;
   /// LRU bookkeeping granularity (eviction victims are whole blocks).
-  std::uint64_t block_bytes = 256ull * 1024;
+  std::uint64_t block_bytes = MemoryBackend::kPageBytes;
 };
 
 /// Point-in-time cache counters (also exported as io.cache.* registry
@@ -98,25 +106,23 @@ struct CacheSnapshot {
   std::uint64_t lost_bytes = 0;    ///< dirty bytes undrainable at destruction
   std::uint64_t dirty_bytes = 0;   ///< currently staged, not yet on the PFS
   std::uint64_t cached_bytes = 0;  ///< currently staged (clean + dirty)
+  std::uint64_t resident_bytes = 0;  ///< staging pages held in memory
 };
 
 class CachedBackend final : public Backend, public obs::EpochSink {
  public:
-  /// `staging` defaults to a fresh in-memory backend; pass a
-  /// PosixBackend for a node-local SSD staging file.  The staging
-  /// backend mirrors the inner backend's byte addresses.
-  CachedBackend(BackendPtr inner, CacheOptions options,
-                BackendPtr staging = nullptr);
+  CachedBackend(BackendPtr inner, CacheOptions options);
   ~CachedBackend() override;
 
   std::uint64_t size() const override;
   /// The scalar calls are one-extent batches.
   void read(std::uint64_t offset, std::span<std::byte> out) override;
   void write(std::uint64_t offset, std::span<const std::byte> data) override;
-  /// A batch is one staging transfer, one bookkeeping pass under the
-  /// lock and one capacity check; a write-through (kAfterWrite) forward
-  /// and a read miss's fetch reach the inner backend as one vectored
-  /// call too.  A read_v is one hit only when every extent is staged.
+  /// A batch is one staging transfer plus its bookkeeping in one hold
+  /// of the lock, and one capacity check; a write-through (kAfterWrite)
+  /// forward and a read miss's fetch reach the inner backend as one
+  /// vectored call too.  A read_v is one hit only when every extent is
+  /// staged.
   [[nodiscard]] std::uint64_t write_v(
       std::span<const WriteExtent> extents) override;
   [[nodiscard]] std::uint64_t read_v(
@@ -142,14 +148,16 @@ class CachedBackend final : public Backend, public obs::EpochSink {
  private:
   /// Half-open byte intervals, keyed by begin, coalesced on insert.
   using IntervalMap = std::map<std::uint64_t, std::uint64_t>;
+  /// Sorted, disjoint half-open ranges.
+  using Ranges = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
 
   static void interval_add(IntervalMap& map, std::uint64_t begin,
                            std::uint64_t end);
   static void interval_sub(IntervalMap& map, std::uint64_t begin,
                            std::uint64_t end);
   /// Sub-ranges of [begin, end) not covered by `map`.
-  static std::vector<std::pair<std::uint64_t, std::uint64_t>> interval_gaps(
-      const IntervalMap& map, std::uint64_t begin, std::uint64_t end);
+  static Ranges interval_gaps(const IntervalMap& map, std::uint64_t begin,
+                              std::uint64_t end);
   static std::uint64_t interval_total(const IntervalMap& map);
   /// Sub-ranges of [begin, end) covered by `map`.
   static IntervalMap interval_intersect(const IntervalMap& map,
@@ -158,24 +166,30 @@ class CachedBackend final : public Backend, public obs::EpochSink {
 
   void touch_blocks_locked(std::uint64_t begin, std::uint64_t end);
   void drop_block_if_empty_locked(std::uint64_t block);
+  /// Frees the staging pages overlapping [begin, end) that hold no
+  /// valid byte.
+  void release_pages_locked(std::uint64_t begin, std::uint64_t end);
   /// Recomputes cached_bytes_ after interval edits (maps are small at
   /// the modelled scale; correctness over micro-optimisation).
   void recount_locked();
 
-  /// Fetches the unstaged parts of `extents` from the inner backend into
-  /// staging.
-  void fill_from_inner(std::span<const ReadExtent> extents);
-  /// Writes the given dirty intervals to the inner backend (vectored,
-  /// lowest extent last) and clears them from the dirty set on success.
-  /// Caller holds drain_mutex_ but NOT mutex_.
-  void write_back(const IntervalMap& extents);
+  /// Reads `gaps` from the inner backend into `buf` (zeros past the
+  /// inner end of object).
+  void fetch(const Ranges& gaps, std::vector<std::byte>& buf);
+  /// Stages the bytes of `gaps` fetched into `buf` that are still
+  /// unstaged (a concurrent write may have staged newer ones).
+  void stage_fetched_locked(const Ranges& gaps, std::span<const std::byte> buf);
+  /// Writes the dirty intervals inside [begin, end) to the inner backend
+  /// (vectored, lowest interval last) and clears them from the dirty set
+  /// on success, except bytes rewritten meanwhile.  Returns the bytes
+  /// written.  Caller holds drain_mutex_ but NOT mutex_.
+  std::uint64_t write_back(std::uint64_t begin, std::uint64_t end);
   /// Evicts LRU blocks (writing dirty victims back first) until the
   /// staged footprint fits the capacity budget.
   void enforce_capacity();
   void drain_internal();
 
   BackendPtr inner_;
-  BackendPtr staging_;
   CacheOptions options_;
 
   /// Serialises drains and eviction write-backs; held across the inner
@@ -183,13 +197,21 @@ class CachedBackend final : public Backend, public obs::EpochSink {
   /// acquired above it).
   mutable debug::RankedMutex<debug::LockRank::kStorageCache> drain_mutex_;
 
-  /// Guards the interval/LRU bookkeeping below.  Never held across an
-  /// inner or staging transfer: data moves happen outside it, and the
-  /// shared kStorageWrapper rank aborts (same-rank acquisition) if an
-  /// inner wrapper lock is ever taken under it.
+  /// Guards the interval/LRU bookkeeping below, and is held across
+  /// every staging copy together with the bookkeeping that makes the
+  /// bytes valid or found them valid, so an eviction cannot free a
+  /// page between the two (kStorageWrapper over the staging's
+  /// kStorageBase).  Never held across an inner transfer: the shared
+  /// kStorageWrapper rank aborts (same-rank acquisition) if an inner
+  /// wrapper lock is ever taken under it.
   mutable debug::RankedMutex<debug::LockRank::kStorageWrapper> mutex_;
+  MemoryBackend staging_;
   IntervalMap valid_;   ///< staged byte ranges
   IntervalMap dirty_;   ///< staged ranges not yet on the inner backend
+  /// Ranges written while a write-back is in flight: they stay dirty
+  /// when it completes, since it may have carried the older bytes.
+  IntervalMap rewritten_;
+  bool writing_back_ = false;
   std::list<std::uint64_t> lru_;  ///< block ids, front = most recent
   std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
       lru_pos_;

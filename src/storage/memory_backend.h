@@ -1,7 +1,10 @@
-// In-memory backend: models a DRAM or node-local staging area, and
-// backs unit tests that must not touch the file system.
+// In-memory backend: models a DRAM or node-local staging area, holds
+// CachedBackend's staging, and backs unit tests that must not touch the
+// file system.
 #pragma once
 
+#include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "common/debug/lock_rank.h"
@@ -9,12 +12,43 @@
 
 namespace apio::storage {
 
-/// Flat in-memory object.  All operations are internally locked, so the
-/// backend is safe for the concurrent disjoint-range access pattern of
-/// parallel ranks (the lock serialises the copies; correctness, not
-/// parallel throughput, is the goal at test scale).
+/// Paged in-memory object.  Bytes live in fixed-size pages: a page is
+/// allocated zeroed on its first write and never moved, so growth by
+/// write or truncate copies nothing, and a page never written reads as
+/// zeros.  A shrink drops whole pages and zeroes the tail of the last
+/// kept one, so a regrow reads zeros.  All operations are internally
+/// locked, so the backend is safe for the concurrent disjoint-range
+/// access pattern of parallel ranks (the lock serialises the copies;
+/// correctness, not parallel throughput, is the goal at test scale).
 class MemoryBackend final : public Backend {
+  using Page = std::shared_ptr<std::byte[]>;
+
  public:
+  /// Page size; also the default CacheOptions::block_bytes, so a cache
+  /// block is one page.
+  static constexpr std::uint64_t kPageBytes = 256 * 1024;
+
+  /// Spans over stored bytes, filled by gather().  The pages under the
+  /// spans stay allocated and unchanged while this object lives: a
+  /// write or shrink that reaches a pinned page first replaces it with
+  /// a copy, and a discard or shrink that drops one leaves it to the
+  /// pin.  Must not outlive its store.
+  class Pinned {
+   public:
+    explicit Pinned(MemoryBackend& store) : store_(store) {}
+    ~Pinned();
+    Pinned(const Pinned&) = delete;
+    Pinned& operator=(const Pinned&) = delete;
+
+    std::span<const WriteExtent> extents() const { return extents_; }
+
+   private:
+    friend class MemoryBackend;
+    MemoryBackend& store_;
+    std::vector<WriteExtent> extents_;
+    std::vector<Page> pins_;
+  };
+
   MemoryBackend() = default;
 
   std::uint64_t size() const override;
@@ -30,9 +64,32 @@ class MemoryBackend final : public Backend {
   void truncate(std::uint64_t new_size) override;
   std::string name() const override { return "memory"; }
 
+  /// Appends to `out` one extent per page piece of [offset, offset +
+  /// length), each a span over the stored bytes (a page never written
+  /// yields zeros), and pins their pages.  Copies no byte and counts no
+  /// transfer.
+  void gather(std::uint64_t offset, std::uint64_t length, Pinned& out);
+
+  /// Frees every page lying wholly inside [offset, offset + length);
+  /// its bytes read as zeros afterwards.  size() does not change.
+  void discard(std::uint64_t offset, std::uint64_t length);
+
+  /// Bytes held in allocated pages.
+  std::uint64_t resident_bytes() const;
+
  private:
+  /// The page at `index`, allocated if absent and copied if pinned.
+  std::byte* writable_page_locked(std::uint64_t index);
+  /// The page at `index`, or zeros when it was never written.
+  const std::byte* readable_page_locked(std::uint64_t index) const;
+  void copy_in_locked(std::uint64_t offset, std::span<const std::byte> data);
+  void copy_out_locked(std::uint64_t offset, std::span<std::byte> out) const;
+  void require_readable_locked(std::uint64_t offset, std::uint64_t length) const;
+
   mutable debug::RankedMutex<debug::LockRank::kStorageBase> mutex_;
-  std::vector<std::byte> data_;
+  std::vector<Page> pages_;  ///< by page index; null until first written
+  std::uint64_t size_ = 0;
+  std::uint64_t resident_pages_ = 0;
 };
 
 }  // namespace apio::storage

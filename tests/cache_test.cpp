@@ -1,14 +1,21 @@
 // CachedBackend: the write-back burst-buffer tier (bbThemis-style
 // visibility modes) — hit/miss bookkeeping, LRU eviction with dirty
-// write-back, epoch-driven drains, decorator-order interplay with the
-// QoS and resilience tiers, and the crash-consistency matrix
+// write-back and staging-page release, the zero-copy drain's shape and
+// its races with writers, epoch-driven drains, decorator-order
+// interplay with the QoS and resilience tiers, and the crash-consistency
+// matrix
 // {4 consistency modes} x {mid-flush fault, clean close, epoch
 // boundary} with visibility asserted via File::open checksum
 // validation over the inner (PFS) backend.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -19,6 +26,7 @@
 #include "sched/fair_scheduler.h"
 #include "storage/backend_stack.h"
 #include "storage/cached_backend.h"
+#include "storage/decorator.h"
 #include "storage/faulty_backend.h"
 #include "storage/memory_backend.h"
 
@@ -136,6 +144,240 @@ TEST(CacheTest, DrainCoalescesAdjacentExtentsThroughWriteV) {
   // one for the lowest extent — two inner ops total.
   EXPECT_EQ(inner->stats().write_ops, 2u);
   EXPECT_EQ(inner->stats().bytes_written, 17u * 256u);
+}
+
+namespace {
+
+/// Records the extent list of every write_v that reaches it.
+class RecordingBackend final : public Decorator {
+ public:
+  explicit RecordingBackend(BackendPtr inner)
+      : Decorator(std::move(inner), "recording") {}
+
+  std::uint64_t write_v(std::span<const WriteExtent> extents) override {
+    auto& call = calls.emplace_back();
+    for (const auto& e : extents) call.emplace_back(e.offset, e.data.size());
+    return Decorator::write_v(extents);
+  }
+
+  /// One {offset, bytes} list per write_v call, in call order.
+  std::vector<std::vector<std::pair<std::uint64_t, std::size_t>>> calls;
+
+ private:
+  void around(obs::IoOp, std::uint64_t, std::uint64_t, Transfer transfer) override {
+    transfer();
+  }
+};
+
+/// Parks the first write that reaches it until release(); later writes
+/// pass straight through.
+class ParkingBackend final : public Decorator {
+ public:
+  explicit ParkingBackend(BackendPtr inner)
+      : Decorator(std::move(inner), "parking") {}
+
+  void wait_until_parked() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [&] { return parked_; });
+  }
+  void release() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  void around(obs::IoOp op, std::uint64_t, std::uint64_t, Transfer transfer) override {
+    if (op == obs::IoOp::kWrite) {
+      std::unique_lock<std::mutex> lock(mutex_);
+      parked_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return released_; });
+    }
+    transfer();
+  }
+
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool parked_ = false;
+  bool released_ = false;
+};
+
+}  // namespace
+
+TEST(CacheTest, WriteRacingADrainStaysDirtyForTheNextDrain) {
+  // The drain's spans pin the staging page: a write that arrives while
+  // the drain is in the inner tier lands in a copy of the page, so the
+  // drain still carries the bytes it gathered, and the new bytes stay
+  // dirty instead of being marked clean by the finishing drain.
+  constexpr std::uint64_t kPage = MemoryBackend::kPageBytes;
+  auto inner = std::make_shared<MemoryBackend>();
+  auto parking = std::make_shared<ParkingBackend>(inner);
+  auto backend =
+      BackendStack::wrap(parking).cached(opts(CacheConsistency::kAfterClose))
+          .build();
+  auto cache = as_cache(backend);
+
+  const auto v1 = pattern(kPage, 0x31);
+  const auto v2 = pattern(kPage, 0x52);
+  backend->write(0, v1);
+  std::thread drainer([&] { cache->drain(); });
+  parking->wait_until_parked();
+  backend->write(0, v2);
+  parking->release();
+  drainer.join();
+
+  std::vector<std::byte> got(kPage);
+  inner->read(0, got);
+  EXPECT_EQ(got, v1) << "the drain carries the bytes it gathered";
+  EXPECT_EQ(cache->cache_snapshot().dirty_bytes, kPage)
+      << "the racing write stays dirty";
+  backend->read(0, got);
+  EXPECT_EQ(got, v2);
+
+  cache->drain();
+  inner->read(0, got);
+  EXPECT_EQ(got, v2) << "the next drain publishes the racing write";
+}
+
+TEST(CacheTest, DrainSendsStagingPagesAndTheLowestIntervalWholeLast) {
+  // The drain hands staging pages straight to the inner write_v: the
+  // upper interval goes first, then the lowest interval — here spanning
+  // four pages — whole, in one last call.  Splitting at the lowest
+  // interval's first page instead would send only that page last.
+  constexpr std::uint64_t kPage = MemoryBackend::kPageBytes;
+  auto inner = std::make_shared<MemoryBackend>();
+  auto recorder = std::make_shared<RecordingBackend>(inner);
+  auto backend =
+      BackendStack::wrap(recorder).cached(opts(CacheConsistency::kAfterClose))
+          .build();
+
+  const std::uint64_t low_at = 100;
+  const auto low = pattern(3 * kPage, 0x11);
+  const std::uint64_t high_at = 8 * kPage + 7;
+  const auto high = pattern(1000, 0x22);
+  backend->write(low_at, low);
+  backend->write(high_at, high);
+  backend->close();
+
+  ASSERT_EQ(recorder->calls.size(), 2u);
+  const auto covers = [](const std::vector<std::pair<std::uint64_t, std::size_t>>& call,
+                         std::uint64_t at, std::size_t bytes) {
+    std::uint64_t next = at;
+    for (const auto& [offset, size] : call) {
+      if (offset != next) return false;
+      next += size;
+    }
+    return next == at + bytes;
+  };
+  EXPECT_TRUE(covers(recorder->calls[0], high_at, high.size()));
+  EXPECT_TRUE(covers(recorder->calls[1], low_at, low.size()))
+      << "the last call must carry exactly the lowest interval";
+  EXPECT_EQ(recorder->calls[1].size(), 4u) << "one extent per staging page";
+
+  std::vector<std::byte> back(low.size());
+  inner->read(low_at, back);
+  EXPECT_EQ(back, low);
+  back.resize(high.size());
+  inner->read(high_at, back);
+  EXPECT_EQ(back, high);
+}
+
+TEST(CacheTest, AfterEpochFootprintStaysWithinCapacity) {
+  // Eviction frees the staging pages it empties, so a cache fed four
+  // times its capacity never holds more than the capacity plus a page.
+  constexpr std::uint64_t kPage = MemoryBackend::kPageBytes;
+  constexpr std::uint64_t kCapacity = 8 * kPage;
+  auto inner = std::make_shared<MemoryBackend>();
+  auto backend =
+      BackendStack::wrap(inner)
+          .cached(opts(CacheConsistency::kAfterEpoch, kCapacity, kPage))
+          .build();
+  auto cache = as_cache(backend);
+
+  constexpr int kBlocks = 4 * static_cast<int>(kCapacity / kPage);
+  for (int i = 0; i < kBlocks; ++i) {
+    backend->write(static_cast<std::uint64_t>(i) * kPage,
+                   pattern(kPage, static_cast<std::uint8_t>(i)));
+    const auto snap = cache->cache_snapshot();
+    ASSERT_LE(snap.resident_bytes, kCapacity + kPage) << "after block " << i;
+    ASSERT_LE(snap.cached_bytes, kCapacity) << "after block " << i;
+  }
+  EXPECT_GT(cache->cache_snapshot().evictions, 0u);
+
+  backend->close();
+  for (int i = 0; i < kBlocks; ++i) {
+    std::vector<std::byte> back(kPage);
+    inner->read(static_cast<std::uint64_t>(i) * kPage, back);
+    ASSERT_EQ(back, pattern(kPage, static_cast<std::uint8_t>(i))) << "block " << i;
+  }
+}
+
+TEST(CacheTest, EvictionRacingReadBackNeverSeesZerosOrStaleBytes) {
+  // One thread rewrites and reads back its stamped blocks through a
+  // 4-block cache while another streams reads of other blocks through
+  // it, forcing evictions: write-backs of the writer's dirty blocks,
+  // page releases, and drains racing rewrites of the pages they carry.
+  constexpr std::uint64_t kPage = MemoryBackend::kPageBytes;
+  constexpr std::uint64_t kOwned = 6;      // the writer's blocks
+  constexpr std::uint64_t kForeign = 8;    // blocks the evictor reads
+  constexpr int kRounds = 12;
+  const auto stamp = [](int round, std::uint64_t block) {
+    return pattern(kPage, static_cast<std::uint8_t>(round * 16 + block + 1));
+  };
+
+  auto inner = std::make_shared<MemoryBackend>();
+  const std::uint64_t foreign_at = kOwned * kPage;
+  for (std::uint64_t j = 0; j < kForeign; ++j) {
+    inner->write(foreign_at + j * kPage, stamp(-1, j));
+  }
+  auto backend =
+      BackendStack::wrap(inner)
+          .cached(opts(CacheConsistency::kAfterClose, 4 * kPage, kPage))
+          .build();
+
+  std::atomic<bool> done{false};
+  std::atomic<int> bad_writer_reads{0};
+  std::atomic<int> bad_foreign_reads{0};
+  std::thread evictor([&] {
+    std::vector<std::vector<std::byte>> want;
+    for (std::uint64_t j = 0; j < kForeign; ++j) want.push_back(stamp(-1, j));
+    std::vector<std::byte> got(kPage);
+    while (!done.load()) {
+      for (std::uint64_t j = 0; j < kForeign; ++j) {
+        backend->read(foreign_at + j * kPage, got);
+        if (got != want[j]) bad_foreign_reads.fetch_add(1);
+      }
+    }
+  });
+
+  // Each write is followed by a read-back of the block written three
+  // writes earlier, which by then has often been evicted.
+  std::vector<int> latest(kOwned, -1);
+  std::vector<std::byte> got(kPage);
+  for (int round = 0; round < kRounds; ++round) {
+    for (std::uint64_t i = 0; i < kOwned; ++i) {
+      backend->write(i * kPage, stamp(round, i));
+      latest[i] = round;
+      const std::uint64_t back = (i + kOwned - 3) % kOwned;
+      if (latest[back] < 0) continue;
+      backend->read(back * kPage, got);
+      if (got != stamp(latest[back], back)) bad_writer_reads.fetch_add(1);
+    }
+  }
+  done.store(true);
+  evictor.join();
+  EXPECT_EQ(bad_writer_reads.load(), 0);
+  EXPECT_EQ(bad_foreign_reads.load(), 0);
+  EXPECT_GT(as_cache(backend)->cache_snapshot().evictions, 0u);
+
+  backend->close();
+  for (std::uint64_t i = 0; i < kOwned; ++i) {
+    inner->read(i * kPage, got);
+    EXPECT_EQ(got, stamp(kRounds - 1, i)) << "block " << i;
+  }
 }
 
 TEST(CacheTest, ReadThroughFetchesOnceThenHits) {

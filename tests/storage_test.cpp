@@ -6,6 +6,7 @@
 #include <barrier>
 #include <cstdio>
 #include <filesystem>
+#include <random>
 #include <thread>
 
 #include "common/error.h"
@@ -284,6 +285,20 @@ TEST_P(BackendContractTest, EmptyExtentsTransferNothing) {
   EXPECT_EQ(out, data);
 }
 
+TEST_P(BackendContractTest, EmptyWritesDoNotGrow) {
+  // An empty write past the end, scalar or as a batch's trailing
+  // extent, transfers nothing and leaves the size alone.
+  auto b = make_backend();
+  b->write(8, make_bytes({1, 2}));
+  b->write(200, {});
+  EXPECT_EQ(b->size(), 10u);
+
+  const auto data = make_bytes({3});
+  const std::vector<WriteExtent> writes{{0, data}, {100, {}}};
+  EXPECT_EQ(b->write_v(writes), 1u);
+  EXPECT_EQ(b->size(), 10u);
+}
+
 TEST_P(BackendContractTest, ConcurrentInterleavedVectoredWrites) {
   // Writers of disjoint but interleaved ranges: thread t owns every 4th
   // 64 B row of one 16 KiB region, so a leaf that sieves one writer's
@@ -342,6 +357,210 @@ INSTANTIATE_TEST_SUITE_P(
                       BackendKind::kCachedAfterJob, BackendKind::kFaultyHealed,
                       BackendKind::kFullStack),
     [](const auto& info) { return kind_name(info.param); });
+
+// ---------------------------------------------------------------------------
+// MemoryBackend's page store
+
+constexpr std::uint64_t kPage = MemoryBackend::kPageBytes;
+
+std::vector<std::byte> page_pattern(std::size_t n, unsigned seed) {
+  std::vector<std::byte> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<std::byte>((i * 131 + seed) & 0xff);
+  }
+  return out;
+}
+
+bool all_zero(std::span<const std::byte> bytes) {
+  return std::all_of(bytes.begin(), bytes.end(),
+                     [](std::byte v) { return v == std::byte{0}; });
+}
+
+TEST(PagedMemoryTest, MatchesFlatVectorOnRandomOps) {
+  // Differential property test: seeded writes, write_v batches, reads,
+  // read_v batches and shrink/regrow truncates, at offsets clustered
+  // around page boundaries, against a flat byte vector.
+  MemoryBackend store;
+  std::vector<std::byte> flat;
+  BackendStats want;
+  std::mt19937 rng(20261016);
+  const auto draw = [&](std::uint64_t n) { return rng() % n; };
+  const auto near_boundary = [&] {
+    const std::uint64_t page = draw(6);
+    switch (draw(3)) {
+      case 0: return page * kPage + draw(8);
+      case 1: return page * kPage + kPage - 1 - draw(8);
+      default: return page * kPage + draw(kPage);
+    }
+  };
+  const auto payload_size = [&] {
+    return draw(4) == 0 ? 1 + draw(2 * kPage) : draw(600);
+  };
+  const auto flat_write = [&](std::uint64_t at, std::span<const std::byte> data) {
+    if (data.empty()) return;
+    if (at + data.size() > flat.size()) flat.resize(at + data.size());
+    std::copy(data.begin(), data.end(), flat.begin() + static_cast<std::ptrdiff_t>(at));
+  };
+  const auto flat_slice = [&](std::uint64_t at, std::size_t n) {
+    return std::vector<std::byte>(flat.begin() + static_cast<std::ptrdiff_t>(at),
+                                  flat.begin() + static_cast<std::ptrdiff_t>(at + n));
+  };
+  const auto readable_range = [&] {
+    const std::uint64_t at = draw(flat.size());
+    return std::pair{at, static_cast<std::size_t>(draw(std::min<std::uint64_t>(
+                             flat.size() - at + 1, 2 * kPage)))};
+  };
+
+  for (int op = 0; op < 400; ++op) {
+    SCOPED_TRACE("op " + std::to_string(op));
+    switch (draw(5)) {
+      case 0: {
+        const std::uint64_t at = near_boundary();
+        const auto data = page_pattern(payload_size(), static_cast<unsigned>(op));
+        store.write(at, data);
+        flat_write(at, data);
+        want.bytes_written += data.size();
+        ++want.write_ops;
+        break;
+      }
+      case 1: {
+        std::vector<std::vector<std::byte>> payloads;
+        std::vector<WriteExtent> writes;
+        std::uint64_t at = near_boundary();
+        for (std::uint64_t i = 0, n = 1 + draw(5); i < n; ++i) {
+          payloads.push_back(page_pattern(payload_size(), static_cast<unsigned>(op + i)));
+          writes.push_back({at, payloads.back()});
+          const std::uint64_t hole = draw(3) == 0 ? 0 : draw(kPage);
+          at += payloads.back().size() + hole;
+        }
+        std::uint64_t total = 0;
+        for (const auto& w : writes) {
+          flat_write(w.offset, w.data);
+          total += w.data.size();
+        }
+        ASSERT_EQ(store.write_v(writes), total);
+        want.bytes_written += total;
+        ++want.write_ops;
+        break;
+      }
+      case 2: {
+        if (flat.empty()) break;
+        const auto [at, n] = readable_range();
+        std::vector<std::byte> got(n);
+        store.read(at, got);
+        ASSERT_EQ(got, flat_slice(at, n));
+        want.bytes_read += n;
+        ++want.read_ops;
+        break;
+      }
+      case 3: {
+        if (flat.empty()) break;
+        // Two disjoint sorted ranges: a prefix and a suffix of a window.
+        const auto [at, n] = readable_range();
+        const std::size_t first = n / 3;
+        const std::size_t second_at = n - n / 3;
+        std::vector<std::byte> a(first), b(n - second_at);
+        const std::vector<ReadExtent> reads{{at, a}, {at + second_at, b}};
+        ASSERT_EQ(store.read_v(reads), a.size() + b.size());
+        ASSERT_EQ(a, flat_slice(at, a.size()));
+        ASSERT_EQ(b, flat_slice(at + second_at, b.size()));
+        want.bytes_read += a.size() + b.size();
+        ++want.read_ops;
+        break;
+      }
+      default: {
+        const std::uint64_t size = near_boundary();
+        store.truncate(size);
+        flat.resize(size);
+        break;
+      }
+    }
+    ASSERT_EQ(store.size(), flat.size());
+  }
+  std::vector<std::byte> got(flat.size());
+  store.read(0, got);
+  EXPECT_EQ(got, flat);
+  want.bytes_read += flat.size();
+  ++want.read_ops;
+
+  const auto stats = store.stats();
+  EXPECT_EQ(stats.bytes_written, want.bytes_written);
+  EXPECT_EQ(stats.bytes_read, want.bytes_read);
+  EXPECT_EQ(stats.write_ops, want.write_ops);
+  EXPECT_EQ(stats.read_ops, want.read_ops);
+}
+
+TEST(PagedMemoryTest, HolePageReadsZeros) {
+  MemoryBackend store;
+  store.write(3 * kPage + 5, make_bytes({7}));
+  EXPECT_EQ(store.size(), 3 * kPage + 6);
+  EXPECT_EQ(store.resident_bytes(), kPage) << "only the written page exists";
+
+  std::vector<std::byte> got(3 * kPage + 6);
+  store.read(0, got);
+  EXPECT_TRUE(all_zero(std::span(got).first(3 * kPage + 5)));
+  EXPECT_EQ(std::to_integer<int>(got.back()), 7);
+}
+
+TEST(PagedMemoryTest, ShrinkToMidPageThenRegrowReadsZeros) {
+  MemoryBackend store;
+  const auto data = page_pattern(2 * kPage, 3);
+  store.write(0, data);
+  store.truncate(kPage + 100);
+  EXPECT_EQ(store.resident_bytes(), 2 * kPage);
+  store.truncate(kPage / 2);
+  EXPECT_EQ(store.resident_bytes(), kPage) << "whole pages past the end are dropped";
+
+  store.truncate(2 * kPage);  // regrow by truncate
+  store.write(3 * kPage, make_bytes({9}));  // and by write
+  std::vector<std::byte> got(3 * kPage + 1);
+  store.read(0, got);
+  EXPECT_TRUE(std::equal(got.begin(), got.begin() + kPage / 2, data.begin()));
+  EXPECT_TRUE(all_zero(std::span(got).subspan(kPage / 2, 3 * kPage - kPage / 2)));
+  EXPECT_EQ(std::to_integer<int>(got.back()), 9);
+}
+
+TEST(PagedMemoryTest, ReadPastEndThrows) {
+  MemoryBackend store;
+  store.write(0, page_pattern(kPage + 1, 5));
+  std::vector<std::byte> out(2);
+  EXPECT_THROW(store.read(kPage, out), IoError);
+  const std::vector<ReadExtent> reads{{0, out}, {kPage, out}};
+  EXPECT_THROW((void)store.read_v(reads), IoError);
+  store.read(kPage - 1, out);  // ends exactly at the end: fine
+}
+
+TEST(PagedMemoryTest, PinnedSpansSurviveRewriteAndDiscard) {
+  // Gathered spans keep showing the bytes they were gathered over: a
+  // later write lands in a copy of the page, a discard only unmaps it.
+  MemoryBackend store;
+  const auto old_bytes = page_pattern(2 * kPage, 1);
+  store.write(0, old_bytes);
+  {
+    MemoryBackend::Pinned pinned(store);
+    store.gather(kPage / 2, kPage, pinned);
+    ASSERT_EQ(pinned.extents().size(), 2u) << "one extent per page piece";
+
+    const auto new_bytes = page_pattern(2 * kPage, 2);
+    store.write(0, new_bytes);
+    store.discard(kPage, kPage);
+    EXPECT_EQ(store.resident_bytes(), kPage);
+
+    std::uint64_t at = kPage / 2;
+    for (const auto& e : pinned.extents()) {
+      EXPECT_EQ(e.offset, at);
+      EXPECT_TRUE(std::equal(e.data.begin(), e.data.end(),
+                             old_bytes.begin() + static_cast<std::ptrdiff_t>(at)));
+      at += e.data.size();
+    }
+    std::vector<std::byte> got(kPage);
+    store.read(0, got);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), new_bytes.begin()));
+    store.read(kPage, got);
+    EXPECT_TRUE(all_zero(got)) << "a discarded page reads as zeros";
+  }
+  EXPECT_EQ(store.stats().bytes_read, 2 * kPage) << "gather counts no transfer";
+}
 
 // ---------------------------------------------------------------------------
 // PosixBackend specifics
