@@ -33,7 +33,9 @@
 #      offset arithmetic, the handle-lifetime and path-index suites,
 #      for handles that outlive Group::remove and recycled buffers, and
 #      the cache and paged-memory suites, for drains that hand pinned
-#      staging pages to the inner tier while eviction frees pages.
+#      staging pages to the inner tier while eviction frees pages, and
+#      the collective-write, two-phase and passthrough suites, for the
+#      aggregators' piece slicing and extent bounds arithmetic.
 #
 # Usage: ci/check.sh [--skip-tsan]
 set -euo pipefail
@@ -138,10 +140,10 @@ else
   ctest --preset tsan -j "${JOBS}"
 fi
 
-echo "==> [8/8] asan-ubsan build + fault-matrix, async-connector, backend, handle-lifetime, path-index, cache and paged-memory suites"
+echo "==> [8/8] asan-ubsan build + fault-matrix, async-connector, backend, handle-lifetime, path-index, cache, paged-memory, collective-write, two-phase and passthrough suites"
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "${JOBS}"
 ctest --preset asan-ubsan -j "${JOBS}" \
-  -R 'Resilience|FaultInjection|AsyncConnector|VectoredBackend|BackendContract|HandleLifetime|PathIndex|Cache|PagedMemory'
+  -R 'Resilience|FaultInjection|AsyncConnector|VectoredBackend|BackendContract|HandleLifetime|PathIndex|Cache|PagedMemory|CollectiveWrite|TwoPhase|Passthrough'
 
 echo "==> all checks passed"

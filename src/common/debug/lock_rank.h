@@ -53,7 +53,7 @@ enum class LockRank : int {
   kTaskingPool = 54,    ///< Pool FIFO queue
   kTaskingEventual = 58,///< Eventual completion state
   // -- leaf counters (never held across any call) ---------------------
-  kCounters = 62,       ///< stats snapshots (AsyncStats, interposers)
+  kCounters = 62,       ///< stats snapshots (AsyncStats), pmpi::run's first error
 };
 
 /// Human-readable rank name for diagnostics.

@@ -16,6 +16,12 @@ AdaptiveConnector::AdaptiveConnector(h5::FilePtr file, model::ModeAdvisorPtr adv
   async_.add_observer(advisor_);
 }
 
+void AdaptiveConnector::set_reported_ranks(int ranks) {
+  Connector::set_reported_ranks(ranks);  // planned_mode() reads it
+  sync_.set_reported_ranks(ranks);
+  async_.set_reported_ranks(ranks);
+}
+
 void AdaptiveConnector::add_observer(IoObserverPtr observer) {
   // Records originate in the routed-to inner connectors; subscribe the
   // observer where the emission actually happens.
@@ -35,8 +41,6 @@ model::IoMode AdaptiveConnector::planned_mode(std::uint64_t bytes) const {
 RequestPtr AdaptiveConnector::dataset_write(h5::Dataset ds,
                                             const h5::Selection& selection,
                                             std::span<const std::byte> data) {
-  sync_.set_reported_ranks(reported_ranks());
-  async_.set_reported_ranks(reported_ranks());
   if (planned_mode(data.size()) == model::IoMode::kAsync) {
     writes_async_.fetch_add(1, std::memory_order_relaxed);
     return async_.dataset_write(ds, selection, data);
@@ -48,8 +52,6 @@ RequestPtr AdaptiveConnector::dataset_write(h5::Dataset ds,
 RequestPtr AdaptiveConnector::dataset_read(h5::Dataset ds,
                                            const h5::Selection& selection,
                                            std::span<std::byte> out) {
-  sync_.set_reported_ranks(reported_ranks());
-  async_.set_reported_ranks(reported_ranks());
   // Prefetched data lives in the async connector's cache; reading
   // through it is strictly better when a hit is possible.  Without a
   // prefetch in flight the advisor's recommendation decides (an async

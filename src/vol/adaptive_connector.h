@@ -49,8 +49,9 @@ class AdaptiveConnector final : public Connector {
   void wait_all() override;
   void close() override;
 
-  /// Subscriptions go to both inner connectors — they, not the router,
-  /// emit the IoRecords.
+  /// Subscriptions and the reported rank count go to both inner
+  /// connectors — they, not the router, emit the IoRecords.
+  void set_reported_ranks(int ranks) override;
   void add_observer(IoObserverPtr observer) override;
   void remove_observer(const IoObserverPtr& observer) override;
 

@@ -13,7 +13,7 @@ namespace apio::vol {
 namespace {
 
 /// Reserved tag for aggregation payloads; distinct from the pmpi
-/// internal collectives (-1000xxx) and workloads/two_phase (-2000xxx).
+/// internal collectives (-1000xxx).
 constexpr int kTagPayload = -3000001;
 
 obs::Counter& aggregated_bytes_counter() {
@@ -52,14 +52,6 @@ CollectiveWriteResult collective_write(Connector& connector, pmpi::Communicator&
   APIO_REQUIRE(options.num_aggregators >= 0 && options.num_aggregators <= size,
                "aggregator count must be in [0, comm size]");
   const std::size_t elsize = ds.element_size();
-  for (std::size_t i = 0; i < extents.size(); ++i) {
-    APIO_REQUIRE(extents[i].data.size() % elsize == 0,
-                 "collective_write extents must hold whole elements");
-    APIO_REQUIRE(i == 0 || extents[i].elem_offset >=
-                               extents[i - 1].elem_offset +
-                                   extents[i - 1].data.size() / elsize,
-                 "collective_write extents must be sorted and disjoint");
-  }
   WallClock clock;
   const double t0 = clock.now();
 
@@ -72,11 +64,10 @@ CollectiveWriteResult collective_write(Connector& connector, pmpi::Communicator&
   const double rank_trace_start = obs::steady_seconds();
   std::uint64_t my_bytes = 0;
   for (const auto& e : extents) my_bytes += e.data.size();
-  const auto seal_rank_trace = [&] {
+  const auto seal_rank_trace = [&](bool failed) {
     if (!rank_trace.recording()) return;
     collector.complete(rank_trace, obs::IoOp::kWrite, sched::current_tenant(),
-                       my_bytes, /*failed=*/false, rank_trace_start,
-                       obs::steady_seconds());
+                       my_bytes, failed, rank_trace_start, obs::steady_seconds());
   };
 
   // Phase 0: allgather extent headers so every rank knows the complete
@@ -95,32 +86,61 @@ CollectiveWriteResult collective_write(Connector& connector, pmpi::Communicator&
   }
   const auto gathered = comm.allgather_bytes(std::as_bytes(std::span<const std::uint64_t>(my_headers)));
 
+  // Every rank validates every rank's headers, so a bad extent anywhere
+  // makes all ranks throw the same error before any payload moves (one
+  // rank throwing alone would leave the others blocked).  Extents hold
+  // whole elements, end inside the dataset, are sorted per rank and are
+  // disjoint across ranks.
+  const std::uint64_t dim = ds.dims()[0];
   std::vector<std::vector<std::uint64_t>> all_headers(static_cast<std::size_t>(size));
-  std::uint64_t lo = UINT64_MAX;
-  std::uint64_t hi = 0;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> spans;  // [first, end)
+  const char* invalid = nullptr;
   for (int r = 0; r < size; ++r) {
     const auto& raw = gathered[static_cast<std::size_t>(r)];
     auto& h = all_headers[static_cast<std::size_t>(r)];
     h.resize(raw.size() / sizeof(std::uint64_t));
     if (!raw.empty()) std::memcpy(h.data(), raw.data(), raw.size());
+    std::uint64_t prev_end = 0;
     for (std::size_t i = 0; i + 3 < h.size(); i += 4) {
-      lo = std::min(lo, h[i]);
-      hi = std::max(hi, h[i] + h[i + 1] / elsize);
+      const std::uint64_t elems = h[i + 1] / elsize;
+      if (h[i + 1] % elsize != 0) {
+        invalid = "collective_write extents must hold whole elements";
+      } else if (elems > dim || h[i] > dim - elems) {
+        invalid = "collective_write extent ends past the dataset";
+      } else if (h[i] < prev_end) {
+        invalid = "collective_write extents must be sorted within a rank";
+      } else {
+        prev_end = h[i] + elems;
+        if (elems > 0) spans.emplace_back(h[i], prev_end);
+      }
     }
+  }
+  std::sort(spans.begin(), spans.end());
+  for (std::size_t k = 1; k < spans.size(); ++k) {
+    if (spans[k].first < spans[k - 1].second) {
+      invalid = "collective_write extents must be disjoint across ranks";
+    }
+  }
+  if (invalid != nullptr) {
+    exchange_span.finish();
+    seal_rank_trace(/*failed=*/true);
+    throw InvalidArgumentError(invalid);
   }
 
   CollectiveWriteResult result;
-  if (hi <= lo) {
+  if (spans.empty()) {
     // Nothing selected anywhere; the allgather already synchronised.
     exchange_span.finish();
-    seal_rank_trace();
+    seal_rank_trace(/*failed=*/false);
     return result;
   }
 
-  // Region map: the selected span [lo, hi) is divided among A
+  // Region map: the selected span (from lo to the end of the last
+  // extent; the sorted extents are disjoint) is divided among A
   // aggregators in contiguous stripe-aligned regions.  Boundaries live
   // in element space so no write ever splits mid-element.
-  const std::uint64_t span_elems = hi - lo;
+  const std::uint64_t lo = spans.front().first;
+  const std::uint64_t span_elems = spans.back().second - lo;
   const std::uint64_t stripe_elems =
       std::max<std::uint64_t>(1, options.stripe_bytes / elsize);
   int num_aggregators = options.num_aggregators;
@@ -279,7 +299,7 @@ CollectiveWriteResult collective_write(Connector& connector, pmpi::Communicator&
   result.requests_issued = comm.allreduce_sum(local_requests);
   result.extents_received = comm.allreduce_sum(local_received);
   result.total_bytes = comm.allreduce_sum(local_bytes);
-  seal_rank_trace();
+  seal_rank_trace(/*failed=*/false);
   return result;
 }
 

@@ -1,6 +1,8 @@
 // Two-phase collective write aggregation over extent lists (MPI-IO
-// "collective buffering", generalised from workloads/two_phase's single
-// slab per rank).
+// "collective buffering", Thakur/Gropp/Lusk): the one two-phase
+// implementation.  One slab per rank is the one-extent case, with
+// `stripe_bytes` set to the slab so regions split on slab boundaries
+// (bench/ablation_two_phase sweeps the aggregator count that way).
 //
 // Every rank contributes a list of (element offset, payload) extents of
 // one shared 1-D dataset.  Ranks exchange extent headers with one
@@ -58,7 +60,10 @@ struct CollectiveWriteResult {
 
 /// Collective: every rank of `comm` must call with its own extent list
 /// (possibly empty).  Extents must be pairwise disjoint across all
-/// ranks and sorted by elem_offset within each rank's list.  When
+/// ranks, sorted by elem_offset within each rank's list and inside the
+/// dataset; every rank checks every rank's extents after the header
+/// exchange, so a violation anywhere throws InvalidArgumentError on all
+/// ranks before any payload moves.  When
 /// `outstanding` is non-null the aggregators' write requests are
 /// appended there instead of waited on, so an async connector can
 /// overlap the drain with the next epoch; the caller must wait on them

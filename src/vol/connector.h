@@ -60,10 +60,11 @@ class Connector {
   virtual void close() = 0;
 
   /// Number of ranks the caller reports for IoRecords (for the model's
-  /// scaling features).  Defaults to 1.  Atomic: the adaptive connector
-  /// re-tags its inner connectors on every routed call, possibly from
-  /// several application threads at once.
-  void set_reported_ranks(int ranks) {
+  /// scaling features).  Defaults to 1.  Virtual so interposer and
+  /// routing connectors (passthrough, trace, adaptive) also set it on
+  /// the connectors that build the records.  Atomic: it may be read
+  /// from several application threads while it is set.
+  virtual void set_reported_ranks(int ranks) {
     reported_ranks_.store(ranks, std::memory_order_relaxed);
   }
   int reported_ranks() const {
@@ -72,9 +73,9 @@ class Connector {
 
   /// Appends an observer to the connector's chain (Fig. 2 feedback
   /// hooks, trace sinks, metrics bridges — any number of subscribers).
-  /// Virtual so routing/interposer connectors (adaptive, trace,
-  /// passthrough) forward subscriptions to the connectors that actually
-  /// emit records.
+  /// Virtual so routing/interposer connectors (adaptive, and the
+  /// passthrough base of trace) forward subscriptions to the connectors
+  /// that actually emit records.
   virtual void add_observer(IoObserverPtr observer) {
     observers_->add(std::move(observer));
   }

@@ -1,47 +1,47 @@
-// PassthroughConnector: VOL stacking, as HDF5's passthrough VOL
-// connector demonstrates.  Wraps any Connector and forwards every
-// operation while accumulating per-operation statistics — bytes moved,
-// call counts, blocking time — independently of the inner connector's
-// own instrumentation.  Useful for profiling an application without
-// touching it (the "transparent" property Sec. II-A emphasises), and as
-// the template for user-written interposer connectors.
+// PassthroughConnector: the VOL's forwarding base, as HDF5's passthrough
+// VOL connector demonstrates and as storage::Decorator is for backends.
+//
+// Wraps one inner Connector and forwards every call to it unchanged:
+// file, the dataset transfers, prefetch, flush, wait_all, close, the
+// observer subscriptions and the reported rank count.  Used bare it is
+// a transparent layer (the property Sec. II-A emphasises); an
+// interposer derives from it and states only the behaviour it adds
+// (TraceRecorder adds a record sink).  Interposers emit no IoRecords of
+// their own — subscriptions and the rank count land on the inner
+// connector, which builds the records.
 #pragma once
 
-#include "common/clock.h"
-#include "common/debug/lock_rank.h"
+#include "common/error.h"
 #include "vol/connector.h"
 
 namespace apio::vol {
 
-/// Aggregated interposer statistics.
-struct PassthroughStats {
-  std::uint64_t writes = 0;
-  std::uint64_t reads = 0;
-  std::uint64_t prefetches = 0;
-  std::uint64_t flushes = 0;
-  std::uint64_t bytes_written = 0;
-  std::uint64_t bytes_read = 0;
-  double write_blocking_seconds = 0.0;
-  double read_blocking_seconds = 0.0;
-};
-
-class PassthroughConnector final : public Connector {
+class PassthroughConnector : public Connector {
  public:
-  explicit PassthroughConnector(ConnectorPtr inner);
+  explicit PassthroughConnector(ConnectorPtr inner) : inner_(std::move(inner)) {
+    APIO_REQUIRE(inner_ != nullptr, "PassthroughConnector requires an inner connector");
+  }
 
   const h5::FilePtr& file() const override { return inner_->file(); }
-
   RequestPtr dataset_write(h5::Dataset ds, const h5::Selection& selection,
-                           std::span<const std::byte> data) override;
+                           std::span<const std::byte> data) override {
+    return inner_->dataset_write(std::move(ds), selection, data);
+  }
   RequestPtr dataset_read(h5::Dataset ds, const h5::Selection& selection,
-                          std::span<std::byte> out) override;
-  void prefetch(h5::Dataset ds, const h5::Selection& selection) override;
-  RequestPtr flush() override;
+                          std::span<std::byte> out) override {
+    return inner_->dataset_read(std::move(ds), selection, out);
+  }
+  void prefetch(h5::Dataset ds, const h5::Selection& selection) override {
+    inner_->prefetch(std::move(ds), selection);
+  }
+  RequestPtr flush() override { return inner_->flush(); }
   void wait_all() override { inner_->wait_all(); }
   void close() override { inner_->close(); }
 
-  /// Interposers emit no records of their own; subscriptions land on
-  /// the wrapped connector.
+  void set_reported_ranks(int ranks) override {
+    Connector::set_reported_ranks(ranks);
+    inner_->set_reported_ranks(ranks);
+  }
   void add_observer(IoObserverPtr observer) override {
     inner_->add_observer(std::move(observer));
   }
@@ -49,14 +49,10 @@ class PassthroughConnector final : public Connector {
     inner_->remove_observer(observer);
   }
 
-  PassthroughStats stats() const;
   const ConnectorPtr& inner() const { return inner_; }
 
  private:
   ConnectorPtr inner_;
-  WallClock clock_;
-  mutable debug::RankedMutex<debug::LockRank::kCounters> mutex_;
-  PassthroughStats stats_;
 };
 
 }  // namespace apio::vol

@@ -201,32 +201,15 @@ class TraceRecorder::Sink final : public IoObserver {
 };
 
 TraceRecorder::TraceRecorder(ConnectorPtr inner)
-    : inner_(std::move(inner)), sink_(std::make_shared<Sink>()) {
-  APIO_REQUIRE(inner_ != nullptr, "TraceRecorder requires an inner connector");
-  inner_->add_observer(sink_);
+    : PassthroughConnector(std::move(inner)), sink_(std::make_shared<Sink>()) {
+  this->inner()->add_observer(sink_);
 }
 
 TraceRecorder::~TraceRecorder() {
   // The sink must not outlive this subscription: the inner connector is
   // shared and may keep emitting after the recorder is gone.
-  inner_->remove_observer(sink_);
+  inner()->remove_observer(sink_);
 }
-
-RequestPtr TraceRecorder::dataset_write(h5::Dataset ds, const h5::Selection& selection,
-                                        std::span<const std::byte> data) {
-  return inner_->dataset_write(ds, selection, data);
-}
-
-RequestPtr TraceRecorder::dataset_read(h5::Dataset ds, const h5::Selection& selection,
-                                       std::span<std::byte> out) {
-  return inner_->dataset_read(ds, selection, out);
-}
-
-void TraceRecorder::prefetch(h5::Dataset ds, const h5::Selection& selection) {
-  inner_->prefetch(ds, selection);
-}
-
-RequestPtr TraceRecorder::flush() { return inner_->flush(); }
 
 Trace TraceRecorder::trace() const { return sink_->snapshot(); }
 

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "common/debug/lock_rank.h"
-#include "vol/connector.h"
+#include "vol/passthrough_connector.h"
 
 namespace apio::vol {
 
@@ -68,29 +68,12 @@ class Trace {
 /// path.  With an async inner connector records surface at completion
 /// time, so call wait_all() before trace() to capture in-flight ops;
 /// trace() sorts by issue time and rebases it to the first operation.
-class TraceRecorder final : public Connector {
+/// Every call forwards through the PassthroughConnector base, so
+/// further subscribers land on the inner connector next to the sink.
+class TraceRecorder final : public PassthroughConnector {
  public:
   explicit TraceRecorder(ConnectorPtr inner);
   ~TraceRecorder() override;
-
-  const h5::FilePtr& file() const override { return inner_->file(); }
-  RequestPtr dataset_write(h5::Dataset ds, const h5::Selection& selection,
-                           std::span<const std::byte> data) override;
-  RequestPtr dataset_read(h5::Dataset ds, const h5::Selection& selection,
-                          std::span<std::byte> out) override;
-  void prefetch(h5::Dataset ds, const h5::Selection& selection) override;
-  RequestPtr flush() override;
-  void wait_all() override { inner_->wait_all(); }
-  void close() override { inner_->close(); }
-
-  /// Additional subscribers land on the inner connector, next to the
-  /// recorder's own sink.
-  void add_observer(IoObserverPtr observer) override {
-    inner_->add_observer(std::move(observer));
-  }
-  void remove_observer(const IoObserverPtr& observer) override {
-    inner_->remove_observer(observer);
-  }
 
   /// Snapshot of everything recorded so far, ordered by issue time.
   Trace trace() const;
@@ -98,7 +81,6 @@ class TraceRecorder final : public Connector {
  private:
   class Sink;
 
-  ConnectorPtr inner_;
   std::shared_ptr<Sink> sink_;
 };
 

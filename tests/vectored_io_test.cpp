@@ -6,6 +6,7 @@
 // path, with byte-identical read-back.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -684,6 +685,54 @@ TEST(CollectiveWriteTest, AllEmptyReturnsZeroResult) {
     EXPECT_EQ(result.total_bytes, 0u);
     EXPECT_EQ(result.requests_issued, 0u);
   });
+}
+
+/// Runs a 4-rank collective over a 64-element int32 dataset where rank r
+/// contributes 16 elements at 16*r, except that `bad_rank` contributes
+/// `bad` instead.  Every rank must throw InvalidArgumentError (one rank
+/// throwing alone would leave the others blocked), and no payload may
+/// reach the dataset.
+void expect_rejected_on_every_rank(int bad_rank, std::uint64_t elem_offset,
+                                   std::size_t bytes) {
+  constexpr int kRanks = 4;
+  auto file = h5::File::create(std::make_shared<storage::MemoryBackend>());
+  vol::NativeConnector connector(file);
+  auto ds = file->root().create_dataset("d", h5::Datatype::kInt32, {64});
+  std::atomic<int> throws{0};
+  const auto body = [&](pmpi::Communicator& comm) {
+    const std::vector<std::int32_t> mine(16, 7);
+    const auto payload = std::as_bytes(std::span<const std::int32_t>(mine));
+    vol::CollectiveExtent extent{static_cast<std::uint64_t>(comm.rank()) * 16, payload};
+    if (comm.rank() == bad_rank) extent = {elem_offset, payload.first(bytes)};
+    try {
+      vol::collective_write(connector, comm, ds, {&extent, 1});
+    } catch (const InvalidArgumentError&) {
+      ++throws;
+      throw;
+    }
+  };
+  EXPECT_THROW(pmpi::run(kRanks, body), InvalidArgumentError);
+  EXPECT_EQ(throws.load(), kRanks);
+  for (const auto v : ds.read_vector<std::int32_t>(h5::Selection::all())) {
+    ASSERT_EQ(v, 0);
+  }
+}
+
+TEST(CollectiveWriteTest, MisalignedExtentOnOneRankThrowsEverywhere) {
+  expect_rejected_on_every_rank(1, 16, 3);  // 3 bytes of an int32
+}
+
+TEST(CollectiveWriteTest, OutOfBoundsExtentOnOneRankThrowsEverywhere) {
+  expect_rejected_on_every_rank(1, 1000, 64);
+}
+
+TEST(CollectiveWriteTest, OffsetNearUint64MaxThrowsEverywhere) {
+  // offset + elements wraps around to a small in-bounds value.
+  expect_rejected_on_every_rank(2, UINT64_MAX - 8, 64);
+}
+
+TEST(CollectiveWriteTest, OverlappingRanksThrowEverywhere) {
+  expect_rejected_on_every_rank(1, 8, 64);  // [8, 24) overlaps rank 0's [0, 16)
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // the IoRecord each connector reports per operation.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <numeric>
 
 #include "common/error.h"
@@ -13,6 +14,7 @@
 #include "vol/event_set.h"
 #include "vol/native_connector.h"
 #include "vol/passthrough_connector.h"
+#include "vol/trace.h"
 
 namespace apio::vol {
 namespace {
@@ -21,6 +23,24 @@ std::shared_ptr<AsyncConnector> make_async(AsyncOptions options = {}) {
   auto file = h5::File::create(std::make_shared<storage::MemoryBackend>());
   return std::make_shared<AsyncConnector>(std::move(file), options);
 }
+
+/// Keeps every record and asks for the dataset path and selection.
+class DetailObserver final : public IoObserver {
+ public:
+  void on_io(const IoRecord& record) override {
+    std::lock_guard<std::mutex> lock(mutex_);
+    records_.push_back(record);
+  }
+  bool wants_detail() const override { return true; }
+  std::vector<IoRecord> records() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return records_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::vector<IoRecord> records_;
+};
 
 // ---------------------------------------------------------------------------
 // EventSet
@@ -99,57 +119,198 @@ TEST(EventSetTest, RejectsNullRequest) {
 // ---------------------------------------------------------------------------
 // PassthroughConnector
 
-TEST(PassthroughTest, ForwardsAndCounts) {
-  auto inner = make_async();
-  PassthroughConnector stack(inner);
-  auto ds = stack.file()->root().create_dataset("d", h5::Datatype::kFloat64, {16});
-  std::vector<double> values(16);
-  std::iota(values.begin(), values.end(), 0.0);
-  auto w = stack.dataset_write(ds, h5::Selection::all(),
-                               std::as_bytes(std::span<const double>(values)));
-  w->wait();
-  std::vector<double> out(16);
+/// One Connector call of each kind on `stack`, over dataset "d" of 16
+/// doubles; reads back into `out`.
+void drive_every_op(Connector& stack, h5::Dataset ds, const std::vector<double>& values,
+                    std::vector<double>& out) {
+  stack.dataset_write(ds, h5::Selection::all(),
+                      std::as_bytes(std::span<const double>(values)))
+      ->wait();
   stack.dataset_read(ds, h5::Selection::all(),
                      std::as_writable_bytes(std::span<double>(out)))
       ->wait();
   stack.prefetch(ds, h5::Selection::all());
   stack.flush()->wait();
   stack.wait_all();
+}
 
-  const auto stats = stack.stats();
-  EXPECT_EQ(stats.writes, 1u);
-  EXPECT_EQ(stats.reads, 1u);
-  EXPECT_EQ(stats.prefetches, 1u);
-  EXPECT_EQ(stats.flushes, 1u);
-  EXPECT_EQ(stats.bytes_written, 128u);
-  EXPECT_EQ(stats.bytes_read, 128u);
+struct Tally {
+  std::uint64_t ops = 0;
+  std::uint64_t bytes = 0;
+  bool operator==(const Tally&) const = default;
+};
+
+/// Events of `kind` in `trace` and their summed bytes.
+Tally tally(const Trace& trace, TraceEvent::Kind kind) {
+  Tally t;
+  for (const auto& e : trace.events()) {
+    if (e.kind != kind) continue;
+    ++t.ops;
+    t.bytes += e.bytes;
+  }
+  return t;
+}
+
+/// What drive_every_op leaves in a recorder's trace: one op of each
+/// kind, 128 B each way, and some caller-visible blocking.
+void expect_one_of_each(const Trace& trace) {
+  EXPECT_EQ(tally(trace, TraceEvent::Kind::kWrite), (Tally{1, 128}));
+  EXPECT_EQ(tally(trace, TraceEvent::Kind::kRead), (Tally{1, 128}));
+  EXPECT_EQ(tally(trace, TraceEvent::Kind::kPrefetch).ops, 1u);
+  EXPECT_EQ(tally(trace, TraceEvent::Kind::kFlush).ops, 1u);
+  const IoProfile profile(trace);
+  EXPECT_EQ(profile.total_operations(), 4u);
+  EXPECT_GT(profile.per_dataset().at("d").blocking_seconds, 0.0);
+}
+
+TEST(PassthroughTest, ForwardsAndCounts) {
+  // The passthrough forwards; a recorder stacked on it counts from the
+  // IoRecord stream the inner connector emits.
+  auto inner = make_async();
+  TraceRecorder stack(std::make_shared<PassthroughConnector>(inner));
+  auto ds = stack.file()->root().create_dataset("d", h5::Datatype::kFloat64, {16});
+  std::vector<double> values(16);
+  std::iota(values.begin(), values.end(), 0.0);
+  std::vector<double> out(16);
+  drive_every_op(stack, ds, values, out);
+
+  expect_one_of_each(stack.trace());
   EXPECT_EQ(out, values);
   stack.close();
 }
 
 TEST(PassthroughTest, StacksOverNativeToo) {
   auto file = h5::File::create(std::make_shared<storage::MemoryBackend>());
-  PassthroughConnector stack(std::make_shared<NativeConnector>(file));
-  auto ds = stack.file()->root().create_dataset("d", h5::Datatype::kInt8, {4});
-  const std::vector<std::int8_t> v{1, 2, 3, 4};
-  stack.dataset_write(ds, h5::Selection::all(),
-                      std::as_bytes(std::span<const std::int8_t>(v)));
-  EXPECT_EQ(stack.stats().writes, 1u);
-  EXPECT_GT(stack.stats().write_blocking_seconds, 0.0);
+  TraceRecorder stack(
+      std::make_shared<PassthroughConnector>(std::make_shared<NativeConnector>(file)));
+  auto ds = stack.file()->root().create_dataset("d", h5::Datatype::kFloat64, {16});
+  std::vector<double> values(16, 2.5);
+  std::vector<double> out(16);
+  drive_every_op(stack, ds, values, out);
+
+  expect_one_of_each(stack.trace());
+  EXPECT_EQ(out, values);
 }
 
 TEST(PassthroughTest, DoubleStackingComposes) {
   auto inner = make_async();
-  auto mid = std::make_shared<PassthroughConnector>(inner);
-  PassthroughConnector outer(mid);
+  auto mid = std::make_shared<TraceRecorder>(inner);
+  TraceRecorder outer(mid);
   auto ds = outer.file()->root().create_dataset("d", h5::Datatype::kInt8, {2});
   const std::vector<std::int8_t> v{9, 9};
   outer.dataset_write(ds, h5::Selection::all(),
                       std::as_bytes(std::span<const std::int8_t>(v)));
   outer.wait_all();
-  EXPECT_EQ(outer.stats().writes, 1u);
-  EXPECT_EQ(mid->stats().writes, 1u);
+  EXPECT_EQ(tally(outer.trace(), TraceEvent::Kind::kWrite), (Tally{1, 2}));
+  EXPECT_EQ(tally(mid->trace(), TraceEvent::Kind::kWrite), (Tally{1, 2}));
   outer.close();
+}
+
+/// Inner connector that counts each Connector call it receives and
+/// reports one record per transfer, built with its own reported ranks.
+class CountingConnector final : public Connector {
+ public:
+  enum Call { kFile, kWrite, kRead, kPrefetch, kFlush, kWaitAll, kClose,
+              kRanks, kAdd, kRemove, kNumCalls };
+
+  CountingConnector()
+      : file_(h5::File::create(std::make_shared<storage::MemoryBackend>())) {}
+
+  const h5::FilePtr& file() const override {
+    ++calls_[kFile];
+    return file_;
+  }
+  RequestPtr dataset_write(h5::Dataset, const h5::Selection& selection,
+                           std::span<const std::byte> data) override {
+    ++calls_[kWrite];
+    return report(IoOp::kWrite, data.size(), selection);
+  }
+  RequestPtr dataset_read(h5::Dataset, const h5::Selection& selection,
+                          std::span<std::byte> out) override {
+    ++calls_[kRead];
+    return report(IoOp::kRead, out.size(), selection);
+  }
+  void prefetch(h5::Dataset, const h5::Selection& selection) override {
+    ++calls_[kPrefetch];
+    report(IoOp::kPrefetch, 0, selection);
+  }
+  RequestPtr flush() override {
+    ++calls_[kFlush];
+    return done();
+  }
+  void wait_all() override { ++calls_[kWaitAll]; }
+  void close() override { ++calls_[kClose]; }
+  void set_reported_ranks(int ranks) override {
+    ++calls_[kRanks];
+    Connector::set_reported_ranks(ranks);
+  }
+  void add_observer(IoObserverPtr observer) override {
+    ++calls_[kAdd];
+    Connector::add_observer(std::move(observer));
+  }
+  void remove_observer(const IoObserverPtr& observer) override {
+    ++calls_[kRemove];
+    Connector::remove_observer(observer);
+  }
+
+  std::array<int, kNumCalls> calls() const { return calls_; }
+
+ private:
+  static RequestPtr done() {
+    return std::make_shared<Request>(tasking::Eventual::make_ready());
+  }
+  /// Fills the detail strings by hand: make_record would call file().
+  RequestPtr report(IoOp op, std::uint64_t bytes, const h5::Selection& selection) {
+    IoRecord record = make_record(op, bytes, /*async=*/false, 0.0, 0.0, 0.0);
+    record.dataset_path = "d";
+    record.selection = selection_to_token(selection);
+    observe(record);
+    return done();
+  }
+
+  h5::FilePtr file_;
+  mutable std::array<int, kNumCalls> calls_{};
+};
+
+TEST(PassthroughTest, ForwardsEveryConnectorCall) {
+  const auto check = [](const char* label, const std::shared_ptr<CountingConnector>& inner,
+                        Connector& wrapper) {
+    SCOPED_TRACE(label);
+    auto observer = std::make_shared<DetailObserver>();
+    auto ds = inner->file()->root().create_dataset("d", h5::Datatype::kUInt8, {8});
+    std::vector<std::byte> buffer(8);
+    const auto before = inner->calls();
+
+    (void)wrapper.file();
+    wrapper.set_reported_ranks(8);
+    wrapper.add_observer(observer);
+    wrapper.dataset_write(ds, h5::Selection::all(), buffer);
+    wrapper.dataset_read(ds, h5::Selection::all(), buffer);
+    wrapper.prefetch(ds, h5::Selection::all());
+    wrapper.flush();
+    wrapper.wait_all();
+    wrapper.remove_observer(observer);
+    wrapper.close();
+
+    const auto after = inner->calls();
+    for (int c = 0; c < CountingConnector::kNumCalls; ++c) {
+      EXPECT_EQ(after[c] - before[c], 1) << "call " << c;
+    }
+    EXPECT_EQ(wrapper.reported_ranks(), 8);
+    const auto records = observer->records();
+    ASSERT_EQ(records.size(), 3u);
+    for (const auto& r : records) EXPECT_EQ(r.ranks, 8);
+  };
+
+  auto bare = std::make_shared<CountingConnector>();
+  PassthroughConnector passthrough(bare);
+  check("PassthroughConnector", bare, passthrough);
+
+  auto recorded = std::make_shared<CountingConnector>();
+  TraceRecorder recorder(recorded);
+  check("TraceRecorder", recorded, recorder);
+  const Trace trace = recorder.trace();
+  ASSERT_EQ(trace.size(), 3u);
 }
 
 TEST(PassthroughTest, RequiresInner) {
@@ -217,24 +378,6 @@ TEST(SsdStagingTest, SequentialWritesUseDistinctRegions) {
 
 // ---------------------------------------------------------------------------
 // IoRecord contract: the fields each connector reports per operation
-
-/// Keeps every record and asks for the dataset path and selection.
-class DetailObserver final : public IoObserver {
- public:
-  void on_io(const IoRecord& record) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    records_.push_back(record);
-  }
-  bool wants_detail() const override { return true; }
-  std::vector<IoRecord> records() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return records_;
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<IoRecord> records_;
-};
 
 /// Traces every request (sampling period 1) for the test's lifetime.
 class IoRecordContractTest : public testing::Test {
