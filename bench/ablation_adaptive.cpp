@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "bench/bench_util.h"
+#include "obs/epoch_analyzer.h"
 #include "storage/memory_backend.h"
 #include "storage/backend_stack.h"
 #include "vol/adaptive_connector.h"
@@ -43,7 +44,6 @@ enum class Mode { kSync, kAsync, kAdaptive };
 double run_regime(const Regime& regime, Mode mode) {
   auto file = h5::File::create(make_backend(regime));
   std::shared_ptr<vol::Connector> connector;
-  vol::AdaptiveConnector* adaptive = nullptr;
   switch (mode) {
     case Mode::kSync:
       connector = std::make_shared<vol::NativeConnector>(file);
@@ -51,12 +51,9 @@ double run_regime(const Regime& regime, Mode mode) {
     case Mode::kAsync:
       connector = std::make_shared<vol::AsyncConnector>(file);
       break;
-    case Mode::kAdaptive: {
-      auto a = std::make_shared<vol::AdaptiveConnector>(file);
-      adaptive = a.get();
-      connector = a;
+    case Mode::kAdaptive:
+      connector = std::make_shared<vol::AdaptiveConnector>(file);
       break;
-    }
   }
   auto ds = file->root().create_dataset(
       "d", h5::Datatype::kUInt8,
@@ -65,8 +62,10 @@ double run_regime(const Regime& regime, Mode mode) {
 
   const auto t0 = std::chrono::steady_clock::now();
   for (int epoch = 0; epoch < regime.epochs; ++epoch) {
+    // The adaptive connector's advisor learns t_comp from these markers.
+    obs::EpochScope scope(epoch);
     std::this_thread::sleep_for(std::chrono::duration<double>(regime.compute_seconds));
-    if (adaptive != nullptr) adaptive->on_compute_phase(regime.compute_seconds);
+    scope.compute_done();
     connector->dataset_write(
         ds,
         h5::Selection::offsets({static_cast<std::uint64_t>(epoch) * regime.bytes},

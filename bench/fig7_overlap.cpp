@@ -38,9 +38,7 @@ int main() {
                                                     seconds_per_step);
       config.contention_sigma_override = 0.0;
       config.observer = &advisor;
-      const auto result = simulator.run(config);
-      advisor.record_compute(config.compute_seconds);
-      return result.total_seconds;
+      return simulator.run(config).total_seconds;
     };
     const double sync_total = run_mode(model::IoMode::kSync);
     const double async_total = run_mode(model::IoMode::kAsync);

@@ -35,7 +35,10 @@
 #      the cache and paged-memory suites, for drains that hand pinned
 #      staging pages to the inner tier while eviction frees pages, and
 #      the collective-write, two-phase and passthrough suites, for the
-#      aggregators' piece slicing and extent bounds arithmetic.
+#      aggregators' piece slicing and extent bounds arithmetic, and the
+#      advisor, adaptive-connector and feedback-loop suites, for the
+#      advisor that rank threads (epoch markers) and the background
+#      stream (records) call at once.
 #
 # Usage: ci/check.sh [--skip-tsan]
 set -euo pipefail
@@ -140,10 +143,10 @@ else
   ctest --preset tsan -j "${JOBS}"
 fi
 
-echo "==> [8/8] asan-ubsan build + fault-matrix, async-connector, backend, handle-lifetime, path-index, cache, paged-memory, collective-write, two-phase and passthrough suites"
+echo "==> [8/8] asan-ubsan build + fault-matrix, async-connector, backend, handle-lifetime, path-index, cache, paged-memory, collective-write, two-phase, passthrough and adaptive-loop suites"
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "${JOBS}"
 ctest --preset asan-ubsan -j "${JOBS}" \
-  -R 'Resilience|FaultInjection|AsyncConnector|VectoredBackend|BackendContract|HandleLifetime|PathIndex|Cache|PagedMemory|CollectiveWrite|TwoPhase|Passthrough'
+  -R 'Resilience|FaultInjection|AsyncConnector|VectoredBackend|BackendContract|HandleLifetime|PathIndex|Cache|PagedMemory|CollectiveWrite|TwoPhase|Passthrough|ModeAdvisor|AdaptiveConnector|FeedbackLoop'
 
 echo "==> all checks passed"

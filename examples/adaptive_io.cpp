@@ -2,8 +2,9 @@
 //
 // An iterative application runs 12 epochs whose compute phase shrinks
 // over time (a strong-scaling-like drift).  The ModeAdvisor observes
-// every transfer through the connector's IoObserver hook, refits its
-// rate models, and picks sync or async per upcoming I/O phase.  Early
+// every transfer through the connector's IoObserver hook and each
+// compute phase through the EpochScope markers, refits its rate models,
+// and picks sync or async per upcoming I/O phase.  Early
 // epochs explore (sync first to establish the baseline, then async);
 // later epochs exploit the fitted model, and when the compute phase
 // becomes too short to amortise the staging copy the advisor switches
@@ -14,6 +15,7 @@
 
 #include "common/units.h"
 #include "model/advisor.h"
+#include "obs/epoch_analyzer.h"
 #include "storage/memory_backend.h"
 #include "storage/backend_stack.h"
 #include "vol/async_connector.h"
@@ -52,10 +54,13 @@ int main() {
               "mode", "io block [s]", "advisor state");
   std::uint64_t offset = 0;
   for (int epoch = 0; epoch < kEpochs; ++epoch) {
-    // Compute phase shrinks 0.30 s -> ~0.01 s over the run.
+    // The epoch markers are the advisor's only compute signal: the
+    // window from the scope's begin to compute_done() is one t_comp
+    // sample.  Compute shrinks 0.30 s -> ~0.01 s over the run.
+    obs::EpochScope scope(epoch);
     const double compute = 0.30 * std::pow(0.72, epoch);
     std::this_thread::sleep_for(std::chrono::duration<double>(compute));
-    advisor->record_compute(compute);
+    scope.compute_done();
 
     const std::uint64_t bytes = epoch_bytes(epoch);
     const model::IoMode mode = advisor->recommend(bytes, 1);
@@ -88,7 +93,7 @@ int main() {
   async_conn.wait_all();
   std::printf("\nfitted model: r^2(sync)=%.2f r^2(async)=%.2f over %zu samples\n",
               advisor->sync_r_squared(), advisor->async_r_squared(),
-              advisor->history().size());
+              advisor->sample_count());
   async_conn.close();
   return 0;
 }

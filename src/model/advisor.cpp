@@ -1,117 +1,111 @@
 #include "model/advisor.h"
 
+#include <algorithm>
+
 #include "common/error.h"
 
 namespace apio::model {
 
-ModeAdvisor::ModeAdvisor(AdvisorOptions options)
-    : options_(options),
-      sync_estimator_(options.sync_form, options.min_samples),
-      async_estimator_(options.async_form, options.min_samples),
-      compute_estimator_(options.ewma_alpha) {
-  sync_estimator_.set_auto_form(options.auto_select_form);
-  async_estimator_.set_auto_form(options.auto_select_form);
-}
+ModeAdvisor::ModeAdvisor() { obs::add_epoch_sink(this); }
+
+// Removal waits for an in-flight marker fan-out, which holds the sink
+// list's guard, so no marker reaches a destroyed advisor.
+ModeAdvisor::~ModeAdvisor() { obs::remove_epoch_sink(this); }
 
 void ModeAdvisor::on_io(const vol::IoRecord& record) {
   // Prefetch hints and flushes move no caller-timed payload; letting
-  // them into the history would pollute the transfer-rate fits.
+  // them into the fits would pollute the transfer rates.
   if (record.op == vol::IoOp::kPrefetch || record.op == vol::IoOp::kFlush) return;
   // Async reads completed in the background report 0 blocking time and
   // carry no rate information for the caller-visible cost; skip them.
   if (record.blocking_seconds <= 0.0 || record.bytes == 0) return;
 
-  IoSample sample;
-  sample.data_size = record.bytes;
-  sample.ranks = record.ranks;
-  sample.async = record.async;
-  sample.op = record.op;
   // For sync transfers the rate is the PFS aggregate rate; for async it
   // is the staging-copy rate, which is exactly what the transactional-
   // overhead estimator must regress (Sec. III-B1).
-  sample.io_rate = static_cast<double>(record.bytes) / record.blocking_seconds;
-  history_.add(sample);
-
+  const IoSample sample{record.bytes, record.ranks,
+                        static_cast<double>(record.bytes) / record.blocking_seconds};
   std::lock_guard<std::mutex> lock(mutex_);
-  dirty_ = true;
+  (record.async ? async_estimator_ : sync_estimator_).add(sample);
+}
+
+void ModeAdvisor::on_epoch_event(const obs::EpochEvent& event) {
+  using Kind = obs::EpochEvent::Kind;
+  double window = -1.0;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (event.kind == Kind::kBegin || event.kind == Kind::kComputeStart) {
+      compute_start_[event.rank] = event.time_seconds;
+      return;
+    }
+    const auto it = compute_start_.find(event.rank);
+    if (it == compute_start_.end()) return;
+    if (event.kind == Kind::kComputeDone) {
+      window = std::max(event.time_seconds - it->second, 0.0);
+    }
+    compute_start_.erase(it);
+  }
+  if (window >= 0.0) record_compute(window);
 }
 
 void ModeAdvisor::record_compute(double seconds) {
   APIO_REQUIRE(seconds >= 0.0, "compute durations must be non-negative");
   std::lock_guard<std::mutex> lock(mutex_);
-  compute_estimator_.add_observation(seconds);
+  compute_.add(seconds);
   ++compute_observations_;
-}
-
-void ModeAdvisor::refit_locked() const {
-  if (!dirty_) return;
-  // The rate populations: sync transfers (either op) feed the PFS-rate
-  // fit; async transfers feed the staging-rate fit.
-  std::vector<IoSample> sync_samples;
-  std::vector<IoSample> async_samples;
-  for (const auto& s : history_.all()) {
-    (s.async ? async_samples : sync_samples).push_back(s);
-  }
-  sync_estimator_.refit(sync_samples);
-  async_estimator_.refit(async_samples);
-  dirty_ = false;
 }
 
 bool ModeAdvisor::sync_ready() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  refit_locked();
   return sync_estimator_.ready();
 }
 
 bool ModeAdvisor::async_ready() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  refit_locked();
   return async_estimator_.ready();
 }
 
 bool ModeAdvisor::compute_ready() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return compute_estimator_.ready();
+  return !compute_.empty();
 }
 
 double ModeAdvisor::estimate_io_seconds(std::uint64_t bytes, int ranks) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  refit_locked();
   return sync_estimator_.estimate_seconds(bytes, ranks);
 }
 
 double ModeAdvisor::estimate_transact_seconds(std::uint64_t bytes, int ranks) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  refit_locked();
   return async_estimator_.estimate_seconds(bytes, ranks);
 }
 
 double ModeAdvisor::estimate_compute_seconds() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return compute_estimator_.estimate_seconds();
+  return compute_.value();
 }
 
-EpochCosts ModeAdvisor::predict_epoch(std::uint64_t bytes, int ranks) const {
+EpochCosts ModeAdvisor::predict_locked(std::uint64_t bytes, int ranks) const {
   EpochCosts costs;
-  costs.t_io = estimate_io_seconds(bytes, ranks);
-  costs.t_transact = estimate_transact_seconds(bytes, ranks);
-  costs.t_comp = estimate_compute_seconds();
+  costs.t_io = sync_estimator_.estimate_seconds(bytes, ranks);
+  costs.t_transact = async_estimator_.estimate_seconds(bytes, ranks);
+  costs.t_comp = compute_.value();
   return costs;
 }
 
+EpochCosts ModeAdvisor::predict_epoch(std::uint64_t bytes, int ranks) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return predict_locked(bytes, ranks);
+}
+
 IoMode ModeAdvisor::recommend(std::uint64_t bytes, int ranks) const {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    refit_locked();
-    // Exploration phase: measure sync first (the baseline every
-    // comparison needs), then async.
-    if (!sync_estimator_.ready() || !compute_estimator_.ready()) {
-      return IoMode::kSync;
-    }
-    if (!async_estimator_.ready()) return IoMode::kAsync;
-  }
-  const EpochCosts costs = predict_epoch(bytes, ranks);
-  return async_is_beneficial(costs) ? IoMode::kAsync : IoMode::kSync;
+  std::lock_guard<std::mutex> lock(mutex_);
+  // Exploration phase: measure sync first (the baseline every
+  // comparison needs), then async.
+  if (!sync_estimator_.ready() || compute_.empty()) return IoMode::kSync;
+  if (!async_estimator_.ready()) return IoMode::kAsync;
+  return async_is_beneficial(predict_locked(bytes, ranks)) ? IoMode::kAsync
+                                                          : IoMode::kSync;
 }
 
 OverlapScenario ModeAdvisor::predict_scenario(std::uint64_t bytes, int ranks) const {
@@ -120,67 +114,22 @@ OverlapScenario ModeAdvisor::predict_scenario(std::uint64_t bytes, int ranks) co
 
 double ModeAdvisor::sync_r_squared() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  refit_locked();
   return sync_estimator_.r_squared();
 }
 
 double ModeAdvisor::async_r_squared() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  refit_locked();
   return async_estimator_.r_squared();
+}
+
+std::size_t ModeAdvisor::sample_count() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return sync_estimator_.size() + async_estimator_.size();
 }
 
 std::size_t ModeAdvisor::compute_observations() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return compute_observations_;
-}
-
-std::string ModeAdvisor::save_state() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::string state = "advisorv1,";
-  if (compute_estimator_.ready()) {
-    state += std::to_string(compute_estimator_.estimate_seconds());
-    state += ',' + std::to_string(compute_observations_);
-  } else {
-    state += "-,0";
-  }
-  state += '\n';
-  state += history_.to_csv();
-  return state;
-}
-
-std::shared_ptr<ModeAdvisor> ModeAdvisor::load_state(const std::string& state,
-                                                     AdvisorOptions options) {
-  const std::size_t newline = state.find('\n');
-  if (newline == std::string::npos || state.rfind("advisorv1,", 0) != 0) {
-    throw FormatError("not a saved advisor state");
-  }
-  const std::string header = state.substr(0, newline);
-  auto advisor = std::make_shared<ModeAdvisor>(options);
-
-  // Header: advisorv1,<compute estimate or '-'>,<observation count>.
-  const std::size_t first = header.find(',');
-  const std::size_t second = header.find(',', first + 1);
-  if (second == std::string::npos) throw FormatError("malformed advisor header");
-  const std::string estimate = header.substr(first + 1, second - first - 1);
-  if (estimate != "-") {
-    // The EWMA collapses to its last value; seeding with it preserves
-    // the estimate (further observations re-weight from there).
-    advisor->record_compute(std::atof(estimate.c_str()));
-  }
-
-  History restored = History::from_csv(state.substr(newline + 1));
-  for (const auto& sample : restored.all()) {
-    vol::IoRecord record;
-    record.op = sample.op;
-    record.bytes = sample.data_size;
-    record.ranks = sample.ranks;
-    record.blocking_seconds = static_cast<double>(sample.data_size) / sample.io_rate;
-    record.completion_seconds = record.blocking_seconds;
-    record.async = sample.async;
-    advisor->on_io(record);
-  }
-  return advisor;
 }
 
 }  // namespace apio::model

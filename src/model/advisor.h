@@ -1,45 +1,48 @@
 // ModeAdvisor: the runtime feedback loop of Fig. 2.
 //
-// Plugged into a VOL connector as its IoObserver, the advisor converts
-// every observed transfer into a history sample, keeps per-mode rate
-// estimators fitted over that history, tracks the compute-phase
-// duration, and recommends — per upcoming I/O phase — whether the
-// epoch algebra (Eq. 2a vs. 2b) favours synchronous or asynchronous
-// I/O.  This is the "transparent and adaptive asynchronous I/O
-// interface" the paper motivates (Sec. II-B).
+// Plugged into a VOL connector as its IoObserver, the advisor folds
+// every observed transfer into per-mode rate estimators (running
+// regression sums, so its state does not grow with the run).  It learns
+// the compute-phase duration from the process-wide EpochScope marker
+// stream, the same markers the epoch analyzer reads: each rank's compute
+// window opens at the epoch begin (or at compute_start) and closes at
+// compute_done, and its length feeds a weighted average.  From both it
+// recommends — per upcoming I/O phase — whether the epoch algebra
+// (Eq. 2a vs. 2b) favours synchronous or asynchronous I/O.  This is the
+// "transparent and adaptive asynchronous I/O interface" the paper
+// motivates (Sec. II-B): an application that marks its epochs needs no
+// other call.
 #pragma once
 
 #include <memory>
 #include <mutex>
+#include <unordered_map>
 
+#include "common/stats.h"
 #include "model/epoch_model.h"
 #include "model/estimator.h"
-#include "model/history.h"
+#include "obs/epoch_analyzer.h"
 #include "vol/observer.h"
 
 namespace apio::model {
 
-struct AdvisorOptions {
-  /// Minimum samples per mode before the estimator participates.
-  std::size_t min_samples = 3;
-  /// Weight of the newest compute-time observation.
-  double ewma_alpha = 0.5;
-  /// Starting feature form for the sync I/O fit; auto-selection picks
-  /// linear vs. linear-log by R² on each refit.
-  FeatureForm sync_form = FeatureForm::kLinearLog;
-  FeatureForm async_form = FeatureForm::kLinear;
-  bool auto_select_form = true;
-};
-
-class ModeAdvisor : public vol::IoObserver {
+class ModeAdvisor : public vol::IoObserver, public obs::EpochSink {
  public:
-  explicit ModeAdvisor(AdvisorOptions options = {});
+  /// Registers on the epoch-marker stream; the destructor unregisters.
+  ModeAdvisor();
+  ~ModeAdvisor() override;
+  ModeAdvisor(const ModeAdvisor&) = delete;
+  ModeAdvisor& operator=(const ModeAdvisor&) = delete;
 
   /// IoObserver hook: called by the connector on every transfer
   /// (possibly from the background stream; thread-safe).
   void on_io(const vol::IoRecord& record) override;
 
-  /// Reports the duration of a completed compute phase.
+  /// EpochSink hook: called from rank threads; closed compute windows
+  /// go to record_compute().  An epoch without compute_done adds none.
+  void on_epoch_event(const obs::EpochEvent& event) override;
+
+  /// Adds one compute-phase duration (t_comp of Eq. 2).
   void record_compute(double seconds);
 
   // -- Estimation (Sec. III-B) -------------------------------------------
@@ -61,9 +64,9 @@ class ModeAdvisor : public vol::IoObserver {
 
   // -- Decision (Fig. 2 loop) --------------------------------------------
 
-  /// Recommended I/O mode for the next phase.  With incomplete history
-  /// the advisor explores: sync first (establishing the baseline), then
-  /// async, then exploits the fitted model.
+  /// Recommended I/O mode for the next phase.  Until both rate fits and
+  /// a compute sample exist the advisor explores: sync first
+  /// (establishing the baseline), then async, then exploits the model.
   IoMode recommend(std::uint64_t bytes, int ranks) const;
 
   /// Overlap scenario (Fig. 1) predicted for the next phase.
@@ -73,32 +76,20 @@ class ModeAdvisor : public vol::IoObserver {
 
   double sync_r_squared() const;
   double async_r_squared() const;
-  const History& history() const { return history_; }
+  /// Transfers folded into the rate fits (sync plus async).
+  std::size_t sample_count() const;
   std::size_t compute_observations() const;
 
-  // -- Persistence ----------------------------------------------------------
-
-  /// Serialises the advisor's learned state (history + compute
-  /// estimate) so a later run starts warm — the paper's model
-  /// explicitly builds on "a history of previous runs".
-  std::string save_state() const;
-
-  /// Restores an advisor from save_state() output.
-  static std::shared_ptr<ModeAdvisor> load_state(const std::string& state,
-                                                 AdvisorOptions options = {});
-
  private:
-  void refit_locked() const;
-
-  AdvisorOptions options_;
-  History history_;
+  EpochCosts predict_locked(std::uint64_t bytes, int ranks) const;
 
   mutable std::mutex mutex_;
-  mutable IoRateEstimator sync_estimator_;
-  mutable IoRateEstimator async_estimator_;
-  mutable bool dirty_ = false;
-  ComputeTimeEstimator compute_estimator_;
+  IoRateEstimator sync_estimator_{FeatureForm::kLinearLog};
+  IoRateEstimator async_estimator_{FeatureForm::kLinear};
+  Ewma compute_{0.5};
   std::size_t compute_observations_ = 0;
+  /// Start of each rank's open compute window.
+  std::unordered_map<int, double> compute_start_;
 };
 
 using ModeAdvisorPtr = std::shared_ptr<ModeAdvisor>;

@@ -1,36 +1,43 @@
-// Cost estimators of Sec. III-B: the I/O-rate regression (Eq. 3/4) and
-// the weighted-average compute-time estimator.
+// The I/O-rate estimator of Sec. III-B (Eq. 3/4).
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <vector>
+#include <limits>
 
-#include "common/stats.h"
-#include "model/history.h"
 #include "model/regression.h"
 
 namespace apio::model {
 
+/// One observed data transfer: the scaling features and the aggregate
+/// rate the regression fits.
+struct IoSample {
+  std::uint64_t data_size = 0;  ///< aggregate bytes of the phase
+  int ranks = 1;
+  double io_rate = 0.0;  ///< aggregate bytes/s achieved
+};
+
 /// Fits the aggregate I/O rate as a function of (data size, ranks) and
 /// answers rate / time queries for hypothetical transfers.  One
 /// estimator instance covers one population (e.g. sync writes or async
-/// staging copies).
+/// staging copies).  Samples are folded into running sums for both the
+/// linear and the linear-log form, so the state is constant-size and
+/// add() is O(1).  The fit is solved on the first query after an add
+/// and keeps the form with the higher R²; the starting form wins ties
+/// (the paper picks linear-log for the sync write trend by inspection;
+/// this automates the choice).  Not thread-safe: the owner serialises.
 class IoRateEstimator {
  public:
-  explicit IoRateEstimator(FeatureForm form = FeatureForm::kLinear,
-                           std::size_t min_samples = 3);
+  explicit IoRateEstimator(FeatureForm form = FeatureForm::kLinear);
 
-  /// Refits over `samples`; keeps the previous fit when there are fewer
-  /// than min_samples points or the system is singular.
-  void refit(const std::vector<IoSample>& samples);
+  /// Throws InvalidArgumentError on a sample without positive size,
+  /// ranks and rate.
+  void add(const IoSample& sample);
 
-  /// When enabled, refit() tries both linear and linear-log forms and
-  /// keeps the one with the higher R² (the paper picks linear-log for
-  /// the sync write trend by inspection; this automates the choice).
-  void set_auto_form(bool enabled) { auto_form_ = enabled; }
+  /// Samples added so far.
+  std::size_t size() const { return linear_.size(); }
 
-  bool ready() const { return fit_.valid(); }
+  /// True once at least 3 samples produced a solvable fit.
+  bool ready() const;
 
   /// Estimated aggregate rate (bytes/s), clamped into the observed
   /// envelope so extrapolation cannot produce nonsense (<= 0).
@@ -39,36 +46,21 @@ class IoRateEstimator {
   /// Eq. 3: t_io = data_size / f_io_rate.
   double estimate_seconds(std::uint64_t data_size, int ranks) const;
 
-  double r_squared() const { return fit_.r_squared; }
-  FeatureForm form() const { return form_; }
-  const LinearFit& fit() const { return fit_; }
-  std::size_t samples_fitted() const { return fit_.n; }
+  double r_squared() const;
+  FeatureForm form() const;
 
  private:
-  FeatureForm form_;
-  std::size_t min_samples_;
-  bool auto_form_ = false;
-  LinearFit fit_;
-  double min_rate_seen_ = 0.0;
+  void refit() const;
+
+  const FeatureForm start_form_;
+  NormalEquations linear_{3};
+  NormalEquations linear_log_{3};
+  double min_rate_seen_ = std::numeric_limits<double>::infinity();
   double max_rate_seen_ = 0.0;
-
-  static std::optional<LinearFit> try_fit(FeatureForm form,
-                                          const std::vector<IoSample>& samples);
-};
-
-/// Compute-phase duration estimator: a weighted average over previous
-/// iterations (Sec. III-B: "we use a weighted average over the
-/// measurements taken in previous iterations").
-class ComputeTimeEstimator {
- public:
-  explicit ComputeTimeEstimator(double ewma_alpha = 0.5) : ewma_(ewma_alpha) {}
-
-  void add_observation(double seconds) { ewma_.add(seconds); }
-  bool ready() const { return !ewma_.empty(); }
-  double estimate_seconds() const;
-
- private:
-  Ewma ewma_;
+  // The last solved fit; a query after add() re-solves it.
+  mutable bool dirty_ = false;
+  mutable FeatureForm form_;
+  mutable LinearFit fit_;
 };
 
 }  // namespace apio::model

@@ -67,70 +67,78 @@ std::vector<double> solve_normal_equations(const std::vector<std::vector<double>
 
 }  // namespace
 
-LinearFit fit_least_squares(const std::vector<std::vector<double>>& rows,
-                            std::span<const double> y) {
-  APIO_REQUIRE(rows.size() == y.size(), "X row count must match y size");
-  APIO_REQUIRE(!rows.empty(), "cannot fit an empty sample");
-  const std::size_t n = rows.size();
-  const std::size_t k = rows[0].size();
-  APIO_REQUIRE(k >= 1, "need at least one feature column");
-  APIO_REQUIRE(n >= k, "under-determined system: fewer samples than features");
-  for (const auto& row : rows) {
-    APIO_REQUIRE(row.size() == k, "ragged design matrix");
+NormalEquations::NormalEquations(std::size_t features)
+    : k_(features), xtx_(features * features, 0.0), xty_(features, 0.0) {
+  APIO_REQUIRE(features >= 1, "need at least one feature column");
+}
+
+void NormalEquations::add(std::span<const double> features, double y) {
+  APIO_REQUIRE(features.size() == k_, "ragged design matrix");
+  for (std::size_t a = 0; a < k_; ++a) {
+    xty_[a] += features[a] * y;
+    for (std::size_t b = 0; b < k_; ++b) xtx_[a * k_ + b] += features[a] * features[b];
   }
+  sum_y_ += y;
+  sum_y2_ += y * y;
+  ++n_;
+}
+
+LinearFit NormalEquations::fit() const {
+  APIO_REQUIRE(n_ >= k_, "under-determined system: fewer samples than features");
+  const double n = static_cast<double>(n_);
 
   // Column equilibration: features span many orders of magnitude
   // (byte counts vs. ones column), which would make both the pivoting
   // tolerance and the ridge fallback meaningless.  Normalise each
   // column to unit RMS, solve, then unscale the coefficients.
-  std::vector<double> scale(k, 0.0);
-  for (std::size_t j = 0; j < k; ++j) {
-    double sum_sq = 0.0;
-    for (std::size_t i = 0; i < n; ++i) sum_sq += rows[i][j] * rows[i][j];
-    scale[j] = std::sqrt(sum_sq / static_cast<double>(n));
+  std::vector<double> scale(k_);
+  for (std::size_t j = 0; j < k_; ++j) {
+    scale[j] = std::sqrt(xtx_[j * k_ + j] / n);
     if (scale[j] <= 0.0) scale[j] = 1.0;
   }
-
-  // Normal equations: (XᵀX) β = Xᵀ y over the scaled columns.
-  std::vector<std::vector<double>> xtx(k, std::vector<double>(k, 0.0));
-  std::vector<double> xty(k, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t a = 0; a < k; ++a) {
-      const double xa = rows[i][a] / scale[a];
-      xty[a] += xa * y[i];
-      for (std::size_t b = 0; b < k; ++b) {
-        xtx[a][b] += xa * (rows[i][b] / scale[b]);
-      }
+  std::vector<std::vector<double>> xtx(k_, std::vector<double>(k_));
+  std::vector<double> xty(k_);
+  for (std::size_t a = 0; a < k_; ++a) {
+    xty[a] = xty_[a] / scale[a];
+    for (std::size_t b = 0; b < k_; ++b) {
+      xtx[a][b] = xtx_[a * k_ + b] / (scale[a] * scale[b]);
     }
   }
+  const std::vector<double> beta = solve_normal_equations(xtx, xty);
 
   LinearFit fit;
-  fit.beta = solve_normal_equations(xtx, xty);
-  for (std::size_t j = 0; j < k; ++j) fit.beta[j] /= scale[j];
-  fit.n = n;
+  fit.n = n_;
+  for (std::size_t j = 0; j < k_; ++j) fit.beta.push_back(beta[j] / scale[j]);
 
-  // R² = 1 − SS_res / SS_tot.
-  double y_mean = 0.0;
-  for (double v : y) y_mean += v;
-  y_mean /= static_cast<double>(n);
-  double ss_res = 0.0;
-  double ss_tot = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double pred = predict(fit, rows[i]);
-    ss_res += (y[i] - pred) * (y[i] - pred);
-    ss_tot += (y[i] - y_mean) * (y[i] - y_mean);
+  // R² = 1 − SS_res / SS_tot, both expanded over the sums:
+  // SS_res = Σy² − 2βᵀXᵀy + βᵀXᵀXβ and SS_tot = Σy² − n·ȳ².
+  double ss_res = sum_y2_;
+  for (std::size_t a = 0; a < k_; ++a) {
+    ss_res -= 2.0 * beta[a] * xty[a];
+    for (std::size_t b = 0; b < k_; ++b) ss_res += beta[a] * xtx[a][b] * beta[b];
   }
+  ss_res = std::max(ss_res, 0.0);
+  const double y_mean = sum_y_ / n;
+  const double ss_tot = std::max(sum_y2_ - n * y_mean * y_mean, 0.0);
   // A (near-)constant response makes SS_tot collapse to floating-point
   // noise and the usual ratio meaningless; judge the residuals against
   // the response magnitude instead.
-  const double response_scale =
-      static_cast<double>(n) * std::max(y_mean * y_mean, 1e-300);
+  const double response_scale = n * std::max(y_mean * y_mean, 1e-300);
   if (ss_tot > 1e-12 * response_scale) {
     fit.r_squared = 1.0 - ss_res / ss_tot;
   } else {
     fit.r_squared = ss_res <= 1e-12 * response_scale ? 1.0 : 0.0;
   }
   return fit;
+}
+
+LinearFit fit_least_squares(const std::vector<std::vector<double>>& rows,
+                            std::span<const double> y) {
+  APIO_REQUIRE(rows.size() == y.size(), "X row count must match y size");
+  APIO_REQUIRE(!rows.empty(), "cannot fit an empty sample");
+  NormalEquations sums(rows[0].size());
+  for (std::size_t i = 0; i < rows.size(); ++i) sums.add(rows[i], y[i]);
+  return sums.fit();
 }
 
 double predict(const LinearFit& fit, std::span<const double> features) {

@@ -4,7 +4,8 @@
 // The paper fits the observed aggregate I/O rate against two scaling
 // features — data size and number of MPI ranks — with plain linear and
 // linear-log forms, solving β = (XᵀX)⁻¹XᵀY analytically rather than
-// with iterative nonlinear methods.
+// with iterative nonlinear methods.  Both XᵀX and XᵀY are sums over
+// samples, so the fit is kept as running sums, not as a sample log.
 #pragma once
 
 #include <cstddef>
@@ -24,6 +25,32 @@ struct LinearFit {
   std::size_t n = 0;
 
   bool valid() const { return !beta.empty(); }
+};
+
+/// Running normal-equation sums of a sample stream: XᵀX, Xᵀy, Σy, Σy²
+/// and n.  Its size depends only on the feature count, so a model that
+/// keeps learning never grows.
+class NormalEquations {
+ public:
+  explicit NormalEquations(std::size_t features);
+
+  /// Folds one sample in: O(k²) for k features.
+  void add(std::span<const double> features, double y);
+
+  std::size_t size() const { return n_; }
+
+  /// Solves min ‖Xβ − y‖² over every sample added so far.  Throws
+  /// InvalidArgumentError when the system is under-determined or the
+  /// normal matrix is singular even under regularisation.
+  LinearFit fit() const;
+
+ private:
+  std::size_t k_;
+  std::vector<double> xtx_;  ///< k×k, row-major
+  std::vector<double> xty_;
+  double sum_y_ = 0.0;
+  double sum_y2_ = 0.0;
+  std::size_t n_ = 0;
 };
 
 /// Solves min ‖Xβ − y‖² with the normal equations.  `rows` holds one

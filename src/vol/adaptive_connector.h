@@ -7,9 +7,9 @@
 // same container plus a ModeAdvisor.  Every transfer is reported to the
 // advisor (both connectors share it as their observer); each
 // dataset_write consults the advisor's Eq. 2a/2b comparison for the
-// upcoming phase and routes accordingly.  Compute phases are reported
-// by the application through on_compute_phase() — the one hook the
-// paper's model needs that an I/O library cannot observe on its own.
+// upcoming phase and routes accordingly.  The advisor learns compute
+// phases from the obs::EpochScope markers the application already
+// emits around each epoch, so adaptivity needs no extra call.
 #pragma once
 
 #include <atomic>
@@ -54,9 +54,6 @@ class AdaptiveConnector final : public Connector {
   void set_reported_ranks(int ranks) override;
   void add_observer(IoObserverPtr observer) override;
   void remove_observer(const IoObserverPtr& observer) override;
-
-  /// Reports a completed compute phase (feeds t_comp of Eq. 2).
-  void on_compute_phase(double seconds) { advisor_->record_compute(seconds); }
 
   /// The mode the next write of this size/scale would take.
   model::IoMode planned_mode(std::uint64_t bytes) const;

@@ -13,6 +13,7 @@
 #include <span>
 #include <string>
 
+#include "common/error.h"
 #include "h5/file.h"
 #include "obs/metrics.h"
 #include "vol/observer.h"
@@ -62,9 +63,12 @@ class Connector {
   /// Number of ranks the caller reports for IoRecords (for the model's
   /// scaling features).  Defaults to 1.  Virtual so interposer and
   /// routing connectors (passthrough, trace, adaptive) also set it on
-  /// the connectors that build the records.  Atomic: it may be read
-  /// from several application threads while it is set.
+  /// the connectors that build the records; overrides call this first,
+  /// so a count below 1 throws InvalidArgumentError before it reaches
+  /// a record.  Atomic: it may be read from several application threads
+  /// while it is set.
   virtual void set_reported_ranks(int ranks) {
+    APIO_REQUIRE(ranks >= 1, "the reported rank count must be >= 1");
     reported_ranks_.store(ranks, std::memory_order_relaxed);
   }
   int reported_ranks() const {

@@ -6,9 +6,12 @@
 #include <thread>
 
 #include "common/units.h"
+#include "obs/epoch_analyzer.h"
+#include "pmpi/world.h"
 #include "storage/memory_backend.h"
 #include "storage/backend_stack.h"
 #include "vol/adaptive_connector.h"
+#include "workloads/vpic_io.h"
 
 namespace apio::vol {
 namespace {
@@ -26,7 +29,8 @@ TEST(AdaptiveConnectorTest, DataCorrectAcrossModeSwitches) {
   auto ds = file->root().create_dataset("d", h5::Datatype::kInt32, {256});
 
   for (int epoch = 0; epoch < 16; ++epoch) {
-    connector.on_compute_phase(0.001 * (epoch % 4));
+    obs::EpochScope scope(epoch);
+    scope.compute_done();
     std::vector<std::int32_t> values(16);
     std::iota(values.begin(), values.end(), epoch * 16);
     connector
@@ -47,7 +51,8 @@ TEST(AdaptiveConnectorTest, ExploresBothModes) {
   auto ds = file->root().create_dataset("d", h5::Datatype::kUInt8, {64 * 1024});
   std::vector<std::uint8_t> chunk(4 * 1024, 1);
   for (int i = 0; i < 16; ++i) {
-    connector.on_compute_phase(0.001);
+    obs::EpochScope scope(i);
+    scope.compute_done();
     connector.dataset_write(
         ds, h5::Selection::offsets({static_cast<std::uint64_t>(i) * chunk.size()},
                                    {chunk.size()}),
@@ -70,10 +75,12 @@ TEST(AdaptiveConnectorTest, ConvergesToAsyncWhenComputeCoversIo) {
 
   model::IoMode last_mode = model::IoMode::kSync;
   for (int i = 0; i < 10; ++i) {
-    // Simulated compute phase (the paper's t_comp).
+    // Simulated compute phase (the paper's t_comp), seen by the advisor
+    // through the epoch markers.
+    obs::EpochScope scope(i);
     std::this_thread::sleep_for(  // apio-lint: allow(no-test-sleep)
         std::chrono::milliseconds(40));
-    connector.on_compute_phase(0.040);
+    scope.compute_done();
     last_mode = connector.planned_mode(chunk.size());
     connector.dataset_write(
         ds, h5::Selection::offsets({static_cast<std::uint64_t>(i) * chunk.size()},
@@ -96,7 +103,8 @@ TEST(AdaptiveConnectorTest, FallsBackToSyncWhenNothingToOverlap) {
 
   model::IoMode last_mode = model::IoMode::kAsync;
   for (int i = 0; i < 12; ++i) {
-    connector.on_compute_phase(1e-6);
+    obs::EpochScope scope(i);
+    scope.compute_done();
     last_mode = connector.planned_mode(chunk.size());
     connector
         .dataset_write(
@@ -123,8 +131,12 @@ TEST(AdaptiveConnectorTest, PrefetchedReadsServeFromCache) {
 
   connector.prefetch(ds, h5::Selection::all());
   connector.wait_all();
-  // Teach the advisor that compute exists so reads may route async.
-  for (int i = 0; i < 4; ++i) connector.on_compute_phase(0.5);
+  // Teach the advisor that compute exists so reads may route async:
+  // four 0.5 s compute windows, marked with fixed timestamps.
+  for (int i = 0; i < 4; ++i) {
+    obs::emit_epoch_event({obs::EpochEvent::Kind::kBegin, i, 0, 1.0 * i});
+    obs::emit_epoch_event({obs::EpochEvent::Kind::kComputeDone, i, 0, 1.0 * i + 0.5});
+  }
 
   std::vector<std::int32_t> out(64);
   connector.dataset_read(ds, h5::Selection::all(),
@@ -134,8 +146,8 @@ TEST(AdaptiveConnectorTest, PrefetchedReadsServeFromCache) {
 }
 
 TEST(AdaptiveConnectorTest, SharedAdvisorStartsWarm) {
-  // A pre-trained advisor (e.g. restored via save_state) skips the
-  // exploration phase entirely.
+  // An advisor fed records and a compute sample before the connector
+  // exists (a warm start) skips the exploration phase entirely.
   auto advisor = std::make_shared<model::ModeAdvisor>();
   for (int i = 1; i <= 6; ++i) {
     vol::IoRecord sync_rec;
@@ -155,6 +167,27 @@ TEST(AdaptiveConnectorTest, SharedAdvisorStartsWarm) {
   auto file = h5::File::create(std::make_shared<storage::MemoryBackend>());
   AdaptiveConnector connector(file, advisor);
   EXPECT_EQ(connector.planned_mode(500000), model::IoMode::kAsync);
+  connector.close();
+}
+
+TEST(AdaptiveConnectorTest, VpicRoutesAsyncFromEpochMarkers) {
+  // The VPIC kernel only marks its steps with EpochScope.  The advisor
+  // learns t_comp from those markers, and with 0.1 s of compute per
+  // step covering a 16 MiB/s drain it must route writes async.
+  auto file = h5::File::create(slow_pfs(16.0 * kMiB));
+  AdaptiveConnector connector(file);
+  workloads::VpicParams params;
+  params.particles_per_rank = 4096;
+  params.time_steps = 12;
+  params.compute_seconds = 0.1;
+  pmpi::run(2, [&](pmpi::Communicator& comm) {
+    workloads::VpicIoKernel(params).run(connector, comm);
+  });
+  connector.wait_all();
+  EXPECT_GT(connector.advisor()->compute_observations(), 0u);
+  EXPECT_GT(connector.adaptive_stats().writes_async, 0u);
+  EXPECT_EQ(connector.planned_mode(params.particles_per_rank * sizeof(float)),
+            model::IoMode::kAsync);
   connector.close();
 }
 

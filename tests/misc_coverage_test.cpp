@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <mutex>
 
 #include "common/log.h"
 #include "pmpi/world.h"
@@ -87,20 +88,37 @@ TEST(PmpiSplitTest, SingletonColors) {
 }
 
 TEST(AdaptiveConnectorTest2, ReportedRanksFlowToAdvisorSamples) {
+  // Records the rank count of every record the advisor also receives.
+  class RankRecorder final : public vol::IoObserver {
+   public:
+    void on_io(const vol::IoRecord& record) override {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ranks_.push_back(record.ranks);
+    }
+    std::vector<int> ranks() const {
+      std::lock_guard<std::mutex> lock(mutex_);
+      return ranks_;
+    }
+
+   private:
+    mutable std::mutex mutex_;
+    std::vector<int> ranks_;
+  };
+
   auto file = h5::File::create(std::make_shared<storage::MemoryBackend>());
   vol::AdaptiveConnector connector(file);
+  auto recorder = std::make_shared<RankRecorder>();
+  connector.add_observer(recorder);
   connector.set_reported_ranks(48);
   auto ds = file->root().create_dataset("d", h5::Datatype::kUInt8, {4096});
   std::vector<std::uint8_t> payload(1024, 1);
-  connector.on_compute_phase(0.001);
   connector
       .dataset_write(ds, h5::Selection::offsets({0}, {1024}),
                      std::as_bytes(std::span<const std::uint8_t>(payload)))
       ->wait();
   connector.wait_all();
-  const auto samples = connector.advisor()->history().all();
-  ASSERT_FALSE(samples.empty());
-  EXPECT_EQ(samples.front().ranks, 48);
+  EXPECT_EQ(recorder->ranks(), std::vector<int>{48});
+  EXPECT_EQ(connector.advisor()->sample_count(), 1u);
   connector.close();
 }
 

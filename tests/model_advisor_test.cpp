@@ -1,9 +1,11 @@
 // Tests for the ModeAdvisor feedback loop (Fig. 2): exploration,
-// estimation from observed records, and sync-vs-async recommendations.
+// estimation from observed records and epoch markers, and sync-vs-async
+// recommendations.
 #include <gtest/gtest.h>
 
 #include "common/error.h"
 #include "model/advisor.h"
+#include "obs/epoch_analyzer.h"
 
 namespace apio::model {
 namespace {
@@ -69,7 +71,7 @@ TEST(ModeAdvisorTest, IgnoresZeroBlockingRecords) {
   ModeAdvisor advisor;
   vol::IoRecord r = async_write(1000, 1, 0.0, 1.0);  // background read style
   advisor.on_io(r);
-  EXPECT_EQ(advisor.history().size(), 0u);
+  EXPECT_EQ(advisor.sample_count(), 0u);
 }
 
 TEST(ModeAdvisorTest, EstimatesMatchFedRates) {
@@ -136,38 +138,53 @@ TEST(ModeAdvisorTest, NegativeComputeRejected) {
   EXPECT_THROW(advisor.record_compute(-1.0), InvalidArgumentError);
 }
 
-TEST(ModeAdvisorTest, SaveAndLoadStatePreservesDecisions) {
-  ModeAdvisor original;
-  feed(original, 1e9, 1e10, 8);
-  original.record_compute(2.0);
-
-  const std::string state = original.save_state();
-  auto restored = ModeAdvisor::load_state(state);
-
-  ASSERT_TRUE(restored->sync_ready());
-  ASSERT_TRUE(restored->async_ready());
-  ASSERT_TRUE(restored->compute_ready());
-  EXPECT_EQ(restored->history().size(), original.history().size());
-  EXPECT_NEAR(restored->estimate_compute_seconds(),
-              original.estimate_compute_seconds(), 1e-9);
-  const std::uint64_t probe = 40'000'000;
-  EXPECT_NEAR(restored->estimate_io_seconds(probe, 8),
-              original.estimate_io_seconds(probe, 8),
-              original.estimate_io_seconds(probe, 8) * 1e-6);
-  EXPECT_EQ(restored->recommend(probe, 8), original.recommend(probe, 8));
+void mark(obs::EpochEvent::Kind kind, int rank, double seconds) {
+  obs::emit_epoch_event({kind, /*epoch=*/0, rank, seconds});
 }
 
-TEST(ModeAdvisorTest, LoadStateRejectsGarbage) {
-  EXPECT_THROW(ModeAdvisor::load_state("not a state"), FormatError);
-  EXPECT_THROW(ModeAdvisor::load_state("advisorv1\nrubbish"), FormatError);
-}
-
-TEST(ModeAdvisorTest, SaveStateWithoutComputeObservations) {
-  ModeAdvisor advisor;
-  feed(advisor, 1e9, 1e10, 4);
-  auto restored = ModeAdvisor::load_state(advisor.save_state());
-  EXPECT_FALSE(restored->compute_ready());
-  EXPECT_TRUE(restored->sync_ready());
+TEST(ModeAdvisorTest, LearnsComputeFromEpochMarkers) {
+  using Kind = obs::EpochEvent::Kind;
+  {
+    // begin -> compute_done is one t_comp sample.
+    ModeAdvisor advisor;
+    mark(Kind::kBegin, 0, 10.0);
+    mark(Kind::kComputeDone, 0, 10.25);
+    mark(Kind::kEnd, 0, 10.5);
+    EXPECT_EQ(advisor.compute_observations(), 1u);
+    EXPECT_DOUBLE_EQ(advisor.estimate_compute_seconds(), 0.25);
+  }
+  {
+    // compute_start moves the window start past the epoch's I/O.
+    ModeAdvisor advisor;
+    mark(Kind::kBegin, 0, 20.0);
+    mark(Kind::kComputeStart, 0, 20.5);
+    mark(Kind::kComputeDone, 0, 21.0);
+    EXPECT_DOUBLE_EQ(advisor.estimate_compute_seconds(), 0.5);
+  }
+  {
+    // An epoch that never marks compute_done adds nothing, and a
+    // compute_done after its epoch ended has no window to close.
+    ModeAdvisor advisor;
+    mark(Kind::kBegin, 0, 30.0);
+    mark(Kind::kEnd, 0, 31.0);
+    mark(Kind::kComputeDone, 0, 32.0);
+    EXPECT_EQ(advisor.compute_observations(), 0u);
+    EXPECT_FALSE(advisor.compute_ready());
+  }
+  {
+    // Interleaved ranks keep separate windows: 0.2 s then 1.0 s.
+    ModeAdvisor advisor;
+    mark(Kind::kBegin, 0, 40.0);
+    mark(Kind::kBegin, 1, 40.1);
+    mark(Kind::kComputeDone, 1, 40.3);
+    mark(Kind::kComputeDone, 0, 41.0);
+    EXPECT_EQ(advisor.compute_observations(), 2u);
+    EXPECT_NEAR(advisor.estimate_compute_seconds(), 0.5 * 1.0 + 0.5 * 0.2, 1e-12);
+  }
+  // Markers after every advisor is gone reach no sink.
+  mark(Kind::kBegin, 0, 50.0);
+  mark(Kind::kComputeDone, 0, 51.0);
+  EXPECT_FALSE(obs::epoch_sinks_active());
 }
 
 TEST(ModeAdvisorTest, DecisionMatchesOracleOverSweep) {

@@ -1,5 +1,5 @@
-// Tests for the normal-equation regression (Eq. 4), r² (Eq. 5), the
-// history store and the rate estimators.
+// Tests for the normal-equation regression (Eq. 4), r² (Eq. 5) and the
+// rate estimator.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,7 +7,6 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "model/estimator.h"
-#include "model/history.h"
 #include "model/regression.h"
 
 namespace apio::model {
@@ -59,6 +58,32 @@ TEST(RegressionTest, NoisyFitHasHighButImperfectR2) {
   EXPECT_GT(fit.r_squared, 0.95);
   EXPECT_LT(fit.r_squared, 1.0);
   EXPECT_NEAR(fit.beta[1], 0.7, 0.05);
+
+  // The running-sum R² equals the residual definition, 1 − SS_res/SS_tot.
+  double mean = 0.0;
+  for (double v : y) mean += v / static_cast<double>(y.size());
+  double ss_res = 0.0;
+  double ss_tot = 0.0;
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    ss_res += std::pow(y[i] - predict(fit, rows[i]), 2);
+    ss_tot += std::pow(y[i] - mean, 2);
+  }
+  EXPECT_NEAR(fit.r_squared, 1.0 - ss_res / ss_tot, 1e-9);
+}
+
+TEST(RegressionTest, NormalEquationsFitsStreamedSamples) {
+  // Samples fold into the sums one at a time: y = 4 - x.
+  NormalEquations sums(2);
+  EXPECT_THROW(sums.fit(), InvalidArgumentError);  // under-determined
+  for (double x = 0; x < 6; ++x) {
+    const std::vector<double> row{1.0, x};
+    sums.add(row, 4.0 - x);
+  }
+  const auto fit = sums.fit();
+  EXPECT_EQ(fit.n, 6u);
+  EXPECT_NEAR(fit.beta[0], 4.0, 1e-9);
+  EXPECT_NEAR(fit.beta[1], -1.0, 1e-9);
+  EXPECT_THROW(sums.add(std::vector<double>{1.0}, 0.0), InvalidArgumentError);
 }
 
 TEST(RegressionTest, PredictsAtNewPoints) {
@@ -131,55 +156,6 @@ TEST(RegressionTest, FeatureFormsBuildExpectedRows) {
 }
 
 // ---------------------------------------------------------------------------
-// History
-
-TEST(HistoryTest, AddAndSelect) {
-  History h;
-  h.add({1000, 4, 5e8, false, vol::IoOp::kWrite});
-  h.add({2000, 8, 6e8, true, vol::IoOp::kWrite});
-  h.add({3000, 8, 9e8, false, vol::IoOp::kRead});
-  EXPECT_EQ(h.size(), 3u);
-  EXPECT_EQ(h.select(false, vol::IoOp::kWrite).size(), 1u);
-  EXPECT_EQ(h.select(true, vol::IoOp::kWrite).size(), 1u);
-  EXPECT_EQ(h.select(false, vol::IoOp::kRead).size(), 1u);
-  EXPECT_EQ(h.select(true, vol::IoOp::kRead).size(), 0u);
-}
-
-TEST(HistoryTest, RejectsDegenerateSamples) {
-  History h;
-  EXPECT_THROW(h.add({0, 4, 1e8, false, vol::IoOp::kWrite}), InvalidArgumentError);
-  EXPECT_THROW(h.add({100, 0, 1e8, false, vol::IoOp::kWrite}), InvalidArgumentError);
-  EXPECT_THROW(h.add({100, 4, 0.0, false, vol::IoOp::kWrite}), InvalidArgumentError);
-}
-
-TEST(HistoryTest, CsvRoundTrip) {
-  History h;
-  h.add({1024, 6, 1.5e9, false, vol::IoOp::kWrite});
-  h.add({2048, 12, 2.5e9, true, vol::IoOp::kRead});
-  const std::string csv = h.to_csv();
-  History parsed = History::from_csv(csv);
-  ASSERT_EQ(parsed.size(), 2u);
-  const auto all = parsed.all();
-  EXPECT_EQ(all[0].data_size, 1024u);
-  EXPECT_FALSE(all[0].async);
-  EXPECT_EQ(all[1].op, vol::IoOp::kRead);
-  EXPECT_TRUE(all[1].async);
-  EXPECT_DOUBLE_EQ(all[1].io_rate, 2.5e9);
-}
-
-TEST(HistoryTest, MalformedCsvRejected) {
-  EXPECT_THROW(History::from_csv("1,2,3\n"), FormatError);
-  EXPECT_THROW(History::from_csv("10,2,1e9,0,x\n"), FormatError);
-}
-
-TEST(HistoryTest, ClearEmptiesStore) {
-  History h;
-  h.add({1024, 6, 1.5e9, false, vol::IoOp::kWrite});
-  h.clear();
-  EXPECT_EQ(h.size(), 0u);
-}
-
-// ---------------------------------------------------------------------------
 // IoRateEstimator
 
 std::vector<IoSample> linear_rate_samples() {
@@ -197,91 +173,82 @@ std::vector<IoSample> linear_rate_samples() {
   return samples;
 }
 
+IoRateEstimator fitted(FeatureForm form, const std::vector<IoSample>& samples) {
+  IoRateEstimator est(form);
+  for (const auto& s : samples) est.add(s);
+  return est;
+}
+
 TEST(IoRateEstimatorTest, NotReadyUntilEnoughSamples) {
-  IoRateEstimator est(FeatureForm::kLinear, 5);
-  EXPECT_FALSE(est.ready());
   const auto samples = linear_rate_samples();
-  est.refit({samples.begin(), samples.begin() + 3});
+  IoRateEstimator est = fitted(FeatureForm::kLinear, {samples.begin(), samples.begin() + 2});
   EXPECT_FALSE(est.ready());
   EXPECT_THROW(est.estimate_rate(1000, 4), InvalidArgumentError);
+  est.add(samples[2]);
+  EXPECT_TRUE(est.ready());
+  EXPECT_EQ(est.size(), 3u);
+}
+
+TEST(IoRateEstimatorTest, RejectsDegenerateSamples) {
+  IoRateEstimator est;
+  EXPECT_THROW(est.add({0, 4, 1e8}), InvalidArgumentError);
+  EXPECT_THROW(est.add({100, 0, 1e8}), InvalidArgumentError);
+  EXPECT_THROW(est.add({100, 4, 0.0}), InvalidArgumentError);
+  EXPECT_EQ(est.size(), 0u);
 }
 
 TEST(IoRateEstimatorTest, FitsLinearPopulationExactly) {
-  IoRateEstimator est(FeatureForm::kLinear);
-  est.refit(linear_rate_samples());
+  const IoRateEstimator est = fitted(FeatureForm::kLinear, linear_rate_samples());
   ASSERT_TRUE(est.ready());
   EXPECT_NEAR(est.r_squared(), 1.0, 1e-9);
   EXPECT_NEAR(est.estimate_rate(3000, 6), 1e8 + 500.0 * 3000 + 2e6 * 6, 1e-3);
 }
 
 TEST(IoRateEstimatorTest, EstimateSecondsIsEq3) {
-  IoRateEstimator est(FeatureForm::kLinear);
-  est.refit(linear_rate_samples());
+  const IoRateEstimator est = fitted(FeatureForm::kLinear, linear_rate_samples());
   const double rate = est.estimate_rate(4000, 8);
   EXPECT_NEAR(est.estimate_seconds(4000, 8), 4000.0 / rate, 1e-12);
 }
 
 TEST(IoRateEstimatorTest, ExtrapolationClampedToEnvelope) {
-  IoRateEstimator est(FeatureForm::kLinear);
   // A population whose fit has a negative slope in size.
-  std::vector<IoSample> samples;
+  IoRateEstimator est(FeatureForm::kLinear);
   for (int i = 1; i <= 6; ++i) {
-    IoSample s;
-    s.data_size = static_cast<std::uint64_t>(i) * 1000;
-    s.ranks = i;
-    s.io_rate = 1e9 / i;  // decreasing, nonlinear
-    samples.push_back(s);
+    est.add({static_cast<std::uint64_t>(i) * 1000, i, 1e9 / i});  // decreasing
   }
-  est.refit(samples);
   // Far extrapolation would go negative; the clamp keeps it positive.
   EXPECT_GT(est.estimate_rate(1000ull * 1000 * 1000, 10000), 0.0);
 }
 
 TEST(IoRateEstimatorTest, AutoFormPrefersLogWhenLogIsTruth) {
   // rate = 1e8 * (1 + log(size) + 2 log(ranks)) — linear in the logs.
-  std::vector<IoSample> samples;
-  Rng rng(3);
-  for (int i = 0; i < 40; ++i) {
-    IoSample s;
-    s.data_size = 1000u << (i % 8);
-    s.ranks = 1 << (i % 6);
-    s.io_rate = 1e8 * (1.0 + std::log(static_cast<double>(s.data_size)) +
-                       2.0 * std::log(static_cast<double>(s.ranks)));
-    samples.push_back(s);
-  }
   IoRateEstimator est(FeatureForm::kLinear);
-  est.set_auto_form(true);
-  est.refit(samples);
+  for (int i = 0; i < 40; ++i) {
+    const std::uint64_t size = 1000u << (i % 8);
+    const int ranks = 1 << (i % 6);
+    est.add({size, ranks,
+             1e8 * (1.0 + std::log(static_cast<double>(size)) +
+                    2.0 * std::log(static_cast<double>(ranks)))});
+  }
   EXPECT_EQ(est.form(), FeatureForm::kLinearLog);
   EXPECT_NEAR(est.r_squared(), 1.0, 1e-9);
 }
 
-TEST(IoRateEstimatorTest, DegenerateRefitStillPredictsObservedPoint) {
-  IoRateEstimator est(FeatureForm::kLinear);
-  est.refit(linear_rate_samples());
-  ASSERT_TRUE(est.ready());
-  // All-identical samples make the plain normal matrix singular; the
-  // regularised fallback must still reproduce the repeated observation.
-  std::vector<IoSample> degenerate(5, IoSample{1000, 4, 1e8, false, vol::IoOp::kWrite});
-  est.refit(degenerate);
-  EXPECT_TRUE(est.ready());
-  EXPECT_NEAR(est.estimate_rate(1000, 4), 1e8, 1e8 * 1e-3);
+TEST(IoRateEstimatorTest, TiesKeepStartingForm) {
+  // A constant rate fits both forms exactly (R² = 1 for each).
+  std::vector<IoSample> constant;
+  for (const auto& s : linear_rate_samples()) constant.push_back({s.data_size, s.ranks, 5e8});
+  EXPECT_EQ(fitted(FeatureForm::kLinear, constant).form(), FeatureForm::kLinear);
+  EXPECT_EQ(fitted(FeatureForm::kLinearLog, constant).form(), FeatureForm::kLinearLog);
 }
 
-// ---------------------------------------------------------------------------
-// ComputeTimeEstimator
-
-TEST(ComputeTimeEstimatorTest, WeightedAverageTracksRecentIterations) {
-  ComputeTimeEstimator est(0.5);
-  EXPECT_FALSE(est.ready());
-  est.add_observation(10.0);
+TEST(IoRateEstimatorTest, DegenerateRefitStillPredictsObservedPoint) {
+  // All-identical samples make the plain normal matrix singular; the
+  // regularised fallback must still reproduce the repeated observation.
+  const IoRateEstimator est =
+      fitted(FeatureForm::kLinear, std::vector<IoSample>(5, IoSample{1000, 4, 1e8}));
   EXPECT_TRUE(est.ready());
-  EXPECT_DOUBLE_EQ(est.estimate_seconds(), 10.0);
-  est.add_observation(20.0);
-  EXPECT_DOUBLE_EQ(est.estimate_seconds(), 15.0);
-  // Drifting workload: the estimate follows.
-  for (int i = 0; i < 20; ++i) est.add_observation(30.0);
-  EXPECT_NEAR(est.estimate_seconds(), 30.0, 0.01);
+  EXPECT_NEAR(est.estimate_rate(1000, 4), 1e8, 1e8 * 1e-3);
 }
 
 }  // namespace

@@ -158,6 +158,9 @@ TEST(StressTest, AdvisorUnderConcurrentObservations) {
         r.async = (t % 2) == 0;
         advisor->on_io(r);
         advisor->record_compute(0.01 * i);
+        // Rank threads' epoch markers race the records too.
+        obs::emit_epoch_event({obs::EpochEvent::Kind::kBegin, i, t, 1.0 * i});
+        obs::emit_epoch_event({obs::EpochEvent::Kind::kComputeDone, i, t, 1.0 * i + 0.01});
         if (i % 10 == 0) {
           // Interleaved queries must never crash or deadlock.
           (void)advisor->sync_ready();
@@ -167,8 +170,10 @@ TEST(StressTest, AdvisorUnderConcurrentObservations) {
     });
   }
   for (auto& th : threads) th.join();
-  EXPECT_EQ(advisor->history().size(),
+  EXPECT_EQ(advisor->sample_count(),
             static_cast<std::size_t>(kThreads) * kObservations);
+  EXPECT_EQ(advisor->compute_observations(),
+            2 * static_cast<std::size_t>(kThreads) * kObservations);
   EXPECT_TRUE(advisor->sync_ready());
   EXPECT_TRUE(advisor->async_ready());
 }

@@ -7,9 +7,11 @@
 #include <numeric>
 
 #include "common/error.h"
+#include "model/advisor.h"
 #include "obs/trace_context.h"
 #include "storage/memory_backend.h"
 #include "storage/backend_stack.h"
+#include "vol/adaptive_connector.h"
 #include "vol/async_connector.h"
 #include "vol/event_set.h"
 #include "vol/native_connector.h"
@@ -503,6 +505,31 @@ TEST_F(IoRecordContractTest, NativeConnectorReportsOneRecordPerOp) {
     }
   }
   EXPECT_EQ(records[2].blocking_seconds, 0.0);  // a hint, nothing moved
+}
+
+TEST_F(IoRecordContractTest, RankCountBelowOneIsRejected) {
+  // A rank count below 1 must not reach the records: the advisor would
+  // reject the sample inside the op's completion, and a write whose
+  // bytes had landed would count as failed.
+  auto conn = make_async();
+  conn->add_observer(std::make_shared<model::ModeAdvisor>());
+  EXPECT_THROW(conn->set_reported_ranks(0), InvalidArgumentError);
+  EXPECT_EQ(conn->reported_ranks(), 1);
+  auto ds = conn->file()->root().create_dataset("d", h5::Datatype::kUInt8, {64});
+  const std::vector<std::uint8_t> data(64, 5);
+  conn->dataset_write(ds, h5::Selection::all(),
+                      std::as_bytes(std::span<const std::uint8_t>(data)))
+      ->wait();
+  conn->wait_all();
+  EXPECT_EQ(conn->stats().failed_ops, 0u);
+
+  // The interposer and the router reach the same check through the base.
+  PassthroughConnector passthrough(conn);
+  EXPECT_THROW(passthrough.set_reported_ranks(-2), InvalidArgumentError);
+  AdaptiveConnector adaptive(h5::File::create(std::make_shared<storage::MemoryBackend>()));
+  EXPECT_THROW(adaptive.set_reported_ranks(0), InvalidArgumentError);
+  adaptive.close();
+  conn->close();
 }
 
 TEST_F(IoRecordContractTest, FailedOpsReportNoRecord) {

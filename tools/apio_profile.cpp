@@ -22,6 +22,7 @@
 //       with metrics on (and every request traced for --chrome), then
 //       cross-checks the registry's byte counters against the
 //       connector's own AsyncStats and exits non-zero on disagreement.
+//       Adaptive runs print how many writes the advisor routed each way.
 //       Async runs lay out rank and stream lanes in the Chrome
 //       timeline, sync runs rank lanes only.  --qos routes the PFS
 //       through a sched::FairScheduler admission gate and attributes the kernel
@@ -364,10 +365,13 @@ int cmd_run_vpic(int ranks, std::uint64_t particles, int steps,
   auto file = h5::File::create(make_pfs(mibps, scheduler, cache_mode));
   std::shared_ptr<vol::Connector> connector;
   vol::AsyncConnector* async = nullptr;
+  vol::AdaptiveConnector* adaptive = nullptr;
   if (mode == "sync") {
     connector = std::make_shared<vol::NativeConnector>(file);
   } else if (mode == "adaptive") {
-    connector = std::make_shared<vol::AdaptiveConnector>(file);
+    auto a = std::make_shared<vol::AdaptiveConnector>(file);
+    adaptive = a.get();
+    connector = std::move(a);
   } else {
     vol::AsyncOptions options;
     if (qos) options.tenant = "vpic";
@@ -404,6 +408,12 @@ int cmd_run_vpic(int ranks, std::uint64_t particles, int steps,
                 format_bandwidth(static_cast<double>(result.bytes_per_step) /
                                  result.step_io_seconds[step])
                     .c_str());
+  }
+  if (adaptive != nullptr) {
+    const auto routed = adaptive->adaptive_stats();
+    std::printf("adaptive: %llu sync / %llu async writes\n",
+                static_cast<unsigned long long>(routed.writes_sync),
+                static_cast<unsigned long long>(routed.writes_async));
   }
   print_observability_report();
   if (!chrome_path.empty()) write_chrome_trace(chrome_path, traces);
