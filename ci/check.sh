@@ -38,7 +38,10 @@
 #      aggregators' piece slicing and extent bounds arithmetic, and the
 #      advisor, adaptive-connector and feedback-loop suites, for the
 #      advisor that rank threads (epoch markers) and the background
-#      stream (records) call at once.
+#      stream (records) call at once, and the allocation, eventual,
+#      pool and execution-stream suites, for ops that submitters push
+#      straight onto the stream's pool and the recycler's shared
+#      prefetch buffers.
 #
 # Usage: ci/check.sh [--skip-tsan]
 set -euo pipefail
@@ -143,10 +146,10 @@ else
   ctest --preset tsan -j "${JOBS}"
 fi
 
-echo "==> [8/8] asan-ubsan build + fault-matrix, async-connector, backend, handle-lifetime, path-index, cache, paged-memory, collective-write, two-phase, passthrough and adaptive-loop suites"
+echo "==> [8/8] asan-ubsan build + fault-matrix, async-connector, backend, handle-lifetime, path-index, cache, paged-memory, collective-write, two-phase, passthrough, adaptive-loop and tasking suites"
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "${JOBS}"
 ctest --preset asan-ubsan -j "${JOBS}" \
-  -R 'Resilience|FaultInjection|AsyncConnector|VectoredBackend|BackendContract|HandleLifetime|PathIndex|Cache|PagedMemory|CollectiveWrite|TwoPhase|Passthrough|ModeAdvisor|AdaptiveConnector|FeedbackLoop'
+  -R 'Resilience|FaultInjection|AsyncConnector|VectoredBackend|BackendContract|HandleLifetime|PathIndex|Cache|PagedMemory|CollectiveWrite|TwoPhase|Passthrough|ModeAdvisor|AdaptiveConnector|FeedbackLoop|Alloc|Eventual|PoolTest|ExecutionStream'
 
 echo "==> all checks passed"

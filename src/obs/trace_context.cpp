@@ -21,7 +21,6 @@ const char* phase_name(Phase phase) {
   switch (phase) {
     case Phase::kSubmit: return "submit";
     case Phase::kStageCopy: return "stage_copy";
-    case Phase::kFifoWait: return "fifo_wait";
     case Phase::kPoolWait: return "pool_wait";
     case Phase::kQueueWait: return "queue_wait";
     case Phase::kAdmission: return "admission";

@@ -62,8 +62,7 @@ namespace apio::obs::trace {
 enum class Phase : std::uint8_t {
   kSubmit = 0,   ///< synchronous submit window on the issuing thread
   kStageCopy,    ///< transactional staging copy (t_transact)
-  kFifoWait,     ///< waiting behind the connector's FIFO predecessor
-  kPoolWait,     ///< pool push -> background stream pickup
+  kPoolWait,     ///< pool push -> background stream pickup (FIFO wait)
   kQueueWait,    ///< sched::FairScheduler submit -> grant
   kAdmission,    ///< channel grant held around the inner transfer
   kAttempt,      ///< one retry-session execution attempt
@@ -78,7 +77,7 @@ enum class Phase : std::uint8_t {
   kOther,        ///< root self-time not covered by any child phase
 };
 
-inline constexpr int kPhaseCount = 16;
+inline constexpr int kPhaseCount = 15;
 
 const char* phase_name(Phase phase);
 

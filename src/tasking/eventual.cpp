@@ -11,30 +11,16 @@ EventualPtr Eventual::make_ready() {
   return e;
 }
 
-void Eventual::set() {
-  std::unique_lock lock(mutex_);
-  APIO_ASSERT(!done_, "Eventual::set() called twice");
-  done_ = true;
-  complete_locked(lock);
-}
+void Eventual::set() { set_error(nullptr); }
 
 void Eventual::set_error(std::exception_ptr error) {
-  std::unique_lock lock(mutex_);
-  APIO_ASSERT(!done_, "Eventual::set_error() after completion");
+  std::lock_guard lock(mutex_);
+  APIO_ASSERT(!done_, "Eventual completed twice");
   done_ = true;
   error_ = std::move(error);
-  complete_locked(lock);
-}
-
-void Eventual::complete_locked(std::unique_lock<Mutex>& lock) {
-  APIO_INVARIANT(done_, "complete_locked() on a pending eventual");
-  std::vector<std::function<void()>> continuations;
-  continuations.swap(continuations_);
+  // Notified under the lock: a woken waiter may drop the last reference
+  // as soon as it can reacquire the mutex.
   cv_.notify_all();
-  // Continuations run outside the lock: they may acquire lower-ranked
-  // locks (e.g. push into a pool) or re-enter this eventual.
-  lock.unlock();
-  for (auto& fn : continuations) fn();
 }
 
 void Eventual::wait() {
@@ -61,21 +47,6 @@ bool Eventual::has_error() const {
 std::exception_ptr Eventual::error() const {
   std::lock_guard lock(mutex_);
   return done_ ? error_ : nullptr;
-}
-
-void Eventual::on_ready(std::function<void()> fn) {
-  {
-    std::lock_guard lock(mutex_);
-    if (!done_) {
-      continuations_.push_back(std::move(fn));
-      return;
-    }
-  }
-  fn();
-}
-
-void wait_all(const std::vector<EventualPtr>& eventuals) {
-  for (const auto& e : eventuals) e->wait();
 }
 
 }  // namespace apio::tasking

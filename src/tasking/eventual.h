@@ -1,16 +1,14 @@
 // Eventuals: completion objects in the style of Argobots' ABT_eventual.
 //
-// An Eventual is a one-shot completion flag with blocking wait, polling
-// test, and continuation callbacks.  The async VOL connector returns an
-// Eventual per enqueued operation, and uses the continuation hook to
-// implement operation dependency chains without blocking any thread.
+// An Eventual is a one-shot completion flag with blocking wait and
+// polling test.  The async VOL connector completes one per operation
+// from its background stream; ordering between operations comes from
+// the stream's FIFO pool, not from the eventuals.
 #pragma once
 
 #include <condition_variable>
 #include <exception>
-#include <functional>
 #include <memory>
-#include <vector>
 
 #include "common/debug/lock_rank.h"
 
@@ -22,17 +20,17 @@ using EventualPtr = std::shared_ptr<Eventual>;
 /// One-shot completion object.  Thread-safe.
 ///
 /// Lifecycle: created pending → set() or set_error() exactly once →
-/// observers are released and continuations run (on the setter's thread).
-class Eventual : public std::enable_shared_from_this<Eventual> {
+/// waiters are released.
+class Eventual {
  public:
   static EventualPtr make() { return std::make_shared<Eventual>(); }
 
-  /// Creates an eventual that is already completed; useful as a
-  /// dependency placeholder.
+  /// Creates an eventual that is already completed, for an operation
+  /// that finished inline.
   static EventualPtr make_ready();
 
-  /// Marks the eventual complete and runs continuations.
-  /// Must be called at most once (set or set_error).
+  /// Marks the eventual complete.  Must be called at most once (set or
+  /// set_error).
   void set();
 
   /// Marks the eventual failed.  wait() rethrows the exception.
@@ -55,12 +53,6 @@ class Eventual : public std::enable_shared_from_this<Eventual> {
   /// The stored error, or nullptr when pending / completed cleanly.
   std::exception_ptr error() const;
 
-  /// Registers a continuation.  If the eventual is already complete the
-  /// callback runs immediately on the calling thread; otherwise it runs
-  /// on the completing thread.  Continuations must be cheap and noexcept
-  /// in spirit (they schedule work, they do not perform it).
-  void on_ready(std::function<void()> fn);
-
  private:
   using Mutex = debug::RankedMutex<debug::LockRank::kTaskingEventual>;
 
@@ -68,13 +60,6 @@ class Eventual : public std::enable_shared_from_this<Eventual> {
   std::condition_variable_any cv_;
   bool done_ = false;
   std::exception_ptr error_;
-  std::vector<std::function<void()>> continuations_;
-
-  void complete_locked(std::unique_lock<Mutex>& lock);
 };
-
-/// Blocks until every eventual in the range is complete; rethrows the
-/// first stored error encountered (in range order).
-void wait_all(const std::vector<EventualPtr>& eventuals);
 
 }  // namespace apio::tasking

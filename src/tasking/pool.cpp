@@ -20,7 +20,7 @@ obs::Counter& pops_counter() {
 }  // namespace
 
 /// Shared bookkeeping for both pop variants — blocking pop() and the
-/// non-blocking try_pop() used by scheduler-driven drains must emit
+/// non-blocking try_pop() must emit
 /// identical queue-depth/pop metrics or profiles develop blind spots.
 /// Called with mutex_ held, after a task was removed from the queue.
 void Pool::note_popped_locked() {

@@ -29,9 +29,9 @@ class Pool {
   void push(TaskFn task);
 
   /// Enqueues a task unless the pool is closed; returns false instead of
-  /// throwing in that case.  Used by code that schedules work from
-  /// continuations (the async VOL's FIFO hand-off) and must degrade
-  /// gracefully when it races shutdown.
+  /// throwing in that case.  The async VOL submits through it, so an op
+  /// that races the connector's shutdown fails with its own error rather
+  /// than the pool's.
   bool try_push(TaskFn task);
 
   /// Blocks for the next task.  Returns nullopt when the pool is closed

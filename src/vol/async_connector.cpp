@@ -117,7 +117,11 @@ struct AsyncConnector::AsyncOp {
   /// Set by submit(), unless `prepare` supplied one (a prefetch shares
   /// its cache entry's).
   tasking::EventualPtr done;
-  RequestOutcomePtr outcome = std::make_shared<RequestOutcome>();
+  /// The caller's token, whose outcome finish() fills; null for a
+  /// prefetch, which returns none.
+  RequestPtr request;
+  /// Set when a write completed only through the sync-fallback replay.
+  bool degraded = false;
   /// Fair-share identity captured at issue time; re-bound on the
   /// background stream for the op's attempts so a QosBackend under the
   /// file charges the issuing tenant.
@@ -131,9 +135,8 @@ struct AsyncConnector::AsyncOp {
   /// Causal trace identity, minted at submission; re-bound alongside
   /// the submission context on the background stream.
   obs::trace::TraceContext trace;
-  double trace_start = 0.0;       ///< root span start (steady_seconds)
-  double fifo_enqueue_time = 0.0; ///< FIFO-wait phase anchor
-  double pool_push_time = 0.0;    ///< pool-wait phase anchor
+  double trace_start = 0.0;     ///< root span start (steady_seconds)
+  double pool_push_time = 0.0;  ///< pool-wait phase anchor
 };
 
 AsyncConnector::AsyncConnector(h5::FilePtr file, AsyncOptions options,
@@ -202,60 +205,67 @@ RequestPtr AsyncConnector::submit(obs::IoOp kind, const h5::Dataset* ds,
   op->trace_start = obs::steady_seconds();
   obs::trace::ScopedTraceContext trace_bind(op->trace);
   obs::trace::ScopedPhase submit_phase(obs::trace::Phase::kSubmit, bytes);
-  RequestInfo info;
   try {
     prepare(*op);
     if (!op->done) op->done = tasking::Eventual::make();
     // Only a write blocks its caller, for the staging copy.
     const double blocking = kind == obs::IoOp::kWrite ? clock_->now() - t0 : 0.0;
-    // Resolved unconditionally, before the op is queued: failures must
-    // carry the identity even with no observer attached, and a dataset
-    // removed while the op waits in the FIFO has no path left to
-    // resolve.  path_of reads the path the node captured at creation.
-    info = request_info(*file_, kind, ds, selection, bytes);
-    // A prefetch reports at issue (prefetch()); the rest on completion.
-    if (has_observers() && kind != obs::IoOp::kPrefetch) {
-      op->record = make_record(kind, bytes, /*async=*/true, t0, blocking, 0.0);
-      op->record->dataset_path = info.dataset_path;
-      op->record->selection = info.selection;
-      op->record->trace_id = op->trace.trace_id;
-      op->record->span_id = op->trace.span_id;
+    // Resolved unconditionally, before the op is queued: it rejects a
+    // foreign handle, failures must carry the identity even with no
+    // observer attached, and a dataset removed while the op waits in the
+    // FIFO has no path left to resolve.  path_of reads the path the node
+    // captured at creation.
+    RequestInfo info = request_info(*file_, kind, ds, selection, bytes);
+    // A prefetch reports at issue (prefetch()) and returns no request.
+    if (kind != obs::IoOp::kPrefetch) {
+      if (has_observers()) {
+        op->record = make_record(kind, bytes, /*async=*/true, t0, blocking, 0.0);
+        op->record->dataset_path = info.dataset_path;
+        op->record->selection = info.selection;
+        op->record->trace_id = op->trace.trace_id;
+        op->record->span_id = op->trace.span_id;
+      }
+      op->request = std::make_shared<Request>(op->done, std::move(info));
     }
   } catch (...) {
     release_staging(*op);  // the op never reached the FIFO
     throw;
   }
-  auto request = std::make_shared<Request>(op->done, std::move(info), op->outcome);
 
   // Once the op is on the FIFO, its waits and attempts run on other
   // threads as siblings of the submit phase; closing submit first keeps
   // the request's phases disjoint, so their self times sum to its wall.
   submit_phase.finish();
-  op->fifo_enqueue_time = obs::steady_seconds();
-  std::lock_guard lock(order_mutex_);
-  tasking::EventualPtr prev = std::exchange(last_op_, op->done);
-  // FIFO chain: the new op enters the pool only when its predecessor
-  // reached its final outcome (including any retries).  A predecessor
-  // failure does not cancel successors — the async VOL records errors
-  // per operation, it does not poison the queue.
-  prev->on_ready([this, op = std::move(op)]() mutable {
-    op->pool_push_time = obs::steady_seconds();
-    obs::trace::record_phase(op->trace, obs::trace::Phase::kFifoWait,
-                             op->fifo_enqueue_time,
-                             op->pool_push_time - op->fifo_enqueue_time);
-    if (!pool_->try_push([this, op] { run_attempt(op); })) {
-      finish(op, std::make_exception_ptr(StateError(
-                     "async operation dropped: connector shut down")));
-    }
-  });
-  return request;
+  op->pool_push_time = obs::steady_seconds();
+  bool queued = false;
+  {
+    // Pushed under the order lock, so ops from racing threads enter the
+    // pool in the order last_op_ records.  The one stream pops them in
+    // that order and retries each inline, so an op starts only after its
+    // predecessor's final outcome.  A predecessor failure does not cancel
+    // successors: the async VOL records errors per operation, it does not
+    // poison the queue.
+    std::lock_guard lock(order_mutex_);
+    last_op_ = op->done;
+    queued = pool_->try_push([this, op] { run_attempt(op); });
+  }
+  if (!queued) {
+    finish(op, std::make_exception_ptr(
+                   StateError("async operation dropped: connector shut down")));
+  }
+  return op->request;
 }
 
 std::span<const std::byte> AsyncConnector::staged_payload(AsyncOp& op) {
   if (!op.buffer) {
     Buffer from_device = take_buffer(op.bytes);
     from_device->resize(op.bytes);  // a no-op for a recycled buffer
-    options_.staging_backend->read(op.device_offset, *from_device);
+    try {
+      options_.staging_backend->read(op.device_offset, *from_device);
+    } catch (...) {
+      recycle(from_device);  // the next attempt reads into a fresh take
+      throw;
+    }
     op.buffer = std::move(from_device);
   }
   return *op.buffer;
@@ -318,7 +328,7 @@ void AsyncConnector::run_attempt(const std::shared_ptr<AsyncOp>& op) {
       obs::trace::ScopedPhase fallback(obs::trace::Phase::kFallback, op->bytes);
       op->ds->write_raw(op->selection, staged_payload(*op));
       fallback.finish();
-      op->outcome->degraded = true;
+      op->degraded = true;
       error = nullptr;
     } catch (...) {
       error = std::current_exception();
@@ -331,17 +341,18 @@ void AsyncConnector::finish(const std::shared_ptr<AsyncOp>& op,
                             std::exception_ptr error) {
   const double completion_start = obs::steady_seconds();
   const bool failed = error != nullptr;
+  const int attempts = std::max(op->session.attempts(), 1);
   // The outcome must be fully written before the eventual completes:
-  // completion is the release point observers synchronize on.
-  RequestOutcome& outcome = *op->outcome;
-  outcome.attempts = std::max(op->session.attempts(), 1);
-  outcome.deadline_exhausted = op->session.deadline_exhausted();
-  const auto retries = static_cast<std::uint64_t>(outcome.attempts - 1);
+  // completion is the release point waiters synchronize on.
+  if (op->request) {
+    op->request->outcome_ = {attempts, op->degraded, op->session.deadline_exhausted()};
+  }
+  const auto retries = static_cast<std::uint64_t>(attempts - 1);
   release_staging(*op);
   if (obs::enabled()) {
     if (retries > 0) retries_counter().add(retries);
     if (failed) failed_counter().increment();
-    if (outcome.degraded) {
+    if (op->degraded) {
       degraded_counter().increment();
       io_degraded_counter().increment();
     }
@@ -350,7 +361,7 @@ void AsyncConnector::finish(const std::shared_ptr<AsyncOp>& op,
     std::lock_guard lock(stats_mutex_);
     stats_.retries += retries;
     if (failed) ++stats_.failed_ops;
-    if (outcome.degraded) ++stats_.degraded_ops;
+    if (op->degraded) ++stats_.degraded_ops;
   }
   if (op->record && !failed) {
     op->record->completion_seconds = clock_->now() - op->record->issue_time;
@@ -421,11 +432,13 @@ RequestPtr AsyncConnector::dataset_read(h5::Dataset ds,
   }
   if (entry.ready) {
     if (obs::enabled()) prefetch_hits_counter().increment();
-    entry.ready->wait();  // normally already complete
-    APIO_REQUIRE(entry.data->size() == out.size(),
-                 "prefetched buffer size does not match read selection");
-    std::memcpy(out.data(), entry.data->data(), out.size());
-    recycle(entry.data);
+    entry.ready->wait_ignore_error();  // normally already complete
+    const std::exception_ptr error = entry.ready->error();
+    const bool fits = entry.data->size() == out.size();
+    if (!error && fits) std::memcpy(out.data(), entry.data->data(), out.size());
+    recycle(entry.data);  // before any throw, so the lent count stays exact
+    if (error) std::rethrow_exception(error);
+    APIO_REQUIRE(fits, "prefetched buffer size does not match read selection");
     if (has_observers()) {
       const double dt = clock_->now() - t0;
       IoRecord hit = make_record(IoOp::kRead, out.size(), /*async=*/true, t0, dt,
@@ -473,15 +486,19 @@ void AsyncConnector::prefetch(h5::Dataset ds, const h5::Selection& selection) {
   try {
     submit(obs::IoOp::kPrefetch, &ds, selection, bytes, t0, [&](AsyncOp& op) {
       op.done = entry.ready;
-      op.buffer = entry.data;
+      op.buffer = std::move(entry.data);  // shared with the cache entry
     });
   } catch (...) {
     // A read may already hold the entry: fail it rather than leave it
     // waiting, and unpublish the entry unless a read consumed it.
     entry.ready->set_error(std::current_exception());
+    recycle(entry.data);  // still ours if submit threw before `prepare`
     std::lock_guard lock(cache_mutex_);
     auto it = cache_.find(key);
-    if (it != cache_.end() && it->second.ready == entry.ready) cache_.erase(it);
+    if (it != cache_.end() && it->second.ready == entry.ready) {
+      recycle(it->second.data);
+      cache_.erase(it);
+    }
     throw;
   }
   // Reported at issue: the caller's cost is the enqueue.
@@ -514,7 +531,6 @@ void AsyncConnector::take_staging(AsyncOp& op) {
     }
     op.holds_staging = true;
     now_staged = staged_outstanding_ += op.bytes;
-    staged_hwm_ = std::max(staged_hwm_, now_staged);
   }
   if (obs::enabled()) {
     static auto& gauge = obs::Registry::instance().gauge("vol.async.staged_outstanding");
@@ -545,11 +561,14 @@ void AsyncConnector::release_staging(AsyncOp& op) {
 AsyncConnector::Buffer AsyncConnector::take_buffer(std::uint64_t bytes) {
   {
     std::lock_guard lock(staging_mutex_);
+    lent_bytes_ += bytes;
+    lent_hwm_ = std::max(lent_hwm_, lent_bytes_);
+    // An emptied bin stays, with its capacity, so the steady state
+    // recycles without allocating.
     auto bin = free_buffers_.find(bytes);
-    if (bin != free_buffers_.end()) {
+    if (bin != free_buffers_.end() && !bin->second.empty()) {
       Buffer buffer = std::move(bin->second.back());
       bin->second.pop_back();
-      if (bin->second.empty()) free_buffers_.erase(bin);
       free_bytes_ -= bytes;
       return buffer;
     }
@@ -558,12 +577,17 @@ AsyncConnector::Buffer AsyncConnector::take_buffer(std::uint64_t bytes) {
 }
 
 void AsyncConnector::recycle(Buffer& buffer) {
-  if (buffer != nullptr && buffer.use_count() == 1) {
+  if (buffer == nullptr) return;
+  // Checked and dropped under the lock: a shared prefetch buffer has two
+  // holders, and whichever lets go last must be the one that returns it.
+  std::lock_guard lock(staging_mutex_);
+  if (buffer.use_count() == 1) {
     const std::uint64_t bytes = buffer->size();
-    std::lock_guard lock(staging_mutex_);
-    // Capped at the staged high-water mark: the list never holds more
-    // than the connector has already had in flight at once.
-    if (free_bytes_ + bytes <= staged_hwm_) {
+    APIO_INVARIANT(lent_bytes_ >= bytes, "buffer recycler lent-bytes underflow");
+    lent_bytes_ -= bytes;
+    // Capped at the lent high-water mark: the list never holds more than
+    // the connector has already had out at once.
+    if (free_bytes_ + bytes <= lent_hwm_) {
       free_buffers_[bytes].push_back(std::move(buffer));
       free_bytes_ += bytes;
       return;
@@ -597,6 +621,7 @@ AsyncStats AsyncConnector::stats() const {
 
 void AsyncConnector::clear_cache() {
   std::lock_guard lock(cache_mutex_);
+  for (auto& [key, entry] : cache_) recycle(entry.data);
   cache_.clear();
 }
 

@@ -9,10 +9,11 @@
 //     buffer and returns — that copy is the paper's *transactional
 //     overhead* (t_transact in Eq. 2b); the background task later moves
 //     the staged bytes to the target storage;
-//   * operations on one connector execute in FIFO order (each task
-//     depends on its predecessor), which is how the VOL connector keeps
-//     HDF5's ordering semantics without fine-grained dependency
-//     analysis;
+//   * operations on one connector execute in FIFO order: each op goes
+//     straight onto the stream's pool, and the one stream runs it to its
+//     final outcome (retries included) before popping the next, which is
+//     how the VOL connector keeps HDF5's ordering semantics without
+//     fine-grained dependency analysis;
 //   * dataset_read either completes in the background (caller owns the
 //     buffer until completion) or is served from the prefetch cache
 //     (the BD-CATS-IO read path: first read synchronous, subsequent
@@ -150,8 +151,8 @@ class AsyncConnector final : public Connector {
   };
 
   /// One background operation's full state: payload, identity, retry
-  /// session, completion record and trace.  Heap-shared between the
-  /// FIFO continuation and the background stream.
+  /// session, the caller's request, completion record and trace.
+  /// Heap-shared between the pool closure and the submitting thread.
   struct AsyncOp;
 
   h5::FilePtr file_;
@@ -172,13 +173,16 @@ class AsyncConnector final : public Connector {
   AsyncStats stats_;
   std::atomic<std::uint64_t> staging_device_offset_{0};
   std::condition_variable_any staging_cv_;
-  /// Guards the staging budget, its high-water mark and the buffer
-  /// recycler's free list.
+  /// Guards the staging budget and the buffer recycler.
   debug::RankedMutex<debug::LockRank::kVolStaging> staging_mutex_;
   std::uint64_t staged_outstanding_ = 0;
-  std::uint64_t staged_hwm_ = 0;
-  /// Recycled staging and prefetch buffers, binned by exact size, so a
-  /// take or a give is O(1).  Holds at most staged_hwm_ bytes.
+  /// Bytes of recycler buffers out of the free list (stage copies,
+  /// staging-device read-backs and prefetch buffers), and their
+  /// high-water mark.
+  std::uint64_t lent_bytes_ = 0;
+  std::uint64_t lent_hwm_ = 0;
+  /// Recycled buffers, binned by exact size, so a take or a give is
+  /// O(1).  Holds at most lent_hwm_ bytes.
   std::unordered_map<std::uint64_t, std::vector<Buffer>> free_buffers_;
   std::uint64_t free_bytes_ = 0;
 
@@ -191,20 +195,19 @@ class AsyncConnector final : public Connector {
   /// the op's trace, opens its submit phase, runs `prepare` (what the
   /// entry point adds: the write's stage copy, the read's destination,
   /// the prefetch's buffer and cache eventual, the flush's lane),
-  /// resolves the RequestInfo, captures the completion record, then
-  /// chains the op behind the FIFO tail.  The op enters the pool when its predecessor reaches its
-  /// final outcome, so successors wait out a predecessor's retries.
-  /// Staging budget taken by `prepare` is returned if the op throws
-  /// before reaching the FIFO.
+  /// resolves the RequestInfo, builds the Request (none for a prefetch)
+  /// and the completion record, then pushes the op onto the stream's
+  /// pool.  Staging budget taken by `prepare` is returned if the op
+  /// throws before reaching the pool.
   template <typename Prepare>
   RequestPtr submit(obs::IoOp kind, const h5::Dataset* ds,
                     const h5::Selection& selection, std::uint64_t bytes,
                     double t0, Prepare&& prepare);
 
   /// Runs the op on the background stream: retries inline under the
-  /// op's session (the FIFO chain keeps at most one of this connector's
-  /// ops in its pool, so nothing else could run between attempts), then
-  /// degrades (write sync-fallback) or fails the request.
+  /// op's session (the stream pops nothing else meanwhile, so successors
+  /// wait out the retries), then degrades (write sync-fallback) or fails
+  /// the request.
   void run_attempt(const std::shared_ptr<AsyncOp>& op);
 
   /// Performs the actual storage transfer for the op's kind.
@@ -215,7 +218,7 @@ class AsyncConnector final : public Connector {
   std::span<const std::byte> staged_payload(AsyncOp& op);
 
   /// The one final-outcome path (`error` null on success): fills the
-  /// shared RequestOutcome, returns the staging budget and the op's
+  /// Request's outcome, returns the staging budget and the op's
   /// buffer (before completion, so a prefetch's consumer holds the
   /// buffer's last reference and can recycle it), updates
   /// stats/counters, emits the record (success only), seals the trace,
@@ -235,7 +238,9 @@ class AsyncConnector final : public Connector {
   /// one (the caller sizes it).  A recycled buffer's contents are stale.
   Buffer take_buffer(std::uint64_t bytes);
   /// Drops the caller's reference; when it was the only one and the
-  /// free list has room, the buffer goes back on the list.
+  /// free list has room, the buffer goes back on the list.  Every
+  /// buffer from take_buffer() is dropped through here, so the lent
+  /// count stays exact.
   void recycle(Buffer& buffer);
 };
 

@@ -30,10 +30,9 @@ struct RequestInfo {
   std::string to_string() const;
 };
 
-/// Resolution detail shared between the connector (producer) and the
-/// Request/EventSet (consumers).  The producer fills it on the
-/// background stream strictly before completing the eventual; the
-/// eventual's completion ordering makes it visible to observers.
+/// Resolution detail of one operation.  The async connector writes it
+/// on the background stream strictly before completing the eventual;
+/// the eventual's completion ordering makes it visible to waiters.
 struct RequestOutcome {
   /// Executions the operation took (1 = no retries).
   int attempts = 1;
@@ -45,16 +44,13 @@ struct RequestOutcome {
   bool deadline_exhausted = false;
 };
 
-using RequestOutcomePtr = std::shared_ptr<RequestOutcome>;
+class AsyncConnector;
 
 /// Completion token for one VOL operation.
 class Request {
  public:
-  explicit Request(tasking::EventualPtr done, RequestInfo info = {},
-                   RequestOutcomePtr outcome = nullptr)
-      : done_(std::move(done)),
-        info_(std::move(info)),
-        outcome_(std::move(outcome)) {}
+  explicit Request(tasking::EventualPtr done, RequestInfo info = {})
+      : done_(std::move(done)), info_(std::move(info)) {}
 
   /// Blocks until the operation completed; rethrows its error.
   void wait() { done_->wait(); }
@@ -77,23 +73,24 @@ class Request {
 
   const RequestInfo& info() const { return info_; }
 
-  /// Executions the operation took so far as observed at completion
-  /// (1 when the connector ran without resilience).
-  int attempts() const { return outcome_ ? outcome_->attempts : 1; }
+  /// Executions the operation took, as recorded at completion (1 when
+  /// the connector ran without resilience).
+  int attempts() const { return outcome_.attempts; }
 
   /// True when the operation only completed via sync-fallback replay.
-  bool degraded() const { return outcome_ && outcome_->degraded; }
+  bool degraded() const { return outcome_.degraded; }
 
-  bool deadline_exhausted() const {
-    return outcome_ && outcome_->deadline_exhausted;
-  }
+  bool deadline_exhausted() const { return outcome_.deadline_exhausted; }
 
   const tasking::EventualPtr& eventual() const { return done_; }
 
  private:
+  /// The only writer of outcome_, before it completes done_.
+  friend class AsyncConnector;
+
   tasking::EventualPtr done_;
   RequestInfo info_;
-  RequestOutcomePtr outcome_;
+  RequestOutcome outcome_;
 };
 
 using RequestPtr = std::shared_ptr<Request>;

@@ -3,14 +3,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 #include "common/error.h"
 #include "obs/metrics.h"
 #include "tasking/eventual.h"
+#include "tasking/execution_stream.h"
 #include "tasking/pool.h"
-#include "tasking/scheduler.h"
-#include "tasking/task_group.h"
 
 namespace apio::tasking {
 namespace {
@@ -41,30 +42,6 @@ TEST(EventualTest, ErrorRethrownOnWait) {
   EXPECT_THROW(e->wait(), IoError);
 }
 
-TEST(EventualTest, ContinuationRunsOnSet) {
-  auto e = Eventual::make();
-  std::atomic<int> calls{0};
-  e->on_ready([&] { ++calls; });
-  EXPECT_EQ(calls.load(), 0);
-  e->set();
-  EXPECT_EQ(calls.load(), 1);
-}
-
-TEST(EventualTest, ContinuationRunsImmediatelyWhenAlreadyDone) {
-  auto e = Eventual::make_ready();
-  std::atomic<int> calls{0};
-  e->on_ready([&] { ++calls; });
-  EXPECT_EQ(calls.load(), 1);
-}
-
-TEST(EventualTest, MultipleContinuationsAllRun) {
-  auto e = Eventual::make();
-  std::atomic<int> calls{0};
-  for (int i = 0; i < 10; ++i) e->on_ready([&] { ++calls; });
-  e->set();
-  EXPECT_EQ(calls.load(), 10);
-}
-
 TEST(EventualTest, WaitBlocksUntilSetFromAnotherThread) {
   auto e = Eventual::make();
   std::thread setter([&] {
@@ -76,12 +53,6 @@ TEST(EventualTest, WaitBlocksUntilSetFromAnotherThread) {
   e->wait();
   EXPECT_TRUE(e->test());
   setter.join();
-}
-
-TEST(EventualTest, WaitAllPropagatesFirstError) {
-  std::vector<EventualPtr> es{Eventual::make_ready(), Eventual::make()};
-  es[1]->set_error(std::make_exception_ptr(StateError("nope")));
-  EXPECT_THROW(wait_all(es), StateError);
 }
 
 // ---------------------------------------------------------------------------
@@ -207,136 +178,6 @@ TEST(ExecutionStreamTest, ShutdownIsIdempotent) {
   ExecutionStream stream(pool);
   stream.shutdown();
   EXPECT_NO_THROW(stream.shutdown());
-}
-
-// ---------------------------------------------------------------------------
-// Scheduler
-
-TEST(SchedulerTest, RunsSubmittedTask) {
-  Scheduler sched(2);
-  std::atomic<int> x{0};
-  auto e = sched.submit([&] { x = 42; });
-  e->wait();
-  EXPECT_EQ(x.load(), 42);
-}
-
-TEST(SchedulerTest, PropagatesTaskError) {
-  Scheduler sched(1);
-  auto e = sched.submit([] { throw FormatError("bad bits"); });
-  EXPECT_THROW(e->wait(), FormatError);
-}
-
-TEST(SchedulerTest, DependencyOrdering) {
-  Scheduler sched(4);
-  std::atomic<int> stage{0};
-  auto first = sched.submit([&] {
-    // Widen the race window a broken dependency chain would hit.
-    std::this_thread::sleep_for(  // apio-lint: allow(no-test-sleep)
-        std::chrono::milliseconds(10));
-    stage = 1;
-  });
-  auto second = sched.submit(
-      [&] {
-        EXPECT_EQ(stage.load(), 1);
-        stage = 2;
-      },
-      {first});
-  second->wait();
-  EXPECT_EQ(stage.load(), 2);
-}
-
-TEST(SchedulerTest, DiamondDependencies) {
-  Scheduler sched(4);
-  std::atomic<int> a{0}, b{0}, c{0};
-  auto top = sched.submit([&] { a = 1; });
-  auto left = sched.submit([&] { b = a + 1; }, {top});
-  auto right = sched.submit([&] { c = a + 2; }, {top});
-  std::atomic<int> bottom_val{0};
-  auto bottom = sched.submit([&] { bottom_val = b + c; }, {left, right});
-  bottom->wait();
-  EXPECT_EQ(bottom_val.load(), 5);
-}
-
-TEST(SchedulerTest, DependencyOnCompletedEventual) {
-  Scheduler sched(1);
-  auto ready = Eventual::make_ready();
-  std::atomic<bool> ran{false};
-  sched.submit([&] { ran = true; }, {ready})->wait();
-  EXPECT_TRUE(ran.load());
-}
-
-TEST(SchedulerTest, ManyTasksAllComplete) {
-  Scheduler sched(4);
-  std::atomic<int> count{0};
-  std::vector<EventualPtr> es;
-  for (int i = 0; i < 500; ++i) es.push_back(sched.submit([&] { ++count; }));
-  wait_all(es);
-  EXPECT_EQ(count.load(), 500);
-  EXPECT_EQ(sched.tasks_submitted(), 500u);
-}
-
-TEST(SchedulerTest, LongDependencyChainRunsInOrder) {
-  Scheduler sched(2);
-  std::vector<int> order;
-  std::mutex m;
-  EventualPtr prev = Eventual::make_ready();
-  for (int i = 0; i < 64; ++i) {
-    prev = sched.submit(
-        [&, i] {
-          std::lock_guard<std::mutex> lock(m);
-          order.push_back(i);
-        },
-        {prev});
-  }
-  prev->wait();
-  ASSERT_EQ(order.size(), 64u);
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(SchedulerTest, SubmitAfterShutdownThrows) {
-  Scheduler sched(1);
-  sched.shutdown();
-  EXPECT_THROW(sched.submit([] {}), StateError);
-}
-
-TEST(SchedulerTest, NullDependencyRejected) {
-  Scheduler sched(1);
-  EXPECT_THROW(sched.submit([] {}, {nullptr}), InvalidArgumentError);
-}
-
-// ---------------------------------------------------------------------------
-// TaskGroup
-
-TEST(TaskGroupTest, ForkJoin) {
-  Scheduler sched(4);
-  TaskGroup group(sched);
-  std::atomic<int> sum{0};
-  for (int i = 1; i <= 20; ++i) group.run([&sum, i] { sum += i; });
-  EXPECT_EQ(group.size(), 20u);
-  group.wait();
-  EXPECT_EQ(sum.load(), 210);
-}
-
-TEST(TaskGroupTest, WaitRethrowsAndGroupReusable) {
-  Scheduler sched(2);
-  TaskGroup group(sched);
-  group.run([] { throw IoError("fail"); });
-  EXPECT_THROW(group.wait(), IoError);
-  std::atomic<bool> ok{false};
-  group.run([&] { ok = true; });
-  group.wait();
-  EXPECT_TRUE(ok.load());
-}
-
-TEST(TaskGroupTest, RunAfterRespectsDependencies) {
-  Scheduler sched(4);
-  TaskGroup group(sched);
-  std::atomic<int> v{0};
-  auto dep = sched.submit([&] { v = 7; });
-  std::atomic<int> seen{0};
-  group.run_after([&] { seen = v.load(); }, {dep});
-  group.wait();
-  EXPECT_EQ(seen.load(), 7);
 }
 
 }  // namespace

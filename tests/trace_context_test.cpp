@@ -405,12 +405,12 @@ TEST_F(TraceCollectorTest, AsyncWriteSurvivingTwoFaultsYieldsFullCausalTrace) {
   EXPECT_FALSE(trace->failed);
 
   // The full causal story: submission + staging on the issuing thread,
-  // the FIFO and pool handoffs, one queue wait + admission per attempt,
-  // exactly three attempts with two backoffs between them, and the
-  // decorator/leaf backend spans of the successful attempt.
+  // the pool handoff (the op's whole FIFO wait), one queue wait +
+  // admission per attempt, exactly three attempts with two backoffs
+  // between them, and the decorator/leaf backend spans of the successful
+  // attempt.
   EXPECT_GE(count_phase(*trace, Phase::kSubmit), 1);
   EXPECT_GE(count_phase(*trace, Phase::kStageCopy), 1);
-  EXPECT_EQ(count_phase(*trace, Phase::kFifoWait), 1);
   EXPECT_GE(count_phase(*trace, Phase::kPoolWait), 1);
   EXPECT_GE(count_phase(*trace, Phase::kQueueWait), 1);
   EXPECT_GE(count_phase(*trace, Phase::kAdmission), 1);
@@ -418,6 +418,14 @@ TEST_F(TraceCollectorTest, AsyncWriteSurvivingTwoFaultsYieldsFullCausalTrace) {
   EXPECT_EQ(count_phase(*trace, Phase::kBackoff), 2);
   EXPECT_GE(count_phase(*trace, Phase::kBackend), 1);
   EXPECT_EQ(count_phase(*trace, Phase::kComplete), 1);
+  // ...and nothing else: no second wait sits in front of the pool.
+  int accounted = 0;
+  for (Phase p : {Phase::kSubmit, Phase::kStageCopy, Phase::kPoolWait,
+                  Phase::kQueueWait, Phase::kAdmission, Phase::kAttempt,
+                  Phase::kBackoff, Phase::kBackend, Phase::kComplete}) {
+    accounted += count_phase(*trace, p);
+  }
+  EXPECT_EQ(accounted, static_cast<int>(trace->spans.size()));
 
   // The throttled decorator and the memory leaf both label their spans.
   bool saw_throttled = false;

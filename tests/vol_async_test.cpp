@@ -11,6 +11,7 @@
 
 #include "common/error.h"
 #include "obs/metrics.h"
+#include "resilience/retry.h"
 #include "storage/backend_stack.h"
 #include "storage/decorator.h"
 #include "storage/faulty_backend.h"
@@ -149,6 +150,58 @@ TEST(AsyncConnectorTest, OperationsExecuteInFifoOrder) {
   conn->wait_all();
   EXPECT_EQ(ds.read_vector<std::int32_t>(h5::Selection::all())[0], 49);
   conn->close();
+}
+
+TEST(AsyncConnectorTest, SuccessorsWaitOutARetriedOp) {
+  // gate(faulty(memory)): the gate holds the head write until all eight
+  // successors are queued behind it; then its first two attempts fault.
+  auto faulty = std::make_shared<storage::FaultyBackend>(
+      std::make_shared<storage::MemoryBackend>(), storage::FaultPlan{});
+  auto gate = std::make_shared<GateBackend>(faulty);
+  auto file = h5::File::create(gate);
+  auto ds = file->root().create_dataset("d", h5::Datatype::kInt32, {1});
+  storage::FaultPlan plan;
+  plan.fail_writes_after = 0;
+  plan.transient = true;
+  plan.heal_after_faults = 2;
+  faulty->set_plan(plan);
+
+  resilience::ManualClock manual;
+  AsyncOptions options;
+  options.retry.max_attempts = 3;
+  options.retry.jitter_fraction = 0.0;
+  options.sleeper = &manual;
+  AsyncConnector conn(file, options, &manual);
+  auto observer = std::make_shared<RecordingObserver>();
+  conn.add_observer(observer);
+
+  // Write i is issued at virtual time i + 1, so its record's issue_time
+  // names it.
+  constexpr std::int32_t kWrites = 9;
+  gate->set_open(false);
+  std::vector<RequestPtr> requests;
+  for (std::int32_t i = 0; i < kWrites; ++i) {
+    manual.advance(1.0);
+    const std::vector<std::int32_t> v{i};
+    requests.push_back(conn.dataset_write(
+        ds, h5::Selection::all(), std::as_bytes(std::span<const std::int32_t>(v))));
+  }
+  gate->set_open(true);
+  conn.wait_all();
+
+  EXPECT_EQ(requests[0]->attempts(), 3);
+  for (std::size_t i = 1; i < requests.size(); ++i) {
+    EXPECT_EQ(requests[i]->attempts(), 1) << "write " << i;
+  }
+  const auto records = observer->records();
+  ASSERT_EQ(records.size(), static_cast<std::size_t>(kWrites));
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_DOUBLE_EQ(records[i].issue_time, static_cast<double>(i + 1))
+        << "completion " << i;
+  }
+  EXPECT_EQ(ds.read_vector<std::int32_t>(h5::Selection::all())[0], kWrites - 1);
+  EXPECT_EQ(conn.stats().failed_ops, 0u);
+  conn.close();
 }
 
 TEST(AsyncConnectorTest, AsyncReadCompletesIntoCallerBuffer) {
