@@ -464,9 +464,17 @@ std::uint64_t CachedBackend::write_back(std::uint64_t begin,
     recount_locked();
   };
   try {
+    // Each batch is lent while it is written, so a memory leaf shares
+    // the whole staging pages instead of copying them.
     std::uint64_t written = 0;
-    if (!rest.extents().empty()) written += inner_->write_v(rest.extents());
-    written += inner_->write_v(lowest.extents());
+    if (!rest.extents().empty()) {
+      const MemoryBackend::Lend lend(rest);
+      written += inner_->write_v(rest.extents());
+    }
+    {
+      const MemoryBackend::Lend lend(lowest);
+      written += inner_->write_v(lowest.extents());
+    }
     if (written != total) {
       throw IoError("cached backend: short drain write (" +
                     std::to_string(written) + " of " + std::to_string(total) +

@@ -33,6 +33,11 @@
 // nothing: its extents are spans over the staging pages (one per page),
 // pinned for the duration of the inner write, so a write racing the
 // drain lands in a copy of the page and stays dirty for the next drain.
+// Each batch is written inside a MemoryBackend::Lend scope, so a
+// memory leaf, however deep under inline decorators, keeps every whole
+// dirty page by sharing it; staging and leaf then both copy that page
+// before writing it, and the next staged write of it lands in a fresh
+// page.
 // The lowest-offset dirty interval is always written last, whole, so a
 // container's shadow-update discipline (header block at offset 0 points
 // at data written before it) survives a mid-drain crash.

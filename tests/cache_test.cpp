@@ -1,7 +1,8 @@
 // CachedBackend: the write-back burst-buffer tier (bbThemis-style
 // visibility modes) — hit/miss bookkeeping, LRU eviction with dirty
 // write-back and staging-page release, the zero-copy drain's shape and
-// its races with writers, epoch-driven drains, decorator-order
+// its races with writers, page lending to a memory leaf, epoch-driven
+// drains, decorator-order
 // interplay with the QoS and resilience tiers, and the crash-consistency
 // matrix
 // {4 consistency modes} x {mid-flush fault, clean close, epoch
@@ -9,9 +10,11 @@
 // validation over the inner (PFS) backend.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -468,6 +471,208 @@ TEST(CacheTest, AfterEpochDrainsOnEpochEndMarker) {
   std::vector<std::byte> back(data.size());
   inner->read(0, back);
   EXPECT_EQ(back, data);
+}
+
+// ---------------------------------------------------------------------------
+// Zero-copy drain into a memory leaf: the drain lends its whole staging
+// pages, so staging and leaf share them until either side writes.
+
+namespace {
+
+/// Hands the inner backend a private copy of every write_v batch, so a
+/// memory leaf under it copies every drained byte: the copy path.
+class CopyingBackend final : public Decorator {
+ public:
+  explicit CopyingBackend(BackendPtr inner)
+      : Decorator(std::move(inner), "copying") {}
+
+  std::uint64_t write_v(std::span<const WriteExtent> extents) override {
+    std::vector<std::vector<std::byte>> copies;
+    std::vector<WriteExtent> batch;
+    for (const auto& e : extents) {
+      copies.emplace_back(e.data.begin(), e.data.end());
+      batch.push_back({e.offset, copies.back()});
+    }
+    return Decorator::write_v(batch);
+  }
+
+ private:
+  void around(obs::IoOp, std::uint64_t, std::uint64_t, Transfer transfer) override {
+    transfer();
+  }
+};
+
+/// Three epochs of a container whose datasets span whole pages, written
+/// through an after-epoch cache over `under`; `leaf` is the memory
+/// backend at the bottom.  Returns the leaf's bytes once the cache is
+/// gone.
+std::vector<std::byte> drained_container(const std::shared_ptr<MemoryBackend>& leaf,
+                                         const BackendPtr& under) {
+  constexpr std::uint64_t kElems = MemoryBackend::kPageBytes;
+  {
+    auto file = h5::File::create(
+        BackendStack::wrap(under)
+            .cached(opts(CacheConsistency::kAfterEpoch, 64ull << 20,
+                         MemoryBackend::kPageBytes))
+            .build());
+    for (int j = 0; j < 3; ++j) {
+      file->root().create_dataset("d" + std::to_string(j), h5::Datatype::kUInt8,
+                                  {kElems});
+    }
+    for (int step = 0; step < 3; ++step) {
+      obs::EpochScope epoch(step);
+      for (int j = 0; j < 3; ++j) {
+        std::vector<std::uint8_t> values(kElems);
+        for (std::uint64_t k = 0; k < kElems; ++k) {
+          values[k] = static_cast<std::uint8_t>(k * 13 + static_cast<std::uint64_t>(step * 3 + j));
+        }
+        // The middle step rewrites only the dataset's second half.
+        const std::uint64_t from = step == 1 ? kElems / 2 : 0;
+        file->root().open_dataset("d" + std::to_string(j)).write<std::uint8_t>(
+            h5::Selection::offsets({from}, {kElems - from}),
+            std::span(values).subspan(from));
+      }
+      file->flush();
+    }
+    file->close();
+  }
+  std::vector<std::byte> bytes(leaf->size());
+  leaf->read(0, bytes);
+  return bytes;
+}
+
+}  // namespace
+
+TEST(CacheTest, StagedRewriteOfDrainedPagesWaitsForTheNextEpochEnd) {
+  // After a drain the leaf shares the staging pages: rewriting them in
+  // staging (a whole page and part of one) must not show on the leaf
+  // until the next epoch end publishes it.
+  constexpr std::uint64_t kPage = MemoryBackend::kPageBytes;
+  auto leaf = std::make_shared<MemoryBackend>();
+  auto backend =
+      BackendStack::wrap(leaf)
+          .cached(opts(CacheConsistency::kAfterEpoch, 64ull << 20, kPage))
+          .build();
+
+  const auto v1 = pattern(2 * kPage, 0x31);
+  {
+    obs::EpochScope epoch(0);
+    backend->write(0, v1);
+  }
+  std::vector<std::byte> got(2 * kPage);
+  leaf->read(0, got);
+  ASSERT_EQ(got, v1);
+
+  auto v2 = v1;
+  const auto page0 = pattern(kPage, 0x52);
+  const auto bit = pattern(100, 0x73);
+  std::copy(page0.begin(), page0.end(), v2.begin());
+  std::copy(bit.begin(), bit.end(), v2.begin() + static_cast<std::ptrdiff_t>(kPage + 10));
+  {
+    obs::EpochScope epoch(1);
+    backend->write(0, page0);
+    backend->write(kPage + 10, bit);
+    leaf->read(0, got);
+    EXPECT_EQ(got, v1) << "a staged rewrite reached the leaf before the epoch end";
+    backend->read(0, got);
+    EXPECT_EQ(got, v2);
+  }
+  leaf->read(0, got);
+  EXPECT_EQ(got, v2) << "the epoch end publishes the rewrite";
+}
+
+TEST(CacheTest, LentDrainLeavesTheSameContainerAsTheCopyPath) {
+  auto lent_leaf = std::make_shared<MemoryBackend>();
+  const auto lent = drained_container(lent_leaf, lent_leaf);
+  auto copied_leaf = std::make_shared<MemoryBackend>();
+  const auto copied = drained_container(
+      copied_leaf, std::make_shared<CopyingBackend>(copied_leaf));
+  ASSERT_GT(lent.size(), 3 * MemoryBackend::kPageBytes);
+  EXPECT_EQ(lent, copied);
+
+  auto file = h5::File::open(lent_leaf);
+  const auto values =
+      file->root().open_dataset("d2").read_vector<std::uint8_t>(h5::Selection::all());
+  ASSERT_EQ(values.size(), MemoryBackend::kPageBytes);
+  EXPECT_EQ(values.front(), static_cast<std::uint8_t>(2 * 3 + 2));
+  EXPECT_EQ(values.back(),
+            static_cast<std::uint8_t>((values.size() - 1) * 13 + 2 * 3 + 2));
+}
+
+TEST(CacheTest, LentPagesRaceEvictionRewritesAndLeafWrites) {
+  // Three threads over lent pages.  The writer stages stamped pages
+  // through a 3-page cache and drains them to the memory leaf, so
+  // eviction and rewrites hit pages the leaf shares; the reader reads
+  // them through the cache; the leaf thread rewrites each leaf page's
+  // tail with the bytes it already holds and reads whole leaf pages.
+  // Every page read must be one whole stamped page, and ThreadSanitizer
+  // sees any in-place write to a shared page.
+  constexpr std::uint64_t kPage = MemoryBackend::kPageBytes;
+  constexpr std::uint64_t kPages = 5;
+  constexpr std::uint64_t kTail = 4096;
+  constexpr int kRounds = 16;
+  const auto stamped = [](std::uint64_t round, std::uint64_t page) {
+    auto bytes = pattern(kPage, static_cast<std::uint8_t>(round * 8 + page));
+    std::memcpy(bytes.data(), &round, sizeof round);
+    std::fill(bytes.end() - kTail, bytes.end(), std::byte{0xC3});
+    return bytes;
+  };
+  const auto whole = [&](const std::vector<std::byte>& got, std::uint64_t page) {
+    std::uint64_t round = 0;
+    std::memcpy(&round, got.data(), sizeof round);
+    return round < kRounds && got == stamped(round, page);
+  };
+
+  auto leaf = std::make_shared<MemoryBackend>();
+  auto backend =
+      BackendStack::wrap(leaf)
+          .cached(opts(CacheConsistency::kAfterClose, 3 * kPage, kPage))
+          .build();
+  auto cache = as_cache(backend);
+  for (std::uint64_t i = 0; i < kPages; ++i) backend->write(i * kPage, stamped(0, i));
+  cache->drain();
+
+  std::atomic<bool> done{false};
+  std::atomic<int> torn_cache_reads{0};
+  std::atomic<int> torn_leaf_reads{0};
+  std::thread reader([&] {
+    std::vector<std::byte> got(kPage);
+    while (!done.load()) {
+      for (std::uint64_t i = 0; i < kPages; ++i) {
+        backend->read(i * kPage, got);
+        if (!whole(got, i)) torn_cache_reads.fetch_add(1);
+      }
+    }
+  });
+  std::thread leaf_side([&] {
+    const std::vector<std::byte> tail(kTail, std::byte{0xC3});
+    std::vector<std::byte> got(kPage);
+    while (!done.load()) {
+      for (std::uint64_t i = 0; i < kPages; ++i) {
+        leaf->write((i + 1) * kPage - kTail, tail);
+        leaf->read(i * kPage, got);
+        if (!whole(got, i)) torn_leaf_reads.fetch_add(1);
+      }
+    }
+  });
+  for (std::uint64_t round = 1; round < kRounds; ++round) {
+    for (std::uint64_t i = 0; i < kPages; ++i) backend->write(i * kPage, stamped(round, i));
+    cache->drain();
+  }
+  done.store(true);
+  reader.join();
+  leaf_side.join();
+  EXPECT_EQ(torn_cache_reads.load(), 0);
+  EXPECT_EQ(torn_leaf_reads.load(), 0);
+  EXPECT_GT(cache->cache_snapshot().evictions, 0u);
+
+  std::vector<std::byte> got(kPage);
+  for (std::uint64_t i = 0; i < kPages; ++i) {
+    backend->read(i * kPage, got);
+    EXPECT_EQ(got, stamped(kRounds - 1, i)) << "page " << i << " through the cache";
+    leaf->read(i * kPage, got);
+    EXPECT_EQ(got, stamped(kRounds - 1, i)) << "page " << i << " on the leaf";
+  }
 }
 
 // ---------------------------------------------------------------------------

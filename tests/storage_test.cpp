@@ -562,6 +562,177 @@ TEST(PagedMemoryTest, PinnedSpansSurviveRewriteAndDiscard) {
   EXPECT_EQ(store.stats().bytes_read, 2 * kPage) << "gather counts no transfer";
 }
 
+// Page lending: inside a Lend scope a store keeps a whole lent page by
+// sharing it; every other extent is copied.
+
+/// The address of the bytes `store` holds for page `index` (a gather
+/// of its first byte; a page never written shows the shared zero page).
+const std::byte* page_address(MemoryBackend& store, std::uint64_t index) {
+  MemoryBackend::Pinned pinned(store);
+  store.gather(index * kPage, 1, pinned);
+  return pinned.extents().front().data.data();
+}
+
+TEST(PagedMemoryTest, LentWholePagesAreSharedAndCopiedBeforeEitherSideWrites) {
+  MemoryBackend lender;
+  MemoryBackend leaf;
+  const auto bytes = page_pattern(2 * kPage, 4);
+  lender.write(0, bytes);
+  {
+    MemoryBackend::Pinned pinned(lender);
+    lender.gather(0, 2 * kPage, pinned);
+    const MemoryBackend::Lend lend(pinned);
+    ASSERT_EQ(leaf.write_v(pinned.extents()), 2 * kPage);
+  }
+  EXPECT_EQ(page_address(leaf, 0), page_address(lender, 0)) << "shared, not copied";
+  EXPECT_EQ(page_address(leaf, 1), page_address(lender, 1));
+  EXPECT_EQ(leaf.size(), 2 * kPage);
+  EXPECT_EQ(leaf.stats().bytes_written, 2 * kPage) << "a shared page counts as written";
+  EXPECT_EQ(lender.resident_bytes(), 2 * kPage) << "a shared page counts on each side";
+  EXPECT_EQ(leaf.resident_bytes(), 2 * kPage);
+
+  // A partial write on either side lands in a copy; the other side
+  // keeps the lent bytes.
+  const std::byte* lent0 = page_address(lender, 0);
+  leaf.write(10, make_bytes({0xEE}));
+  lender.write(kPage + 20, make_bytes({0xDD}));
+  EXPECT_NE(page_address(leaf, 0), lent0);
+  EXPECT_EQ(page_address(lender, 0), lent0) << "the lender's unwritten page stays put";
+  EXPECT_NE(page_address(lender, 1), page_address(leaf, 1));
+
+  auto want_leaf = bytes;
+  want_leaf[10] = std::byte{0xEE};
+  auto want_lender = bytes;
+  want_lender[kPage + 20] = std::byte{0xDD};
+  std::vector<std::byte> got(2 * kPage);
+  leaf.read(0, got);
+  EXPECT_EQ(got, want_leaf);
+  lender.read(0, got);
+  EXPECT_EQ(got, want_lender);
+
+  // Lent again, a whole-page overwrite and a shrink into a shared page
+  // copy too.
+  {
+    MemoryBackend::Pinned pinned(lender);
+    lender.gather(0, 2 * kPage, pinned);
+    const MemoryBackend::Lend lend(pinned);
+    ASSERT_EQ(leaf.write_v(pinned.extents()), 2 * kPage);
+  }
+  ASSERT_EQ(page_address(leaf, 1), page_address(lender, 1));
+  const auto fresh = page_pattern(kPage, 5);
+  leaf.write(kPage, fresh);
+  leaf.truncate(7);
+  lender.read(0, got);
+  EXPECT_EQ(got, want_lender);
+  leaf.truncate(2 * kPage);
+  leaf.read(0, got);
+  EXPECT_TRUE(std::equal(got.begin(), got.begin() + 7, want_lender.begin()));
+  EXPECT_TRUE(all_zero(std::span(got).subspan(7)));
+}
+
+/// Writes one extent through write_v.
+std::uint64_t write_one(MemoryBackend& store, std::uint64_t offset,
+                        std::span<const std::byte> data) {
+  const WriteExtent extent{offset, data};
+  return store.write_v({&extent, 1});
+}
+
+TEST(PagedMemoryTest, ExtentsThatAreNotALentPageAreCopied) {
+  MemoryBackend lender;
+  lender.write(kPage, page_pattern(2 * kPage, 6));  // page 0 never written
+  MemoryBackend::Pinned pinned(lender);
+  lender.gather(0, 3 * kPage, pinned);
+  ASSERT_EQ(pinned.extents().size(), 3u);
+  const WriteExtent zero = pinned.extents()[0];
+  const WriteExtent page1 = pinned.extents()[1];
+
+  MemoryBackend outside;
+  ASSERT_EQ(write_one(outside, kPage, page1.data), kPage);
+  EXPECT_NE(page_address(outside, 1), page1.data.data()) << "no scope is open yet";
+
+  const MemoryBackend::Lend lend(pinned);
+
+  MemoryBackend unaligned;
+  ASSERT_EQ(write_one(unaligned, 1, page1.data), kPage);
+  EXPECT_NE(page_address(unaligned, 0), page1.data.data());
+
+  MemoryBackend partial;
+  ASSERT_EQ(write_one(partial, kPage, page1.data.first(kPage / 2)), kPage / 2);
+  EXPECT_NE(page_address(partial, 1), page1.data.data());
+
+  MemoryBackend from_zero_page;
+  ASSERT_EQ(write_one(from_zero_page, 0, zero.data), kPage);
+  EXPECT_NE(page_address(from_zero_page, 0), zero.data.data())
+      << "the never-written page is not lent";
+  EXPECT_EQ(from_zero_page.resident_bytes(), kPage);
+
+  MemoryBackend other_thread;
+  std::thread([&] { EXPECT_EQ(write_one(other_thread, kPage, page1.data), kPage); })
+      .join();
+  EXPECT_NE(page_address(other_thread, 1), page1.data.data())
+      << "the scope lends only to writes on its own thread";
+
+  // Into the lender itself: the pinned page is copied, at its own
+  // offset or another.
+  ASSERT_EQ(write_one(lender, kPage, page1.data), kPage);
+  ASSERT_EQ(write_one(lender, 4 * kPage, page1.data), kPage);
+  EXPECT_NE(page_address(lender, 1), page1.data.data());
+  EXPECT_NE(page_address(lender, 4), page1.data.data());
+
+  std::vector<std::byte> got(kPage);
+  const auto want = page_pattern(2 * kPage, 6);
+  for (auto* store : {&outside, &unaligned, &other_thread, &lender}) {
+    store->read(store == &unaligned ? 1 : kPage, got);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()));
+  }
+  from_zero_page.read(0, got);
+  EXPECT_TRUE(all_zero(got));
+}
+
+TEST(PagedMemoryTest, NestedLendScopesRestoreTheOuterScope) {
+  MemoryBackend a;
+  MemoryBackend b;
+  a.write(0, page_pattern(kPage, 8));
+  b.write(0, page_pattern(kPage, 9));
+  MemoryBackend::Pinned from_a(a);
+  MemoryBackend::Pinned from_b(b);
+  a.gather(0, kPage, from_a);
+  b.gather(0, kPage, from_b);
+  const std::byte* page_a = from_a.extents().front().data.data();
+  const std::byte* page_b = from_b.extents().front().data.data();
+
+  MemoryBackend leaf;
+  const MemoryBackend::Lend outer(from_a);
+  {
+    const MemoryBackend::Lend inner(from_b);
+    ASSERT_EQ(leaf.write_v(from_a.extents()), kPage);
+    EXPECT_NE(page_address(leaf, 0), page_a) << "only the innermost scope lends";
+    ASSERT_EQ(leaf.write_v(from_b.extents()), kPage);
+    EXPECT_EQ(page_address(leaf, 0), page_b);
+  }
+  ASSERT_EQ(leaf.write_v(from_a.extents()), kPage);
+  EXPECT_EQ(page_address(leaf, 0), page_a) << "the outer scope lends again";
+}
+
+TEST(PagedMemoryTest, LendReachesTheLeafThroughInlineDecorators) {
+  // The fault injector splits a batch into scalar writes; resilience
+  // and admission forward inline: the leaf still shares the pages.
+  MemoryBackend lender;
+  lender.write(0, page_pattern(2 * kPage, 10));
+  auto leaf = std::make_shared<MemoryBackend>();
+  auto faulty = std::make_shared<FaultyBackend>(leaf, FaultPlan{});
+  auto scheduler = std::make_shared<sched::FairScheduler>();
+  auto stack = BackendStack::wrap(faulty).resilient({}).qos(scheduler).build();
+  {
+    MemoryBackend::Pinned pinned(lender);
+    lender.gather(0, 2 * kPage, pinned);
+    const MemoryBackend::Lend lend(pinned);
+    ASSERT_EQ(stack->write_v(pinned.extents()), 2 * kPage);
+  }
+  EXPECT_EQ(page_address(*leaf, 0), page_address(lender, 0));
+  EXPECT_EQ(page_address(*leaf, 1), page_address(lender, 1));
+}
+
 // ---------------------------------------------------------------------------
 // PosixBackend specifics
 
