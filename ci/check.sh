@@ -27,11 +27,12 @@
 #   7. ThreadSanitizer build + the `tsan`-labelled suite (the whole unit
 #      suite plus reduced-iteration stress tests; zero reports allowed),
 #   8. Address+UB-sanitizer build + the fault-matrix resilience suite:
-#      the retry/degraded-mode paths juggle staged buffers across the
-#      background stream, so they run under asan/ubsan explicitly, and
-#      so do the backend suites, for the posix sieve's bounce-buffer
-#      offset arithmetic, the handle-lifetime and path-index suites,
-#      for handles that outlive Group::remove and recycled buffers, and
+#      failed and retried ops below the async connector return staged
+#      buffers on the background stream, so they run under asan/ubsan
+#      explicitly, and so do the backend suites, for the posix sieve's
+#      bounce-buffer offset arithmetic, the handle-lifetime and
+#      path-index suites, for handles that outlive Group::remove and
+#      recycled buffers, and
 #      the cache and paged-memory suites, for drains that hand pinned
 #      staging pages to the inner tier while eviction frees pages, and
 #      the collective-write, two-phase and passthrough suites, for the

@@ -29,7 +29,6 @@ const char* phase_name(Phase phase) {
     case Phase::kBackend: return "backend";
     case Phase::kCacheHit: return "cache_hit";
     case Phase::kCacheFlush: return "cache_flush";
-    case Phase::kFallback: return "fallback";
     case Phase::kExchange: return "exchange";
     case Phase::kRemoteWrite: return "remote_write";
     case Phase::kComplete: return "complete";

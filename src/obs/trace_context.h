@@ -65,19 +65,18 @@ enum class Phase : std::uint8_t {
   kPoolWait,     ///< pool push -> background stream pickup (FIFO wait)
   kQueueWait,    ///< sched::FairScheduler submit -> grant
   kAdmission,    ///< channel grant held around the inner transfer
-  kAttempt,      ///< one retry-session execution attempt
+  kAttempt,      ///< a connector's one execution of an op on storage
   kBackoff,      ///< retry backoff delay
   kBackend,      ///< one storage::Backend decorator/leaf operation
   kCacheHit,     ///< read served from the burst-buffer staging area
   kCacheFlush,   ///< dirty-extent drain from the cache to the PFS tier
-  kFallback,     ///< degraded-mode synchronous replay
   kExchange,     ///< collective header/payload exchange (pmpi)
   kRemoteWrite,  ///< aggregator writing a contributor's bytes
   kComplete,     ///< completion bookkeeping before the eventual fires
   kOther,        ///< root self-time not covered by any child phase
 };
 
-inline constexpr int kPhaseCount = 15;
+inline constexpr int kPhaseCount = 14;
 
 const char* phase_name(Phase phase);
 

@@ -8,9 +8,10 @@
 // be retried under policy rather than fatal, and recovery happens at
 // the aggregated-request granularity.  This module provides the policy
 // (bounded attempts, exponential backoff with deterministic seeded
-// jitter, per-request deadlines) and the per-attempt state machine
-// (RetrySession) that both storage::ResilientBackend and
-// vol::AsyncConnector drive.
+// jitter, per-call deadlines), the per-attempt state machine
+// (RetrySession) and its one driver, run_with_retry, which
+// storage::ResilientBackend runs around every storage call — the
+// stack's only retry path.
 //
 // Everything is deterministic and test-injectable: time comes from an
 // apio::Clock, backoff sleeps go through a Sleeper, and jitter is drawn
@@ -102,10 +103,10 @@ struct RetryPolicy {
   /// schedules are reproducible run-to-run.
   double jitter_fraction = 0.0;
   std::uint64_t jitter_seed = 0x5EEDBACCull;
-  /// Per-request time budget on the injected clock, measured from
-  /// session construction (= request issue).  A retry whose backoff
-  /// would overrun the deadline is abandoned instead of slept.
-  /// 0 disables the deadline.
+  /// Per-call time budget on the injected clock, measured from session
+  /// construction (= the start of the storage call being retried).  A
+  /// retry whose backoff would overrun the deadline is abandoned
+  /// instead of slept.  0 disables the deadline.
   double deadline_seconds = 0.0;
   /// When true, permanent-classified errors are retried too (for
   /// backends whose plain IoErrors are known to be flaky).
@@ -121,14 +122,15 @@ struct RetryPolicy {
   void validate() const;
 };
 
-/// Per-request retry state machine.  Drives exactly one request's
-/// attempt sequence from a single thread (the caller for synchronous
-/// backends, the background execution stream for the async VOL); it is
-/// not itself thread-safe.
+/// Per-call retry state machine, driven by run_with_retry: one storage
+/// call's attempt sequence on the calling thread (an application
+/// thread, or the async connector's background stream); it is not
+/// itself thread-safe.
 class RetrySession {
  public:
   /// Captures the session start time (the deadline anchor) from
-  /// `clock`.  `breaker` may be null.
+  /// `clock` and seeds the jitter draw from `policy.jitter_seed`.
+  /// `breaker` may be null.
   RetrySession(const RetryPolicy& policy, const Clock* clock, Sleeper* sleeper,
                CircuitBreaker* breaker = nullptr);
 
@@ -141,7 +143,7 @@ class RetrySession {
   /// backoff through the injected sleeper and returns true (the caller
   /// re-executes).  Returns false when the error is classified
   /// permanent, attempts are exhausted, or the backoff would overrun
-  /// the deadline — the caller then fails (or degrades) the request.
+  /// the deadline — the caller then fails the call.
   [[nodiscard]] bool backoff_and_retry(const std::exception_ptr& error);
 
   /// Records the successful attempt (closes the breaker's failure run).
@@ -154,12 +156,6 @@ class RetrySession {
   /// Total backoff actually slept, in seconds.
   [[nodiscard]] double backoff_total() const { return backoff_total_; }
 
-  /// True when the retry loop stopped because the deadline would have
-  /// been overrun.
-  [[nodiscard]] bool deadline_exhausted() const { return deadline_exhausted_; }
-
-  [[nodiscard]] ErrorClass last_class() const { return last_class_; }
-
  private:
   RetryPolicy policy_;
   const Clock* clock_;
@@ -169,8 +165,6 @@ class RetrySession {
   double start_;
   int attempts_ = 0;
   double backoff_total_ = 0.0;
-  bool deadline_exhausted_ = false;
-  ErrorClass last_class_ = ErrorClass::kPermanent;
 };
 
 /// Outcome of a completed run_with_retry call.

@@ -22,9 +22,9 @@
 //    bytes are still charged to the owning tenant's vtime.
 //  - deadline-aware ordering: within a tenant+lane queue, requests sort
 //    by (deadline, arrival); deadline-free requests sort last, FIFO.
-//    Deadlines are absolute on the scheduler clock and compose with
-//    issue-anchored retry deadlines (IoRequest::deadline_from), so a
-//    retried op re-enters admission ahead of younger work.
+//    Deadlines are absolute on the scheduler clock and come from the
+//    issuing thread's bound SubmissionContext (sched::ScopedSubmission),
+//    which the async connector carries to its background stream.
 //
 // Threading: submit()/admit() are called from application threads and
 // async execution streams; complete() from whichever thread finishes

@@ -1,9 +1,9 @@
 // BackendStack: fluent builder for backend decorator chains.
 //
 // Hand-nesting make_shared calls gets the decorator ORDER wrong
-// silently — a resilient(qos(...)) stack retries *inside* its admission
-// grant, hogging the shared channel for the whole backoff schedule.
-// The builder makes the order part of the API:
+// silently — a cache nested inside qos spends admission slots on
+// node-local staging copies.  The builder makes the order part of the
+// API:
 //
 //   auto pfs = storage::BackendStack::posix(path)
 //                  .throttled(model)      // PFS timing model
@@ -15,7 +15,9 @@
 // Layer order (inner to outer) is leaf < throttled < resilient < qos <
 // cached; each call checks (APIO_INVARIANT, so a debug-build abort)
 // that it is applied outside every layer already present.  Skipping
-// layers is fine; adding one twice or out of order is not.
+// layers is fine; adding one twice or out of order is not.  Because
+// resilient sits under qos, a call is admitted once and its retries,
+// backoff included, run inside that one grant.
 //
 // The cache sits OUTSIDE qos deliberately: cache hits and staged
 // writes must bypass PFS admission and the throttle entirely (they

@@ -5,7 +5,7 @@
 // countdown, on a recurring every-N schedule, when the operation
 // touches a configured offset range, or always — so tests can drive the
 // library's failure handling (async error propagation, event-set error
-// collection, retry/backoff, degraded-mode fallback) without real
+// collection, ResilientBackend's retry/backoff and breaker) without real
 // hardware faults.  Injected errors are classified: plans marked
 // `transient` throw TransientIoError (the resilience layer retries
 // these under policy), others throw plain IoError (classified

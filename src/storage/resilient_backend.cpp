@@ -42,13 +42,20 @@ void ResilientBackend::around(obs::IoOp op, std::uint64_t /*offset*/,
 }
 
 void ResilientBackend::run(Transfer transfer) {
-  const auto outcome = resilience::run_with_retry(
-      options_.retry, *clock_, *sleeper_, breaker_.get(), transfer);
-  if (outcome.attempts > 1) {
-    const auto extra = static_cast<std::uint64_t>(outcome.attempts - 1);
-    retries_.fetch_add(extra, std::memory_order_relaxed);
-    if (obs::enabled()) layer_retries_counter().add(extra);
-  }
+  // Rng's SplitMix64 seeding decorrelates adjacent seeds.
+  resilience::RetryPolicy policy = options_.retry;
+  policy.jitter_seed += calls_.fetch_add(1, std::memory_order_relaxed);
+  // A retry is counted as it reaches the inner backend, so a call that
+  // fails for good still reports the retries it spent.
+  bool retry = false;
+  (void)resilience::run_with_retry(
+      policy, *clock_, *sleeper_, breaker_.get(), [&] {
+        if (std::exchange(retry, true)) {
+          retries_.fetch_add(1, std::memory_order_relaxed);
+          if (obs::enabled()) layer_retries_counter().increment();
+        }
+        transfer();
+      });
 }
 
 }  // namespace apio::storage

@@ -1,9 +1,18 @@
-// ResilientBackend: retry/backoff decorator for flaky storage.
+// ResilientBackend: retry/backoff decorator for flaky storage, and the
+// stack's only retry path.
 //
 // Wraps another backend and re-executes failed reads/writes/flushes
 // under a resilience::RetryPolicy, with an optional per-backend circuit
 // breaker that sheds load during a sustained outage.  Truncate is a
-// rare metadata operation and passes through unretried.
+// rare metadata operation and passes through unretried.  It serves
+// every connector alike: under an AsyncConnector the retries run inline
+// on the connector's one background stream, so the op's successors wait
+// them out and backoff stalls the FIFO.
+//
+// Each call draws its own jitter stream, seeded from the policy's
+// jitter_seed plus the backend's call number, so concurrent callers
+// retrying one sick target do not all sleep the same delays, while a
+// fresh, identically driven backend replays the same schedule.
 //
 // A failed vectored batch is retried WHOLE, as one write_v/read_v:
 // positional transfers are idempotent, so re-sending extents that had
@@ -17,9 +26,7 @@
 //
 // Retry cost is recorded through the shared io.* resilience metrics
 // (io.retries, io.retry_backoff_seconds, io.deadline_exhausted,
-// io.breaker_*) plus a layer-local storage.resilient.retries counter,
-// so profiles attribute retries spent below the VOL separately from
-// retries spent by the async connector itself.
+// io.breaker_*) plus a layer-local storage.resilient.retries counter.
 #pragma once
 
 #include <atomic>
@@ -48,7 +55,9 @@ class ResilientBackend final : public Decorator {
                    const Clock* clock = nullptr,
                    resilience::Sleeper* sleeper = nullptr);
 
-  /// Re-executed attempts across all operations so far.
+  /// Re-executions that reached the inner backend across all calls so
+  /// far, calls that failed for good included (a retry an open breaker
+  /// rejects reaches nothing and is not one).
   std::uint64_t retries() const {
     return retries_.load(std::memory_order_relaxed);
   }
@@ -68,6 +77,8 @@ class ResilientBackend final : public Decorator {
   resilience::Sleeper* sleeper_;
   std::unique_ptr<resilience::CircuitBreaker> breaker_;
   std::atomic<std::uint64_t> retries_{0};
+  /// Calls so far; numbers each call's jitter stream.
+  std::atomic<std::uint64_t> calls_{0};
 };
 
 }  // namespace apio::storage

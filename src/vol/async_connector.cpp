@@ -44,23 +44,8 @@ obs::Counter& prefetch_misses_counter() {
   return c;
 }
 
-obs::Counter& retries_counter() {
-  static auto& c = obs::Registry::instance().counter("vol.async.retries");
-  return c;
-}
-
-obs::Counter& degraded_counter() {
-  static auto& c = obs::Registry::instance().counter("vol.async.degraded_ops");
-  return c;
-}
-
 obs::Counter& failed_counter() {
   static auto& c = obs::Registry::instance().counter("vol.async.failed_ops");
-  return c;
-}
-
-obs::Counter& io_degraded_counter() {
-  static auto& c = obs::Registry::instance().counter("io.degraded_ops");
   return c;
 }
 
@@ -96,15 +81,14 @@ RequestInfo request_info(const h5::File& file, obs::IoOp kind,
 }  // namespace
 
 struct AsyncConnector::AsyncOp {
-  AsyncOp(obs::IoOp op_kind, resilience::RetrySession retry)
-      : kind(op_kind), session(std::move(retry)) {}
+  explicit AsyncOp(obs::IoOp op_kind) : kind(op_kind) {}
 
   obs::IoOp kind;
   std::optional<h5::Dataset> ds;
   h5::Selection selection = h5::Selection::all();
   /// The op's recycled buffer: the write's DRAM staging copy (or the
-  /// staging device's bytes once staged_payload() read them back), or
-  /// the prefetch destination, shared with its cache entry.
+  /// staging device's bytes once execute_op() read them back), or the
+  /// prefetch destination, shared with its cache entry.
   Buffer buffer;
   /// Write payload location when staging on a device.
   std::uint64_t device_offset = 0;
@@ -117,17 +101,10 @@ struct AsyncConnector::AsyncOp {
   /// Set by submit(), unless `prepare` supplied one (a prefetch shares
   /// its cache entry's).
   tasking::EventualPtr done;
-  /// The caller's token, whose outcome finish() fills; null for a
-  /// prefetch, which returns none.
-  RequestPtr request;
-  /// Set when a write completed only through the sync-fallback replay.
-  bool degraded = false;
   /// Fair-share identity captured at issue time; re-bound on the
-  /// background stream for the op's attempts so a QosBackend under the
-  /// file charges the issuing tenant.
+  /// background stream for the op's execution so a QosBackend under
+  /// the file charges the issuing tenant.
   sched::SubmissionContext submission;
-  /// Anchored at issue, so the deadline covers the FIFO wait too.
-  resilience::RetrySession session;
   /// The completion record, filled at issue when observers are attached
   /// and emitted on success only.
   std::optional<IoRecord> record;
@@ -145,7 +122,6 @@ AsyncConnector::AsyncConnector(h5::FilePtr file, AsyncOptions options,
       options_(std::move(options)),
       clock_(clock != nullptr ? clock : &wall_clock_) {
   APIO_REQUIRE(file_ != nullptr, "AsyncConnector requires an open file");
-  options_.retry.validate();
   const double t0 = clock_->now();
   pool_ = std::make_shared<tasking::Pool>();
   stream_ = std::make_unique<tasking::ExecutionStream>(pool_);
@@ -179,32 +155,24 @@ RequestPtr AsyncConnector::submit(obs::IoOp kind, const h5::Dataset* ds,
                                   std::uint64_t bytes, double t0,
                                   Prepare&& prepare) {
   if (closed_.load()) throw StateError("AsyncConnector used after close()");
-  auto op = std::make_shared<AsyncOp>(
-      kind, resilience::RetrySession(
-                options_.retry, clock_,
-                options_.sleeper != nullptr ? options_.sleeper
-                                            : &resilience::wall_sleeper(),
-                options_.breaker.get()));
+  auto op = std::make_shared<AsyncOp>(kind);
   if (ds != nullptr) op->ds = *ds;
   op->selection = selection;
   op->bytes = bytes;
   // Submission identity: connector-level tenant wins, then the issuing
-  // thread's binding.  Data ops ride the bulk lane; the admission
-  // deadline is the same issue-anchored budget the retries run under.
+  // thread's binding, whose admission deadline the op carries.  Data
+  // ops ride the bulk lane.
   if (const sched::SubmissionContext* ctx = sched::current_submission()) {
     op->submission = *ctx;
   }
   if (!options_.tenant.empty()) op->submission.tenant = options_.tenant;
   op->submission.lane = sched::Lane::kBulk;
-  if (options_.retry.deadline_seconds > 0.0) {
-    op->submission.deadline =
-        sched::IoRequest::deadline_from(options_.retry, clock_->now());
-  }
 
   op->trace = obs::trace::TraceCollector::instance().start_trace();
   op->trace_start = obs::steady_seconds();
   obs::trace::ScopedTraceContext trace_bind(op->trace);
   obs::trace::ScopedPhase submit_phase(obs::trace::Phase::kSubmit, bytes);
+  RequestPtr request;  // none for a prefetch
   try {
     prepare(*op);
     if (!op->done) op->done = tasking::Eventual::make();
@@ -225,14 +193,14 @@ RequestPtr AsyncConnector::submit(obs::IoOp kind, const h5::Dataset* ds,
         op->record->trace_id = op->trace.trace_id;
         op->record->span_id = op->trace.span_id;
       }
-      op->request = std::make_shared<Request>(op->done, std::move(info));
+      request = std::make_shared<Request>(op->done, std::move(info));
     }
   } catch (...) {
     release_staging(*op);  // the op never reached the FIFO
     throw;
   }
 
-  // Once the op is on the FIFO, its waits and attempts run on other
+  // Once the op is on the FIFO, its wait and execution run on other
   // threads as siblings of the submit phase; closing submit first keeps
   // the request's phases disjoint, so their self times sum to its wall.
   submit_phase.finish();
@@ -241,8 +209,8 @@ RequestPtr AsyncConnector::submit(obs::IoOp kind, const h5::Dataset* ds,
   {
     // Pushed under the order lock, so ops from racing threads enter the
     // pool in the order last_op_ records.  The one stream pops them in
-    // that order and retries each inline, so an op starts only after its
-    // predecessor's final outcome.  A predecessor failure does not cancel
+    // that order and runs each to its outcome, so an op starts only after
+    // its predecessor completed.  A predecessor failure does not cancel
     // successors: the async VOL records errors per operation, it does not
     // poison the queue.
     std::lock_guard lock(order_mutex_);
@@ -253,28 +221,20 @@ RequestPtr AsyncConnector::submit(obs::IoOp kind, const h5::Dataset* ds,
     finish(op, std::make_exception_ptr(
                    StateError("async operation dropped: connector shut down")));
   }
-  return op->request;
-}
-
-std::span<const std::byte> AsyncConnector::staged_payload(AsyncOp& op) {
-  if (!op.buffer) {
-    Buffer from_device = take_buffer(op.bytes);
-    from_device->resize(op.bytes);  // a no-op for a recycled buffer
-    try {
-      options_.staging_backend->read(op.device_offset, *from_device);
-    } catch (...) {
-      recycle(from_device);  // the next attempt reads into a fresh take
-      throw;
-    }
-    op.buffer = std::move(from_device);
-  }
-  return *op.buffer;
+  return request;
 }
 
 void AsyncConnector::execute_op(AsyncOp& op) {
   switch (op.kind) {
     case obs::IoOp::kWrite:
-      op.ds->write_raw(op.selection, staged_payload(op));
+      if (options_.staging_backend) {
+        // Staged on a device: read the bytes back into a recycled
+        // buffer, which finish() returns on either outcome.
+        op.buffer = take_buffer(op.bytes);
+        op.buffer->resize(op.bytes);  // a no-op for a recycled buffer
+        options_.staging_backend->read(op.device_offset, *op.buffer);
+      }
+      op.ds->write_raw(op.selection, *op.buffer);
       break;
     case obs::IoOp::kRead:
       op.ds->read_raw(op.selection, op.out);
@@ -292,47 +252,25 @@ void AsyncConnector::run_attempt(const std::shared_ptr<AsyncOp>& op) {
   APIO_ASSERT_ON_STREAM();
   // Background threads do not inherit the issuer's thread-local
   // bindings: restore the submission identity (so QosBackend admission
-  // charges the right tenant) and the trace for every attempt, backoff
-  // and sync-fallback replay, and close the pool-wait gap.
+  // charges the right tenant) and the trace, and close the pool-wait gap.
   sched::ScopedSubmission bind(op->submission);
   obs::trace::ScopedTraceContext trace_bind(op->trace);
   obs::trace::record_phase(op->trace, obs::trace::Phase::kPoolWait,
                            op->pool_push_time,
                            obs::steady_seconds() - op->pool_push_time);
   std::exception_ptr error;
-  for (;;) {
-    try {
-      // A breaker-rejected attempt executes nothing, so it opens no
-      // attempt phase and adds nothing to the execute metrics.
-      op->session.check_breaker();
-      obs::Counter* executed =
-          op->kind == obs::IoOp::kPrefetch ? nullptr : &executed_bytes_counter();
-      obs::trace::ScopedPhase attempt(obs::trace::Phase::kAttempt, op->bytes,
-                                      nullptr, execute_hist(), executed);
-      execute_op(*op);
-      attempt.finish();
-      op->session.note_success();
-      finish(op, nullptr);
-      return;
-    } catch (...) {
-      error = std::current_exception();
-      if (!op->session.backoff_and_retry(error)) break;
+  try {
+    obs::trace::ScopedPhase attempt(obs::trace::Phase::kAttempt, op->bytes,
+                                    nullptr, execute_hist());
+    execute_op(*op);
+    attempt.finish();
+    // Counted on success only: a transfer that threw (an open breaker
+    // below, say) may have moved nothing.
+    if (op->kind != obs::IoOp::kPrefetch && obs::enabled()) {
+      executed_bytes_counter().add(op->bytes);
     }
-  }
-  // Policy exhausted (or error permanent / deadline overrun).
-  if (op->kind == obs::IoOp::kWrite && options_.sync_fallback) {
-    try {
-      // Degraded mode: replay the staged buffer through the native
-      // synchronous path, outside policy and breaker — the last resort
-      // before reporting data loss.
-      obs::trace::ScopedPhase fallback(obs::trace::Phase::kFallback, op->bytes);
-      op->ds->write_raw(op->selection, staged_payload(*op));
-      fallback.finish();
-      op->degraded = true;
-      error = nullptr;
-    } catch (...) {
-      error = std::current_exception();
-    }
+  } catch (...) {
+    error = std::current_exception();
   }
   finish(op, std::move(error));
 }
@@ -341,27 +279,11 @@ void AsyncConnector::finish(const std::shared_ptr<AsyncOp>& op,
                             std::exception_ptr error) {
   const double completion_start = obs::steady_seconds();
   const bool failed = error != nullptr;
-  const int attempts = std::max(op->session.attempts(), 1);
-  // The outcome must be fully written before the eventual completes:
-  // completion is the release point waiters synchronize on.
-  if (op->request) {
-    op->request->outcome_ = {attempts, op->degraded, op->session.deadline_exhausted()};
-  }
-  const auto retries = static_cast<std::uint64_t>(attempts - 1);
   release_staging(*op);
-  if (obs::enabled()) {
-    if (retries > 0) retries_counter().add(retries);
-    if (failed) failed_counter().increment();
-    if (op->degraded) {
-      degraded_counter().increment();
-      io_degraded_counter().increment();
-    }
-  }
-  {
+  if (failed) {
+    if (obs::enabled()) failed_counter().increment();
     std::lock_guard lock(stats_mutex_);
-    stats_.retries += retries;
-    if (failed) ++stats_.failed_ops;
-    if (op->degraded) ++stats_.degraded_ops;
+    ++stats_.failed_ops;
   }
   if (op->record && !failed) {
     op->record->completion_seconds = clock_->now() - op->record->issue_time;

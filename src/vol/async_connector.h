@@ -11,9 +11,10 @@
 //     the staged bytes to the target storage;
 //   * operations on one connector execute in FIFO order: each op goes
 //     straight onto the stream's pool, and the one stream runs it to its
-//     final outcome (retries included) before popping the next, which is
-//     how the VOL connector keeps HDF5's ordering semantics without
-//     fine-grained dependency analysis;
+//     outcome before popping the next, which is how the VOL connector
+//     keeps HDF5's ordering semantics without fine-grained dependency
+//     analysis.  A storage::ResilientBackend under the file retries
+//     inline on that stream, so successors wait out a retried op;
 //   * dataset_read either completes in the background (caller owns the
 //     buffer until completion) or is served from the prefetch cache
 //     (the BD-CATS-IO read path: first read synchronous, subsequent
@@ -35,7 +36,6 @@
 
 #include "common/clock.h"
 #include "common/debug/lock_rank.h"
-#include "resilience/retry.h"
 #include "sched/io_request.h"
 #include "tasking/execution_stream.h"
 #include "vol/connector.h"
@@ -54,31 +54,13 @@ struct AsyncOptions {
   /// a node-local SSD" (Sec. II-C).  The region is bump-allocated and
   /// recycled only across connector lifetimes.
   storage::BackendPtr staging_backend;
-  /// Retry policy for background operations: a failed attempt is
-  /// re-executed on the stream under backoff instead of failing the
-  /// request outright.
-  /// The default (max_attempts = 1) reproduces pre-resilience behavior.
-  resilience::RetryPolicy retry;
-  /// Degraded mode: when a write's retries are exhausted, replay the
-  /// staged buffer synchronously through the native data path (outside
-  /// policy and breaker) before giving up.  The request then completes
-  /// successfully with Request::degraded() set.
-  bool sync_fallback = false;
-  /// Where retry backoff sleeps go.  Null = blocking wall sleeper;
-  /// tests inject a resilience::ManualClock so nothing wall-sleeps.
-  /// Backoff sleeps run on the background stream and stall the FIFO —
-  /// exactly the semantics of a storage target that is down.
-  resilience::Sleeper* sleeper = nullptr;
-  /// Optional circuit breaker consulted before every attempt; may be
-  /// shared across connectors targeting the same backend.
-  resilience::CircuitBreakerPtr breaker;
   /// Fair-share identity charged for this connector's storage work when
   /// the file sits on a storage::QosBackend.  Empty = inherit the
   /// issuing thread's sched::ScopedSubmission binding (falling back to
   /// the QosBackend's default tenant).  The connector captures the
   /// identity at *issue* time and re-binds it on the background stream
-  /// around each attempt, so admission always charges the tenant that
-  /// issued the op, never the stream draining it.
+  /// around the op's execution, so admission always charges the tenant
+  /// that issued the op, never the stream draining it.
   sched::TenantId tenant;
 };
 
@@ -96,12 +78,11 @@ struct AsyncStats {
   std::uint64_t cache_misses = 0;
   std::uint64_t bytes_staged = 0;
   std::uint64_t staged_high_watermark = 0;
-  /// Re-executed attempts across all operations (excludes the first
-  /// attempt of each).
+  /// Always 0: the connector executes each op once, and retries happen
+  /// below it (storage::ResilientBackend::retries()).  Kept because the
+  /// bench/e2e driver sums it into its resilience.retries line.
   std::uint64_t retries = 0;
-  /// Operations completed only via sync-fallback replay.
-  std::uint64_t degraded_ops = 0;
-  /// Operations that exhausted policy and failed.
+  /// Operations that completed with an error.
   std::uint64_t failed_ops = 0;
   double init_seconds = 0.0;
   double term_seconds = 0.0;
@@ -150,8 +131,8 @@ class AsyncConnector final : public Connector {
     Buffer data;
   };
 
-  /// One background operation's full state: payload, identity, retry
-  /// session, the caller's request, completion record and trace.
+  /// One background operation's full state: payload, identity,
+  /// completion eventual and record, and trace.
   /// Heap-shared between the pool closure and the submitting thread.
   struct AsyncOp;
 
@@ -204,25 +185,20 @@ class AsyncConnector final : public Connector {
                     const h5::Selection& selection, std::uint64_t bytes,
                     double t0, Prepare&& prepare);
 
-  /// Runs the op on the background stream: retries inline under the
-  /// op's session (the stream pops nothing else meanwhile, so successors
-  /// wait out the retries), then degrades (write sync-fallback) or fails
-  /// the request.
+  /// Runs the op on the background stream: one kAttempt phase around
+  /// the storage transfer, then finish() with its outcome.
   void run_attempt(const std::shared_ptr<AsyncOp>& op);
 
-  /// Performs the actual storage transfer for the op's kind.
+  /// Performs the actual storage transfer for the op's kind; a write
+  /// staged on a device first reads its bytes back into a recycled
+  /// buffer.
   void execute_op(AsyncOp& op);
 
-  /// The write's staged bytes, read back once from the staging device
-  /// when one is configured.
-  std::span<const std::byte> staged_payload(AsyncOp& op);
-
-  /// The one final-outcome path (`error` null on success): fills the
-  /// Request's outcome, returns the staging budget and the op's
-  /// buffer (before completion, so a prefetch's consumer holds the
-  /// buffer's last reference and can recycle it), updates
-  /// stats/counters, emits the record (success only), seals the trace,
-  /// then completes the eventual.
+  /// The one final-outcome path (`error` null on success): returns the
+  /// staging budget and the op's buffer (before completion, so a
+  /// prefetch's consumer holds the buffer's last reference and can
+  /// recycle it), counts a failure, emits the record (success only),
+  /// seals the trace, then completes the eventual.
   void finish(const std::shared_ptr<AsyncOp>& op, std::exception_ptr error);
 
   /// Drains and joins the background machinery without closing the file.

@@ -30,23 +30,9 @@ struct RequestInfo {
   std::string to_string() const;
 };
 
-/// Resolution detail of one operation.  The async connector writes it
-/// on the background stream strictly before completing the eventual;
-/// the eventual's completion ordering makes it visible to waiters.
-struct RequestOutcome {
-  /// Executions the operation took (1 = no retries).
-  int attempts = 1;
-  /// True when the async path failed and the staged data was replayed
-  /// through the synchronous native path (degraded mode).
-  bool degraded = false;
-  /// True when retrying stopped because the per-request deadline would
-  /// have been overrun.
-  bool deadline_exhausted = false;
-};
-
-class AsyncConnector;
-
-/// Completion token for one VOL operation.
+/// Completion token for one VOL operation.  It completes once, with
+/// the op's one outcome; retries, when configured, run below the
+/// connector in storage::ResilientBackend.
 class Request {
  public:
   explicit Request(tasking::EventualPtr done, RequestInfo info = {})
@@ -73,24 +59,11 @@ class Request {
 
   const RequestInfo& info() const { return info_; }
 
-  /// Executions the operation took, as recorded at completion (1 when
-  /// the connector ran without resilience).
-  int attempts() const { return outcome_.attempts; }
-
-  /// True when the operation only completed via sync-fallback replay.
-  bool degraded() const { return outcome_.degraded; }
-
-  bool deadline_exhausted() const { return outcome_.deadline_exhausted; }
-
   const tasking::EventualPtr& eventual() const { return done_; }
 
  private:
-  /// The only writer of outcome_, before it completes done_.
-  friend class AsyncConnector;
-
   tasking::EventualPtr done_;
   RequestInfo info_;
-  RequestOutcome outcome_;
 };
 
 using RequestPtr = std::shared_ptr<Request>;

@@ -63,7 +63,7 @@ CheckpointRunResult run_checkpoint_app(
     comm.barrier();
   }
 
-  // Degraded-mode drain: collect failures through an EventSet (H5ESwait
+  // Failure-tolerant drain: collect failures through an EventSet (H5ESwait
   // semantics) instead of letting the first failed request abort the
   // run — the surviving checkpoints are still valid.
   vol::EventSet drain;

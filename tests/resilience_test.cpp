@@ -1,6 +1,6 @@
-// Resilience tests: retry/backoff policy, circuit breaker, resilient
-// backend decorator and the async connector's recovery paths, driven by
-// a deterministic fault matrix.
+// Resilience tests: retry/backoff policy, circuit breaker, and the
+// resilient backend decorator — the stack's one retry layer — under the
+// async and native connectors, driven by a deterministic fault matrix.
 //
 // Everything runs on virtual time: resilience::ManualClock is injected
 // as both Clock and Sleeper, so the exact backoff schedule is asserted
@@ -8,11 +8,11 @@
 //
 // The centerpiece is ResilienceMatrixTest: {write, read, flush} ×
 // {countdown, every-N, offset-range, permanent} × {no-retry, bounded,
-// deadline, sync-fallback}, each cell asserting the request outcome
-// (attempts, degraded, deadline_exhausted), the EventSet error record
-// (identity + category), the obs counters (io.retries et al.), the
-// connector's AsyncStats and — via File::open's checksum validation —
-// the final bytes in the container.
+// deadline}, each cell running an AsyncConnector over
+// ResilientBackend(FaultyBackend(memory)) and asserting the request
+// outcome, the EventSet error record (identity + category), the obs
+// counters (io.retries et al.), the connector's AsyncStats and — via
+// File::open's checksum validation — the final bytes in the container.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,11 +30,13 @@
 #include "pmpi/world.h"
 #include "resilience/circuit_breaker.h"
 #include "resilience/retry.h"
+#include "storage/backend_stack.h"
 #include "storage/faulty_backend.h"
 #include "storage/memory_backend.h"
 #include "storage/resilient_backend.h"
 #include "vol/async_connector.h"
 #include "vol/event_set.h"
+#include "vol/native_connector.h"
 #include "workloads/checkpoint_app.h"
 
 namespace apio {
@@ -425,6 +427,40 @@ TEST(ResilienceResilientBackendTest, BreakerShedsLoadDuringOutage) {
   EXPECT_EQ(backend.breaker()->trips(), 1u);
 }
 
+// Each call through one ResilientBackend draws its own jitter stream:
+// two calls retrying the same sick target sleep different backoffs, and
+// a fresh, identically driven stack replays the same schedule.
+TEST(ResilienceResilientBackendTest, JitterDiffersAcrossCallsAndReplays) {
+  const auto two_retried_writes = [] {
+    FaultPlan plan;
+    plan.fail_writes_after = 0;
+    plan.transient = true;
+    plan.heal_after_faults = 1;  // each write faults once, then succeeds
+    auto faulty = std::make_shared<FaultyBackend>(
+        std::make_shared<storage::MemoryBackend>(), plan);
+    ManualClock manual;
+    storage::ResilienceOptions ro;
+    ro.retry.max_attempts = 3;
+    ro.retry.base_backoff_seconds = 1.0;
+    ro.retry.jitter_fraction = 0.5;
+    storage::ResilientBackend backend(faulty, ro, &manual, &manual);
+    const std::vector<std::uint8_t> data{1, 2, 3, 4};
+    backend.write(0, bytes_of(data));
+    faulty->arm();  // the auto-heal reset the countdown: fault again
+    backend.write(4, bytes_of(data));
+    EXPECT_EQ(backend.retries(), 2u);
+    return manual.sleeps();
+  };
+  const std::vector<double> sleeps = two_retried_writes();
+  ASSERT_EQ(sleeps.size(), 2u);
+  EXPECT_NE(sleeps[0], sleeps[1]) << "both calls drew the same jitter";
+  for (double s : sleeps) {
+    EXPECT_GE(s, 0.5);
+    EXPECT_LT(s, 1.5);
+  }
+  EXPECT_EQ(two_retried_writes(), sleeps);
+}
+
 // ---------------------------------------------------------------------------
 // Request identity on failure.
 
@@ -451,8 +487,6 @@ TEST(ResilienceRequestIdentityTest, FailedRequestCarriesFullIdentity) {
   EXPECT_EQ(req->info().dataset_path, "d");
   EXPECT_EQ(req->info().offset, 16u);
   EXPECT_EQ(req->info().bytes, 16u);
-  EXPECT_EQ(req->attempts(), 1);
-  EXPECT_FALSE(req->degraded());
 
   // The EventSet error line aggregates identity + message + taxonomy.
   vol::EventSet es;
@@ -463,7 +497,6 @@ TEST(ResilienceRequestIdentityTest, FailedRequestCarriesFullIdentity) {
   EXPECT_NE(line.find("write d"), std::string::npos);
   EXPECT_NE(line.find("injected write fault"), std::string::npos);
   EXPECT_NE(line.find("category=io"), std::string::npos);
-  EXPECT_NE(line.find("attempts=1"), std::string::npos);
 
   backend->heal();
   connector.close();
@@ -474,7 +507,7 @@ TEST(ResilienceRequestIdentityTest, FailedRequestCarriesFullIdentity) {
 
 enum class TargetOp { kWrite, kRead, kFlush };
 enum class Pattern { kCountdown, kEveryN, kOffsetRange, kPermanent };
-enum class PolicyKind { kNoRetry, kBounded, kDeadline, kSyncFallback };
+enum class PolicyKind { kNoRetry, kBounded, kDeadline };
 
 const char* name_of(TargetOp op) {
   switch (op) {
@@ -500,7 +533,6 @@ const char* name_of(PolicyKind pk) {
     case PolicyKind::kNoRetry: return "NoRetry";
     case PolicyKind::kBounded: return "Bounded";
     case PolicyKind::kDeadline: return "Deadline";
-    case PolicyKind::kSyncFallback: return "SyncFallback";
   }
   return "?";
 }
@@ -571,20 +603,15 @@ RetryPolicy make_policy(PolicyKind pk) {
       p.max_attempts = 100;
       p.deadline_seconds = 2.5;
       break;
-    case PolicyKind::kSyncFallback:
-      p.max_attempts = 2;
-      break;
   }
   return p;
 }
 
 struct Expected {
   bool success = true;
-  bool degraded = false;
   bool deadline_exhausted = false;
-  int attempts = 1;
   std::vector<double> sleeps;       // exact virtual backoff schedule
-  std::uint64_t retries = 0;        // io.retries == vol.async.retries
+  std::uint64_t retries = 0;        // io.retries == storage.resilient.retries
   std::uint64_t failed = 0;         // vol.async.failed_ops
   std::string fail_category;        // "" on success
 };
@@ -593,7 +620,7 @@ Expected compute_expected(TargetOp op, Pattern pattern, PolicyKind pk) {
   Expected e;
   switch (pattern) {
     case Pattern::kPermanent:
-      // Never retried; sync-fallback replays but the replay faults too.
+      // Never retried.
       e.success = false;
       e.fail_category = "io";
       e.failed = 1;
@@ -609,34 +636,17 @@ Expected compute_expected(TargetOp op, Pattern pattern, PolicyKind pk) {
         case PolicyKind::kBounded:
           // Faults on attempts 1 and 2; the outage clears (heal_after_
           // faults = 2) and attempt 3 succeeds.
-          e.attempts = 3;
           e.sleeps = {1.0, 2.0};
           e.retries = 2;
           return e;
         case PolicyKind::kDeadline:
           // Attempt 2's 2.0 s backoff would overrun the 2.5 s budget.
           e.success = false;
-          e.attempts = 2;
           e.sleeps = {1.0};
           e.retries = 1;
           e.deadline_exhausted = true;
           e.fail_category = "transient-io";
           e.failed = 1;
-          return e;
-        case PolicyKind::kSyncFallback:
-          // Both allowed attempts fault (which clears the outage); the
-          // write replays synchronously and degrades, reads/flushes
-          // have no staged payload to replay and fail.
-          e.attempts = 2;
-          e.sleeps = {1.0};
-          e.retries = 1;
-          if (op == TargetOp::kWrite) {
-            e.degraded = true;
-          } else {
-            e.success = false;
-            e.fail_category = "transient-io";
-            e.failed = 1;
-          }
           return e;
       }
       return e;
@@ -653,7 +663,6 @@ Expected compute_expected(TargetOp op, Pattern pattern, PolicyKind pk) {
         return e;
       }
       // One fault, one retry, success — under every retrying policy.
-      e.attempts = 2;
       e.sleeps = {1.0};
       e.retries = 1;
       return e;
@@ -690,9 +699,15 @@ TEST_P(ResilienceMatrixTest, DrivesFaultToExpectedOutcome) {
   const auto [op, pattern, pk] = GetParam();
   const Expected expected = compute_expected(op, pattern, pk);
 
+  ManualClock manual;
+  storage::ResilienceOptions ro;
+  ro.retry = make_policy(pk);
+  ro.enable_breaker = false;
   auto memory = std::make_shared<storage::MemoryBackend>();
   auto backend = std::make_shared<FaultyBackend>(memory, FaultPlan{});
-  auto file = h5::File::create(backend);
+  auto resilient =
+      std::make_shared<storage::ResilientBackend>(backend, ro, &manual, &manual);
+  auto file = h5::File::create(resilient);
   auto ds = file->root().create_dataset("d", h5::Datatype::kUInt8, {64});
 
   // Baseline: 64 distinct ascending bytes, so the data region is
@@ -707,13 +722,8 @@ TEST_P(ResilienceMatrixTest, DrivesFaultToExpectedOutcome) {
 
   backend->set_plan(make_plan(op, pattern, data_offset));
 
-  ManualClock manual;
-  vol::AsyncOptions options;
-  options.retry = make_policy(pk);
-  options.sync_fallback = (pk == PolicyKind::kSyncFallback);
-  options.sleeper = &manual;
   auto connector =
-      std::make_unique<vol::AsyncConnector>(file, options, &manual);
+      std::make_unique<vol::AsyncConnector>(file, vol::AsyncOptions{}, &manual);
 
   const std::vector<std::uint8_t> lead(16, 0xBB);
   const std::vector<std::uint8_t> payload(16, 0xAA);
@@ -759,9 +769,6 @@ TEST_P(ResilienceMatrixTest, DrivesFaultToExpectedOutcome) {
   // Request outcome.
   EXPECT_TRUE(target->test());
   EXPECT_EQ(target->failed(), !expected.success);
-  EXPECT_EQ(target->attempts(), expected.attempts);
-  EXPECT_EQ(target->degraded(), expected.degraded);
-  EXPECT_EQ(target->deadline_exhausted(), expected.deadline_exhausted);
 
   // Exact virtual backoff schedule — nothing ever wall-slept.
   EXPECT_EQ(manual.sleeps(), expected.sleeps);
@@ -774,8 +781,6 @@ TEST_P(ResilienceMatrixTest, DrivesFaultToExpectedOutcome) {
     ASSERT_EQ(errors.size(), 1u);
     const vol::EventError& err = errors[0];
     EXPECT_EQ(err.category, expected.fail_category);
-    EXPECT_EQ(err.attempts, expected.attempts);
-    EXPECT_EQ(err.deadline_exhausted, expected.deadline_exhausted);
     EXPECT_NE(err.message.find("injected"), std::string::npos);
     EXPECT_EQ(err.info.op, to_io_op(op));
     if (op != TargetOp::kFlush) {
@@ -785,15 +790,13 @@ TEST_P(ResilienceMatrixTest, DrivesFaultToExpectedOutcome) {
     }
   }
 
-  // Obs counters: exact retry/degraded/deadline accounting.
+  // Obs counters: exact retry/deadline accounting, all from the one
+  // retry layer.
   const auto snap = obs::Registry::instance().snapshot();
   EXPECT_EQ(counter_total(snap, "io.retries"), expected.retries);
-  EXPECT_EQ(counter_total(snap, "vol.async.retries"), expected.retries);
+  EXPECT_EQ(counter_total(snap, "storage.resilient.retries"), expected.retries);
+  EXPECT_EQ(resilient->retries(), expected.retries);
   EXPECT_EQ(counter_total(snap, "vol.async.failed_ops"), expected.failed);
-  EXPECT_EQ(counter_total(snap, "vol.async.degraded_ops"),
-            expected.degraded ? 1u : 0u);
-  EXPECT_EQ(counter_total(snap, "io.degraded_ops"),
-            expected.degraded ? 1u : 0u);
   EXPECT_EQ(counter_total(snap, "io.deadline_exhausted"),
             expected.deadline_exhausted ? 1u : 0u);
   const auto hist = snap.histograms.find("io.retry_backoff_seconds");
@@ -806,11 +809,11 @@ TEST_P(ResilienceMatrixTest, DrivesFaultToExpectedOutcome) {
   for (double s : expected.sleeps) want_sum += s;
   EXPECT_NEAR(backoff_sum, want_sum, 1e-6);
 
-  // AsyncStats agree with the registry.
+  // AsyncStats agree with the registry; the connector itself never
+  // retries.
   const auto stats = connector->stats();
-  EXPECT_EQ(stats.retries, expected.retries);
+  EXPECT_EQ(stats.retries, 0u);
   EXPECT_EQ(stats.failed_ops, expected.failed);
-  EXPECT_EQ(stats.degraded_ops, expected.degraded ? 1u : 0u);
 
   // Reopen through the format-integrity path (File::open validates the
   // superblock and metadata checksums) and check the final bytes.
@@ -848,7 +851,7 @@ INSTANTIATE_TEST_SUITE_P(
         testing::Values(Pattern::kCountdown, Pattern::kEveryN,
                         Pattern::kOffsetRange, Pattern::kPermanent),
         testing::Values(PolicyKind::kNoRetry, PolicyKind::kBounded,
-                        PolicyKind::kDeadline, PolicyKind::kSyncFallback)),
+                        PolicyKind::kDeadline)),
     [](const testing::TestParamInfo<ResilienceMatrixTest::ParamType>& info) {
       return std::string(name_of(std::get<0>(info.param))) + "_" +
              name_of(std::get<1>(info.param)) + "_" +
@@ -867,18 +870,19 @@ TEST(ResilienceConcurrencyTest, EightRanksRetryMidEpochFaultsToCompletion) {
   constexpr std::uint64_t kChunk = 16;
   constexpr std::uint64_t kTotal = kRanks * kChunksPerRank * kChunk;
 
+  ManualClock manual;
+  storage::ResilienceOptions ro;
+  ro.retry.max_attempts = 100;
+  ro.retry.base_backoff_seconds = 0.001;
+  ro.retry.max_backoff_seconds = 0.01;
+  ro.enable_breaker = false;
   auto backend = std::make_shared<FaultyBackend>(
       std::make_shared<storage::MemoryBackend>(), FaultPlan{});
-  auto file = h5::File::create(backend);
+  auto resilient =
+      std::make_shared<storage::ResilientBackend>(backend, ro, &manual, &manual);
+  auto file = h5::File::create(resilient);
   auto ds = file->root().create_dataset("d", h5::Datatype::kUInt8, {kTotal});
-
-  ManualClock manual;
-  vol::AsyncOptions options;
-  options.retry.max_attempts = 100;
-  options.retry.base_backoff_seconds = 0.001;
-  options.retry.max_backoff_seconds = 0.01;
-  options.sleeper = &manual;
-  vol::AsyncConnector connector(file, options, &manual);
+  vol::AsyncConnector connector(file, {}, &manual);
 
   FaultPlan plan;
   plan.fail_every_n_writes = 5;
@@ -908,15 +912,14 @@ TEST(ResilienceConcurrencyTest, EightRanksRetryMidEpochFaultsToCompletion) {
   // so exactly 7 faults were injected and 7 retries re-executed.
   const auto stats = connector.stats();
   EXPECT_EQ(stats.writes_enqueued, 32u);
-  EXPECT_EQ(stats.retries, 7u);
   EXPECT_EQ(stats.failed_ops, 0u);
-  EXPECT_EQ(stats.degraded_ops, 0u);
+  EXPECT_EQ(resilient->retries(), 7u);
   EXPECT_EQ(backend->faults_injected(), 7u);
 
-  // Registry agrees with AsyncStats.
+  // Registry agrees with the resilient layer and AsyncStats.
   const auto snap = obs::Registry::instance().snapshot();
   EXPECT_EQ(counter_total(snap, "io.retries"), 7u);
-  EXPECT_EQ(counter_total(snap, "vol.async.retries"), 7u);
+  EXPECT_EQ(counter_total(snap, "storage.resilient.retries"), 7u);
   EXPECT_EQ(counter_total(snap, "vol.async.failed_ops"), 0u);
 
   backend->heal();
@@ -934,9 +937,16 @@ TEST(ResilienceConcurrencyTest, EightRanksRetryMidEpochFaultsToCompletion) {
 }
 
 TEST(ResilienceConcurrencyTest, CloseDrainsFailingRetriesWithoutDeadlock) {
+  ManualClock manual;
+  storage::ResilienceOptions ro;
+  ro.retry.max_attempts = 5;
+  ro.retry.base_backoff_seconds = 0.001;
+  ro.enable_breaker = false;
   auto memory = std::make_shared<storage::MemoryBackend>();
   auto backend = std::make_shared<FaultyBackend>(memory, FaultPlan{});
-  auto file = h5::File::create(backend);
+  auto resilient =
+      std::make_shared<storage::ResilientBackend>(backend, ro, &manual, &manual);
+  auto file = h5::File::create(resilient);
   auto ds = file->root().create_dataset("d", h5::Datatype::kUInt8, {64});
 
   std::vector<std::uint8_t> baseline(64);
@@ -955,12 +965,7 @@ TEST(ResilienceConcurrencyTest, CloseDrainsFailingRetriesWithoutDeadlock) {
   plan.transient = true;
   backend->set_plan(plan);
 
-  ManualClock manual;
-  vol::AsyncOptions options;
-  options.retry.max_attempts = 5;
-  options.retry.base_backoff_seconds = 0.001;
-  options.sleeper = &manual;
-  vol::AsyncConnector connector(file, options, &manual);
+  vol::AsyncConnector connector(file, {}, &manual);
 
   const std::vector<std::uint8_t> payload(16, 0xAA);
   std::vector<vol::RequestPtr> requests;
@@ -977,12 +982,11 @@ TEST(ResilienceConcurrencyTest, CloseDrainsFailingRetriesWithoutDeadlock) {
   for (const auto& req : requests) {
     EXPECT_TRUE(req->test());
     EXPECT_TRUE(req->failed());
-    EXPECT_EQ(req->attempts(), 5);
     EXPECT_EQ(req->error_category(), "transient-io");
   }
-  const auto stats = connector.stats();
-  EXPECT_EQ(stats.failed_ops, 4u);
-  EXPECT_EQ(stats.retries, 16u);  // 4 ops x 4 re-executions each
+  EXPECT_EQ(connector.stats().failed_ops, 4u);
+  EXPECT_EQ(resilient->retries(), 16u);  // 4 ops x 4 re-executions each
+  EXPECT_EQ(backend->faults_injected(), 20u);
 
   // The container survived: baseline intact under checksum validation.
   backend->heal();
@@ -990,6 +994,78 @@ TEST(ResilienceConcurrencyTest, CloseDrainsFailingRetriesWithoutDeadlock) {
   auto ds2 = reopened->root().open_dataset("d");
   EXPECT_EQ(ds2.read_vector<std::uint8_t>(h5::Selection::all()), baseline);
 }
+
+// ---------------------------------------------------------------------------
+// One retry layer serves both connectors: the same resilient stack and
+// fault plan yield the same bytes, retries and backoff schedule whether
+// the write runs synchronously or on the async connector's stream.
+
+enum class ConnectorKind { kNative, kAsync };
+
+class ResilienceConnectorTest : public testing::TestWithParam<ConnectorKind> {
+ protected:
+  void SetUp() override {
+    obs::Registry::instance().reset();
+    obs::set_enabled(true);
+  }
+  void TearDown() override { obs::set_enabled(false); }
+};
+
+TEST_P(ResilienceConnectorTest, CountdownRetriesThroughResilientStack) {
+  ManualClock manual;
+  storage::ResilienceOptions ro;
+  ro.retry = make_policy(PolicyKind::kBounded);
+  ro.enable_breaker = false;
+  auto faulty = std::make_shared<FaultyBackend>(
+      std::make_shared<storage::MemoryBackend>(), FaultPlan{});
+  auto file = h5::File::create(storage::BackendStack::wrap(faulty)
+                                   .resilient(ro, &manual, &manual)
+                                   .build());
+  auto ds = file->root().create_dataset("d", h5::Datatype::kUInt8, {64});
+  std::vector<std::uint8_t> want(64);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    want[i] = static_cast<std::uint8_t>(i);
+  }
+  ds.write<std::uint8_t>(h5::Selection::all(), want);
+  faulty->set_plan(make_plan(TargetOp::kWrite, Pattern::kCountdown, 0));
+
+  std::unique_ptr<vol::Connector> connector;
+  if (GetParam() == ConnectorKind::kNative) {
+    connector = std::make_unique<vol::NativeConnector>(file);
+  } else {
+    connector = std::make_unique<vol::AsyncConnector>(file, vol::AsyncOptions{},
+                                                      &manual);
+  }
+  const std::vector<std::uint8_t> payload(16, 0xAA);
+  vol::EventSet es;
+  es.insert(connector->dataset_write(ds, h5::Selection::offsets({16}, {16}),
+                                     bytes_of(payload)));
+  es.wait();
+  EXPECT_EQ(es.num_errors(), 0u);
+
+  EXPECT_EQ(manual.sleeps(), (std::vector<double>{1.0, 2.0}));
+  EXPECT_EQ(faulty->faults_injected(), 2u);
+  const auto snap = obs::Registry::instance().snapshot();
+  EXPECT_EQ(counter_total(snap, "storage.resilient.retries"), 2u);
+  EXPECT_EQ(counter_total(snap, "io.retries"), 2u);
+
+  faulty->heal();
+  connector->close();
+  connector.reset();
+  auto reopened = h5::File::open(faulty);
+  std::fill(want.begin() + 16, want.begin() + 32, 0xAA);
+  EXPECT_EQ(reopened->root().open_dataset("d").read_vector<std::uint8_t>(
+                h5::Selection::all()),
+            want);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothConnectors, ResilienceConnectorTest,
+    testing::Values(ConnectorKind::kNative, ConnectorKind::kAsync),
+    [](const testing::TestParamInfo<ConnectorKind>& kind) {
+      return std::string(kind.param == ConnectorKind::kNative ? "Native"
+                                                              : "Async");
+    });
 
 // ---------------------------------------------------------------------------
 // Checkpoint workload: storage faults degrade the run instead of

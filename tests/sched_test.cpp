@@ -240,14 +240,6 @@ TEST(FairSchedulerTest, LateGrantCountsDeadlineMiss) {
   EXPECT_EQ(stats.tenants.at("t").deadline_misses, 1u);
 }
 
-TEST(FairSchedulerTest, DeadlineComposesWithRetryPolicy) {
-  resilience::RetryPolicy policy;
-  policy.deadline_seconds = 2.0;
-  EXPECT_DOUBLE_EQ(IoRequest::deadline_from(policy, 5.0), 7.0);
-  policy.deadline_seconds = 0.0;
-  EXPECT_DOUBLE_EQ(IoRequest::deadline_from(policy, 5.0), 0.0);
-}
-
 TEST(FairSchedulerTest, CloseGrantsEverythingSoDrainsCannotWedge) {
   resilience::ManualClock clock;
   FairScheduler sched(SchedOptions{1, &clock});
@@ -530,6 +522,44 @@ TEST(AsyncConnectorSchedTest, TenantFlowsFromOptionsToScheduler) {
   EXPECT_GE(tenant.dispatched_bytes, 4096u);
   EXPECT_GE(tenant.priority_ops, 1u) << "flush must ride the priority lane";
   EXPECT_GE(tenant.lane_bytes[static_cast<int>(sched::Lane::kBulk)], 4096u);
+}
+
+// The one production source of admission deadlines is the issuing
+// thread's ScopedSubmission: the connector carries the binding to its
+// background stream, and the QosBackend there submits with it.  A grant
+// held back past that deadline counts as a miss for the issuing tenant.
+TEST(AsyncConnectorSchedTest, BoundDeadlineReachesScheduler) {
+  resilience::ManualClock clock;
+  auto scheduler =
+      std::make_shared<sched::FairScheduler>(sched::SchedOptions{1, &clock});
+  auto file = h5::File::create(
+      storage::BackendStack::memory().qos(scheduler).build());
+  auto ds = file->root().create_dataset("d", h5::Datatype::kUInt8, {64});
+
+  // Hold the one channel slot so the connector's write queues behind it.
+  sched::IoRequest blocker_request;
+  blocker_request.tenant = "other";
+  blocker_request.bytes = 64;
+  auto blocker = scheduler->submit(blocker_request);
+  ASSERT_TRUE(blocker->granted());
+
+  AsyncConnector conn(file);
+  RequestPtr request;
+  {
+    sched::ScopedSubmission bind({"jobA", sched::Lane::kBulk, 0.5});
+    const std::vector<std::byte> data(64, std::byte{0x5a});
+    request = conn.dataset_write(ds, h5::Selection::all(), data);
+  }
+  clock.advance(1.0);  // the channel stays busy past the deadline
+  scheduler->complete(blocker);
+  request->wait();
+  conn.wait_all();
+
+  const auto stats = scheduler->stats();
+  EXPECT_EQ(stats.deadline_misses, 1u);
+  ASSERT_TRUE(stats.tenants.count("jobA"));
+  EXPECT_EQ(stats.tenants.at("jobA").deadline_misses, 1u);
+  EXPECT_EQ(stats.tenants.at("jobA").dispatched_bytes, 64u);
 }
 
 }  // namespace

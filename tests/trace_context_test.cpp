@@ -21,9 +21,9 @@
 #include "obs/trace_context.h"
 #include "resilience/retry.h"
 #include "sched/fair_scheduler.h"
+#include "storage/backend_stack.h"
 #include "storage/faulty_backend.h"
 #include "storage/memory_backend.h"
-#include "storage/qos_backend.h"
 #include "storage/throttled_backend.h"
 #include "vol/async_connector.h"
 
@@ -351,10 +351,10 @@ TEST_F(TraceCollectorTest, ExporterWritesPromAndJsonlFiles) {
 // causal trace.
 
 TEST_F(TraceCollectorTest, AsyncWriteSurvivingTwoFaultsYieldsFullCausalTrace) {
-  // Stack: qos(faulty(throttled(memory))) — the throttle makes the
-  // successful attempt's backend time dominate the request, so the
-  // sub-microsecond bookkeeping overlap at submit time stays far below
-  // the 1% decomposition tolerance asserted at the end.
+  // Stack: qos(resilient(faulty(throttled(memory)))) — the throttle
+  // makes the successful transfer's backend time dominate the request,
+  // so the sub-microsecond bookkeeping overlap at submit time stays far
+  // below the 1% decomposition tolerance asserted at the end.
   storage::ThrottleParams throttle;
   throttle.bandwidth = 4.0 * kMiB;
   throttle.latency = 2e-3;
@@ -362,10 +362,21 @@ TEST_F(TraceCollectorTest, AsyncWriteSurvivingTwoFaultsYieldsFullCausalTrace) {
       std::make_shared<storage::MemoryBackend>(), throttle);
   auto faulty = std::make_shared<storage::FaultyBackend>(
       throttled, storage::FaultPlan{});
+  resilience::ManualClock manual;
+  storage::ResilienceOptions resilience_options;
+  resilience_options.retry.max_attempts = 3;
+  resilience_options.retry.base_backoff_seconds = 1.0;
+  resilience_options.retry.backoff_multiplier = 2.0;
+  resilience_options.retry.max_backoff_seconds = 8.0;
+  resilience_options.retry.jitter_fraction = 0.0;
+  resilience_options.enable_breaker = false;
   auto scheduler = std::make_shared<sched::FairScheduler>();
-  auto qos = std::make_shared<storage::QosBackend>(faulty, scheduler);
+  auto stack = storage::BackendStack::wrap(faulty)
+                   .resilient(resilience_options, &manual, &manual)
+                   .qos(scheduler)
+                   .build();
 
-  auto file = h5::File::create(qos);
+  auto file = h5::File::create(stack);
   auto ds = file->root().create_dataset("d", h5::Datatype::kUInt8, {64});
 
   // Arm AFTER metadata creation: the write stream is clean until the
@@ -377,22 +388,14 @@ TEST_F(TraceCollectorTest, AsyncWriteSurvivingTwoFaultsYieldsFullCausalTrace) {
   outage.heal_after_faults = 2;
   faulty->set_plan(outage);
 
-  resilience::ManualClock manual;
-  vol::AsyncOptions options;
-  options.retry.max_attempts = 3;
-  options.retry.base_backoff_seconds = 1.0;
-  options.retry.backoff_multiplier = 2.0;
-  options.retry.max_backoff_seconds = 8.0;
-  options.retry.jitter_fraction = 0.0;
-  options.sleeper = &manual;
-  auto connector = std::make_unique<vol::AsyncConnector>(file, options, &manual);
+  auto connector = std::make_unique<vol::AsyncConnector>(file, vol::AsyncOptions{},
+                                                         &manual);
 
   const std::vector<std::uint8_t> payload(32, 0xAB);
   auto request = connector->dataset_write(
       ds, h5::Selection::offsets({0}, {32}), bytes_of(payload));
   request->wait();
   EXPECT_FALSE(request->failed());
-  EXPECT_EQ(request->attempts(), 3);
   EXPECT_EQ(manual.sleeps(), (std::vector<double>{1.0, 2.0}));
   connector->close();
 
@@ -405,16 +408,15 @@ TEST_F(TraceCollectorTest, AsyncWriteSurvivingTwoFaultsYieldsFullCausalTrace) {
   EXPECT_FALSE(trace->failed);
 
   // The full causal story: submission + staging on the issuing thread,
-  // the pool handoff (the op's whole FIFO wait), one queue wait +
-  // admission per attempt, exactly three attempts with two backoffs
-  // between them, and the decorator/leaf backend spans of the successful
-  // attempt.
+  // the pool handoff (the op's whole FIFO wait), one attempt under one
+  // queue wait + admission (the resilient layer under qos retries inside
+  // the grant), two backoffs, and the decorator/leaf backend spans.
   EXPECT_GE(count_phase(*trace, Phase::kSubmit), 1);
   EXPECT_GE(count_phase(*trace, Phase::kStageCopy), 1);
   EXPECT_GE(count_phase(*trace, Phase::kPoolWait), 1);
-  EXPECT_GE(count_phase(*trace, Phase::kQueueWait), 1);
-  EXPECT_GE(count_phase(*trace, Phase::kAdmission), 1);
-  EXPECT_EQ(count_phase(*trace, Phase::kAttempt), 3);
+  EXPECT_EQ(count_phase(*trace, Phase::kQueueWait), 1);
+  EXPECT_EQ(count_phase(*trace, Phase::kAdmission), 1);
+  EXPECT_EQ(count_phase(*trace, Phase::kAttempt), 1);
   EXPECT_EQ(count_phase(*trace, Phase::kBackoff), 2);
   EXPECT_GE(count_phase(*trace, Phase::kBackend), 1);
   EXPECT_EQ(count_phase(*trace, Phase::kComplete), 1);
@@ -427,14 +429,18 @@ TEST_F(TraceCollectorTest, AsyncWriteSurvivingTwoFaultsYieldsFullCausalTrace) {
   }
   EXPECT_EQ(accounted, static_cast<int>(trace->spans.size()));
 
-  // The throttled decorator and the memory leaf both label their spans.
+  // The resilient and throttled decorators and the memory leaf all
+  // label their spans.
+  bool saw_resilient = false;
   bool saw_throttled = false;
   bool saw_memory = false;
   for (const auto& s : trace->spans) {
     if (s.phase != Phase::kBackend) continue;
+    saw_resilient |= s.detail == "resilient";
     saw_throttled |= s.detail == "throttled";
     saw_memory |= s.detail == "memory";
   }
+  EXPECT_TRUE(saw_resilient);
   EXPECT_TRUE(saw_throttled);
   EXPECT_TRUE(saw_memory);
 

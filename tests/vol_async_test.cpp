@@ -16,6 +16,7 @@
 #include "storage/decorator.h"
 #include "storage/faulty_backend.h"
 #include "storage/memory_backend.h"
+#include "storage/resilient_backend.h"
 #include "vol/async_connector.h"
 
 namespace apio::vol {
@@ -153,11 +154,19 @@ TEST(AsyncConnectorTest, OperationsExecuteInFifoOrder) {
 }
 
 TEST(AsyncConnectorTest, SuccessorsWaitOutARetriedOp) {
-  // gate(faulty(memory)): the gate holds the head write until all eight
-  // successors are queued behind it; then its first two attempts fault.
+  // gate(resilient(faulty(memory))): the gate holds the head write until
+  // all eight successors are queued behind it; then its first two
+  // attempts fault, and the resilient layer retries it inline on the
+  // connector's stream.
   auto faulty = std::make_shared<storage::FaultyBackend>(
       std::make_shared<storage::MemoryBackend>(), storage::FaultPlan{});
-  auto gate = std::make_shared<GateBackend>(faulty);
+  resilience::ManualClock manual;
+  storage::ResilienceOptions resilience_options;
+  resilience_options.retry.max_attempts = 3;
+  resilience_options.enable_breaker = false;
+  auto resilient = std::make_shared<storage::ResilientBackend>(
+      faulty, resilience_options, &manual, &manual);
+  auto gate = std::make_shared<GateBackend>(resilient);
   auto file = h5::File::create(gate);
   auto ds = file->root().create_dataset("d", h5::Datatype::kInt32, {1});
   storage::FaultPlan plan;
@@ -166,12 +175,7 @@ TEST(AsyncConnectorTest, SuccessorsWaitOutARetriedOp) {
   plan.heal_after_faults = 2;
   faulty->set_plan(plan);
 
-  resilience::ManualClock manual;
-  AsyncOptions options;
-  options.retry.max_attempts = 3;
-  options.retry.jitter_fraction = 0.0;
-  options.sleeper = &manual;
-  AsyncConnector conn(file, options, &manual);
+  AsyncConnector conn(file, {}, &manual);
   auto observer = std::make_shared<RecordingObserver>();
   conn.add_observer(observer);
 
@@ -189,10 +193,9 @@ TEST(AsyncConnectorTest, SuccessorsWaitOutARetriedOp) {
   gate->set_open(true);
   conn.wait_all();
 
-  EXPECT_EQ(requests[0]->attempts(), 3);
-  for (std::size_t i = 1; i < requests.size(); ++i) {
-    EXPECT_EQ(requests[i]->attempts(), 1) << "write " << i;
-  }
+  EXPECT_EQ(resilient->retries(), 2u);
+  EXPECT_EQ(faulty->faults_injected(), 2u);
+  EXPECT_EQ(manual.sleep_count(), 2u);
   const auto records = observer->records();
   ASSERT_EQ(records.size(), static_cast<std::size_t>(kWrites));
   for (std::size_t i = 0; i < records.size(); ++i) {

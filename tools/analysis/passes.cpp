@@ -26,7 +26,7 @@ bool is_must_check_name(const std::string& s) {
       "write_v",        "read_v",        "try_push",
       "try_pop",        "backoff_and_retry", "run_with_retry",
       "errors",         "num_errors",    "error_messages",
-      "test",           "deadline_exhausted"};
+      "test"};
   return kSet.count(s) > 0;
 }
 

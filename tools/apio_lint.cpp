@@ -23,7 +23,7 @@
 //                 injector; wiring it into library code under src/
 //                 (outside its own definition) would ship injected
 //                 failures.  Production resilience goes through
-//                 storage::ResilientBackend / AsyncOptions::retry.
+//                 storage::ResilientBackend.
 //   cached-backend  storage::CachedBackend must be constructed through
 //                 BackendStack::cached(), never directly: the stack
 //                 builder is what enforces the decorator-order
@@ -155,8 +155,8 @@ void lint_file(const fs::path& root, const fs::path& file) {
         !waived(raw, "faulty-backend")) {
       report(sf.path, lineno, "faulty-backend",
              "FaultyBackend is a test-only fault injector and must not be "
-             "wired into library code; use storage::ResilientBackend or "
-             "AsyncOptions::retry for production resilience");
+             "wired into library code; use storage::ResilientBackend for "
+             "production resilience");
     }
 
     if (!is_cached_backend_impl &&

@@ -174,15 +174,14 @@ void write_chrome_trace(const std::string& path,
 }
 
 /// Resilience summary: how much of the run was spent surviving faults.
-/// Printed only when retries/degradation actually happened, so fault-free
+/// Printed only when retries or failures actually happened, so fault-free
 /// profiles stay unchanged.
 void print_resilience_report(const obs::RegistrySnapshot& snap) {
   const std::uint64_t retries = snap.counter_total("io.retries");
-  const std::uint64_t degraded = snap.counter_total("io.degraded_ops");
   const std::uint64_t trips = snap.counter_total("io.breaker_trips");
   const std::uint64_t deadline = snap.counter_total("io.deadline_exhausted");
   const std::uint64_t failed = snap.counter_total("vol.async.failed_ops");
-  if (retries + degraded + trips + deadline + failed == 0) return;
+  if (retries + trips + deadline + failed == 0) return;
 
   std::printf("resilience:\n");
   double backoff = 0.0;
@@ -191,12 +190,8 @@ void print_resilience_report(const obs::RegistrySnapshot& snap) {
   std::printf("  retries %llu (backoff %s)\n",
               static_cast<unsigned long long>(retries),
               format_seconds(backoff).c_str());
-  if (degraded > 0) {
-    std::printf("  degraded ops %llu (completed via sync fallback)\n",
-                static_cast<unsigned long long>(degraded));
-  }
   if (failed > 0) {
-    std::printf("  failed ops %llu (policy exhausted)\n",
+    std::printf("  failed ops %llu (completed with an error)\n",
                 static_cast<unsigned long long>(failed));
   }
   if (deadline > 0) {
