@@ -42,7 +42,8 @@
 #      stream (records) call at once, and the allocation, eventual,
 #      pool and execution-stream suites, for ops that submitters push
 #      straight onto the stream's pool and the recycler's shared
-#      prefetch buffers.
+#      prefetch buffers, and the corruption, h5-fuzz and chunked suites,
+#      for the metadata parser's bounds on container bytes.
 #
 # Usage: ci/check.sh [--skip-tsan]
 set -euo pipefail
@@ -147,10 +148,10 @@ else
   ctest --preset tsan -j "${JOBS}"
 fi
 
-echo "==> [8/8] asan-ubsan build + fault-matrix, async-connector, backend, handle-lifetime, path-index, cache, paged-memory, collective-write, two-phase, passthrough, adaptive-loop and tasking suites"
+echo "==> [8/8] asan-ubsan build + fault-matrix, async-connector, backend, handle-lifetime, path-index, cache, paged-memory, collective-write, two-phase, passthrough, adaptive-loop, tasking and container-parsing suites"
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "${JOBS}"
 ctest --preset asan-ubsan -j "${JOBS}" \
-  -R 'Resilience|FaultInjection|AsyncConnector|VectoredBackend|BackendContract|HandleLifetime|PathIndex|Cache|PagedMemory|CollectiveWrite|TwoPhase|Passthrough|ModeAdvisor|AdaptiveConnector|FeedbackLoop|Alloc|Eventual|PoolTest|ExecutionStream'
+  -R 'Resilience|FaultInjection|AsyncConnector|VectoredBackend|BackendContract|HandleLifetime|PathIndex|Cache|PagedMemory|CollectiveWrite|TwoPhase|Passthrough|ModeAdvisor|AdaptiveConnector|FeedbackLoop|Alloc|Eventual|PoolTest|ExecutionStream|Corruption|H5Fuzz|Chunked'
 
 echo "==> all checks passed"

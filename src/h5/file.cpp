@@ -52,21 +52,6 @@ void set_attribute_impl(std::vector<meta::AttributeNode>& attrs,
   node->value.assign(value.begin(), value.end());
 }
 
-std::vector<std::string> attribute_names_impl(
-    const std::vector<meta::AttributeNode>& attrs) {
-  std::vector<std::string> names;
-  names.reserve(attrs.size());
-  for (const auto& a : attrs) names.push_back(a.name);
-  return names;
-}
-
-meta::AttributeNode attribute_info_impl(const std::vector<meta::AttributeNode>& attrs,
-                                        const std::string& name) {
-  const meta::AttributeNode* node = find_attribute(attrs, name);
-  if (node == nullptr) throw NotFoundError("attribute '" + name + "' not found");
-  return *node;
-}
-
 void get_attribute_impl(const std::vector<meta::AttributeNode>& attrs,
                         const std::string& name, Datatype expected,
                         std::span<std::byte> out) {
@@ -95,8 +80,8 @@ void mark_removed(meta::GroupNode& group) {
 /// segments: each row run is split at chunk boundaries of the last
 /// dimension and reported as fn(chunk_coord, local_linear_elem,
 /// seg_elems, buf_elem_off), where buf_elem_off is the segment's
-/// position in the packed transfer buffer.  Every dataset path (scalar,
-/// vectored, filtered) walks selections through this one enumerator.
+/// position in the packed transfer buffer.  Both chunked paths (scalar
+/// and vectored) walk selections through this one enumerator.
 void for_each_chunk_segment(
     const Dims& dims, const Dims& chunk, const Selection& selection,
     const std::function<void(const Dims&, std::uint64_t, std::uint64_t,
@@ -149,11 +134,6 @@ const Dims& Dataset::dims() const {
 Layout Dataset::layout() const {
   require_valid();
   return node_->layout;
-}
-
-FilterId Dataset::filter() const {
-  require_valid();
-  return node_->filter;
 }
 
 const Dims& Dataset::chunk_dims() const {
@@ -238,61 +218,36 @@ void Dataset::write_raw(const Selection& selection, std::span<const std::byte> d
   const Dims& chunk = node_->chunk_dims;
   const std::uint64_t chunk_bytes = num_elements(chunk) * elsize;
 
-  if (node_->filter == FilterId::kNone) {
-    if (vectored) {
-      // Per-call chunk-offset cache: one meta_mutex_ acquisition per
-      // touched chunk instead of one per segment, then a single
-      // vectored backend call for the whole selection.
-      IoVector iov;
-      std::map<Dims, std::uint64_t> chunk_offs;
-      for_each_chunk_segment(
-          node_->dims, chunk, selection,
-          [&](const Dims& cc, std::uint64_t local_linear, std::uint64_t seg,
-              std::uint64_t buf_elem) {
-            auto it = chunk_offs.find(cc);
-            if (it == chunk_offs.end()) {
-              it = chunk_offs
-                       .emplace(cc, file_->chunk_offset_for_write(*node_, cc, chunk_bytes))
-                       .first;
-            }
-            iov.add_write(it->second + local_linear * elsize,
-                          data.subspan(buf_elem * elsize, seg * elsize));
-          });
-      iov.write_to(backend);
-    } else {
-      for_each_chunk_segment(
-          node_->dims, chunk, selection,
-          [&](const Dims& cc, std::uint64_t local_linear, std::uint64_t seg,
-              std::uint64_t buf_elem) {
-            const std::uint64_t chunk_off =
-                file_->chunk_offset_for_write(*node_, cc, chunk_bytes);
-            backend.write(chunk_off + local_linear * elsize,  // apio-lint: allow(io-vector)
-                          data.subspan(buf_elem * elsize, seg * elsize));
-          });
-    }
-    return;
-  }
-
-  // Filtered layout: whole-chunk read-modify-write.  Each touched chunk
-  // is decoded once, patched in memory, then re-encoded and stored.
-  // Encoded chunk sizes vary per write, so these transfers do not
-  // aggregate; filtered datasets stay on the scalar path.
-  std::lock_guard<std::mutex> filter_lock(file_->filter_mutex_);
-  std::map<Dims, std::vector<std::byte>> touched;
-  for_each_chunk_segment(
-      node_->dims, chunk, selection,
-      [&](const Dims& cc, std::uint64_t local_linear, std::uint64_t seg,
-          std::uint64_t buf_elem) {
-        auto it = touched.find(cc);
-        if (it == touched.end()) {
-          it = touched.emplace(cc, file_->read_chunk_decoded(*node_, cc, chunk_bytes))
-                   .first;
-        }
-        std::memcpy(it->second.data() + local_linear * elsize,
-                    data.data() + buf_elem * elsize, seg * elsize);
-      });
-  for (const auto& [coords, raw] : touched) {
-    file_->store_chunk_encoded(*node_, coords, raw);
+  if (vectored) {
+    // Per-call chunk-offset cache: one meta_mutex_ acquisition per
+    // touched chunk instead of one per segment, then a single
+    // vectored backend call for the whole selection.
+    IoVector iov;
+    std::map<Dims, std::uint64_t> chunk_offs;
+    for_each_chunk_segment(
+        node_->dims, chunk, selection,
+        [&](const Dims& cc, std::uint64_t local_linear, std::uint64_t seg,
+            std::uint64_t buf_elem) {
+          auto it = chunk_offs.find(cc);
+          if (it == chunk_offs.end()) {
+            it = chunk_offs
+                     .emplace(cc, file_->chunk_offset_for_write(*node_, cc, chunk_bytes))
+                     .first;
+          }
+          iov.add_write(it->second + local_linear * elsize,
+                        data.subspan(buf_elem * elsize, seg * elsize));
+        });
+    iov.write_to(backend);
+  } else {
+    for_each_chunk_segment(
+        node_->dims, chunk, selection,
+        [&](const Dims& cc, std::uint64_t local_linear, std::uint64_t seg,
+            std::uint64_t buf_elem) {
+          const std::uint64_t chunk_off =
+              file_->chunk_offset_for_write(*node_, cc, chunk_bytes);
+          backend.write(chunk_off + local_linear * elsize,  // apio-lint: allow(io-vector)
+                        data.subspan(buf_elem * elsize, seg * elsize));
+        });
   }
 }
 
@@ -334,28 +289,6 @@ void Dataset::read_raw(const Selection& selection, std::span<std::byte> out) con
   }
 
   const Dims& chunk = node_->chunk_dims;
-  const std::uint64_t chunk_bytes = num_elements(chunk) * elsize;
-  const bool filtered = node_->filter != FilterId::kNone;
-
-  if (filtered) {
-    // Filtered layout: whole-chunk decode with a per-call cache.
-    std::unique_lock<std::mutex> filter_lock(file_->filter_mutex_);
-    std::map<Dims, std::vector<std::byte>> decoded;
-    for_each_chunk_segment(
-        node_->dims, chunk, selection,
-        [&](const Dims& cc, std::uint64_t local_linear, std::uint64_t seg,
-            std::uint64_t buf_elem) {
-          auto it = decoded.find(cc);
-          if (it == decoded.end()) {
-            it = decoded.emplace(cc, file_->read_chunk_decoded(*node_, cc, chunk_bytes))
-                     .first;
-          }
-          std::memcpy(out.data() + buf_elem * elsize,
-                      it->second.data() + local_linear * elsize, seg * elsize);
-        });
-    return;
-  }
-
   if (vectored) {
     // Unwritten chunks are zero-filled immediately; written chunks
     // accumulate into one vectored read.  The cache holds {exists,
@@ -405,7 +338,7 @@ void Dataset::set_extent(const Dims& new_dims) {
   std::lock_guard<std::mutex> lock(file_->meta_mutex_);
   // Drop chunks lying entirely beyond the new extent: a shrink followed
   // by a regrow must read zero fill there, not resurrect stale data.
-  // The chunk's file extent becomes dead space (reclaimed by repack),
+  // The chunk's file extent becomes dead space, never reclaimed,
   // matching how unlink treats raw data.
   for (auto it = node_->chunks.begin(); it != node_->chunks.end();) {
     bool outside = false;
@@ -424,18 +357,6 @@ bool Dataset::has_attribute(const std::string& attr_name) const {
   require_valid();
   std::lock_guard<std::mutex> lock(file_->meta_mutex_);
   return find_attribute(node_->attributes, attr_name) != nullptr;
-}
-
-std::vector<std::string> Dataset::attribute_names() const {
-  require_valid();
-  std::lock_guard<std::mutex> lock(file_->meta_mutex_);
-  return attribute_names_impl(node_->attributes);
-}
-
-meta::AttributeNode Dataset::attribute_info(const std::string& attr_name) const {
-  require_valid();
-  std::lock_guard<std::mutex> lock(file_->meta_mutex_);
-  return attribute_info_impl(node_->attributes, attr_name);
 }
 
 void Dataset::set_attribute_raw(const std::string& attr_name, Datatype dtype,
@@ -514,9 +435,6 @@ Dataset Group::create_dataset(const std::string& ds_name, Datatype dtype, Dims d
       APIO_REQUIRE(c >= 1, "chunk dimensions must be >= 1");
     }
     APIO_REQUIRE(!dims.empty(), "chunked datasets must have rank >= 1");
-  } else {
-    APIO_REQUIRE(props.filter == FilterId::kNone,
-                 "filters require the chunked layout");
   }
 
   std::lock_guard<std::mutex> lock(file_->meta_mutex_);
@@ -530,7 +448,6 @@ Dataset Group::create_dataset(const std::string& ds_name, Datatype dtype, Dims d
   ds->dims = std::move(dims);
   ds->layout = props.layout;
   ds->chunk_dims = std::move(props.chunk_dims);
-  ds->filter = props.filter;
   if (ds->layout == Layout::kContiguous) {
     ds->data_size = num_elements(ds->dims) * datatype_size(dtype);
     ds->data_offset = file_->allocate(ds->data_size);
@@ -610,18 +527,6 @@ bool Group::has_attribute(const std::string& attr_name) const {
   require_valid();
   std::lock_guard<std::mutex> lock(file_->meta_mutex_);
   return find_attribute(node_->attributes, attr_name) != nullptr;
-}
-
-std::vector<std::string> Group::attribute_names() const {
-  require_valid();
-  std::lock_guard<std::mutex> lock(file_->meta_mutex_);
-  return attribute_names_impl(node_->attributes);
-}
-
-meta::AttributeNode Group::attribute_info(const std::string& attr_name) const {
-  require_valid();
-  std::lock_guard<std::mutex> lock(file_->meta_mutex_);
-  return attribute_info_impl(node_->attributes, attr_name);
 }
 
 void Group::set_attribute_raw(const std::string& attr_name, Datatype dtype, Dims dims,
@@ -779,17 +684,14 @@ std::uint64_t File::chunk_offset_for_write(meta::DatasetNode& node, const Dims& 
                                            std::uint64_t chunk_bytes) {
   std::lock_guard<std::mutex> lock(meta_mutex_);
   auto it = node.chunks.find(coords);
-  if (it != node.chunks.end()) return it->second.offset;
-  meta::ChunkLocation loc;
-  loc.offset = allocate(chunk_bytes);
-  loc.stored_size = chunk_bytes;
-  loc.allocated_size = chunk_bytes;
-  node.chunks.emplace(coords, loc);
+  if (it != node.chunks.end()) return it->second;
+  const std::uint64_t offset = allocate(chunk_bytes);
+  node.chunks.emplace(coords, offset);
   // Zero-fill so partial chunk writes leave deterministic fill values.
   // POSIX holes and the memory backend already read back zero, so only
   // the extent needs to exist.
-  backend_->truncate(std::max(backend_->size(), loc.offset + chunk_bytes));
-  return loc.offset;
+  backend_->truncate(std::max(backend_->size(), offset + chunk_bytes));
+  return offset;
 }
 
 bool File::chunk_offset_for_read(const meta::DatasetNode& node, const Dims& coords,
@@ -797,51 +699,8 @@ bool File::chunk_offset_for_read(const meta::DatasetNode& node, const Dims& coor
   std::lock_guard<std::mutex> lock(meta_mutex_);
   auto it = node.chunks.find(coords);
   if (it == node.chunks.end()) return false;
-  offset = it->second.offset;
+  offset = it->second;
   return true;
-}
-
-std::vector<std::byte> File::read_chunk_decoded(const meta::DatasetNode& node,
-                                                const Dims& coords,
-                                                std::uint64_t chunk_bytes) const {
-  meta::ChunkLocation loc;
-  {
-    std::lock_guard<std::mutex> lock(meta_mutex_);
-    auto it = node.chunks.find(coords);
-    if (it == node.chunks.end()) {
-      return std::vector<std::byte>(chunk_bytes);  // fill value
-    }
-    loc = it->second;
-  }
-  std::vector<std::byte> stored(loc.stored_size);
-  backend_->read(loc.offset, stored);
-  return filter_decode(node.filter, stored, chunk_bytes);
-}
-
-void File::store_chunk_encoded(meta::DatasetNode& node, const Dims& coords,
-                               std::span<const std::byte> raw_chunk) {
-  auto encoded = filter_encode(node.filter, raw_chunk);
-  std::uint64_t offset = 0;
-  {
-    std::lock_guard<std::mutex> lock(meta_mutex_);
-    auto it = node.chunks.find(coords);
-    if (it != node.chunks.end() && encoded.size() <= it->second.allocated_size) {
-      // Fits in place.
-      it->second.stored_size = encoded.size();
-      offset = it->second.offset;
-    } else {
-      // Allocate a fresh extent with headroom so mild growth of the
-      // re-encoded chunk does not relocate it again; the previous
-      // extent becomes dead space (reclaimed by repacking, as in HDF5).
-      meta::ChunkLocation loc;
-      loc.allocated_size = encoded.size() + encoded.size() / 4 + 64;
-      loc.offset = allocate(loc.allocated_size);
-      loc.stored_size = encoded.size();
-      offset = loc.offset;
-      node.chunks[coords] = loc;
-    }
-  }
-  backend_->write(offset, encoded);
 }
 
 void File::write_superblock(std::uint64_t meta_offset, std::uint64_t meta_size,

@@ -46,8 +46,6 @@ class Dataset {
   const Dims& dims() const;
   Layout layout() const;
   const Dims& chunk_dims() const;
-  /// Chunk filter (kNone for contiguous datasets).
-  FilterId filter() const;
   std::uint64_t npoints() const;
   std::size_t element_size() const;
   /// Total raw-data bytes implied by the current extent.
@@ -109,12 +107,6 @@ class Dataset {
   }
   bool has_attribute(const std::string& attr_name) const;
 
-  /// Names of all attributes, in creation order.
-  std::vector<std::string> attribute_names() const;
-  /// Full copy of one attribute (type, dims, packed bytes); used by
-  /// generic consumers such as repack().
-  meta::AttributeNode attribute_info(const std::string& attr_name) const;
-
   void set_attribute_raw(const std::string& attr_name, Datatype dtype, Dims dims,
                          std::span<const std::byte> value);
   void attribute_raw(const std::string& attr_name, Datatype expected,
@@ -160,9 +152,9 @@ class Group {
   std::vector<std::string> group_names() const;
   std::vector<std::string> dataset_names() const;
 
-  /// Unlinks a child group or dataset (raw data extents are not
-  /// reclaimed, matching HDF5-without-h5repack behaviour).  Handles to
-  /// the child and everything below it become invalid (StateError).
+  /// Unlinks a child group or dataset.  Its raw data extents stay in
+  /// the file as dead space, which is never reclaimed.  Handles to the
+  /// child and everything below it become invalid (StateError).
   void remove(const std::string& child_name);
 
   template <typename T>
@@ -178,8 +170,6 @@ class Group {
     return value;
   }
   bool has_attribute(const std::string& attr_name) const;
-  std::vector<std::string> attribute_names() const;
-  meta::AttributeNode attribute_info(const std::string& attr_name) const;
   void set_attribute_raw(const std::string& attr_name, Datatype dtype, Dims dims,
                          std::span<const std::byte> value);
   void attribute_raw(const std::string& attr_name, Datatype expected,
@@ -249,20 +239,12 @@ class File : public std::enable_shared_from_this<File> {
   /// Allocates `size` bytes of file space; returns the offset.
   std::uint64_t allocate(std::uint64_t size);
 
-  /// Chunked-layout helper (unfiltered): offset of the chunk,
-  /// allocating on demand.
+  /// Chunked-layout helper: offset of the chunk, allocating on demand.
   std::uint64_t chunk_offset_for_write(meta::DatasetNode& node, const Dims& coords,
                                        std::uint64_t chunk_bytes);
   /// Read-side lookup; returns false when the chunk was never written.
   bool chunk_offset_for_read(const meta::DatasetNode& node, const Dims& coords,
                              std::uint64_t& offset) const;
-
-  /// Filtered-layout helpers (caller holds filter_mutex_).
-  std::vector<std::byte> read_chunk_decoded(const meta::DatasetNode& node,
-                                            const Dims& coords,
-                                            std::uint64_t chunk_bytes) const;
-  void store_chunk_encoded(meta::DatasetNode& node, const Dims& coords,
-                           std::span<const std::byte> raw_chunk);
 
   void write_superblock(std::uint64_t meta_offset, std::uint64_t meta_size,
                         std::uint32_t meta_crc);
@@ -275,10 +257,6 @@ class File : public std::enable_shared_from_this<File> {
   std::vector<std::unique_ptr<meta::GroupNode>> unlinked_groups_;
   std::vector<std::unique_ptr<meta::DatasetNode>> unlinked_datasets_;
   mutable std::mutex meta_mutex_;
-  /// Serialises whole-chunk read-modify-write cycles of filtered
-  /// datasets (parallel HDF5 semantics: filtered chunks are not
-  /// concurrently writable).
-  mutable std::mutex filter_mutex_;
   std::uint64_t eof_ = 0;
   bool open_ = false;
 };

@@ -8,6 +8,9 @@ namespace {
 constexpr std::uint8_t kAttrTag = 0xA1;
 constexpr std::uint8_t kDatasetTag = 0xD5;
 constexpr std::uint8_t kGroupTag = 0x6F;
+/// The per-dataset filter byte.  Chunks are never filtered, so every
+/// dataset is written with 0 and any other value fails to load.
+constexpr std::uint8_t kNoFilter = 0;
 
 void put_dims(ByteWriter& out, const Dims& dims) {
   out.put_u32(static_cast<std::uint32_t>(dims.size()));
@@ -20,6 +23,13 @@ Dims get_dims(ByteReader& in) {
   Dims dims(rank);
   for (auto& d : dims) d = in.get_u64();
   return dims;
+}
+
+/// Bytes of one chunk, sized as the write path sizes it: every chunk is
+/// stored whole and unencoded.  Callers skip it for datasets without
+/// chunks, whose chunk dims may be too large to multiply out.
+std::uint64_t chunk_size_bytes(const DatasetNode& ds) {
+  return num_elements(ds.chunk_dims) * datatype_size(ds.dtype);
 }
 
 void put_attribute(ByteWriter& out, const AttributeNode& attr) {
@@ -63,15 +73,16 @@ void put_dataset(ByteWriter& out, const DatasetNode& ds) {
   put_dims(out, ds.dims);
   out.put_u8(static_cast<std::uint8_t>(ds.layout));
   put_dims(out, ds.chunk_dims);
-  out.put_u8(static_cast<std::uint8_t>(ds.filter));
+  out.put_u8(kNoFilter);
   out.put_u64(ds.data_offset);
   out.put_u64(ds.data_size);
   out.put_u64(ds.chunks.size());
-  for (const auto& [coords, loc] : ds.chunks) {
+  const std::uint64_t chunk_bytes = ds.chunks.empty() ? 0 : chunk_size_bytes(ds);
+  for (const auto& [coords, offset] : ds.chunks) {
     put_dims(out, coords);
-    out.put_u64(loc.offset);
-    out.put_u64(loc.stored_size);
-    out.put_u64(loc.allocated_size);
+    out.put_u64(offset);
+    out.put_u64(chunk_bytes);  // stored size
+    out.put_u64(chunk_bytes);  // allocated size
   }
   put_attributes(out, ds.attributes);
 }
@@ -87,17 +98,23 @@ std::unique_ptr<DatasetNode> get_dataset(ByteReader& in, const GroupNode& parent
   if (layout > 1) throw FormatError("bad layout code");
   ds->layout = static_cast<Layout>(layout);
   ds->chunk_dims = get_dims(in);
-  ds->filter = filter_from_code(in.get_u8());
+  if (in.get_u8() != kNoFilter) {
+    throw FormatError("dataset '" + ds->name + "' uses an unsupported chunk filter");
+  }
   ds->data_offset = in.get_u64();
   ds->data_size = in.get_u64();
   const std::uint64_t nchunks = in.get_u64();
+  const std::uint64_t chunk_bytes = nchunks == 0 ? 0 : chunk_size_bytes(*ds);
   for (std::uint64_t i = 0; i < nchunks; ++i) {
     Dims coords = get_dims(in);
-    ChunkLocation loc;
-    loc.offset = in.get_u64();
-    loc.stored_size = in.get_u64();
-    loc.allocated_size = in.get_u64();
-    ds->chunks.emplace(std::move(coords), loc);
+    const std::uint64_t offset = in.get_u64();
+    const std::uint64_t stored_size = in.get_u64();
+    const std::uint64_t allocated_size = in.get_u64();
+    if (stored_size != chunk_bytes || allocated_size != chunk_bytes) {
+      throw FormatError("dataset '" + ds->name + "' has a chunk whose stored size is not " +
+                        std::to_string(chunk_bytes) + " bytes");
+    }
+    ds->chunks.emplace(std::move(coords), offset);
   }
   ds->attributes = get_attributes(in);
   return ds;

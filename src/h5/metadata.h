@@ -26,17 +26,7 @@ struct AttributeNode {
   std::vector<std::byte> value;  ///< packed native bytes
 };
 
-/// File location of one stored chunk.
-struct ChunkLocation {
-  std::uint64_t offset = 0;
-  /// Bytes actually stored (post-filter).
-  std::uint64_t stored_size = 0;
-  /// Bytes reserved at `offset`; a refiltered chunk that still fits is
-  /// rewritten in place, otherwise it moves to a fresh extent.
-  std::uint64_t allocated_size = 0;
-};
-
-/// A dataset's metadata: shape, layout, filter and raw-data location.
+/// A dataset's metadata: shape, layout and raw-data location.
 struct DatasetNode {
   std::string name;
   /// In memory only, never serialised: the `/`-joined path from the root
@@ -49,14 +39,14 @@ struct DatasetNode {
   Dims dims;
   Layout layout = Layout::kContiguous;
   Dims chunk_dims;
-  FilterId filter = FilterId::kNone;
 
   /// Contiguous layout: file extent of the raw data.
   std::uint64_t data_offset = 0;
   std::uint64_t data_size = 0;
 
-  /// Chunked layout: chunk grid coordinates -> stored location.
-  std::map<Dims, ChunkLocation> chunks;
+  /// Chunked layout: chunk grid coordinates -> file offset of the
+  /// chunk's extent (always the full chunk size).
+  std::map<Dims, std::uint64_t> chunks;
 
   std::vector<AttributeNode> attributes;
 };

@@ -5,7 +5,6 @@
 #include <cstdint>
 
 #include "h5/dataspace.h"
-#include "h5/filter.h"
 
 namespace apio::h5 {
 
@@ -19,18 +18,12 @@ struct DatasetCreateProps {
   Layout layout = Layout::kContiguous;
   /// Required (non-empty, same rank as the dataspace) when chunked.
   Dims chunk_dims;
-  /// Optional per-chunk compression (chunked layout only).  Filtered
-  /// chunks are read-modify-written whole, so concurrent writers to the
-  /// *same* chunk are serialised internally — as in parallel HDF5,
-  /// rank-disjoint chunks are the scalable pattern.
-  FilterId filter = FilterId::kNone;
 
   static DatasetCreateProps contiguous() { return {}; }
-  static DatasetCreateProps chunked(Dims chunk, FilterId chunk_filter = FilterId::kNone) {
+  static DatasetCreateProps chunked(Dims chunk) {
     DatasetCreateProps p;
     p.layout = Layout::kChunked;
     p.chunk_dims = std::move(chunk);
-    p.filter = chunk_filter;
     return p;
   }
 };

@@ -146,11 +146,10 @@ TEST(DatasetConvertTest, ConversionOnHyperslab) {
   EXPECT_EQ(all[4], 0);
 }
 
-TEST(DatasetConvertTest, WorksOnChunkedFilteredDatasets) {
+TEST(DatasetConvertTest, WorksOnChunkedDatasets) {
   auto file = mem_file();
-  auto ds = file->root().create_dataset(
-      "d", Datatype::kFloat32, {16},
-      DatasetCreateProps::chunked({8}, FilterId::kLz));
+  auto ds = file->root().create_dataset("d", Datatype::kFloat32, {16},
+                                        DatasetCreateProps::chunked({8}));
   std::vector<double> values(16);
   std::iota(values.begin(), values.end(), 0.25);
   ds.write_as<double>(Selection::all(), values);

@@ -1,6 +1,6 @@
 // Randomised container round-trip: seeded fuzzing of the full apio-h5
 // surface.  Each case builds a random object tree (nested groups,
-// datasets of random dtype/rank/layout/filter, attributes), fills every
+// datasets of random dtype/rank/layout, attributes), fills every
 // dataset through randomly-shaped hyperslab writes, closes, reopens,
 // and verifies byte-exact recovery of structure and contents.
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@ struct DatasetRecord {
   Datatype dtype = Datatype::kUInt8;
   Dims dims;
   Layout layout = Layout::kContiguous;
-  FilterId filter = FilterId::kNone;
   std::vector<std::byte> expected;  // full logical contents
 };
 
@@ -116,8 +115,7 @@ TEST_P(H5FuzzTest, RandomTreeRoundTrips) {
         for (std::size_t i = 0; i < chunk.size(); ++i) {
           chunk[i] = 1 + rng.next_below(record.dims[i]);
         }
-        record.filter = static_cast<FilterId>(rng.next_below(3));
-        props = DatasetCreateProps::chunked(chunk, record.filter);
+        props = DatasetCreateProps::chunked(chunk);
       }
       auto group = parent.empty() ? file->root() : file->ensure_path(parent);
       auto ds = group.create_dataset(name, record.dtype, record.dims, props);
@@ -137,9 +135,6 @@ TEST_P(H5FuzzTest, RandomTreeRoundTrips) {
     EXPECT_EQ(ds.dtype(), record.dtype) << record.path;
     EXPECT_EQ(ds.dims(), record.dims) << record.path;
     EXPECT_EQ(ds.layout(), record.layout) << record.path;
-    if (record.layout == Layout::kChunked) {
-      EXPECT_EQ(ds.filter(), record.filter) << record.path;
-    }
     std::vector<std::byte> readback(ds.byte_size());
     ds.read_raw(Selection::all(), readback);
     EXPECT_EQ(readback, record.expected) << record.path;

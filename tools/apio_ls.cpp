@@ -1,6 +1,6 @@
 // apio-ls: lists the object tree of an apio-h5 container, in the
-// spirit of h5ls.  For each dataset prints datatype, dataspace, layout,
-// filter and logical size; groups are walked recursively.
+// spirit of h5ls.  For each dataset prints datatype, dataspace, layout
+// and logical size; groups are walked recursively.
 //
 // Usage: apio_ls <container.h5>
 #include <cstdio>
@@ -26,10 +26,9 @@ void list_group(apio::h5::Group group, const std::string& prefix) {
   using namespace apio::h5;
   for (const auto& name : group.dataset_names()) {
     Dataset ds = group.open_dataset(name);
-    std::string layout = ds.layout() == Layout::kContiguous
-                             ? "contiguous"
-                             : "chunked " + dims_string(ds.chunk_dims());
-    if (ds.filter() != FilterId::kNone) layout += " + " + filter_name(ds.filter());
+    const std::string layout = ds.layout() == Layout::kContiguous
+                                   ? "contiguous"
+                                   : "chunked " + dims_string(ds.chunk_dims());
     std::printf("%s%-24s dataset  %-8s %-20s %-28s %s\n", prefix.c_str(),
                 name.c_str(), datatype_name(ds.dtype()).c_str(),
                 dims_string(ds.dims()).c_str(), layout.c_str(),
