@@ -148,10 +148,10 @@ else
   ctest --preset tsan -j "${JOBS}"
 fi
 
-echo "==> [8/8] asan-ubsan build + fault-matrix, async-connector, backend, handle-lifetime, path-index, cache, paged-memory, collective-write, two-phase, passthrough, adaptive-loop, tasking and container-parsing suites"
+echo "==> [8/8] asan-ubsan build + fault-matrix, async-connector, backend, handle-lifetime, path-index, cache, paged-memory, collective-write, two-phase, passthrough, adaptive-loop, request, close-race and container-parsing suites"
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "${JOBS}"
 ctest --preset asan-ubsan -j "${JOBS}" \
-  -R 'Resilience|FaultInjection|AsyncConnector|VectoredBackend|BackendContract|HandleLifetime|PathIndex|Cache|PagedMemory|CollectiveWrite|TwoPhase|Passthrough|ModeAdvisor|AdaptiveConnector|FeedbackLoop|Alloc|Eventual|PoolTest|ExecutionStream|Corruption|H5Fuzz|Chunked'
+  -R 'Resilience|FaultInjection|AsyncConnector|VectoredBackend|BackendContract|HandleLifetime|PathIndex|Cache|PagedMemory|CollectiveWrite|TwoPhase|Passthrough|ModeAdvisor|AdaptiveConnector|FeedbackLoop|Alloc|RequestTest|ConnectorCloseRace|Corruption|H5Fuzz|Chunked'
 
 echo "==> all checks passed"

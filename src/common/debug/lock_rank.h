@@ -10,8 +10,9 @@
 //
 // The rank order follows the call direction of the system: VOL
 // connectors (outermost, application-facing) call into pmpi and
-// storage, which call into tasking primitives; per-object counters are
-// leaves.  See DESIGN.md "Concurrency model" for the full table.
+// storage; a request's completion state is taken last, by whichever
+// thread completes or waits on it; per-object counters are leaves.
+// See DESIGN.md "Concurrency model" for the full table.
 //
 // Checking is thread-local (no shared state, no extra synchronisation)
 // and compiles out entirely when APIO_DEBUG_CHECKS is not defined.
@@ -26,7 +27,7 @@ namespace apio::debug {
 /// so new ranks can slot in without renumbering.
 enum class LockRank : int {
   // -- VOL layer (outermost: entered from application threads) --------
-  kVolConnector = 10,   ///< AsyncConnector FIFO-order mutex
+  kVolConnector = 10,   ///< AsyncConnector FIFO queue and order
   kVolCache = 14,       ///< AsyncConnector prefetch cache
   kVolEventSet = 18,    ///< EventSet request/error lists
   kVolTrace = 22,       ///< TraceRecorder event list
@@ -49,9 +50,8 @@ enum class LockRank : int {
   // -- storage backends (wrappers delegate inward) --------------------
   kStorageWrapper = 46, ///< throttled/faulty interposer state
   kStorageBase = 50,    ///< memory byte store; posix writers (sieve windows)
-  // -- tasking primitives (innermost locks of the substrate) ----------
-  kTaskingPool = 54,    ///< Pool FIFO queue
-  kTaskingEventual = 58,///< Eventual completion state
+  // -- request completion (innermost lock of the substrate) ----------
+  kVolRequest = 58,     ///< vol::Request completion state
   // -- leaf counters (never held across any call) ---------------------
   kCounters = 62,       ///< stats snapshots (AsyncStats), pmpi::run's first error
 };

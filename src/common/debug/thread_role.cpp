@@ -56,7 +56,7 @@ namespace detail {
 
 void assert_on_stream(std::source_location loc) {
   if (t_role != ThreadRole::kStream) {
-    role_failure("this code must run on a tasking execution stream", t_role,
+    role_failure("this code must run on an execution stream", t_role,
                  t_role_id, loc);
   }
 }
@@ -65,7 +65,7 @@ void assert_on_rank(const void* domain, int rank, std::source_location loc) {
   if (t_role == ThreadRole::kStream) {
     role_failure(
         "pmpi communicator calls may not run on an execution stream "
-        "(a blocked stream starves its pool)",
+        "(a blocked stream starves its queue)",
         t_role, t_role_id, loc);
   }
   if (t_role == ThreadRole::kPmpiRank && t_role_domain == domain &&

@@ -2,12 +2,13 @@
 //
 // apio has three kinds of threads with different contracts:
 //   * application threads — issue VOL calls, may block on requests;
-//   * execution streams (tasking) — drain task pools; they must never
-//     block on work scheduled behind them (self-deadlock) and are the
-//     only threads that run staged I/O task bodies;
+//   * execution streams — each vol::AsyncConnector's one worker thread,
+//     which drains the connector's FIFO queue; a stream must never block
+//     on work queued behind it (self-deadlock) and is the only thread
+//     that runs staged I/O ops;
 //   * pmpi rank threads — drive SPMD bodies; collectives must be called
 //     by the thread that owns the communicator's rank, and never by an
-//     execution stream (a stream parked in a barrier starves its pool).
+//     execution stream (a stream parked in a barrier starves its queue).
 //
 // ScopedThreadRole tags the current thread; the APIO_ASSERT_ON_* macros
 // make the contracts fail loudly at the call site.  Like the lock-rank
@@ -20,7 +21,7 @@ namespace apio::debug {
 
 enum class ThreadRole : int {
   kUnassigned = 0,  ///< plain application thread (default)
-  kStream = 1,      ///< tasking execution stream worker
+  kStream = 1,      ///< async connector worker (execution stream)
   kPmpiRank = 2,    ///< pmpi SPMD rank thread
 };
 
@@ -69,7 +70,7 @@ void assert_on_rank(const void* domain, int rank, std::source_location loc);
 
 #if defined(APIO_DEBUG_CHECKS)
 
-/// The enclosing code must run on a tasking execution stream.
+/// The enclosing code must run on an execution stream.
 #define APIO_ASSERT_ON_STREAM() \
   ::apio::debug::detail::assert_on_stream(std::source_location::current())
 

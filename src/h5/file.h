@@ -12,6 +12,7 @@
 // concurrently from many ranks, the MPI-IO-style contract.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -258,7 +259,9 @@ class File : public std::enable_shared_from_this<File> {
   std::vector<std::unique_ptr<meta::DatasetNode>> unlinked_datasets_;
   mutable std::mutex meta_mutex_;
   std::uint64_t eof_ = 0;
-  bool open_ = false;
+  /// Atomic: a handle on another thread may check it while close() runs
+  /// (an async submit racing the connector's close, say).
+  std::atomic<bool> open_{false};
 };
 
 template <typename T>

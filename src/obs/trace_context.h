@@ -7,7 +7,7 @@
 // renders from (Chrome JSON, critical path, JSONL export).  Every
 // request submitted through a VOL connector mints a TraceContext
 // (trace id + root span id) that travels with the operation across threads —
-// issuing rank -> FIFO chain -> tasking pool -> retry attempts ->
+// issuing rank -> connector FIFO queue -> retry attempts ->
 // scheduler admission -> backend decorator stack — and every layer
 // records phase-named child spans against it.  A completed request
 // yields one span tree whose self-times decompose the request's wall
@@ -62,7 +62,7 @@ namespace apio::obs::trace {
 enum class Phase : std::uint8_t {
   kSubmit = 0,   ///< synchronous submit window on the issuing thread
   kStageCopy,    ///< transactional staging copy (t_transact)
-  kPoolWait,     ///< pool push -> background stream pickup (FIFO wait)
+  kPoolWait,     ///< queue push -> background stream pickup (FIFO wait)
   kQueueWait,    ///< sched::FairScheduler submit -> grant
   kAdmission,    ///< channel grant held around the inner transfer
   kAttempt,      ///< a connector's one execution of an op on storage

@@ -7,6 +7,7 @@
 #include "common/debug/invariant.h"
 #include "common/debug/thread_role.h"
 #include "common/error.h"
+#include "common/log.h"
 #include "obs/metrics.h"
 #include "obs/trace_context.h"
 #include "vol/selection_token.h"
@@ -47,6 +48,27 @@ obs::Counter& prefetch_misses_counter() {
 obs::Counter& failed_counter() {
   static auto& c = obs::Registry::instance().counter("vol.async.failed_ops");
   return c;
+}
+
+obs::Gauge& staged_gauge() {
+  static auto& g = obs::Registry::instance().gauge("vol.async.staged_outstanding");
+  return g;
+}
+
+obs::Gauge& queue_depth_gauge() {
+  static auto& g = obs::Registry::instance().gauge("vol.async.queue_depth");
+  return g;
+}
+
+obs::Histogram& idle_hist() {
+  static auto& h = obs::Registry::instance().histogram("vol.async.idle_seconds");
+  return h;
+}
+
+/// Process-wide stream numbering, used only to label trace lanes.
+int next_stream_id() {
+  static std::atomic<int> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 /// Byte offset of the selection's first element within the dataset's
@@ -98,9 +120,9 @@ struct AsyncConnector::AsyncOp {
   std::span<std::byte> out;
   std::uint64_t bytes = 0;
 
-  /// Set by submit(), unless `prepare` supplied one (a prefetch shares
-  /// its cache entry's).
-  tasking::EventualPtr done;
+  /// Set by submit(), unless `prepare` supplied one (a prefetch's is its
+  /// cache entry's).
+  RequestPtr request;
   /// Fair-share identity captured at issue time; re-bound on the
   /// background stream for the op's execution so a QosBackend under
   /// the file charges the issuing tenant.
@@ -112,8 +134,8 @@ struct AsyncConnector::AsyncOp {
   /// Causal trace identity, minted at submission; re-bound alongside
   /// the submission context on the background stream.
   obs::trace::TraceContext trace;
-  double trace_start = 0.0;     ///< root span start (steady_seconds)
-  double pool_push_time = 0.0;  ///< pool-wait phase anchor
+  double trace_start = 0.0;  ///< root span start (steady_seconds)
+  double push_time = 0.0;    ///< kPoolWait phase anchor (queue push)
 };
 
 AsyncConnector::AsyncConnector(h5::FilePtr file, AsyncOptions options,
@@ -123,9 +145,8 @@ AsyncConnector::AsyncConnector(h5::FilePtr file, AsyncOptions options,
       clock_(clock != nullptr ? clock : &wall_clock_) {
   APIO_REQUIRE(file_ != nullptr, "AsyncConnector requires an open file");
   const double t0 = clock_->now();
-  pool_ = std::make_shared<tasking::Pool>();
-  stream_ = std::make_unique<tasking::ExecutionStream>(pool_);
-  last_op_ = tasking::Eventual::make_ready();
+  last_op_ = Request::make_ready();
+  stream_ = std::thread([this] { run_stream(); });
   std::lock_guard lock(stats_mutex_);
   stats_.init_seconds = clock_->now() - t0;
 }
@@ -143,7 +164,12 @@ void AsyncConnector::shutdown_machinery() {
   if (closed_.exchange(true)) return;
   const double t0 = clock_->now();
   wait_all();
-  stream_->shutdown();
+  {
+    std::lock_guard lock(order_mutex_);
+    stopping_ = true;
+  }
+  queue_cv_.notify_all();
+  stream_.join();
   clear_cache();
   std::lock_guard lock(stats_mutex_);
   stats_.term_seconds = clock_->now() - t0;
@@ -172,10 +198,8 @@ RequestPtr AsyncConnector::submit(obs::IoOp kind, const h5::Dataset* ds,
   op->trace_start = obs::steady_seconds();
   obs::trace::ScopedTraceContext trace_bind(op->trace);
   obs::trace::ScopedPhase submit_phase(obs::trace::Phase::kSubmit, bytes);
-  RequestPtr request;  // none for a prefetch
   try {
     prepare(*op);
-    if (!op->done) op->done = tasking::Eventual::make();
     // Only a write blocks its caller, for the staging copy.
     const double blocking = kind == obs::IoOp::kWrite ? clock_->now() - t0 : 0.0;
     // Resolved unconditionally, before the op is queued: it rejects a
@@ -185,43 +209,84 @@ RequestPtr AsyncConnector::submit(obs::IoOp kind, const h5::Dataset* ds,
     // captured at creation.
     RequestInfo info = request_info(*file_, kind, ds, selection, bytes);
     // A prefetch reports at issue (prefetch()) and returns no request.
-    if (kind != obs::IoOp::kPrefetch) {
-      if (has_observers()) {
-        op->record = make_record(kind, bytes, /*async=*/true, t0, blocking, 0.0);
-        op->record->dataset_path = info.dataset_path;
-        op->record->selection = info.selection;
-        op->record->trace_id = op->trace.trace_id;
-        op->record->span_id = op->trace.span_id;
-      }
-      request = std::make_shared<Request>(op->done, std::move(info));
+    if (kind != obs::IoOp::kPrefetch && has_observers()) {
+      op->record = make_record(kind, bytes, /*async=*/true, t0, blocking, 0.0);
+      op->record->dataset_path = info.dataset_path;
+      op->record->selection = info.selection;
+      op->record->trace_id = op->trace.trace_id;
+      op->record->span_id = op->trace.span_id;
     }
+    if (!op->request) op->request = std::make_shared<Request>(std::move(info));
   } catch (...) {
     release_staging(*op);  // the op never reached the FIFO
     throw;
   }
+  RequestPtr request = kind == obs::IoOp::kPrefetch ? nullptr : op->request;
 
   // Once the op is on the FIFO, its wait and execution run on other
   // threads as siblings of the submit phase; closing submit first keeps
   // the request's phases disjoint, so their self times sum to its wall.
   submit_phase.finish();
-  op->pool_push_time = obs::steady_seconds();
+  op->push_time = obs::steady_seconds();
   bool queued = false;
   {
     // Pushed under the order lock, so ops from racing threads enter the
-    // pool in the order last_op_ records.  The one stream pops them in
+    // queue in the order last_op_ records.  The one stream pops them in
     // that order and runs each to its outcome, so an op starts only after
     // its predecessor completed.  A predecessor failure does not cancel
     // successors: the async VOL records errors per operation, it does not
-    // poison the queue.
+    // poison the queue.  Once stopping_ is set the stream may already
+    // have exited, so the op fails with its own error instead.
     std::lock_guard lock(order_mutex_);
-    last_op_ = op->done;
-    queued = pool_->try_push([this, op] { run_attempt(op); });
+    last_op_ = op->request;
+    if (!stopping_) {
+      queue_.push_back(std::move(op));
+      queued = true;
+      if (obs::enabled()) {
+        queue_depth_gauge().set(static_cast<std::int64_t>(queue_.size()));
+        queue_depth_gauge().note_watermark();
+      }
+    }
   }
-  if (!queued) {
+  if (queued) {
+    queue_cv_.notify_one();
+  } else {
     finish(op, std::make_exception_ptr(
                    StateError("async operation dropped: connector shut down")));
   }
   return request;
+}
+
+void AsyncConnector::run_stream() {
+  // Tagged so op bodies can APIO_ASSERT_ON_STREAM(), and so pmpi
+  // collectives abort if they are ever driven from a stream.
+  debug::ScopedThreadRole role(debug::ThreadRole::kStream);
+  obs::set_thread_stream(next_stream_id());
+  for (;;) {
+    // Idle time between ops is the queue's dead air: the paper's
+    // overlap efficiency shows as idle vs. execute time.
+    const bool timed = obs::enabled();
+    const double wait_start = timed ? obs::steady_seconds() : 0.0;
+    std::shared_ptr<AsyncOp> op;
+    {
+      std::unique_lock lock(order_mutex_);
+      queue_cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stopping, and drained
+      op = std::move(queue_.front());
+      queue_.pop_front();
+      if (timed) queue_depth_gauge().set(static_cast<std::int64_t>(queue_.size()));
+    }
+    if (timed) idle_hist().record_seconds(obs::steady_seconds() - wait_start);
+    try {
+      run_attempt(op);
+    } catch (...) {
+      // run_attempt routes the transfer's failure through the request;
+      // an escape (a throwing observer, say) is logged, and the stream
+      // keeps draining.
+      APIO_LOG_ERROR("async op escaped exception: "
+                     << error_message(std::current_exception()));
+    }
+  }
 }
 
 void AsyncConnector::execute_op(AsyncOp& op) {
@@ -256,8 +321,7 @@ void AsyncConnector::run_attempt(const std::shared_ptr<AsyncOp>& op) {
   sched::ScopedSubmission bind(op->submission);
   obs::trace::ScopedTraceContext trace_bind(op->trace);
   obs::trace::record_phase(op->trace, obs::trace::Phase::kPoolWait,
-                           op->pool_push_time,
-                           obs::steady_seconds() - op->pool_push_time);
+                           op->push_time, obs::steady_seconds() - op->push_time);
   std::exception_ptr error;
   try {
     obs::trace::ScopedPhase attempt(obs::trace::Phase::kAttempt, op->bytes,
@@ -289,7 +353,7 @@ void AsyncConnector::finish(const std::shared_ptr<AsyncOp>& op,
     op->record->completion_seconds = clock_->now() - op->record->issue_time;
     observe(*op->record);
   }
-  // Seal the trace before the eventual fires, so waiters observe it
+  // Seal the trace before the request completes, so waiters observe it
   // sealed.
   if (op->trace.recording()) {
     const double now = obs::steady_seconds();
@@ -301,11 +365,7 @@ void AsyncConnector::finish(const std::shared_ptr<AsyncOp>& op,
                                       : op->submission.tenant,
         op->bytes, failed, op->trace_start, now);
   }
-  if (failed) {
-    op->done->set_error(std::move(error));
-  } else {
-    op->done->set();
-  }
+  op->request->complete(std::move(error));
 }
 
 RequestPtr AsyncConnector::dataset_write(h5::Dataset ds,
@@ -372,8 +432,7 @@ RequestPtr AsyncConnector::dataset_read(h5::Dataset ds,
       std::lock_guard lock(stats_mutex_);
       ++stats_.cache_hits;
     }
-    return std::make_shared<Request>(
-        tasking::Eventual::make_ready(),
+    return Request::make_ready(
         request_info(*file_, obs::IoOp::kRead, &ds, selection, out.size()));
   }
 
@@ -391,8 +450,8 @@ void AsyncConnector::prefetch(h5::Dataset ds, const h5::Selection& selection) {
   const std::uint64_t bytes = selection.npoints(ds.dims()) * ds.element_size();
   const CacheKey key{ds.object_key(), selection};
   // The entry is complete when it is published: a read that finds it
-  // waits on the prefetch's eventual, then copies its buffer.
-  CacheEntry entry{tasking::Eventual::make(), take_buffer(bytes)};
+  // waits on the prefetch's request, then copies its buffer.
+  CacheEntry entry{std::make_shared<Request>(), take_buffer(bytes)};
   entry.data->resize(bytes);  // a no-op for a recycled buffer
   bool reserved = false;
   {
@@ -407,13 +466,13 @@ void AsyncConnector::prefetch(h5::Dataset ds, const h5::Selection& selection) {
   }
   try {
     submit(obs::IoOp::kPrefetch, &ds, selection, bytes, t0, [&](AsyncOp& op) {
-      op.done = entry.ready;
+      op.request = entry.ready;
       op.buffer = std::move(entry.data);  // shared with the cache entry
     });
   } catch (...) {
     // A read may already hold the entry: fail it rather than leave it
     // waiting, and unpublish the entry unless a read consumed it.
-    entry.ready->set_error(std::current_exception());
+    entry.ready->complete(std::current_exception());
     recycle(entry.data);  // still ours if submit threw before `prepare`
     std::lock_guard lock(cache_mutex_);
     auto it = cache_.find(key);
@@ -453,11 +512,11 @@ void AsyncConnector::take_staging(AsyncOp& op) {
     }
     op.holds_staging = true;
     now_staged = staged_outstanding_ += op.bytes;
-  }
-  if (obs::enabled()) {
-    static auto& gauge = obs::Registry::instance().gauge("vol.async.staged_outstanding");
-    gauge.set(static_cast<std::int64_t>(now_staged));
-    gauge.note_watermark();
+    // Set under the lock, so the last value set is the current total.
+    if (obs::enabled()) {
+      staged_gauge().set(static_cast<std::int64_t>(now_staged));
+      staged_gauge().note_watermark();
+    }
   }
   std::lock_guard lock(stats_mutex_);
   stats_.bytes_staged += op.bytes;
@@ -467,17 +526,12 @@ void AsyncConnector::take_staging(AsyncOp& op) {
 void AsyncConnector::release_staging(AsyncOp& op) {
   recycle(op.buffer);
   if (!std::exchange(op.holds_staging, false)) return;
-  std::uint64_t now_staged = 0;
-  {
-    std::lock_guard lock(staging_mutex_);
-    APIO_INVARIANT(staged_outstanding_ >= op.bytes, "staging accounting underflow");
-    now_staged = staged_outstanding_ -= op.bytes;
-    if (options_.max_staged_bytes > 0) staging_cv_.notify_all();
-  }
-  if (obs::enabled()) {
-    static auto& gauge = obs::Registry::instance().gauge("vol.async.staged_outstanding");
-    gauge.set(static_cast<std::int64_t>(now_staged));
-  }
+  std::lock_guard lock(staging_mutex_);
+  APIO_INVARIANT(staged_outstanding_ >= op.bytes, "staging accounting underflow");
+  const std::uint64_t now_staged = staged_outstanding_ -= op.bytes;
+  // Set under the lock, so the last value set is the current total.
+  if (obs::enabled()) staged_gauge().set(static_cast<std::int64_t>(now_staged));
+  if (options_.max_staged_bytes > 0) staging_cv_.notify_all();
 }
 
 AsyncConnector::Buffer AsyncConnector::take_buffer(std::uint64_t bytes) {
@@ -523,7 +577,7 @@ void AsyncConnector::wait_all() {
   // reported through each Request (or collected by an EventSet), the
   // H5ESwait contract.  Rethrowing only the tail's error here would be
   // arbitrary — intermediate failures would vanish.
-  tasking::EventualPtr tail;
+  RequestPtr tail;
   {
     std::lock_guard lock(order_mutex_);
     tail = last_op_;

@@ -3,14 +3,15 @@
 // using Background Threads").
 //
 // Mechanics, mirroring hpc-io/vol-async:
-//   * one background execution stream (Argobots-style, src/tasking)
-//     drains a FIFO pool of container operations;
+//   * one background thread per connector (its execution stream, the
+//     role Argobots' ABT_xstream plays in vol-async) drains a FIFO queue
+//     of container operations;
 //   * dataset_write copies the caller's buffer into an internal staging
 //     buffer and returns — that copy is the paper's *transactional
-//     overhead* (t_transact in Eq. 2b); the background task later moves
-//     the staged bytes to the target storage;
+//     overhead* (t_transact in Eq. 2b); the background thread later
+//     moves the staged bytes to the target storage;
 //   * operations on one connector execute in FIFO order: each op goes
-//     straight onto the stream's pool, and the one stream runs it to its
+//     straight onto the queue, and the one stream runs it to its
 //     outcome before popping the next, which is how the VOL connector
 //     keeps HDF5's ordering semantics without fine-grained dependency
 //     analysis.  A storage::ResilientBackend under the file retries
@@ -20,24 +21,25 @@
 //     (the BD-CATS-IO read path: first read synchronous, subsequent
 //     time steps prefetched during compute).
 //
-// Initialization (stream + pool creation) and termination (drain +
-// join) are timed; they are the t_init / t_term costs of Eq. 1.
+// Initialization (thread start) and termination (drain + join) are
+// timed; they are the t_init / t_term costs of Eq. 1.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <exception>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/debug/lock_rank.h"
 #include "sched/io_request.h"
-#include "tasking/execution_stream.h"
 #include "vol/connector.h"
 
 namespace apio::vol {
@@ -126,14 +128,16 @@ class AsyncConnector final : public Connector {
     auto operator<=>(const CacheKey&) const = default;
   };
 
+  /// A prefetch's request is never returned to its caller: the entry
+  /// holds it, and a read that finds the entry waits on it.
   struct CacheEntry {
-    tasking::EventualPtr ready;
+    RequestPtr ready;
     Buffer data;
   };
 
   /// One background operation's full state: payload, identity,
-  /// completion eventual and record, and trace.
-  /// Heap-shared between the pool closure and the submitting thread.
+  /// request and record, and trace.  Heap-shared between the queue and
+  /// the submitting thread.
   struct AsyncOp;
 
   h5::FilePtr file_;
@@ -141,11 +145,14 @@ class AsyncConnector final : public Connector {
   WallClock wall_clock_;
   const Clock* clock_;
 
-  tasking::PoolPtr pool_;
-  std::unique_ptr<tasking::ExecutionStream> stream_;
-
+  /// Guards the FIFO queue, its stop flag and last_op_.
   debug::RankedMutex<debug::LockRank::kVolConnector> order_mutex_;
-  tasking::EventualPtr last_op_;
+  std::condition_variable_any queue_cv_;
+  std::deque<std::shared_ptr<AsyncOp>> queue_;
+  /// Set by shutdown_machinery(): the stream drains the queue and exits,
+  /// and a push after it fails its op with StateError.
+  bool stopping_ = false;
+  RequestPtr last_op_;
 
   debug::RankedMutex<debug::LockRank::kVolCache> cache_mutex_;
   std::map<CacheKey, CacheEntry> cache_;
@@ -172,18 +179,25 @@ class AsyncConnector final : public Connector {
   /// StateError, not tear a plain bool.
   std::atomic<bool> closed_{false};
 
+  /// The background stream; declared last, after everything it uses.
+  std::thread stream_;
+
   /// The one submission path, for every entry point: mints and binds
   /// the op's trace, opens its submit phase, runs `prepare` (what the
   /// entry point adds: the write's stage copy, the read's destination,
-  /// the prefetch's buffer and cache eventual, the flush's lane),
-  /// resolves the RequestInfo, builds the Request (none for a prefetch)
-  /// and the completion record, then pushes the op onto the stream's
-  /// pool.  Staging budget taken by `prepare` is returned if the op
-  /// throws before reaching the pool.
+  /// the prefetch's buffer and cache request, the flush's lane),
+  /// resolves the RequestInfo, builds the Request (returned for every
+  /// kind but a prefetch) and the completion record, then pushes the op
+  /// onto the queue.  Staging budget taken by `prepare` is returned if
+  /// the op throws before reaching the queue.
   template <typename Prepare>
   RequestPtr submit(obs::IoOp kind, const h5::Dataset* ds,
                     const h5::Selection& selection, std::uint64_t bytes,
                     double t0, Prepare&& prepare);
+
+  /// The background stream: pops ops in FIFO order and runs each, until
+  /// stopping_ is set and the queue is empty.
+  void run_stream();
 
   /// Runs the op on the background stream: one kAttempt phase around
   /// the storage transfer, then finish() with its outcome.
@@ -198,7 +212,7 @@ class AsyncConnector final : public Connector {
   /// staging budget and the op's buffer (before completion, so a
   /// prefetch's consumer holds the buffer's last reference and can
   /// recycle it), counts a failure, emits the record (success only),
-  /// seals the trace, then completes the eventual.
+  /// seals the trace, then completes the request.
   void finish(const std::shared_ptr<AsyncOp>& op, std::exception_ptr error);
 
   /// Drains and joins the background machinery without closing the file.

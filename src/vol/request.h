@@ -2,13 +2,15 @@
 // HDF5 event-set entries / the async VOL's internal task objects.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <string>
 
+#include "common/debug/lock_rank.h"
 #include "common/error.h"
 #include "obs/record.h"
-#include "tasking/eventual.h"
 
 namespace apio::vol {
 
@@ -30,42 +32,59 @@ struct RequestInfo {
   std::string to_string() const;
 };
 
+class Request;
+using RequestPtr = std::shared_ptr<Request>;
+
 /// Completion token for one VOL operation.  It completes once, with
 /// the op's one outcome; retries, when configured, run below the
-/// connector in storage::ResilientBackend.
+/// connector in storage::ResilientBackend.  Thread-safe: the issuing
+/// connector completes it (often on its background stream) while any
+/// thread waits or polls.
 class Request {
  public:
-  explicit Request(tasking::EventualPtr done, RequestInfo info = {})
-      : done_(std::move(done)), info_(std::move(info)) {}
+  explicit Request(RequestInfo info = {}) : info_(std::move(info)) {}
+
+  /// A request that is already complete, for an op that finished inline.
+  static RequestPtr make_ready(RequestInfo info = {});
+
+  /// Completes the request (`error` null on success) and releases its
+  /// waiters.  Called exactly once, by the connector that issued it.
+  void complete(std::exception_ptr error = nullptr);
 
   /// Blocks until the operation completed; rethrows its error.
-  void wait() { done_->wait(); }
+  void wait();
+
+  /// Blocks until the operation completed without rethrowing; for
+  /// draining a queue whose per-operation errors are reported elsewhere.
+  void wait_ignore_error();
 
   /// Non-blocking completion probe.
-  bool test() const { return done_->test(); }
+  bool test() const;
 
-  bool failed() const { return done_->has_error(); }
+  bool failed() const { return error() != nullptr; }
+
+  /// The stored failure; null while pending or on success.
+  std::exception_ptr error() const;
 
   /// The captured failure message; "" while pending or on success.
-  std::string error_message() const {
-    return apio::error_message(done_->error());
-  }
+  std::string error_message() const { return apio::error_message(error()); }
 
   /// Error taxonomy name ("transient-io", "io", "state", ...); "" while
   /// pending or on success.
-  std::string error_category() const {
-    return apio::error_category(done_->error());
-  }
+  std::string error_category() const { return apio::error_category(error()); }
 
   const RequestInfo& info() const { return info_; }
 
-  const tasking::EventualPtr& eventual() const { return done_; }
+  /// The request's own completion: the frozen bench/e2e benchmark waits
+  /// through `eventual()->wait_ignore_error()`.
+  Request* eventual() { return this; }
 
  private:
-  tasking::EventualPtr done_;
+  mutable debug::RankedMutex<debug::LockRank::kVolRequest> mutex_;
+  std::condition_variable_any cv_;
+  bool done_ = false;
+  std::exception_ptr error_;
   RequestInfo info_;
 };
-
-using RequestPtr = std::shared_ptr<Request>;
 
 }  // namespace apio::vol

@@ -183,10 +183,14 @@ MultiJobResult run_multi_job(const MultiJobParams& params) {
     datasets.push_back(file->dataset_at("/jobs/" + spec.name));
   }
 
-  // Shares are sampled the moment the FIRST tenant drains: up to that
-  // point every tenant is backlogged, so the split is the scheduler's
-  // doing, not an artifact of who was given how much total work.
-  std::once_flag first_drain;
+  // Shares are sampled at the first tenant drain at which every tenant
+  // has been granted at least once: up to the first drain every tenant
+  // is backlogged, so the split is the scheduler's doing, not an
+  // artifact of who was given how much total work.  A tenant whose
+  // threads started late on a loaded machine may not have been granted
+  // yet, and would read 0 bytes; by the last drain every tenant has.
+  std::mutex snapshot_mutex;
+  bool sampled = false;
   sched::SchedStats contended;
   WallClock wall;
   const double t0 = wall.now();
@@ -195,7 +199,14 @@ MultiJobResult run_multi_job(const MultiJobParams& params) {
   for (std::size_t i = 0; i < params.tenants.size(); ++i) {
     threads.emplace_back([&, i] {
       run_tenant(file, datasets[i], params.tenants[i]);
-      std::call_once(first_drain, [&] { contended = scheduler->stats(); });
+      std::lock_guard lock(snapshot_mutex);
+      if (sampled) return;
+      sched::SchedStats now = scheduler->stats();
+      sampled = std::all_of(params.tenants.begin(), params.tenants.end(),
+                            [&](const TenantSpec& spec) {
+                              return now.tenants[spec.name].dispatched_ops > 0;
+                            });
+      if (sampled) contended = std::move(now);
     });
   }
   for (std::thread& thread : threads) thread.join();

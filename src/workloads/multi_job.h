@@ -10,8 +10,9 @@
 // Each tenant runs on its own thread with its own vol::AsyncConnector
 // (AsyncOptions::tenant set), all over one h5::File whose backend stack
 // is memory -> throttled -> qos.  Per-tenant shares are sampled at the
-// moment the FIRST tenant drains — every tenant is still backlogged up
-// to that point, so the measured split reflects scheduling, not total
+// first tenant drain at which every tenant has been granted at least
+// once — normally the first drain, while every tenant is still
+// backlogged, so the measured split reflects scheduling, not total
 // issued work.
 #pragma once
 

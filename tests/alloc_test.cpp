@@ -198,9 +198,9 @@ TEST(AllocTest, SteadyStateEpochAllocatesNoPayloadBuffersAndFewSmallObjects) {
               static_cast<double>(total.prefetch.large + total.write.large +
                                   total.read_hit.large) / kMeasuredEpochs,
               per_prefetch, per_write, per_read_hit);
-  EXPECT_LE(per_prefetch, 6.0);
-  EXPECT_LE(per_write, 6.0);
-  EXPECT_LE(per_read_hit, 3.0);
+  EXPECT_LE(per_prefetch, 5.0);
+  EXPECT_LE(per_write, 4.0);
+  EXPECT_LE(per_read_hit, 2.0);
 
   // The last epoch's writes landed.
   const int last = kWarmupEpochs + kMeasuredEpochs - 1;

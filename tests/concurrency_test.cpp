@@ -1,9 +1,10 @@
 // Deterministic regression tests for races fixed in the concurrent
 // substrate.  Each test pins one contract:
 //
-//   * Pool close/drain — a push() racing close() either enqueues fully
-//     (and WILL be executed by a consumer) or throws StateError;
-//     nothing is half-accepted or dropped.
+//   * AsyncConnector close — a submit racing close() either throws
+//     StateError or returns a request that completes: its write lands,
+//     or it fails with its own StateError; nothing is left pending and
+//     the staging budget is returned in full.
 //   * pmpi barrier generations — the sense-reversing barrier never
 //     releases a waiter into an earlier generation, so work done before
 //     the barrier is visible to every rank after it.
@@ -22,69 +23,86 @@
 #include <vector>
 
 #include "common/error.h"
+#include "obs/metrics.h"
 #include "pmpi/world.h"
 #include "storage/memory_backend.h"
-#include "tasking/pool.h"
 #include "vol/async_connector.h"
 
 namespace apio {
 namespace {
 
-TEST(ConcurrencyTest, PoolCloseRace) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 3;
-  constexpr int kPushesPerProducer = 400;
+TEST(ConcurrencyTest, ConnectorCloseRace) {
+  constexpr int kSubmitters = 4;
+  constexpr int kWritesPerSubmitter = 64;
+  constexpr std::uint64_t kPayload = 64 * 1024;
 
-  tasking::Pool pool;
-  std::atomic<std::uint64_t> pushed{0};    // pushes that did not throw
-  std::atomic<std::uint64_t> executed{0};  // tasks actually run
+  obs::set_enabled(true);
+  auto& staged = obs::Registry::instance().gauge("vol.async.staged_outstanding");
+  auto leaf = std::make_shared<storage::MemoryBackend>();
+  auto file = h5::File::create(leaf);
+  auto ds = file->root().create_dataset(
+      "d", h5::Datatype::kUInt8, {kSubmitters * kWritesPerSubmitter * kPayload});
+  // A two-write staging budget parks most submitters in back-pressure.
+  // The ops that close() waits out wake them, so their pushes race the
+  // stream's stop flag.
+  vol::AsyncOptions options;
+  options.max_staged_bytes = 2 * kPayload;
+  vol::AsyncConnector connector(file, options);
 
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&] {
-      while (auto task = pool.pop()) (*task)();
-    });
-  }
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&] {
-      for (int i = 0; i < kPushesPerProducer; ++i) {
+  // Slot t * kWritesPerSubmitter + i holds submitter t's i-th write.
+  std::vector<vol::RequestPtr> requests(kSubmitters * kWritesPerSubmitter);
+  std::atomic<int> returned{0};  // submits that did not throw
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&, t] {
+      for (int i = 0; i < kWritesPerSubmitter; ++i) {
+        const int slot = t * kWritesPerSubmitter + i;
+        const std::vector<std::uint8_t> payload(kPayload,
+                                                static_cast<std::uint8_t>(slot));
         try {
-          pool.push([&executed] { executed.fetch_add(1); });
-          pushed.fetch_add(1);
+          requests[static_cast<std::size_t>(slot)] = connector.dataset_write(
+              ds, h5::Selection::offsets({slot * kPayload}, {kPayload}),
+              std::as_bytes(std::span<const std::uint8_t>(payload)));
+          returned.fetch_add(1);
         } catch (const StateError&) {
-          return;  // pool closed underneath us: allowed outcome
+          return;  // connector closed underneath us: allowed outcome
         }
       }
     });
   }
 
-  // Close while producers are mid-stride so pushes genuinely race it.
-  while (pushed.load() < kPushesPerProducer) {
+  // Close while submitters are mid-stride so submits genuinely race it.
+  std::thread closer([&] {
+    while (returned.load() < kWritesPerSubmitter) {
+    }
+    connector.close();
+  });
+  for (auto& t : submitters) t.join();
+  closer.join();
+
+  // Every returned request completed: its bytes landed, or it failed
+  // with its own StateError.  Nothing is left pending.
+  auto reopened = h5::File::open(leaf);
+  auto landed = reopened->dataset_at("/d");
+  int succeeded = 0;
+  for (std::size_t slot = 0; slot < requests.size(); ++slot) {
+    const vol::RequestPtr& request = requests[slot];
+    if (request == nullptr) continue;
+    ASSERT_TRUE(request->test()) << "slot " << slot << " left pending";
+    if (request->failed()) {
+      EXPECT_THROW(request->wait(), StateError) << "slot " << slot;
+      continue;
+    }
+    ++succeeded;
+    EXPECT_EQ(landed.read_vector<std::uint8_t>(
+                  h5::Selection::offsets({slot * kPayload}, {kPayload})),
+              std::vector<std::uint8_t>(kPayload, static_cast<std::uint8_t>(slot)))
+        << "slot " << slot;
   }
-  pool.close();
-
-  for (auto& t : producers) t.join();
-  for (auto& t : consumers) t.join();
-
-  // Every accepted task was drained and executed exactly once.
-  EXPECT_EQ(pool.accepted(), pushed.load());
-  EXPECT_EQ(pool.drained(), pool.accepted());
-  EXPECT_EQ(executed.load(), pushed.load());
-  EXPECT_EQ(pool.size(), 0u);
-}
-
-TEST(ConcurrencyTest, PoolPushAfterCloseAlwaysThrows) {
-  tasking::Pool pool;
-  pool.push([] {});
-  pool.close();
-  EXPECT_THROW(pool.push([] {}), StateError);
-  EXPECT_EQ(pool.accepted(), 1u);
-  auto task = pool.try_pop();
-  ASSERT_TRUE(task.has_value());
-  EXPECT_EQ(pool.drained(), 1u);
-  EXPECT_FALSE(pool.pop().has_value());
+  // The writes returned before close() began were queued ahead of it.
+  EXPECT_GE(succeeded, kWritesPerSubmitter);
+  EXPECT_EQ(staged.value(), 0);
+  obs::set_enabled(false);
 }
 
 TEST(ConcurrencyTest, BarrierGenerationsStayOrdered) {

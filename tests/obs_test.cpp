@@ -740,7 +740,7 @@ TEST(ObsEndToEndTest, WorkloadEmitsSpansFromAllFourLayers) {
   connector->close();
 
   // The vol submit window and staging copy on both rank lanes, the
-  // tasking stream's attempt on a stream lane, the storage leaf inside
+  // connector stream's attempt on a stream lane, the storage leaf inside
   // it — all from the one trace ring.
   auto traces = trace::TraceCollector::instance().drain();
   ASSERT_EQ(traces.size(), 2u);

@@ -1,9 +1,10 @@
-// Tests for the asynchronous VOL connector — ordering, the
-// double-buffer (transactional copy) guarantee, prefetching, error
-// propagation, back-pressure and instrumentation.
+// Tests for the asynchronous VOL connector — the Request completion it
+// returns, ordering, the double-buffer (transactional copy) guarantee,
+// prefetching, error propagation, back-pressure and instrumentation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <barrier>
 #include <condition_variable>
 #include <numeric>
@@ -88,6 +89,58 @@ class GateBackend final : public storage::Decorator {
 std::span<const std::byte> bytes_of(const std::vector<std::uint8_t>& v,
                                     std::size_t n) {
   return std::as_bytes(std::span<const std::uint8_t>(v.data(), n));
+}
+
+// ---------------------------------------------------------------------------
+// Request: the completion every connector op returns
+
+TEST(RequestTest, StartsPending) {
+  Request request;
+  EXPECT_FALSE(request.test());
+  EXPECT_FALSE(request.failed());
+  EXPECT_EQ(request.error_category(), "");
+}
+
+TEST(RequestTest, CompleteReleasesWait) {
+  Request request;
+  request.complete();
+  EXPECT_TRUE(request.test());
+  EXPECT_FALSE(request.failed());
+  EXPECT_NO_THROW(request.wait());
+}
+
+TEST(RequestTest, MakeReadyIsComplete) {
+  RequestInfo info;
+  info.dataset_path = "/d";
+  const RequestPtr request = Request::make_ready(info);
+  EXPECT_TRUE(request->test());
+  EXPECT_FALSE(request->failed());
+  EXPECT_EQ(request->info().dataset_path, "/d");
+}
+
+TEST(RequestTest, ErrorRethrownByWaitButNotByEventualWait) {
+  const auto request = std::make_shared<Request>();
+  request->complete(std::make_exception_ptr(IoError("disk on fire")));
+  EXPECT_TRUE(request->test());
+  EXPECT_TRUE(request->failed());
+  EXPECT_EQ(request->error_category(), "io");
+  EXPECT_NE(request->error_message().find("disk on fire"), std::string::npos);
+  EXPECT_NO_THROW(request->eventual()->wait_ignore_error());
+  EXPECT_THROW(request->wait(), IoError);
+}
+
+TEST(RequestTest, WaitWakesWhenCompletedFromAnotherThread) {
+  Request request;
+  std::atomic<bool> woke{false};
+  std::thread waiter([&] {
+    request.wait();
+    woke = true;
+  });
+  EXPECT_FALSE(woke.load());  // nothing can release it before complete()
+  request.complete();
+  waiter.join();
+  EXPECT_TRUE(woke.load());
+  EXPECT_TRUE(request.test());
 }
 
 TEST(AsyncConnectorTest, RequiresFile) {

@@ -259,7 +259,7 @@ class CountingConnector final : public Connector {
 
  private:
   static RequestPtr done() {
-    return std::make_shared<Request>(tasking::Eventual::make_ready());
+    return Request::make_ready();
   }
   /// Fills the detail strings by hand: make_record would call file().
   RequestPtr report(IoOp op, std::uint64_t bytes, const h5::Selection& selection) {

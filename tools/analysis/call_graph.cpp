@@ -866,7 +866,7 @@ bool CodeModel::is_or_derived(const std::string& cls,
 std::vector<std::size_t> CodeModel::resolve(const CallSite& call,
                                             const std::string& caller_cls) const {
   // Calls through condition-variable receivers are std waits, never
-  // calls into extracted functions (Eventual::wait et al.).
+  // calls into extracted functions (Request::wait et al.).
   if (!call.receiver.empty() && cv_names.count(call.receiver) > 0) return {};
 
   auto range = by_name.equal_range(call.name);

@@ -24,7 +24,7 @@
 //     Holds do not leak into lambda bodies: a continuation built under
 //     a lock runs later, outside it;
 //   * condition-variable member names, so `cv.wait(lock)` is a
-//     primitive blocking site rather than a call to Eventual::wait;
+//     primitive blocking site rather than a call to Request::wait;
 //   * APIO_ASSERT_ON_STREAM / APIO_ASSERT_ON_RANK sites, which seed
 //     the thread-context pass.
 //

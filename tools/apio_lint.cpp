@@ -4,9 +4,9 @@
 // for rules the compiler cannot enforce but the concurrency model
 // requires (DESIGN.md, "Concurrency model"):
 //
-//   raw-mutex     src/tasking, src/pmpi, src/vol and src/sched must
-//                 synchronise through debug::RankedMutex so the lock-rank
-//                 order is checked at runtime.  Raw std::mutex /
+//   raw-mutex     src/pmpi, src/vol and src/sched must synchronise
+//                 through debug::RankedMutex so the lock-rank order is
+//                 checked at runtime.  Raw std::mutex /
 //                 std::condition_variable (whose wait() forces a raw
 //                 std::mutex) are rejected; std::condition_variable_any
 //                 pairs with RankedMutex and is fine.
@@ -98,8 +98,7 @@ bool path_under(const fs::path& file, const fs::path& dir) {
 }
 
 void lint_file(const fs::path& root, const fs::path& file) {
-  const bool in_ranked_scope = path_under(file, root / "src" / "tasking") ||
-                               path_under(file, root / "src" / "pmpi") ||
+  const bool in_ranked_scope = path_under(file, root / "src" / "pmpi") ||
                                path_under(file, root / "src" / "vol") ||
                                path_under(file, root / "src" / "sched");
   const bool in_tests = path_under(file, root / "tests");
