@@ -1,10 +1,11 @@
 // Deterministic regression tests for races fixed in the concurrent
 // substrate.  Each test pins one contract:
 //
-//   * AsyncConnector close — a submit racing close() either throws
-//     StateError or returns a request that completes: its write lands,
-//     or it fails with its own StateError; nothing is left pending and
-//     the staging budget is returned in full.
+//   * AsyncConnector op queue close/drain — a submit racing close()
+//     either throws StateError or returns a request that completes: its
+//     write lands, or it fails with its own StateError; nothing is left
+//     pending or counted twice, and the staging budget is returned in
+//     full.  A submit after close() always throws.
 //   * pmpi barrier generations — the sense-reversing barrier never
 //     releases a waiter into an earlier generation, so work done before
 //     the barrier is visible to every rank after it.
@@ -30,6 +31,108 @@
 
 namespace apio {
 namespace {
+
+// The connector's FIFO op queue is the pool its stream drains: pushes
+// from several threads race close() with no back-pressure in the way.
+TEST(ConcurrencyTest, PoolCloseRace) {
+  constexpr int kProducers = 4;
+  constexpr int kPushesPerProducer = 400;
+  constexpr std::uint64_t kPayload = 64;
+
+  auto leaf = std::make_shared<storage::MemoryBackend>();
+  auto file = h5::File::create(leaf);
+  auto ds = file->root().create_dataset(
+      "d", h5::Datatype::kUInt8, {kProducers * kPushesPerProducer * kPayload});
+  vol::AsyncConnector connector(file);
+
+  // Slot p * kPushesPerProducer + i holds producer p's i-th write.
+  std::vector<vol::RequestPtr> requests(kProducers * kPushesPerProducer);
+  std::atomic<std::uint64_t> pushed{0};  // submits that did not throw
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (int i = 0; i < kPushesPerProducer; ++i) {
+        const int slot = p * kPushesPerProducer + i;
+        const std::vector<std::uint8_t> payload(kPayload,
+                                                static_cast<std::uint8_t>(slot));
+        try {
+          requests[static_cast<std::size_t>(slot)] = connector.dataset_write(
+              ds, h5::Selection::offsets({slot * kPayload}, {kPayload}),
+              std::as_bytes(std::span<const std::uint8_t>(payload)));
+          pushed.fetch_add(1);
+        } catch (const StateError&) {
+          return;  // connector closed underneath us: allowed outcome
+        }
+      }
+    });
+  }
+
+  // Close while producers are mid-stride so pushes genuinely race it.
+  while (pushed.load() < kPushesPerProducer) {
+  }
+  connector.close();
+  for (auto& t : producers) t.join();
+
+  // Every accepted write was counted once and ran to exactly one
+  // outcome: it landed, or it failed with its own StateError.
+  auto reopened = h5::File::open(leaf);
+  auto landed = reopened->dataset_at("/d");
+  std::uint64_t returned = 0;
+  std::uint64_t succeeded = 0;
+  for (std::size_t slot = 0; slot < requests.size(); ++slot) {
+    const vol::RequestPtr& request = requests[slot];
+    if (request == nullptr) continue;
+    ++returned;
+    ASSERT_TRUE(request->test()) << "slot " << slot << " left pending";
+    if (request->failed()) {
+      EXPECT_THROW(request->wait(), StateError) << "slot " << slot;
+      continue;
+    }
+    ++succeeded;
+    EXPECT_EQ(landed.read_vector<std::uint8_t>(
+                  h5::Selection::offsets({slot * kPayload}, {kPayload})),
+              std::vector<std::uint8_t>(kPayload, static_cast<std::uint8_t>(slot)))
+        << "slot " << slot;
+  }
+  const vol::AsyncStats stats = connector.stats();
+  EXPECT_EQ(returned, pushed.load());
+  EXPECT_EQ(stats.writes_enqueued, pushed.load());
+  EXPECT_EQ(stats.failed_ops, returned - succeeded);
+  // The writes returned before close() began were queued ahead of it.
+  EXPECT_GE(succeeded, static_cast<std::uint64_t>(kPushesPerProducer));
+}
+
+TEST(ConcurrencyTest, PoolPushAfterCloseAlwaysThrows) {
+  auto leaf = std::make_shared<storage::MemoryBackend>();
+  auto file = h5::File::create(leaf);
+  auto ds = file->root().create_dataset("d", h5::Datatype::kUInt8, {8});
+  vol::AsyncConnector connector(file);
+  const std::vector<std::uint8_t> payload(8, 7);
+  const auto bytes = std::as_bytes(std::span<const std::uint8_t>(payload));
+  auto accepted = connector.dataset_write(ds, h5::Selection::all(), bytes);
+  connector.close();
+
+  // The op accepted before close() was drained and ran; every entry
+  // point after it throws instead of queueing.
+  ASSERT_TRUE(accepted->test());
+  EXPECT_FALSE(accepted->failed());
+  EXPECT_THROW(connector.dataset_write(ds, h5::Selection::all(), bytes),
+               StateError);
+  std::vector<std::uint8_t> out(8);
+  EXPECT_THROW(connector.dataset_read(ds, h5::Selection::all(),
+                                      std::as_writable_bytes(std::span(out))),
+               StateError);
+  EXPECT_THROW(connector.prefetch(ds, h5::Selection::all()), StateError);
+  EXPECT_THROW(connector.flush(), StateError);
+  const vol::AsyncStats stats = connector.stats();
+  EXPECT_EQ(stats.writes_enqueued, 1u);
+  EXPECT_EQ(stats.reads_enqueued, 0u);
+  EXPECT_EQ(stats.prefetches_enqueued, 0u);
+  EXPECT_EQ(stats.failed_ops, 0u);
+  EXPECT_EQ(h5::File::open(leaf)->dataset_at("/d").read_vector<std::uint8_t>(
+                h5::Selection::all()),
+            payload);
+}
 
 TEST(ConcurrencyTest, ConnectorCloseRace) {
   constexpr int kSubmitters = 4;
