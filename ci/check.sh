@@ -43,7 +43,9 @@
 #      pool and execution-stream suites, for ops that submitters push
 #      straight onto the stream's pool and the recycler's shared
 #      prefetch buffers, and the corruption, h5-fuzz and chunked suites,
-#      for the metadata parser's bounds on container bytes.
+#      for the metadata parser's bounds on container bytes, and the
+#      breaker-rejection and two-fault trace cases, which run the
+#      resilient backend's retry loop under the async connector.
 #
 # Usage: ci/check.sh [--skip-tsan]
 set -euo pipefail
@@ -148,10 +150,10 @@ else
   ctest --preset tsan -j "${JOBS}"
 fi
 
-echo "==> [8/8] asan-ubsan build + fault-matrix, async-connector, backend, handle-lifetime, path-index, cache, paged-memory, collective-write, two-phase, passthrough, adaptive-loop, request, close-race and container-parsing suites"
+echo "==> [8/8] asan-ubsan build + fault-matrix, async-connector, backend, handle-lifetime, path-index, cache, paged-memory, collective-write, two-phase, passthrough, adaptive-loop, request, close-race, container-parsing and retry-loop suites"
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "${JOBS}"
 ctest --preset asan-ubsan -j "${JOBS}" \
-  -R 'Resilience|FaultInjection|AsyncConnector|VectoredBackend|BackendContract|HandleLifetime|PathIndex|Cache|PagedMemory|CollectiveWrite|TwoPhase|Passthrough|ModeAdvisor|AdaptiveConnector|FeedbackLoop|Alloc|RequestTest|ConnectorCloseRace|Corruption|H5Fuzz|Chunked'
+  -R 'Resilience|FaultInjection|AsyncConnector|VectoredBackend|BackendContract|HandleLifetime|PathIndex|Cache|PagedMemory|CollectiveWrite|TwoPhase|Passthrough|ModeAdvisor|AdaptiveConnector|FeedbackLoop|Alloc|RequestTest|ConnectorCloseRace|Corruption|H5Fuzz|Chunked|BreakerRejected|SurvivingTwoFaults'
 
 echo "==> all checks passed"

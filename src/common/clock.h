@@ -2,10 +2,16 @@
 //
 // Library code that must work both in real executions (tests, examples,
 // the real async VOL) and in virtual-time simulations (bench harness at
-// 2048 nodes) is written against the Clock interface.
+// 2048 nodes) is written against the Clock interface.  Code that waits
+// (retry backoff) sleeps through a Sleeper, so tests inject a
+// ManualClock as both and never wall-sleep.
 #pragma once
 
+#include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <mutex>
+#include <vector>
 
 namespace apio {
 
@@ -43,6 +49,41 @@ class VirtualClock final : public Clock {
 
  private:
   double now_ = 0.0;
+};
+
+/// Where backoff delays go.  The wall implementation blocks the calling
+/// thread; tests inject a virtual-time implementation instead.
+class Sleeper {
+ public:
+  virtual ~Sleeper() = default;
+  virtual void sleep(double seconds) = 0;
+};
+
+/// Process-wide sleeper that blocks the calling thread for real.
+Sleeper& wall_sleeper();
+
+/// Thread-safe manually-advanced clock that doubles as a Sleeper:
+/// sleep() advances virtual time instead of blocking and records every
+/// request, so retry/backoff/deadline tests run in zero wall time and
+/// can assert the exact backoff schedule.  Time is kept in whole
+/// nanoseconds, each step rounded to the nearest one.
+class ManualClock final : public Clock, public Sleeper {
+ public:
+  double now() const override;
+  void sleep(double seconds) override;
+
+  /// Moves virtual time forward without recording a sleep.
+  void advance(double seconds);
+
+  /// Every sleep() request, in order.
+  std::vector<double> sleeps() const;
+  double total_slept() const;
+  std::uint64_t sleep_count() const;
+
+ private:
+  std::atomic<std::int64_t> nanos_{0};
+  mutable std::mutex mutex_;  // guards the sleep log only
+  std::vector<double> sleeps_;
 };
 
 /// Simple RAII-free stopwatch over a Clock.

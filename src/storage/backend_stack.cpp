@@ -38,7 +38,7 @@ BackendStack& BackendStack::throttled(ThrottleParams params) {
 
 BackendStack& BackendStack::resilient(ResilienceOptions options,
                                       const Clock* clock,
-                                      resilience::Sleeper* sleeper) {
+                                      Sleeper* sleeper) {
   require_order(Stage::kResilient);
   backend_ = std::make_shared<ResilientBackend>(std::move(backend_),
                                                 std::move(options), clock,

@@ -56,10 +56,10 @@ class BackendStack {
   BackendStack& throttled(ThrottleParams params);
 
   /// Retry/backoff/breaker layer.  `clock`/`sleeper` default to wall
-  /// time; tests inject a resilience::ManualClock as both.
+  /// time; tests inject a ManualClock as both.
   BackendStack& resilient(ResilienceOptions options,
                           const Clock* clock = nullptr,
-                          resilience::Sleeper* sleeper = nullptr);
+                          Sleeper* sleeper = nullptr);
 
   /// Fair-share admission layer over the PFS tier.
   BackendStack& qos(sched::FairSchedulerPtr scheduler, QosOptions options = {});

@@ -444,22 +444,24 @@ void Sink::flush_checked() {
 
 TEST(AnalysisUncheckedOutcomeTest, RepeatedDiscardsGetOrdinalKeys) {
   AnalyzerFixture fx;
-  fx.write("src/queue.cpp", R"(namespace apio {
-class Q {
+  fx.write("src/events.cpp", R"(namespace apio {
+class Events {
  public:
-  bool try_pop();
+  unsigned num_errors();
   void drain();
 };
-void Q::drain() {
-  try_pop();
-  try_pop();
+void Events::drain() {
+  num_errors();
+  num_errors();
 }
 }  // namespace apio
 )");
   const Analysis result = fx.run();
   ASSERT_EQ(result.findings.size(), 2u);
-  EXPECT_EQ(result.findings[0].key, "unchecked-outcome|Q::drain|try_pop");
-  EXPECT_EQ(result.findings[1].key, "unchecked-outcome|Q::drain|try_pop|#2");
+  EXPECT_EQ(result.findings[0].key,
+            "unchecked-outcome|Events::drain|num_errors");
+  EXPECT_EQ(result.findings[1].key,
+            "unchecked-outcome|Events::drain|num_errors|#2");
 }
 
 // ---------------------------------------------------------------------------

@@ -21,11 +21,10 @@
 #include <utility>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/error.h"
 #include "h5/file.h"
 #include "obs/epoch_analyzer.h"
-#include "resilience/circuit_breaker.h"
-#include "resilience/retry.h"
 #include "sched/fair_scheduler.h"
 #include "storage/backend_stack.h"
 #include "storage/cached_backend.h"
@@ -711,7 +710,7 @@ TEST(CacheTest, BreakerOpenDuringDrainRetainsDirtySet) {
   auto faulty =
       std::make_shared<FaultyBackend>(std::make_shared<MemoryBackend>(), plan);
 
-  resilience::ManualClock clock;
+  ManualClock clock;
   ResilienceOptions resilience;
   resilience.retry.max_attempts = 2;
   resilience.breaker.failure_threshold = 1;
@@ -735,7 +734,7 @@ TEST(CacheTest, BreakerOpenDuringDrainRetainsDirtySet) {
   // surfacing TransientIoError (BreakerOpenError) without dropping the
   // dirty extents.
   faulty->heal();
-  EXPECT_THROW(cache->drain(), resilience::BreakerOpenError);
+  EXPECT_THROW(cache->drain(), BreakerOpenError);
   EXPECT_EQ(cache->cache_snapshot().dirty_bytes, data.size());
 
   // Past the cooldown the half-open probe succeeds and the same

@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/clock.h"
 #include "model/advisor.h"
 #include "obs/critical_path.h"
 #include "obs/metrics.h"
@@ -27,8 +28,6 @@
 #include "obs/telemetry.h"
 #include "obs/trace_context.h"
 #include "pmpi/world.h"
-#include "resilience/circuit_breaker.h"
-#include "resilience/retry.h"
 #include "storage/memory_backend.h"
 #include "storage/resilient_backend.h"
 #include "vol/async_connector.h"
@@ -792,7 +791,7 @@ TEST(ObsEndToEndTest, WorkloadEmitsSpansFromAllFourLayers) {
 // bytes and must count none.
 TEST(ObsEndToEndTest, BreakerRejectedAttemptsExecuteNoBytes) {
   ScopedObservability scoped;
-  resilience::ManualClock clock;
+  ManualClock clock;
   storage::ResilienceOptions resilience_options;
   resilience_options.retry.max_attempts = 1;
   resilience_options.breaker.failure_threshold = 1;
@@ -809,7 +808,7 @@ TEST(ObsEndToEndTest, BreakerRejectedAttemptsExecuteNoBytes) {
   const std::vector<std::uint8_t> data(64, 7);
   auto request = connector.dataset_write(
       ds, h5::Selection::all(), std::as_bytes(std::span<const std::uint8_t>(data)));
-  EXPECT_THROW(request->wait(), resilience::BreakerOpenError);
+  EXPECT_THROW(request->wait(), storage::BreakerOpenError);
   EXPECT_EQ(leaf->stats().write_ops, leaf_writes) << "the leaf saw a write";
   clock.advance(101.0);  // half-open: close() may flush the metadata
   connector.close();

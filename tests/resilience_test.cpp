@@ -2,7 +2,7 @@
 // resilient backend decorator — the stack's one retry layer — under the
 // async and native connectors, driven by a deterministic fault matrix.
 //
-// Everything runs on virtual time: resilience::ManualClock is injected
+// Everything runs on virtual time: a ManualClock is injected
 // as both Clock and Sleeper, so the exact backoff schedule is asserted
 // (sleep-by-sleep) and no test ever wall-sleeps.
 //
@@ -23,13 +23,12 @@
 #include <tuple>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "h5/file.h"
 #include "obs/metrics.h"
 #include "pmpi/world.h"
-#include "resilience/circuit_breaker.h"
-#include "resilience/retry.h"
 #include "storage/backend_stack.h"
 #include "storage/faulty_backend.h"
 #include "storage/memory_backend.h"
@@ -42,14 +41,12 @@
 namespace apio {
 namespace {
 
-using resilience::BreakerOptions;
-using resilience::BreakerState;
-using resilience::CircuitBreaker;
-using resilience::ManualClock;
-using resilience::RetryPolicy;
-using resilience::run_with_retry;
+using storage::BreakerOptions;
+using storage::BreakerState;
+using storage::CircuitBreaker;
 using storage::FaultPlan;
 using storage::FaultyBackend;
+using storage::RetryPolicy;
 
 std::span<const std::byte> bytes_of(const std::vector<std::uint8_t>& v) {
   return std::as_bytes(std::span<const std::uint8_t>(v));
@@ -125,73 +122,102 @@ TEST(ResilienceManualClockTest, AdvancesVirtuallyAndLogsSleeps) {
   EXPECT_EQ(clock.sleep_count(), 1u);
 }
 
+TEST(ResilienceManualClockTest, DecimalAdvancesAreNotTruncated) {
+  ManualClock clock;
+  clock.advance(0.0157);  // 15699999.999... ns: rounds, not truncates
+  EXPECT_DOUBLE_EQ(clock.now(), 0.0157);
+  clock.sleep(0.0163);
+  EXPECT_DOUBLE_EQ(clock.now(), 0.032);
+}
+
 // ---------------------------------------------------------------------------
-// run_with_retry: the synchronous retry loop.
+// The retry loop: ResilientBackend over FaultyBackend(memory), with no
+// breaker.
+
+/// A fault injector over a memory leaf that counts the write calls that
+/// reached it: the injected faults plus the writes that landed.
+struct FaultyWriteTarget {
+  explicit FaultyWriteTarget(const FaultPlan& plan)
+      : faulty(std::make_shared<FaultyBackend>(leaf, plan)) {}
+  std::uint64_t calls() const {
+    return faulty->faults_injected() + leaf->stats().write_ops;
+  }
+  std::shared_ptr<storage::MemoryBackend> leaf =
+      std::make_shared<storage::MemoryBackend>();
+  std::shared_ptr<FaultyBackend> faulty;
+};
+
+const std::vector<std::uint8_t> kOneByte{1};
 
 TEST(ResilienceRetrySessionTest, RetriesTransientUntilSuccess) {
+  FaultPlan plan;
+  plan.fail_writes_after = 0;
+  plan.transient = true;
+  plan.heal_after_faults = 2;
+  FaultyWriteTarget target(plan);
   ManualClock clock;
-  RetryPolicy p;
-  p.max_attempts = 5;
-  p.base_backoff_seconds = 0.5;
-  p.backoff_multiplier = 2.0;
-  p.max_backoff_seconds = 8.0;
-  int calls = 0;
-  const auto outcome = run_with_retry(p, clock, clock, nullptr, [&] {
-    if (++calls < 3) throw TransientIoError("flaky");
-  });
-  EXPECT_EQ(calls, 3);
-  EXPECT_EQ(outcome.attempts, 3);
-  EXPECT_DOUBLE_EQ(outcome.backoff_seconds, 0.5 + 1.0);
+  storage::ResilienceOptions ro;
+  ro.retry.max_attempts = 5;
+  ro.retry.base_backoff_seconds = 0.5;
+  ro.retry.backoff_multiplier = 2.0;
+  ro.retry.max_backoff_seconds = 8.0;
+  ro.breaker.failure_threshold = 0;
+  storage::ResilientBackend backend(target.faulty, ro, &clock, &clock);
+  backend.write(0, bytes_of(kOneByte));
+  EXPECT_EQ(target.calls(), 3u);
+  EXPECT_EQ(backend.retries(), 2u);
   EXPECT_EQ(clock.sleeps(), (std::vector<double>{0.5, 1.0}));
 }
 
 TEST(ResilienceRetrySessionTest, PermanentErrorFailsFast) {
+  FaultPlan plan;
+  plan.fail_every_n_writes = 1;
+  FaultyWriteTarget target(plan);
   ManualClock clock;
-  RetryPolicy p;
-  p.max_attempts = 5;
-  int calls = 0;
-  EXPECT_THROW((void)run_with_retry(p, clock, clock, nullptr,
-                                    [&] {
-                                      ++calls;
-                                      throw IoError("dead");
-                                    }),
-               IoError);
-  EXPECT_EQ(calls, 1);
+  storage::ResilienceOptions ro;
+  ro.retry.max_attempts = 5;
+  ro.breaker.failure_threshold = 0;
+  storage::ResilientBackend backend(target.faulty, ro, &clock, &clock);
+  EXPECT_THROW(backend.write(0, bytes_of(kOneByte)), IoError);
+  EXPECT_EQ(target.calls(), 1u);
   EXPECT_EQ(clock.sleep_count(), 0u);
 }
 
 TEST(ResilienceRetrySessionTest, RetryPermanentOptInRetriesIoError) {
+  FaultPlan plan;
+  plan.fail_writes_after = 0;  // plain IoError, flaky for two calls
+  plan.heal_after_faults = 2;
+  FaultyWriteTarget target(plan);
   ManualClock clock;
-  RetryPolicy p;
-  p.max_attempts = 5;
-  p.base_backoff_seconds = 0.1;
-  p.retry_permanent = true;
-  int calls = 0;
-  const auto outcome = run_with_retry(p, clock, clock, nullptr, [&] {
-    if (++calls < 3) throw IoError("flaky-but-permanent-looking");
-  });
-  EXPECT_EQ(calls, 3);
-  EXPECT_EQ(outcome.attempts, 3);
+  storage::ResilienceOptions ro;
+  ro.retry.max_attempts = 5;
+  ro.retry.base_backoff_seconds = 0.1;
+  ro.retry.retry_permanent = true;
+  ro.breaker.failure_threshold = 0;
+  storage::ResilientBackend backend(target.faulty, ro, &clock, &clock);
+  backend.write(0, bytes_of(kOneByte));
+  EXPECT_EQ(target.calls(), 3u);
+  EXPECT_EQ(backend.retries(), 2u);
 }
 
 TEST(ResilienceRetrySessionTest, DeadlineAbandonsInsteadOfSleeping) {
+  FaultPlan plan;
+  plan.fail_every_n_writes = 1;
+  plan.transient = true;
+  FaultyWriteTarget target(plan);
   ManualClock clock;
-  RetryPolicy p;
-  p.max_attempts = 100;
-  p.base_backoff_seconds = 1.0;
-  p.backoff_multiplier = 2.0;
-  p.max_backoff_seconds = 8.0;
-  p.deadline_seconds = 2.5;
-  int calls = 0;
-  EXPECT_THROW((void)run_with_retry(p, clock, clock, nullptr,
-                                    [&] {
-                                      ++calls;
-                                      throw TransientIoError("down");
-                                    }),
-               TransientIoError);
+  storage::ResilienceOptions ro;
+  ro.retry.max_attempts = 100;
+  ro.retry.base_backoff_seconds = 1.0;
+  ro.retry.backoff_multiplier = 2.0;
+  ro.retry.max_backoff_seconds = 8.0;
+  ro.retry.deadline_seconds = 2.5;
+  ro.breaker.failure_threshold = 0;
+  storage::ResilientBackend backend(target.faulty, ro, &clock, &clock);
+  EXPECT_THROW(backend.write(0, bytes_of(kOneByte)), TransientIoError);
   // Attempt 1 fails at t=0, backoff 1.0 fits the 2.5 s budget; attempt 2
   // fails at t=1, backoff 2.0 would overrun -> abandoned unslept.
-  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(target.calls(), 2u);
   EXPECT_EQ(clock.sleeps(), std::vector<double>{1.0});
 }
 
@@ -203,7 +229,7 @@ TEST(ResilienceBreakerTest, TripsAfterThresholdCoolsDownAndRecovers) {
   BreakerOptions bo;
   bo.failure_threshold = 3;
   bo.open_seconds = 5.0;
-  CircuitBreaker breaker(bo, &clock, "unit");
+  CircuitBreaker breaker(bo, &clock);
 
   EXPECT_EQ(breaker.state(), BreakerState::kClosed);
   breaker.on_failure();
@@ -276,9 +302,8 @@ TEST(ResilienceFaultyBackendTest, TransientPlansThrowTransientIoError) {
   try {
     backend.write(0, data);
     FAIL() << "expected an injected fault";
-  } catch (...) {
-    EXPECT_EQ(resilience::classify_error(std::current_exception()),
-              resilience::ErrorClass::kTransient);
+  } catch (const TransientIoError& e) {  // anything else escapes: fails
+    EXPECT_NE(std::string(e.what()).find("injected"), std::string::npos);
   }
 }
 
@@ -417,7 +442,7 @@ TEST(ResilienceResilientBackendTest, BreakerShedsLoadDuringOutage) {
   EXPECT_EQ(backend.breaker()->state(), BreakerState::kOpen);
 
   // While open, attempts are rejected before reaching the backend.
-  EXPECT_THROW(backend.write(0, bytes_of(data)), resilience::BreakerOpenError);
+  EXPECT_THROW(backend.write(0, bytes_of(data)), storage::BreakerOpenError);
   EXPECT_EQ(faulty->faults_injected(), 3u);
 
   manual.advance(11.0);
@@ -425,6 +450,32 @@ TEST(ResilienceResilientBackendTest, BreakerShedsLoadDuringOutage) {
   backend.write(0, bytes_of(data));  // half-open probe succeeds
   EXPECT_EQ(backend.breaker()->state(), BreakerState::kClosed);
   EXPECT_EQ(backend.breaker()->trips(), 1u);
+}
+
+TEST(ResilienceResilientBackendTest, ZeroThresholdBuildsNoBreaker) {
+  FaultPlan plan;
+  plan.fail_every_n_writes = 1;
+  plan.transient = true;
+  auto faulty = std::make_shared<FaultyBackend>(
+      std::make_shared<storage::MemoryBackend>(), plan);
+  ManualClock manual;
+  storage::ResilienceOptions ro;
+  ro.breaker.failure_threshold = 0;
+  storage::ResilientBackend backend(faulty, ro, &manual, &manual);
+  EXPECT_EQ(backend.breaker(), nullptr);
+
+  // Far past the default threshold, every write still reaches the
+  // injector and fails with its own transient error.
+  for (int i = 0; i < 10; ++i) {
+    try {
+      backend.write(0, bytes_of(kOneByte));
+      FAIL() << "expected an injected fault";
+    } catch (const storage::BreakerOpenError&) {
+      FAIL() << "write " << i << " was shed by a breaker";
+    } catch (const TransientIoError&) {
+    }
+  }
+  EXPECT_EQ(faulty->faults_injected(), 10u);
 }
 
 // Each call through one ResilientBackend draws its own jitter stream:
@@ -611,7 +662,7 @@ struct Expected {
   bool success = true;
   bool deadline_exhausted = false;
   std::vector<double> sleeps;       // exact virtual backoff schedule
-  std::uint64_t retries = 0;        // io.retries == storage.resilient.retries
+  std::uint64_t retries = 0;        // io.retries == retries()
   std::uint64_t failed = 0;         // vol.async.failed_ops
   std::string fail_category;        // "" on success
 };
@@ -702,7 +753,7 @@ TEST_P(ResilienceMatrixTest, DrivesFaultToExpectedOutcome) {
   ManualClock manual;
   storage::ResilienceOptions ro;
   ro.retry = make_policy(pk);
-  ro.enable_breaker = false;
+  ro.breaker.failure_threshold = 0;
   auto memory = std::make_shared<storage::MemoryBackend>();
   auto backend = std::make_shared<FaultyBackend>(memory, FaultPlan{});
   auto resilient =
@@ -794,7 +845,6 @@ TEST_P(ResilienceMatrixTest, DrivesFaultToExpectedOutcome) {
   // retry layer.
   const auto snap = obs::Registry::instance().snapshot();
   EXPECT_EQ(counter_total(snap, "io.retries"), expected.retries);
-  EXPECT_EQ(counter_total(snap, "storage.resilient.retries"), expected.retries);
   EXPECT_EQ(resilient->retries(), expected.retries);
   EXPECT_EQ(counter_total(snap, "vol.async.failed_ops"), expected.failed);
   EXPECT_EQ(counter_total(snap, "io.deadline_exhausted"),
@@ -875,7 +925,7 @@ TEST(ResilienceConcurrencyTest, EightRanksRetryMidEpochFaultsToCompletion) {
   ro.retry.max_attempts = 100;
   ro.retry.base_backoff_seconds = 0.001;
   ro.retry.max_backoff_seconds = 0.01;
-  ro.enable_breaker = false;
+  ro.breaker.failure_threshold = 0;
   auto backend = std::make_shared<FaultyBackend>(
       std::make_shared<storage::MemoryBackend>(), FaultPlan{});
   auto resilient =
@@ -919,7 +969,6 @@ TEST(ResilienceConcurrencyTest, EightRanksRetryMidEpochFaultsToCompletion) {
   // Registry agrees with the resilient layer and AsyncStats.
   const auto snap = obs::Registry::instance().snapshot();
   EXPECT_EQ(counter_total(snap, "io.retries"), 7u);
-  EXPECT_EQ(counter_total(snap, "storage.resilient.retries"), 7u);
   EXPECT_EQ(counter_total(snap, "vol.async.failed_ops"), 0u);
 
   backend->heal();
@@ -941,7 +990,7 @@ TEST(ResilienceConcurrencyTest, CloseDrainsFailingRetriesWithoutDeadlock) {
   storage::ResilienceOptions ro;
   ro.retry.max_attempts = 5;
   ro.retry.base_backoff_seconds = 0.001;
-  ro.enable_breaker = false;
+  ro.breaker.failure_threshold = 0;
   auto memory = std::make_shared<storage::MemoryBackend>();
   auto backend = std::make_shared<FaultyBackend>(memory, FaultPlan{});
   auto resilient =
@@ -1015,12 +1064,14 @@ TEST_P(ResilienceConnectorTest, CountdownRetriesThroughResilientStack) {
   ManualClock manual;
   storage::ResilienceOptions ro;
   ro.retry = make_policy(PolicyKind::kBounded);
-  ro.enable_breaker = false;
+  ro.breaker.failure_threshold = 0;
   auto faulty = std::make_shared<FaultyBackend>(
       std::make_shared<storage::MemoryBackend>(), FaultPlan{});
-  auto file = h5::File::create(storage::BackendStack::wrap(faulty)
-                                   .resilient(ro, &manual, &manual)
-                                   .build());
+  auto resilient = std::static_pointer_cast<storage::ResilientBackend>(
+      storage::BackendStack::wrap(faulty)
+          .resilient(ro, &manual, &manual)
+          .build());
+  auto file = h5::File::create(resilient);
   auto ds = file->root().create_dataset("d", h5::Datatype::kUInt8, {64});
   std::vector<std::uint8_t> want(64);
   for (std::size_t i = 0; i < want.size(); ++i) {
@@ -1046,8 +1097,8 @@ TEST_P(ResilienceConnectorTest, CountdownRetriesThroughResilientStack) {
   EXPECT_EQ(manual.sleeps(), (std::vector<double>{1.0, 2.0}));
   EXPECT_EQ(faulty->faults_injected(), 2u);
   const auto snap = obs::Registry::instance().snapshot();
-  EXPECT_EQ(counter_total(snap, "storage.resilient.retries"), 2u);
   EXPECT_EQ(counter_total(snap, "io.retries"), 2u);
+  EXPECT_EQ(resilient->retries(), 2u);
 
   faulty->heal();
   connector->close();

@@ -3,7 +3,7 @@
 // ordering, submission-context plumbing, QosBackend attribution, the
 // BackendStack builder, and the multi_job contention workload.
 //
-// Everything timing-sensitive runs on a resilience::ManualClock, so the
+// Everything timing-sensitive runs on a ManualClock, so the
 // fairness properties here are exact (deterministic grant sequences),
 // not statistical.
 #include <gtest/gtest.h>
@@ -15,11 +15,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/error.h"
 #include "common/units.h"
 #include "h5/file.h"
 #include "obs/metrics.h"
-#include "resilience/retry.h"
 #include "sched/fair_scheduler.h"
 #include "sched/io_request.h"
 #include "sched/report.h"
@@ -67,7 +67,7 @@ int complete_next(FairScheduler& sched, const std::vector<TicketPtr>& tickets,
 }
 
 TEST(FairSchedulerTest, GrantsImmediatelyWhenChannelIdle) {
-  resilience::ManualClock clock;
+  ManualClock clock;
   FairScheduler sched(SchedOptions{1, &clock});
   auto ticket = sched.submit(bulk_request("a", 1024));
   EXPECT_TRUE(ticket->granted());
@@ -82,7 +82,7 @@ TEST(FairSchedulerTest, GrantsImmediatelyWhenChannelIdle) {
 // schedule is periodic; we check the half-way window with one-request
 // slack for phase).
 TEST(FairSchedulerTest, WeightedFairSharesUnderBacklog) {
-  resilience::ManualClock clock;
+  ManualClock clock;
   FairScheduler sched(SchedOptions{1, &clock});
   sched.register_tenant("a", 1.0);
   sched.register_tenant("b", 2.0);
@@ -120,7 +120,7 @@ TEST(FairSchedulerTest, WeightedFairSharesUnderBacklog) {
 // frontier, so from arrival onward it shares equally (weight 1:1) —
 // no banked credit.
 TEST(FairSchedulerTest, IdleTenantCannotBankCredit) {
-  resilience::ManualClock clock;
+  ManualClock clock;
   FairScheduler sched(SchedOptions{1, &clock});
   sched.register_tenant("busy", 1.0);
   sched.register_tenant("late", 1.0);
@@ -156,7 +156,7 @@ TEST(FairSchedulerTest, IdleTenantCannotBankCredit) {
 // Starvation regression: a priority request submitted behind a deep
 // bulk backlog from another tenant is granted at the very next slot.
 TEST(FairSchedulerTest, PriorityJumpsBulkBacklog) {
-  resilience::ManualClock clock;
+  ManualClock clock;
   FairScheduler sched(SchedOptions{1, &clock});
 
   std::vector<TicketPtr> bulk;
@@ -180,7 +180,7 @@ TEST(FairSchedulerTest, PriorityJumpsBulkBacklog) {
 // forward and erase fair-queuing history on each flush, degrading SFQ
 // toward FIFO — exactly what the fig_fairshare gate first caught.
 TEST(FairSchedulerTest, PriorityGrantDoesNotAdvanceGlobalVirtualTime) {
-  resilience::ManualClock clock;
+  ManualClock clock;
   FairScheduler sched(SchedOptions{1, &clock});
 
   auto write = sched.submit(bulk_request("ck", 65536));
@@ -194,7 +194,7 @@ TEST(FairSchedulerTest, PriorityGrantDoesNotAdvanceGlobalVirtualTime) {
 }
 
 TEST(FairSchedulerTest, DeadlinesReorderWithinTenantLane) {
-  resilience::ManualClock clock;
+  ManualClock clock;
   FairScheduler sched(SchedOptions{1, &clock});
 
   auto blocker = sched.submit(bulk_request("t", 1024));
@@ -223,7 +223,7 @@ TEST(FairSchedulerTest, DeadlinesReorderWithinTenantLane) {
 }
 
 TEST(FairSchedulerTest, LateGrantCountsDeadlineMiss) {
-  resilience::ManualClock clock;
+  ManualClock clock;
   FairScheduler sched(SchedOptions{1, &clock});
 
   auto blocker = sched.submit(bulk_request("t", 1024));
@@ -241,7 +241,7 @@ TEST(FairSchedulerTest, LateGrantCountsDeadlineMiss) {
 }
 
 TEST(FairSchedulerTest, CloseGrantsEverythingSoDrainsCannotWedge) {
-  resilience::ManualClock clock;
+  ManualClock clock;
   FairScheduler sched(SchedOptions{1, &clock});
   auto blocker = sched.submit(bulk_request("t", 1024));
   auto queued1 = sched.submit(bulk_request("t", 1024));
@@ -263,7 +263,7 @@ TEST(FairSchedulerTest, CloseGrantsEverythingSoDrainsCannotWedge) {
 }
 
 TEST(FairSchedulerTest, CompleteBeforeGrantThrows) {
-  resilience::ManualClock clock;
+  ManualClock clock;
   FairScheduler sched(SchedOptions{1, &clock});
   auto blocker = sched.submit(bulk_request("t", 1024));
   auto queued = sched.submit(bulk_request("t", 1024));
@@ -273,7 +273,7 @@ TEST(FairSchedulerTest, CompleteBeforeGrantThrows) {
 }
 
 TEST(FairSchedulerTest, EmptyTenantResolvesToDefault) {
-  resilience::ManualClock clock;
+  ManualClock clock;
   FairScheduler sched(SchedOptions{1, &clock});
   auto ticket = sched.submit(bulk_request("", 512));
   EXPECT_EQ(ticket->request().tenant, std::string(kDefaultTenant));
@@ -283,7 +283,7 @@ TEST(FairSchedulerTest, EmptyTenantResolvesToDefault) {
 
 TEST(FairSchedulerTest, RejectsInvalidConfiguration) {
   EXPECT_THROW(FairScheduler(SchedOptions{0, nullptr}), InvalidArgumentError);
-  resilience::ManualClock clock;
+  ManualClock clock;
   FairScheduler sched(SchedOptions{1, &clock});
   EXPECT_THROW(sched.register_tenant("", 1.0), InvalidArgumentError);
   EXPECT_THROW(sched.register_tenant("t", 0.0), InvalidArgumentError);
@@ -529,7 +529,7 @@ TEST(AsyncConnectorSchedTest, TenantFlowsFromOptionsToScheduler) {
 // background stream, and the QosBackend there submits with it.  A grant
 // held back past that deadline counts as a miss for the issuing tenant.
 TEST(AsyncConnectorSchedTest, BoundDeadlineReachesScheduler) {
-  resilience::ManualClock clock;
+  ManualClock clock;
   auto scheduler =
       std::make_shared<sched::FairScheduler>(sched::SchedOptions{1, &clock});
   auto file = h5::File::create(

@@ -14,12 +14,12 @@
 #include <string>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/units.h"
 #include "obs/critical_path.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "obs/trace_context.h"
-#include "resilience/retry.h"
 #include "sched/fair_scheduler.h"
 #include "storage/backend_stack.h"
 #include "storage/faulty_backend.h"
@@ -362,14 +362,14 @@ TEST_F(TraceCollectorTest, AsyncWriteSurvivingTwoFaultsYieldsFullCausalTrace) {
       std::make_shared<storage::MemoryBackend>(), throttle);
   auto faulty = std::make_shared<storage::FaultyBackend>(
       throttled, storage::FaultPlan{});
-  resilience::ManualClock manual;
+  ManualClock manual;
   storage::ResilienceOptions resilience_options;
   resilience_options.retry.max_attempts = 3;
   resilience_options.retry.base_backoff_seconds = 1.0;
   resilience_options.retry.backoff_multiplier = 2.0;
   resilience_options.retry.max_backoff_seconds = 8.0;
   resilience_options.retry.jitter_fraction = 0.0;
-  resilience_options.enable_breaker = false;
+  resilience_options.breaker.failure_threshold = 0;
   auto scheduler = std::make_shared<sched::FairScheduler>();
   auto stack = storage::BackendStack::wrap(faulty)
                    .resilient(resilience_options, &manual, &manual)

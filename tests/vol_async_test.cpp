@@ -10,9 +10,9 @@
 #include <numeric>
 #include <thread>
 
+#include "common/clock.h"
 #include "common/error.h"
 #include "obs/metrics.h"
-#include "resilience/retry.h"
 #include "storage/backend_stack.h"
 #include "storage/decorator.h"
 #include "storage/faulty_backend.h"
@@ -213,10 +213,10 @@ TEST(AsyncConnectorTest, SuccessorsWaitOutARetriedOp) {
   // connector's stream.
   auto faulty = std::make_shared<storage::FaultyBackend>(
       std::make_shared<storage::MemoryBackend>(), storage::FaultPlan{});
-  resilience::ManualClock manual;
+  ManualClock manual;
   storage::ResilienceOptions resilience_options;
   resilience_options.retry.max_attempts = 3;
-  resilience_options.enable_breaker = false;
+  resilience_options.breaker.failure_threshold = 0;
   auto resilient = std::make_shared<storage::ResilientBackend>(
       faulty, resilience_options, &manual, &manual);
   auto gate = std::make_shared<GateBackend>(resilient);

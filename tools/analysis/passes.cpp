@@ -23,10 +23,7 @@ bool is_cv_wait_name(const std::string& s) {
 /// before the attribute existed).
 bool is_must_check_name(const std::string& s) {
   static const std::set<std::string> kSet = {
-      "write_v",        "read_v",        "try_push",
-      "try_pop",        "backoff_and_retry", "run_with_retry",
-      "errors",         "num_errors",    "error_messages",
-      "test"};
+      "write_v", "read_v", "errors", "num_errors", "error_messages", "test"};
   return kSet.count(s) > 0;
 }
 

@@ -12,8 +12,7 @@
 //                      stream-context root (APIO_ASSERT_ON_STREAM)
 //   unchecked-outcome  a statement discards the result of an I/O
 //                      outcome API (write_v/read_v byte counts,
-//                      RetrySession outcomes, EventSet error
-//                      accessors, try_push/try_pop)
+//                      EventSet test() and error accessors)
 //
 // Findings carry a call-chain witness and a stable key (no line
 // numbers) so baselines survive unrelated edits.  A finding is
