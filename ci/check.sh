@@ -45,7 +45,9 @@
 #      prefetch buffers, and the corruption, h5-fuzz and chunked suites,
 #      for the metadata parser's bounds on container bytes, and the
 #      breaker-rejection and two-fault trace cases, which run the
-#      resilient backend's retry loop under the async connector.
+#      resilient backend's retry loop under the async connector, and
+#      the vectored-dataset and trace suites, for the dataset planner's
+#      buffer-slice arithmetic and the trace CSV's number parser.
 #
 # Usage: ci/check.sh [--skip-tsan]
 set -euo pipefail
@@ -150,10 +152,10 @@ else
   ctest --preset tsan -j "${JOBS}"
 fi
 
-echo "==> [8/8] asan-ubsan build + fault-matrix, async-connector, backend, handle-lifetime, path-index, cache, paged-memory, collective-write, two-phase, passthrough, adaptive-loop, request, close-race, container-parsing and retry-loop suites"
+echo "==> [8/8] asan-ubsan build + fault-matrix, async-connector, backend, handle-lifetime, path-index, cache, paged-memory, collective-write, two-phase, passthrough, adaptive-loop, request, close-race, container-parsing, retry-loop, vectored-dataset and trace suites"
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "${JOBS}"
 ctest --preset asan-ubsan -j "${JOBS}" \
-  -R 'Resilience|FaultInjection|AsyncConnector|VectoredBackend|BackendContract|HandleLifetime|PathIndex|Cache|PagedMemory|CollectiveWrite|TwoPhase|Passthrough|ModeAdvisor|AdaptiveConnector|FeedbackLoop|Alloc|RequestTest|ConnectorCloseRace|Corruption|H5Fuzz|Chunked|BreakerRejected|SurvivingTwoFaults'
+  -R 'Resilience|FaultInjection|AsyncConnector|VectoredBackend|BackendContract|HandleLifetime|PathIndex|Cache|PagedMemory|CollectiveWrite|TwoPhase|Passthrough|ModeAdvisor|AdaptiveConnector|FeedbackLoop|Alloc|RequestTest|ConnectorCloseRace|Corruption|H5Fuzz|Chunked|BreakerRejected|SurvivingTwoFaults|VectoredDataset|TraceTest'
 
 echo "==> all checks passed"

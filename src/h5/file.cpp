@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
+#include <type_traits>
 
 #include "common/crc32.h"
 #include "common/error.h"
@@ -80,8 +82,8 @@ void mark_removed(meta::GroupNode& group) {
 /// segments: each row run is split at chunk boundaries of the last
 /// dimension and reported as fn(chunk_coord, local_linear_elem,
 /// seg_elems, buf_elem_off), where buf_elem_off is the segment's
-/// position in the packed transfer buffer.  Both chunked paths (scalar
-/// and vectored) walk selections through this one enumerator.
+/// position in the packed transfer buffer.  Dataset::plan is its one
+/// caller.
 void for_each_chunk_segment(
     const Dims& dims, const Dims& chunk, const Selection& selection,
     const std::function<void(const Dims&, std::uint64_t, std::uint64_t,
@@ -110,6 +112,10 @@ void for_each_chunk_segment(
     }
   });
 }
+
+/// File offset the planner reports for a segment of a chunk that was
+/// never written; the read path zero-fills it.
+constexpr std::uint64_t kUnwritten = ~std::uint64_t{0};
 
 }  // namespace
 
@@ -173,161 +179,86 @@ void Dataset::require_valid() const {
   }
 }
 
-void Dataset::write_raw(const Selection& selection, std::span<const std::byte> data) {
-  require_valid();
+template <typename Byte, typename Fn>
+void Dataset::plan(const Selection& selection, std::span<Byte> buf, Fn&& fn) const {
+  constexpr bool kWrite = std::is_const_v<Byte>;
   // Validate before sizing: npoints() walks block/stride by count's
   // rank, so a malformed selection must be rejected before any code
   // indexes through it.
   selection.validate(node_->dims);
   const std::size_t elsize = element_size();
   const std::uint64_t n = npoints_of(selection);
-  APIO_REQUIRE(data.size() == n * elsize,
-               "write buffer size (" + std::to_string(data.size()) +
-                   ") != selection bytes (" + std::to_string(n * elsize) + ")");
+  APIO_REQUIRE(buf.size() == n * elsize,
+               std::string(kWrite ? "write" : "read") + " buffer size (" +
+                   std::to_string(buf.size()) + ") != selection bytes (" +
+                   std::to_string(n * elsize) + ")");
   if (n == 0) return;
 
-  storage::Backend& backend = *file_->backend_;
-  const bool vectored = file_->props_.vectored_io;
   if (node_->layout == Layout::kContiguous) {
-    if (vectored) {
-      IoVector iov;
-      std::uint64_t buf_off = 0;
-      for_each_run(node_->dims, selection,
-                   [&](std::uint64_t elem_off, std::uint64_t count) {
-                     iov.add_write(node_->data_offset + elem_off * elsize,
-                                   data.subspan(buf_off, count * elsize));
-                     buf_off += count * elsize;
-                   });
-      iov.write_to(backend);
-    } else {
-      // Scalar fallback: one backend call per run, kept for A/B
-      // comparison against the aggregated path.
-      std::uint64_t buf_off = 0;
-      for_each_run(node_->dims, selection,
-                   [&](std::uint64_t elem_off, std::uint64_t count) {
-                     backend.write(node_->data_offset + elem_off * elsize,  // apio-lint: allow(io-vector)
-                                   data.subspan(buf_off, count * elsize));
-                     buf_off += count * elsize;
-                   });
-    }
+    std::uint64_t buf_off = 0;
+    for_each_run(node_->dims, selection, [&](std::uint64_t elem_off, std::uint64_t count) {
+      fn(node_->data_offset + elem_off * elsize, buf.subspan(buf_off, count * elsize));
+      buf_off += count * elsize;
+    });
     return;
   }
 
-  // Chunked layout: split each row run at chunk boundaries of the last
-  // dimension and scatter the segments into their chunks.
-  const Dims& chunk = node_->chunk_dims;
-  const std::uint64_t chunk_bytes = num_elements(chunk) * elsize;
-
-  if (vectored) {
-    // Per-call chunk-offset cache: one meta_mutex_ acquisition per
-    // touched chunk instead of one per segment, then a single
-    // vectored backend call for the whole selection.
-    IoVector iov;
-    std::map<Dims, std::uint64_t> chunk_offs;
-    for_each_chunk_segment(
-        node_->dims, chunk, selection,
-        [&](const Dims& cc, std::uint64_t local_linear, std::uint64_t seg,
-            std::uint64_t buf_elem) {
-          auto it = chunk_offs.find(cc);
-          if (it == chunk_offs.end()) {
-            it = chunk_offs
-                     .emplace(cc, file_->chunk_offset_for_write(*node_, cc, chunk_bytes))
-                     .first;
+  // Per-call chunk-offset cache: one meta_mutex_ acquisition per
+  // touched chunk instead of one per segment.  A write allocates each
+  // chunk on first touch, in walk order.
+  const std::uint64_t chunk_bytes = num_elements(node_->chunk_dims) * elsize;
+  std::map<Dims, std::uint64_t> chunk_offs;
+  for_each_chunk_segment(
+      node_->dims, node_->chunk_dims, selection,
+      [&](const Dims& cc, std::uint64_t local_linear, std::uint64_t seg,
+          std::uint64_t buf_elem) {
+        auto it = chunk_offs.find(cc);
+        if (it == chunk_offs.end()) {
+          std::uint64_t off = kUnwritten;  // kept when the chunk was never written
+          if constexpr (kWrite) {
+            off = file_->chunk_offset_for_write(*node_, cc, chunk_bytes);
+          } else {
+            file_->chunk_offset_for_read(*node_, cc, off);
           }
-          iov.add_write(it->second + local_linear * elsize,
-                        data.subspan(buf_elem * elsize, seg * elsize));
-        });
-    iov.write_to(backend);
-  } else {
-    for_each_chunk_segment(
-        node_->dims, chunk, selection,
-        [&](const Dims& cc, std::uint64_t local_linear, std::uint64_t seg,
-            std::uint64_t buf_elem) {
-          const std::uint64_t chunk_off =
-              file_->chunk_offset_for_write(*node_, cc, chunk_bytes);
-          backend.write(chunk_off + local_linear * elsize,  // apio-lint: allow(io-vector)
-                        data.subspan(buf_elem * elsize, seg * elsize));
-        });
-  }
+          it = chunk_offs.emplace(cc, off).first;
+        }
+        const std::uint64_t off =
+            it->second == kUnwritten ? kUnwritten : it->second + local_linear * elsize;
+        fn(off, buf.subspan(buf_elem * elsize, seg * elsize));
+      });
+}
+
+void Dataset::write_raw(const Selection& selection, std::span<const std::byte> data) {
+  require_valid();
+  storage::Backend& backend = *file_->backend_;
+  const bool vectored = file_->props_.vectored_io;
+  IoVector iov;
+  plan(selection, data, [&](std::uint64_t off, std::span<const std::byte> seg) {
+    // The scalar A/B mode bypasses IoVector so no two segments merge.
+    if (vectored) {
+      iov.add_write(off, seg);
+    } else {
+      backend.write(off, seg);  // apio-lint: allow(io-vector)
+    }
+  });
+  iov.write_to(backend);
 }
 
 void Dataset::read_raw(const Selection& selection, std::span<std::byte> out) const {
   require_valid();
-  // Same ordering as write_raw: reject malformed selections before
-  // npoints() indexes through them.
-  selection.validate(node_->dims);
-  const std::size_t elsize = element_size();
-  const std::uint64_t n = npoints_of(selection);
-  APIO_REQUIRE(out.size() == n * elsize,
-               "read buffer size (" + std::to_string(out.size()) +
-                   ") != selection bytes (" + std::to_string(n * elsize) + ")");
-  if (n == 0) return;
-
   storage::Backend& backend = *file_->backend_;
   const bool vectored = file_->props_.vectored_io;
-  if (node_->layout == Layout::kContiguous) {
-    if (vectored) {
-      IoVector iov;
-      std::uint64_t buf_off = 0;
-      for_each_run(node_->dims, selection,
-                   [&](std::uint64_t elem_off, std::uint64_t count) {
-                     iov.add_read(node_->data_offset + elem_off * elsize,
-                                  out.subspan(buf_off, count * elsize));
-                     buf_off += count * elsize;
-                   });
-      iov.read_from(backend);
+  IoVector iov;
+  plan(selection, out, [&](std::uint64_t off, std::span<std::byte> seg) {
+    if (off == kUnwritten) {
+      std::memset(seg.data(), 0, seg.size());  // fill value
+    } else if (vectored) {
+      iov.add_read(off, seg);
     } else {
-      std::uint64_t buf_off = 0;
-      for_each_run(node_->dims, selection,
-                   [&](std::uint64_t elem_off, std::uint64_t count) {
-                     backend.read(node_->data_offset + elem_off * elsize,  // apio-lint: allow(io-vector)
-                                  out.subspan(buf_off, count * elsize));
-                     buf_off += count * elsize;
-                   });
+      backend.read(off, seg);  // apio-lint: allow(io-vector)
     }
-    return;
-  }
-
-  const Dims& chunk = node_->chunk_dims;
-  if (vectored) {
-    // Unwritten chunks are zero-filled immediately; written chunks
-    // accumulate into one vectored read.  The cache holds {exists,
-    // offset} so each chunk's metadata is looked up once per call.
-    IoVector iov;
-    std::map<Dims, std::pair<bool, std::uint64_t>> chunk_offs;
-    for_each_chunk_segment(
-        node_->dims, chunk, selection,
-        [&](const Dims& cc, std::uint64_t local_linear, std::uint64_t seg,
-            std::uint64_t buf_elem) {
-          auto it = chunk_offs.find(cc);
-          if (it == chunk_offs.end()) {
-            std::uint64_t off = 0;
-            const bool present = file_->chunk_offset_for_read(*node_, cc, off);
-            it = chunk_offs.emplace(cc, std::make_pair(present, off)).first;
-          }
-          auto dst = out.subspan(buf_elem * elsize, seg * elsize);
-          if (it->second.first) {
-            iov.add_read(it->second.second + local_linear * elsize, dst);
-          } else {
-            std::memset(dst.data(), 0, dst.size());  // fill value
-          }
-        });
-    iov.read_from(backend);
-    return;
-  }
-
-  for_each_chunk_segment(
-      node_->dims, chunk, selection,
-      [&](const Dims& cc, std::uint64_t local_linear, std::uint64_t seg,
-          std::uint64_t buf_elem) {
-        auto dst = out.subspan(buf_elem * elsize, seg * elsize);
-        std::uint64_t chunk_off = 0;
-        if (file_->chunk_offset_for_read(*node_, cc, chunk_off)) {
-          backend.read(chunk_off + local_linear * elsize, dst);  // apio-lint: allow(io-vector)
-        } else {
-          std::memset(dst.data(), 0, dst.size());  // fill value
-        }
-      });
+  });
+  iov.read_from(backend);
 }
 
 void Dataset::set_extent(const Dims& new_dims) {

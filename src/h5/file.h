@@ -124,6 +124,13 @@ class Dataset {
   Dataset(File* file, meta::DatasetNode* node) : file_(file), node_(node) {}
 
   std::uint64_t npoints_of(const Selection& selection) const;
+  /// The one selection walk behind write_raw and read_raw (on a valid
+  /// handle): validates the selection against `buf`, then reports each
+  /// segment as fn(file_offset, slice of buf) in walk order.  A write
+  /// (const Byte) allocates chunks on first touch; a read reports a
+  /// segment of a never-written chunk with an all-ones file offset.
+  template <typename Byte, typename Fn>
+  void plan(const Selection& selection, std::span<Byte> buf, Fn&& fn) const;
   void require_dtype(Datatype t) const;
   void require_valid() const;
 

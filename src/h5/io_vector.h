@@ -1,13 +1,15 @@
 // IoVector: write-coalescing builder for dataset I/O.
 //
-// The scalar dataset paths issue one backend call per contiguous run of
-// a selection — for a strided hyperslab over a chunked dataset that is
-// one call per row-fragment per chunk, exactly the request-per-block
-// pattern the paper's VPIC-IO workload shows collapsing PFS throughput.
-// IoVector instead accumulates every (file offset, memory span) segment
-// of one dataset transfer, sorts them by file offset, merges segments
-// that are adjacent in BOTH the file and memory, and hands the whole
-// list to Backend::write_v/read_v in a single call.  Leaf backends then
+// Dataset::plan walks a selection once and reports one segment per
+// contiguous run — for a strided hyperslab over a chunked dataset that
+// is one segment per row-fragment per chunk.  Issued one backend call
+// each (the scalar A/B mode, FileProps::vectored_io = false), that is
+// exactly the request-per-block pattern the paper's VPIC-IO workload
+// shows collapsing PFS throughput.  IoVector instead accumulates every
+// (file offset, memory span) segment of one transfer, sorts them by
+// file offset, merges segments that are adjacent in BOTH the file and
+// memory, and hands the whole list to Backend::write_v/read_v in a
+// single call.  Leaf backends then
 // batch remaining file-adjacent extents into one pwritev/preadv each.
 //
 // A builder is single-transfer, single-thread state: fill it, issue it

@@ -33,11 +33,12 @@ struct FileProps {
   /// Alignment for raw-data allocations, bytes (power of two).  Large
   /// alignments mimic PFS stripe-friendly allocation.
   std::uint64_t allocation_alignment = 8;
-  /// Route dataset transfers through the IoVector coalescing path (one
-  /// vectored backend call per transfer) instead of one backend call
-  /// per contiguous run.  Runtime-only — not serialised into the
-  /// container — and on by default; tests flip it off to A/B the
-  /// scalar path against the aggregated one.
+  /// Add each segment of a dataset transfer's one selection walk to an
+  /// IoVector (one vectored backend call per transfer); when false,
+  /// issue each segment as its own backend call, in walk order.
+  /// Runtime-only — not serialised into the container — and on by
+  /// default; tests and bench/ablation_vectored_io flip it off to A/B
+  /// the scalar mode against the aggregated one.
   bool vectored_io = true;
 };
 

@@ -175,7 +175,7 @@ model::EpochCosts rank_costs(const EpochRankStats& stats) {
 
 }  // namespace
 
-EpochAnalyzer::EpochAnalyzer(Options options) : options_(options) {}
+EpochAnalyzer::EpochAnalyzer() = default;
 
 EpochAnalyzer::~EpochAnalyzer() { detach(); }
 
@@ -283,7 +283,6 @@ void EpochAnalyzer::finalize_rank_epoch_locked(const EpochEvent& event) {
   // observed epoch duration with whatever records have arrived so far.
   // (Async completions landing after the scope closes are still folded
   // into report(); the live check trades completeness for immediacy.)
-  if (options_.drift_alert_threshold <= 0.0) return;
   const auto it = epochs_.find({event.epoch, clamp_rank(event.rank)});
   if (it == epochs_.end() || it->second.io.empty()) return;
   const EpochRankStats stats = resolve(event.rank, it->second);
@@ -293,7 +292,7 @@ void EpochAnalyzer::finalize_rank_epoch_locked(const EpochEvent& event) {
       rank_costs(stats), it->second.async_ops > 0 ? model::IoMode::kAsync
                                                   : model::IoMode::kSync);
   const double error = std::abs(predicted - observed) / observed;
-  if (error <= options_.drift_alert_threshold) return;
+  if (error <= kDriftAlertThreshold) return;
   ++alerts_;
   if (enabled()) {
     static auto& counter = Registry::instance().counter("obs.epoch.drift_alerts");

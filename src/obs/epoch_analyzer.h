@@ -191,16 +191,13 @@ struct EpochReport {
 /// Connector::add_observer().  attach()/detach() wire the marker side.
 class EpochAnalyzer final : public IoObserver, public EpochSink {
  public:
-  struct Options {
-    /// Live per-rank-epoch relative-error threshold; crossing it at
-    /// scope end counts a drift alert and bumps the
-    /// "obs.epoch.drift_alerts" registry counter (when metrics are
-    /// enabled).  <= 0 disables live alerts.
-    double drift_alert_threshold = 0.25;
-  };
+  /// Live per-rank-epoch relative-error threshold; crossing it at
+  /// scope end counts a drift alert and bumps the
+  /// "obs.epoch.drift_alerts" registry counter (when metrics are
+  /// enabled).
+  static constexpr double kDriftAlertThreshold = 0.25;
 
-  EpochAnalyzer() : EpochAnalyzer(Options{}) {}
-  explicit EpochAnalyzer(Options options);
+  EpochAnalyzer();
   ~EpochAnalyzer() override;
 
   /// Registers this analyzer on the process-wide marker stream
@@ -230,7 +227,6 @@ class EpochAnalyzer final : public IoObserver, public EpochSink {
   RankEpoch* find_rank_epoch_locked(int rank, double issue_time);
   void finalize_rank_epoch_locked(const EpochEvent& event);
 
-  const Options options_;
   mutable std::mutex mutex_;
   bool attached_ = false;
   /// (epoch index, rank) -> per-rank reconstruction state.

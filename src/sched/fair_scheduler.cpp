@@ -74,14 +74,14 @@ struct FairScheduler::Tenant {
 };
 
 struct FairScheduler::State {
-  SchedOptions options;
   const Clock* clock = nullptr;
 
   debug::RankedMutex<debug::LockRank::kSchedQueue> mutex;
   std::condition_variable_any grant_cv;
 
   bool closed = false;
-  int inflight = 0;
+  /// The one channel slot is held by a granted, uncompleted ticket.
+  bool busy = false;
   std::uint64_t next_seq = 0;
   double virtual_time = 0.0;
   std::uint64_t queued_total = 0;
@@ -112,12 +112,8 @@ struct FairScheduler::State {
   }
 };
 
-FairScheduler::FairScheduler(SchedOptions options)
-    : state_(std::make_unique<State>()) {
-  APIO_REQUIRE(options.max_inflight >= 1,
-               "SchedOptions::max_inflight must be >= 1");
-  state_->options = options;
-  state_->clock = options.clock != nullptr ? options.clock : &default_clock();
+FairScheduler::FairScheduler(const Clock* clock) : state_(std::make_unique<State>()) {
+  state_->clock = clock != nullptr ? clock : &default_clock();
 }
 
 FairScheduler::~FairScheduler() { close(); }
@@ -181,9 +177,9 @@ void FairScheduler::complete(const TicketPtr& ticket) {
   if (ticket->completed_.exchange(true, std::memory_order_acq_rel)) return;
   State& s = *state_;
   std::lock_guard lock(s.mutex);
-  // Tickets granted by close() bypassed the inflight limit; only
-  // grants that consumed a slot return one.
-  if (s.inflight > 0) --s.inflight;
+  // Tickets granted by close() bypassed the slot; completing any ticket
+  // leaves it free.
+  s.busy = false;
   dispatch_locked(s);
 }
 
@@ -220,15 +216,16 @@ SchedStats FairScheduler::stats() const {
   return out;
 }
 
-/// Grants channel slots while any are free and work is queued.  Lane
-/// policy first (any priority request beats any bulk request), then
-/// weighted fairness: the grant goes to the eligible request whose
-/// tenant has the smallest virtual start time, with deadlines breaking
-/// ties toward urgency inside the priority lane.  Called with the
-/// queue mutex held; notifies waiters once per batch.
+/// Grants the channel slot when it is free and work is queued (after
+/// close(), grants everything queued).  Lane policy first (any
+/// priority request beats any bulk request), then weighted fairness:
+/// the grant goes to the eligible request whose tenant has the smallest
+/// virtual start time, with deadlines breaking ties toward urgency
+/// inside the priority lane.  Called with the queue mutex held;
+/// notifies waiters once per batch.
 void FairScheduler::dispatch_locked(State& s) {
   bool granted_any = false;
-  while (s.queued_total > 0 && (s.closed || s.inflight < s.options.max_inflight)) {
+  while (s.queued_total > 0 && (s.closed || !s.busy)) {
     Tenant* best_tenant = nullptr;
     int best_lane = 0;
     // (deadline, virtual start, seq) for priority; (virtual start,
@@ -310,7 +307,7 @@ void FairScheduler::dispatch_locked(State& s) {
       t.depth_gauge->set(static_cast<std::int64_t>(t.stats.queue_depth));
     }
 
-    if (!s.closed) ++s.inflight;
+    if (!s.closed) s.busy = true;
     ticket->granted_.store(true, std::memory_order_release);
     granted_any = true;
   }

@@ -4,8 +4,8 @@
 // hammer it concurrently, arrival order decides who gets served — the
 // classic noisy-neighbour failure.  FairScheduler interposes an
 // admission gate: requests queue per tenant, and grants onto the
-// channel (at most `max_inflight` at once, default 1 — one modelled
-// pipe) are issued in start-time-fair-queuing order over *bytes*:
+// channel (one at a time — one modelled pipe) are issued in
+// start-time-fair-queuing order over *bytes*:
 //
 //   at grant:  start        = max(tenant.vtime, V)
 //              V            = start
@@ -81,14 +81,6 @@ class Ticket {
 
 using TicketPtr = std::shared_ptr<Ticket>;
 
-struct SchedOptions {
-  /// Channel slots grantable at once.  1 (the default) serialises
-  /// dispatch — the shared-pipe model the fairness gate measures.
-  int max_inflight = 1;
-  /// Time source for waits/deadlines; null = process wall clock.
-  const Clock* clock = nullptr;
-};
-
 /// Per-tenant accounting, exported by stats().
 struct TenantStats {
   double weight = 1.0;
@@ -128,7 +120,9 @@ class FairScheduler {
   /// beyond the cap new samples are dropped (totals keep counting).
   static constexpr std::size_t kMaxWaitSamples = 65536;
 
-  explicit FairScheduler(SchedOptions options = {});
+  /// `clock` is the time source for waits and deadlines; null means
+  /// the process wall clock.
+  explicit FairScheduler(const Clock* clock = nullptr);
   ~FairScheduler();
 
   FairScheduler(const FairScheduler&) = delete;

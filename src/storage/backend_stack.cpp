@@ -46,11 +46,9 @@ BackendStack& BackendStack::resilient(ResilienceOptions options,
   return *this;
 }
 
-BackendStack& BackendStack::qos(sched::FairSchedulerPtr scheduler,
-                                QosOptions options) {
+BackendStack& BackendStack::qos(sched::FairSchedulerPtr scheduler) {
   require_order(Stage::kQos);
-  backend_ = std::make_shared<QosBackend>(
-      std::move(backend_), std::move(scheduler), std::move(options));
+  backend_ = std::make_shared<QosBackend>(std::move(backend_), std::move(scheduler));
   return *this;
 }
 

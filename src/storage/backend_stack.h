@@ -62,7 +62,7 @@ class BackendStack {
                           Sleeper* sleeper = nullptr);
 
   /// Fair-share admission layer over the PFS tier.
-  BackendStack& qos(sched::FairSchedulerPtr scheduler, QosOptions options = {});
+  BackendStack& qos(sched::FairSchedulerPtr scheduler);
 
   /// Write-back burst-buffer tier; always outermost (hits bypass
   /// admission and throttle; drains pass through them).  The cache

@@ -30,11 +30,8 @@ class Admission {
 
 }  // namespace
 
-QosBackend::QosBackend(BackendPtr inner, sched::FairSchedulerPtr scheduler,
-                       QosOptions options)
-    : Decorator(std::move(inner), "qos"),
-      scheduler_(std::move(scheduler)),
-      options_(std::move(options)) {
+QosBackend::QosBackend(BackendPtr inner, sched::FairSchedulerPtr scheduler)
+    : Decorator(std::move(inner), "qos"), scheduler_(std::move(scheduler)) {
   APIO_REQUIRE(scheduler_ != nullptr, "QosBackend needs a scheduler");
 }
 
@@ -48,8 +45,8 @@ sched::IoRequest QosBackend::request_for(obs::IoOp op,
     request.lane = ctx->lane;
     request.deadline = ctx->deadline;
   }
-  if (request.tenant.empty()) request.tenant = options_.default_tenant;
-  if (op == obs::IoOp::kFlush) request.lane = options_.flush_lane;
+  if (request.tenant.empty()) request.tenant = sched::kDefaultTenant;
+  if (op == obs::IoOp::kFlush) request.lane = sched::Lane::kPriority;
   return request;
 }
 

@@ -9,9 +9,9 @@
 // Tenant attribution comes from the calling thread's
 // sched::SubmissionContext (bound by vol::AsyncConnector around its
 // drain path, or by ScopedSubmission directly in application code);
-// unbound threads are charged to QosOptions::default_tenant.  Flushes
-// ride the priority lane by default — they are the latency-sensitive
-// barrier operations a bulk tenant must not starve.
+// unbound threads are charged to sched::kDefaultTenant.  Flushes always
+// ride the priority lane — they are the latency-sensitive barrier
+// operations a bulk tenant must not starve.
 //
 // A vectored write_v/read_v is admitted as ONE request for the total
 // byte count, mirroring ThrottledBackend's one-modelled-request-per-
@@ -30,13 +30,6 @@
 
 namespace apio::storage {
 
-struct QosOptions {
-  /// Tenant charged when the calling thread has no submission binding.
-  sched::TenantId default_tenant = sched::kDefaultTenant;
-  /// Lane for flush(); metadata barriers default to priority.
-  sched::Lane flush_lane = sched::Lane::kPriority;
-};
-
 /// close() and truncate() take no admission slot: close() is a
 /// lifecycle announcement (any cache drain it triggers arrives as
 /// ordinary write_v/flush traffic from the outer tier and is admitted
@@ -44,11 +37,9 @@ struct QosOptions {
 /// externally serialised anyway, per the Backend contract.
 class QosBackend final : public Decorator {
  public:
-  QosBackend(BackendPtr inner, sched::FairSchedulerPtr scheduler,
-             QosOptions options = {});
+  QosBackend(BackendPtr inner, sched::FairSchedulerPtr scheduler);
 
   const sched::FairSchedulerPtr& scheduler() const { return scheduler_; }
-  const QosOptions& options() const { return options_; }
 
  private:
   void around(obs::IoOp op, std::uint64_t offset, std::uint64_t bytes,
@@ -56,7 +47,6 @@ class QosBackend final : public Decorator {
   sched::IoRequest request_for(obs::IoOp op, std::uint64_t bytes) const;
 
   sched::FairSchedulerPtr scheduler_;
-  QosOptions options_;
 };
 
 }  // namespace apio::storage

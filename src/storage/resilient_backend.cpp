@@ -163,7 +163,7 @@ void ResilientBackend::run(Transfer transfer) {
   const auto back_off = [&] {
     if (attempt >= policy_.max_attempts) return false;
     // Rng's SplitMix64 seeding decorrelates adjacent seeds.
-    if (!rng) rng.emplace(policy_.jitter_seed + call);
+    if (!rng) rng.emplace(RetryPolicy::kJitterSeed + call);
     const double backoff = policy_.backoff_for(attempt, *rng);
     if (policy_.deadline_seconds > 0.0 &&
         clock_->now() - start + backoff > policy_.deadline_seconds) {

@@ -15,10 +15,11 @@
 // injected Clock and backoff sleeps go through a Sleeper, so tests
 // inject a ManualClock as both and never wall-sleep.
 //
-// Each call draws its own jitter stream, seeded from the policy's
-// jitter_seed plus the backend's call number, so concurrent callers
-// retrying one sick target do not all sleep the same delays, while a
-// fresh, identically driven backend replays the same schedule.
+// Each call draws its own jitter stream, seeded from
+// RetryPolicy::kJitterSeed plus the backend's call number, so
+// concurrent callers retrying one sick target do not all sleep the
+// same delays, while a fresh, identically driven backend replays the
+// same schedule.
 //
 // A failed vectored batch is retried WHOLE, as one write_v/read_v:
 // positional transfers are idempotent, so re-sending extents that had
@@ -65,7 +66,8 @@ struct RetryPolicy {
   /// deterministic schedule); the draw is seeded, so even jittered
   /// schedules are reproducible run-to-run.
   double jitter_fraction = 0.0;
-  std::uint64_t jitter_seed = 0x5EEDBACCull;
+  /// Base of every call's jitter seed (plus the backend's call number).
+  static constexpr std::uint64_t kJitterSeed = 0x5EEDBACCull;
   /// Per-call time budget on the injected clock, measured from the
   /// start of the storage call.  A retry whose backoff would overrun
   /// the deadline is abandoned instead of slept.  0 disables it.

@@ -33,29 +33,21 @@ ThrottledBackend::ThrottledBackend(BackendPtr inner, ThrottleParams params)
 
 void ThrottledBackend::throttle(std::uint64_t bytes) {
   const double delay = params_.latency + static_cast<double>(bytes) / params_.bandwidth;
-  if (params_.shared_channel) {
-    // Reserve a slot on the shared channel: operations queue behind each
-    // other just as concurrent clients of one PFS allocation do.
-    double wait = 0.0;
-    {
-      std::lock_guard lock(channel_mutex_);
-      const double now = steady_now();
-      const double start = std::max(now, channel_free_at_);
-      channel_free_at_ = start + delay * params_.time_scale;
-      modelled_delay_ += delay;
-      wait = channel_free_at_ - now;
-      // The shared channel only ever books time forward; a regression
-      // here would let concurrent ops overlap their budgeted slots.
-      APIO_INVARIANT(wait >= 0.0, "shared-channel reservation moved backwards");
-    }
-    sleep_seconds(wait);
-  } else {
-    {
-      std::lock_guard lock(channel_mutex_);
-      modelled_delay_ += delay;
-    }
-    sleep_seconds(delay * params_.time_scale);
+  // Reserve a slot on the shared channel: operations queue behind each
+  // other just as concurrent clients of one PFS allocation do.
+  double wait = 0.0;
+  {
+    std::lock_guard lock(channel_mutex_);
+    const double now = steady_now();
+    const double start = std::max(now, channel_free_at_);
+    channel_free_at_ = start + delay * params_.time_scale;
+    modelled_delay_ += delay;
+    wait = channel_free_at_ - now;
+    // The shared channel only ever books time forward; a regression
+    // here would let concurrent ops overlap their budgeted slots.
+    APIO_INVARIANT(wait >= 0.0, "shared-channel reservation moved backwards");
   }
+  sleep_seconds(wait);
 }
 
 void ThrottledBackend::around(obs::IoOp op, std::uint64_t /*offset*/,

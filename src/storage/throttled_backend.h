@@ -20,17 +20,15 @@ struct ThrottleParams {
   /// Wall-time scale: modelled_delay * time_scale is actually slept.
   /// 1.0 reproduces modelled time; tests use small scales to run fast.
   double time_scale = 1.0;
-  /// When true, concurrent operations share the bandwidth budget
-  /// (serialised token bucket); when false each op is delayed
-  /// independently.
-  bool shared_channel = true;
 };
 
-/// Each read/write is charged latency + bytes/bandwidth; flushes pass
-/// unthrottled.  A vectored call is one aggregated request on the
-/// modelled PFS: the budget is charged once for its total rather than
-/// per extent, which is exactly the cost reduction aggregation buys on
-/// a latency-bound file system.
+/// Each read/write is charged latency + bytes/bandwidth on one shared
+/// channel: concurrent operations queue behind each other (a serialised
+/// token bucket), as concurrent clients of one PFS allocation do.
+/// Flushes pass unthrottled.  A vectored call is one aggregated request
+/// on the modelled PFS: the budget is charged once for its total rather
+/// than per extent, which is exactly the cost reduction aggregation
+/// buys on a latency-bound file system.
 class ThrottledBackend final : public Decorator {
  public:
   ThrottledBackend(BackendPtr inner, ThrottleParams params);

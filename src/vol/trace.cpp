@@ -1,6 +1,7 @@
 #include "vol/trace.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <sstream>
@@ -14,6 +15,9 @@
 
 namespace apio::vol {
 namespace {
+
+/// Synthetic payload byte of every replayed write.
+constexpr std::byte kReplayFill{0xA5};
 
 bool needs_quoting(const std::string& field) {
   return field.find_first_of(",\"\n\r") != std::string::npos;
@@ -89,6 +93,28 @@ std::vector<std::vector<std::string>> parse_csv(const std::string& csv) {
   return rows;
 }
 
+[[noreturn]] void bad_field(std::size_t row, const char* what, const std::string& field) {
+  throw FormatError("trace row " + std::to_string(row) + ": bad " + what + " '" + field + "'");
+}
+
+/// Parses a whole trace field as a number: a prefix ("12kb"), a sign
+/// on an unsigned field or an empty field is malformed.
+template <typename T>
+T parse_number(const std::string& field, std::size_t row, const char* what) {
+  T value{};
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, value);
+  if (ec != std::errc() || ptr != end) bad_field(row, what, field);
+  return value;
+}
+
+/// A time field: parsed whole, finite and non-negative.
+double parse_seconds(const std::string& field, std::size_t row, const char* what) {
+  const double v = parse_number<double>(field, row, what);
+  if (!std::isfinite(v) || v < 0) bad_field(row, what, field);
+  return v;
+}
+
 }  // namespace
 
 void Trace::append(TraceEvent event) { events_.push_back(std::move(event)); }
@@ -124,23 +150,21 @@ Trace Trace::from_csv(const std::string& csv) {
     if (r == 0 && !fields.empty() && fields[0] == "kind") continue;  // header
     // 6 columns is the legacy pre-trace-id layout; 8 is current.
     if (fields.size() != 6 && fields.size() != 8) {
-      throw FormatError("malformed trace row with " +
+      throw FormatError("trace row " + std::to_string(r) + " has " +
                         std::to_string(fields.size()) + " fields");
     }
     TraceEvent e;
-    const int kind = std::atoi(fields[0].c_str());
-    if (kind < 0 || kind > 3) {
-      throw FormatError("bad trace kind '" + fields[0] + "'");
-    }
+    const int kind = parse_number<int>(fields[0], r, "kind");
+    if (kind < 0 || kind > 3) bad_field(r, "kind", fields[0]);
     e.kind = static_cast<TraceEvent::Kind>(kind);
     e.dataset_path = fields[1];
     e.selection = selection_from_token(fields[2]);
-    e.bytes = std::strtoull(fields[3].c_str(), nullptr, 10);
-    e.issue_time = std::atof(fields[4].c_str());
-    e.blocking_seconds = std::atof(fields[5].c_str());
+    e.bytes = parse_number<std::uint64_t>(fields[3], r, "bytes");
+    e.issue_time = parse_seconds(fields[4], r, "issue time");
+    e.blocking_seconds = parse_seconds(fields[5], r, "blocking time");
     if (fields.size() == 8) {
-      e.trace_id = std::strtoull(fields[6].c_str(), nullptr, 10);
-      e.span_id = std::strtoull(fields[7].c_str(), nullptr, 10);
+      e.trace_id = parse_number<std::uint64_t>(fields[6], r, "trace id");
+      e.span_id = parse_number<std::uint64_t>(fields[7], r, "span id");
     }
     trace.append(std::move(e));
   }
@@ -236,7 +260,7 @@ ReplayResult replay_trace(const Trace& trace, Connector& connector,
     switch (event.kind) {
       case TraceEvent::Kind::kWrite: {
         auto ds = connector.file()->dataset_at(event.dataset_path);
-        std::vector<std::byte> payload(event.bytes, std::byte{options.fill});
+        std::vector<std::byte> payload(event.bytes, kReplayFill);
         outstanding.push_back(connector.dataset_write(ds, event.selection, payload));
         result.bytes_written += event.bytes;
         break;

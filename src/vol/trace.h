@@ -89,8 +89,6 @@ struct ReplayOptions {
   /// Reproduce inter-operation gaps (compute phases) scaled by this
   /// factor; 0 replays back-to-back.
   double time_scale = 0.0;
-  /// Synthetic fill byte for replayed writes.
-  std::uint8_t fill = 0xA5;
 };
 
 /// Statistics of one replay run.

@@ -93,7 +93,6 @@ MultiJobParams MultiJobParams::reference() {
   params.pfs_bandwidth = 64.0 * kMiB;
   params.pfs_latency = 1e-3;
   params.time_scale = 1.0;
-  params.max_inflight = 1;
   // Equal work per tenant: the weight-4 tenant drains first, and the
   // share snapshot lands while the others are still backlogged.  Four
   // ranks per tenant keep each tenant's scheduler queue several deep,
@@ -160,8 +159,7 @@ MultiJobResult run_multi_job(const MultiJobParams& params) {
     setup->close();
   }
 
-  auto scheduler = std::make_shared<sched::FairScheduler>(
-      sched::SchedOptions{params.max_inflight});
+  auto scheduler = std::make_shared<sched::FairScheduler>();
   for (const TenantSpec& spec : params.tenants) {
     scheduler->register_tenant(spec.name, spec.weight);
   }

@@ -57,8 +57,6 @@ struct MultiJobParams {
   double pfs_latency = 1e-3;
   /// Wall-time scale of the throttle; keep small so runs stay fast.
   double time_scale = 1.0;
-  /// Channel slots the scheduler grants at once (1 = one shared pipe).
-  int max_inflight = 1;
 
   /// The paper-style reference contention case: three saturating
   /// tenants at weights 1:2:4 (checkpoint : vpic : bdcats), equal work

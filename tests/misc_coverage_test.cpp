@@ -47,23 +47,6 @@ TEST(ReplayTimingTest, TimeScaleReproducesComputeGaps) {
   EXPECT_GE(run_with_scale(0.5), 0.045);
 }
 
-TEST(ThrottledBackendTest, IndependentChannelDoesNotQueue) {
-  storage::ThrottleParams params;
-  params.bandwidth = 1000.0;
-  params.latency = 0.0;
-  params.time_scale = 0.0;
-  params.shared_channel = false;
-  storage::ThrottledBackend backend(std::make_shared<storage::MemoryBackend>(),
-                                    params);
-  std::vector<std::byte> data(500, std::byte{1});
-  backend.write(0, data);
-  backend.write(500, data);
-  // Independent delays accumulate in the model either way; the contract
-  // here is just that both ops complete and are accounted.
-  EXPECT_NEAR(backend.modelled_delay_seconds(), 1.0, 1e-9);
-  EXPECT_EQ(backend.stats().write_ops, 2u);
-}
-
 TEST(PmpiSplitTest, SubCommunicatorCanSplitAgain) {
   pmpi::run(8, [](pmpi::Communicator& comm) {
     pmpi::Communicator half = comm.split(comm.rank() / 4, comm.rank());

@@ -182,9 +182,7 @@ TEST(EpochAnalyzerTest, RecordsOutsideAnyEpochCountAsOrphans) {
 }
 
 TEST(EpochAnalyzerTest, LiveDriftAlertFiresAtScopeEnd) {
-  EpochAnalyzer::Options options;
-  options.drift_alert_threshold = 0.25;
-  EpochAnalyzer analyzer(options);
+  EpochAnalyzer analyzer;
   // Observed 4.0 s but the model predicts 1.0 s (sync: 0.5 compute +
   // 0.5 I/O): 300% drift, far past the 25% alert threshold.
   analyzer.on_epoch_event(event(Kind::kBegin, 0, 0, 0.0));

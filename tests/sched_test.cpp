@@ -52,8 +52,8 @@ IoRequest priority_request(std::string tenant, std::uint64_t bytes = 0) {
   return req;
 }
 
-/// Completes the unique granted-but-uncompleted ticket (max_inflight=1
-/// keeps it unique) and returns its index; -1 when nothing is granted.
+/// Completes the unique granted-but-uncompleted ticket (the one channel
+/// slot keeps it unique) and returns its index; -1 when nothing is granted.
 int complete_next(FairScheduler& sched, const std::vector<TicketPtr>& tickets,
                   std::vector<bool>& done) {
   for (std::size_t i = 0; i < tickets.size(); ++i) {
@@ -68,7 +68,7 @@ int complete_next(FairScheduler& sched, const std::vector<TicketPtr>& tickets,
 
 TEST(FairSchedulerTest, GrantsImmediatelyWhenChannelIdle) {
   ManualClock clock;
-  FairScheduler sched(SchedOptions{1, &clock});
+  FairScheduler sched(&clock);
   auto ticket = sched.submit(bulk_request("a", 1024));
   EXPECT_TRUE(ticket->granted());
   sched.wait(ticket);  // must not block
@@ -83,7 +83,7 @@ TEST(FairSchedulerTest, GrantsImmediatelyWhenChannelIdle) {
 // slack for phase).
 TEST(FairSchedulerTest, WeightedFairSharesUnderBacklog) {
   ManualClock clock;
-  FairScheduler sched(SchedOptions{1, &clock});
+  FairScheduler sched(&clock);
   sched.register_tenant("a", 1.0);
   sched.register_tenant("b", 2.0);
   sched.register_tenant("c", 4.0);
@@ -121,7 +121,7 @@ TEST(FairSchedulerTest, WeightedFairSharesUnderBacklog) {
 // no banked credit.
 TEST(FairSchedulerTest, IdleTenantCannotBankCredit) {
   ManualClock clock;
-  FairScheduler sched(SchedOptions{1, &clock});
+  FairScheduler sched(&clock);
   sched.register_tenant("busy", 1.0);
   sched.register_tenant("late", 1.0);
 
@@ -157,7 +157,7 @@ TEST(FairSchedulerTest, IdleTenantCannotBankCredit) {
 // bulk backlog from another tenant is granted at the very next slot.
 TEST(FairSchedulerTest, PriorityJumpsBulkBacklog) {
   ManualClock clock;
-  FairScheduler sched(SchedOptions{1, &clock});
+  FairScheduler sched(&clock);
 
   std::vector<TicketPtr> bulk;
   for (int i = 0; i < 100; ++i) {
@@ -181,7 +181,7 @@ TEST(FairSchedulerTest, PriorityJumpsBulkBacklog) {
 // toward FIFO — exactly what the fig_fairshare gate first caught.
 TEST(FairSchedulerTest, PriorityGrantDoesNotAdvanceGlobalVirtualTime) {
   ManualClock clock;
-  FairScheduler sched(SchedOptions{1, &clock});
+  FairScheduler sched(&clock);
 
   auto write = sched.submit(bulk_request("ck", 65536));
   ASSERT_TRUE(write->granted());  // start 0 -> V stays 0, ck.vtime 65536
@@ -195,7 +195,7 @@ TEST(FairSchedulerTest, PriorityGrantDoesNotAdvanceGlobalVirtualTime) {
 
 TEST(FairSchedulerTest, DeadlinesReorderWithinTenantLane) {
   ManualClock clock;
-  FairScheduler sched(SchedOptions{1, &clock});
+  FairScheduler sched(&clock);
 
   auto blocker = sched.submit(bulk_request("t", 1024));
   ASSERT_TRUE(blocker->granted());
@@ -224,7 +224,7 @@ TEST(FairSchedulerTest, DeadlinesReorderWithinTenantLane) {
 
 TEST(FairSchedulerTest, LateGrantCountsDeadlineMiss) {
   ManualClock clock;
-  FairScheduler sched(SchedOptions{1, &clock});
+  FairScheduler sched(&clock);
 
   auto blocker = sched.submit(bulk_request("t", 1024));
   auto req = bulk_request("t", 1024);
@@ -242,7 +242,7 @@ TEST(FairSchedulerTest, LateGrantCountsDeadlineMiss) {
 
 TEST(FairSchedulerTest, CloseGrantsEverythingSoDrainsCannotWedge) {
   ManualClock clock;
-  FairScheduler sched(SchedOptions{1, &clock});
+  FairScheduler sched(&clock);
   auto blocker = sched.submit(bulk_request("t", 1024));
   auto queued1 = sched.submit(bulk_request("t", 1024));
   auto queued2 = sched.submit(bulk_request("u", 1024));
@@ -264,7 +264,7 @@ TEST(FairSchedulerTest, CloseGrantsEverythingSoDrainsCannotWedge) {
 
 TEST(FairSchedulerTest, CompleteBeforeGrantThrows) {
   ManualClock clock;
-  FairScheduler sched(SchedOptions{1, &clock});
+  FairScheduler sched(&clock);
   auto blocker = sched.submit(bulk_request("t", 1024));
   auto queued = sched.submit(bulk_request("t", 1024));
   EXPECT_THROW(sched.complete(queued), InvalidArgumentError);
@@ -274,7 +274,7 @@ TEST(FairSchedulerTest, CompleteBeforeGrantThrows) {
 
 TEST(FairSchedulerTest, EmptyTenantResolvesToDefault) {
   ManualClock clock;
-  FairScheduler sched(SchedOptions{1, &clock});
+  FairScheduler sched(&clock);
   auto ticket = sched.submit(bulk_request("", 512));
   EXPECT_EQ(ticket->request().tenant, std::string(kDefaultTenant));
   sched.complete(ticket);
@@ -282,18 +282,17 @@ TEST(FairSchedulerTest, EmptyTenantResolvesToDefault) {
 }
 
 TEST(FairSchedulerTest, RejectsInvalidConfiguration) {
-  EXPECT_THROW(FairScheduler(SchedOptions{0, nullptr}), InvalidArgumentError);
   ManualClock clock;
-  FairScheduler sched(SchedOptions{1, &clock});
+  FairScheduler sched(&clock);
   EXPECT_THROW(sched.register_tenant("", 1.0), InvalidArgumentError);
   EXPECT_THROW(sched.register_tenant("t", 0.0), InvalidArgumentError);
 }
 
 // Contended admit()/complete() from many threads: exercised under TSan
-// by the tsan-labelled suite.  With max_inflight=1 every admission
+// by the tsan-labelled suite.  With one channel slot every admission
 // serialises through the channel, so totals must be exact.
 TEST(FairSchedulerTest, ConcurrentAdmitCompleteStaysConsistent) {
-  FairScheduler sched(SchedOptions{1, nullptr});
+  FairScheduler sched;
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 64;
   std::vector<std::thread> threads;
@@ -388,7 +387,6 @@ namespace {
 
 using sched::FairScheduler;
 using sched::Lane;
-using sched::SchedOptions;
 
 std::vector<std::byte> pattern(std::size_t n) {
   std::vector<std::byte> data(n);
@@ -531,7 +529,7 @@ TEST(AsyncConnectorSchedTest, TenantFlowsFromOptionsToScheduler) {
 TEST(AsyncConnectorSchedTest, BoundDeadlineReachesScheduler) {
   ManualClock clock;
   auto scheduler =
-      std::make_shared<sched::FairScheduler>(sched::SchedOptions{1, &clock});
+      std::make_shared<sched::FairScheduler>(&clock);
   auto file = h5::File::create(
       storage::BackendStack::memory().qos(scheduler).build());
   auto ds = file->root().create_dataset("d", h5::Datatype::kUInt8, {64});

@@ -804,12 +804,12 @@ TEST(ThrottledBackendTest, SharedChannelSerializesDelays) {
   ThrottleParams params;
   params.bandwidth = 1000.0;
   params.time_scale = 0.0;
-  params.shared_channel = true;
   ThrottledBackend throttled(inner, params);
   std::vector<std::byte> data(500, std::byte{1});
   throttled.write(0, data);
   throttled.write(500, data);
   EXPECT_NEAR(throttled.modelled_delay_seconds(), 1.0, 1e-9);
+  EXPECT_EQ(throttled.stats().write_ops, 2u);
 }
 
 TEST(ThrottledBackendTest, ActuallySleepsWhenScaled) {

@@ -127,6 +127,23 @@ TEST(TraceTest, CsvRejectsGarbage) {
   // nothing: a truncated id pair is malformed, as is a 9th column.
   EXPECT_THROW(Trace::from_csv("0,p,all,4,0,0,17\n"), FormatError);
   EXPECT_THROW(Trace::from_csv("0,p,all,4,0,0,17,18,19\n"), FormatError);
+  // Every numeric field is parsed whole: a prefix, a sign on a count,
+  // a non-finite or negative time is malformed.
+  EXPECT_THROW(Trace::from_csv("x,p,all,4,0,0\n"), FormatError);
+  EXPECT_THROW(Trace::from_csv(",p,all,4,0,0\n"), FormatError);
+  EXPECT_THROW(Trace::from_csv("0,p,all,12kb,0,0\n"), FormatError);
+  EXPECT_THROW(Trace::from_csv("0,p,all,-5,0,0\n"), FormatError);
+  EXPECT_THROW(Trace::from_csv("0,p,all,4,0.5s,0\n"), FormatError);
+  EXPECT_THROW(Trace::from_csv("0,p,all,4,-1,0\n"), FormatError);
+  EXPECT_THROW(Trace::from_csv("0,p,all,4,0,inf\n"), FormatError);
+  EXPECT_THROW(Trace::from_csv("0,p,all,4,nan,0\n"), FormatError);
+  EXPECT_THROW(Trace::from_csv("0,p,all,4,0,0,17x,18\n"), FormatError);
+  EXPECT_THROW(Trace::from_csv("0,p,all,4,0,0,17,+18\n"), FormatError);
+  // Exponent forms, as to_csv may print them, still parse.
+  const Trace ok = Trace::from_csv("0,p,all,4,1e-07,2.5e+06\n");
+  ASSERT_EQ(ok.size(), 1u);
+  EXPECT_DOUBLE_EQ(ok.events()[0].issue_time, 1e-07);
+  EXPECT_DOUBLE_EQ(ok.events()[0].blocking_seconds, 2.5e+06);
 }
 
 TEST(TraceTest, CsvCarriesTraceIds) {

@@ -37,9 +37,10 @@
 //                 write_v/read_v per transfer) instead of issuing
 //                 per-segment backend.write()/read() calls — the
 //                 request-per-fragment pattern is exactly what the
-//                 aggregation layer exists to eliminate.  The
-//                 deliberate scalar fallbacks (A/B comparison paths)
-//                 carry per-line waivers.
+//                 aggregation layer exists to eliminate.  The scalar
+//                 A/B mode (FileProps::vectored_io = false) issues the
+//                 one selection walk's segments one call each; its
+//                 write and read lines carry the only waivers.
 //   trace-phase   causal-trace spans in src/ must be attributed to a
 //                 named phase from the obs::trace::Phase enum: every
 //                 ScopedPhase / record_phase line must spell a
@@ -177,8 +178,8 @@ void lint_file(const fs::path& root, const fs::path& file) {
       report(sf.path, lineno, "io-vector",
              "dataset transfers must aggregate through h5::IoVector "
              "(write_v/read_v), not issue per-segment backend calls; "
-             "annotate a deliberate scalar fallback with apio-lint: "
-             "allow(io-vector)");
+             "only the scalar A/B mode's per-segment call carries "
+             "apio-lint: allow(io-vector)");
     }
 
     if (in_src && !is_trace_impl) {
