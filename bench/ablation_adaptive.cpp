@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "bench/bench_util.h"
+#include "common/units.h"
 #include "obs/epoch_analyzer.h"
 #include "storage/memory_backend.h"
 #include "storage/backend_stack.h"

@@ -39,6 +39,7 @@
 
 #include "bench/bench_util.h"
 #include "common/error.h"
+#include "common/units.h"
 #include "obs/epoch_analyzer.h"
 #include "storage/backend_stack.h"
 #include "storage/faulty_backend.h"

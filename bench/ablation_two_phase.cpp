@@ -11,8 +11,10 @@
 //       wall time.  Exits 1 unless each row issues one request per
 //       aggregator and the dataset reads back intact.
 #include "bench/bench_util.h"
+#include "common/units.h"
 #include "pmpi/world.h"
 #include "storage/memory_backend.h"
+#include "storage/pfs_model.h"
 #include "storage/backend_stack.h"
 #include "vol/collective_writer.h"
 #include "vol/native_connector.h"

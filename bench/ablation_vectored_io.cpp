@@ -13,6 +13,7 @@
 // Both views run on Throttled(Memory) with time_scale = 0, so every
 // reported number is deterministic model time ("det" noise class).
 #include "bench/bench_util.h"
+#include "common/units.h"
 #include "h5/file.h"
 #include "pmpi/world.h"
 #include "sched/fair_scheduler.h"

@@ -1,6 +1,6 @@
-// Shared helpers for the figure-reproduction harness: every bench binary
-// regenerates one table/figure of the paper as aligned text columns, so
-// `for b in build/bench/*; do $b; done` reproduces the whole evaluation.
+// Shared helpers for the bench binaries: a banner naming the figure or
+// ablation being reproduced, and the standardized result record the
+// regression gate (apio_bench_compare) reads.
 #pragma once
 
 #include <cstdio>
@@ -9,10 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "common/units.h"
-#include "model/advisor.h"
 #include "obs/metrics.h"
-#include "sim/epoch_sim.h"
 
 namespace apio::bench {
 
@@ -52,7 +49,7 @@ struct BenchValue {
 /// is unset), 1 when the append fails — bench mains `return` this so a
 /// CI run that loses its samples fails loudly instead of gating against
 /// a truncated file:
-///   APIO_BENCH_JSON=bench.jsonl ./build/bench/fig1_scenarios
+///   APIO_BENCH_JSON=bench.jsonl ./build/bench/apio_figures fig1_scenarios
 inline int record_bench_metrics(const std::string& bench_name,
                                 const std::string& config = "",
                                 const std::vector<BenchValue>& values = {}) {
@@ -80,100 +77,6 @@ inline int record_bench_metrics(const std::string& bench_name,
     return 1;
   }
   return 0;
-}
-
-/// One row of a scaling figure: both I/O modes plus the model estimate.
-struct ScalingRow {
-  int nodes = 0;
-  int ranks = 0;
-  double sync_bw = 0.0;
-  double async_bw = 0.0;
-  double sync_est = 0.0;
-  double async_est = 0.0;
-};
-
-inline void print_scaling_header() {
-  std::printf("%8s %8s | %14s %14s | %14s %14s\n", "nodes", "ranks", "sync BW",
-              "est(sync)", "async BW", "est(async)");
-  std::printf("%8s %8s | %14s %14s | %14s %14s\n", "-----", "-----", "-------",
-              "---------", "--------", "----------");
-}
-
-inline void print_scaling_row(const ScalingRow& row) {
-  std::printf("%8d %8d | %14s %14s | %14s %14s\n", row.nodes, row.ranks,
-              format_bandwidth(row.sync_bw).c_str(),
-              row.sync_est > 0 ? format_bandwidth(row.sync_est).c_str() : "-",
-              format_bandwidth(row.async_bw).c_str(),
-              row.async_est > 0 ? format_bandwidth(row.async_est).c_str() : "-");
-}
-
-/// Runs one (nodes, mode) point through the simulator with the advisor
-/// attached as the Fig. 2 observer, returning the peak aggregate
-/// bandwidth the paper plots.
-inline double run_point(const sim::EpochSimulator& simulator, sim::RunConfig config,
-                        model::ModeAdvisor* advisor, std::uint64_t seed = 42) {
-  config.seed = seed;
-  config.observer = advisor;
-  return simulator.run(config).peak_bandwidth();
-}
-
-/// Model estimate of the aggregate bandwidth for a phase, from the
-/// advisor's fitted rate regressions (the dotted lines in the figures).
-inline double estimate_bw(const model::ModeAdvisor& advisor, bool async,
-                          std::uint64_t bytes, int ranks) {
-  if (async) {
-    if (!advisor.async_ready()) return 0.0;
-    return static_cast<double>(bytes) / advisor.estimate_transact_seconds(bytes, ranks);
-  }
-  if (!advisor.sync_ready()) return 0.0;
-  return static_cast<double>(bytes) / advisor.estimate_io_seconds(bytes, ranks);
-}
-
-/// Prints the r² footer the paper quotes for each fit (Sec. V-C).
-inline void print_fit_quality(const model::ModeAdvisor& advisor) {
-  std::printf("\nmodel fit quality: r^2(sync) = %.3f, r^2(async) = %.3f "
-              "(paper: >0.80 sync, >0.90 async)\n",
-              advisor.sync_r_squared(), advisor.async_r_squared());
-}
-
-/// One measured point of a node-count sweep.
-struct SweepPoint {
-  int nodes = 0;
-  std::uint64_t bytes = 0;
-  double sync_bw = 0.0;
-  double async_bw = 0.0;
-};
-
-/// Prints a whole sweep with model estimates, the r² footer, and the
-/// mean relative estimation error (more robust than r² when the
-/// measured trend is flat, e.g. Nyx-small sync on Cori).
-inline void print_sweep(const model::ModeAdvisor& advisor,
-                        const sim::SystemSpec& spec,
-                        const std::vector<SweepPoint>& points) {
-  print_scaling_header();
-  double sync_err = 0.0;
-  double async_err = 0.0;
-  int counted = 0;
-  for (const auto& p : points) {
-    ScalingRow row;
-    row.nodes = p.nodes;
-    row.ranks = p.nodes * spec.ranks_per_node;
-    row.sync_bw = p.sync_bw;
-    row.async_bw = p.async_bw;
-    row.sync_est = estimate_bw(advisor, false, p.bytes, row.ranks);
-    row.async_est = estimate_bw(advisor, true, p.bytes, row.ranks);
-    print_scaling_row(row);
-    if (row.sync_est > 0 && row.async_est > 0) {
-      sync_err += std::abs(row.sync_est - p.sync_bw) / p.sync_bw;
-      async_err += std::abs(row.async_est - p.async_bw) / p.async_bw;
-      ++counted;
-    }
-  }
-  print_fit_quality(advisor);
-  if (counted > 0) {
-    std::printf("mean relative estimation error: sync %.1f%%, async %.1f%%\n",
-                100.0 * sync_err / counted, 100.0 * async_err / counted);
-  }
 }
 
 }  // namespace apio::bench

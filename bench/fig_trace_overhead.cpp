@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/units.h"
 #include "obs/metrics.h"
 #include "obs/record.h"
 #include "obs/trace_context.h"

@@ -1,0 +1,834 @@
+// apio_figures: the paper's evaluation (Fig. 1, Figs. 3-8, the Sec. III
+// micro-benchmark and forecasting objective, the r^2 table of Sec. V-C)
+// and the simulator ablations, regenerated from the epoch simulator and
+// the PFS models as one scenario table.
+//
+//   apio_figures [scenario...]
+//
+// runs the named scenarios in the order given, or every scenario in
+// table order when none is named; an unknown name prints the usage and
+// exits 2.  Each scenario prints its figure as aligned text columns.
+// APIO_BENCH_JSON=FILE appends the standardized result records of
+// fig1_scenarios, fig3_vpic_write and fig7_overlap for
+// apio_bench_compare (see bench_util.h).
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "bench/bench_util.h"
+#include "common/stats.h"
+#include "common/units.h"
+#include "model/advisor.h"
+#include "model/epoch_model.h"
+#include "model/regression.h"
+#include "sim/epoch_sim.h"
+#include "sim/gpu_link_model.h"
+#include "workloads/bdcats_io.h"
+#include "workloads/castro.h"
+#include "workloads/cosmoflow.h"
+#include "workloads/eqsim.h"
+#include "workloads/nyx.h"
+#include "workloads/vpic_io.h"
+
+namespace apio::bench {
+namespace {
+
+using model::IoMode;
+
+// ---------------------------------------------------------------------------
+// Node sweeps: the shared shape of Figs. 3-6, Sec. III and Sec. V-C
+
+/// A workload's simulator configuration for one node count and mode.
+using MakeConfig = sim::RunConfig (*)(const sim::SystemSpec&, int nodes, IoMode);
+
+sim::RunConfig vpic(const sim::SystemSpec& spec, int nodes, IoMode mode) {
+  return workloads::VpicIoKernel::sim_config(spec, nodes, mode);
+}
+sim::RunConfig bdcats(const sim::SystemSpec& spec, int nodes, IoMode mode) {
+  return workloads::BdCatsIoKernel::sim_config(spec, nodes, mode);
+}
+sim::RunConfig nyx_large(const sim::SystemSpec& spec, int nodes, IoMode mode) {
+  return workloads::NyxProxy::sim_config(spec, nodes, mode, workloads::NyxParams::large());
+}
+sim::RunConfig nyx_small(const sim::SystemSpec& spec, int nodes, IoMode mode) {
+  return workloads::NyxProxy::sim_config(spec, nodes, mode, workloads::NyxParams::small());
+}
+sim::RunConfig castro(const sim::SystemSpec& spec, int nodes, IoMode mode) {
+  return workloads::CastroProxy::sim_config(spec, nodes, mode, workloads::CastroParams{});
+}
+sim::RunConfig eqsim(const sim::SystemSpec& spec, int nodes, IoMode mode) {
+  return workloads::EqsimProxy::sim_config(spec, nodes, mode, workloads::EqsimParams{});
+}
+sim::RunConfig cosmoflow(const sim::SystemSpec& spec, int nodes, IoMode mode) {
+  return workloads::CosmoflowProxy::sim_config(spec, nodes, mode,
+                                               workloads::CosmoflowParams{});
+}
+
+/// One sync/async node-count sweep of a workload on one system.
+struct Sweep {
+  std::string label;
+  sim::SystemSpec spec;
+  MakeConfig config;
+  std::vector<int> nodes;
+};
+
+/// One measured point of a sweep: the peak aggregate bandwidth of
+/// each mode, the quantity the paper plots.
+struct Point {
+  int nodes = 0;
+  int ranks = 0;
+  std::uint64_t bytes = 0;
+  double sync_bw = 0.0;
+  double async_bw = 0.0;
+};
+
+/// Runs each node count sync then async with contention zeroed (so the
+/// sweep is deterministic), feeding `advisor`, when given, as the
+/// Fig. 2 observer.
+std::vector<Point> run(const Sweep& sweep, model::ModeAdvisor* advisor = nullptr) {
+  const sim::EpochSimulator simulator(sweep.spec);
+  std::vector<Point> points;
+  for (int nodes : sweep.nodes) {
+    Point p;
+    p.nodes = nodes;
+    for (IoMode mode : {IoMode::kSync, IoMode::kAsync}) {
+      auto config = sweep.config(sweep.spec, nodes, mode);
+      config.contention_sigma_override = 0.0;
+      config.observer = advisor;
+      const auto result = simulator.run(config);
+      p.ranks = result.ranks;
+      p.bytes = config.bytes_per_epoch;
+      (mode == IoMode::kSync ? p.sync_bw : p.async_bw) = result.peak_bandwidth();
+    }
+    points.push_back(p);
+  }
+  return points;
+}
+
+/// Model estimate of the aggregate bandwidth for a phase, from the
+/// advisor's fitted rate regressions (the dotted lines in the figures);
+/// 0 until that mode's fit is ready.
+double estimate_bw(const model::ModeAdvisor& advisor, bool async,
+                   std::uint64_t bytes, int ranks) {
+  if (async) {
+    if (!advisor.async_ready()) return 0.0;
+    return static_cast<double>(bytes) / advisor.estimate_transact_seconds(bytes, ranks);
+  }
+  if (!advisor.sync_ready()) return 0.0;
+  return static_cast<double>(bytes) / advisor.estimate_io_seconds(bytes, ranks);
+}
+
+/// Mean relative estimation error over the points both fits estimate:
+/// more robust than r^2 when the measured trend is flat (Nyx-small sync
+/// on Cori).
+struct FitError {
+  double sync = 0.0;
+  double async = 0.0;
+  int counted = 0;
+};
+
+FitError fit_error(const model::ModeAdvisor& advisor, const std::vector<Point>& points) {
+  FitError error;
+  for (const auto& p : points) {
+    const double sync_est = estimate_bw(advisor, false, p.bytes, p.ranks);
+    const double async_est = estimate_bw(advisor, true, p.bytes, p.ranks);
+    if (sync_est <= 0 || async_est <= 0) continue;
+    error.sync += std::abs(sync_est - p.sync_bw) / p.sync_bw;
+    error.async += std::abs(async_est - p.async_bw) / p.async_bw;
+    ++error.counted;
+  }
+  if (error.counted > 0) {
+    error.sync /= error.counted;
+    error.async /= error.counted;
+  }
+  return error;
+}
+
+/// Prints a table's column names and, through the same format, a rule
+/// under each as wide as its name.
+template <typename... Names>
+void print_header(const char* format, const Names&... names) {
+  std::printf(format, names...);
+  std::printf(format, std::string(std::strlen(names), '-').c_str()...);
+}
+
+/// Plots one panel of a node-sweep figure: the banner, each point of
+/// both modes beside the model estimate fitted from the whole sweep,
+/// the r^2 footer the paper quotes (Sec. V-C) and the mean estimation
+/// error.
+std::vector<Point> plot(const std::string& figure, const std::string& caption,
+                        const std::string& detail, const Sweep& sweep) {
+  banner(figure + " (" + sweep.spec.name + "): " + caption, detail);
+  model::ModeAdvisor advisor;
+  const auto points = run(sweep, &advisor);
+
+  print_header("%8s %8s | %14s %14s | %14s %14s\n", "nodes", "ranks", "sync BW",
+               "est(sync)", "async BW", "est(async)");
+  for (const auto& p : points) {
+    const double sync_est = estimate_bw(advisor, false, p.bytes, p.ranks);
+    const double async_est = estimate_bw(advisor, true, p.bytes, p.ranks);
+    std::printf("%8d %8d | %14s %14s | %14s %14s\n", p.nodes, p.ranks,
+                format_bandwidth(p.sync_bw).c_str(),
+                sync_est > 0 ? format_bandwidth(sync_est).c_str() : "-",
+                format_bandwidth(p.async_bw).c_str(),
+                async_est > 0 ? format_bandwidth(async_est).c_str() : "-");
+  }
+  std::printf("\nmodel fit quality: r^2(sync) = %.3f, r^2(async) = %.3f "
+              "(paper: >0.80 sync, >0.90 async)\n",
+              advisor.sync_r_squared(), advisor.async_r_squared());
+  const FitError error = fit_error(advisor, points);
+  if (error.counted > 0) {
+    std::printf("mean relative estimation error: sync %.1f%%, async %.1f%%\n",
+                100.0 * error.sync, 100.0 * error.async);
+  }
+  return points;
+}
+
+// ---------------------------------------------------------------------------
+// Scenarios
+
+// Fig. 1: the three overlap scenarios as epoch-model timelines, with
+// the algebraic outcome of Eq. 2a/2b.
+std::string bar(double seconds, double unit, char fill) {
+  const int width = std::max(1, static_cast<int>(seconds / unit + 0.5));
+  return std::string(static_cast<std::size_t>(width), fill);
+}
+
+void render(const char* title, const model::EpochCosts& costs) {
+  const double sync = model::sync_epoch_seconds(costs);
+  const double async = model::async_epoch_seconds(costs);
+  const double unit = std::max(sync, async) / 48.0;
+
+  std::printf("\n--- %s ---\n", title);
+  std::printf("costs: t_comp=%.2fs t_io=%.2fs t_transact=%.2fs\n", costs.t_comp,
+              costs.t_io, costs.t_transact);
+  // Sync timeline: compute then blocking I/O.
+  std::printf("  sync : [%s%s] %.2fs\n", bar(costs.t_comp, unit, 'C').c_str(),
+              bar(costs.t_io, unit, 'I').c_str(), sync);
+  // Async timeline: overhead (staging copy), then compute overlapping
+  // background I/O; the exposed remainder (if any) trails.
+  const double exposed = std::max(0.0, costs.t_io - costs.t_comp);
+  std::printf("  async: [%s%s%s] %.2fs\n", bar(costs.t_transact, unit, 'O').c_str(),
+              bar(costs.t_comp, unit, 'C').c_str(),
+              exposed > 0 ? bar(exposed, unit, 'i').c_str() : "", async);
+  std::printf("  scenario=%s  speedup=%.2fx  (C=compute, I=blocking I/O,\n"
+              "  O=transactional overhead, i=exposed async I/O remainder)\n",
+              to_string(model::classify_overlap(costs)).c_str(),
+              model::async_speedup(costs));
+}
+
+int fig1_scenarios() {
+  using model::EpochCosts;
+  banner("Fig. 1: overlap scenarios of the epoch model",
+         "Eq. 2a: t_sync = t_io + t_comp ; "
+         "Eq. 2b: t_async = max(t_comp, t_io - t_comp) + t_transact");
+  render("(a) ideal: computation longer than I/O",
+         EpochCosts{.t_comp = 6.0, .t_io = 4.0, .t_transact = 0.5});
+  render("(b) partial overlap: I/O longer than computation",
+         EpochCosts{.t_comp = 2.0, .t_io = 6.0, .t_transact = 0.5});
+  render("(c) slowdown: overhead exceeds the feasible overlap",
+         EpochCosts{.t_comp = 0.4, .t_io = 0.3, .t_transact = 0.8});
+  return record_bench_metrics("fig1_scenarios");
+}
+
+/// Fig. 3's weak-scaling sweeps of one workload on both systems.
+std::vector<Sweep> fig3_sweeps(MakeConfig config) {
+  return {{"summit", sim::SystemSpec::summit(), config,
+           {2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048}},
+          {"cori", sim::SystemSpec::cori_haswell(), config,
+           {1, 2, 4, 8, 16, 32, 64, 128, 256}}};
+}
+
+// Fig. 3a/3b: VPIC-IO write, weak scaling.  Expected shape (paper): sync
+// saturates at ~768 ranks / 128 nodes on Summit and ~1024 ranks / 32
+// nodes on Cori; async scales linearly with node count because only the
+// node-local staging copy blocks.
+int fig3_vpic_write() {
+  std::vector<BenchValue> values;
+  for (const Sweep& sweep : fig3_sweeps(vpic)) {
+    const auto points =
+        plot("Fig. 3", "VPIC-IO write, weak scaling",
+             "32 MB per property per rank, 8 properties, " +
+                 std::to_string(sweep.spec.ranks_per_node) + " ranks/node, 5 steps",
+             sweep);
+    // Headline values for the regression gate: the sweep is
+    // deterministic, so they compare under the tight "det" tolerance.
+    for (const auto& p : points) {
+      const std::string tag = sweep.label + ".nodes" + std::to_string(p.nodes);
+      values.push_back({tag + ".sync_bw", p.sync_bw, "B/s", "det"});
+      values.push_back({tag + ".async_bw", p.async_bw, "B/s", "det"});
+    }
+  }
+  return record_bench_metrics("fig3_vpic_write", "weak-scaling", values);
+}
+
+// Fig. 3c/3d: BD-CATS-IO read.  Async reads use the VOL's prefetch path:
+// the first time step blocks, later steps are served from node-local
+// memory, so the aggregate bandwidth is orders of magnitude above the
+// synchronous reads (Sec. V-A2).
+int fig3_bdcats_read() {
+  for (const Sweep& sweep : fig3_sweeps(bdcats)) {
+    plot("Fig. 3", "BD-CATS-IO read, weak scaling",
+         "reads VPIC-IO output, prefetch after first step, 5 steps", sweep);
+  }
+  return 0;
+}
+
+// Fig. 4a/4b: Nyx plotfiles, strong scaling.  Summit runs the "large"
+// configuration at scale, where sync bandwidth already declines slightly
+// with rank count while async scales linearly.  Cori runs "small":
+// small requests give poor sync bandwidth at all scales, and async is
+// limited by the staging copy's small-copy inefficiency.
+int fig4_nyx() {
+  const auto detail = [](const workloads::NyxParams& params) {
+    return "domain " + std::to_string(params.domain[0]) + "^3, " +
+           std::to_string(params.ncomp) + " components, plotfile every " +
+           std::to_string(params.schedule.steps_per_checkpoint) + " steps";
+  };
+  plot("Fig. 4", "Nyx large, strong scaling", detail(workloads::NyxParams::large()),
+       {"summit", sim::SystemSpec::summit(), nyx_large, {128, 256, 512, 1024, 2048}});
+  plot("Fig. 4", "Nyx small, strong scaling", detail(workloads::NyxParams::small()),
+       {"cori", sim::SystemSpec::cori_haswell(), nyx_small, {4, 8, 16, 32, 64, 128}});
+  return 0;
+}
+
+// Fig. 4c/4d: Castro checkpoints, strong scaling.  Expected shape
+// (paper): Summit's sync bandwidth *decreases* with ranks (GPFS
+// allocates I/O resources reactively); Cori's rises until saturating
+// around 2048 ranks; async scales linearly on both.
+int fig4_castro() {
+  for (const Sweep& sweep :
+       {Sweep{"summit", sim::SystemSpec::summit(), castro, {8, 16, 32, 64, 128, 256, 512}},
+        Sweep{"cori", sim::SystemSpec::cori_haswell(), castro,
+              {2, 4, 8, 16, 32, 64, 128, 256}}}) {
+    plot("Fig. 4", "Castro, strong scaling",
+         "128^3, 6 components, 2 particles/cell, checkpoint bytes = " +
+             format_bytes(workloads::CastroProxy::checkpoint_bytes({})),
+         sweep);
+  }
+  return 0;
+}
+
+// Fig. 5: Cosmoflow batch reads on Summit (the paper only ran it where
+// GPUs are available).  Sync reads stop scaling past ~128 nodes; the
+// prefetching async loader keeps a higher bandwidth.
+int fig5_cosmoflow() {
+  plot("Fig. 5", "Cosmoflow batch reads",
+       "128^3 voxel samples, batch size 8, 4 training epochs, "
+       "GPU-resident training data",
+       {"summit", sim::SystemSpec::summit(), cosmoflow,
+        {8, 16, 32, 64, 128, 256, 512}});
+  return 0;
+}
+
+// Fig. 6: EQSIM/SW4 checkpoints on Summit, strong scaling.  Per-rank
+// data shrinks with scale, so sync bandwidth decreases while async
+// stays consistent.
+int fig6_eqsim() {
+  plot("Fig. 6", "EQSIM checkpoints, strong scaling",
+       "grid size 50 => 600x600x340 points, 6 components, "
+       "checkpoint every 100 steps",
+       {"summit", sim::SystemSpec::summit(), eqsim, {64, 128, 256, 512, 1024}});
+  return 0;
+}
+
+// Fig. 7: partial computation/I-O overlap — Nyx on Cori with the time
+// steps per computation phase swept from 1 to 192.  Async degrades far
+// more gracefully than sync until the compute phase is too short to
+// overlap at all.  The estimate columns are the model's predicted
+// application duration (Eq. 1 + 2a/2b).
+int fig7_overlap() {
+  const auto spec = sim::SystemSpec::cori_haswell();
+  const sim::EpochSimulator simulator(spec);
+  const int nodes = 32;
+  const double seconds_per_step = 0.4;
+  const int total_steps = 192 * 2;  // fixed simulated work
+
+  banner("Fig. 7 (" + spec.name + "): Nyx, varying steps per compute phase",
+         "256^3 domain, 32 nodes, " + std::to_string(total_steps) +
+             " total time steps; fewer steps/phase = more checkpoints");
+
+  model::ModeAdvisor advisor;
+  print_header("%12s %8s | %12s %12s | %12s %12s\n", "steps/phase", "ckpts",
+               "sync [s]", "est [s]", "async [s]", "est [s]");
+
+  std::vector<BenchValue> values;
+  for (int steps_per_phase : {1, 2, 4, 8, 16, 32, 64, 96, 192}) {
+    const int checkpoints = total_steps / steps_per_phase;
+    workloads::NyxParams params = workloads::NyxParams::small();
+    params.schedule.checkpoints = checkpoints;
+    params.schedule.steps_per_checkpoint = steps_per_phase;
+
+    const auto config = [&](IoMode mode) {
+      auto c = workloads::NyxProxy::sim_config(spec, nodes, mode, params,
+                                               seconds_per_step);
+      c.contention_sigma_override = 0.0;
+      c.observer = &advisor;
+      return c;
+    };
+    const double sync_total = simulator.run(config(IoMode::kSync)).total_seconds;
+    const double async_total = simulator.run(config(IoMode::kAsync)).total_seconds;
+
+    // Headline values for the regression gate ("det": the totals are
+    // deterministic).
+    const std::string tag = "steps" + std::to_string(steps_per_phase);
+    values.push_back({tag + ".sync_total", sync_total, "s", "det"});
+    values.push_back({tag + ".async_total", async_total, "s", "det"});
+
+    // Model prediction of the application duration (Eq. 1).
+    const std::uint64_t bytes = config(IoMode::kSync).bytes_per_epoch;
+    const int ranks = nodes * spec.ranks_per_node;
+    double sync_est = 0.0;
+    double async_est = 0.0;
+    if (advisor.sync_ready() && advisor.async_ready()) {
+      model::AppSchedule schedule;
+      schedule.iterations = checkpoints;
+      schedule.epoch.t_comp = seconds_per_step * steps_per_phase;
+      schedule.epoch.t_io = advisor.estimate_io_seconds(bytes, ranks);
+      schedule.epoch.t_transact = advisor.estimate_transact_seconds(bytes, ranks);
+      sync_est = model::app_seconds(schedule, IoMode::kSync);
+      async_est = model::app_seconds(schedule, IoMode::kAsync);
+    }
+
+    std::printf("%12d %8d | %12.1f %12s | %12.1f %12s\n", steps_per_phase,
+                checkpoints, sync_total,
+                sync_est > 0 ? (std::to_string(sync_est).substr(0, 6)).c_str() : "-",
+                async_total,
+                async_est > 0 ? (std::to_string(async_est).substr(0, 6)).c_str() : "-");
+  }
+  std::printf(
+      "\nshape check: async total stays near the compute floor until the\n"
+      "compute phase is too short to overlap (1 step/phase), where both\n"
+      "modes pay the full I/O cost (paper Fig. 7).\n");
+  return record_bench_metrics("fig7_overlap", "nyx-cori-32nodes", values);
+}
+
+// Fig. 8: run-to-run variability of VPIC-IO on Summit.  Each
+// configuration runs with different contention seeds ("across multiple
+// days"); sync bandwidth varies with full-system contention while async
+// is steady (node-local staging).
+int fig8_variability() {
+  const auto spec = sim::SystemSpec::summit();
+  const sim::EpochSimulator simulator(spec);
+  constexpr int kRuns = 8;
+
+  banner("Fig. 8 (" + spec.name + "): VPIC-IO variability across runs",
+         std::to_string(kRuns) +
+             " runs per configuration with full-system contention "
+             "(sigma = 0.35); async hides the variability");
+
+  print_header("%8s %8s | %14s %14s %8s | %14s %14s %8s\n", "nodes", "ranks",
+               "sync min", "sync max", "cv", "async min", "async max", "cv");
+
+  for (int nodes : {8, 32, 128, 512}) {
+    RunningStats sync_stats;
+    RunningStats async_stats;
+    for (int run = 0; run < kRuns; ++run) {
+      for (IoMode mode : {IoMode::kSync, IoMode::kAsync}) {
+        auto config = vpic(spec, nodes, mode);
+        config.contention_sigma_override = 0.35;
+        config.seed = 1000 + static_cast<std::uint64_t>(run);
+        (mode == IoMode::kSync ? sync_stats : async_stats)
+            .add(simulator.run(config).peak_bandwidth());
+      }
+    }
+    std::printf("%8d %8d | %14s %14s %7.1f%% | %14s %14s %7.1f%%\n", nodes,
+                nodes * spec.ranks_per_node,
+                format_bandwidth(sync_stats.min()).c_str(),
+                format_bandwidth(sync_stats.max()).c_str(), 100.0 * sync_stats.cv(),
+                format_bandwidth(async_stats.min()).c_str(),
+                format_bandwidth(async_stats.max()).c_str(),
+                100.0 * async_stats.cv());
+  }
+  std::printf(
+      "\nshape check: sync coefficient of variation is large (contention-\n"
+      "driven); async cv is ~0 because only node-local staging blocks.\n");
+  return 0;
+}
+
+// Sec. III-B1 micro-benchmark: CPU<->GPU transfer cost vs. size, pinned
+// vs. pageable host memory, from the calibrated link models (the curves
+// the paper measured: amortised above ~10 MB, pinned near the
+// theoretical peak).
+int micro_gpu_transfer() {
+  banner("Sec. III-B1: GPU link transfer model",
+         "NVLink 2.0 (Summit, 50 GB/s theoretical) and PCIe 3.0 x16 "
+         "(15.75 GB/s theoretical)");
+
+  const auto nvlink = sim::GpuLinkModel::nvlink2();
+  const auto pcie = sim::GpuLinkModel::pcie3();
+
+  print_header("%12s | %14s %14s | %14s %14s\n", "size", "nvlink pinned",
+               "nvlink pageable", "pcie pinned", "pcie pageable");
+  for (std::uint64_t kib = 64; kib <= 256 * 1024; kib *= 4) {
+    const std::uint64_t bytes = kib * 1024;
+    std::printf("%12s | %14s %14s | %14s %14s\n", format_bytes(bytes).c_str(),
+                format_bandwidth(nvlink.achieved_bandwidth(bytes, true)).c_str(),
+                format_bandwidth(nvlink.achieved_bandwidth(bytes, false)).c_str(),
+                format_bandwidth(pcie.achieved_bandwidth(bytes, true)).c_str(),
+                format_bandwidth(pcie.achieved_bandwidth(bytes, false)).c_str());
+  }
+  std::printf(
+      "\nshape check: pinned bandwidth approaches the link peak above ~10 MB\n"
+      "(paper: 'with pinned host memory the peak bandwidth is close to the\n"
+      "theoretical maximum'); pageable memory bottlenecks on the bounce copy.\n");
+  return 0;
+}
+
+// Sec. V-C: the r^2 table.  For every workload/system pair, fit the
+// advisor over a scaling sweep and report r^2 for the sync and async
+// populations (paper: above 80% for sync, above 90% for async).  The
+// node lists are this table's own, not the figures'.
+int model_accuracy() {
+  banner("Sec. V-C: model accuracy (r^2) per workload",
+         "paper: r^2 above 80% for sync I/O, above 90% for async I/O");
+
+  const auto summit = sim::SystemSpec::summit();
+  const auto cori = sim::SystemSpec::cori_haswell();
+  const std::vector<Sweep> sweeps = {
+      {"vpic-io / summit", summit, vpic, {2, 4, 8, 16, 32, 64, 128, 256, 512}},
+      {"vpic-io / cori", cori, vpic, {1, 2, 4, 8, 16, 32, 64, 128}},
+      {"bd-cats-io / summit", summit, bdcats, {2, 4, 8, 16, 32, 64, 128, 256}},
+      {"nyx-large / summit", summit, nyx_large, {128, 256, 512, 1024, 2048}},
+      {"nyx-small / cori", cori, nyx_small, {4, 8, 16, 32, 64, 128}},
+      {"castro / summit", summit, castro, {8, 16, 32, 64, 128, 256}},
+      {"eqsim / summit", summit, eqsim, {64, 128, 256, 512, 1024}},
+      {"cosmoflow / summit", summit, cosmoflow, {8, 16, 32, 64, 128, 256}},
+  };
+
+  print_header("%-28s | %10s %10s | %8s %8s | %s\n", "workload / system",
+               "r^2 sync", "r^2 async", "err sync", "err asyn", "verdict");
+  for (const auto& sweep : sweeps) {
+    model::ModeAdvisor advisor;
+    const FitError error = fit_error(advisor, run(sweep, &advisor));
+    const bool r2_ok =
+        advisor.sync_r_squared() > 0.80 && advisor.async_r_squared() > 0.90;
+    const bool err_ok = error.sync < 0.10 && error.async < 0.10;
+    std::printf("%-28s | %10.3f %10.3f | %7.1f%% %7.1f%% | %s\n",
+                sweep.label.c_str(), advisor.sync_r_squared(),
+                advisor.async_r_squared(), 100.0 * error.sync, 100.0 * error.async,
+                r2_ok          ? "OK (r^2 in paper bands)"
+                : err_ok       ? "OK (flat trend; error < 10%)"
+                               : "below bands");
+  }
+  return 0;
+}
+
+// Sec. III objective 2, "estimating scalability": the model is fitted
+// only on small allocations and forecasts the aggregate bandwidth at
+// 4-32x the trained scale; the simulated truth there measures forecast
+// quality.  The two modes' fits are independent, so one training sweep
+// serves both forecasts.
+int model_scalability() {
+  banner("Sec. III objective 2: scalability forecasting",
+         "fit on small allocations, forecast aggregate bandwidth at "
+         "4-32x the trained scale (VPIC-IO weak scaling)");
+
+  const auto summit = sim::SystemSpec::summit();
+  const auto cori = sim::SystemSpec::cori_haswell();
+  const std::vector<std::pair<Sweep, Sweep>> train_test = {
+      {{"summit", summit, vpic, {2, 4, 8, 16, 32, 64}},
+       {"summit", summit, vpic, {128, 256, 512, 1024, 2048}}},
+      {{"cori", cori, vpic, {1, 2, 4, 8, 16}},
+       {"cori", cori, vpic, {32, 64, 128, 256}}},
+  };
+  for (const auto& [train, test] : train_test) {
+    model::ModeAdvisor advisor;
+    run(train, &advisor);
+    const auto truth = run(test);
+    for (bool async : {true, false}) {
+      std::printf("\n  %s, %s writes (trained on <= %d nodes):\n", train.label.c_str(),
+                  async ? "async" : "sync", train.nodes.back());
+      std::printf("  %8s | %14s %14s %10s\n", "nodes", "forecast", "simulated",
+                  "error");
+      double worst = 0.0;
+      for (const auto& p : truth) {
+        const double predicted = estimate_bw(advisor, async, p.bytes, p.ranks);
+        const double actual = async ? p.async_bw : p.sync_bw;
+        const double error = std::fabs(predicted - actual) / actual;
+        worst = std::max(worst, error);
+        std::printf("  %8d | %14s %14s %9.1f%%\n", p.nodes,
+                    format_bandwidth(predicted).c_str(),
+                    format_bandwidth(actual).c_str(), 100.0 * error);
+      }
+      std::printf("  worst-case forecast error: %.1f%%\n", 100.0 * worst);
+    }
+  }
+  std::printf(
+      "\nshape check: async forecasts are near-exact at any scale (the\n"
+      "trend is linear in node count); sync forecasts overshoot once the\n"
+      "PFS cap binds beyond the trained regime — exactly why the paper\n"
+      "models the *ideal* sync bandwidth and keeps refitting from new\n"
+      "observations (Fig. 2) rather than extrapolating blindly.\n");
+  return 0;
+}
+
+// Ablation: where should the async VOL stage the transactional copy?
+// The connector can cache "either to a memory buffer on the same node
+// ... or to a node-local SSD" (Sec. II-C), and a buffering location not
+// shared across users hides variability (Sec. VI-A).  DRAM is fastest
+// but capacity-bound; Summit's node-local NVMe and Cori's shared burst
+// buffer stage slower but hold whole checkpoints.
+int ablation_staging_tier() {
+  banner("Ablation: async staging tier (VPIC-IO write, weak scaling)",
+         "blocking cost of the transactional copy per tier; sync PFS "
+         "time shown for reference");
+
+  struct System {
+    sim::SystemSpec spec;
+    int reference_nodes;
+    std::vector<std::pair<sim::StagingTier, const char*>> tiers;
+  };
+  const System systems[] = {
+      {sim::SystemSpec::summit(), 128,
+       {{sim::StagingTier::kDram, "on-node DRAM"},
+        {sim::StagingTier::kNodeLocalSsd, "node-local NVMe (1.6 TB/node)"}}},
+      {sim::SystemSpec::cori_haswell(), 32,
+       {{sim::StagingTier::kDram, "on-node DRAM"},
+        {sim::StagingTier::kBurstBuffer, "DataWarp burst buffer (shared)"}}},
+  };
+  for (const auto& system : systems) {
+    const auto& spec = system.spec;
+    const sim::EpochSimulator simulator(spec);
+    auto reference = vpic(spec, system.reference_nodes, IoMode::kSync);
+    reference.contention_sigma_override = 0.0;
+    std::printf("\n== %s ==\n", spec.name.c_str());
+    std::printf("  reference sync I/O phase at %d nodes: %.2f s\n",
+                system.reference_nodes,
+                simulator.run(reference).epochs[0].io_blocking_seconds);
+    for (const auto& [tier, label] : system.tiers) {
+      if (!spec.supports(tier)) continue;
+      std::printf("\n  staging tier: %s\n", label);
+      std::printf("  %8s %8s %16s %14s\n", "nodes", "ranks", "t_transact [s]",
+                  "observed BW");
+      for (int nodes : {8, 32, 128, 512}) {
+        auto config = vpic(spec, nodes, IoMode::kAsync);
+        config.contention_sigma_override = 0.0;
+        config.staging_tier = tier;
+        const auto result = simulator.run(config);
+        std::printf("  %8d %8d %16.4f %14s\n", nodes, result.ranks,
+                    result.epochs[0].io_blocking_seconds,
+                    format_bandwidth(result.peak_bandwidth()).c_str());
+      }
+    }
+  }
+  std::printf(
+      "\nshape check: DRAM staging gives the highest observed bandwidth;\n"
+      "SSD/BB staging still beats synchronous PFS writes while offering\n"
+      "capacity for whole checkpoints.\n");
+  return 0;
+}
+
+// Ablation: Lustre stripe count on Cori.  The paper follows the NERSC
+// best practice of 72 OSTs ("stripe_large"); the sync aggregate cap
+// scales with stripes until the job cannot drive more OSTs, while async
+// bandwidth is stripe-independent (node-local staging).
+int ablation_stripe_count() {
+  banner("Ablation: Lustre stripe count (Cori, VPIC-IO write, 64 nodes)",
+         "sync aggregate bandwidth vs stripe count; the paper uses 72 "
+         "(NERSC stripe_large)");
+
+  print_header("%8s | %14s | %14s\n", "stripes", "sync BW", "async BW");
+  for (int stripes : {1, 4, 8, 16, 32, 72, 144, 248}) {
+    sim::SystemSpec spec = sim::SystemSpec::cori_haswell();
+    spec.pfs = storage::PfsModel::cori_lustre(stripes);
+    const Point p = run({"cori", spec, vpic, {64}}).front();
+    std::printf("%8d | %14s | %14s\n", stripes, format_bandwidth(p.sync_bw).c_str(),
+                format_bandwidth(p.async_bw).c_str());
+  }
+  std::printf(
+      "\nshape check: sync bandwidth grows with stripe count until the\n"
+      "64-node job can no longer drive additional OSTs (~ node limit);\n"
+      "async is flat — the staging copy never touches the stripes.\n");
+  return 0;
+}
+
+// Ablation: staging queue depth of the async connector.  With short
+// compute phases the background queue fills; a deeper queue absorbs
+// longer bursts at the cost of staging memory (depth x checkpoint
+// size), the central capacity/latency trade-off of transparent async
+// I/O.
+int ablation_queue_depth() {
+  const auto spec = sim::SystemSpec::summit();
+  const sim::EpochSimulator simulator(spec);
+  const int nodes = 32;
+  const int iterations = 24;
+
+  banner("Ablation: async staging queue depth (Summit, VPIC-IO, 32 nodes)",
+         "compute phase deliberately shorter than the background I/O "
+         "so the pipeline backs up");
+
+  // Background I/O per epoch ~ bytes/cap; pick compute at ~30% of it.
+  auto base = workloads::VpicIoKernel::sim_config(spec, nodes, IoMode::kAsync,
+                                                  iterations);
+  base.contention_sigma_override = 0.0;
+  const double t_io = spec.pfs.io_seconds(base.bytes_per_epoch, nodes * 6, nodes,
+                                          storage::IoKind::kWrite);
+  base.compute_seconds = 0.3 * t_io;
+
+  std::printf("epoch I/O (background) = %.2f s, compute = %.2f s\n\n", t_io,
+              base.compute_seconds);
+  std::printf("%8s | %14s %16s %18s\n", "depth", "total [s]",
+              "mean blocking [s]", "staging footprint");
+  std::printf("%8s | %14s %16s %18s\n", "-----", "---------", "---------------",
+              "-----------------");
+  for (int depth : {1, 2, 4, 8, 16}) {
+    auto config = base;
+    config.staging_queue_depth = depth;
+    const auto result = simulator.run(config);
+    const double mean_blocking =
+        result.total_blocking_seconds() / static_cast<double>(result.epochs.size());
+    std::printf("%8d | %14.1f %16.2f %18s\n", depth, result.total_seconds,
+                mean_blocking,
+                format_bytes(static_cast<std::uint64_t>(depth) *
+                             config.bytes_per_epoch / nodes)
+                    .c_str());
+  }
+  std::printf(
+      "\nshape check: once the pipeline is saturated (I/O-bound), extra\n"
+      "depth only defers the back-pressure — total time converges to the\n"
+      "background I/O floor while the staging footprint keeps growing.\n");
+  return 0;
+}
+
+// Ablation: regression form for the I/O-rate model.  The paper applies
+// "linear regression and linear-log regression ... instead of using
+// nonlinear regression methods" (Sec. III-B2).  Three forms are fitted
+// over the same simulated sweeps and scored by R^2 in linear space:
+//   linear      rate ~ b0 + b1*size + b2*ranks
+//   linear-log  rate ~ b0 + b1*log(size) + b2*log(ranks)
+//   power law   log(rate) ~ b0 + b1*log(size) + b2*log(ranks)
+//               (the "nonlinear" stand-in: a multiplicative model
+//                fitted analytically)
+enum class Form { kLinear, kLinearLog, kPowerLaw };
+
+double fit_r2(const std::vector<Point>& points, bool async, Form form) {
+  std::vector<std::vector<double>> rows;
+  std::vector<double> y;
+  std::vector<double> rates;
+  for (const auto& p : points) {
+    const double rate = async ? p.async_bw : p.sync_bw;
+    const double size = static_cast<double>(p.bytes);
+    const double ranks = static_cast<double>(p.ranks);
+    if (form == Form::kLinear) {
+      rows.push_back({1.0, size, ranks});
+    } else {
+      rows.push_back({1.0, std::log(size), std::log(ranks)});
+    }
+    y.push_back(form == Form::kPowerLaw ? std::log(rate) : rate);
+    rates.push_back(rate);
+  }
+  const auto fit = model::fit_least_squares(rows, y);
+  if (form != Form::kPowerLaw) return fit.r_squared;
+  // Score the power-law fit in linear space, like the others.
+  double y_mean = 0.0;
+  for (double rate : rates) y_mean += rate;
+  y_mean /= static_cast<double>(rates.size());
+  double ss_res = 0.0;
+  double ss_tot = 0.0;
+  for (std::size_t i = 0; i < rates.size(); ++i) {
+    const double pred = std::exp(model::predict(fit, rows[i]));
+    ss_res += (rates[i] - pred) * (rates[i] - pred);
+    ss_tot += (rates[i] - y_mean) * (rates[i] - y_mean);
+  }
+  return ss_tot > 0 ? 1.0 - ss_res / ss_tot : 1.0;
+}
+
+int ablation_model_forms() {
+  banner("Ablation: regression forms for the I/O-rate model",
+         "R^2 in linear space per form; the paper found linear methods "
+         "sufficient (Sec. III-B2)");
+
+  const auto summit = sim::SystemSpec::summit();
+  const auto vpic_summit = run({"", summit, vpic, {2, 4, 8, 16, 32, 64, 128, 256, 512}});
+  const auto vpic_cori =
+      run({"", sim::SystemSpec::cori_haswell(), vpic, {1, 2, 4, 8, 16, 32, 64, 128}});
+  const auto castro_summit = run({"", summit, castro, {8, 16, 32, 64, 128, 256}});
+  struct Row {
+    const char* name;
+    const std::vector<Point>& points;
+    bool async;
+  };
+  const Row rows[] = {
+      {"vpic sync write / summit", vpic_summit, false},
+      {"vpic async write / summit", vpic_summit, true},
+      {"vpic sync write / cori", vpic_cori, false},
+      {"castro sync write / summit", castro_summit, false},
+  };
+
+  std::printf("%-28s | %10s %12s %12s | best\n", "sweep", "linear", "linear-log",
+              "power-law");
+  std::printf("%-28s | %10s %12s %12s |\n", "-----", "------", "----------",
+              "---------");
+  for (const auto& row : rows) {
+    const double lin = fit_r2(row.points, row.async, Form::kLinear);
+    const double linlog = fit_r2(row.points, row.async, Form::kLinearLog);
+    const double power = fit_r2(row.points, row.async, Form::kPowerLaw);
+    const char* best = lin >= linlog && lin >= power ? "linear"
+                       : linlog >= power            ? "linear-log"
+                                                    : "power-law";
+    std::printf("%-28s | %10.3f %12.3f %12.3f | %s\n", row.name, lin, linlog, power,
+                best);
+  }
+  std::printf(
+      "\nshape check: weak-scaling async trends are exactly linear; the\n"
+      "saturating sync trends favour linear-log, and the analytically-\n"
+      "fitted power law buys little — the paper's conclusion that\n"
+      "nonlinear methods are unnecessary.\n");
+  return 0;
+}
+
+/// The scenario table, keyed by the names EXPERIMENTS.md uses; a run
+/// without arguments goes through it in this order.
+struct Scenario {
+  const char* name;
+  int (*run)();
+};
+
+constexpr Scenario kScenarios[] = {
+    {"fig1_scenarios", fig1_scenarios},
+    {"fig3_vpic_write", fig3_vpic_write},
+    {"fig3_bdcats_read", fig3_bdcats_read},
+    {"fig4_nyx", fig4_nyx},
+    {"fig4_castro", fig4_castro},
+    {"fig5_cosmoflow", fig5_cosmoflow},
+    {"fig6_eqsim", fig6_eqsim},
+    {"fig7_overlap", fig7_overlap},
+    {"fig8_variability", fig8_variability},
+    {"micro_gpu_transfer", micro_gpu_transfer},
+    {"model_accuracy", model_accuracy},
+    {"model_scalability", model_scalability},
+    {"ablation_staging_tier", ablation_staging_tier},
+    {"ablation_stripe_count", ablation_stripe_count},
+    {"ablation_queue_depth", ablation_queue_depth},
+    {"ablation_model_forms", ablation_model_forms},
+};
+
+}  // namespace
+}  // namespace apio::bench
+
+int main(int argc, char** argv) {
+  using apio::bench::kScenarios;
+  std::vector<const apio::bench::Scenario*> selected;
+  for (int i = 1; i < argc; ++i) {
+    const auto* it = std::find_if(
+        std::begin(kScenarios), std::end(kScenarios),
+        [&](const auto& s) { return std::strcmp(s.name, argv[i]) == 0; });
+    if (it == std::end(kScenarios)) {
+      std::fprintf(stderr, "usage: %s [scenario...]\nscenarios:", argv[0]);
+      for (const auto& s : kScenarios) std::fprintf(stderr, " %s", s.name);
+      std::fprintf(stderr, "\n");
+      return 2;
+    }
+    selected.push_back(it);
+  }
+  if (selected.empty()) {
+    for (const auto& s : kScenarios) selected.push_back(&s);
+  }
+  int status = 0;
+  for (const auto* s : selected) status = std::max(status, s->run());
+  return status;
+}

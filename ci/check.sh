@@ -7,7 +7,8 @@
 #   2. apio_analyze over src/ + tools/ with the checked-in baseline,
 #      archiving the machine-readable report to
 #      build/analysis-report.json (see DESIGN.md "Static analysis"),
-#   3. bench regression gate: the gated benches (fig3, fig7, the
+#   3. bench regression gate: the gated benches (the apio_figures
+#      scenarios fig3_vpic_write and fig7_overlap, the
 #      vectored-io ablation, the fig_fairshare fairness gate and the
 #      fig_trace_overhead tracing-cost gate) re-emit their standardized
 #      result JSON and apio_bench_compare diffs it against the committed
@@ -78,9 +79,9 @@ BENCH_JSON_DIR="build/bench-json"
 rm -rf "${BENCH_JSON_DIR}"
 mkdir -p "${BENCH_JSON_DIR}"
 APIO_BENCH_JSON="${BENCH_JSON_DIR}/fig3_vpic_write.jsonl" \
-  build/bench/fig3_vpic_write >/dev/null
+  build/bench/apio_figures fig3_vpic_write >/dev/null
 APIO_BENCH_JSON="${BENCH_JSON_DIR}/fig7_overlap.jsonl" \
-  build/bench/fig7_overlap >/dev/null
+  build/bench/apio_figures fig7_overlap >/dev/null
 APIO_BENCH_JSON="${BENCH_JSON_DIR}/ablation_vectored_io.jsonl" \
   build/bench/ablation_vectored_io >/dev/null
 # fig_fairshare hard-fails on its own if the scheduler breaks weighted

@@ -18,12 +18,20 @@ if [[ ! -d "${BUILD}/bench" ]]; then
 fi
 
 mkdir -p bench/baselines
-for bench in fig3_vpic_write fig7_overlap ablation_vectored_io fig_fairshare \
-             fig_trace_overhead ablation_cache; do
-  out="bench/baselines/${bench}.jsonl"
+# regenerate NAME COMMAND...: rewrites bench/baselines/NAME.jsonl.
+regenerate() {
+  local out="bench/baselines/$1.jsonl"
+  shift
   rm -f "${out}"
-  APIO_BENCH_JSON="${out}" "${BUILD}/bench/${bench}" >/dev/null
+  APIO_BENCH_JSON="${out}" "$@" >/dev/null
   echo "regenerated ${out}"
+}
+for scenario in fig3_vpic_write fig7_overlap; do
+  regenerate "${scenario}" "${BUILD}/bench/apio_figures" "${scenario}"
+done
+for bench in ablation_vectored_io fig_fairshare fig_trace_overhead \
+             ablation_cache; do
+  regenerate "${bench}" "${BUILD}/bench/${bench}"
 done
 
 # bench/e2e exact counts live one directory down: the gated benches'

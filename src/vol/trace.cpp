@@ -148,8 +148,7 @@ Trace Trace::from_csv(const std::string& csv) {
   for (std::size_t r = 0; r < rows.size(); ++r) {
     const auto& fields = rows[r];
     if (r == 0 && !fields.empty() && fields[0] == "kind") continue;  // header
-    // 6 columns is the legacy pre-trace-id layout; 8 is current.
-    if (fields.size() != 6 && fields.size() != 8) {
+    if (fields.size() != 8) {
       throw FormatError("trace row " + std::to_string(r) + " has " +
                         std::to_string(fields.size()) + " fields");
     }
@@ -162,10 +161,8 @@ Trace Trace::from_csv(const std::string& csv) {
     e.bytes = parse_number<std::uint64_t>(fields[3], r, "bytes");
     e.issue_time = parse_seconds(fields[4], r, "issue time");
     e.blocking_seconds = parse_seconds(fields[5], r, "blocking time");
-    if (fields.size() == 8) {
-      e.trace_id = parse_number<std::uint64_t>(fields[6], r, "trace id");
-      e.span_id = parse_number<std::uint64_t>(fields[7], r, "span id");
-    }
+    e.trace_id = parse_number<std::uint64_t>(fields[6], r, "trace id");
+    e.span_id = parse_number<std::uint64_t>(fields[7], r, "span id");
     trace.append(std::move(e));
   }
   return trace;

@@ -50,9 +50,8 @@ class Trace {
   /// Selections serialise as "all" or "start0xstart1:count0xcount1".
   /// Paths containing commas, quotes or newlines are RFC4180-quoted
   /// (embedded quotes doubled); from_csv understands quoted fields and
-  /// throws FormatError on unterminated quotes or malformed rows.
-  /// Legacy 6-column rows (pre trace-id) parse with both ids zero;
-  /// any other column count is malformed.
+  /// throws FormatError on unterminated quotes or malformed rows; a row
+  /// with any column count but 8 is malformed.
   std::string to_csv() const;
   static Trace from_csv(const std::string& csv);
 

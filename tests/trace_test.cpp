@@ -119,28 +119,42 @@ TEST(TraceTest, CsvRoundTrip) {
   }
 }
 
+/// Expects from_csv to reject `csv` with a FormatError whose message
+/// contains `reason`, so a row fails on the field it targets and not on
+/// its column count or an earlier field.
+void expect_rejected(const std::string& csv, const std::string& reason) {
+  try {
+    Trace::from_csv(csv);
+    ADD_FAILURE() << "accepted: " << csv;
+  } catch (const FormatError& e) {
+    EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+        << csv << " -> " << e.what();
+  }
+}
+
 TEST(TraceTest, CsvRejectsGarbage) {
-  EXPECT_THROW(Trace::from_csv("9,x,all,1,0,0\n"), FormatError);
-  EXPECT_THROW(Trace::from_csv("0,p\n"), FormatError);
-  EXPECT_THROW(Trace::from_csv("0,p,0:1:2,4,0,0\n"), FormatError);
-  // Between the legacy 6-column and current 8-column layouts lies
-  // nothing: a truncated id pair is malformed, as is a 9th column.
-  EXPECT_THROW(Trace::from_csv("0,p,all,4,0,0,17\n"), FormatError);
-  EXPECT_THROW(Trace::from_csv("0,p,all,4,0,0,17,18,19\n"), FormatError);
+  expect_rejected("9,x,all,1,0,0,0,0\n", "bad kind '9'");
+  expect_rejected("0,p,0:1:2,4,0,0,0,0\n", "malformed selection token");
+  // Only the 8-column layout parses: a truncated row, the pre-trace-id
+  // 6 columns, a missing span id and a 9th column are all malformed.
+  expect_rejected("0,p\n", "has 2 fields");
+  expect_rejected("0,p,all,4,0,0\n", "has 6 fields");
+  expect_rejected("0,p,all,4,0,0,17\n", "has 7 fields");
+  expect_rejected("0,p,all,4,0,0,17,18,19\n", "has 9 fields");
   // Every numeric field is parsed whole: a prefix, a sign on a count,
   // a non-finite or negative time is malformed.
-  EXPECT_THROW(Trace::from_csv("x,p,all,4,0,0\n"), FormatError);
-  EXPECT_THROW(Trace::from_csv(",p,all,4,0,0\n"), FormatError);
-  EXPECT_THROW(Trace::from_csv("0,p,all,12kb,0,0\n"), FormatError);
-  EXPECT_THROW(Trace::from_csv("0,p,all,-5,0,0\n"), FormatError);
-  EXPECT_THROW(Trace::from_csv("0,p,all,4,0.5s,0\n"), FormatError);
-  EXPECT_THROW(Trace::from_csv("0,p,all,4,-1,0\n"), FormatError);
-  EXPECT_THROW(Trace::from_csv("0,p,all,4,0,inf\n"), FormatError);
-  EXPECT_THROW(Trace::from_csv("0,p,all,4,nan,0\n"), FormatError);
-  EXPECT_THROW(Trace::from_csv("0,p,all,4,0,0,17x,18\n"), FormatError);
-  EXPECT_THROW(Trace::from_csv("0,p,all,4,0,0,17,+18\n"), FormatError);
+  expect_rejected("x,p,all,4,0,0,0,0\n", "bad kind 'x'");
+  expect_rejected(",p,all,4,0,0,0,0\n", "bad kind ''");
+  expect_rejected("0,p,all,12kb,0,0,0,0\n", "bad bytes '12kb'");
+  expect_rejected("0,p,all,-5,0,0,0,0\n", "bad bytes '-5'");
+  expect_rejected("0,p,all,4,0.5s,0,0,0\n", "bad issue time '0.5s'");
+  expect_rejected("0,p,all,4,-1,0,0,0\n", "bad issue time '-1'");
+  expect_rejected("0,p,all,4,0,inf,0,0\n", "bad blocking time 'inf'");
+  expect_rejected("0,p,all,4,nan,0,0,0\n", "bad issue time 'nan'");
+  expect_rejected("0,p,all,4,0,0,17x,18\n", "bad trace id '17x'");
+  expect_rejected("0,p,all,4,0,0,17,+18\n", "bad span id '+18'");
   // Exponent forms, as to_csv may print them, still parse.
-  const Trace ok = Trace::from_csv("0,p,all,4,1e-07,2.5e+06\n");
+  const Trace ok = Trace::from_csv("0,p,all,4,1e-07,2.5e+06,0,0\n");
   ASSERT_EQ(ok.size(), 1u);
   EXPECT_DOUBLE_EQ(ok.events()[0].issue_time, 1e-07);
   EXPECT_DOUBLE_EQ(ok.events()[0].blocking_seconds, 2.5e+06);
@@ -163,17 +177,6 @@ TEST(TraceTest, CsvCarriesTraceIds) {
   ASSERT_EQ(parsed.size(), 1u);
   EXPECT_EQ(parsed.events()[0].trace_id, 42u);
   EXPECT_EQ(parsed.events()[0].span_id, 7u);
-}
-
-TEST(TraceTest, LegacySixColumnCsvParsesWithZeroIds) {
-  const Trace parsed = Trace::from_csv(
-      "kind,path,selection,bytes,issue_time,blocking\n"
-      "0,d,all,16,0.5,0.25\n");
-  ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_EQ(parsed.events()[0].bytes, 16u);
-  EXPECT_DOUBLE_EQ(parsed.events()[0].issue_time, 0.5);
-  EXPECT_EQ(parsed.events()[0].trace_id, 0u);
-  EXPECT_EQ(parsed.events()[0].span_id, 0u);
 }
 
 // Dataset paths are user-controlled, so the CSV layer must quote the
@@ -209,12 +212,12 @@ TEST(TraceTest, CsvEscapesAwkwardPaths) {
 
 TEST(TraceTest, CsvRejectsMalformedQuoting) {
   // Unterminated quoted field.
-  EXPECT_THROW(Trace::from_csv("0,\"no closing quote,all,1,0,0\n"),
+  EXPECT_THROW(Trace::from_csv("0,\"no closing quote,all,1,0,0,0,0\n"),
                FormatError);
   // Garbage between closing quote and the next separator.
-  EXPECT_THROW(Trace::from_csv("0,\"p\"x,all,1,0,0\n"), FormatError);
+  EXPECT_THROW(Trace::from_csv("0,\"p\"x,all,1,0,0,0,0\n"), FormatError);
   // A quoted field must not swallow the rest of the row's fields.
-  EXPECT_THROW(Trace::from_csv("0,\"p,all,1,0,0\"\n"), FormatError);
+  EXPECT_THROW(Trace::from_csv("0,\"p,all,1,0,0,0,0\"\n"), FormatError);
 }
 
 TEST(TraceTest, StridedSelectionSurvivesCsv) {

@@ -57,8 +57,6 @@
 //       non-zero when any scenario's worst per-epoch relative error
 //       exceeds the given percentage; --chrome writes per-epoch trace
 //       lanes (one scenario per file).
-//
-//   apio_profile <trace.csv>     (legacy alias for `report`)
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -771,8 +769,6 @@ int main(int argc, char** argv) {
       return cmd_analyze(scenario, ranks, epochs, mibps, bytes_mib,
                          chrome_path, max_drift);
     }
-    // Legacy: a bare CSV path behaves like `report`.
-    if (argc == 2 && cmd.rfind("--", 0) != 0) return cmd_report(argv[1]);
     return usage(argv[0]);
   } catch (const apio::Error& e) {
     std::fprintf(stderr, "apio_profile: %s\n", e.what());
