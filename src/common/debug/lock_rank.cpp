@@ -10,10 +10,8 @@ namespace apio::debug {
 const char* lock_rank_name(LockRank rank) {
   switch (rank) {
     case LockRank::kVolConnector: return "vol.connector";
-    case LockRank::kVolCache: return "vol.cache";
     case LockRank::kVolEventSet: return "vol.event_set";
     case LockRank::kVolTrace: return "vol.trace";
-    case LockRank::kVolStaging: return "vol.staging";
     case LockRank::kPmpiSplit: return "pmpi.split";
     case LockRank::kPmpiCollective: return "pmpi.collective";
     case LockRank::kPmpiBarrier: return "pmpi.barrier";

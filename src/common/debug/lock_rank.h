@@ -27,11 +27,9 @@ namespace apio::debug {
 /// so new ranks can slot in without renumbering.
 enum class LockRank : int {
   // -- VOL layer (outermost: entered from application threads) --------
-  kVolConnector = 10,   ///< AsyncConnector FIFO queue and order
-  kVolCache = 14,       ///< AsyncConnector prefetch cache
+  kVolConnector = 10,   ///< AsyncConnector: FIFO, staging, recycler, cache, stats
   kVolEventSet = 18,    ///< EventSet request/error lists
   kVolTrace = 22,       ///< TraceRecorder event list
-  kVolStaging = 26,     ///< AsyncConnector staging budget + buffer recycler
   // -- pmpi (rank threads; collectives never nest their locks) --------
   kPmpiSplit = 30,      ///< World split() rendezvous map
   kPmpiCollective = 34, ///< World collective exchange slots
@@ -53,7 +51,7 @@ enum class LockRank : int {
   // -- request completion (innermost lock of the substrate) ----------
   kVolRequest = 58,     ///< vol::Request completion state
   // -- leaf counters (never held across any call) ---------------------
-  kCounters = 62,       ///< stats snapshots (AsyncStats), pmpi::run's first error
+  kCounters = 62,       ///< pmpi::run's first error
 };
 
 /// Human-readable rank name for diagnostics.

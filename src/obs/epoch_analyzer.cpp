@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <iomanip>
 #include <sstream>
 
 #include "common/units.h"
@@ -461,6 +462,7 @@ std::string EpochReport::to_chrome_json() const {
   }
 
   std::ostringstream os;
+  os << std::fixed << std::setprecision(3);  // microseconds to the ns
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
   auto emit = [&](const char* name, int tid, double start, double dur,

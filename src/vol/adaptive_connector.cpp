@@ -46,6 +46,7 @@ RequestPtr AdaptiveConnector::dataset_write(h5::Dataset ds,
     return async_.dataset_write(ds, selection, data);
   }
   writes_sync_.fetch_add(1, std::memory_order_relaxed);
+  async_.wait_all();  // a sync write must land after the queued async ones
   return sync_.dataset_write(ds, selection, data);
 }
 
@@ -69,6 +70,7 @@ RequestPtr AdaptiveConnector::dataset_read(h5::Dataset ds,
     return request;
   }
   reads_sync_.fetch_add(1, std::memory_order_relaxed);
+  async_.wait_all();  // and a sync read must see them
   return sync_.dataset_read(ds, selection, out);
 }
 

@@ -35,7 +35,9 @@ class AdaptiveConnector final : public Connector {
 
   const h5::FilePtr& file() const override { return file_; }
 
-  /// Routed per the advisor's recommendation for (bytes, ranks).
+  /// Routed per the advisor's recommendation for (bytes, ranks).  A
+  /// sync-routed write or read first waits out the async FIFO, so it
+  /// never overtakes an earlier async write.
   RequestPtr dataset_write(h5::Dataset ds, const h5::Selection& selection,
                            std::span<const std::byte> data) override;
 

@@ -147,7 +147,7 @@ AsyncConnector::AsyncConnector(h5::FilePtr file, AsyncOptions options,
   const double t0 = clock_->now();
   last_op_ = Request::make_ready();
   stream_ = std::thread([this] { run_stream(); });
-  std::lock_guard lock(stats_mutex_);
+  std::lock_guard lock(mutex_);
   stats_.init_seconds = clock_->now() - t0;
 }
 
@@ -165,13 +165,13 @@ void AsyncConnector::shutdown_machinery() {
   const double t0 = clock_->now();
   wait_all();
   {
-    std::lock_guard lock(order_mutex_);
+    std::lock_guard lock(mutex_);
     stopping_ = true;
   }
   queue_cv_.notify_all();
   stream_.join();
-  clear_cache();
-  std::lock_guard lock(stats_mutex_);
+  std::lock_guard lock(mutex_);
+  clear_cache_locked();
   stats_.term_seconds = clock_->now() - t0;
 }
 
@@ -218,7 +218,7 @@ RequestPtr AsyncConnector::submit(obs::IoOp kind, const h5::Dataset* ds,
     }
     if (!op->request) op->request = std::make_shared<Request>(std::move(info));
   } catch (...) {
-    release_staging(*op);  // the op never reached the FIFO
+    release_staging(*op, /*failed=*/false);  // the op never reached the FIFO
     throw;
   }
   RequestPtr request = kind == obs::IoOp::kPrefetch ? nullptr : op->request;
@@ -230,14 +230,21 @@ RequestPtr AsyncConnector::submit(obs::IoOp kind, const h5::Dataset* ds,
   op->push_time = obs::steady_seconds();
   bool queued = false;
   {
-    // Pushed under the order lock, so ops from racing threads enter the
+    // Pushed under the lock, so ops from racing threads enter the
     // queue in the order last_op_ records.  The one stream pops them in
     // that order and runs each to its outcome, so an op starts only after
     // its predecessor completed.  A predecessor failure does not cancel
     // successors: the async VOL records errors per operation, it does not
     // poison the queue.  Once stopping_ is set the stream may already
-    // have exited, so the op fails with its own error instead.
-    std::lock_guard lock(order_mutex_);
+    // have exited, so the op fails with its own error instead.  It still
+    // counts as enqueued: its request reports the failure.
+    std::lock_guard lock(mutex_);
+    switch (kind) {
+      case obs::IoOp::kWrite: ++stats_.writes_enqueued; break;
+      case obs::IoOp::kRead: ++stats_.reads_enqueued; ++stats_.cache_misses; break;
+      case obs::IoOp::kPrefetch: ++stats_.prefetches_enqueued; break;
+      case obs::IoOp::kFlush: break;
+    }
     last_op_ = op->request;
     if (!stopping_) {
       queue_.push_back(std::move(op));
@@ -269,7 +276,7 @@ void AsyncConnector::run_stream() {
     const double wait_start = timed ? obs::steady_seconds() : 0.0;
     std::shared_ptr<AsyncOp> op;
     {
-      std::unique_lock lock(order_mutex_);
+      std::unique_lock lock(mutex_);
       queue_cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stopping, and drained
       op = std::move(queue_.front());
@@ -295,7 +302,10 @@ void AsyncConnector::execute_op(AsyncOp& op) {
       if (options_.staging_backend) {
         // Staged on a device: read the bytes back into a recycled
         // buffer, which finish() returns on either outcome.
-        op.buffer = take_buffer(op.bytes);
+        {
+          std::lock_guard lock(mutex_);
+          op.buffer = take_buffer_locked(op.bytes);
+        }
         op.buffer->resize(op.bytes);  // a no-op for a recycled buffer
         options_.staging_backend->read(op.device_offset, *op.buffer);
       }
@@ -343,12 +353,8 @@ void AsyncConnector::finish(const std::shared_ptr<AsyncOp>& op,
                             std::exception_ptr error) {
   const double completion_start = obs::steady_seconds();
   const bool failed = error != nullptr;
-  release_staging(*op);
-  if (failed) {
-    if (obs::enabled()) failed_counter().increment();
-    std::lock_guard lock(stats_mutex_);
-    ++stats_.failed_ops;
-  }
+  release_staging(*op, failed);
+  if (failed && obs::enabled()) failed_counter().increment();
   if (op->record && !failed) {
     op->record->completion_seconds = clock_->now() - op->record->issue_time;
     observe(*op->record);
@@ -371,7 +377,7 @@ void AsyncConnector::finish(const std::shared_ptr<AsyncOp>& op,
 RequestPtr AsyncConnector::dataset_write(h5::Dataset ds,
                                          const h5::Selection& selection,
                                          std::span<const std::byte> data) {
-  auto request = submit(
+  return submit(
       obs::IoOp::kWrite, &ds, selection, data.size(), clock_->now(),
       [&](AsyncOp& op) {
         // The transactional copy: a non-zero-copy into a private staging
@@ -384,16 +390,11 @@ RequestPtr AsyncConnector::dataset_write(h5::Dataset ds,
                                            data.size(), nullptr, stage_hist(),
                                            &staged_bytes_counter());
         if (options_.staging_backend) {
-          op.device_offset = staging_device_offset_.fetch_add(data.size());
           options_.staging_backend->write(op.device_offset, data);
         } else {
-          op.buffer = take_buffer(data.size());
           op.buffer->assign(data.begin(), data.end());
         }
       });
-  std::lock_guard lock(stats_mutex_);
-  ++stats_.writes_enqueued;
-  return request;
 }
 
 RequestPtr AsyncConnector::dataset_read(h5::Dataset ds,
@@ -405,7 +406,7 @@ RequestPtr AsyncConnector::dataset_read(h5::Dataset ds,
   // during a previous compute phase; serve it with a memcpy.
   CacheEntry entry;
   {
-    std::lock_guard lock(cache_mutex_);
+    std::lock_guard lock(mutex_);
     auto it = cache_.find(CacheKey{ds.object_key(), selection});
     if (it != cache_.end()) {
       entry = std::move(it->second);
@@ -418,7 +419,12 @@ RequestPtr AsyncConnector::dataset_read(h5::Dataset ds,
     const std::exception_ptr error = entry.ready->error();
     const bool fits = entry.data->size() == out.size();
     if (!error && fits) std::memcpy(out.data(), entry.data->data(), out.size());
-    recycle(entry.data);  // before any throw, so the lent count stays exact
+    {
+      // Recycled before any throw, so the lent count stays exact.
+      std::lock_guard lock(mutex_);
+      recycle_locked(entry.data);
+      if (!error && fits) ++stats_.cache_hits;
+    }
     if (error) std::rethrow_exception(error);
     APIO_REQUIRE(fits, "prefetched buffer size does not match read selection");
     if (has_observers()) {
@@ -428,42 +434,33 @@ RequestPtr AsyncConnector::dataset_read(h5::Dataset ds,
       hit.cache_hit = true;
       observe(hit);
     }
-    {
-      std::lock_guard lock(stats_mutex_);
-      ++stats_.cache_hits;
-    }
     return Request::make_ready(
         request_info(*file_, obs::IoOp::kRead, &ds, selection, out.size()));
   }
 
   if (obs::enabled()) prefetch_misses_counter().increment();
-  auto request = submit(obs::IoOp::kRead, &ds, selection, out.size(), t0,
-                        [&](AsyncOp& op) { op.out = out; });
-  std::lock_guard lock(stats_mutex_);
-  ++stats_.reads_enqueued;
-  ++stats_.cache_misses;
-  return request;
+  return submit(obs::IoOp::kRead, &ds, selection, out.size(), t0,
+                [&](AsyncOp& op) { op.out = out; });
 }
 
 void AsyncConnector::prefetch(h5::Dataset ds, const h5::Selection& selection) {
   const double t0 = clock_->now();
   const std::uint64_t bytes = selection.npoints(ds.dims()) * ds.element_size();
   const CacheKey key{ds.object_key(), selection};
-  // The entry is complete when it is published: a read that finds it
-  // waits on the prefetch's request, then copies its buffer.
-  CacheEntry entry{std::make_shared<Request>(), take_buffer(bytes)};
-  entry.data->resize(bytes);  // a no-op for a recycled buffer
-  bool reserved = false;
+  // A read that finds the entry waits on the prefetch's request, then
+  // copies its buffer.  The buffer is sized after the entry is published;
+  // this thread holds a reference until then, so no other holder can
+  // recycle it at the wrong size.
+  CacheEntry entry{std::make_shared<Request>(), nullptr};
   {
     // Reserved under the same lock as the duplicate check, so two
     // threads prefetching one selection submit it once.
-    std::lock_guard lock(cache_mutex_);
-    reserved = cache_.try_emplace(key, entry).second;
+    std::lock_guard lock(mutex_);
+    if (cache_.contains(key)) return;  // already in flight
+    entry.data = take_buffer_locked(bytes);
+    cache_.emplace(key, entry);
   }
-  if (!reserved) {  // already in flight
-    recycle(entry.data);
-    return;
-  }
+  entry.data->resize(bytes);  // a no-op for a recycled buffer
   try {
     submit(obs::IoOp::kPrefetch, &ds, selection, bytes, t0, [&](AsyncOp& op) {
       op.request = entry.ready;
@@ -473,11 +470,11 @@ void AsyncConnector::prefetch(h5::Dataset ds, const h5::Selection& selection) {
     // A read may already hold the entry: fail it rather than leave it
     // waiting, and unpublish the entry unless a read consumed it.
     entry.ready->complete(std::current_exception());
-    recycle(entry.data);  // still ours if submit threw before `prepare`
-    std::lock_guard lock(cache_mutex_);
+    std::lock_guard lock(mutex_);
+    recycle_locked(entry.data);  // still ours if submit threw before `prepare`
     auto it = cache_.find(key);
     if (it != cache_.end() && it->second.ready == entry.ready) {
-      recycle(it->second.data);
+      recycle_locked(it->second.data);
       cache_.erase(it);
     }
     throw;
@@ -487,8 +484,6 @@ void AsyncConnector::prefetch(h5::Dataset ds, const h5::Selection& selection) {
     observe(make_record(IoOp::kPrefetch, bytes, /*async=*/true, t0,
                         clock_->now() - t0, 0.0, &ds, selection));
   }
-  std::lock_guard lock(stats_mutex_);
-  ++stats_.prefetches_enqueued;
 }
 
 RequestPtr AsyncConnector::flush() {
@@ -501,32 +496,36 @@ RequestPtr AsyncConnector::flush() {
 }
 
 void AsyncConnector::take_staging(AsyncOp& op) {
-  std::uint64_t now_staged = 0;
-  {
-    std::unique_lock lock(staging_mutex_);
-    if (options_.max_staged_bytes > 0) {
-      staging_cv_.wait(lock, [&] {
-        return staged_outstanding_ + op.bytes <= options_.max_staged_bytes ||
-               staged_outstanding_ == 0;
-      });
-    }
-    op.holds_staging = true;
-    now_staged = staged_outstanding_ += op.bytes;
-    // Set under the lock, so the last value set is the current total.
-    if (obs::enabled()) {
-      staged_gauge().set(static_cast<std::int64_t>(now_staged));
-      staged_gauge().note_watermark();
-    }
+  std::unique_lock lock(mutex_);
+  if (options_.max_staged_bytes > 0) {
+    staging_cv_.wait(lock, [&] {
+      return staged_outstanding_ + op.bytes <= options_.max_staged_bytes ||
+             staged_outstanding_ == 0;
+    });
   }
-  std::lock_guard lock(stats_mutex_);
+  op.holds_staging = true;
+  const std::uint64_t now_staged = staged_outstanding_ += op.bytes;
+  // Set under the lock, so the last value set is the current total.
+  if (obs::enabled()) {
+    staged_gauge().set(static_cast<std::int64_t>(now_staged));
+    staged_gauge().note_watermark();
+  }
   stats_.bytes_staged += op.bytes;
   stats_.staged_high_watermark = std::max(stats_.staged_high_watermark, now_staged);
+  if (options_.staging_backend) {
+    op.device_offset = staging_device_offset_;
+    staging_device_offset_ += op.bytes;
+  } else {
+    op.buffer = take_buffer_locked(op.bytes);
+  }
 }
 
-void AsyncConnector::release_staging(AsyncOp& op) {
-  recycle(op.buffer);
+void AsyncConnector::release_staging(AsyncOp& op, bool failed) {
+  if (op.buffer == nullptr && !op.holds_staging && !failed) return;
+  std::lock_guard lock(mutex_);
+  recycle_locked(op.buffer);
+  if (failed) ++stats_.failed_ops;
   if (!std::exchange(op.holds_staging, false)) return;
-  std::lock_guard lock(staging_mutex_);
   APIO_INVARIANT(staged_outstanding_ >= op.bytes, "staging accounting underflow");
   const std::uint64_t now_staged = staged_outstanding_ -= op.bytes;
   // Set under the lock, so the last value set is the current total.
@@ -534,30 +533,25 @@ void AsyncConnector::release_staging(AsyncOp& op) {
   if (options_.max_staged_bytes > 0) staging_cv_.notify_all();
 }
 
-AsyncConnector::Buffer AsyncConnector::take_buffer(std::uint64_t bytes) {
-  {
-    std::lock_guard lock(staging_mutex_);
-    lent_bytes_ += bytes;
-    lent_hwm_ = std::max(lent_hwm_, lent_bytes_);
-    // An emptied bin stays, with its capacity, so the steady state
-    // recycles without allocating.
-    auto bin = free_buffers_.find(bytes);
-    if (bin != free_buffers_.end() && !bin->second.empty()) {
-      Buffer buffer = std::move(bin->second.back());
-      bin->second.pop_back();
-      free_bytes_ -= bytes;
-      return buffer;
-    }
+AsyncConnector::Buffer AsyncConnector::take_buffer_locked(std::uint64_t bytes) {
+  lent_bytes_ += bytes;
+  lent_hwm_ = std::max(lent_hwm_, lent_bytes_);
+  // An emptied bin stays, with its capacity, so the steady state
+  // recycles without allocating.
+  auto bin = free_buffers_.find(bytes);
+  if (bin != free_buffers_.end() && !bin->second.empty()) {
+    Buffer buffer = std::move(bin->second.back());
+    bin->second.pop_back();
+    free_bytes_ -= bytes;
+    return buffer;
   }
   return std::make_shared<std::vector<std::byte>>();
 }
 
-void AsyncConnector::recycle(Buffer& buffer) {
-  if (buffer == nullptr) return;
+void AsyncConnector::recycle_locked(Buffer& buffer) {
   // Checked and dropped under the lock: a shared prefetch buffer has two
   // holders, and whichever lets go last must be the one that returns it.
-  std::lock_guard lock(staging_mutex_);
-  if (buffer.use_count() == 1) {
+  if (buffer != nullptr && buffer.use_count() == 1) {
     const std::uint64_t bytes = buffer->size();
     APIO_INVARIANT(lent_bytes_ >= bytes, "buffer recycler lent-bytes underflow");
     lent_bytes_ -= bytes;
@@ -579,7 +573,7 @@ void AsyncConnector::wait_all() {
   // arbitrary — intermediate failures would vanish.
   RequestPtr tail;
   {
-    std::lock_guard lock(order_mutex_);
+    std::lock_guard lock(mutex_);
     tail = last_op_;
   }
   tail->wait_ignore_error();
@@ -591,13 +585,17 @@ void AsyncConnector::close() {
 }
 
 AsyncStats AsyncConnector::stats() const {
-  std::lock_guard lock(stats_mutex_);
+  std::lock_guard lock(mutex_);
   return stats_;
 }
 
 void AsyncConnector::clear_cache() {
-  std::lock_guard lock(cache_mutex_);
-  for (auto& [key, entry] : cache_) recycle(entry.data);
+  std::lock_guard lock(mutex_);
+  clear_cache_locked();
+}
+
+void AsyncConnector::clear_cache_locked() {
+  for (auto& [key, entry] : cache_) recycle_locked(entry.data);
   cache_.clear();
 }
 

@@ -19,7 +19,11 @@
 //   * dataset_read either completes in the background (caller owns the
 //     buffer until completion) or is served from the prefetch cache
 //     (the BD-CATS-IO read path: first read synchronous, subsequent
-//     time steps prefetched during compute).
+//     time steps prefetched during compute);
+//   * one mutex guards all of the connector's shared state (FIFO,
+//     staging budget, buffer recycler, prefetch cache, stats), so a
+//     DRAM-staged write locks twice on its caller (budget and buffer,
+//     then push) and twice on the stream (pop, then settle).
 //
 // Initialization (thread start) and termination (drain + join) are
 // timed; they are the t_init / t_term costs of Eq. 1.
@@ -68,8 +72,8 @@ struct AsyncOptions {
 
 /// Counters exposed for tests, benches and the model.
 ///
-/// Mutated under the connector's stats mutex by application threads
-/// (enqueue paths) AND the background stream (staging accounting), so
+/// Mutated under the connector's one mutex by application threads
+/// (enqueue paths) AND the background stream (failure accounting), so
 /// they must never be read field-by-field while the connector is live;
 /// stats() returns a coherent snapshot taken under the same mutex.
 struct AsyncStats {
@@ -145,8 +149,11 @@ class AsyncConnector final : public Connector {
   WallClock wall_clock_;
   const Clock* clock_;
 
-  /// Guards the FIFO queue, its stop flag and last_op_.
-  debug::RankedMutex<debug::LockRank::kVolConnector> order_mutex_;
+  /// The connector's one lock: guards the FIFO queue, its stop flag
+  /// and last_op_, the staging budget and device offset, the buffer
+  /// recycler, the prefetch cache and stats_.  Helpers named *_locked
+  /// expect it held.
+  mutable debug::RankedMutex<debug::LockRank::kVolConnector> mutex_;
   std::condition_variable_any queue_cv_;
   std::deque<std::shared_ptr<AsyncOp>> queue_;
   /// Set by shutdown_machinery(): the stream drains the queue and exits,
@@ -154,15 +161,11 @@ class AsyncConnector final : public Connector {
   bool stopping_ = false;
   RequestPtr last_op_;
 
-  debug::RankedMutex<debug::LockRank::kVolCache> cache_mutex_;
   std::map<CacheKey, CacheEntry> cache_;
-
-  mutable debug::RankedMutex<debug::LockRank::kCounters> stats_mutex_;
   AsyncStats stats_;
-  std::atomic<std::uint64_t> staging_device_offset_{0};
+
+  /// Wakes writers parked on the max_staged_bytes budget.
   std::condition_variable_any staging_cv_;
-  /// Guards the staging budget and the buffer recycler.
-  debug::RankedMutex<debug::LockRank::kVolStaging> staging_mutex_;
   std::uint64_t staged_outstanding_ = 0;
   /// Bytes of recycler buffers out of the free list (stage copies,
   /// staging-device read-backs and prefetch buffers), and their
@@ -173,6 +176,8 @@ class AsyncConnector final : public Connector {
   /// O(1).  Holds at most lent_hwm_ bytes.
   std::unordered_map<std::uint64_t, std::vector<Buffer>> free_buffers_;
   std::uint64_t free_bytes_ = 0;
+  /// Bump allocator of the staging device's region.
+  std::uint64_t staging_device_offset_ = 0;
 
   /// Set by shutdown_machinery(); read by every entry point.  Atomic:
   /// a close() racing in-flight operations must fail them with
@@ -188,8 +193,9 @@ class AsyncConnector final : public Connector {
   /// the prefetch's buffer and cache request, the flush's lane),
   /// resolves the RequestInfo, builds the Request (returned for every
   /// kind but a prefetch) and the completion record, then pushes the op
-  /// onto the queue.  Staging budget taken by `prepare` is returned if
-  /// the op throws before reaching the queue.
+  /// onto the queue and counts it as enqueued, in one hold.  Staging
+  /// budget taken by `prepare` is returned if the op throws before
+  /// reaching the queue.
   template <typename Prepare>
   RequestPtr submit(obs::IoOp kind, const h5::Dataset* ds,
                     const h5::Selection& selection, std::uint64_t bytes,
@@ -219,19 +225,21 @@ class AsyncConnector final : public Connector {
   void shutdown_machinery();
 
   /// Takes the op's bytes from the max_staged_bytes budget (blocking
-  /// while it is exhausted); release_staging() returns them exactly once
-  /// and recycles the op's buffer.
+  /// while it is exhausted) and, for a DRAM-staged write, its staging
+  /// buffer, in one hold.  release_staging() returns both exactly once
+  /// and counts a failed op in the same hold.
   void take_staging(AsyncOp& op);
-  void release_staging(AsyncOp& op);
+  void release_staging(AsyncOp& op, bool failed);
 
   /// A buffer of exactly `bytes` from the free list, or a fresh empty
   /// one (the caller sizes it).  A recycled buffer's contents are stale.
-  Buffer take_buffer(std::uint64_t bytes);
+  Buffer take_buffer_locked(std::uint64_t bytes);
   /// Drops the caller's reference; when it was the only one and the
   /// free list has room, the buffer goes back on the list.  Every
-  /// buffer from take_buffer() is dropped through here, so the lent
-  /// count stays exact.
-  void recycle(Buffer& buffer);
+  /// buffer from take_buffer_locked() is dropped through here, so the
+  /// lent count stays exact.
+  void recycle_locked(Buffer& buffer);
+  void clear_cache_locked();
 };
 
 }  // namespace apio::vol

@@ -4,7 +4,6 @@
 #include <charconv>
 #include <chrono>
 #include <cmath>
-#include <sstream>
 #include <thread>
 
 #include "common/clock.h"
@@ -93,6 +92,13 @@ std::vector<std::vector<std::string>> parse_csv(const std::string& csv) {
   return rows;
 }
 
+/// Appends a time in shortest round-trip form: from_chars parses it
+/// back to the same double.
+void append_seconds(std::string& out, double seconds) {
+  char buf[32];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, seconds).ptr);
+}
+
 [[noreturn]] void bad_field(std::size_t row, const char* what, const std::string& field) {
   throw FormatError("trace row " + std::to_string(row) + ": bad " + what + " '" + field + "'");
 }
@@ -121,7 +127,6 @@ void Trace::append(TraceEvent event) { events_.push_back(std::move(event)); }
 
 std::string Trace::to_csv() const {
   std::string out = "kind,path,selection,bytes,issue_time,blocking,trace_id,span_id\n";
-  std::ostringstream num;
   for (const auto& e : events_) {
     out += std::to_string(static_cast<int>(e.kind));
     out += ',';
@@ -130,9 +135,10 @@ std::string Trace::to_csv() const {
     out += selection_to_token(e.selection);
     out += ',';
     out += std::to_string(e.bytes);
-    num.str("");
-    num << ',' << e.issue_time << ',' << e.blocking_seconds;
-    out += num.str();
+    out += ',';
+    append_seconds(out, e.issue_time);
+    out += ',';
+    append_seconds(out, e.blocking_seconds);
     out += ',';
     out += std::to_string(e.trace_id);
     out += ',';

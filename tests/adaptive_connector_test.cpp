@@ -145,9 +145,9 @@ TEST(AdaptiveConnectorTest, PrefetchedReadsServeFromCache) {
   connector.close();
 }
 
-TEST(AdaptiveConnectorTest, SharedAdvisorStartsWarm) {
-  // An advisor fed records and a compute sample before the connector
-  // exists (a warm start) skips the exploration phase entirely.
+/// An advisor fed records of a slow PFS, a fast staging copy and one
+/// second of compute: warm, and recommending async.
+model::ModeAdvisorPtr warm_advisor() {
   auto advisor = std::make_shared<model::ModeAdvisor>();
   for (int i = 1; i <= 6; ++i) {
     vol::IoRecord sync_rec;
@@ -163,10 +163,57 @@ TEST(AdaptiveConnectorTest, SharedAdvisorStartsWarm) {
     advisor->on_io(async_rec);
   }
   advisor->record_compute(1.0);
+  return advisor;
+}
+
+TEST(AdaptiveConnectorTest, SharedAdvisorStartsWarm) {
+  // An advisor fed records and a compute sample before the connector
+  // exists (a warm start) skips the exploration phase entirely.
+  auto advisor = warm_advisor();
 
   auto file = h5::File::create(std::make_shared<storage::MemoryBackend>());
   AdaptiveConnector connector(file, advisor);
   EXPECT_EQ(connector.planned_mode(500000), model::IoMode::kAsync);
+  connector.close();
+}
+
+TEST(AdaptiveConnectorTest, SyncWriteWaitsForQueuedAsyncWrites) {
+  // A sync-routed write must not overtake async writes still queued in
+  // the inner FIFO: the older async bytes would land on top of it.
+  auto advisor = warm_advisor();
+
+  // A 4 MiB write at 16 MiB/s holds the stream for 0.25 s, so the
+  // second async write is still in the FIFO when the sync one is issued.
+  auto file = h5::File::create(slow_pfs(16.0 * kMiB));
+  AdaptiveConnector connector(file, advisor);
+  constexpr std::uint64_t kBusy = 4 * kMiB;
+  constexpr std::uint64_t kSmall = 256 * 1024;
+  auto busy = file->root().create_dataset("busy", h5::Datatype::kUInt8, {kBusy});
+  auto ds = file->root().create_dataset("d", h5::Datatype::kUInt8, {kSmall});
+  const std::vector<std::uint8_t> filler(kBusy, 1);
+  const std::vector<std::uint8_t> old_bytes(kSmall, 2);
+  const std::vector<std::uint8_t> new_bytes(kSmall, 3);
+
+  ASSERT_EQ(connector.planned_mode(kBusy), model::IoMode::kAsync);
+  ASSERT_EQ(connector.planned_mode(kSmall), model::IoMode::kAsync);
+  connector.dataset_write(busy, h5::Selection::all(),
+                          std::as_bytes(std::span<const std::uint8_t>(filler)));
+  connector.dataset_write(ds, h5::Selection::all(),
+                          std::as_bytes(std::span<const std::uint8_t>(old_bytes)));
+
+  // No compute left to overlap: the advisor now routes writes sync.
+  for (int i = 0; i < 64; ++i) advisor->record_compute(0.0);
+  ASSERT_EQ(connector.planned_mode(kSmall), model::IoMode::kSync);
+  connector
+      .dataset_write(ds, h5::Selection::all(),
+                     std::as_bytes(std::span<const std::uint8_t>(new_bytes)))
+      ->wait();
+  connector.wait_all();
+
+  const auto stats = connector.adaptive_stats();
+  EXPECT_EQ(stats.writes_async, 2u);
+  EXPECT_EQ(stats.writes_sync, 1u);
+  EXPECT_EQ(ds.read_vector<std::uint8_t>(h5::Selection::all()), new_bytes);
   connector.close();
 }
 

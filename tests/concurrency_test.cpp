@@ -18,6 +18,7 @@
 // and run under the `tsan` label.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <thread>
@@ -291,6 +292,84 @@ TEST(ConcurrencyTest, AsyncStatsSnapshotDuringTraffic) {
 
   EXPECT_EQ(connector.stats().writes_enqueued,
             static_cast<std::uint64_t>(kWriters) * kWritesPerThread);
+  connector.close();
+}
+
+TEST(ConcurrencyTest, StagingBudgetAndPrefetchCacheShareTraffic) {
+  // Writers parked on a small staging budget, a prefetching reader and a
+  // stats poller all contend for the connector's state at once.
+  constexpr int kWriters = 2;
+  constexpr int kWritesPerWriter = 48;
+  constexpr int kReads = 64;
+  constexpr std::uint64_t kPayload = 16 * 1024;
+  constexpr std::uint64_t kBudget = 3 * kPayload;
+
+  auto leaf = std::make_shared<storage::MemoryBackend>();
+  auto file = h5::File::create(leaf);
+  auto out = file->root().create_dataset(
+      "out", h5::Datatype::kUInt8, {kWriters * kWritesPerWriter * kPayload});
+  auto in = file->root().create_dataset("in", h5::Datatype::kUInt8,
+                                        {kReads * kPayload});
+  std::vector<std::uint8_t> source(kReads * kPayload);
+  for (std::size_t i = 0; i < source.size(); ++i) {
+    source[i] = static_cast<std::uint8_t>(i * 7 + i / kPayload);
+  }
+  in.write(h5::Selection::all(), std::span<const std::uint8_t>(source));
+
+  vol::AsyncOptions options;
+  options.max_staged_bytes = kBudget;
+  vol::AsyncConnector connector(file, options);
+
+  std::atomic<bool> done{false};
+  std::thread poller([&] {
+    while (!done.load()) {
+      const auto s = connector.stats();
+      EXPECT_LE(s.staged_high_watermark, kBudget);
+      EXPECT_LE(s.cache_hits + s.cache_misses, static_cast<std::uint64_t>(kReads));
+    }
+  });
+  std::thread reader([&] {
+    // Every fourth read skips its prefetch, so hits and misses both occur.
+    std::vector<std::uint8_t> got(kPayload);
+    for (std::uint64_t r = 0; r < kReads; ++r) {
+      const auto slab = h5::Selection::offsets({r * kPayload}, {kPayload});
+      if (r % 4 != 3) connector.prefetch(in, slab);
+      connector.dataset_read(in, slab, std::as_writable_bytes(std::span(got)))->wait();
+      ASSERT_TRUE(std::equal(got.begin(), got.end(),
+                             source.begin() + static_cast<std::ptrdiff_t>(r * kPayload)))
+          << "read " << r;
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&, t] {
+      for (std::uint64_t i = 0; i < kWritesPerWriter; ++i) {
+        const std::uint64_t slot = t * kWritesPerWriter + i;
+        const std::vector<std::uint8_t> payload(kPayload,
+                                                static_cast<std::uint8_t>(slot));
+        connector.dataset_write(out, h5::Selection::offsets({slot * kPayload}, {kPayload}),
+                                std::as_bytes(std::span<const std::uint8_t>(payload)));
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  reader.join();
+  connector.wait_all();
+  done.store(true);
+  poller.join();
+
+  const auto s = connector.stats();
+  EXPECT_EQ(s.cache_hits + s.cache_misses, static_cast<std::uint64_t>(kReads));
+  EXPECT_EQ(s.cache_hits, static_cast<std::uint64_t>(kReads - kReads / 4));
+  EXPECT_EQ(s.bytes_staged, kWriters * kWritesPerWriter * kPayload);
+  EXPECT_LE(s.staged_high_watermark, kBudget);
+  EXPECT_EQ(s.failed_ops, 0u);
+  for (std::uint64_t slot = 0; slot < kWriters * kWritesPerWriter; ++slot) {
+    EXPECT_EQ(out.read_vector<std::uint8_t>(
+                  h5::Selection::offsets({slot * kPayload}, {kPayload})),
+              std::vector<std::uint8_t>(kPayload, static_cast<std::uint8_t>(slot)))
+        << "slot " << slot;
+  }
   connector.close();
 }
 

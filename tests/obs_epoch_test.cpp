@@ -259,5 +259,27 @@ TEST(EpochAnalyzerTest, ChromeJsonContainsEpochAndIoLanes) {
   EXPECT_EQ(json.back(), '}');
 }
 
+TEST(EpochAnalyzerTest, ChromeJsonKeepsMicrosecondsLateInARun) {
+  // Two I/O spans 1 us apart, 2 s after the first epoch begin: the
+  // default six significant digits would render both as 2e+06.
+  EpochAnalyzer analyzer;
+  analyzer.on_epoch_event(event(Kind::kBegin, 0, 0, 10.0));
+  analyzer.on_epoch_event(event(Kind::kComputeDone, 0, 0, 11.0));
+  analyzer.on_io(record(0, 12.0, 0.1, 0.1, /*async=*/false));
+  analyzer.on_io(record(0, 12.000001, 0.1, 0.1, /*async=*/false));
+  analyzer.on_epoch_event(event(Kind::kEnd, 0, 0, 13.0));
+
+  const std::string json = analyzer.report().to_chrome_json();
+  std::vector<std::string> write_ts;
+  for (auto pos = json.find("{\"name\":\"write\""); pos != std::string::npos;
+       pos = json.find("{\"name\":\"write\"", pos + 1)) {
+    const auto ts = json.find("\"ts\":", pos) + 5;
+    write_ts.push_back(json.substr(ts, json.find(',', ts) - ts));
+  }
+  ASSERT_EQ(write_ts.size(), 2u) << json;
+  EXPECT_EQ(write_ts[0], "2000000.000");
+  EXPECT_EQ(write_ts[1], "2000001.000");
+}
+
 }  // namespace
 }  // namespace apio::obs

@@ -2,6 +2,7 @@
 // replay against fresh connectors, and the profile report.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 
 #include "common/error.h"
@@ -101,7 +102,15 @@ TEST(TraceRecorderTest, IssueTimesMonotone) {
 
 TEST(TraceTest, CsvRoundTrip) {
   auto file = make_structure();
-  const Trace trace = record_sample_workload(file);
+  Trace trace = record_sample_workload(file);
+  // Times past six significant digits, and ids past 2^53.
+  TraceEvent precise;
+  precise.dataset_path = "out/field";
+  precise.issue_time = 0.0123456789;
+  precise.blocking_seconds = 1.0 / 3.0;
+  precise.trace_id = std::numeric_limits<std::uint64_t>::max();
+  precise.span_id = (std::uint64_t{1} << 53) + 1;
+  trace.append(precise);
   const std::string csv = trace.to_csv();
   const Trace parsed = Trace::from_csv(csv);
   ASSERT_EQ(parsed.size(), trace.size());
@@ -111,6 +120,10 @@ TEST(TraceTest, CsvRoundTrip) {
     EXPECT_EQ(a.kind, b.kind) << i;
     EXPECT_EQ(a.dataset_path, b.dataset_path) << i;
     EXPECT_EQ(a.bytes, b.bytes) << i;
+    EXPECT_EQ(a.issue_time, b.issue_time) << i;
+    EXPECT_EQ(a.blocking_seconds, b.blocking_seconds) << i;
+    EXPECT_EQ(a.trace_id, b.trace_id) << i;
+    EXPECT_EQ(a.span_id, b.span_id) << i;
     EXPECT_EQ(a.selection.is_all(), b.selection.is_all()) << i;
     if (!a.selection.is_all()) {
       EXPECT_EQ(a.selection.slab().start, b.selection.slab().start) << i;

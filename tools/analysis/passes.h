@@ -37,7 +37,7 @@ struct WitnessStep {
   std::string function;  ///< qualified name
   std::string file;
   int line = 0;
-  std::string note;  ///< e.g. "calls run_attempt", "acquires kVolCache"
+  std::string note;  ///< e.g. "calls run_attempt", "acquires kVolConnector"
 };
 
 struct Finding {
