@@ -35,7 +35,12 @@ struct ReadExtent {
 
 /// Abstract flat address space with positional read/write.
 ///
-/// Thread-safety: write()/read() on disjoint ranges may be issued
+/// Each direction has one transfer path: write_v/read_v.  The scalar
+/// write()/read() are one-extent batches of it, with their one body
+/// here; no backend under src/ overrides them (apio_lint rule
+/// scalar-transfer).
+///
+/// Thread-safety: transfers on disjoint ranges may be issued
 /// concurrently (parallel ranks write disjoint hyperslabs); overlapping
 /// concurrent writes are a data race, as they are in MPI-IO.
 /// Metadata operations (truncate) must be externally serialised.
@@ -46,32 +51,39 @@ class Backend {
   /// Current end-of-object offset in bytes.
   virtual std::uint64_t size() const = 0;
 
-  /// Reads exactly out.size() bytes at `offset`; throws IoError when the
-  /// range extends past end of object.
-  virtual void read(std::uint64_t offset, std::span<std::byte> out) = 0;
+  /// Reads exactly out.size() bytes at `offset`: read_v of one extent.
+  virtual void read(std::uint64_t offset, std::span<std::byte> out) {
+    const ReadExtent extent{offset, out};
+    (void)read_v({&extent, 1});
+  }
 
-  /// Writes data at `offset`, growing the object as needed.
-  virtual void write(std::uint64_t offset, std::span<const std::byte> data) = 0;
+  /// Writes data at `offset`: write_v of one extent.
+  virtual void write(std::uint64_t offset, std::span<const std::byte> data) {
+    const WriteExtent extent{offset, data};
+    (void)write_v({&extent, 1});
+  }
 
   /// Vectored write: the extents must be sorted by offset and pairwise
   /// non-overlapping (h5::IoVector produces exactly this shape); empty
-  /// extents transfer nothing.  Every backend implements it as ONE
+  /// extents transfer nothing, wherever they lie.  Non-empty extents
+  /// grow the object as needed.  Every backend implements it as ONE
   /// operation: leaves as one batched transfer (pwritev or a data-sieved
   /// read-modify-write of a window with small holes, single-lock memcpy
   /// loop), decorators by passing the whole batch inward through their
   /// policy (storage::Decorator), so the aggregation built above
   /// survives every layer.  Only FaultyBackend splits a batch per
-  /// extent, to model a mid-batch fault.  BackendStats count the payload
-  /// bytes, never the hole bytes a sieve also moves.  Returns the bytes
-  /// transferred; a completed call transfers every extent in full
-  /// (partial kernel transfers are retried internally), so callers
-  /// check the count against the bytes they submitted.  A failed call
-  /// throws without a byte count.
+  /// extent, to model a mid-batch fault.  BackendStats count one op per
+  /// call and the payload bytes, never the hole bytes a sieve also
+  /// moves.  Returns the bytes transferred; a completed call transfers
+  /// every extent in full (partial kernel transfers are retried
+  /// internally), so callers check the count against the bytes they
+  /// submitted.  A failed call throws without a byte count.
   [[nodiscard]] virtual std::uint64_t write_v(
       std::span<const WriteExtent> extents) = 0;
 
-  /// Vectored read, same extent contract as write_v.  Every extent must
-  /// lie inside the object (throws IoError otherwise).  Returns the
+  /// Vectored read, same extent contract as write_v.  Every non-empty
+  /// extent must lie inside the object (throws IoError otherwise); an
+  /// empty one transfers nothing, even past end of object.  Returns the
   /// bytes transferred into the extents' buffers.
   [[nodiscard]] virtual std::uint64_t read_v(
       std::span<const ReadExtent> extents) = 0;

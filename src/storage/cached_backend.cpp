@@ -199,17 +199,6 @@ std::string CachedBackend::name() const {
          inner_->name() + ")";
 }
 
-void CachedBackend::read(std::uint64_t offset, std::span<std::byte> out) {
-  const ReadExtent extent{offset, out};
-  (void)read_v({&extent, 1});
-}
-
-void CachedBackend::write(std::uint64_t offset,
-                          std::span<const std::byte> data) {
-  const WriteExtent extent{offset, data};
-  (void)write_v({&extent, 1});
-}
-
 std::uint64_t CachedBackend::read_v(std::span<const ReadExtent> extents) {
   if (extents.empty()) return 0;
   const double t0 = obs::steady_seconds();
@@ -230,6 +219,7 @@ std::uint64_t CachedBackend::read_v(std::span<const ReadExtent> extents) {
       for (const auto& e : extents) {
         const std::uint64_t end = e.offset + e.out.size();
         APIO_INVARIANT(end >= e.offset, "read range overflows offset space");
+        if (e.out.empty()) continue;  // an empty extent transfers nothing
         if (end > logical_size_) {
           throw IoError("cached backend: read past end of object (offset " +
                         std::to_string(e.offset) + " + " +

@@ -120,9 +120,6 @@ class CachedBackend final : public Backend, public obs::EpochSink {
   ~CachedBackend() override;
 
   std::uint64_t size() const override;
-  /// The scalar calls are one-extent batches.
-  void read(std::uint64_t offset, std::span<std::byte> out) override;
-  void write(std::uint64_t offset, std::span<const std::byte> data) override;
   /// A batch is one staging transfer plus its bookkeeping in one hold
   /// of the lock, and one capacity check; a write-through (kAfterWrite)
   /// forward and a read miss's fetch reach the inner backend as one

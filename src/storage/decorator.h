@@ -7,16 +7,18 @@
 //   - size/close/truncate forward inward untouched (metadata, not
 //     transfers; close() is a lifecycle announcement);
 //   - name() is "<layer>(<inner name>)";
-//   - read/write/read_v/write_v/flush each make ONE call of the layer's
-//     around() hook with the op, the first offset and the total byte
-//     count, and count one op in BackendStats;
-//   - a vectored batch reaches the inner backend as one write_v/read_v,
-//     so the aggregation built above survives every layer.
+//   - write_v/read_v/flush each make ONE call of the layer's around()
+//     hook with the op, the first offset and the total byte count, and
+//     count one op in BackendStats.  The scalar write()/read() are
+//     Backend's one-extent batches, so they take the same path;
+//   - a batch reaches the inner backend as one write_v/read_v, so the
+//     aggregation built above survives every layer.
 //
 // `transfer` is a non-owning reference to the inner call: around() runs
 // it once (or again, to retry) before returning and never stores it, so
 // no operation allocates.  The only layer that overrides write_v/read_v
-// is the fault injector, which splits a batch per extent on purpose.
+// is the fault injector, which splits a batch into one-extent batches
+// on purpose.
 #pragma once
 
 #include <memory>
@@ -33,16 +35,6 @@ namespace apio::storage {
 class Decorator : public Backend {
  public:
   std::uint64_t size() const final { return inner_->size(); }
-  void read(std::uint64_t offset, std::span<std::byte> out) final {
-    around(obs::IoOp::kRead, offset, out.size(),
-           Transfer([&] { inner_->read(offset, out); }));
-    count_read(out.size());
-  }
-  void write(std::uint64_t offset, std::span<const std::byte> data) final {
-    around(obs::IoOp::kWrite, offset, data.size(),
-           Transfer([&] { inner_->write(offset, data); }));
-    count_write(data.size());
-  }
   [[nodiscard]] std::uint64_t write_v(
       std::span<const WriteExtent> extents) override {
     std::uint64_t moved = 0;

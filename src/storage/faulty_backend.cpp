@@ -101,13 +101,15 @@ void FaultyBackend::around(obs::IoOp op, std::uint64_t offset,
 }
 
 std::uint64_t FaultyBackend::write_v(std::span<const WriteExtent> extents) {
-  for (const auto& e : extents) write(e.offset, e.data);
-  return extent_bytes(extents);
+  std::uint64_t moved = 0;
+  for (const auto& e : extents) moved += Decorator::write_v({&e, 1});
+  return moved;
 }
 
 std::uint64_t FaultyBackend::read_v(std::span<const ReadExtent> extents) {
-  for (const auto& e : extents) read(e.offset, e.out);
-  return extent_bytes(extents);
+  std::uint64_t moved = 0;
+  for (const auto& e : extents) moved += Decorator::read_v({&e, 1});
+  return moved;
 }
 
 void FaultyBackend::reset_counters() {

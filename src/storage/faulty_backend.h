@@ -59,9 +59,10 @@ class FaultyBackend final : public Decorator {
   FaultyBackend(BackendPtr inner, FaultPlan plan);
 
   /// The one decorator that splits a batch: each extent is its own
-  /// write()/read() through the fault check, so countdown and every-N
-  /// plans can fail an aggregated transfer partway through (prefix
-  /// written, suffix rejected) just like a real mid-batch fault.
+  /// one-extent Decorator::write_v/read_v through the fault check, so
+  /// countdown and every-N plans can fail an aggregated transfer partway
+  /// through (prefix written, suffix rejected) just like a real
+  /// mid-batch fault.  A scalar write()/read() is one such extent.
   [[nodiscard]] std::uint64_t write_v(
       std::span<const WriteExtent> extents) override;
   [[nodiscard]] std::uint64_t read_v(

@@ -161,26 +161,6 @@ void MemoryBackend::require_readable_locked(std::uint64_t offset,
   }
 }
 
-void MemoryBackend::read(std::uint64_t offset, std::span<std::byte> out) {
-  APIO_INVARIANT(offset + out.size() >= offset, "read range overflows offset space");
-  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, out.size(), "memory",
-                               storage_read_hist(), &storage_bytes_read());
-  std::lock_guard lock(mutex_);
-  require_readable_locked(offset, out.size());
-  copy_out_locked(offset, out);
-  count_read(out.size());
-}
-
-void MemoryBackend::write(std::uint64_t offset, std::span<const std::byte> data) {
-  APIO_INVARIANT(offset + data.size() >= offset, "write range overflows offset space");
-  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, data.size(), "memory",
-                               storage_write_hist(), &storage_bytes_written());
-  Lend* lend = lend_to_this();
-  std::lock_guard lock(mutex_);
-  put_locked(lend, offset, data);
-  count_write(data.size());
-}
-
 std::uint64_t MemoryBackend::write_v(std::span<const WriteExtent> extents) {
   if (extents.empty()) return 0;
   std::uint64_t total = 0;

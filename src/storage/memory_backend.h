@@ -94,11 +94,9 @@ class MemoryBackend final : public Backend {
   MemoryBackend() = default;
 
   std::uint64_t size() const override;
-  void read(std::uint64_t offset, std::span<std::byte> out) override;
-  void write(std::uint64_t offset, std::span<const std::byte> data) override;
-  /// Vectored paths: one lock acquisition and one stats count for the
-  /// whole extent list (a per-extent copy loop inside).  Inside a Lend
-  /// scope, writes share lent pages instead of copying them.
+  /// One lock acquisition and one stats count for the whole extent list
+  /// (a per-extent copy loop inside).  Inside a Lend scope, writes
+  /// share lent pages instead of copying them.
   [[nodiscard]] std::uint64_t write_v(
       std::span<const WriteExtent> extents) override;
   [[nodiscard]] std::uint64_t read_v(

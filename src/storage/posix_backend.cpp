@@ -238,23 +238,6 @@ std::uint64_t PosixBackend::size() const {
   return static_cast<std::uint64_t>(st.st_size);
 }
 
-void PosixBackend::read(std::uint64_t offset, std::span<std::byte> out) {
-  APIO_INVARIANT(offset + out.size() >= offset, "read range overflows offset space");
-  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, out.size(), "posix",
-                               storage_read_hist(), &storage_bytes_read());
-  if (pread_upto(fd_, out, offset, path_) < out.size()) throw_past_eof(path_);
-  count_read(out.size());
-}
-
-void PosixBackend::write(std::uint64_t offset, std::span<const std::byte> data) {
-  APIO_INVARIANT(offset + data.size() >= offset, "write range overflows offset space");
-  obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, data.size(), "posix",
-                               storage_write_hist(), &storage_bytes_written());
-  std::lock_guard lock(write_mutex_);
-  detail::write_fully(pwrite_to(fd_), offset, data, path_);
-  count_write(data.size());
-}
-
 std::uint64_t PosixBackend::write_v(std::span<const WriteExtent> extents) {
   if (extents.empty()) return 0;
   Pieces pieces(extents.size());

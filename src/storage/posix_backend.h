@@ -47,8 +47,6 @@ class PosixBackend final : public Backend {
   PosixBackend& operator=(const PosixBackend&) = delete;
 
   std::uint64_t size() const override;
-  void read(std::uint64_t offset, std::span<std::byte> out) override;
-  void write(std::uint64_t offset, std::span<const std::byte> data) override;
   [[nodiscard]] std::uint64_t write_v(
       std::span<const WriteExtent> extents) override;
   [[nodiscard]] std::uint64_t read_v(

@@ -283,6 +283,13 @@ TEST_P(BackendContractTest, EmptyExtentsTransferNothing) {
   const std::vector<ReadExtent> reads{{4, {}}, {8, out}};
   EXPECT_EQ(b->read_v(reads), 2u);
   EXPECT_EQ(out, data);
+
+  // Past end of object an empty extent still transfers nothing, as a
+  // batch's trailing extent and as a scalar read.
+  const std::vector<ReadExtent> past_end{{8, out}, {100, {}}};
+  EXPECT_NO_THROW(EXPECT_EQ(b->read_v(past_end), 2u));
+  EXPECT_NO_THROW(b->read(200, {}));
+  EXPECT_EQ(b->size(), 10u);
 }
 
 TEST_P(BackendContractTest, EmptyWritesDoNotGrow) {

@@ -205,9 +205,16 @@ TEST(VectoredBackendTest, PosixWriteVMatchesScalarWritesOnRandomExtents) {
   // Differential property test: a posix write_v (sieved where holes are
   // small) and one scalar write per extent must leave byte-identical
   // files, over empty and prefilled files whose end of file falls
-  // anywhere, including inside a window.
+  // anywhere, including inside a window.  A scalar write is a
+  // one-extent write_v through the same planner, so the test also
+  // checks that the reference never forms a sieve window: every window
+  // it counts comes from the write_v side.
   const std::string vec_path = temp_path("apio_vectored_diff_v.bin");
   const std::string ref_path = temp_path("apio_vectored_diff_s.bin");
+  const obs::Counter& windows = obs::Registry::instance().counter("storage.sieve_windows");
+  obs::Registry::instance().reset();
+  obs::set_enabled(true);
+  std::uint64_t vec_windows = 0;
   std::mt19937 rng(20261016);
   const auto draw = [&](std::uint32_t n) { return static_cast<std::uint32_t>(rng() % n); };
   for (int iter = 0; iter < 80; ++iter) {
@@ -242,13 +249,16 @@ TEST(VectoredBackendTest, PosixWriteVMatchesScalarWritesOnRandomExtents) {
     }
     std::vector<WriteExtent> writes;
     std::uint64_t total = 0;
+    const std::uint64_t windows_before_ref = windows.total();
     for (std::size_t i = 0; i < layout.size(); ++i) {
       writes.push_back({layout[i].first, payloads[i]});
       ref.write(layout[i].first, payloads[i]);
       total += layout[i].second;
     }
+    ASSERT_EQ(windows.total(), windows_before_ref) << "reference sieved, iter " << iter;
     const auto before = vec.stats();
     ASSERT_EQ(vec.write_v(writes), total) << "iter " << iter;
+    vec_windows += windows.total() - windows_before_ref;
     EXPECT_EQ(vec.stats().write_ops - before.write_ops, 1u) << "iter " << iter;
     EXPECT_EQ(vec.stats().bytes_written - before.bytes_written, total) << "iter " << iter;
 
@@ -265,6 +275,8 @@ TEST(VectoredBackendTest, PosixWriteVMatchesScalarWritesOnRandomExtents) {
     ASSERT_EQ(vec.read_v(reads), total) << "iter " << iter;
     EXPECT_EQ(outs, payloads) << "iter " << iter;
   }
+  obs::set_enabled(false);
+  EXPECT_GT(vec_windows, 0u) << "no write_v sieved: the property is vacuous";
   std::filesystem::remove(vec_path);
   std::filesystem::remove(ref_path);
 }

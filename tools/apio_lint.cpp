@@ -41,6 +41,15 @@
 //                 A/B mode (FileProps::vectored_io = false) issues the
 //                 one selection walk's segments one call each; its
 //                 write and read lines carry the only waivers.
+//   scalar-transfer  each direction has one transfer path per backend:
+//                 write_v/read_v.  storage::Backend gives the scalar
+//                 write()/read() their one body (a one-extent batch);
+//                 they cannot be final because bench/e2e's probe
+//                 overrides them, so this rule rejects any other
+//                 read(std::uint64_t ..., byte span) or
+//                 write(std::uint64_t ..., byte span) declaration or
+//                 definition under src/.  src/storage/backend.h is
+//                 exempt; bench/ and tests/ are out of scope.
 //   trace-phase   causal-trace spans in src/ must be attributed to a
 //                 named phase from the obs::trace::Phase enum: every
 //                 ScopedPhase / record_phase line must spell a
@@ -116,6 +125,8 @@ void lint_file(const fs::path& root, const fs::path& file) {
                              file.filename() == "trace_context.cpp";
   const bool is_io_vector_impl = file.filename() == "io_vector.h" ||
                                  file.filename() == "io_vector.cpp";
+  const bool is_backend_base =
+      file.generic_string() == (root / "src" / "storage" / "backend.h").generic_string();
   const bool is_header = file.extension() == ".h";
 
   apio::analysis::SourceFile sf;
@@ -180,6 +191,21 @@ void lint_file(const fs::path& root, const fs::path& file) {
              "(write_v/read_v), not issue per-segment backend calls; "
              "only the scalar A/B mode's per-segment call carries "
              "apio-lint: allow(io-vector)");
+    }
+
+    if (in_src && !is_backend_base &&
+        (has_token(code, "read(std::uint64_t") ||
+         has_token(code, "write(std::uint64_t")) &&
+        !waived(raw, "scalar-transfer")) {
+      // The byte span may sit on the next line of a wrapped signature.
+      const std::string next = li + 1 < sf.code.size() ? sf.code[li + 1] : "";
+      const std::string sig = code + " " + next;
+      if (contains(sig, "std::span<") && contains(sig, "std::byte>")) {
+        report(sf.path, lineno, "scalar-transfer",
+               "a backend's scalar read()/write() are storage::Backend's "
+               "one-extent batches; implement the transfer once in "
+               "read_v()/write_v() instead of overriding them");
+      }
     }
 
     if (in_src && !is_trace_impl) {
