@@ -3,7 +3,8 @@
 #
 #   1. default build + complete ctest suite (includes the apio_lint
 #      concurrency-hygiene check, the apio_analyze static-analysis
-#      gate and the bench-smoke fixtures as test cases),
+#      gate and the bench-smoke fixtures as test cases), plus 60 more
+#      seeds of the seeded model generators,
 #   2. apio_analyze over src/ + tools/ with the checked-in baseline,
 #      archiving the machine-readable report to
 #      build/analysis-report.json (see DESIGN.md "Static analysis"),
@@ -48,7 +49,10 @@
 #      breaker-rejection and two-fault trace cases, which run the
 #      resilient backend's retry loop under the async connector, and
 #      the vectored-dataset and trace suites, for the dataset planner's
-#      buffer-slice arithmetic and the trace CSV's number parser.
+#      buffer-slice arithmetic and the trace CSV's number parser, and
+#      the posix-sequence, byte-ranges and hyperslab-generator suites,
+#      for the sieve's recorded-range interval set and the selection
+#      odometer's index arithmetic.
 #
 # Usage: ci/check.sh [--skip-tsan]
 set -euo pipefail
@@ -67,6 +71,11 @@ echo "==> [1/8] default build + full test suite"
 cmake --preset default
 cmake --build --preset default -j "${JOBS}"
 ctest --preset default -j "${JOBS}"
+# The seeded generators (posix sequences against a byte array, random
+# hyperslabs against a brute-force enumerator) run 3 seeds under ctest;
+# gtest's shuffle seed gives each of these 60 repeats a seed of its own.
+build/tests/seeded_model_test --gtest_shuffle --gtest_random_seed=1 \
+  --gtest_repeat=60 --gtest_brief=1
 
 echo "==> [2/8] static analysis (apio_analyze)"
 build/tools/apio_analyze . \
@@ -153,10 +162,10 @@ else
   ctest --preset tsan -j "${JOBS}"
 fi
 
-echo "==> [8/8] asan-ubsan build + fault-matrix, async-connector, backend, handle-lifetime, path-index, cache, paged-memory, collective-write, two-phase, passthrough, adaptive-loop, request, close-race, container-parsing, retry-loop, vectored-dataset and trace suites"
+echo "==> [8/8] asan-ubsan build + fault-matrix, async-connector, backend, handle-lifetime, path-index, cache, paged-memory, collective-write, two-phase, passthrough, adaptive-loop, request, close-race, container-parsing, retry-loop, vectored-dataset, trace, posix-sequence, byte-ranges and hyperslab-generator suites"
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "${JOBS}"
 ctest --preset asan-ubsan -j "${JOBS}" \
-  -R 'Resilience|FaultInjection|AsyncConnector|VectoredBackend|BackendContract|HandleLifetime|PathIndex|Cache|PagedMemory|CollectiveWrite|TwoPhase|Passthrough|ModeAdvisor|AdaptiveConnector|FeedbackLoop|Alloc|RequestTest|ConnectorCloseRace|Corruption|H5Fuzz|Chunked|BreakerRejected|SurvivingTwoFaults|VectoredDataset|TraceTest'
+  -R 'Resilience|FaultInjection|AsyncConnector|VectoredBackend|BackendContract|HandleLifetime|PathIndex|Cache|PagedMemory|CollectiveWrite|TwoPhase|Passthrough|ModeAdvisor|AdaptiveConnector|FeedbackLoop|Alloc|RequestTest|ConnectorCloseRace|Corruption|H5Fuzz|Chunked|BreakerRejected|SurvivingTwoFaults|VectoredDataset|TraceTest|PosixSequence|ByteRanges|HyperslabGenerator'
 
 echo "==> all checks passed"

@@ -103,150 +103,66 @@ std::vector<std::uint64_t> row_pitches(const Dims& extent) {
   return pitch;
 }
 
-namespace {
-
-/// Merges adjacent runs before forwarding them: a hyperslab that covers
-/// full trailing dimensions (e.g. whole samples of a [N, X, Y, Z]
-/// dataset) otherwise decomposes into thousands of tiny per-row runs,
-/// each paying a backend round-trip.
-class RunCoalescer {
- public:
-  explicit RunCoalescer(const std::function<void(std::uint64_t, std::uint64_t)>& fn)
-      : fn_(fn) {}
-
-  void add(std::uint64_t offset, std::uint64_t count) {
-    if (pending_count_ > 0 && offset == pending_offset_ + pending_count_) {
-      pending_count_ += count;
-      return;
+RunWalker::RunWalker(const Dims& extent, const Selection& selection, bool fold_rows)
+    : rank_(extent.size()) {
+  if (rank_ > kInlineRank) spill_.resize(rank_);
+  dims_ = rank_ > kInlineRank ? spill_.data() : inline_.data();
+  std::uint64_t pitch = 1;
+  for (std::size_t d = rank_; d-- > 0;) {
+    Dim& s = dims_[d];
+    s.pitch = pitch;
+    pitch *= extent[d];
+    if (selection.is_all()) {
+      s.count = extent[d];
+    } else {
+      const Hyperslab& slab = selection.slab();
+      s.start = slab.start[d];
+      s.stride = dim_or_one(slab.stride, d);
+      s.block = dim_or_one(slab.block, d);
+      s.count = slab.count[d];
     }
-    flush();
-    pending_offset_ = offset;
-    pending_count_ = count;
+    s.coord = s.start;
+    offset_ += s.start * s.pitch;
+    done_ = done_ || s.count == 0;
   }
-
-  /// Emits the trailing run.  Must be called explicitly — emitting from
-  /// the destructor would turn a throwing consumer (e.g. a failing
-  /// backend write) into std::terminate.
-  void finish() { flush(); }
-
- private:
-  void flush() {
-    if (pending_count_ > 0) fn_(pending_offset_, pending_count_);
-    pending_count_ = 0;
+  // The last dimension steps one block per run, or one row per run when
+  // packed (block == stride).  A run that covers its rows whole folds in
+  // the dimension above, whose rows then follow each other in the file.
+  for (std::size_t last = rank_; last-- > 0;) {
+    Dim& s = dims_[last];
+    if (s.stride == s.block) {
+      s.block *= s.count;
+      s.count = 1;
+    }
+    count_ = s.block * s.pitch;
+    s.block = 1;
+    rank_ = last + 1;
+    if (!fold_rows || last == 0 || count_ != extent[last] * s.pitch) break;
   }
-
-  const std::function<void(std::uint64_t, std::uint64_t)>& fn_;
-  std::uint64_t pending_offset_ = 0;
-  std::uint64_t pending_count_ = 0;
-};
-
-}  // namespace
-
-void for_each_run(const Dims& extent, const Selection& selection,
-                  const std::function<void(std::uint64_t, std::uint64_t)>& fn) {
-  selection.validate(extent);
-  const std::size_t rank = extent.size();
-
-  if (selection.is_all() || rank == 0) {
-    const std::uint64_t n = num_elements(extent);
-    if (n > 0) fn(0, n);
-    return;
-  }
-
-  const Hyperslab& slab = selection.slab();
-  for (std::uint64_t c : slab.count) {
-    if (c == 0) return;  // empty selection
-  }
-
-  const auto pitch = row_pitches(extent);
-  const std::size_t last = rank - 1;
-  const std::uint64_t last_stride = dim_or_one(slab.stride, last);
-  const std::uint64_t last_block = dim_or_one(slab.block, last);
-  // A fully packed last dimension collapses into one run per outer coord.
-  const bool last_contiguous = (last_stride == last_block) || slab.count[last] == 1;
-
-  // Odometer over all dims except the innermost; for each outer
-  // coordinate tuple, emit the innermost run(s).  The coalescer merges
-  // runs that happen to be file-adjacent (full trailing dimensions).
-  RunCoalescer out(fn);
-  std::function<void(std::size_t, std::uint64_t)> walk =
-      [&](std::size_t dim, std::uint64_t base) {
-        if (dim == last) {
-          if (last_contiguous) {
-            const std::uint64_t off = base + slab.start[last];
-            out.add(off, slab.count[last] * last_block);
-          } else {
-            for (std::uint64_t b = 0; b < slab.count[last]; ++b) {
-              const std::uint64_t off = base + slab.start[last] + b * last_stride;
-              out.add(off, last_block);
-            }
-          }
-          return;
-        }
-        const std::uint64_t stride = dim_or_one(slab.stride, dim);
-        const std::uint64_t block = dim_or_one(slab.block, dim);
-        for (std::uint64_t b = 0; b < slab.count[dim]; ++b) {
-          for (std::uint64_t k = 0; k < block; ++k) {
-            const std::uint64_t coord = slab.start[dim] + b * stride + k;
-            walk(dim + 1, base + coord * pitch[dim]);
-          }
-        }
-      };
-  walk(0, 0);
-  out.finish();
+  for (std::size_t d = 0; d < rank_; ++d) runs_ *= dims_[d].block * dims_[d].count;
+  if (done_) runs_ = 0;
 }
 
-void for_each_row_run(const Dims& extent, const Selection& selection,
-                      const std::function<void(const Dims&, std::uint64_t)>& fn) {
-  selection.validate(extent);
-  const std::size_t rank = extent.size();
-
-  if (rank == 0) {
-    fn(Dims{}, 1);
-    return;
-  }
-
-  // Normalise "all" to a covering hyperslab so one code path remains.
-  Hyperslab slab;
-  if (selection.is_all()) {
-    slab.start.assign(rank, 0);
-    slab.count = extent;
-  } else {
-    slab = selection.slab();
-  }
-  for (std::uint64_t c : slab.count) {
-    if (c == 0) return;
-  }
-
-  const std::size_t last = rank - 1;
-  const std::uint64_t last_stride = dim_or_one(slab.stride, last);
-  const std::uint64_t last_block = dim_or_one(slab.block, last);
-  const bool last_contiguous = (last_stride == last_block) || slab.count[last] == 1;
-
-  Dims coord(rank, 0);
-  std::function<void(std::size_t)> walk = [&](std::size_t dim) {
-    if (dim == last) {
-      if (last_contiguous) {
-        coord[last] = slab.start[last];
-        fn(coord, slab.count[last] * last_block);
-      } else {
-        for (std::uint64_t b = 0; b < slab.count[last]; ++b) {
-          coord[last] = slab.start[last] + b * last_stride;
-          fn(coord, last_block);
-        }
-      }
+void RunWalker::advance() {
+  for (std::size_t d = rank_; d-- > 0;) {
+    Dim& s = dims_[d];
+    if (++s.k < s.block) {
+      ++s.coord;
+      offset_ += s.pitch;
       return;
     }
-    const std::uint64_t stride = dim_or_one(slab.stride, dim);
-    const std::uint64_t block = dim_or_one(slab.block, dim);
-    for (std::uint64_t b = 0; b < slab.count[dim]; ++b) {
-      for (std::uint64_t k = 0; k < block; ++k) {
-        coord[dim] = slab.start[dim] + b * stride + k;
-        walk(dim + 1);
-      }
+    s.k = 0;
+    if (++s.b < s.count) {
+      const std::uint64_t jump = s.stride - s.block + 1;
+      s.coord += jump;
+      offset_ += jump * s.pitch;
+      return;
     }
-  };
-  walk(0);
+    s.b = 0;
+    offset_ -= (s.coord - s.start) * s.pitch;
+    s.coord = s.start;
+  }
+  done_ = true;
 }
 
 }  // namespace apio::h5

@@ -78,39 +78,35 @@ void mark_removed(meta::GroupNode& group) {
   for (auto& [name, child] : group.groups) mark_removed(*child);
 }
 
-/// Decomposes a selection over a chunked dataset into chunk-local
-/// segments: each row run is split at chunk boundaries of the last
-/// dimension and reported as fn(chunk_coord, local_linear_elem,
+/// Decomposes the rest of `walker`'s walk over a chunked dataset into
+/// chunk-local segments: each row run is split at chunk boundaries of
+/// the last dimension and reported as fn(chunk_coord, local_linear_elem,
 /// seg_elems, buf_elem_off), where buf_elem_off is the segment's
-/// position in the packed transfer buffer.  Dataset::plan is its one
-/// caller.
-void for_each_chunk_segment(
-    const Dims& dims, const Dims& chunk, const Selection& selection,
-    const std::function<void(const Dims&, std::uint64_t, std::uint64_t,
-                             std::uint64_t)>& fn) {
+/// position in the packed transfer buffer.  `walker` must not fold rows.
+/// Dataset::plan is its one caller.
+template <typename Fn>
+void for_each_chunk_segment(RunWalker& walker, const Dims& chunk, Fn&& fn) {
   const auto cpitch = row_pitches(chunk);
-  const std::size_t last = dims.size() - 1;
+  const std::size_t last = chunk.size() - 1;
   Dims chunk_coord(chunk.size());
-  Dims local(chunk.size());
   std::uint64_t buf_elem = 0;
-  for_each_row_run(dims, selection, [&](const Dims& start, std::uint64_t count) {
-    Dims c = start;
-    std::uint64_t remaining = count;
-    while (remaining > 0) {
-      for (std::size_t i = 0; i < chunk.size(); ++i) {
-        chunk_coord[i] = c[i] / chunk[i];
-        local[i] = c[i] % chunk[i];
-      }
-      const std::uint64_t seg =
-          std::min<std::uint64_t>(remaining, chunk[last] - local[last]);
-      std::uint64_t local_linear = 0;
-      for (std::size_t i = 0; i < chunk.size(); ++i) local_linear += local[i] * cpitch[i];
-      fn(chunk_coord, local_linear, seg, buf_elem);
+  for (; !walker.done(); walker.advance()) {
+    std::uint64_t local_rows = 0;
+    for (std::size_t i = 0; i < last; ++i) {
+      chunk_coord[i] = walker.coord(i) / chunk[i];
+      local_rows += (walker.coord(i) % chunk[i]) * cpitch[i];
+    }
+    std::uint64_t col = walker.coord(last);
+    for (std::uint64_t remaining = walker.count(); remaining > 0;) {
+      chunk_coord[last] = col / chunk[last];
+      const std::uint64_t local = col % chunk[last];
+      const std::uint64_t seg = std::min<std::uint64_t>(remaining, chunk[last] - local);
+      fn(static_cast<const Dims&>(chunk_coord), local_rows + local, seg, buf_elem);
       buf_elem += seg;
       remaining -= seg;
-      c[last] += seg;
+      col += seg;
     }
-  });
+  }
 }
 
 /// File offset the planner reports for a segment of a chunk that was
@@ -180,7 +176,8 @@ void Dataset::require_valid() const {
 }
 
 template <typename Byte, typename Fn>
-void Dataset::plan(const Selection& selection, std::span<Byte> buf, Fn&& fn) const {
+void Dataset::plan(const Selection& selection, std::span<Byte> buf, IoVector& iov,
+                   Fn&& fn) const {
   constexpr bool kWrite = std::is_const_v<Byte>;
   // Validate before sizing: npoints() walks block/stride by count's
   // rank, so a malformed selection must be rejected before any code
@@ -194,9 +191,18 @@ void Dataset::plan(const Selection& selection, std::span<Byte> buf, Fn&& fn) con
                    std::to_string(n * elsize) + ")");
   if (n == 0) return;
 
-  if (node_->layout == Layout::kContiguous) {
+  const bool contiguous = node_->layout == Layout::kContiguous;
+  RunWalker walker(node_->dims, selection, /*fold_rows=*/contiguous);
+  if (file_->props_.vectored_io) {
+    if constexpr (kWrite) {
+      iov.reserve_writes(walker.runs());
+    } else {
+      iov.reserve_reads(walker.runs());
+    }
+  }
+  if (contiguous) {
     std::uint64_t buf_off = 0;
-    for_each_run(node_->dims, selection, [&](std::uint64_t elem_off, std::uint64_t count) {
+    for_each_run(walker, [&](std::uint64_t elem_off, std::uint64_t count) {
       fn(node_->data_offset + elem_off * elsize, buf.subspan(buf_off, count * elsize));
       buf_off += count * elsize;
     });
@@ -209,7 +215,7 @@ void Dataset::plan(const Selection& selection, std::span<Byte> buf, Fn&& fn) con
   const std::uint64_t chunk_bytes = num_elements(node_->chunk_dims) * elsize;
   std::map<Dims, std::uint64_t> chunk_offs;
   for_each_chunk_segment(
-      node_->dims, node_->chunk_dims, selection,
+      walker, node_->chunk_dims,
       [&](const Dims& cc, std::uint64_t local_linear, std::uint64_t seg,
           std::uint64_t buf_elem) {
         auto it = chunk_offs.find(cc);
@@ -233,7 +239,7 @@ void Dataset::write_raw(const Selection& selection, std::span<const std::byte> d
   storage::Backend& backend = *file_->backend_;
   const bool vectored = file_->props_.vectored_io;
   IoVector iov;
-  plan(selection, data, [&](std::uint64_t off, std::span<const std::byte> seg) {
+  plan(selection, data, iov, [&](std::uint64_t off, std::span<const std::byte> seg) {
     // The scalar A/B mode bypasses IoVector so no two segments merge.
     if (vectored) {
       iov.add_write(off, seg);
@@ -249,7 +255,7 @@ void Dataset::read_raw(const Selection& selection, std::span<std::byte> out) con
   storage::Backend& backend = *file_->backend_;
   const bool vectored = file_->props_.vectored_io;
   IoVector iov;
-  plan(selection, out, [&](std::uint64_t off, std::span<std::byte> seg) {
+  plan(selection, out, iov, [&](std::uint64_t off, std::span<std::byte> seg) {
     if (off == kUnwritten) {
       std::memset(seg.data(), 0, seg.size());  // fill value
     } else if (vectored) {

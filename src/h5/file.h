@@ -31,6 +31,7 @@ namespace apio::h5 {
 
 class File;
 class Group;
+class IoVector;
 using FilePtr = std::shared_ptr<File>;
 
 /// Handle to a dataset.  Lightweight; valid while the file is open and
@@ -125,12 +126,15 @@ class Dataset {
 
   std::uint64_t npoints_of(const Selection& selection) const;
   /// The one selection walk behind write_raw and read_raw (on a valid
-  /// handle): validates the selection against `buf`, then reports each
-  /// segment as fn(file_offset, slice of buf) in walk order.  A write
-  /// (const Byte) allocates chunks on first touch; a read reports a
-  /// segment of a never-written chunk with an all-ones file offset.
+  /// handle): validates the selection against `buf`, reserves `iov` for
+  /// the walk's runs when the file issues vectored transfers, then
+  /// reports each segment as fn(file_offset, slice of buf) in walk
+  /// order.  A write (const Byte) allocates chunks on first touch; a
+  /// read reports a segment of a never-written chunk with an all-ones
+  /// file offset.
   template <typename Byte, typename Fn>
-  void plan(const Selection& selection, std::span<Byte> buf, Fn&& fn) const;
+  void plan(const Selection& selection, std::span<Byte> buf, IoVector& iov,
+            Fn&& fn) const;
   void require_dtype(Datatype t) const;
   void require_valid() const;
 

@@ -77,6 +77,8 @@ void IoVector::add_write(std::uint64_t offset, std::span<const std::byte> data) 
     ++merged_;
     return;
   }
+  in_order_ = in_order_ && (writes_.empty() || offset >= writes_.back().offset +
+                                                         writes_.back().data.size());
   writes_.push_back({offset, data});
 }
 
@@ -89,13 +91,15 @@ void IoVector::add_read(std::uint64_t offset, std::span<std::byte> out) {
     ++merged_;
     return;
   }
+  in_order_ = in_order_ && (reads_.empty() || offset >= reads_.back().offset +
+                                                        reads_.back().out.size());
   reads_.push_back({offset, out});
 }
 
 void IoVector::write_to(storage::Backend& backend) {
   APIO_REQUIRE(reads_.empty(), "IoVector holds read segments; use read_from");
   if (writes_.empty()) return;
-  merged_ += sort_and_merge(writes_);
+  if (!in_order_) merged_ += sort_and_merge(writes_);
   if (obs::enabled()) {
     vectored_ops_counter().increment();
     extents_merged_counter().add(merged_);
@@ -108,7 +112,7 @@ void IoVector::write_to(storage::Backend& backend) {
 void IoVector::read_from(storage::Backend& backend) {
   APIO_REQUIRE(writes_.empty(), "IoVector holds write segments; use write_to");
   if (reads_.empty()) return;
-  merged_ += sort_and_merge(reads_);
+  if (!in_order_) merged_ += sort_and_merge(reads_);
   if (obs::enabled()) {
     vectored_ops_counter().increment();
     extents_merged_counter().add(merged_);
@@ -123,6 +127,7 @@ void IoVector::clear() {
   reads_.clear();
   bytes_ = 0;
   merged_ = 0;
+  in_order_ = true;
 }
 
 }  // namespace apio::h5

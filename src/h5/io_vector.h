@@ -9,8 +9,10 @@
 // (file offset, memory span) segment of one transfer, sorts them by
 // file offset, merges segments that are adjacent in BOTH the file and
 // memory, and hands the whole list to Backend::write_v/read_v in a
-// single call.  Leaf backends then
-// batch remaining file-adjacent extents into one pwritev/preadv each.
+// single call.  Segments that arrive in file order, as a contiguous
+// layout's walk emits them, merge as they are added and skip the sort.
+// Leaf backends then batch remaining file-adjacent extents into one
+// pwritev/preadv each.
 //
 // A builder is single-transfer, single-thread state: fill it, issue it
 // once, drop it (or clear() for reuse).  Write and read segments must
@@ -34,7 +36,14 @@ class IoVector {
   /// Appends one scatter-read segment.  Empty segments are ignored.
   void add_read(std::uint64_t offset, std::span<std::byte> out);
 
-  /// Sorts, merges and issues all write segments as one vectored call.
+  /// Room for `segments` segments, so a planned walk appends without
+  /// regrowing.
+  void reserve_writes(std::size_t segments) { writes_.reserve(segments); }
+  void reserve_reads(std::size_t segments) { reads_.reserve(segments); }
+
+  /// Sorts and merges the write segments, unless they arrived in file
+  /// order (already merged as they came), and issues them as one
+  /// vectored call.
   /// Increments io.vectored_ops (one per issued call) and
   /// io.extents_merged (segments eliminated by coalescing).
   void write_to(storage::Backend& backend);
@@ -60,6 +69,8 @@ class IoVector {
   std::vector<storage::ReadExtent> reads_;
   std::uint64_t bytes_ = 0;
   std::uint64_t merged_ = 0;
+  /// Every segment started at or after the end of the one before it.
+  bool in_order_ = true;
 };
 
 }  // namespace apio::h5

@@ -39,4 +39,11 @@ inline obs::Counter& storage_sieve_hole_bytes() {
   return c;
 }
 
+/// Sieved write windows that met no byte the backend had written, so
+/// skipped their read-back.
+inline obs::Counter& storage_sieve_reads_skipped() {
+  static auto& c = obs::Registry::instance().counter("storage.sieve_reads_skipped");
+  return c;
+}
+
 }  // namespace apio::storage

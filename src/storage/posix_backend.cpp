@@ -42,6 +42,9 @@ constexpr std::size_t default_iov_limit() {
 constexpr std::uint64_t kSieveMaxHole = 4096;
 // A window with holes spans at most HDF5's default sieve buffer.
 constexpr std::uint64_t kSieveMaxSpan = 64 * 1024;
+// write_v keeps its piece scratch between calls up to this many pieces,
+// so one huge batch does not pin its iovec list for the file's lifetime.
+constexpr std::size_t kKeptPieces = 4096;
 
 detail::PwriteFn pwrite_to(int fd) {
   return [fd](const std::byte* buf, std::size_t len, std::uint64_t off) {
@@ -67,25 +70,7 @@ std::size_t pread_upto(int fd, std::span<std::byte> out, std::uint64_t offset,
   return done;
 }
 
-/// A vectored call's non-empty extents: the iovecs preadv/pwritev take,
-/// each beside its file offset.
-struct Pieces {
-  std::vector<struct iovec> iov;
-  std::vector<std::uint64_t> offset;
-
-  explicit Pieces(std::size_t n) {
-    iov.reserve(n);
-    offset.reserve(n);
-  }
-  void add(std::uint64_t at, const std::byte* data, std::size_t len) {
-    APIO_INVARIANT(at + len >= at, "extent overflows offset space");
-    if (len == 0) return;
-    iov.push_back({const_cast<std::byte*>(data), len});
-    offset.push_back(at);
-  }
-  std::size_t size() const { return iov.size(); }
-  std::uint64_t end(std::size_t k) const { return offset[k] + iov[k].iov_len; }
-};
+using detail::Pieces;
 
 /// Pieces [first, last), covering file bytes [begin, end), of which
 /// `holes` bytes lie between pieces.  A window without holes is a
@@ -144,18 +129,22 @@ void transfer_run(int fd, bool write, std::span<struct iovec> iov,
 }
 
 /// Moves every piece, window by window: a contiguous run through
-/// transfer_run, a window with holes as one pread of its span into a
-/// bounce buffer, then a scatter (read) or a patch and one pwrite
-/// (write).  A sieved write zero-fills the span past end of file; a
-/// sieved read ends at its last piece, so a short read is past EOF.
-void transfer(int fd, bool write, Pieces& p, std::size_t limit,
-              const std::string& path) {
-  std::vector<std::byte> bounce;
+/// transfer_run, a window with holes through `bounce`.  A sieved read is
+/// one pread of the span and a scatter; it ends at its last piece, so a
+/// short read is past EOF.  A sieved write patches the span and writes
+/// it back with one pwrite.  It reads the span first only when the span
+/// meets a byte in `written` (which a write records), and zero-fills it
+/// otherwise: past end of file, or in holes never written.
+void transfer(int fd, Pieces& p, std::size_t limit, const std::string& path,
+              std::vector<std::byte>& bounce, detail::ByteRanges* written) {
+  const bool write = written != nullptr;
   std::uint64_t windows = 0;
   std::uint64_t hole_bytes = 0;
+  std::uint64_t reads_skipped = 0;
   for (std::size_t i = 0; i < p.size();) {
     const Window w = window_at(p, i);
     i = w.last;
+    const bool read_back = !write || (written->insert(w.begin, w.end) && w.holes > 0);
     if (w.holes == 0) {
       transfer_run(fd, write, std::span(p.iov).subspan(w.first, w.last - w.first),
                    w.begin, limit, path);
@@ -164,32 +153,71 @@ void transfer(int fd, bool write, Pieces& p, std::size_t limit,
     ++windows;
     hole_bytes += w.holes;
     bounce.resize(w.end - w.begin);
-    const std::size_t got = pread_upto(fd, bounce, w.begin, path);
+    const std::size_t got = read_back ? pread_upto(fd, bounce, w.begin, path) : 0;
     const auto in_span = [&](std::size_t k) {
       return bounce.data() + (p.offset[k] - w.begin);
     };
-    if (write) {
-      std::memset(bounce.data() + got, 0, bounce.size() - got);
-      for (std::size_t k = w.first; k < w.last; ++k) {
-        std::memcpy(in_span(k), p.iov[k].iov_base, p.iov[k].iov_len);
-      }
-      detail::write_fully(pwrite_to(fd), w.begin, bounce, path);
-    } else {
+    if (!write) {
       if (got < bounce.size()) throw_past_eof(path);
       for (std::size_t k = w.first; k < w.last; ++k) {
         std::memcpy(p.iov[k].iov_base, in_span(k), p.iov[k].iov_len);
       }
+      continue;
     }
+    if (read_back) {
+      std::memset(bounce.data() + got, 0, bounce.size() - got);
+    } else {
+      ++reads_skipped;
+    }
+    for (std::size_t k = w.first; k < w.last; ++k) {
+      if (!read_back && k > w.first) {
+        std::memset(bounce.data() + (p.end(k - 1) - w.begin), 0, p.offset[k] - p.end(k - 1));
+      }
+      std::memcpy(in_span(k), p.iov[k].iov_base, p.iov[k].iov_len);
+    }
+    detail::write_fully(pwrite_to(fd), w.begin, bounce, path);
   }
   if (windows > 0 && obs::enabled()) {
     storage_sieve_windows().add(windows);
     storage_sieve_hole_bytes().add(hole_bytes);
+    storage_sieve_reads_skipped().add(reads_skipped);
   }
 }
 
 }  // namespace
 
 namespace detail {
+
+bool ByteRanges::insert(std::uint64_t begin, std::uint64_t end) {
+  if (begin >= end) return false;
+  auto it = runs_.upper_bound(begin);
+  const bool before = it != runs_.begin() && std::prev(it)->second >= begin;
+  const bool met = (before && std::prev(it)->second > begin) ||
+                   (it != runs_.end() && it->first < end);
+  it = before ? std::prev(it) : runs_.emplace_hint(it, begin, end);
+  // `it` covers `begin`: absorb every later run that starts by its end.
+  it->second = std::max(it->second, end);
+  for (auto next = std::next(it); next != runs_.end() && next->first <= it->second;
+       next = runs_.erase(next)) {
+    it->second = std::max(it->second, next->second);
+  }
+  return met;
+}
+
+void ByteRanges::truncate(std::uint64_t size) {
+  runs_.erase(runs_.lower_bound(size), runs_.end());
+  if (!runs_.empty()) {
+    auto& last = runs_.rbegin()->second;
+    last = std::min(last, size);
+  }
+}
+
+void Pieces::add(std::uint64_t at, const std::byte* data, std::size_t len) {
+  APIO_INVARIANT(at + len >= at, "extent overflows offset space");
+  if (len == 0) return;
+  iov.push_back({const_cast<std::byte*>(data), len});
+  offset.push_back(at);
+}
 
 void write_fully(const PwriteFn& op, std::uint64_t offset,
                  std::span<const std::byte> data, const std::string& path) {
@@ -221,6 +249,7 @@ PosixBackend::PosixBackend(const std::string& path, Mode mode)
   }
   fd_ = ::open(path.c_str(), flags, 0644);
   if (fd_ < 0) throw_errno("open failed for", path);
+  if (mode != Mode::kCreateTruncate) written_.insert(0, size());
 }
 
 PosixBackend::~PosixBackend() {
@@ -240,13 +269,14 @@ std::uint64_t PosixBackend::size() const {
 
 std::uint64_t PosixBackend::write_v(std::span<const WriteExtent> extents) {
   if (extents.empty()) return 0;
-  Pieces pieces(extents.size());
-  for (const auto& e : extents) pieces.add(e.offset, e.data.data(), e.data.size());
   const std::uint64_t total = extent_bytes(extents);
   obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, total, "posix",
                                storage_write_hist(), &storage_bytes_written());
   std::lock_guard lock(write_mutex_);
-  transfer(fd_, /*write=*/true, pieces, iov_limit_, path_);
+  write_pieces_.clear();
+  for (const auto& e : extents) write_pieces_.add(e.offset, e.data.data(), e.data.size());
+  transfer(fd_, write_pieces_, iov_limit_, path_, write_bounce_, &written_);
+  if (write_pieces_.size() > kKeptPieces) write_pieces_ = Pieces();
   count_write(total);
   return total;
 }
@@ -258,7 +288,8 @@ std::uint64_t PosixBackend::read_v(std::span<const ReadExtent> extents) {
   const std::uint64_t total = extent_bytes(extents);
   obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, total, "posix",
                                storage_read_hist(), &storage_bytes_read());
-  transfer(fd_, /*write=*/false, pieces, iov_limit_, path_);
+  std::vector<std::byte> bounce;
+  transfer(fd_, pieces, iov_limit_, path_, bounce, /*written=*/nullptr);
   count_read(total);
   return total;
 }
@@ -269,9 +300,11 @@ void PosixBackend::flush() {
 }
 
 void PosixBackend::truncate(std::uint64_t new_size) {
+  std::lock_guard lock(write_mutex_);
   if (::ftruncate(fd_, static_cast<off_t>(new_size)) != 0) {
     throw_errno("ftruncate failed for", path_);
   }
+  written_.truncate(new_size);
 }
 
 }  // namespace apio::storage

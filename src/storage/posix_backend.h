@@ -3,13 +3,18 @@
 // Vectored transfers are planned in windows: a file-contiguous run costs
 // one preadv/pwritev, and extents separated by holes smaller than a page
 // are data-sieved (Thakur/Gropp/Lusk, ROMIO) as one read of the covering
-// span, plus one write back for writes.
+// span, plus one write back for writes.  A write window over bytes this
+// backend never wrote skips the read and zero-fills its holes.
 #pragma once
+
+#include <sys/uio.h>
 
 #include <atomic>
 #include <cstddef>
 #include <functional>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "common/debug/lock_rank.h"
 #include "storage/backend.h"
@@ -17,6 +22,41 @@
 namespace apio::storage {
 
 namespace detail {
+
+/// Disjoint half-open byte ranges, coalesced on insert.  Memory grows
+/// with the number of disjoint runs, not with the bytes they cover.
+class ByteRanges {
+ public:
+  /// Adds [begin, end), merging with every run it overlaps or touches.
+  /// Returns whether some byte of it was recorded before.
+  bool insert(std::uint64_t begin, std::uint64_t end);
+  /// Drops every recorded byte at or past `size`.
+  void truncate(std::uint64_t size);
+  /// Disjoint runs held.
+  std::size_t runs() const { return runs_.size(); }
+
+ private:
+  std::map<std::uint64_t, std::uint64_t> runs_;  ///< begin -> end
+};
+
+/// A vectored call's non-empty extents: the iovecs preadv/pwritev take,
+/// each beside its file offset.
+struct Pieces {
+  std::vector<struct iovec> iov;
+  std::vector<std::uint64_t> offset;
+
+  explicit Pieces(std::size_t n = 0) {
+    iov.reserve(n);
+    offset.reserve(n);
+  }
+  void add(std::uint64_t at, const std::byte* data, std::size_t len);
+  void clear() {
+    iov.clear();
+    offset.clear();
+  }
+  std::size_t size() const { return iov.size(); }
+  std::uint64_t end(std::size_t k) const { return offset[k] + iov[k].iov_len; }
+};
 
 /// A positional-write primitive with pwrite's signature, injectable for
 /// tests.  Returns bytes written, or -1 with errno set.
@@ -33,9 +73,16 @@ void write_fully(const PwriteFn& op, std::uint64_t offset,
 
 }  // namespace detail
 
-/// File-backed flat object.  Reads need no user-space lock.  Writes
-/// serialise on one mutex: a sieved write rewrites the hole bytes of
-/// its window, which a concurrent writer of a disjoint range may own.
+/// File-backed flat object.  Reads need no user-space lock.  Writes and
+/// truncate serialise on one mutex: a sieved write rewrites the hole
+/// bytes of its window, which a concurrent writer of a disjoint range
+/// may own, and a shrink must not land between a window's read and its
+/// write back.
+///
+/// The backend records the byte ranges it has written since it created
+/// or last truncated the file; everything below the size found at open
+/// counts as written.  A sieve window reads back only when its span
+/// meets a recorded range, so the file must have this one writer.
 class PosixBackend final : public Backend {
  public:
   enum class Mode { kCreateTruncate, kOpenExisting, kOpenOrCreate };
@@ -68,6 +115,13 @@ class PosixBackend final : public Backend {
   int fd_ = -1;
   std::size_t iov_limit_;
   debug::RankedMutex<debug::LockRank::kStorageBase> write_mutex_;
+  // Guarded by write_mutex_: write_v's scratch, reused so that a warm
+  // call allocates nothing, and the byte ranges written so far.  A sieved
+  // write records its whole window before its syscalls, so a failed
+  // write errs toward reading more.
+  detail::Pieces write_pieces_;
+  std::vector<std::byte> write_bounce_;
+  detail::ByteRanges written_;
 };
 
 }  // namespace apio::storage

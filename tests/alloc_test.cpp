@@ -1,18 +1,20 @@
 // Heap traffic of the async connector's steady state, as seen by the
-// application thread.
+// application thread, and of one strided box write on the drain path.
 //
 // A counting global operator new, armed by a thread-local flag, counts
 // only what the test thread allocates while the flag is set: what a
 // caller pays per prefetch, per write and per prefetch-hit read once the
-// connector has warmed up.  Allocations on the background stream are
-// not counted.  This file is its own executable, so the replaced
-// operator new touches no other suite.
+// connector has warmed up, and what a Dataset::write_raw of a box costs
+// through h5 planning and the posix leaf.  Allocations on the background
+// stream are not counted.  This file is its own executable, so the
+// replaced operator new touches no other suite.
 #include <gtest/gtest.h>
 
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <mutex>
 #include <new>
 #include <string>
@@ -20,6 +22,7 @@
 
 #include "storage/decorator.h"
 #include "storage/memory_backend.h"
+#include "storage/posix_backend.h"
 #include "vol/async_connector.h"
 
 namespace {
@@ -209,6 +212,44 @@ TEST(AllocTest, SteadyStateEpochAllocatesNoPayloadBuffersAndFewSmallObjects) {
   EXPECT_EQ(got, std::vector<std::uint8_t>(kPayload, static_cast<std::uint8_t>(last)));
   EXPECT_EQ(conn.stats().failed_ops, 0u);
   conn.close();
+}
+
+TEST(AllocTest, StridedBoxWriteToPosixAllocatesAtMostOnce) {
+  // The amr_async drain's op: a 16^3 float32 box into a 64^3 contiguous
+  // dataset, 256 row runs.  One warm-up pass writes every box, so the
+  // posix leaf's scratch and its record of written bytes are at their
+  // steady size; what remains per write is the IoVector's one reserve.
+  constexpr std::uint64_t kBox = 16;
+  constexpr std::uint64_t kPerDim = 4;
+  constexpr int kPasses = 4;
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "apio_alloc_box.bin").string();
+  auto file = h5::File::create(std::make_shared<storage::PosixBackend>(
+      path, storage::PosixBackend::Mode::kCreateTruncate));
+  h5::Dataset ds = file->root().create_dataset("box", h5::Datatype::kFloat32,
+                                               {kBox * kPerDim, kBox * kPerDim, kBox * kPerDim});
+  std::vector<h5::Selection> boxes;
+  for (std::uint64_t b = 0; b < kPerDim * kPerDim * kPerDim; ++b) {
+    boxes.push_back(h5::Selection::offsets(
+        {b / (kPerDim * kPerDim) * kBox, b / kPerDim % kPerDim * kBox, b % kPerDim * kBox},
+        {kBox, kBox, kBox}));
+  }
+  const std::vector<float> values(kBox * kBox * kBox, 1.5f);
+  const auto bytes = std::as_bytes(std::span<const float>(values));
+  for (const auto& box : boxes) ds.write_raw(box, bytes);
+
+  const AllocCount c = count_allocations([&] {
+    for (int pass = 0; pass < kPasses; ++pass) {
+      for (const auto& box : boxes) ds.write_raw(box, bytes);
+    }
+  });
+  const double per_write = static_cast<double>(c.small + c.large) /
+                           static_cast<double>(kPasses * boxes.size());
+  std::printf("per strided box write_raw: %.2f allocations\n", per_write);
+  EXPECT_LE(per_write, 1.0);
+  EXPECT_EQ(ds.read_vector<float>(boxes.back()), values);
+  file->close();
+  std::filesystem::remove(path);
 }
 
 }  // namespace
