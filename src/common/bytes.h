@@ -104,10 +104,4 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-/// Reinterprets a typed object span as raw bytes (for data-path copies).
-template <typename T>
-std::span<const std::byte> as_bytes_span(std::span<const T> s) {
-  return std::as_bytes(s);
-}
-
 }  // namespace apio

@@ -1,10 +1,9 @@
-// Wall-clock and virtual-clock utilities.
+// Wall-clock and manual-clock utilities.
 //
-// Library code that must work both in real executions (tests, examples,
-// the real async VOL) and in virtual-time simulations (bench harness at
-// 2048 nodes) is written against the Clock interface.  Code that waits
-// (retry backoff) sleeps through a Sleeper, so tests inject a
-// ManualClock as both and never wall-sleep.
+// Code that reads time (retry deadlines, the circuit breaker, the fair
+// scheduler, the async connector) goes through the Clock interface, and
+// code that waits (retry backoff) sleeps through a Sleeper, so tests
+// inject a ManualClock as both and never wall-sleep.
 #pragma once
 
 #include <atomic>
@@ -30,25 +29,6 @@ class WallClock final : public Clock {
     using namespace std::chrono;
     return duration<double>(steady_clock::now().time_since_epoch()).count();
   }
-};
-
-/// Manually-advanced clock used by the discrete simulators.
-class VirtualClock final : public Clock {
- public:
-  double now() const override { return now_; }
-
-  /// Moves the clock forward by `dt` seconds (dt >= 0).
-  void advance(double dt) { now_ += dt; }
-
-  /// Jumps the clock to an absolute time >= now().
-  void advance_to(double t) {
-    if (t > now_) now_ = t;
-  }
-
-  void reset() { now_ = 0.0; }
-
- private:
-  double now_ = 0.0;
 };
 
 /// Where backoff delays go.  The wall implementation blocks the calling
@@ -84,21 +64,6 @@ class ManualClock final : public Clock, public Sleeper {
   std::atomic<std::int64_t> nanos_{0};
   mutable std::mutex mutex_;  // guards the sleep log only
   std::vector<double> sleeps_;
-};
-
-/// Simple RAII-free stopwatch over a Clock.
-class Stopwatch {
- public:
-  explicit Stopwatch(const Clock& clock) : clock_(&clock), start_(clock.now()) {}
-
-  /// Seconds elapsed since construction or the last restart().
-  double elapsed() const { return clock_->now() - start_; }
-
-  void restart() { start_ = clock_->now(); }
-
- private:
-  const Clock* clock_;
-  double start_;
 };
 
 }  // namespace apio

@@ -64,6 +64,8 @@ obs::Gauge& cache_cached_gauge() {
   return g;
 }
 
+constexpr std::uint64_t kPage = MemoryBackend::kPageBytes;
+
 }  // namespace
 
 const char* to_string(CacheConsistency mode) {
@@ -85,84 +87,13 @@ bool parse_cache_consistency(const std::string& text, CacheConsistency& out) {
 }
 
 // ---------------------------------------------------------------------------
-// Interval arithmetic (half-open [begin, end), coalescing)
-
-void CachedBackend::interval_add(IntervalMap& map, std::uint64_t begin,
-                                 std::uint64_t end) {
-  if (begin >= end) return;
-  auto it = map.upper_bound(begin);
-  if (it != map.begin() && std::prev(it)->second >= begin) --it;
-  std::uint64_t nb = begin;
-  std::uint64_t ne = end;
-  while (it != map.end() && it->first <= end) {
-    nb = std::min(nb, it->first);
-    ne = std::max(ne, it->second);
-    it = map.erase(it);
-  }
-  map[nb] = ne;
-}
-
-void CachedBackend::interval_sub(IntervalMap& map, std::uint64_t begin,
-                                 std::uint64_t end) {
-  if (begin >= end) return;
-  auto it = map.upper_bound(begin);
-  if (it != map.begin() && std::prev(it)->second > begin) --it;
-  while (it != map.end() && it->first < end) {
-    const std::uint64_t ib = it->first;
-    const std::uint64_t ie = it->second;
-    it = map.erase(it);
-    if (ib < begin) map[ib] = begin;
-    if (ie > end) {
-      map[end] = ie;
-      break;
-    }
-  }
-}
-
-CachedBackend::Ranges CachedBackend::interval_gaps(const IntervalMap& map,
-                                                  std::uint64_t begin,
-                                                  std::uint64_t end) {
-  Ranges gaps;
-  std::uint64_t pos = begin;
-  auto it = map.upper_bound(begin);
-  if (it != map.begin() && std::prev(it)->second > begin) --it;
-  for (; it != map.end() && it->first < end && pos < end; ++it) {
-    if (it->first > pos) gaps.emplace_back(pos, std::min(it->first, end));
-    pos = std::max(pos, it->second);
-  }
-  if (pos < end) gaps.emplace_back(pos, end);
-  return gaps;
-}
-
-std::uint64_t CachedBackend::interval_total(const IntervalMap& map) {
-  std::uint64_t total = 0;
-  for (const auto& [b, e] : map) total += e - b;
-  return total;
-}
-
-CachedBackend::IntervalMap CachedBackend::interval_intersect(
-    const IntervalMap& map, std::uint64_t begin, std::uint64_t end) {
-  IntervalMap out;
-  if (begin >= end) return out;
-  auto it = map.upper_bound(begin);
-  if (it != map.begin() && std::prev(it)->second > begin) --it;
-  for (; it != map.end() && it->first < end; ++it) {
-    const std::uint64_t b = std::max(it->first, begin);
-    const std::uint64_t e = std::min(it->second, end);
-    if (b < e) out[b] = e;
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // Lifecycle
 
 CachedBackend::CachedBackend(BackendPtr inner, CacheOptions options)
     : inner_(std::move(inner)), options_(options) {
   APIO_REQUIRE(inner_ != nullptr, "CachedBackend needs an inner backend");
-  APIO_REQUIRE(options_.block_bytes > 0, "cache block size must be positive");
-  APIO_REQUIRE(options_.capacity_bytes >= options_.block_bytes,
-               "cache capacity must hold at least one block");
+  APIO_REQUIRE(options_.capacity_bytes >= kPage,
+               "cache capacity must hold at least one page");
   logical_size_ = inner_->size();
   if (options_.consistency == CacheConsistency::kAfterEpoch) {
     obs::add_epoch_sink(this);
@@ -180,7 +111,7 @@ CachedBackend::~CachedBackend() {
     drain();
   } catch (...) {
     std::lock_guard lock(mutex_);
-    const std::uint64_t lost = interval_total(dirty_);
+    const std::uint64_t lost = dirty_.bytes();
     lost_bytes_.fetch_add(lost, std::memory_order_relaxed);
     cache_lost_bytes_counter().add(lost);
   }
@@ -208,7 +139,7 @@ std::uint64_t CachedBackend::read_v(std::span<const ReadExtent> extents) {
   // the lock and stages them at the start of the next round; an
   // eviction in between only costs another round.
   bool hit = true;
-  Ranges gaps;
+  Runs gaps;
   std::vector<std::byte> fetched;
   std::uint64_t moved = 0;
   for (;;) {
@@ -226,12 +157,11 @@ std::uint64_t CachedBackend::read_v(std::span<const ReadExtent> extents) {
                         std::to_string(e.out.size()) + " > " +
                         std::to_string(logical_size_) + ")");
         }
-        const auto g = interval_gaps(valid_, e.offset, end);
-        gaps.insert(gaps.end(), g.begin(), g.end());
+        valid_.gaps(e.offset, end, gaps);
       }
       if (gaps.empty()) {
         for (const auto& e : extents) {
-          touch_blocks_locked(e.offset, e.offset + e.out.size());
+          touch_pages_locked(e.offset, e.offset + e.out.size());
         }
         moved = staging_.read_v(extents);
         break;
@@ -266,13 +196,13 @@ std::uint64_t CachedBackend::write_v(std::span<const WriteExtent> extents) {
       const std::uint64_t end = e.offset + e.data.size();
       APIO_INVARIANT(end >= e.offset, "write range overflows offset space");
       if (e.data.empty()) continue;  // an empty extent does not grow the object
-      interval_add(valid_, e.offset, end);
-      interval_add(dirty_, e.offset, end);
-      if (writing_back_) interval_add(rewritten_, e.offset, end);
-      touch_blocks_locked(e.offset, end);
+      valid_.add(e.offset, end);
+      dirty_.add(e.offset, end);
+      if (writing_back_) rewritten_.add(e.offset, end);
+      touch_pages_locked(e.offset, end);
       logical_size_ = std::max(logical_size_, end);
     }
-    recount_locked();
+    update_gauges_locked();
   }
   count_write(moved);
   if (options_.consistency == CacheConsistency::kAfterWrite) {
@@ -282,9 +212,9 @@ std::uint64_t CachedBackend::write_v(std::span<const WriteExtent> extents) {
     (void)inner_->write_v(extents);
     std::lock_guard lock(mutex_);
     for (const auto& e : extents) {
-      interval_sub(dirty_, e.offset, e.offset + e.data.size());
+      dirty_.subtract(e.offset, e.offset + e.data.size());
     }
-    recount_locked();
+    update_gauges_locked();
   }
   enforce_capacity();
   return moved;
@@ -309,18 +239,14 @@ void CachedBackend::close() {
 void CachedBackend::truncate(std::uint64_t new_size) {
   {
     std::lock_guard lock(mutex_);
-    constexpr std::uint64_t kMaxOffset = ~std::uint64_t{0};
-    interval_sub(valid_, new_size, kMaxOffset);
-    interval_sub(dirty_, new_size, kMaxOffset);
-    interval_sub(rewritten_, new_size, kMaxOffset);
+    valid_.truncate(new_size);
+    dirty_.truncate(new_size);
+    rewritten_.truncate(new_size);
     logical_size_ = new_size;
-    recount_locked();
-    // Drop LRU entries for blocks that no longer hold valid bytes.
-    std::vector<std::uint64_t> blocks;
-    blocks.reserve(lru_pos_.size());
-    for (const auto& [block, it] : lru_pos_) blocks.push_back(block);
-    for (const std::uint64_t block : blocks) drop_block_if_empty_locked(block);
+    update_gauges_locked();
     if (staging_.size() > new_size) staging_.truncate(new_size);
+    const std::vector<std::uint64_t> pages(lru_.begin(), lru_.end());
+    for (const std::uint64_t page : pages) forget_page_if_empty_locked(page);
   }
   // Metadata operations are externally serialised (Backend contract),
   // so propagating eagerly keeps shrink/regrow honest in every mode:
@@ -332,49 +258,37 @@ void CachedBackend::truncate(std::uint64_t new_size) {
 // ---------------------------------------------------------------------------
 // Cache machinery
 
-void CachedBackend::touch_blocks_locked(std::uint64_t begin,
-                                        std::uint64_t end) {
+void CachedBackend::touch_pages_locked(std::uint64_t begin,
+                                       std::uint64_t end) {
   if (begin >= end) return;
-  const std::uint64_t first = begin / options_.block_bytes;
-  const std::uint64_t last = (end - 1) / options_.block_bytes;
-  for (std::uint64_t block = first; block <= last; ++block) {
-    // Extents of one batch often share a block: it is already hottest.
-    if (!lru_.empty() && lru_.front() == block) continue;
-    auto pos = lru_pos_.find(block);
+  for (std::uint64_t page = begin / kPage; page <= (end - 1) / kPage; ++page) {
+    // Extents of one batch often share a page: it is already hottest.
+    if (!lru_.empty() && lru_.front() == page) continue;
+    auto pos = lru_pos_.find(page);
     if (pos != lru_pos_.end()) lru_.erase(pos->second);
-    lru_.push_front(block);
-    lru_pos_[block] = lru_.begin();
+    lru_.push_front(page);
+    lru_pos_[page] = lru_.begin();
   }
 }
 
-void CachedBackend::drop_block_if_empty_locked(std::uint64_t block) {
-  const std::uint64_t b = block * options_.block_bytes;
-  if (!interval_intersect(valid_, b, b + options_.block_bytes).empty()) return;
-  auto pos = lru_pos_.find(block);
+void CachedBackend::forget_page_if_empty_locked(std::uint64_t page) {
+  const std::uint64_t at = page * kPage;
+  if (valid_.overlaps(at, at + kPage)) return;
+  staging_.discard(at, kPage);
+  auto pos = lru_pos_.find(page);
   if (pos == lru_pos_.end()) return;
   lru_.erase(pos->second);
   lru_pos_.erase(pos);
 }
 
-void CachedBackend::release_pages_locked(std::uint64_t begin,
-                                         std::uint64_t end) {
-  constexpr std::uint64_t kPage = MemoryBackend::kPageBytes;
-  for (std::uint64_t p = begin / kPage * kPage; p < end; p += kPage) {
-    if (interval_intersect(valid_, p, p + kPage).empty()) {
-      staging_.discard(p, kPage);
-    }
-  }
-}
-
-void CachedBackend::recount_locked() {
-  cached_bytes_ = interval_total(valid_);
-  cache_cached_gauge().set(static_cast<std::int64_t>(cached_bytes_));
+void CachedBackend::update_gauges_locked() {
+  cache_cached_gauge().set(static_cast<std::int64_t>(valid_.bytes()));
   cache_cached_gauge().note_watermark();
-  cache_dirty_gauge().set(static_cast<std::int64_t>(interval_total(dirty_)));
+  cache_dirty_gauge().set(static_cast<std::int64_t>(dirty_.bytes()));
   cache_dirty_gauge().note_watermark();
 }
 
-void CachedBackend::fetch(const Ranges& gaps, std::vector<std::byte>& buf) {
+void CachedBackend::fetch(const Runs& gaps, std::vector<std::byte>& buf) {
   // The read extents are sorted and disjoint, so their gaps are too:
   // one vectored fetch covers them all.
   std::uint64_t gap_bytes = 0;
@@ -402,22 +316,23 @@ void CachedBackend::fetch(const Ranges& gaps, std::vector<std::byte>& buf) {
   cache_miss_bytes_counter().add(fetched);
 }
 
-void CachedBackend::stage_fetched_locked(const Ranges& gaps,
+void CachedBackend::stage_fetched_locked(const Runs& gaps,
                                          std::span<const std::byte> buf) {
   std::vector<WriteExtent> stage;
+  Runs unstaged;
   std::uint64_t pos = 0;
   for (const auto& [gb, ge] : gaps) {
-    for (const auto& [sb, se] : interval_gaps(valid_, gb, ge)) {
+    unstaged.clear();
+    valid_.gaps(gb, ge, unstaged);
+    for (const auto& [sb, se] : unstaged) {
       stage.push_back({sb, buf.subspan(pos + (sb - gb), se - sb)});
     }
     pos += ge - gb;
   }
   if (stage.empty()) return;
   (void)staging_.write_v(stage);
-  for (const auto& e : stage) {
-    interval_add(valid_, e.offset, e.offset + e.data.size());
-  }
-  recount_locked();
+  for (const auto& e : stage) valid_.add(e.offset, e.offset + e.data.size());
+  update_gauges_locked();
 }
 
 std::uint64_t CachedBackend::write_back(std::uint64_t begin,
@@ -431,19 +346,18 @@ std::uint64_t CachedBackend::write_back(std::uint64_t begin,
   // cleaned meanwhile may already have been evicted and its page freed.
   MemoryBackend::Pinned rest(staging_);
   MemoryBackend::Pinned lowest(staging_);
-  IntervalMap extents;
+  Runs extents;
+  std::uint64_t total = 0;
   {
     std::lock_guard lock(mutex_);
-    extents = interval_intersect(dirty_, begin, end);
+    dirty_.clipped(begin, end, extents);
     if (extents.empty()) return 0;
-    for (auto it = std::next(extents.begin()); it != extents.end(); ++it) {
-      staging_.gather(it->first, it->second - it->first, rest);
+    for (const auto& [b, e] : extents) {
+      staging_.gather(b, e - b, b == extents.front().first ? lowest : rest);
+      total += e - b;
     }
-    const auto& [lb, le] = *extents.begin();
-    staging_.gather(lb, le - lb, lowest);
     writing_back_ = true;
   }
-  const std::uint64_t total = interval_total(extents);
   // Span declared before the transfers: it records after they finish,
   // attributing the whole PFS-bound drain to kCacheFlush.
   obs::trace::ScopedPhase span(obs::trace::Phase::kCacheFlush, total,
@@ -451,7 +365,7 @@ std::uint64_t CachedBackend::write_back(std::uint64_t begin,
   const auto finish_locked = [&] {
     writing_back_ = false;
     rewritten_.clear();
-    recount_locked();
+    update_gauges_locked();
   };
   try {
     // Each batch is lent while it is written, so a memory leaf shares
@@ -482,12 +396,12 @@ std::uint64_t CachedBackend::write_back(std::uint64_t begin,
   }
   {
     std::lock_guard lock(mutex_);
+    Runs again;
     for (const auto& [b, e] : extents) {
-      interval_sub(dirty_, b, e);
-      for (const auto& [rb, re] : interval_intersect(rewritten_, b, e)) {
-        interval_add(dirty_, rb, re);
-      }
+      dirty_.subtract(b, e);
+      rewritten_.clipped(b, e, again);
     }
+    for (const auto& [b, e] : again) dirty_.add(b, e);
     finish_locked();
   }
   flushes_.fetch_add(1, std::memory_order_relaxed);
@@ -506,23 +420,21 @@ void CachedBackend::enforce_capacity() {
     std::uint64_t e = 0;
     {
       std::lock_guard lock(mutex_);
-      if (cached_bytes_ <= options_.capacity_bytes || lru_.empty()) return;
-      const std::uint64_t block = lru_.back();
-      b = block * options_.block_bytes;
-      e = b + options_.block_bytes;
-      if (interval_intersect(dirty_, b, e).empty()) {
-        interval_sub(valid_, b, e);
-        release_pages_locked(b, e);
-        lru_.pop_back();
-        lru_pos_.erase(block);
-        recount_locked();
+      if (valid_.bytes() <= options_.capacity_bytes || lru_.empty()) return;
+      const std::uint64_t page = lru_.back();
+      b = page * kPage;
+      e = b + kPage;
+      if (!dirty_.overlaps(b, e)) {
+        valid_.subtract(b, e);
+        forget_page_if_empty_locked(page);
+        update_gauges_locked();
         evictions_.fetch_add(1, std::memory_order_relaxed);
         cache_evictions_counter().increment();
         continue;
       }
     }
     // Dirty victim: write it back first (never drop unflushed data),
-    // then the next round evicts the now-clean block.
+    // then the next round evicts the now-clean page.
     //
     // The analyzer's virtual-dispatch over-approximation resolves
     // write_back's inner_->write_v to every write_v override (including
@@ -577,8 +489,8 @@ CacheSnapshot CachedBackend::cache_snapshot() const {
   s.lost_bytes = lost_bytes_.load(std::memory_order_relaxed);
   s.resident_bytes = staging_.resident_bytes();
   std::lock_guard lock(mutex_);
-  s.dirty_bytes = interval_total(dirty_);
-  s.cached_bytes = cached_bytes_;
+  s.dirty_bytes = dirty_.bytes();
+  s.cached_bytes = valid_.bytes();
   return s;
 }
 

@@ -24,11 +24,12 @@
 // Reads are served read-through: missing ranges are fetched from the
 // PFS into staging, and staged bytes are evicted least-recently-used
 // when the configured capacity is exceeded (dirty victims are written
-// back first — the cache never silently drops unflushed data).  A
-// staging page that no longer holds a staged byte is freed, so with
-// page-sized blocks (the default) the footprint stays within the
-// capacity plus one page.  Dirty extents are kept byte-granular and
-// coalesced, and every drain goes to the PFS as vectored write_v
+// back first — the cache never silently drops unflushed data).  The
+// LRU unit is one staging page (MemoryBackend::kPageBytes), and a page
+// that no longer holds a staged byte is freed, so the footprint stays
+// within the capacity plus one page.  Staged, dirty and rewritten bytes
+// are each one ByteRanges set (byte-granular, coalesced, with a running
+// byte total), and every drain goes to the PFS as vectored write_v
 // batches, preserving the aggregation fast path.  A drain copies
 // nothing: its extents are spans over the staging pages (one per page),
 // pinned for the duration of the inner write, so a write racing the
@@ -61,15 +62,14 @@
 #include <atomic>
 #include <cstdint>
 #include <list>
-#include <map>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/debug/lock_rank.h"
 #include "obs/epoch_analyzer.h"
 #include "storage/backend.h"
+#include "storage/byte_ranges.h"
 #include "storage/memory_backend.h"
 
 namespace apio::storage {
@@ -90,10 +90,9 @@ bool parse_cache_consistency(const std::string& text, CacheConsistency& out);
 
 struct CacheOptions {
   CacheConsistency consistency = CacheConsistency::kAfterClose;
-  /// Staged-byte budget; LRU eviction keeps the cache at or under it.
+  /// Staged-byte budget; LRU eviction of whole staging pages keeps the
+  /// cache at or under it.  Must hold at least one page.
   std::uint64_t capacity_bytes = 64ull << 20;
-  /// LRU bookkeeping granularity (eviction victims are whole blocks).
-  std::uint64_t block_bytes = MemoryBackend::kPageBytes;
 };
 
 /// Point-in-time cache counters (also exported as io.cache.* registry
@@ -106,7 +105,7 @@ struct CacheSnapshot {
   std::uint64_t flushes = 0;       ///< drain batches written to the PFS
   std::uint64_t flushed_bytes = 0;
   std::uint64_t flush_failures = 0;  ///< drains that surfaced an error
-  std::uint64_t evictions = 0;     ///< LRU blocks dropped from staging
+  std::uint64_t evictions = 0;     ///< LRU pages dropped from staging
   std::uint64_t writeback_bytes = 0;  ///< dirty bytes flushed by eviction
   std::uint64_t lost_bytes = 0;    ///< dirty bytes undrainable at destruction
   std::uint64_t dirty_bytes = 0;   ///< currently staged, not yet on the PFS
@@ -148,45 +147,28 @@ class CachedBackend final : public Backend, public obs::EpochSink {
   const CacheOptions& options() const { return options_; }
 
  private:
-  /// Half-open byte intervals, keyed by begin, coalesced on insert.
-  using IntervalMap = std::map<std::uint64_t, std::uint64_t>;
-  /// Sorted, disjoint half-open ranges.
-  using Ranges = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+  using Runs = ByteRanges::Runs;
 
-  static void interval_add(IntervalMap& map, std::uint64_t begin,
-                           std::uint64_t end);
-  static void interval_sub(IntervalMap& map, std::uint64_t begin,
-                           std::uint64_t end);
-  /// Sub-ranges of [begin, end) not covered by `map`.
-  static Ranges interval_gaps(const IntervalMap& map, std::uint64_t begin,
-                              std::uint64_t end);
-  static std::uint64_t interval_total(const IntervalMap& map);
-  /// Sub-ranges of [begin, end) covered by `map`.
-  static IntervalMap interval_intersect(const IntervalMap& map,
-                                        std::uint64_t begin,
-                                        std::uint64_t end);
-
-  void touch_blocks_locked(std::uint64_t begin, std::uint64_t end);
-  void drop_block_if_empty_locked(std::uint64_t block);
-  /// Frees the staging pages overlapping [begin, end) that hold no
-  /// valid byte.
-  void release_pages_locked(std::uint64_t begin, std::uint64_t end);
-  /// Recomputes cached_bytes_ after interval edits (maps are small at
-  /// the modelled scale; correctness over micro-optimisation).
-  void recount_locked();
+  /// Moves the staging pages overlapping [begin, end) to the LRU front.
+  void touch_pages_locked(std::uint64_t begin, std::uint64_t end);
+  /// Frees staging page `page` and drops its LRU entry, unless it holds
+  /// a staged byte.
+  void forget_page_if_empty_locked(std::uint64_t page);
+  /// Publishes the staged and dirty byte totals to the io.cache gauges.
+  void update_gauges_locked();
 
   /// Reads `gaps` from the inner backend into `buf` (zeros past the
   /// inner end of object).
-  void fetch(const Ranges& gaps, std::vector<std::byte>& buf);
+  void fetch(const Runs& gaps, std::vector<std::byte>& buf);
   /// Stages the bytes of `gaps` fetched into `buf` that are still
   /// unstaged (a concurrent write may have staged newer ones).
-  void stage_fetched_locked(const Ranges& gaps, std::span<const std::byte> buf);
+  void stage_fetched_locked(const Runs& gaps, std::span<const std::byte> buf);
   /// Writes the dirty intervals inside [begin, end) to the inner backend
   /// (vectored, lowest interval last) and clears them from the dirty set
   /// on success, except bytes rewritten meanwhile.  Returns the bytes
   /// written.  Caller holds drain_mutex_ but NOT mutex_.
   std::uint64_t write_back(std::uint64_t begin, std::uint64_t end);
-  /// Evicts LRU blocks (writing dirty victims back first) until the
+  /// Evicts LRU pages (writing dirty victims back first) until the
   /// staged footprint fits the capacity budget.
   void enforce_capacity();
   void drain_internal();
@@ -208,16 +190,15 @@ class CachedBackend final : public Backend, public obs::EpochSink {
   /// wrapper lock is ever taken under it.
   mutable debug::RankedMutex<debug::LockRank::kStorageWrapper> mutex_;
   MemoryBackend staging_;
-  IntervalMap valid_;   ///< staged byte ranges
-  IntervalMap dirty_;   ///< staged ranges not yet on the inner backend
+  ByteRanges valid_;   ///< staged byte ranges
+  ByteRanges dirty_;   ///< staged ranges not yet on the inner backend
   /// Ranges written while a write-back is in flight: they stay dirty
   /// when it completes, since it may have carried the older bytes.
-  IntervalMap rewritten_;
+  ByteRanges rewritten_;
   bool writing_back_ = false;
-  std::list<std::uint64_t> lru_;  ///< block ids, front = most recent
+  std::list<std::uint64_t> lru_;  ///< staging page ids, front = most recent
   std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
       lru_pos_;
-  std::uint64_t cached_bytes_ = 0;
   std::uint64_t logical_size_ = 0;
 
   std::atomic<std::uint64_t> hits_{0};

@@ -42,8 +42,7 @@ class MemoryBackend final : public Backend {
   using Page = std::shared_ptr<std::byte[]>;
 
  public:
-  /// Page size; also the default CacheOptions::block_bytes, so a cache
-  /// block is one page.
+  /// Page size; also the unit of CachedBackend's LRU.
   static constexpr std::uint64_t kPageBytes = 256 * 1024;
 
   /// Spans over stored bytes, filled by gather().  The pages under the

@@ -136,7 +136,7 @@ void transfer_run(int fd, bool write, std::span<struct iovec> iov,
 /// meets a byte in `written` (which a write records), and zero-fills it
 /// otherwise: past end of file, or in holes never written.
 void transfer(int fd, Pieces& p, std::size_t limit, const std::string& path,
-              std::vector<std::byte>& bounce, detail::ByteRanges* written) {
+              std::vector<std::byte>& bounce, ByteRanges* written) {
   const bool write = written != nullptr;
   std::uint64_t windows = 0;
   std::uint64_t hole_bytes = 0;
@@ -144,7 +144,7 @@ void transfer(int fd, Pieces& p, std::size_t limit, const std::string& path,
   for (std::size_t i = 0; i < p.size();) {
     const Window w = window_at(p, i);
     i = w.last;
-    const bool read_back = !write || (written->insert(w.begin, w.end) && w.holes > 0);
+    const bool read_back = !write || (written->add(w.begin, w.end) && w.holes > 0);
     if (w.holes == 0) {
       transfer_run(fd, write, std::span(p.iov).subspan(w.first, w.last - w.first),
                    w.begin, limit, path);
@@ -188,30 +188,6 @@ void transfer(int fd, Pieces& p, std::size_t limit, const std::string& path,
 
 namespace detail {
 
-bool ByteRanges::insert(std::uint64_t begin, std::uint64_t end) {
-  if (begin >= end) return false;
-  auto it = runs_.upper_bound(begin);
-  const bool before = it != runs_.begin() && std::prev(it)->second >= begin;
-  const bool met = (before && std::prev(it)->second > begin) ||
-                   (it != runs_.end() && it->first < end);
-  it = before ? std::prev(it) : runs_.emplace_hint(it, begin, end);
-  // `it` covers `begin`: absorb every later run that starts by its end.
-  it->second = std::max(it->second, end);
-  for (auto next = std::next(it); next != runs_.end() && next->first <= it->second;
-       next = runs_.erase(next)) {
-    it->second = std::max(it->second, next->second);
-  }
-  return met;
-}
-
-void ByteRanges::truncate(std::uint64_t size) {
-  runs_.erase(runs_.lower_bound(size), runs_.end());
-  if (!runs_.empty()) {
-    auto& last = runs_.rbegin()->second;
-    last = std::min(last, size);
-  }
-}
-
 void Pieces::add(std::uint64_t at, const std::byte* data, std::size_t len) {
   APIO_INVARIANT(at + len >= at, "extent overflows offset space");
   if (len == 0) return;
@@ -249,7 +225,7 @@ PosixBackend::PosixBackend(const std::string& path, Mode mode)
   }
   fd_ = ::open(path.c_str(), flags, 0644);
   if (fd_ < 0) throw_errno("open failed for", path);
-  if (mode != Mode::kCreateTruncate) written_.insert(0, size());
+  if (mode != Mode::kCreateTruncate) written_.add(0, size());
 }
 
 PosixBackend::~PosixBackend() {

@@ -12,32 +12,16 @@
 #include <atomic>
 #include <cstddef>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "common/debug/lock_rank.h"
 #include "storage/backend.h"
+#include "storage/byte_ranges.h"
 
 namespace apio::storage {
 
 namespace detail {
-
-/// Disjoint half-open byte ranges, coalesced on insert.  Memory grows
-/// with the number of disjoint runs, not with the bytes they cover.
-class ByteRanges {
- public:
-  /// Adds [begin, end), merging with every run it overlaps or touches.
-  /// Returns whether some byte of it was recorded before.
-  bool insert(std::uint64_t begin, std::uint64_t end);
-  /// Drops every recorded byte at or past `size`.
-  void truncate(std::uint64_t size);
-  /// Disjoint runs held.
-  std::size_t runs() const { return runs_.size(); }
-
- private:
-  std::map<std::uint64_t, std::uint64_t> runs_;  ///< begin -> end
-};
 
 /// A vectored call's non-empty extents: the iovecs preadv/pwritev take,
 /// each beside its file offset.
@@ -121,7 +105,7 @@ class PosixBackend final : public Backend {
   // write errs toward reading more.
   detail::Pieces write_pieces_;
   std::vector<std::byte> write_bounce_;
-  detail::ByteRanges written_;
+  ByteRanges written_;
 };
 
 }  // namespace apio::storage

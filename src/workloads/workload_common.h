@@ -27,11 +27,4 @@ inline float particle_value(std::uint64_t global_index, int property) {
                             16777216ull);
 }
 
-/// Per-step timing observed by one rank, reduced across the
-/// communicator: the slowest rank determines the phase time (Sec. III-B2).
-struct PhaseTiming {
-  double compute_seconds = 0.0;
-  double io_seconds = 0.0;  ///< max over ranks of caller-visible blocking
-};
-
 }  // namespace apio::workloads

@@ -51,13 +51,10 @@ std::shared_ptr<CachedBackend> as_cache(const BackendPtr& backend) {
   return cache;
 }
 
-CacheOptions opts(CacheConsistency mode,
-                  std::uint64_t capacity = 64ull << 20,
-                  std::uint64_t block = 4096) {
+CacheOptions opts(CacheConsistency mode, std::uint64_t capacity = 64ull << 20) {
   CacheOptions o;
   o.consistency = mode;
   o.capacity_bytes = capacity;
-  o.block_bytes = block;
   return o;
 }
 
@@ -295,7 +292,7 @@ TEST(CacheTest, AfterEpochFootprintStaysWithinCapacity) {
   auto inner = std::make_shared<MemoryBackend>();
   auto backend =
       BackendStack::wrap(inner)
-          .cached(opts(CacheConsistency::kAfterEpoch, kCapacity, kPage))
+          .cached(opts(CacheConsistency::kAfterEpoch, kCapacity))
           .build();
   auto cache = as_cache(backend);
 
@@ -337,7 +334,7 @@ TEST(CacheTest, EvictionRacingReadBackNeverSeesZerosOrStaleBytes) {
   }
   auto backend =
       BackendStack::wrap(inner)
-          .cached(opts(CacheConsistency::kAfterClose, 4 * kPage, kPage))
+          .cached(opts(CacheConsistency::kAfterClose, 4 * kPage))
           .build();
 
   std::atomic<bool> done{false};
@@ -416,37 +413,53 @@ TEST(CacheTest, ReadPastLogicalEndThrows) {
 }
 
 TEST(CacheTest, LruEvictionWritesDirtyVictimsBackFirst) {
+  constexpr std::uint64_t kPage = MemoryBackend::kPageBytes;
   auto inner = std::make_shared<MemoryBackend>();
-  // Two 1 KiB blocks of capacity; three dirty blocks force eviction.
+  // Two staging pages of capacity; three dirty pages force eviction.
   auto backend = BackendStack::wrap(inner)
-                     .cached(opts(CacheConsistency::kAfterClose, 2048, 1024))
+                     .cached(opts(CacheConsistency::kAfterClose, 2 * kPage))
                      .build();
   auto cache = as_cache(backend);
 
-  const auto b0 = pattern(1024, 0x10);
-  const auto b1 = pattern(1024, 0x20);
-  const auto b2 = pattern(1024, 0x30);
-  backend->write(0, b0);
-  backend->write(1024, b1);
-  backend->write(2048, b2);  // evicts the LRU block (block 0)
+  const auto p0 = pattern(kPage, 0x10);
+  const auto p1 = pattern(kPage, 0x20);
+  const auto p2 = pattern(kPage, 0x30);
+  backend->write(0, p0);
+  backend->write(kPage, p1);
+  backend->write(2 * kPage, p2);  // evicts the LRU page (page 0)
 
   const auto snap = cache->cache_snapshot();
   EXPECT_GE(snap.evictions, 1u);
-  EXPECT_GE(snap.writeback_bytes, 1024u) << "dirty victim written back";
-  EXPECT_LE(snap.cached_bytes, 2048u);
+  EXPECT_GE(snap.writeback_bytes, kPage) << "dirty victim written back";
+  EXPECT_LE(snap.cached_bytes, 2 * kPage);
 
   // The evicted range is still correct: refetched from the PFS tier.
-  std::vector<std::byte> back(1024);
+  std::vector<std::byte> back(kPage);
   backend->read(0, back);
-  EXPECT_EQ(back, b0);
+  EXPECT_EQ(back, p0);
+
+  // Once drained every page is clean.  Refetching page 1 stages a third
+  // page, and evicting the clean LRU victim frees its staging page
+  // without writing anything back.
+  cache->drain();
+  const auto clean = cache->cache_snapshot();
+  ASSERT_EQ(clean.resident_bytes, 2 * kPage);
+  backend->read(kPage, back);
+  EXPECT_EQ(back, p1);
+  const auto evicted = cache->cache_snapshot();
+  EXPECT_EQ(evicted.evictions, clean.evictions + 1);
+  EXPECT_EQ(evicted.writeback_bytes, clean.writeback_bytes);
+  // The refetch allocated one page, so the eviction freed one.
+  EXPECT_EQ(evicted.resident_bytes, clean.resident_bytes)
+      << "the clean victim's staging page is freed";
 
   backend->close();
-  std::vector<std::byte> all(3 * 1024);
+  std::vector<std::byte> all(3 * kPage);
   inner->read(0, all);
   std::vector<std::byte> want;
-  want.insert(want.end(), b0.begin(), b0.end());
-  want.insert(want.end(), b1.begin(), b1.end());
-  want.insert(want.end(), b2.begin(), b2.end());
+  want.insert(want.end(), p0.begin(), p0.end());
+  want.insert(want.end(), p1.begin(), p1.end());
+  want.insert(want.end(), p2.begin(), p2.end());
   EXPECT_EQ(all, want);
 }
 
@@ -511,8 +524,7 @@ std::vector<std::byte> drained_container(const std::shared_ptr<MemoryBackend>& l
   {
     auto file = h5::File::create(
         BackendStack::wrap(under)
-            .cached(opts(CacheConsistency::kAfterEpoch, 64ull << 20,
-                         MemoryBackend::kPageBytes))
+            .cached(opts(CacheConsistency::kAfterEpoch))
             .build());
     for (int j = 0; j < 3; ++j) {
       file->root().create_dataset("d" + std::to_string(j), h5::Datatype::kUInt8,
@@ -550,7 +562,7 @@ TEST(CacheTest, StagedRewriteOfDrainedPagesWaitsForTheNextEpochEnd) {
   auto leaf = std::make_shared<MemoryBackend>();
   auto backend =
       BackendStack::wrap(leaf)
-          .cached(opts(CacheConsistency::kAfterEpoch, 64ull << 20, kPage))
+          .cached(opts(CacheConsistency::kAfterEpoch))
           .build();
 
   const auto v1 = pattern(2 * kPage, 0x31);
@@ -625,7 +637,7 @@ TEST(CacheTest, LentPagesRaceEvictionRewritesAndLeafWrites) {
   auto leaf = std::make_shared<MemoryBackend>();
   auto backend =
       BackendStack::wrap(leaf)
-          .cached(opts(CacheConsistency::kAfterClose, 3 * kPage, kPage))
+          .cached(opts(CacheConsistency::kAfterClose, 3 * kPage))
           .build();
   auto cache = as_cache(backend);
   for (std::uint64_t i = 0; i < kPages; ++i) backend->write(i * kPage, stamped(0, i));

@@ -290,28 +290,6 @@ TEST(BytesTest, RawBytesPassThrough) {
 // ---------------------------------------------------------------------------
 // clock.h
 
-TEST(ClockTest, VirtualClockAdvances) {
-  VirtualClock clock;
-  EXPECT_DOUBLE_EQ(clock.now(), 0.0);
-  clock.advance(1.5);
-  EXPECT_DOUBLE_EQ(clock.now(), 1.5);
-  clock.advance_to(1.0);  // backwards jumps ignored
-  EXPECT_DOUBLE_EQ(clock.now(), 1.5);
-  clock.advance_to(3.0);
-  EXPECT_DOUBLE_EQ(clock.now(), 3.0);
-  clock.reset();
-  EXPECT_DOUBLE_EQ(clock.now(), 0.0);
-}
-
-TEST(ClockTest, StopwatchMeasuresVirtualTime) {
-  VirtualClock clock;
-  Stopwatch sw(clock);
-  clock.advance(2.0);
-  EXPECT_DOUBLE_EQ(sw.elapsed(), 2.0);
-  sw.restart();
-  EXPECT_DOUBLE_EQ(sw.elapsed(), 0.0);
-}
-
 TEST(ClockTest, WallClockMonotonic) {
   WallClock clock;
   const double a = clock.now();

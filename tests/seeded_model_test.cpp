@@ -4,8 +4,9 @@
 //     of write_v batches (random extents with holes around a page, and
 //     Castro-style boxes in shuffled order), shrinking and growing
 //     truncates, and closes and reopens, and compares the whole file
-//     with a byte array after every step.  ByteRangesTest checks the
-//     backend's record of written bytes against a bitmap.
+//     with a byte array after every step.  ByteRangesTest checks
+//     storage::ByteRanges, the range set of the sieve's written bytes
+//     and of the cache's staged and dirty bytes, against a bitmap.
 //   - HyperslabGeneratorTest draws random rank 1-4 extents and
 //     hyperslabs and checks for_each_run and for_each_row_run against a
 //     brute-force element enumerator, and Dataset::write_raw/read_raw on
@@ -27,6 +28,7 @@
 #include "common/rng.h"
 #include "h5/file.h"
 #include "obs/metrics.h"
+#include "storage/byte_ranges.h"
 #include "storage/memory_backend.h"
 #include "storage/posix_backend.h"
 
@@ -84,30 +86,70 @@ struct ObsOn {
 // ByteRanges
 
 TEST(ByteRangesTest, MatchesABitmapOnRandomInsertsAndTruncates) {
-  // insert() reports whether its range met a recorded byte; the runs
-  // stay disjoint and coalesced, touching ones included.
+  // Random adds, subtracts, truncates and clears.  add() reports
+  // whether its range met a recorded byte.  After each step a random
+  // query range's overlaps(), gaps() and clipped(), and the set's
+  // bytes() and runs() (disjoint and coalesced, touching runs included)
+  // are checked against the bitmap.  gaps() and clipped() append, so
+  // each gets a vector holding a sentinel.
   constexpr std::uint64_t kSpace = 600;
+  using Runs = storage::ByteRanges::Runs;
   for (const std::uint64_t seed : run_seeds(11)) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed);
-    storage::detail::ByteRanges ranges;
+    storage::ByteRanges ranges;
     std::vector<bool> model(kSpace, false);
-    for (int step = 0; step < 1000; ++step) {
+    const auto draw = [&](std::uint64_t max_len) {
       const std::uint64_t a = rng.next_below(kSpace);
-      const std::uint64_t b = a + rng.next_below(std::min<std::uint64_t>(kSpace - a, 40) + 1);
+      return std::pair(a, a + rng.next_below(std::min(kSpace - a, max_len) + 1));
+    };
+    // The maximal runs of [a, b) whose model bits equal `set`.
+    const auto model_runs = [&](std::uint64_t a, std::uint64_t b, bool set) {
+      Runs out{{kSpace, kSpace}};
+      for (std::uint64_t i = a; i < b; ++i) {
+        if (model[i] != set) continue;
+        if (out.back().second == i) {
+          ++out.back().second;
+        } else {
+          out.emplace_back(i, i + 1);
+        }
+      }
+      return out;
+    };
+    for (int step = 0; step < 1000; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const auto [a, b] = draw(40);
       const auto first = model.begin() + static_cast<std::ptrdiff_t>(a);
       const auto last = model.begin() + static_cast<std::ptrdiff_t>(b);
-      if (rng.next_below(12) == 0) {
+      const std::uint64_t op = rng.next_below(40);
+      if (op == 0) {
+        ranges.clear();
+        std::fill(model.begin(), model.end(), false);
+      } else if (op < 4) {
         ranges.truncate(a);
         std::fill(first, model.end(), false);
+      } else if (op < 20) {
+        ranges.subtract(a, b);
+        std::fill(first, last, false);
       } else {
         const bool met = std::find(first, last, true) != last;
-        ASSERT_EQ(ranges.insert(a, b), met) << "step " << step << " [" << a << ", " << b << ")";
+        ASSERT_EQ(ranges.add(a, b), met) << "add [" << a << ", " << b << ")";
         std::fill(first, last, true);
       }
-      std::size_t runs = 0;
-      for (std::uint64_t i = 0; i < kSpace; ++i) runs += model[i] && (i == 0 || !model[i - 1]);
-      ASSERT_EQ(ranges.runs(), runs) << "step " << step;
+
+      const auto [qa, qb] = draw(kSpace);
+      SCOPED_TRACE("query [" + std::to_string(qa) + ", " + std::to_string(qb) + ")");
+      const Runs set = model_runs(qa, qb, true);
+      ASSERT_EQ(ranges.overlaps(qa, qb), set.size() > 1);
+      Runs got{{kSpace, kSpace}};
+      ranges.gaps(qa, qb, got);
+      ASSERT_EQ(got, model_runs(qa, qb, false));
+      got = {{kSpace, kSpace}};
+      ranges.clipped(qa, qb, got);
+      ASSERT_EQ(got, set);
+      ASSERT_EQ(ranges.bytes(),
+                static_cast<std::uint64_t>(std::count(model.begin(), model.end(), true)));
+      ASSERT_EQ(ranges.runs(), model_runs(0, kSpace, true).size() - 1);
     }
   }
 }

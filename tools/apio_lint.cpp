@@ -50,6 +50,14 @@
 //                 write(std::uint64_t ..., byte span) declaration or
 //                 definition under src/.  src/storage/backend.h is
 //                 exempt; bench/ and tests/ are out of scope.
+//   interval-set  storage::ByteRanges is the one byte-range set: the
+//                 posix sieve's written bytes and the cache's staged,
+//                 dirty and rewritten bytes all use it, and one seeded
+//                 test checks it against a bitmap.  A
+//                 std::map<std::uint64_t, std::uint64_t> declaration
+//                 (spacing ignored) under src/ outside
+//                 src/storage/byte_ranges.{h,cpp} is rejected.  This
+//                 rule takes no waiver.
 //   trace-phase   causal-trace spans in src/ must be attributed to a
 //                 named phase from the obs::trace::Phase enum: every
 //                 ScopedPhase / record_phase line must spell a
@@ -60,7 +68,7 @@
 //                 collective writer's deliberate cross-rank context
 //                 reconstruction carries per-line waivers.
 //
-// Any rule can be waived for one line with a trailing comment:
+// Any other rule can be waived for one line with a trailing comment:
 //   // apio-lint: allow(<rule>)
 //
 // File loading, comment/string stripping, token matching and the
@@ -127,6 +135,9 @@ void lint_file(const fs::path& root, const fs::path& file) {
                                  file.filename() == "io_vector.cpp";
   const bool is_backend_base =
       file.generic_string() == (root / "src" / "storage" / "backend.h").generic_string();
+  const bool is_byte_ranges_impl =
+      file.parent_path() == root / "src" / "storage" &&
+      (file.filename() == "byte_ranges.h" || file.filename() == "byte_ranges.cpp");
   const bool is_header = file.extension() == ".h";
 
   apio::analysis::SourceFile sf;
@@ -205,6 +216,17 @@ void lint_file(const fs::path& root, const fs::path& file) {
                "a backend's scalar read()/write() are storage::Backend's "
                "one-extent batches; implement the transfer once in "
                "read_v()/write_v() instead of overriding them");
+      }
+    }
+
+    if (in_src && !is_byte_ranges_impl) {
+      std::string packed = code;
+      std::erase_if(packed, [](char c) { return c == ' ' || c == '\t'; });
+      if (contains(packed, "std::map<std::uint64_t,std::uint64_t>")) {
+        report(sf.path, lineno, "interval-set",
+               "byte-range bookkeeping goes through storage::ByteRanges "
+               "(src/storage/byte_ranges.h), the one interval set checked "
+               "against a bitmap; do not grow a second one");
       }
     }
 
