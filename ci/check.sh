@@ -44,7 +44,9 @@
 #      stream (records) call at once, and the allocation, eventual,
 #      pool and execution-stream suites, for ops that submitters push
 #      straight onto the stream's pool and the recycler's shared
-#      prefetch buffers, and the corruption, h5-fuzz and chunked suites,
+#      prefetch buffers, and the staging-budget-vs-prefetch-cache
+#      hammer, for a prefetch op that its cache entry, a racing read and
+#      the stream share, and the corruption, h5-fuzz and chunked suites,
 #      for the metadata parser's bounds on container bytes, and the
 #      breaker-rejection and two-fault trace cases, which run the
 #      resilient backend's retry loop under the async connector, and
@@ -162,10 +164,10 @@ else
   ctest --preset tsan -j "${JOBS}"
 fi
 
-echo "==> [8/8] asan-ubsan build + fault-matrix, async-connector, backend, handle-lifetime, path-index, cache, paged-memory, collective-write, two-phase, passthrough, adaptive-loop, request, close-race, container-parsing, retry-loop, vectored-dataset, trace, posix-sequence, byte-ranges and hyperslab-generator suites"
+echo "==> [8/8] asan-ubsan build + fault-matrix, async-connector, backend, handle-lifetime, path-index, cache, paged-memory, collective-write, two-phase, passthrough, adaptive-loop, request, close-race, staging-vs-prefetch-cache hammer, container-parsing, retry-loop, vectored-dataset, trace, posix-sequence, byte-ranges and hyperslab-generator suites"
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "${JOBS}"
 ctest --preset asan-ubsan -j "${JOBS}" \
-  -R 'Resilience|FaultInjection|AsyncConnector|VectoredBackend|BackendContract|HandleLifetime|PathIndex|Cache|PagedMemory|CollectiveWrite|TwoPhase|Passthrough|ModeAdvisor|AdaptiveConnector|FeedbackLoop|Alloc|RequestTest|ConnectorCloseRace|Corruption|H5Fuzz|Chunked|BreakerRejected|SurvivingTwoFaults|VectoredDataset|TraceTest|PosixSequence|ByteRanges|HyperslabGenerator'
+  -R 'Resilience|FaultInjection|AsyncConnector|VectoredBackend|BackendContract|HandleLifetime|PathIndex|Cache|PagedMemory|CollectiveWrite|TwoPhase|Passthrough|ModeAdvisor|AdaptiveConnector|FeedbackLoop|Alloc|RequestTest|ConnectorCloseRace|StagingBudgetAndPrefetchCacheShareTraffic|Corruption|H5Fuzz|Chunked|BreakerRejected|SurvivingTwoFaults|VectoredDataset|TraceTest|PosixSequence|ByteRanges|HyperslabGenerator'
 
 echo "==> all checks passed"

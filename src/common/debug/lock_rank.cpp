@@ -21,7 +21,6 @@ const char* lock_rank_name(LockRank rank) {
     case LockRank::kSchedQueue: return "sched.queue";
     case LockRank::kStorageWrapper: return "storage.wrapper";
     case LockRank::kStorageBase: return "storage.base";
-    case LockRank::kVolRequest: return "vol.request";
     case LockRank::kCounters: return "counters";
   }
   return "<unknown rank>";

@@ -10,9 +10,9 @@
 //
 // The rank order follows the call direction of the system: VOL
 // connectors (outermost, application-facing) call into pmpi and
-// storage; a request's completion state is taken last, by whichever
-// thread completes or waits on it; per-object counters are leaves.
-// See DESIGN.md "Concurrency model" for the full table.
+// storage; per-object counters are leaves.  A vol::Request takes no
+// lock: it completes on one atomic word.  See DESIGN.md "Concurrency
+// model" for the full table.
 //
 // Checking is thread-local (no shared state, no extra synchronisation)
 // and compiles out entirely when APIO_DEBUG_CHECKS is not defined.
@@ -48,8 +48,6 @@ enum class LockRank : int {
   // -- storage backends (wrappers delegate inward) --------------------
   kStorageWrapper = 46, ///< throttled/faulty interposer state
   kStorageBase = 50,    ///< memory byte store; posix writers (sieve windows)
-  // -- request completion (innermost lock of the substrate) ----------
-  kVolRequest = 58,     ///< vol::Request completion state
   // -- leaf counters (never held across any call) ---------------------
   kCounters = 62,       ///< pmpi::run's first error
 };

@@ -102,10 +102,15 @@ RequestInfo request_info(const h5::File& file, obs::IoOp kind,
 
 }  // namespace
 
-struct AsyncConnector::AsyncOp {
-  explicit AsyncOp(obs::IoOp op_kind) : kind(op_kind) {}
+struct AsyncConnector::AsyncOp final : Request {
+  /// submit() resolves the rest of the identity.
+  AsyncOp(obs::IoOp kind, std::uint64_t bytes)
+      : Request(RequestInfo{kind, {}, {}, 0, bytes}) {}
+  using Request::set_info;
 
-  obs::IoOp kind;
+  obs::IoOp kind() const { return info().op; }
+  std::uint64_t bytes() const { return info().bytes; }
+
   std::optional<h5::Dataset> ds;
   h5::Selection selection = h5::Selection::all();
   /// The op's recycled buffer: the write's DRAM staging copy (or the
@@ -118,11 +123,7 @@ struct AsyncConnector::AsyncOp {
   bool holds_staging = false;
   /// Read destination (caller-owned until completion).
   std::span<std::byte> out;
-  std::uint64_t bytes = 0;
 
-  /// Set by submit(), unless `prepare` supplied one (a prefetch's is its
-  /// cache entry's).
-  RequestPtr request;
   /// Fair-share identity captured at issue time; re-bound on the
   /// background stream for the op's execution so a QosBackend under
   /// the file charges the issuing tenant.
@@ -176,15 +177,15 @@ void AsyncConnector::shutdown_machinery() {
 }
 
 template <typename Prepare>
-RequestPtr AsyncConnector::submit(obs::IoOp kind, const h5::Dataset* ds,
-                                  const h5::Selection& selection,
-                                  std::uint64_t bytes, double t0,
+RequestPtr AsyncConnector::submit(std::shared_ptr<AsyncOp> op,
+                                  const h5::Dataset* ds,
+                                  const h5::Selection& selection, double t0,
                                   Prepare&& prepare) {
   if (closed_.load()) throw StateError("AsyncConnector used after close()");
-  auto op = std::make_shared<AsyncOp>(kind);
+  const obs::IoOp kind = op->kind();
+  const std::uint64_t bytes = op->bytes();
   if (ds != nullptr) op->ds = *ds;
   op->selection = selection;
-  op->bytes = bytes;
   // Submission identity: connector-level tenant wins, then the issuing
   // thread's binding, whose admission deadline the op carries.  Data
   // ops ride the bulk lane.
@@ -207,21 +208,20 @@ RequestPtr AsyncConnector::submit(obs::IoOp kind, const h5::Dataset* ds,
     // observer attached, and a dataset removed while the op waits in the
     // FIFO has no path left to resolve.  path_of reads the path the node
     // captured at creation.
-    RequestInfo info = request_info(*file_, kind, ds, selection, bytes);
+    op->set_info(request_info(*file_, kind, ds, selection, bytes));
     // A prefetch reports at issue (prefetch()) and returns no request.
     if (kind != obs::IoOp::kPrefetch && has_observers()) {
       op->record = make_record(kind, bytes, /*async=*/true, t0, blocking, 0.0);
-      op->record->dataset_path = info.dataset_path;
-      op->record->selection = info.selection;
+      op->record->dataset_path = op->info().dataset_path;
+      op->record->selection = op->info().selection;
       op->record->trace_id = op->trace.trace_id;
       op->record->span_id = op->trace.span_id;
     }
-    if (!op->request) op->request = std::make_shared<Request>(std::move(info));
   } catch (...) {
     release_staging(*op, /*failed=*/false);  // the op never reached the FIFO
     throw;
   }
-  RequestPtr request = kind == obs::IoOp::kPrefetch ? nullptr : op->request;
+  RequestPtr request = kind == obs::IoOp::kPrefetch ? nullptr : op;
 
   // Once the op is on the FIFO, its wait and execution run on other
   // threads as siblings of the submit phase; closing submit first keeps
@@ -245,7 +245,7 @@ RequestPtr AsyncConnector::submit(obs::IoOp kind, const h5::Dataset* ds,
       case obs::IoOp::kPrefetch: ++stats_.prefetches_enqueued; break;
       case obs::IoOp::kFlush: break;
     }
-    last_op_ = op->request;
+    last_op_ = op;
     if (!stopping_) {
       queue_.push_back(std::move(op));
       queued = true;
@@ -297,16 +297,16 @@ void AsyncConnector::run_stream() {
 }
 
 void AsyncConnector::execute_op(AsyncOp& op) {
-  switch (op.kind) {
+  switch (op.kind()) {
     case obs::IoOp::kWrite:
       if (options_.staging_backend) {
         // Staged on a device: read the bytes back into a recycled
         // buffer, which finish() returns on either outcome.
         {
           std::lock_guard lock(mutex_);
-          op.buffer = take_buffer_locked(op.bytes);
+          op.buffer = take_buffer_locked(op.bytes());
         }
-        op.buffer->resize(op.bytes);  // a no-op for a recycled buffer
+        op.buffer->resize(op.bytes());  // a no-op for a recycled buffer
         options_.staging_backend->read(op.device_offset, *op.buffer);
       }
       op.ds->write_raw(op.selection, *op.buffer);
@@ -334,14 +334,14 @@ void AsyncConnector::run_attempt(const std::shared_ptr<AsyncOp>& op) {
                            op->push_time, obs::steady_seconds() - op->push_time);
   std::exception_ptr error;
   try {
-    obs::trace::ScopedPhase attempt(obs::trace::Phase::kAttempt, op->bytes,
+    obs::trace::ScopedPhase attempt(obs::trace::Phase::kAttempt, op->bytes(),
                                     nullptr, execute_hist());
     execute_op(*op);
     attempt.finish();
     // Counted on success only: a transfer that threw (an open breaker
     // below, say) may have moved nothing.
-    if (op->kind != obs::IoOp::kPrefetch && obs::enabled()) {
-      executed_bytes_counter().add(op->bytes);
+    if (op->kind() != obs::IoOp::kPrefetch && obs::enabled()) {
+      executed_bytes_counter().add(op->bytes());
     }
   } catch (...) {
     error = std::current_exception();
@@ -359,27 +359,28 @@ void AsyncConnector::finish(const std::shared_ptr<AsyncOp>& op,
     op->record->completion_seconds = clock_->now() - op->record->issue_time;
     observe(*op->record);
   }
-  // Seal the trace before the request completes, so waiters observe it
+  // Seal the trace before the op completes, so waiters observe it
   // sealed.
   if (op->trace.recording()) {
     const double now = obs::steady_seconds();
     obs::trace::record_phase(op->trace, obs::trace::Phase::kComplete,
                              completion_start, now - completion_start);
     obs::trace::TraceCollector::instance().complete(
-        op->trace, op->kind,
+        op->trace, op->kind(),
         op->submission.tenant.empty() ? sched::kDefaultTenant
                                       : op->submission.tenant,
-        op->bytes, failed, op->trace_start, now);
+        op->bytes(), failed, op->trace_start, now);
   }
-  op->request->complete(std::move(error));
+  op->complete(std::move(error));
 }
 
 RequestPtr AsyncConnector::dataset_write(h5::Dataset ds,
                                          const h5::Selection& selection,
                                          std::span<const std::byte> data) {
+  const double t0 = clock_->now();
   return submit(
-      obs::IoOp::kWrite, &ds, selection, data.size(), clock_->now(),
-      [&](AsyncOp& op) {
+      std::make_shared<AsyncOp>(obs::IoOp::kWrite, data.size()), &ds,
+      selection, t0, [&](AsyncOp& op) {
         // The transactional copy: a non-zero-copy into a private staging
         // area so the caller may immediately reuse (or mutate) its memory
         // while the background thread performs the actual storage
@@ -439,41 +440,42 @@ RequestPtr AsyncConnector::dataset_read(h5::Dataset ds,
   }
 
   if (obs::enabled()) prefetch_misses_counter().increment();
-  return submit(obs::IoOp::kRead, &ds, selection, out.size(), t0,
-                [&](AsyncOp& op) { op.out = out; });
+  return submit(std::make_shared<AsyncOp>(obs::IoOp::kRead, out.size()), &ds,
+                selection, t0, [&](AsyncOp& op) { op.out = out; });
 }
 
 void AsyncConnector::prefetch(h5::Dataset ds, const h5::Selection& selection) {
   const double t0 = clock_->now();
   const std::uint64_t bytes = selection.npoints(ds.dims()) * ds.element_size();
   const CacheKey key{ds.object_key(), selection};
-  // A read that finds the entry waits on the prefetch's request, then
-  // copies its buffer.  The buffer is sized after the entry is published;
-  // this thread holds a reference until then, so no other holder can
-  // recycle it at the wrong size.
-  CacheEntry entry{std::make_shared<Request>(), nullptr};
+  // A read that finds the entry waits on the prefetch's op, then copies
+  // its buffer.  The buffer is sized after the entry is published; this
+  // thread holds a reference until then, so no other holder can recycle
+  // it at the wrong size.  A duplicate drops the op unused: it takes no
+  // buffer and mints no trace.
+  auto op = std::make_shared<AsyncOp>(obs::IoOp::kPrefetch, bytes);
+  Buffer data;
   {
     // Reserved under the same lock as the duplicate check, so two
     // threads prefetching one selection submit it once.
     std::lock_guard lock(mutex_);
     if (cache_.contains(key)) return;  // already in flight
-    entry.data = take_buffer_locked(bytes);
-    cache_.emplace(key, entry);
+    data = take_buffer_locked(bytes);
+    cache_.emplace(key, CacheEntry{op, data});
   }
-  entry.data->resize(bytes);  // a no-op for a recycled buffer
+  data->resize(bytes);  // a no-op for a recycled buffer
   try {
-    submit(obs::IoOp::kPrefetch, &ds, selection, bytes, t0, [&](AsyncOp& op) {
-      op.request = entry.ready;
-      op.buffer = std::move(entry.data);  // shared with the cache entry
+    submit(op, &ds, selection, t0, [&](AsyncOp&) {
+      op->buffer = std::move(data);  // shared with the cache entry
     });
   } catch (...) {
     // A read may already hold the entry: fail it rather than leave it
     // waiting, and unpublish the entry unless a read consumed it.
-    entry.ready->complete(std::current_exception());
+    op->complete(std::current_exception());
     std::lock_guard lock(mutex_);
-    recycle_locked(entry.data);  // still ours if submit threw before `prepare`
+    recycle_locked(data);  // still ours if submit threw before `prepare`
     auto it = cache_.find(key);
-    if (it != cache_.end() && it->second.ready == entry.ready) {
+    if (it != cache_.end() && it->second.ready == op) {
       recycle_locked(it->second.data);
       cache_.erase(it);
     }
@@ -489,8 +491,9 @@ void AsyncConnector::prefetch(h5::Dataset ds, const h5::Selection& selection) {
 RequestPtr AsyncConnector::flush() {
   // Flushes ride the priority lane: they are the latency-sensitive
   // barrier ops the fairness gate protects.
-  return submit(obs::IoOp::kFlush, nullptr, h5::Selection::all(), 0,
-                clock_->now(), [](AsyncOp& op) {
+  const double t0 = clock_->now();
+  return submit(std::make_shared<AsyncOp>(obs::IoOp::kFlush, 0), nullptr,
+                h5::Selection::all(), t0, [](AsyncOp& op) {
                   op.submission.lane = sched::Lane::kPriority;
                 });
 }
@@ -499,24 +502,24 @@ void AsyncConnector::take_staging(AsyncOp& op) {
   std::unique_lock lock(mutex_);
   if (options_.max_staged_bytes > 0) {
     staging_cv_.wait(lock, [&] {
-      return staged_outstanding_ + op.bytes <= options_.max_staged_bytes ||
+      return staged_outstanding_ + op.bytes() <= options_.max_staged_bytes ||
              staged_outstanding_ == 0;
     });
   }
   op.holds_staging = true;
-  const std::uint64_t now_staged = staged_outstanding_ += op.bytes;
+  const std::uint64_t now_staged = staged_outstanding_ += op.bytes();
   // Set under the lock, so the last value set is the current total.
   if (obs::enabled()) {
     staged_gauge().set(static_cast<std::int64_t>(now_staged));
     staged_gauge().note_watermark();
   }
-  stats_.bytes_staged += op.bytes;
+  stats_.bytes_staged += op.bytes();
   stats_.staged_high_watermark = std::max(stats_.staged_high_watermark, now_staged);
   if (options_.staging_backend) {
     op.device_offset = staging_device_offset_;
-    staging_device_offset_ += op.bytes;
+    staging_device_offset_ += op.bytes();
   } else {
-    op.buffer = take_buffer_locked(op.bytes);
+    op.buffer = take_buffer_locked(op.bytes());
   }
 }
 
@@ -526,8 +529,8 @@ void AsyncConnector::release_staging(AsyncOp& op, bool failed) {
   recycle_locked(op.buffer);
   if (failed) ++stats_.failed_ops;
   if (!std::exchange(op.holds_staging, false)) return;
-  APIO_INVARIANT(staged_outstanding_ >= op.bytes, "staging accounting underflow");
-  const std::uint64_t now_staged = staged_outstanding_ -= op.bytes;
+  APIO_INVARIANT(staged_outstanding_ >= op.bytes(), "staging accounting underflow");
+  const std::uint64_t now_staged = staged_outstanding_ -= op.bytes();
   // Set under the lock, so the last value set is the current total.
   if (obs::enabled()) staged_gauge().set(static_cast<std::int64_t>(now_staged));
   if (options_.max_staged_bytes > 0) staging_cv_.notify_all();

@@ -132,16 +132,17 @@ class AsyncConnector final : public Connector {
     auto operator<=>(const CacheKey&) const = default;
   };
 
-  /// A prefetch's request is never returned to its caller: the entry
-  /// holds it, and a read that finds the entry waits on it.
+  /// A prefetch's op is never returned to its caller: the entry holds
+  /// it, and a read that finds the entry waits on it.
   struct CacheEntry {
     RequestPtr ready;
     Buffer data;
   };
 
-  /// One background operation's full state: payload, identity,
-  /// request and record, and trace.  Heap-shared between the queue and
-  /// the submitting thread.
+  /// One background operation's full state: payload, identity, record
+  /// and trace.  It is the Request its caller waits on, so one heap
+  /// object is shared by the queue, the caller, last_op_ and a
+  /// prefetch's cache entry.
   struct AsyncOp;
 
   h5::FilePtr file_;
@@ -190,16 +191,15 @@ class AsyncConnector final : public Connector {
   /// The one submission path, for every entry point: mints and binds
   /// the op's trace, opens its submit phase, runs `prepare` (what the
   /// entry point adds: the write's stage copy, the read's destination,
-  /// the prefetch's buffer and cache request, the flush's lane),
-  /// resolves the RequestInfo, builds the Request (returned for every
-  /// kind but a prefetch) and the completion record, then pushes the op
-  /// onto the queue and counts it as enqueued, in one hold.  Staging
-  /// budget taken by `prepare` is returned if the op throws before
-  /// reaching the queue.
+  /// the prefetch's buffer, the flush's lane), resolves the op's
+  /// RequestInfo and its completion record, then pushes the op onto
+  /// the queue and counts it as enqueued, in one hold.  Returns the op
+  /// for every kind but a prefetch.  Staging budget taken by `prepare`
+  /// is returned if the op throws before reaching the queue.
   template <typename Prepare>
-  RequestPtr submit(obs::IoOp kind, const h5::Dataset* ds,
-                    const h5::Selection& selection, std::uint64_t bytes,
-                    double t0, Prepare&& prepare);
+  RequestPtr submit(std::shared_ptr<AsyncOp> op, const h5::Dataset* ds,
+                    const h5::Selection& selection, double t0,
+                    Prepare&& prepare);
 
   /// The background stream: pops ops in FIFO order and runs each, until
   /// stopping_ is set and the queue is empty.
@@ -218,7 +218,8 @@ class AsyncConnector final : public Connector {
   /// staging budget and the op's buffer (before completion, so a
   /// prefetch's consumer holds the buffer's last reference and can
   /// recycle it), counts a failure, emits the record (success only),
-  /// seals the trace, then completes the request.
+  /// seals the trace, then completes the op.  The caller's reference
+  /// keeps the op alive across its completion.
   void finish(const std::shared_ptr<AsyncOp>& op, std::exception_ptr error);
 
   /// Drains and joins the background machinery without closing the file.

@@ -19,34 +19,19 @@ RequestPtr Request::make_ready(RequestInfo info) {
 }
 
 void Request::complete(std::exception_ptr error) {
-  std::lock_guard lock(mutex_);
-  APIO_ASSERT(!done_, "Request completed twice");
-  done_ = true;
+  APIO_ASSERT(!test(), "Request completed twice");
   error_ = std::move(error);
-  // Notified under the lock: a woken waiter may drop the last reference
-  // as soon as it can reacquire the mutex.
-  cv_.notify_all();
+  state_.store(kDone, std::memory_order_release);
+  state_.notify_all();
 }
 
 void Request::wait() {
-  std::unique_lock lock(mutex_);
-  cv_.wait(lock, [&] { return done_; });
+  wait_ignore_error();
   if (error_) std::rethrow_exception(error_);
 }
 
-void Request::wait_ignore_error() {
-  std::unique_lock lock(mutex_);
-  cv_.wait(lock, [&] { return done_; });
-}
-
-bool Request::test() const {
-  std::lock_guard lock(mutex_);
-  return done_;
-}
-
-std::exception_ptr Request::error() const {
-  std::lock_guard lock(mutex_);
-  return error_;
+void Request::wait_ignore_error() const {
+  state_.wait(kPending, std::memory_order_acquire);
 }
 
 }  // namespace apio::vol

@@ -2,13 +2,12 @@
 // HDF5 event-set entries / the async VOL's internal task objects.
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <memory>
 #include <string>
 
-#include "common/debug/lock_rank.h"
 #include "common/error.h"
 #include "obs/record.h"
 
@@ -40,6 +39,14 @@ using RequestPtr = std::shared_ptr<Request>;
 /// connector in storage::ResilientBackend.  Thread-safe: the issuing
 /// connector completes it (often on its background stream) while any
 /// thread waits or polls.
+///
+/// Completion is one atomic word: complete() stores the error, then
+/// publishes it with a release store and wakes the waiters; wait(),
+/// test() and error() read the word with acquire.  A completer must
+/// hold a reference to the request across complete(): a waiter may
+/// return, and drop the last reference, as soon as the store lands.
+/// AsyncConnector's ops derive from Request, so the op a connector runs
+/// is the request its caller waits on.
 class Request {
  public:
   explicit Request(RequestInfo info = {}) : info_(std::move(info)) {}
@@ -56,15 +63,15 @@ class Request {
 
   /// Blocks until the operation completed without rethrowing; for
   /// draining a queue whose per-operation errors are reported elsewhere.
-  void wait_ignore_error();
+  void wait_ignore_error() const;
 
   /// Non-blocking completion probe.
-  bool test() const;
+  bool test() const { return state_.load(std::memory_order_acquire) != kPending; }
 
   bool failed() const { return error() != nullptr; }
 
   /// The stored failure; null while pending or on success.
-  std::exception_ptr error() const;
+  std::exception_ptr error() const { return test() ? error_ : nullptr; }
 
   /// The captured failure message; "" while pending or on success.
   std::string error_message() const { return apio::error_message(error()); }
@@ -79,10 +86,17 @@ class Request {
   /// through `eventual()->wait_ignore_error()`.
   Request* eventual() { return this; }
 
+ protected:
+  /// For an op that resolves its identity after construction, before
+  /// any other thread reads it.
+  void set_info(RequestInfo info) { info_ = std::move(info); }
+
  private:
-  mutable debug::RankedMutex<debug::LockRank::kVolRequest> mutex_;
-  std::condition_variable_any cv_;
-  bool done_ = false;
+  static constexpr int kPending = 0;
+  static constexpr int kDone = 1;
+
+  std::atomic<int> state_{kPending};
+  /// Written once, before the release store of state_.
   std::exception_ptr error_;
   RequestInfo info_;
 };

@@ -4,7 +4,6 @@
 #include "common/error.h"
 #include "common/units.h"
 #include "obs/epoch_analyzer.h"
-#include "vol/collective_writer.h"
 
 namespace apio::workloads {
 
@@ -71,23 +70,8 @@ VpicRunResult VpicIoKernel::run(vol::Connector& connector,
       for (std::uint64_t i = 0; i < ppr; ++i) {
         buffer[i] = particle_value(static_cast<std::uint64_t>(rank) * ppr + i, p);
       }
-      if (params_.collective_aggregators >= 1) {
-        // Two-phase collective path: slabs funnel through aggregator
-        // ranks that issue merged writes.  Point-to-point sends copy
-        // the payload, so `buffer` is reusable on return; aggregator
-        // requests land in `outstanding` and drain with the epoch.
-        const vol::CollectiveExtent extent{
-            static_cast<std::uint64_t>(rank) * ppr,
-            std::as_bytes(std::span<const float>(buffer))};
-        vol::CollectiveWriteOptions copts;
-        copts.num_aggregators = std::min(params_.collective_aggregators, size);
-        copts.stripe_bytes = params_.collective_stripe_bytes;
-        vol::collective_write(connector, comm, ds, {&extent, 1}, copts,
-                              &outstanding);
-      } else {
-        outstanding.push_back(connector.dataset_write(
-            ds, slab, std::as_bytes(std::span<const float>(buffer))));
-      }
+      outstanding.push_back(connector.dataset_write(
+          ds, slab, std::as_bytes(std::span<const float>(buffer))));
     }
     const double blocking = clock.now() - t0;
 

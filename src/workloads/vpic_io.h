@@ -23,13 +23,6 @@ struct VpicParams {
   int time_steps = 5;
   /// Emulated compute-phase duration between I/O phases.
   double compute_seconds = 0.0;
-  /// When >= 1, property slabs go through two-phase collective
-  /// aggregation (vol::collective_write) with this many aggregator
-  /// ranks; 0 keeps the direct per-rank writes the paper's baseline
-  /// VPIC-IO issues.
-  int collective_aggregators = 0;
-  /// Aggregator file-region granularity for the collective path.
-  std::uint64_t collective_stripe_bytes = 4 << 20;
 };
 
 /// The 8 particle properties VPIC writes (position, momentum, energy, id).

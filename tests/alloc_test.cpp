@@ -201,9 +201,11 @@ TEST(AllocTest, SteadyStateEpochAllocatesNoPayloadBuffersAndFewSmallObjects) {
               static_cast<double>(total.prefetch.large + total.write.large +
                                   total.read_hit.large) / kMeasuredEpochs,
               per_prefetch, per_write, per_read_hit);
-  EXPECT_LE(per_prefetch, 5.0);
-  EXPECT_LE(per_write, 4.0);
-  EXPECT_LE(per_read_hit, 2.0);
+  // A prefetch allocates its op (which is its Request) and its cache
+  // entry, a write its op, a prefetch hit its ready Request.
+  EXPECT_LE(per_prefetch, 2.1);
+  EXPECT_LE(per_write, 1.1);
+  EXPECT_LE(per_read_hit, 1.0);
 
   // The last epoch's writes landed.
   const int last = kWarmupEpochs + kMeasuredEpochs - 1;

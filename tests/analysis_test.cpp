@@ -354,6 +354,35 @@ void Gate::pump() {
   EXPECT_EQ(f.line, line_of(source, "cv_.wait(lk);"));
 }
 
+TEST(AnalysisThreadContextTest, AtomicWaitOnDeclaredMemberIsFlagged) {
+  // C++20 atomic waits park the thread like a condition variable (a
+  // vol::Request completes on one).
+  AnalyzerFixture fx;
+  const std::string source = R"(namespace apio {
+class Latch {
+ public:
+  void pump();
+ private:
+  std::atomic<int> flag_{0};
+};
+void Latch::pump() {
+  APIO_ASSERT_ON_STREAM();
+  flag_.wait(0);
+}
+}  // namespace apio
+)";
+  fx.write("src/latch.cpp", source);
+
+  const Analysis result = fx.run();
+  ASSERT_EQ(result.findings.size(), 1u);
+  const Finding& f = result.findings[0];
+  EXPECT_EQ(f.rule, kRuleThreadContext);
+  EXPECT_EQ(f.message,
+            "blocking wait on flag_ reachable from stream context Latch::pump");
+  EXPECT_EQ(f.key, "thread-context|Latch::pump|Latch::pump|wait");
+  EXPECT_EQ(f.line, line_of(source, "flag_.wait(0);"));
+}
+
 TEST(AnalysisThreadContextTest, RankAssertReachableFromStreamRootIsFlagged) {
   AnalyzerFixture fx;
   const std::string source = R"(namespace apio {

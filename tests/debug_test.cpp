@@ -20,18 +20,18 @@ namespace {
 
 TEST(LockRankTest, InOrderAcquisitionSucceeds) {
   RankedMutex<LockRank::kVolConnector> outer;
-  RankedMutex<LockRank::kVolRequest> inner;
+  RankedMutex<LockRank::kCounters> inner;
   std::lock_guard outer_lock(outer);
   std::lock_guard inner_lock(inner);
 #if defined(APIO_DEBUG_CHECKS)
   EXPECT_TRUE(detail::holds_rank(LockRank::kVolConnector));
-  EXPECT_TRUE(detail::holds_rank(LockRank::kVolRequest));
-  EXPECT_FALSE(detail::holds_rank(LockRank::kCounters));
+  EXPECT_TRUE(detail::holds_rank(LockRank::kCounters));
+  EXPECT_FALSE(detail::holds_rank(LockRank::kStorageBase));
 #endif
 }
 
 TEST(LockRankTest, ReleaseAllowsReacquisitionAtLowerRank) {
-  RankedMutex<LockRank::kVolRequest> high;
+  RankedMutex<LockRank::kCounters> high;
   RankedMutex<LockRank::kVolConnector> low;
   {
     std::lock_guard lock(high);
@@ -39,7 +39,7 @@ TEST(LockRankTest, ReleaseAllowsReacquisitionAtLowerRank) {
   // With `high` released, taking the lower-ranked lock is legal again.
   std::lock_guard lock(low);
 #if defined(APIO_DEBUG_CHECKS)
-  EXPECT_FALSE(detail::holds_rank(LockRank::kVolRequest));
+  EXPECT_FALSE(detail::holds_rank(LockRank::kCounters));
   EXPECT_TRUE(detail::holds_rank(LockRank::kVolConnector));
 #endif
 }
@@ -70,11 +70,11 @@ TEST(LockRankTest, TryLockRecordsRank) {
 }
 
 TEST(LockRankTest, HeldRanksAreThreadLocal) {
-  RankedMutex<LockRank::kVolRequest> m;
+  RankedMutex<LockRank::kCounters> m;
   std::lock_guard lock(m);
   std::thread other([] {
 #if defined(APIO_DEBUG_CHECKS)
-    EXPECT_FALSE(detail::holds_rank(LockRank::kVolRequest));
+    EXPECT_FALSE(detail::holds_rank(LockRank::kCounters));
 #endif
     // Another thread may take a lower rank: it holds nothing yet.
     RankedMutex<LockRank::kVolConnector> low;
@@ -85,7 +85,7 @@ TEST(LockRankTest, HeldRanksAreThreadLocal) {
 
 TEST(LockRankTest, RankNamesAreStable) {
   EXPECT_STREQ(lock_rank_name(LockRank::kVolConnector), "vol.connector");
-  EXPECT_STREQ(lock_rank_name(LockRank::kVolRequest), "vol.request");
+  EXPECT_STREQ(lock_rank_name(LockRank::kStorageCache), "storage.cache");
   EXPECT_STREQ(lock_rank_name(LockRank::kCounters), "counters");
 }
 
@@ -94,7 +94,7 @@ TEST(LockRankDeathTest, OutOfOrderAcquisitionAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        RankedMutex<LockRank::kVolRequest> inner;
+        RankedMutex<LockRank::kCounters> inner;
         RankedMutex<LockRank::kVolConnector> outer;
         std::lock_guard inner_lock(inner);
         std::lock_guard outer_lock(outer);  // rank inversion: must abort
@@ -106,8 +106,8 @@ TEST(LockRankDeathTest, SameRankReacquisitionAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        RankedMutex<LockRank::kVolRequest> a;
-        RankedMutex<LockRank::kVolRequest> b;
+        RankedMutex<LockRank::kCounters> a;
+        RankedMutex<LockRank::kCounters> b;
         std::lock_guard lock_a(a);
         std::lock_guard lock_b(b);  // equal rank: order undefined, abort
       },

@@ -143,6 +143,29 @@ TEST(RequestTest, WaitWakesWhenCompletedFromAnotherThread) {
   EXPECT_TRUE(request.test());
 }
 
+TEST(RequestTest, WaiterMayDropTheLastReferenceAsSoonAsWaitReturns) {
+  // The completer holds its own reference across complete(), so a
+  // waiter that frees the request the moment wait() returns never races
+  // the completer's wake-up.
+  constexpr int kRequests = 10000;
+  std::vector<RequestPtr> requests;
+  requests.reserve(kRequests);
+  for (int i = 0; i < kRequests; ++i) requests.push_back(std::make_shared<Request>());
+  std::vector<RequestPtr> waiting = requests;  // the waiter's references
+  std::thread waiter([&] {
+    for (RequestPtr& request : waiting) {
+      request->wait();
+      request.reset();
+    }
+  });
+  for (RequestPtr& request : requests) {
+    const RequestPtr held = std::move(request);
+    held->complete();
+  }
+  waiter.join();
+  for (const RequestPtr& request : waiting) EXPECT_EQ(request, nullptr);
+}
+
 TEST(AsyncConnectorTest, RequiresFile) {
   EXPECT_THROW(AsyncConnector(nullptr), InvalidArgumentError);
 }

@@ -719,6 +719,13 @@ void Extractor::run() {
       i = handle_cv_decl(i);
       continue;
     }
+    // `std::atomic<T> flag_;` members block in `flag_.wait(old)` like a
+    // condition variable.
+    if (t.is("atomic") && is(i + 1, "<") && in_class_body()) {
+      const std::size_t after = skip_angles(i + 1);
+      i = after == n() ? i + 1 : handle_cv_decl(after - 1);
+      continue;
+    }
     // Aliased mutex members: `Mutex mutex_;` where Mutex is a recorded
     // class-local RankedMutex alias.
     if (t.is_ident() && ident(i + 1) && is(i + 2, ";")) {

@@ -23,8 +23,9 @@
 //     enclosing block so "while-holding" edges are per call site.
 //     Holds do not leak into lambda bodies: a continuation built under
 //     a lock runs later, outside it;
-//   * condition-variable member names, so `cv.wait(lock)` is a
-//     primitive blocking site rather than a call to Request::wait;
+//   * condition-variable and std::atomic member names, so
+//     `cv.wait(lock)` and `flag.wait(old)` are primitive blocking sites
+//     rather than calls to Request::wait;
 //   * APIO_ASSERT_ON_STREAM / APIO_ASSERT_ON_RANK sites, which seed
 //     the thread-context pass.
 //
@@ -115,7 +116,7 @@ struct CodeModel {
   std::vector<Function> functions;
   std::multimap<std::string, std::size_t> by_name;  ///< simple name -> idx
   std::vector<MutexVar> mutexes;
-  std::set<std::string> cv_names;  ///< condition-variable member names
+  std::set<std::string> cv_names;  ///< condition-variable and atomic members
 
   // Coarse type environment.
   std::set<std::string> classes;                   ///< defined class names
