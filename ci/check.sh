@@ -54,7 +54,8 @@
 #      buffer-slice arithmetic and the trace CSV's number parser, and
 #      the posix-sequence, byte-ranges and hyperslab-generator suites,
 #      for the sieve's recorded-range interval set and the selection
-#      odometer's index arithmetic.
+#      odometer's index arithmetic, and the fair-scheduler generator,
+#      for the admission queues' grant order.
 #
 # Usage: ci/check.sh [--skip-tsan]
 set -euo pipefail
@@ -74,8 +75,9 @@ cmake --preset default
 cmake --build --preset default -j "${JOBS}"
 ctest --preset default -j "${JOBS}"
 # The seeded generators (posix sequences against a byte array, random
-# hyperslabs against a brute-force enumerator) run 3 seeds under ctest;
-# gtest's shuffle seed gives each of these 60 repeats a seed of its own.
+# hyperslabs against a brute-force enumerator, fair-scheduler grant
+# order against a reference SFQ model) run 3 seeds under ctest; gtest's
+# shuffle seed gives each of these 60 repeats a seed of its own.
 build/tests/seeded_model_test --gtest_shuffle --gtest_random_seed=1 \
   --gtest_repeat=60 --gtest_brief=1
 
@@ -164,10 +166,10 @@ else
   ctest --preset tsan -j "${JOBS}"
 fi
 
-echo "==> [8/8] asan-ubsan build + fault-matrix, async-connector, backend, handle-lifetime, path-index, cache, paged-memory, collective-write, two-phase, passthrough, adaptive-loop, request, close-race, staging-vs-prefetch-cache hammer, container-parsing, retry-loop, vectored-dataset, trace, posix-sequence, byte-ranges and hyperslab-generator suites"
+echo "==> [8/8] asan-ubsan build + fault-matrix, async-connector, backend, handle-lifetime, path-index, cache, paged-memory, collective-write, two-phase, passthrough, adaptive-loop, request, close-race, staging-vs-prefetch-cache hammer, container-parsing, retry-loop, vectored-dataset, trace, posix-sequence, byte-ranges, hyperslab-generator and fair-scheduler-generator suites"
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "${JOBS}"
 ctest --preset asan-ubsan -j "${JOBS}" \
-  -R 'Resilience|FaultInjection|AsyncConnector|VectoredBackend|BackendContract|HandleLifetime|PathIndex|Cache|PagedMemory|CollectiveWrite|TwoPhase|Passthrough|ModeAdvisor|AdaptiveConnector|FeedbackLoop|Alloc|RequestTest|ConnectorCloseRace|StagingBudgetAndPrefetchCacheShareTraffic|Corruption|H5Fuzz|Chunked|BreakerRejected|SurvivingTwoFaults|VectoredDataset|TraceTest|PosixSequence|ByteRanges|HyperslabGenerator'
+  -R 'Resilience|FaultInjection|AsyncConnector|VectoredBackend|BackendContract|HandleLifetime|PathIndex|Cache|PagedMemory|CollectiveWrite|TwoPhase|Passthrough|ModeAdvisor|AdaptiveConnector|FeedbackLoop|Alloc|RequestTest|ConnectorCloseRace|StagingBudgetAndPrefetchCacheShareTraffic|Corruption|H5Fuzz|Chunked|BreakerRejected|SurvivingTwoFaults|VectoredDataset|TraceTest|PosixSequence|ByteRanges|HyperslabGenerator|FairSchedulerGenerator'
 
 echo "==> all checks passed"

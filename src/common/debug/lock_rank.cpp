@@ -12,7 +12,6 @@ const char* lock_rank_name(LockRank rank) {
     case LockRank::kVolConnector: return "vol.connector";
     case LockRank::kVolEventSet: return "vol.event_set";
     case LockRank::kVolTrace: return "vol.trace";
-    case LockRank::kPmpiSplit: return "pmpi.split";
     case LockRank::kPmpiCollective: return "pmpi.collective";
     case LockRank::kPmpiBarrier: return "pmpi.barrier";
     case LockRank::kPmpiMailbox: return "pmpi.mailbox";

@@ -31,7 +31,6 @@ enum class LockRank : int {
   kVolEventSet = 18,    ///< EventSet request/error lists
   kVolTrace = 22,       ///< TraceRecorder event list
   // -- pmpi (rank threads; collectives never nest their locks) --------
-  kPmpiSplit = 30,      ///< World split() rendezvous map
   kPmpiCollective = 34, ///< World collective exchange slots
   kPmpiBarrier = 38,    ///< World sense-reversing barrier
   kPmpiMailbox = 42,    ///< per-rank point-to-point mailbox

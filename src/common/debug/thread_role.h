@@ -62,7 +62,7 @@ void assert_on_stream(std::source_location loc);
 /// thread tagged for the same `domain` whose rank differs from `rank`.
 /// Untagged (application) threads pass — tests drive communicators from
 /// threads they manage — and so do rank threads acting on another
-/// domain (split() sub-communicators are owned by parent-world ranks).
+/// domain: ranks are compared within one world only.
 void assert_on_rank(const void* domain, int rank, std::source_location loc);
 }  // namespace detail
 

@@ -1,8 +1,6 @@
-// Element-wise datatype conversion, the HDF5-style "memory type vs file
-// type" feature: an application may read a float32 dataset into double
-// buffers (analysis at higher precision) or write doubles into a
-// float32 dataset (checkpoint compression), with the library converting
-// on the data path.
+// Element-wise datatype conversion between the ten h5 element types.
+// Datasets are written and read in their own type, so nothing on the
+// data path calls this.
 #pragma once
 
 #include <cstddef>

@@ -20,7 +20,6 @@
 #include <string_view>
 #include <vector>
 
-#include "h5/convert.h"
 #include "h5/datatype.h"
 #include "h5/dataspace.h"
 #include "h5/metadata.h"
@@ -80,16 +79,6 @@ class Dataset {
     read<T>(selection, out);
     return out;
   }
-
-  /// Type-converting write: `data` elements of type T are converted to
-  /// the dataset's stored type on the way in (HDF5 memory-type vs
-  /// file-type semantics).
-  template <typename T>
-  void write_as(const Selection& selection, std::span<const T> data);
-
-  /// Type-converting read: stored elements are converted to T.
-  template <typename T>
-  std::vector<T> read_as(const Selection& selection) const;
 
   /// Grows (or shrinks) a chunked dataset's extent; rank must match.
   void set_extent(const Dims& new_dims);
@@ -274,30 +263,6 @@ class File : public std::enable_shared_from_this<File> {
   /// (an async submit racing the connector's close, say).
   std::atomic<bool> open_{false};
 };
-
-template <typename T>
-void Dataset::write_as(const Selection& selection, std::span<const T> data) {
-  if (native_datatype<T>() == dtype()) {
-    write<T>(selection, data);
-    return;
-  }
-  const std::uint64_t n = npoints_of(selection);
-  std::vector<std::byte> converted(n * element_size());
-  convert_elements(native_datatype<T>(), std::as_bytes(data), dtype(), converted, n);
-  write_raw(selection, converted);
-}
-
-template <typename T>
-std::vector<T> Dataset::read_as(const Selection& selection) const {
-  if (native_datatype<T>() == dtype()) return read_vector<T>(selection);
-  const std::uint64_t n = npoints_of(selection);
-  std::vector<std::byte> stored(n * element_size());
-  read_raw(selection, stored);
-  std::vector<T> out(n);
-  convert_elements(dtype(), stored, native_datatype<T>(),
-                   std::as_writable_bytes(std::span<T>(out)), n);
-  return out;
-}
 
 /// Convenience: creates a container on a fresh POSIX file.
 FilePtr create_file(const std::string& path, FileProps props = {});

@@ -1,9 +1,7 @@
 #include "pmpi/world.h"
 
-#include <algorithm>
 #include <cstring>
 #include <thread>
-#include <tuple>
 
 #include "common/debug/invariant.h"
 #include "common/debug/thread_role.h"
@@ -163,54 +161,6 @@ std::vector<std::byte> Communicator::recv_bytes(int source, int tag) {
   std::vector<std::byte> msg = std::move(queue.front());
   queue.pop_front();
   return msg;
-}
-
-bool Communicator::iprobe(int source, int tag) const {
-  APIO_REQUIRE(source >= 0 && source < size(), "iprobe source out of range");
-  APIO_ASSERT_ON_RANK(world_, rank_);
-  auto& box = *world_->mailboxes_[rank_];
-  std::lock_guard lock(box.mutex);
-  auto it = box.queues.find({source, tag});
-  return it != box.queues.end() && !it->second.empty();
-}
-
-Communicator Communicator::split(int color, int key) {
-  APIO_ASSERT_ON_RANK(world_, rank_);
-  // Collect (color, key) of every rank; group and order deterministically.
-  struct Entry {
-    int color;
-    int key;
-    int rank;
-  };
-  auto entries = allgather(Entry{color, key, rank_});
-  std::vector<Entry> group;
-  for (const auto& e : entries) {
-    if (e.color == color) group.push_back(e);
-  }
-  std::sort(group.begin(), group.end(), [](const Entry& a, const Entry& b) {
-    return std::tie(a.key, a.rank) < std::tie(b.key, b.rank);
-  });
-  int new_rank = -1;
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    if (group[i].rank == rank_) new_rank = static_cast<int>(i);
-  }
-  APIO_ASSERT(new_rank >= 0, "split(): calling rank missing from its group");
-
-  // Rendezvous: the first arriver of each colour creates the sub-world.
-  std::shared_ptr<World> sub;
-  {
-    std::lock_guard lock(world_->split_mutex_);
-    auto& slot = world_->split_worlds_[color];
-    if (!slot) slot = std::make_shared<World>(static_cast<int>(group.size()));
-    sub = slot;
-  }
-  world_->barrier();  // every rank holds its sub-world
-  if (rank_ == 0) {
-    std::lock_guard lock(world_->split_mutex_);
-    world_->split_worlds_.clear();  // ready for the next split() round
-  }
-  world_->barrier();
-  return Communicator(std::move(sub), new_rank);
 }
 
 void run(int size, const std::function<void(Communicator&)>& body) {

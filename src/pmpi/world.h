@@ -61,10 +61,6 @@ class World {
   std::vector<std::vector<std::byte>> coll_slots_;
   std::span<const std::byte> bcast_view_;
 
-  // split() rendezvous: color -> sub-world under construction.
-  debug::RankedMutex<debug::LockRank::kPmpiSplit> split_mutex_;
-  std::map<int, std::shared_ptr<World>> split_worlds_;
-
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
 
   void barrier();
@@ -139,71 +135,12 @@ class Communicator {
   void send_bytes(std::span<const std::byte> data, int dest, int tag);
   std::vector<std::byte> recv_bytes(int source, int tag);
 
-  /// Non-blocking probe (MPI_Iprobe): true when a matching message is
-  /// already waiting, i.e. the next recv(source, tag) will not block.
-  bool iprobe(int source, int tag) const;
-
-  /// MPI_Scatter: root holds one chunk per rank (all the same length);
-  /// every rank receives its chunk.  Pass empty on non-roots.
-  template <typename T>
-  std::vector<T> scatter(const std::vector<std::vector<T>>& chunks, int root) {
-    if (rank() == root) {
-      for (int r = 0; r < size(); ++r) {
-        send<T>(chunks[static_cast<std::size_t>(r)], r, kInternalTagScatter);
-      }
-    }
-    return recv<T>(root, kInternalTagScatter);
-  }
-
-  /// MPI_Alltoall (variable-length): outgoing[j] goes to rank j; the
-  /// result's element [j] came from rank j.
-  template <typename T>
-  std::vector<std::vector<T>> alltoall(const std::vector<std::vector<T>>& outgoing) {
-    for (int r = 0; r < size(); ++r) {
-      send<T>(outgoing[static_cast<std::size_t>(r)], r, kInternalTagAlltoall);
-    }
-    std::vector<std::vector<T>> incoming(static_cast<std::size_t>(size()));
-    for (int r = 0; r < size(); ++r) {
-      incoming[static_cast<std::size_t>(r)] = recv<T>(r, kInternalTagAlltoall);
-    }
-    return incoming;
-  }
-
-  /// MPI_Comm_split: collective.  Ranks with the same `color` form a
-  /// new communicator, ordered by (key, old rank).  The returned
-  /// communicator owns its world's lifetime (safe to outlive the call
-  /// site while the parent world is alive).
-  Communicator split(int color, int key);
-
-  template <typename T>
-  void send(std::span<const T> data, int dest, int tag) {
-    send_bytes(std::as_bytes(data), dest, tag);
-  }
-
-  template <typename T>
-  std::vector<T> recv(int source, int tag) {
-    auto raw = recv_bytes(source, tag);
-    std::vector<T> out(raw.size() / sizeof(T));
-    std::memcpy(out.data(), raw.data(), out.size() * sizeof(T));
-    return out;
-  }
-
  private:
   friend class World;
   Communicator(World* world, int rank) : world_(world), rank_(rank) {}
-  Communicator(std::shared_ptr<World> owned, int rank)
-      : world_(owned.get()), rank_(rank), owned_world_(std::move(owned)) {}
-
-  /// Reserved tag space for internal collectives; user tags >= 0 never
-  /// collide with these.
-  static constexpr int kInternalTagScatter = -1000001;
-  static constexpr int kInternalTagAlltoall = -1000002;
 
   World* world_ = nullptr;
   int rank_ = -1;
-  /// Set for communicators produced by split(): keeps the sub-world
-  /// alive for as long as any of its communicators.
-  std::shared_ptr<World> owned_world_;
 };
 
 /// Runs `body` as an SPMD region over `size` ranks, one std::thread per

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <limits>
+#include <deque>
 #include <mutex>
 
 #include "common/error.h"
@@ -15,20 +15,6 @@ namespace {
 const Clock& default_clock() {
   static WallClock clock;
   return clock;
-}
-
-/// Sort key inside one tenant+lane queue: earliest deadline first,
-/// deadline-free requests last in FIFO order.
-double deadline_key(const IoRequest& request) {
-  return request.deadline > 0.0 ? request.deadline
-                                : std::numeric_limits<double>::infinity();
-}
-
-bool queue_before(const TicketPtr& a, const TicketPtr& b) {
-  const double da = deadline_key(a->request());
-  const double db = deadline_key(b->request());
-  if (da != db) return da < db;
-  return a->seq() < b->seq();
 }
 
 }  // namespace
@@ -63,14 +49,13 @@ struct FairScheduler::Tenant {
   double weight = 1.0;
   /// Virtual finish time of this tenant's last charged grant.
   double vtime = 0.0;
-  /// Queued tickets per lane, ordered by (deadline, seq).
-  std::vector<TicketPtr> queue[kLanes];
+  /// Queued tickets per lane, in arrival order.
+  std::deque<TicketPtr> queue[kLanes];
   TenantStats stats;
   /// Cached obs metric handles (stable references; looked up once).
   obs::Counter* bytes_counter = nullptr;
   obs::Gauge* depth_gauge = nullptr;
   obs::Histogram* wait_hist = nullptr;
-  obs::Counter* miss_counter = nullptr;
 };
 
 struct FairScheduler::State {
@@ -91,7 +76,6 @@ struct FairScheduler::State {
   std::uint64_t submitted_ops = 0;
   std::uint64_t dispatched_ops = 0;
   std::uint64_t dispatched_bytes = 0;
-  std::uint64_t deadline_misses = 0;
 
   Tenant& tenant_for(const TenantId& id) {
     auto [it, inserted] = tenants.try_emplace(id);
@@ -106,7 +90,6 @@ struct FairScheduler::State {
       t.bytes_counter = &reg.counter(prefix + "dispatched_bytes");
       t.depth_gauge = &reg.gauge(prefix + "queue_depth");
       t.wait_hist = &reg.histogram(prefix + "wait_seconds");
-      t.miss_counter = &reg.counter(prefix + "deadline_misses");
     }
     return t;
   }
@@ -146,10 +129,7 @@ TicketPtr FairScheduler::submit(const IoRequest& request) {
     obs::Registry::instance().counter("sched.submitted").increment();
   }
 
-  auto& queue = t.queue[static_cast<int>(ticket->request_.lane)];
-  queue.insert(std::upper_bound(queue.begin(), queue.end(), ticket,
-                                queue_before),
-               ticket);
+  t.queue[static_cast<int>(ticket->request_.lane)].push_back(ticket);
   ++s.queued_total;
   ++t.stats.queue_depth;
   t.stats.max_queue_depth =
@@ -210,7 +190,6 @@ SchedStats FairScheduler::stats() const {
   out.submitted_ops = s.submitted_ops;
   out.dispatched_ops = s.dispatched_ops;
   out.dispatched_bytes = s.dispatched_bytes;
-  out.deadline_misses = s.deadline_misses;
   out.virtual_time = s.virtual_time;
   for (const auto& [id, tenant] : s.tenants) out.tenants.emplace(id, tenant.stats);
   return out;
@@ -219,42 +198,34 @@ SchedStats FairScheduler::stats() const {
 /// Grants the channel slot when it is free and work is queued (after
 /// close(), grants everything queued).  Lane policy first (any
 /// priority request beats any bulk request), then weighted fairness:
-/// the grant goes to the eligible request whose tenant has the smallest
-/// virtual start time, with deadlines breaking ties toward urgency
-/// inside the priority lane.  Called with the queue mutex held;
-/// notifies waiters once per batch.
+/// the grant goes to the lane head whose tenant has the smallest
+/// virtual start time, then to the earlier arrival.  Called with the
+/// queue mutex held; notifies waiters once per batch.
 void FairScheduler::dispatch_locked(State& s) {
   bool granted_any = false;
   while (s.queued_total > 0 && (s.closed || !s.busy)) {
     Tenant* best_tenant = nullptr;
     int best_lane = 0;
-    // (deadline, virtual start, seq) for priority; (virtual start,
-    // deadline, seq) for bulk — fairness dominates in the bulk lane.
-    double best_k0 = 0.0, best_k1 = 0.0;
+    double best_start = 0.0;
     std::uint64_t best_seq = 0;
     for (int lane = 0; lane < kLanes && best_tenant == nullptr; ++lane) {
       for (auto& [id, t] : s.tenants) {
         if (t.queue[lane].empty()) continue;
-        const TicketPtr& head = t.queue[lane].front();
         const double start = std::max(t.vtime, s.virtual_time);
-        const double dl = deadline_key(head->request());
-        const double k0 = lane == static_cast<int>(Lane::kPriority) ? dl : start;
-        const double k1 = lane == static_cast<int>(Lane::kPriority) ? start : dl;
-        if (best_tenant == nullptr || k0 < best_k0 ||
-            (k0 == best_k0 &&
-             (k1 < best_k1 || (k1 == best_k1 && head->seq_ < best_seq)))) {
+        const std::uint64_t seq = t.queue[lane].front()->seq_;
+        if (best_tenant == nullptr || start < best_start ||
+            (start == best_start && seq < best_seq)) {
           best_tenant = &t;
           best_lane = lane;
-          best_k0 = k0;
-          best_k1 = k1;
-          best_seq = head->seq_;
+          best_start = start;
+          best_seq = seq;
         }
       }
     }
     if (best_tenant == nullptr) break;  // queued_total out of sync — cannot happen
     Tenant& t = *best_tenant;
-    TicketPtr ticket = t.queue[best_lane].front();
-    t.queue[best_lane].erase(t.queue[best_lane].begin());
+    TicketPtr ticket = std::move(t.queue[best_lane].front());
+    t.queue[best_lane].pop_front();
     --s.queued_total;
     --t.stats.queue_depth;
 
@@ -276,7 +247,6 @@ void FairScheduler::dispatch_locked(State& s) {
     const double now = s.clock->now();
     ticket->grant_time_ = now;
     const double waited = now - ticket->submit_time_;
-    const bool missed = req.deadline > 0.0 && now > req.deadline;
 
     ++s.dispatched_ops;
     s.dispatched_bytes += req.bytes;
@@ -287,20 +257,12 @@ void FairScheduler::dispatch_locked(State& s) {
     auto& samples = t.stats.wait_samples[static_cast<int>(req.lane)];
     if (samples.size() < kMaxWaitSamples) samples.push_back(waited);
     if (req.lane == Lane::kPriority) ++t.stats.priority_ops;
-    if (missed) {
-      ++s.deadline_misses;
-      ++t.stats.deadline_misses;
-    }
     if (obs::enabled()) {
       auto& reg = obs::Registry::instance();
       reg.counter("sched.dispatched").increment();
       reg.counter("sched.dispatched_bytes").add(req.bytes);
       if (req.lane == Lane::kPriority) {
         reg.counter("sched.priority_dispatched").increment();
-      }
-      if (missed) {
-        reg.counter("sched.deadline_misses").increment();
-        t.miss_counter->increment();
       }
       t.bytes_counter->add(req.bytes);
       t.wait_hist->record_seconds(waited);

@@ -8,7 +8,7 @@
 // start-time-fair-queuing order over *bytes*:
 //
 //   at grant:  start        = max(tenant.vtime, V)
-//              V            = start
+//              V            = start          (bulk grants only)
 //              tenant.vtime = start + bytes / weight
 //
 // where V is the global virtual time.  Backlogged tenants therefore
@@ -16,15 +16,10 @@
 // tenant going idle forfeits — its vtime jumps forward to V on its next
 // arrival, so it cannot bank credit and burst past active tenants.
 //
-// On top of the fair ordering:
-//  - two lanes: every queued kPriority request (metadata, flushes) is
-//    granted before any kBulk request, across all tenants; priority
-//    bytes are still charged to the owning tenant's vtime.
-//  - deadline-aware ordering: within a tenant+lane queue, requests sort
-//    by (deadline, arrival); deadline-free requests sort last, FIFO.
-//    Deadlines are absolute on the scheduler clock and come from the
-//    issuing thread's bound SubmissionContext (sched::ScopedSubmission),
-//    which the async connector carries to its background stream.
+// On top of the fair ordering, two lanes: every queued kPriority
+// request (metadata, flushes) is granted before any kBulk request,
+// across all tenants; priority bytes are still charged to the owning
+// tenant's vtime.  Each tenant+lane queue is FIFO.
 //
 // Threading: submit()/admit() are called from application threads and
 // async execution streams; complete() from whichever thread finishes
@@ -93,7 +88,6 @@ struct TenantStats {
   /// byte-fairness for bounded latency by design.
   std::uint64_t lane_bytes[kLanes] = {0, 0};
   std::uint64_t priority_ops = 0;       ///< dispatched via kPriority
-  std::uint64_t deadline_misses = 0;    ///< granted past their deadline
   std::uint64_t queue_depth = 0;        ///< currently queued (ungranted)
   std::uint64_t max_queue_depth = 0;
   double wait_seconds_total = 0.0;      ///< submit→grant, summed
@@ -106,7 +100,6 @@ struct SchedStats {
   std::uint64_t submitted_ops = 0;
   std::uint64_t dispatched_ops = 0;
   std::uint64_t dispatched_bytes = 0;
-  std::uint64_t deadline_misses = 0;
   double virtual_time = 0.0;
   std::map<TenantId, TenantStats> tenants;
 };
@@ -120,8 +113,8 @@ class FairScheduler {
   /// beyond the cap new samples are dropped (totals keep counting).
   static constexpr std::size_t kMaxWaitSamples = 65536;
 
-  /// `clock` is the time source for waits and deadlines; null means
-  /// the process wall clock.
+  /// `clock` is the time source for waits; null means the process wall
+  /// clock.
   explicit FairScheduler(const Clock* clock = nullptr);
   ~FairScheduler();
 

@@ -9,12 +9,11 @@
 //
 // An IoRequest names the work before it reaches storage: which tenant
 // issued it, which lane it rides (latency-sensitive metadata/flush vs
-// bulk data), how many bytes it moves, and — optionally — an absolute
-// deadline.  sched::FairScheduler (fair_scheduler.h) admits these
-// requests onto the shared storage channel in weighted max-min order;
-// storage::QosBackend builds them at the decorator boundary from the
-// calling thread's SubmissionContext, which is where every deadline
-// comes from: the issuer binds one with ScopedSubmission.
+// bulk data) and how many bytes it moves.  sched::FairScheduler
+// (fair_scheduler.h) admits these requests onto the shared storage
+// channel in weighted max-min order; storage::QosBackend builds them at
+// the decorator boundary from the calling thread's SubmissionContext,
+// which the issuer binds with ScopedSubmission.
 #pragma once
 
 #include <cstdint>
@@ -50,11 +49,6 @@ struct IoRequest {
   /// Bytes the granted transfer will move; the fairness currency.
   /// Zero-byte requests (flushes) are admitted but charge nothing.
   std::uint64_t bytes = 0;
-  /// Absolute deadline in seconds on the scheduler's clock; 0 = none.
-  /// Requests with earlier deadlines are served first within their
-  /// tenant+lane queue (FIFO among deadline-free requests), and a grant
-  /// issued past its deadline counts as a deadline miss.
-  double deadline = 0.0;
 };
 
 /// Submission identity bound to the calling thread.  QosBackend reads
@@ -65,7 +59,6 @@ struct IoRequest {
 struct SubmissionContext {
   TenantId tenant;          ///< "" resolves to kDefaultTenant
   Lane lane = Lane::kBulk;  ///< lane for data ops (flushes stay priority)
-  double deadline = 0.0;    ///< absolute, scheduler clock; 0 = none
 };
 
 /// The calling thread's current submission binding; null when unbound.

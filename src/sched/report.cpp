@@ -17,9 +17,7 @@ std::string render_sched_report(const obs::RegistrySnapshot& snapshot) {
   os << "sched:\n";
   os << "  dispatched " << dispatched << " ops / "
      << format_bytes(total_bytes) << " (priority "
-     << snapshot.counter_total("sched.priority_dispatched")
-     << ", deadline misses "
-     << snapshot.counter_total("sched.deadline_misses") << ")\n";
+     << snapshot.counter_total("sched.priority_dispatched") << ")\n";
 
   const std::string prefix = "sched.tenant.";
   const std::string suffix = ".dispatched_bytes";
@@ -47,8 +45,7 @@ std::string render_sched_report(const obs::RegistrySnapshot& snapshot) {
          << format_seconds(hist->second.p99_seconds()) << " (n="
          << hist->second.count << ")";
     }
-    os << "  misses "
-       << snapshot.counter_total(prefix + tenant + ".deadline_misses") << "\n";
+    os << "\n";
   }
   return os.str();
 }

@@ -2,10 +2,9 @@
 // `sched:` report block, shared by apio_profile and tests.
 //
 // Reads only an obs::RegistrySnapshot — per-tenant dispatched bytes and
-// channel share, the full submit->grant wait percentile spread
-// (p50/p95/p99 from the per-tenant wait histograms), and deadline-miss
-// counters.  Returns "" when the scheduler dispatched nothing, so
-// non-QoS profiles stay unchanged.
+// channel share, and the full submit->grant wait percentile spread
+// (p50/p95/p99 from the per-tenant wait histograms).  Returns "" when
+// the scheduler dispatched nothing, so non-QoS profiles stay unchanged.
 #pragma once
 
 #include <string>

@@ -43,7 +43,6 @@ sched::IoRequest QosBackend::request_for(obs::IoOp op,
   if (const sched::SubmissionContext* ctx = sched::current_submission()) {
     request.tenant = ctx->tenant;
     request.lane = ctx->lane;
-    request.deadline = ctx->deadline;
   }
   if (request.tenant.empty()) request.tenant = sched::kDefaultTenant;
   if (op == obs::IoOp::kFlush) request.lane = sched::Lane::kPriority;

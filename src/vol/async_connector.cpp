@@ -187,8 +187,7 @@ RequestPtr AsyncConnector::submit(std::shared_ptr<AsyncOp> op,
   if (ds != nullptr) op->ds = *ds;
   op->selection = selection;
   // Submission identity: connector-level tenant wins, then the issuing
-  // thread's binding, whose admission deadline the op carries.  Data
-  // ops ride the bulk lane.
+  // thread's binding.  Data ops ride the bulk lane.
   if (const sched::SubmissionContext* ctx = sched::current_submission()) {
     op->submission = *ctx;
   }

@@ -238,7 +238,6 @@ MultiJobResult run_multi_job(const MultiJobParams& params) {
     row.bulk_p99_wait = percentile(
         fin.wait_samples[static_cast<int>(sched::Lane::kBulk)], 0.99);
     row.priority_ops = fin.priority_ops;
-    row.deadline_misses = fin.deadline_misses;
     result.tenants.push_back(std::move(row));
   }
   return result;

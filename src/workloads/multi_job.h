@@ -82,7 +82,6 @@ struct TenantResult {
   double priority_p99_wait = 0.0;      ///< submit->grant, priority lane
   double bulk_p99_wait = 0.0;          ///< submit->grant, bulk lane
   std::uint64_t priority_ops = 0;
-  std::uint64_t deadline_misses = 0;
 };
 
 struct MultiJobResult {

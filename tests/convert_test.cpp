@@ -1,20 +1,15 @@
-// Tests for datatype conversion on the I/O path (h5/convert.h and the
-// Dataset::write_as / read_as entry points).
+// Tests for element-wise datatype conversion (h5/convert.h).
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <tuple>
+#include <vector>
 
 #include "common/error.h"
 #include "h5/convert.h"
-#include "h5/file.h"
-#include "storage/memory_backend.h"
 
 namespace apio::h5 {
 namespace {
-
-FilePtr mem_file() {
-  return File::create(std::make_shared<storage::MemoryBackend>());
-}
 
 TEST(ConvertTest, IdentityIsMemcpy) {
   const std::vector<std::int32_t> in{1, -2, 3};
@@ -103,61 +98,6 @@ INSTANTIATE_TEST_SUITE_P(AllPairs, ConvertPairTest,
                            return datatype_name(std::get<0>(info.param)) + "_to_" +
                                   datatype_name(std::get<1>(info.param));
                          });
-
-// ---------------------------------------------------------------------------
-// Dataset-level conversion
-
-TEST(DatasetConvertTest, WriteDoublesIntoFloat32Dataset) {
-  auto file = mem_file();
-  auto ds = file->root().create_dataset("d", Datatype::kFloat32, {4});
-  const std::vector<double> values{1.5, 2.5, 3.5, 4.5};
-  ds.write_as<double>(Selection::all(), values);
-  auto stored = ds.read_vector<float>(Selection::all());
-  EXPECT_EQ(stored, (std::vector<float>{1.5f, 2.5f, 3.5f, 4.5f}));
-}
-
-TEST(DatasetConvertTest, ReadFloat32DatasetAsDoubles) {
-  auto file = mem_file();
-  auto ds = file->root().create_dataset("d", Datatype::kFloat32, {3});
-  const std::vector<float> values{0.5f, 1.0f, -2.0f};
-  ds.write<float>(Selection::all(), values);
-  auto as_doubles = ds.read_as<double>(Selection::all());
-  EXPECT_EQ(as_doubles, (std::vector<double>{0.5, 1.0, -2.0}));
-}
-
-TEST(DatasetConvertTest, MatchingTypeUsesDirectPath) {
-  auto file = mem_file();
-  auto ds = file->root().create_dataset("d", Datatype::kInt64, {2});
-  const std::vector<std::int64_t> values{7, 8};
-  ds.write_as<std::int64_t>(Selection::all(), values);
-  EXPECT_EQ(ds.read_as<std::int64_t>(Selection::all()), values);
-}
-
-TEST(DatasetConvertTest, ConversionOnHyperslab) {
-  auto file = mem_file();
-  auto ds = file->root().create_dataset("d", Datatype::kInt32, {8});
-  std::vector<std::int32_t> zeros(8, 0);
-  ds.write<std::int32_t>(Selection::all(), zeros);
-  const std::vector<double> patch{5.9, 6.9};  // truncates to 5, 6
-  ds.write_as<double>(Selection::offsets({2}, {2}), patch);
-  auto all = ds.read_vector<std::int32_t>(Selection::all());
-  EXPECT_EQ(all[2], 5);
-  EXPECT_EQ(all[3], 6);
-  EXPECT_EQ(all[4], 0);
-}
-
-TEST(DatasetConvertTest, WorksOnChunkedDatasets) {
-  auto file = mem_file();
-  auto ds = file->root().create_dataset("d", Datatype::kFloat32, {16},
-                                        DatasetCreateProps::chunked({8}));
-  std::vector<double> values(16);
-  std::iota(values.begin(), values.end(), 0.25);
-  ds.write_as<double>(Selection::all(), values);
-  auto back = ds.read_as<double>(Selection::all());
-  for (std::size_t i = 0; i < 16; ++i) {
-    EXPECT_DOUBLE_EQ(back[i], static_cast<double>(static_cast<float>(values[i])));
-  }
-}
 
 }  // namespace
 }  // namespace apio::h5

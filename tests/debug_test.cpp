@@ -162,8 +162,8 @@ TEST(ThreadRoleTest, AssertOnRankPassesForOwnerAndStrangers) {
     APIO_ASSERT_ON_RANK(&domain, 2);
   }
   {
-    // A rank thread of a *different* domain passes: split()
-    // sub-communicators are legally driven by parent-world ranks.
+    // A rank thread of a *different* domain passes: ranks are
+    // compared within one world only.
     ScopedThreadRole role(ThreadRole::kPmpiRank, 0, &other_domain);
     APIO_ASSERT_ON_RANK(&domain, 2);
   }

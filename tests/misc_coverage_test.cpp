@@ -1,13 +1,12 @@
 // Remaining coverage: replay timing reproduction, non-shared throttle
-// channels, split() composition, connector/advisor interactions not
-// covered elsewhere, and log-level plumbing.
+// channels, connector/advisor interactions not covered elsewhere, and
+// log-level plumbing.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <mutex>
 
 #include "common/log.h"
-#include "pmpi/world.h"
 #include "storage/memory_backend.h"
 #include "storage/throttled_backend.h"
 #include "vol/adaptive_connector.h"
@@ -45,29 +44,6 @@ TEST(ReplayTimingTest, TimeScaleReproducesComputeGaps) {
 
   EXPECT_LT(run_with_scale(0.0), 0.05);
   EXPECT_GE(run_with_scale(0.5), 0.045);
-}
-
-TEST(PmpiSplitTest, SubCommunicatorCanSplitAgain) {
-  pmpi::run(8, [](pmpi::Communicator& comm) {
-    pmpi::Communicator half = comm.split(comm.rank() / 4, comm.rank());
-    EXPECT_EQ(half.size(), 4);
-    pmpi::Communicator quarter = half.split(half.rank() / 2, half.rank());
-    EXPECT_EQ(quarter.size(), 2);
-    const std::uint64_t n = quarter.allreduce_sum(std::uint64_t{1});
-    EXPECT_EQ(n, 2u);
-    comm.barrier();
-  });
-}
-
-TEST(PmpiSplitTest, SingletonColors) {
-  pmpi::run(4, [](pmpi::Communicator& comm) {
-    // Every rank its own colour: size-1 communicators.
-    pmpi::Communicator solo = comm.split(comm.rank(), 0);
-    EXPECT_EQ(solo.size(), 1);
-    EXPECT_EQ(solo.rank(), 0);
-    EXPECT_DOUBLE_EQ(solo.allreduce_sum(2.5), 2.5);
-    comm.barrier();
-  });
 }
 
 TEST(AdaptiveConnectorTest2, ReportedRanksFlowToAdvisorSamples) {

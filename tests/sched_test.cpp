@@ -1,7 +1,7 @@
 // Unit tests for apio::sched (fair-share admission) and its storage /
-// VOL integration: the FairScheduler SFQ math, lane and deadline
-// ordering, submission-context plumbing, QosBackend attribution, the
-// BackendStack builder, and the multi_job contention workload.
+// VOL integration: the FairScheduler SFQ math, lane ordering,
+// submission-context plumbing, QosBackend attribution, the BackendStack
+// builder, and the multi_job contention workload.
 //
 // Everything timing-sensitive runs on a ManualClock, so the
 // fairness properties here are exact (deterministic grant sequences),
@@ -193,53 +193,6 @@ TEST(FairSchedulerTest, PriorityGrantDoesNotAdvanceGlobalVirtualTime) {
       << "priority grants must not drag the global frontier forward";
 }
 
-TEST(FairSchedulerTest, DeadlinesReorderWithinTenantLane) {
-  ManualClock clock;
-  FairScheduler sched(&clock);
-
-  auto blocker = sched.submit(bulk_request("t", 1024));
-  ASSERT_TRUE(blocker->granted());
-  auto relaxed = sched.submit(bulk_request("t", 1024));  // no deadline
-  auto far = [&] {
-    auto req = bulk_request("t", 1024);
-    req.deadline = 10.0;
-    return sched.submit(req);
-  }();
-  auto near = [&] {
-    auto req = bulk_request("t", 1024);
-    req.deadline = 1.0;
-    return sched.submit(req);
-  }();
-
-  sched.complete(blocker);
-  EXPECT_TRUE(near->granted());  // tightest deadline first
-  EXPECT_FALSE(far->granted());
-  sched.complete(near);
-  EXPECT_TRUE(far->granted());
-  EXPECT_FALSE(relaxed->granted());  // deadline-free sorts last
-  sched.complete(far);
-  EXPECT_TRUE(relaxed->granted());
-  sched.complete(relaxed);
-}
-
-TEST(FairSchedulerTest, LateGrantCountsDeadlineMiss) {
-  ManualClock clock;
-  FairScheduler sched(&clock);
-
-  auto blocker = sched.submit(bulk_request("t", 1024));
-  auto req = bulk_request("t", 1024);
-  req.deadline = 0.5;
-  auto urgent = sched.submit(req);
-  clock.advance(1.0);  // channel stays busy past the deadline
-  sched.complete(blocker);
-  ASSERT_TRUE(urgent->granted());
-  sched.complete(urgent);
-
-  const auto stats = sched.stats();
-  EXPECT_EQ(stats.deadline_misses, 1u);
-  EXPECT_EQ(stats.tenants.at("t").deadline_misses, 1u);
-}
-
 TEST(FairSchedulerTest, CloseGrantsEverythingSoDrainsCannotWedge) {
   ManualClock clock;
   FairScheduler sched(&clock);
@@ -322,11 +275,11 @@ TEST(FairSchedulerTest, ConcurrentAdmitCompleteStaysConsistent) {
 TEST(ScopedSubmissionTest, BindsNestsAndRestores) {
   EXPECT_EQ(current_submission(), nullptr);
   {
-    ScopedSubmission outer({"alpha", Lane::kBulk, 0.0});
+    ScopedSubmission outer({"alpha", Lane::kBulk});
     ASSERT_NE(current_submission(), nullptr);
     EXPECT_EQ(current_submission()->tenant, "alpha");
     {
-      ScopedSubmission inner({"beta", Lane::kPriority, 3.0});
+      ScopedSubmission inner({"beta", Lane::kPriority});
       EXPECT_EQ(current_submission()->tenant, "beta");
       EXPECT_EQ(current_submission()->lane, Lane::kPriority);
     }
@@ -343,14 +296,13 @@ TEST(SchedReportTest, EmptyWhenNothingDispatched) {
   EXPECT_TRUE(render_sched_report(obs::Registry::instance().snapshot()).empty());
 }
 
-TEST(SchedReportTest, RendersPerTenantWaitPercentilesAndMisses) {
+TEST(SchedReportTest, RendersPerTenantWaitPercentiles) {
   auto& registry = obs::Registry::instance();
   registry.reset();
   obs::set_enabled(true);
   registry.counter("sched.dispatched").add(6);
   registry.counter("sched.dispatched_bytes").add(1024);
   registry.counter("sched.tenant.alpha.dispatched_bytes").add(768);
-  registry.counter("sched.tenant.alpha.deadline_misses").add(2);
   registry.counter("sched.tenant.beta.dispatched_bytes").add(256);
   auto& wait = registry.histogram("sched.tenant.alpha.wait_seconds");
   wait.record_seconds(1e-4);
@@ -363,7 +315,6 @@ TEST(SchedReportTest, RendersPerTenantWaitPercentilesAndMisses) {
   EXPECT_NE(report.find("dispatched 6 ops"), std::string::npos);
   EXPECT_NE(report.find("tenant alpha"), std::string::npos);
   EXPECT_NE(report.find("share  75.0%"), std::string::npos);
-  EXPECT_NE(report.find("misses 2"), std::string::npos);
 
   // The full percentile spread renders from the wait histogram —
   // exactly the values the snapshot itself reports.
@@ -374,7 +325,7 @@ TEST(SchedReportTest, RendersPerTenantWaitPercentilesAndMisses) {
                              format_seconds(h.p99_seconds()) + " (n=3)";
   EXPECT_NE(report.find(spread), std::string::npos) << report;
 
-  // beta recorded no waits: its line renders bytes + misses only.
+  // beta recorded no waits: its line renders bytes and share only.
   EXPECT_NE(report.find("tenant beta"), std::string::npos);
   EXPECT_NE(report.find("share  25.0%"), std::string::npos);
 }
@@ -402,7 +353,7 @@ TEST(QosBackendTest, ChargesBoundTenantAndPreservesData) {
 
   const auto data = pattern(2048);
   {
-    sched::ScopedSubmission bind({"jobA", Lane::kBulk, 0.0});
+    sched::ScopedSubmission bind({"jobA", Lane::kBulk});
     qos.write(0, data);
   }
   std::vector<std::byte> back(2048);
@@ -435,7 +386,7 @@ TEST(QosBackendTest, FlushRidesPriorityLane) {
   auto scheduler = std::make_shared<FairScheduler>();
   QosBackend qos(std::make_shared<MemoryBackend>(), scheduler);
   {
-    sched::ScopedSubmission bind({"jobA", Lane::kBulk, 0.0});
+    sched::ScopedSubmission bind({"jobA", Lane::kBulk});
     qos.flush();
   }
   const auto stats = scheduler->stats();
@@ -520,44 +471,6 @@ TEST(AsyncConnectorSchedTest, TenantFlowsFromOptionsToScheduler) {
   EXPECT_GE(tenant.dispatched_bytes, 4096u);
   EXPECT_GE(tenant.priority_ops, 1u) << "flush must ride the priority lane";
   EXPECT_GE(tenant.lane_bytes[static_cast<int>(sched::Lane::kBulk)], 4096u);
-}
-
-// The one production source of admission deadlines is the issuing
-// thread's ScopedSubmission: the connector carries the binding to its
-// background stream, and the QosBackend there submits with it.  A grant
-// held back past that deadline counts as a miss for the issuing tenant.
-TEST(AsyncConnectorSchedTest, BoundDeadlineReachesScheduler) {
-  ManualClock clock;
-  auto scheduler =
-      std::make_shared<sched::FairScheduler>(&clock);
-  auto file = h5::File::create(
-      storage::BackendStack::memory().qos(scheduler).build());
-  auto ds = file->root().create_dataset("d", h5::Datatype::kUInt8, {64});
-
-  // Hold the one channel slot so the connector's write queues behind it.
-  sched::IoRequest blocker_request;
-  blocker_request.tenant = "other";
-  blocker_request.bytes = 64;
-  auto blocker = scheduler->submit(blocker_request);
-  ASSERT_TRUE(blocker->granted());
-
-  AsyncConnector conn(file);
-  RequestPtr request;
-  {
-    sched::ScopedSubmission bind({"jobA", sched::Lane::kBulk, 0.5});
-    const std::vector<std::byte> data(64, std::byte{0x5a});
-    request = conn.dataset_write(ds, h5::Selection::all(), data);
-  }
-  clock.advance(1.0);  // the channel stays busy past the deadline
-  scheduler->complete(blocker);
-  request->wait();
-  conn.wait_all();
-
-  const auto stats = scheduler->stats();
-  EXPECT_EQ(stats.deadline_misses, 1u);
-  ASSERT_TRUE(stats.tenants.count("jobA"));
-  EXPECT_EQ(stats.tenants.at("jobA").deadline_misses, 1u);
-  EXPECT_EQ(stats.tenants.at("jobA").dispatched_bytes, 64u);
 }
 
 }  // namespace

@@ -12,6 +12,11 @@
 //     brute-force element enumerator, and Dataset::write_raw/read_raw on
 //     both layouts and both FileProps::vectored_io values against a flat
 //     element array.
+//   - FairSchedulerGeneratorTest submits random requests (tenants,
+//     weights, lanes, sizes) to a sched::FairScheduler on a ManualClock,
+//     interleaved with completing the granted ticket, and checks the
+//     grant order and each tenant's byte accounting against a
+//     straight-line model of start-time fair queuing with two lanes.
 //
 // Under ctest each generator runs a fixed few seeds.  Run with
 // `--gtest_shuffle --gtest_random_seed=S --gtest_repeat=R` (ci/check.sh
@@ -20,14 +25,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/rng.h"
 #include "h5/file.h"
 #include "obs/metrics.h"
+#include "sched/fair_scheduler.h"
 #include "storage/byte_ranges.h"
 #include "storage/memory_backend.h"
 #include "storage/posix_backend.h"
@@ -575,6 +583,147 @@ TEST(HyperslabGeneratorTest, DatasetTransfersMatchAFlatArray) {
             ASSERT_EQ(ds.read_vector<std::int32_t>(selection), values);
           }
           ASSERT_EQ(ds.read_vector<std::int32_t>(Selection::all()), model);
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// FairScheduler
+
+/// The documented admission rule, one channel slot, straight-line: any
+/// queued priority request is granted before any bulk one; within a
+/// lane the tenant whose head has the smallest start = max(vtime, V)
+/// wins, then the earlier arrival.  A grant charges bytes / weight to
+/// its tenant's vtime, and only a bulk grant moves V to its start.
+class ReferenceSfq {
+ public:
+  struct Tenant {
+    double weight = 1.0;
+    double vtime = 0.0;
+    std::deque<std::pair<std::uint64_t, std::uint64_t>> queue[sched::kLanes];  // (seq, bytes)
+    std::uint64_t dispatched_bytes = 0;
+    std::uint64_t lane_bytes[sched::kLanes] = {0, 0};
+  };
+
+  explicit ReferenceSfq(const std::vector<double>& weights) {
+    for (const double w : weights) tenants_.emplace_back().weight = w;
+  }
+
+  void submit(std::size_t tenant, sched::Lane lane, std::uint64_t bytes) {
+    tenants_[tenant].queue[static_cast<int>(lane)].emplace_back(next_seq_++, bytes);
+    dispatch();
+  }
+
+  void complete() {
+    busy_ = false;
+    dispatch();
+  }
+
+  [[nodiscard]] const std::vector<std::uint64_t>& grants() const { return grants_; }
+  [[nodiscard]] const Tenant& tenant(std::size_t i) const { return tenants_[i]; }
+
+ private:
+  void dispatch() {
+    if (busy_) return;
+    for (int lane = 0; lane < sched::kLanes; ++lane) {
+      Tenant* best = nullptr;
+      double best_start = 0.0;
+      for (Tenant& t : tenants_) {
+        if (t.queue[lane].empty()) continue;
+        const double start = std::max(t.vtime, v_);
+        if (best == nullptr || start < best_start ||
+            (start == best_start && t.queue[lane].front().first < best->queue[lane].front().first)) {
+          best = &t;
+          best_start = start;
+        }
+      }
+      if (best == nullptr) continue;
+      const auto [seq, bytes] = best->queue[lane].front();
+      best->queue[lane].pop_front();
+      if (lane == static_cast<int>(sched::Lane::kBulk)) v_ = best_start;
+      best->vtime = best_start + static_cast<double>(bytes) / best->weight;
+      best->dispatched_bytes += bytes;
+      best->lane_bytes[lane] += bytes;
+      grants_.push_back(seq);
+      busy_ = true;
+      return;
+    }
+  }
+
+  std::vector<Tenant> tenants_;
+  double v_ = 0.0;
+  bool busy_ = false;
+  std::uint64_t next_seq_ = 0;
+  std::vector<std::uint64_t> grants_;
+};
+
+TEST(FairSchedulerGeneratorTest, GrantOrderMatchesAReferenceSfq) {
+  // One thread drives the scheduler: submit() grants at once when the
+  // slot is free, and completing the granted ticket grants the next.
+  // Completions are drawn less often than submits, so both lanes queue
+  // up across tenants.  The sequence ends by completing every grant.
+  for (const std::uint64_t seed : run_seeds(4101)) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    for (int draw = 0; draw < 60; ++draw) {
+      SCOPED_TRACE("draw " + std::to_string(draw));
+      ManualClock clock;
+      sched::FairScheduler scheduler(&clock);
+      std::vector<double> weights(1 + rng.next_below(4));
+      for (std::size_t i = 0; i < weights.size(); ++i) {
+        weights[i] = static_cast<double>(1 + rng.next_below(4));
+        scheduler.register_tenant("t" + std::to_string(i), weights[i]);
+      }
+      ReferenceSfq model(weights);
+      std::vector<sched::TicketPtr> pending;
+      sched::TicketPtr held;
+      std::vector<std::uint64_t> grants;
+      // Moves the ticket the last step granted, if any, from pending to held.
+      const auto note_grant = [&] {
+        const auto it = std::find_if(pending.begin(), pending.end(),
+                                     [](const sched::TicketPtr& t) { return t->granted(); });
+        if (it == pending.end()) return;
+        ASSERT_TRUE(held == nullptr) << "two tickets hold the one slot";
+        held = *it;
+        pending.erase(it);
+        grants.push_back(held->seq());
+      };
+      const auto complete = [&] {
+        scheduler.complete(held);
+        held = nullptr;
+        model.complete();
+        note_grant();
+      };
+      for (int step = 0; step < 200; ++step) {
+        if (held != nullptr && rng.next_below(5) < 2) {
+          ASSERT_NO_FATAL_FAILURE(complete());
+          continue;
+        }
+        const std::size_t tenant = rng.next_below(weights.size());
+        const auto lane = rng.next_below(2) == 0 ? sched::Lane::kPriority : sched::Lane::kBulk;
+        const std::uint64_t bytes = rng.next_below((1u << 20) + 1);
+        sched::IoRequest request;
+        request.tenant = "t" + std::to_string(tenant);
+        request.lane = lane;
+        request.bytes = bytes;
+        pending.push_back(scheduler.submit(request));
+        model.submit(tenant, lane, bytes);
+        ASSERT_NO_FATAL_FAILURE(note_grant());
+      }
+      while (held != nullptr) ASSERT_NO_FATAL_FAILURE(complete());
+      ASSERT_TRUE(pending.empty());
+
+      ASSERT_EQ(grants, model.grants());
+      const sched::SchedStats stats = scheduler.stats();
+      for (std::size_t i = 0; i < weights.size(); ++i) {
+        SCOPED_TRACE("tenant " + std::to_string(i));
+        const sched::TenantStats& got = stats.tenants.at("t" + std::to_string(i));
+        const ReferenceSfq::Tenant& want = model.tenant(i);
+        EXPECT_EQ(got.dispatched_bytes, want.dispatched_bytes);
+        for (int lane = 0; lane < sched::kLanes; ++lane) {
+          EXPECT_EQ(got.lane_bytes[lane], want.lane_bytes[lane]) << "lane " << lane;
         }
       }
     }

@@ -27,8 +27,7 @@
 //       timeline, sync runs rank lanes only.  --qos routes the PFS
 //       through a sched::FairScheduler admission gate and attributes the kernel
 //       to a "vpic" tenant; the report then includes a sched: block
-//       (per-tenant bytes/share, p99 submit->grant wait, deadline
-//       misses).
+//       (per-tenant bytes/share, p50/p95/p99 submit->grant wait).
 //
 //   apio_profile trace [--ranks N] [--particles N] [--steps N]
 //                [--pfs-mibps N] [--sample-rate N]
@@ -259,7 +258,7 @@ void print_observability_report() {
   print_resilience_report(snap);
   print_cache_report(snap);
   // Multi-tenant QoS summary (per-tenant bytes/share, wait percentile
-  // spread, deadline misses); empty for non-QoS profiles.
+  // spread); empty for non-QoS profiles.
   std::fputs(sched::render_sched_report(snap).c_str(), stdout);
 }
 
@@ -349,7 +348,7 @@ int cmd_run_vpic(int ranks, std::uint64_t particles, int steps,
   if (!chrome_path.empty()) start_tracing(1);
   // --qos interposes a FairScheduler in front of the throttled PFS and
   // attributes the kernel's traffic to a "vpic" tenant, so the sched:
-  // block of the report (shares, waits, misses) is populated.
+  // block of the report (shares, waits) is populated.
   sched::FairSchedulerPtr scheduler;
   if (qos) {
     scheduler = std::make_shared<sched::FairScheduler>();
