@@ -37,8 +37,9 @@
 #      recycled buffers, and
 #      the cache and paged-memory suites, for drains that hand pinned
 #      staging pages to the inner tier while eviction frees pages, and
-#      the collective-write, two-phase and passthrough suites, for the
-#      aggregators' piece slicing and extent bounds arithmetic, and the
+#      the collective-write and two-phase suites, for the aggregators'
+#      piece slicing and extent bounds arithmetic, and the trace-recorder
+#      suite, for records the background stream hands an observer, and the
 #      advisor, adaptive-connector and feedback-loop suites, for the
 #      advisor that rank threads (epoch markers) and the background
 #      stream (records) call at once, and the allocation, eventual,
@@ -166,10 +167,10 @@ else
   ctest --preset tsan -j "${JOBS}"
 fi
 
-echo "==> [8/8] asan-ubsan build + fault-matrix, async-connector, backend, handle-lifetime, path-index, cache, paged-memory, collective-write, two-phase, passthrough, adaptive-loop, request, close-race, staging-vs-prefetch-cache hammer, container-parsing, retry-loop, vectored-dataset, trace, posix-sequence, byte-ranges, hyperslab-generator and fair-scheduler-generator suites"
+echo "==> [8/8] asan-ubsan build + fault-matrix, async-connector, backend, handle-lifetime, path-index, cache, paged-memory, collective-write, two-phase, trace-recorder, adaptive-loop, request, close-race, staging-vs-prefetch-cache hammer, container-parsing, retry-loop, vectored-dataset, trace, posix-sequence, byte-ranges, hyperslab-generator and fair-scheduler-generator suites"
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "${JOBS}"
 ctest --preset asan-ubsan -j "${JOBS}" \
-  -R 'Resilience|FaultInjection|AsyncConnector|VectoredBackend|BackendContract|HandleLifetime|PathIndex|Cache|PagedMemory|CollectiveWrite|TwoPhase|Passthrough|ModeAdvisor|AdaptiveConnector|FeedbackLoop|Alloc|RequestTest|ConnectorCloseRace|StagingBudgetAndPrefetchCacheShareTraffic|Corruption|H5Fuzz|Chunked|BreakerRejected|SurvivingTwoFaults|VectoredDataset|TraceTest|PosixSequence|ByteRanges|HyperslabGenerator|FairSchedulerGenerator'
+  -R 'Resilience|FaultInjection|AsyncConnector|VectoredBackend|BackendContract|HandleLifetime|PathIndex|Cache|PagedMemory|CollectiveWrite|TwoPhase|TraceRecorder|ModeAdvisor|AdaptiveConnector|FeedbackLoop|Alloc|RequestTest|ConnectorCloseRace|StagingBudgetAndPrefetchCacheShareTraffic|Corruption|H5Fuzz|Chunked|BreakerRejected|SurvivingTwoFaults|VectoredDataset|TraceTest|PosixSequence|ByteRanges|HyperslabGenerator|FairSchedulerGenerator'
 
 echo "==> all checks passed"

@@ -3,7 +3,8 @@
 // needed.  This is the workflow the paper's methodology enables: the
 // model (and here, the replayer) works from recorded I/O behaviour.
 //
-//   1. run a small checkpoint workload through a TraceRecorder,
+//   1. run a small checkpoint workload with a TraceRecorder attached
+//      (connector.add_observer(recorder)),
 //   2. print the Darshan-style profile of what it did,
 //   3. replay the trace through the sync and the async connector over
 //      the same throttled "PFS" and compare caller-visible blocking.
@@ -44,20 +45,22 @@ int main() {
   {
     auto file = h5::File::create(slow_pfs());
     make_structure(file);
-    vol::TraceRecorder recorder(std::make_shared<vol::NativeConnector>(file));
+    vol::NativeConnector connector(file);
+    auto recorder = std::make_shared<vol::TraceRecorder>();
+    connector.add_observer(recorder);
     std::vector<float> slab(128 * 1024, 1.0f);
     for (int step = 0; step < 3; ++step) {
       for (const char* name : {"density", "energy"}) {
         auto ds = file->dataset_at(std::string("ckpt/") + name);
-        recorder.dataset_write(
+        connector.dataset_write(
             ds,
             h5::Selection::offsets({static_cast<std::uint64_t>(step) * slab.size()},
                                    {slab.size()}),
             std::as_bytes(std::span<const float>(slab)));
       }
-      recorder.flush();
+      connector.flush();
     }
-    trace = recorder.trace();
+    trace = recorder->trace();
     std::printf("recorded %zu operations\n\n", trace.size());
   }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "common/stats.h"
 #include "common/units.h"
 #include "obs/metrics.h"
 
@@ -11,22 +12,13 @@ namespace apio::obs::trace {
 
 namespace {
 
-double percentile(std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-Percentiles percentiles_of(std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
+/// Only called with a non-empty sample: every map entry has one value.
+Percentiles percentiles_of(const std::vector<double>& samples) {
   Percentiles p;
   p.count = samples.size();
-  p.p50 = percentile(samples, 0.50);
-  p.p95 = percentile(samples, 0.95);
-  p.p99 = percentile(samples, 0.99);
+  p.p50 = percentile(samples, 50.0);
+  p.p95 = percentile(samples, 95.0);
+  p.p99 = percentile(samples, 99.0);
   return p;
 }
 
@@ -81,8 +73,7 @@ CriticalPathAnalyzer::CriticalPathAnalyzer(std::vector<CompletedTrace> traces)
     breakdowns_.push_back(decompose(t));
     durations.push_back(t.duration_seconds);
   }
-  std::sort(durations.begin(), durations.end());
-  median_duration_ = percentile(durations, 0.50);
+  if (!durations.empty()) median_duration_ = median(durations);
 }
 
 std::map<Phase, Percentiles> CriticalPathAnalyzer::phase_percentiles() const {
@@ -95,7 +86,7 @@ std::map<Phase, Percentiles> CriticalPathAnalyzer::phase_percentiles() const {
   }
   std::map<Phase, Percentiles> out;
   for (auto& [phase, values] : samples) {
-    out.emplace(phase, percentiles_of(std::move(values)));
+    out.emplace(phase, percentiles_of(values));
   }
   return out;
 }
@@ -109,7 +100,7 @@ std::map<std::string, Percentiles> CriticalPathAnalyzer::tenant_percentiles()
   }
   std::map<std::string, Percentiles> out;
   for (auto& [tenant, values] : samples) {
-    out.emplace(tenant, percentiles_of(std::move(values)));
+    out.emplace(tenant, percentiles_of(values));
   }
   return out;
 }
@@ -130,10 +121,11 @@ std::vector<Straggler> CriticalPathAnalyzer::stragglers(
             b.phase_seconds[static_cast<std::size_t>(p)]);
       }
     }
+    // A positive median duration implies at least one trace, so no
+    // phase's sample is empty here.
     for (int p = 0; p < kPhaseCount; ++p) {
-      auto& v = samples[static_cast<std::size_t>(p)];
-      std::sort(v.begin(), v.end());
-      phase_median[static_cast<std::size_t>(p)] = percentile(v, 0.50);
+      phase_median[static_cast<std::size_t>(p)] =
+          median(samples[static_cast<std::size_t>(p)]);
     }
   }
 

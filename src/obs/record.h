@@ -2,13 +2,12 @@
 // consumer of "runtime tracking of I/O calls" (the paper's Fig. 2
 // methodology), behind a composable observer API.
 //
-// Before this layer existed the repo had three parallel bespoke paths —
-// the model's IoRecord feedback hook, the TraceRecorder's private
-// TraceEvent list, and AsyncStats counters.  They now all subscribe to
-// the same stream: a VOL connector emits one IoRecord per container
-// operation (write, read, prefetch, flush) and a CompositeObserver
-// fans it out to however many subscribers are attached — the model's
-// history, a trace sink, the metrics registry, a user probe.
+// A VOL connector emits one IoRecord per container operation (write,
+// read, prefetch, flush) and a CompositeObserver fans it out to however
+// many subscribers are attached with Connector::add_observer — the
+// model's history (ModeAdvisor), vol::TraceRecorder, the metrics
+// registry (MetricsObserver), a user probe.  Every consumer is an
+// observer of this one stream; none wraps a connector to see it.
 #pragma once
 
 #include <atomic>

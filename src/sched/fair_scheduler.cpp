@@ -17,6 +17,24 @@ const Clock& default_clock() {
   return clock;
 }
 
+obs::Counter& submitted_counter() {
+  static auto& c = obs::Registry::instance().counter("sched.submitted");
+  return c;
+}
+obs::Counter& dispatched_counter() {
+  static auto& c = obs::Registry::instance().counter("sched.dispatched");
+  return c;
+}
+obs::Counter& dispatched_bytes_counter() {
+  static auto& c = obs::Registry::instance().counter("sched.dispatched_bytes");
+  return c;
+}
+obs::Counter& priority_dispatched_counter() {
+  static auto& c =
+      obs::Registry::instance().counter("sched.priority_dispatched");
+  return c;
+}
+
 }  // namespace
 
 const char* to_string(Lane lane) {
@@ -125,9 +143,7 @@ TicketPtr FairScheduler::submit(const IoRequest& request) {
   ++s.submitted_ops;
   ++t.stats.submitted_ops;
   t.stats.submitted_bytes += ticket->request_.bytes;
-  if (obs::enabled()) {
-    obs::Registry::instance().counter("sched.submitted").increment();
-  }
+  if (obs::enabled()) submitted_counter().increment();
 
   t.queue[static_cast<int>(ticket->request_.lane)].push_back(ticket);
   ++s.queued_total;
@@ -258,12 +274,9 @@ void FairScheduler::dispatch_locked(State& s) {
     if (samples.size() < kMaxWaitSamples) samples.push_back(waited);
     if (req.lane == Lane::kPriority) ++t.stats.priority_ops;
     if (obs::enabled()) {
-      auto& reg = obs::Registry::instance();
-      reg.counter("sched.dispatched").increment();
-      reg.counter("sched.dispatched_bytes").add(req.bytes);
-      if (req.lane == Lane::kPriority) {
-        reg.counter("sched.priority_dispatched").increment();
-      }
+      dispatched_counter().increment();
+      dispatched_bytes_counter().add(req.bytes);
+      if (req.lane == Lane::kPriority) priority_dispatched_counter().increment();
       t.bytes_counter->add(req.bytes);
       t.wait_hist->record_seconds(waited);
       t.depth_gauge->set(static_cast<std::int64_t>(t.stats.queue_depth));

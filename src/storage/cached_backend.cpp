@@ -13,48 +13,8 @@ namespace apio::storage {
 
 namespace {
 
-// io.cache.* registry entries (apio_profile report renders these).
-obs::Counter& cache_hits_counter() {
-  static auto& c = obs::Registry::instance().counter("io.cache.hits");
-  return c;
-}
-obs::Counter& cache_misses_counter() {
-  static auto& c = obs::Registry::instance().counter("io.cache.misses");
-  return c;
-}
-obs::Counter& cache_hit_bytes_counter() {
-  static auto& c = obs::Registry::instance().counter("io.cache.hit_bytes");
-  return c;
-}
-obs::Counter& cache_miss_bytes_counter() {
-  static auto& c = obs::Registry::instance().counter("io.cache.miss_bytes");
-  return c;
-}
-obs::Counter& cache_flushes_counter() {
-  static auto& c = obs::Registry::instance().counter("io.cache.flushes");
-  return c;
-}
-obs::Counter& cache_flushed_bytes_counter() {
-  static auto& c = obs::Registry::instance().counter("io.cache.flushed_bytes");
-  return c;
-}
-obs::Counter& cache_flush_failures_counter() {
-  static auto& c = obs::Registry::instance().counter("io.cache.flush_failures");
-  return c;
-}
-obs::Counter& cache_evictions_counter() {
-  static auto& c = obs::Registry::instance().counter("io.cache.evictions");
-  return c;
-}
-obs::Counter& cache_writeback_bytes_counter() {
-  static auto& c =
-      obs::Registry::instance().counter("io.cache.writeback_bytes");
-  return c;
-}
-obs::Counter& cache_lost_bytes_counter() {
-  static auto& c = obs::Registry::instance().counter("io.cache.lost_bytes");
-  return c;
-}
+// The registry keeps only the two byte gauges, for their high-water
+// marks; every count lives in the atomics cache_snapshot() reads.
 obs::Gauge& cache_dirty_gauge() {
   static auto& g = obs::Registry::instance().gauge("io.cache.dirty_bytes");
   return g;
@@ -113,7 +73,6 @@ CachedBackend::~CachedBackend() {
     std::lock_guard lock(mutex_);
     const std::uint64_t lost = dirty_.bytes();
     lost_bytes_.fetch_add(lost, std::memory_order_relaxed);
-    cache_lost_bytes_counter().add(lost);
   }
 }
 
@@ -174,8 +133,6 @@ std::uint64_t CachedBackend::read_v(std::span<const ReadExtent> extents) {
   if (hit) {
     hits_.fetch_add(1, std::memory_order_relaxed);
     hit_bytes_.fetch_add(moved, std::memory_order_relaxed);
-    cache_hits_counter().increment();
-    cache_hit_bytes_counter().add(moved);
     if (const auto* ctx = obs::trace::current_trace()) {
       obs::trace::record_phase(*ctx, obs::trace::Phase::kCacheHit, t0,
                                obs::steady_seconds() - t0, moved, "staging");
@@ -282,6 +239,7 @@ void CachedBackend::forget_page_if_empty_locked(std::uint64_t page) {
 }
 
 void CachedBackend::update_gauges_locked() {
+  if (!obs::enabled()) return;
   cache_cached_gauge().set(static_cast<std::int64_t>(valid_.bytes()));
   cache_cached_gauge().note_watermark();
   cache_dirty_gauge().set(static_cast<std::int64_t>(dirty_.bytes()));
@@ -312,8 +270,6 @@ void CachedBackend::fetch(const Runs& gaps, std::vector<std::byte>& buf) {
   if (!reads.empty()) (void)inner_->read_v(reads);
   misses_.fetch_add(1, std::memory_order_relaxed);
   miss_bytes_.fetch_add(fetched, std::memory_order_relaxed);
-  cache_misses_counter().increment();
-  cache_miss_bytes_counter().add(fetched);
 }
 
 void CachedBackend::stage_fetched_locked(const Runs& gaps,
@@ -391,7 +347,6 @@ std::uint64_t CachedBackend::write_back(std::uint64_t begin,
       finish_locked();
     }
     flush_failures_.fetch_add(1, std::memory_order_relaxed);
-    cache_flush_failures_counter().increment();
     throw;
   }
   {
@@ -406,8 +361,6 @@ std::uint64_t CachedBackend::write_back(std::uint64_t begin,
   }
   flushes_.fetch_add(1, std::memory_order_relaxed);
   flushed_bytes_.fetch_add(total, std::memory_order_relaxed);
-  cache_flushes_counter().increment();
-  cache_flushed_bytes_counter().add(total);
   return total;
 }
 
@@ -429,7 +382,6 @@ void CachedBackend::enforce_capacity() {
         forget_page_if_empty_locked(page);
         update_gauges_locked();
         evictions_.fetch_add(1, std::memory_order_relaxed);
-        cache_evictions_counter().increment();
         continue;
       }
     }
@@ -448,7 +400,6 @@ void CachedBackend::enforce_capacity() {
       wb = write_back(b, e);  // apio-lint: allow(lock-rank)
     }
     writeback_bytes_.fetch_add(wb, std::memory_order_relaxed);
-    cache_writeback_bytes_counter().add(wb);
   }
 }
 

@@ -48,8 +48,13 @@
 // stays TransientIoError — and RETAINS the dirty set, so the next
 // drain retries the same extents.  Epoch-driven drains run inside the
 // EpochScope destructor and therefore swallow the error (counted in
-// io.cache.flush_failures) instead of throwing through a destructor;
-// the retained dirty set drains at the next boundary or at close().
+// CacheSnapshot::flush_failures) instead of throwing through a
+// destructor; the retained dirty set drains at the next boundary or at
+// close().
+//
+// Observability: cache_snapshot() is the one copy of every count.  The
+// registry gets only the io.cache.{dirty_bytes,cached_bytes} gauges,
+// for their high-water marks, and only while obs is enabled.
 //
 // Composition: always the OUTERMOST decorator (BackendStack stage
 // order leaf < throttled < resilient < qos < cached), so cache hits
@@ -95,8 +100,8 @@ struct CacheOptions {
   std::uint64_t capacity_bytes = 64ull << 20;
 };
 
-/// Point-in-time cache counters (also exported as io.cache.* registry
-/// metrics for apio_profile report).
+/// Point-in-time cache counters (apio_profile's cache: block prints
+/// them).
 struct CacheSnapshot {
   std::uint64_t hits = 0;          ///< reads served entirely from staging
   std::uint64_t misses = 0;        ///< reads that fetched from the PFS
@@ -154,7 +159,8 @@ class CachedBackend final : public Backend, public obs::EpochSink {
   /// Frees staging page `page` and drops its LRU entry, unless it holds
   /// a staged byte.
   void forget_page_if_empty_locked(std::uint64_t page);
-  /// Publishes the staged and dirty byte totals to the io.cache gauges.
+  /// Publishes the staged and dirty byte totals to the io.cache gauges
+  /// when obs is enabled.
   void update_gauges_locked();
 
   /// Reads `gaps` from the inner backend into `buf` (zeros past the

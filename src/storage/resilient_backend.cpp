@@ -31,16 +31,6 @@ obs::Counter& deadline_exhausted_counter() {
   return c;
 }
 
-obs::Gauge& breaker_state_gauge() {
-  static auto& g = obs::Registry::instance().gauge("io.breaker_state");
-  return g;
-}
-
-obs::Counter& breaker_trips_counter() {
-  static auto& c = obs::Registry::instance().counter("io.breaker_trips");
-  return c;
-}
-
 }  // namespace
 
 double RetryPolicy::backoff_for(int failure_index, Rng& rng) const {
@@ -76,10 +66,6 @@ void CircuitBreaker::transition_locked(BreakerState next) {
   if (next == BreakerState::kOpen) {
     ++trips_;
     opened_at_ = clock_->now();
-    if (obs::enabled()) breaker_trips_counter().increment();
-  }
-  if (obs::enabled()) {
-    breaker_state_gauge().set(static_cast<std::int64_t>(next));
   }
 }
 

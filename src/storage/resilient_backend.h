@@ -35,8 +35,7 @@
 //   io.retries                 counter, one per backoff slept
 //   io.retry_backoff_seconds   histogram of individual backoff delays
 //   io.deadline_exhausted      counter, retries abandoned by deadline
-//   io.breaker_state           gauge, the breaker's BreakerState
-//   io.breaker_trips           counter, transitions into kOpen
+// The breaker's state and trips are read from CircuitBreaker itself.
 #pragma once
 
 #include <atomic>
@@ -84,7 +83,7 @@ struct RetryPolicy {
   void validate() const;
 };
 
-/// Breaker states (exported through the obs gauge `io.breaker_state`):
+/// Breaker states (CircuitBreaker::state()):
 ///   kClosed   normal operation; consecutive failures are counted.
 ///   kOpen     tripped: allow() rejects until `open_seconds` of the
 ///             injected clock have elapsed.

@@ -5,15 +5,11 @@
 
 #include "common/debug/invariant.h"
 #include "common/error.h"
+#include "obs/metrics.h"
 #include "obs/trace_context.h"
 
 namespace apio::storage {
 namespace {
-
-double steady_now() {
-  using namespace std::chrono;
-  return duration<double>(steady_clock::now().time_since_epoch()).count();
-}
 
 void sleep_seconds(double s) {
   if (s <= 0.0) return;
@@ -38,7 +34,7 @@ void ThrottledBackend::throttle(std::uint64_t bytes) {
   double wait = 0.0;
   {
     std::lock_guard lock(channel_mutex_);
-    const double now = steady_now();
+    const double now = obs::steady_seconds();
     const double start = std::max(now, channel_free_at_);
     channel_free_at_ = start + delay * params_.time_scale;
     modelled_delay_ += delay;

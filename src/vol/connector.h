@@ -61,12 +61,11 @@ class Connector {
   virtual void close() = 0;
 
   /// Number of ranks the caller reports for IoRecords (for the model's
-  /// scaling features).  Defaults to 1.  Virtual so interposer and
-  /// routing connectors (passthrough, trace, adaptive) also set it on
-  /// the connectors that build the records; overrides call this first,
-  /// so a count below 1 throws InvalidArgumentError before it reaches
-  /// a record.  Atomic: it may be read from several application threads
-  /// while it is set.
+  /// scaling features).  Defaults to 1.  Virtual only so the adaptive
+  /// router also sets it on the two connectors that build its records;
+  /// an override calls this first, so a count below 1 throws
+  /// InvalidArgumentError before it reaches a record.  Atomic: it may be
+  /// read from several application threads while it is set.
   virtual void set_reported_ranks(int ranks) {
     APIO_REQUIRE(ranks >= 1, "the reported rank count must be >= 1");
     reported_ranks_.store(ranks, std::memory_order_relaxed);
@@ -76,10 +75,9 @@ class Connector {
   }
 
   /// Appends an observer to the connector's chain (Fig. 2 feedback
-  /// hooks, trace sinks, metrics bridges — any number of subscribers).
-  /// Virtual so routing/interposer connectors (adaptive, and the
-  /// passthrough base of trace) forward subscriptions to the connectors
-  /// that actually emit records.
+  /// hooks, TraceRecorder, metrics bridges — any number of subscribers).
+  /// Virtual only so the adaptive router forwards subscriptions to the
+  /// two connectors that actually emit its records.
   virtual void add_observer(IoObserverPtr observer) {
     observers_->add(std::move(observer));
   }
@@ -89,8 +87,8 @@ class Connector {
     observers_->remove(observer);
   }
 
-  /// The connector's own observer chain.  Routing connectors keep their
-  /// chain empty and forward add_observer() to their inner connectors.
+  /// The connector's own observer chain.  The adaptive router keeps its
+  /// chain empty and forwards add_observer() to its inner connectors.
   const CompositeObserverPtr& observer_chain() const { return observers_; }
 
  protected:

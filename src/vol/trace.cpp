@@ -177,68 +177,42 @@ Trace Trace::from_csv(const std::string& csv) {
 // ---------------------------------------------------------------------------
 // TraceRecorder
 
-/// The recorder's subscription on the unified record stream.  Detail
-/// strings (path, selection token) are requested so connectors fill
-/// them; records are stored with absolute issue times and rebased at
-/// snapshot time.
-class TraceRecorder::Sink final : public IoObserver {
- public:
-  bool wants_detail() const override { return true; }
+void TraceRecorder::on_io(const IoRecord& record) {
+  TraceEvent event;
+  event.kind = record.op;
+  event.dataset_path = record.dataset_path;
+  event.selection = selection_from_token(record.selection);
+  event.bytes = record.bytes;
+  event.issue_time = record.issue_time;
+  event.blocking_seconds = record.blocking_seconds;
+  event.trace_id = record.trace_id;
+  event.span_id = record.span_id;
+  std::lock_guard lock(mutex_);
+  events_.push_back(std::move(event));
+}
 
-  void on_io(const IoRecord& record) override {
-    TraceEvent event;
-    event.kind = record.op;
-    event.dataset_path = record.dataset_path;
-    event.selection = selection_from_token(record.selection);
-    event.bytes = record.bytes;
-    event.issue_time = record.issue_time;
-    event.blocking_seconds = record.blocking_seconds;
-    event.trace_id = record.trace_id;
-    event.span_id = record.span_id;
+Trace TraceRecorder::trace() const {
+  std::vector<TraceEvent> events;
+  {
     std::lock_guard lock(mutex_);
-    events_.push_back(std::move(event));
+    events = events_;
   }
-
-  Trace snapshot() const {
-    std::vector<TraceEvent> events;
-    {
-      std::lock_guard lock(mutex_);
-      events = events_;
+  // Async connectors report at completion, which may disagree with
+  // issue order; a trace is by definition issue-ordered.
+  std::stable_sort(events.begin(), events.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     return a.issue_time < b.issue_time;
+                   });
+  Trace trace;
+  if (!events.empty()) {
+    const double base = events.front().issue_time;
+    for (auto& e : events) {
+      e.issue_time -= base;
+      trace.append(std::move(e));
     }
-    // Async connectors report at completion, which may disagree with
-    // issue order; a trace is by definition issue-ordered.
-    std::stable_sort(events.begin(), events.end(),
-                     [](const TraceEvent& a, const TraceEvent& b) {
-                       return a.issue_time < b.issue_time;
-                     });
-    Trace trace;
-    if (!events.empty()) {
-      const double base = events.front().issue_time;
-      for (auto& e : events) {
-        e.issue_time -= base;
-        trace.append(std::move(e));
-      }
-    }
-    return trace;
   }
-
- private:
-  mutable debug::RankedMutex<debug::LockRank::kVolTrace> mutex_;
-  std::vector<TraceEvent> events_;
-};
-
-TraceRecorder::TraceRecorder(ConnectorPtr inner)
-    : PassthroughConnector(std::move(inner)), sink_(std::make_shared<Sink>()) {
-  this->inner()->add_observer(sink_);
+  return trace;
 }
-
-TraceRecorder::~TraceRecorder() {
-  // The sink must not outlive this subscription: the inner connector is
-  // shared and may keep emitting after the recorder is gone.
-  inner()->remove_observer(sink_);
-}
-
-Trace TraceRecorder::trace() const { return sink_->snapshot(); }
 
 // ---------------------------------------------------------------------------
 // Replay

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "common/debug/lock_rank.h"
-#include "vol/passthrough_connector.h"
+#include "vol/connector.h"
 
 namespace apio::vol {
 
@@ -59,28 +59,26 @@ class Trace {
   std::vector<TraceEvent> events_;
 };
 
-/// Connector interposer that records every operation it forwards.
+/// Observer that records every operation a connector reports.
 ///
-/// Recording rides the unified observer stream: the recorder subscribes
-/// a detail-requesting sink on the inner connector and converts each
-/// IoRecord into a TraceEvent — there is no second, private record
-/// path.  With an async inner connector records surface at completion
-/// time, so call wait_all() before trace() to capture in-flight ops;
-/// trace() sorts by issue time and rebases it to the first operation.
-/// Every call forwards through the PassthroughConnector base, so
-/// further subscribers land on the inner connector next to the sink.
-class TraceRecorder final : public PassthroughConnector {
+/// Attach it with connector->add_observer(recorder): it asks for the
+/// detail strings (path, selection token) and converts each IoRecord
+/// into a TraceEvent, so a trace is a persisted projection of the
+/// unified record stream, not a second record path.  With an async
+/// connector records surface at completion time, so call wait_all()
+/// before trace() to capture in-flight ops; trace() sorts by issue time
+/// and rebases it to the first operation.
+class TraceRecorder final : public IoObserver {
  public:
-  explicit TraceRecorder(ConnectorPtr inner);
-  ~TraceRecorder() override;
+  bool wants_detail() const override { return true; }
+  void on_io(const IoRecord& record) override;
 
   /// Snapshot of everything recorded so far, ordered by issue time.
   Trace trace() const;
 
  private:
-  class Sink;
-
-  std::shared_ptr<Sink> sink_;
+  mutable debug::RankedMutex<debug::LockRank::kVolTrace> mutex_;
+  std::vector<TraceEvent> events_;
 };
 
 /// Replay options.

@@ -2,8 +2,10 @@
 // under mode switches, and convergence to the oracle-best mode.
 #include <gtest/gtest.h>
 
+#include <mutex>
 #include <numeric>
 #include <thread>
+#include <vector>
 
 #include "common/units.h"
 #include "obs/epoch_analyzer.h"
@@ -174,6 +176,83 @@ TEST(AdaptiveConnectorTest, SharedAdvisorStartsWarm) {
   auto file = h5::File::create(std::make_shared<storage::MemoryBackend>());
   AdaptiveConnector connector(file, advisor);
   EXPECT_EQ(connector.planned_mode(500000), model::IoMode::kAsync);
+  connector.close();
+}
+
+/// Keeps every record it is handed.
+class RecordingObserver final : public IoObserver {
+ public:
+  void on_io(const IoRecord& record) override {
+    std::lock_guard<std::mutex> lock(mutex_);
+    records_.push_back(record);
+  }
+  std::vector<IoRecord> records() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return records_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::vector<IoRecord> records_;
+};
+
+TEST(AdaptiveConnectorTest, ObserversAndRankCountReachBothRoutes) {
+  // The router builds no records itself: a subscription and the rank
+  // count must reach both inner connectors, whichever route a write
+  // takes, and a removed observer must hear from neither.
+  auto advisor = std::make_shared<model::ModeAdvisor>();
+  auto file = h5::File::create(std::make_shared<storage::MemoryBackend>());
+  AdaptiveConnector connector(file, advisor);
+  auto observer = std::make_shared<RecordingObserver>();
+  connector.set_reported_ranks(8);
+  connector.add_observer(observer);
+  EXPECT_EQ(connector.reported_ranks(), 8);
+
+  constexpr std::uint64_t kBytes = 4096;
+  auto ds = file->root().create_dataset("d", h5::Datatype::kUInt8, {kBytes});
+  const std::vector<std::uint8_t> data(kBytes, 7);
+  const auto write = [&] {
+    connector.dataset_write(ds, h5::Selection::all(),
+                            std::as_bytes(std::span<const std::uint8_t>(data)))
+        ->wait();
+    connector.wait_all();
+  };
+
+  // A cold advisor explores sync first.
+  ASSERT_EQ(connector.planned_mode(kBytes), model::IoMode::kSync);
+  write();
+  // A fitted sync model and a compute sample, but no async samples yet:
+  // the advisor explores async next.
+  for (int i = 1; i <= 6; ++i) {
+    IoRecord sample;
+    sample.bytes = static_cast<std::uint64_t>(i) * 100000;
+    sample.blocking_seconds = static_cast<double>(sample.bytes) / 1e7;
+    sample.completion_seconds = sample.blocking_seconds;
+    advisor->on_io(sample);
+  }
+  advisor->record_compute(1.0);
+  ASSERT_EQ(connector.planned_mode(kBytes), model::IoMode::kAsync);
+  write();
+
+  const auto records = observer->records();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_FALSE(records[0].async);
+  EXPECT_TRUE(records[1].async);
+  for (const auto& r : records) {
+    EXPECT_EQ(r.ranks, 8);
+    EXPECT_EQ(r.bytes, kBytes);
+  }
+  const auto stats = connector.adaptive_stats();
+  EXPECT_EQ(stats.writes_sync, 1u);
+  EXPECT_EQ(stats.writes_async, 1u);
+
+  // After removal neither inner connector reports to it: the prefetch
+  // runs on the async one, the flush on the sync one.
+  connector.remove_observer(observer);
+  write();
+  connector.prefetch(ds, h5::Selection::all());
+  connector.flush()->wait();
+  EXPECT_EQ(observer->records().size(), 2u);
   connector.close();
 }
 

@@ -24,6 +24,7 @@
 #include "common/clock.h"
 #include "common/error.h"
 #include "h5/file.h"
+#include "obs/metrics.h"
 #include "obs/epoch_analyzer.h"
 #include "sched/fair_scheduler.h"
 #include "storage/backend_stack.h"
@@ -401,6 +402,40 @@ TEST(CacheTest, ReadThroughFetchesOnceThenHits) {
   EXPECT_EQ(snap.miss_bytes, data.size());
   EXPECT_EQ(inner->stats().bytes_read, data.size())
       << "the second read must not touch the PFS";
+}
+
+TEST(CacheTest, ObservabilityOffLeavesRegistryUntouched) {
+  // With obs off the registry's cache gauges stay at zero: the counts
+  // live only in cache_snapshot().
+  obs::set_enabled(false);
+  auto& registry = obs::Registry::instance();
+  registry.reset();
+  auto inner = std::make_shared<MemoryBackend>();
+  const auto data = pattern(4096);
+  inner->write(0, data);
+  auto backend =
+      BackendStack::wrap(inner).cached(opts(CacheConsistency::kAfterJob))
+          .build();
+  auto cache = as_cache(backend);
+
+  backend->write(8192, pattern(1024, 0x11));  // staged
+  backend->write(9216, pattern(1024, 0x22));  // staged, adjacent
+  std::vector<std::byte> back(data.size());
+  backend->read(0, back);  // miss: fetched from the inner tier
+  backend->read(0, back);  // hit
+  EXPECT_EQ(back, data);
+  cache->drain();
+
+  const auto snap = cache->cache_snapshot();
+  EXPECT_EQ(snap.misses, 1u);
+  EXPECT_EQ(snap.hits, 1u);
+  EXPECT_EQ(snap.flushes, 1u);
+  EXPECT_EQ(snap.flushed_bytes, 2048u);
+  for (const char* name : {"io.cache.dirty_bytes", "io.cache.cached_bytes"}) {
+    auto& gauge = registry.gauge(name);
+    EXPECT_EQ(gauge.value(), 0) << name;
+    EXPECT_EQ(gauge.high_watermark(), 0) << name;
+  }
 }
 
 TEST(CacheTest, ReadPastLogicalEndThrows) {

@@ -834,11 +834,12 @@ TEST(ObsHammerTest, EightWriterThreadsSnapshotCoherence) {
 
   auto file = mem_file();
   auto inner = std::make_shared<vol::AsyncConnector>(file);
-  vol::TraceRecorder recorder(inner);
+  auto recorder = std::make_shared<vol::TraceRecorder>();
   auto metrics = std::make_shared<MetricsObserver>();
   auto advisor = std::make_shared<model::ModeAdvisor>();
-  recorder.add_observer(metrics);
-  recorder.add_observer(advisor);
+  inner->add_observer(recorder);
+  inner->add_observer(metrics);
+  inner->add_observer(advisor);
 
   auto ds = file->root().create_dataset(
       "d", h5::Datatype::kUInt8,
@@ -855,14 +856,14 @@ TEST(ObsHammerTest, EightWriterThreadsSnapshotCoherence) {
             (static_cast<std::uint64_t>(t) * kWritesPerThread +
              static_cast<std::uint64_t>(i)) *
             kChunk;
-        recorder.dataset_write(
+        inner->dataset_write(
             ds, h5::Selection::offsets({offset}, {kChunk}),
             std::as_bytes(std::span<const std::uint8_t>(data)));
       }
     });
   }
   for (auto& t : threads) t.join();
-  recorder.wait_all();
+  inner->wait_all();
 
   constexpr std::uint64_t kTotal = static_cast<std::uint64_t>(kThreads) *
                                    kWritesPerThread * kChunk;
@@ -888,7 +889,7 @@ TEST(ObsHammerTest, EightWriterThreadsSnapshotCoherence) {
 
   // Every write surfaced on the unified stream: the trace sink saw all
   // of them, and the model accumulated usable samples.
-  const auto trace = recorder.trace();
+  const auto trace = recorder->trace();
   EXPECT_EQ(trace.size(),
             static_cast<std::size_t>(kThreads) * kWritesPerThread);
   double prev = -1.0;

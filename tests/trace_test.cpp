@@ -29,25 +29,27 @@ h5::FilePtr make_structure() {
 }
 
 Trace record_sample_workload(h5::FilePtr file) {
-  TraceRecorder recorder(std::make_shared<NativeConnector>(file));
+  NativeConnector connector(file);
+  auto recorder = std::make_shared<TraceRecorder>();
+  connector.add_observer(recorder);
   auto field = file->dataset_at("out/field");
   auto ids = file->dataset_at("out/ids");
 
   std::vector<float> values(32);
   std::iota(values.begin(), values.end(), 0.0f);
-  recorder.dataset_write(field, h5::Selection::offsets({0}, {32}),
-                         std::as_bytes(std::span<const float>(values)));
-  recorder.dataset_write(field, h5::Selection::offsets({32}, {32}),
-                         std::as_bytes(std::span<const float>(values)));
+  connector.dataset_write(field, h5::Selection::offsets({0}, {32}),
+                          std::as_bytes(std::span<const float>(values)));
+  connector.dataset_write(field, h5::Selection::offsets({32}, {32}),
+                          std::as_bytes(std::span<const float>(values)));
   std::vector<std::int32_t> id_values(32, 7);
-  recorder.dataset_write(ids, h5::Selection::all(),
-                         std::as_bytes(std::span<const std::int32_t>(id_values)));
+  connector.dataset_write(ids, h5::Selection::all(),
+                          std::as_bytes(std::span<const std::int32_t>(id_values)));
   std::vector<float> sink(32);
-  recorder.dataset_read(field, h5::Selection::offsets({0}, {32}),
-                        std::as_writable_bytes(std::span<float>(sink)));
-  recorder.prefetch(field, h5::Selection::offsets({32}, {32}));
-  recorder.flush();
-  return recorder.trace();
+  connector.dataset_read(field, h5::Selection::offsets({0}, {32}),
+                         std::as_writable_bytes(std::span<float>(sink)));
+  connector.prefetch(field, h5::Selection::offsets({32}, {32}));
+  connector.flush();
+  return recorder->trace();
 }
 
 TEST(TraceRecorderTest, CapturesAllOperationKinds) {
@@ -71,16 +73,18 @@ TEST(TraceRecorderTest, CausalTraceIdsRideTheRecordStream) {
   collector.set_enabled(true);
 
   auto file = make_structure();
-  TraceRecorder recorder(std::make_shared<AsyncConnector>(file));
+  AsyncConnector connector(file);
+  auto recorder = std::make_shared<TraceRecorder>();
+  connector.add_observer(recorder);
   auto field = file->dataset_at("out/field");
   std::vector<float> values(32, 1.0f);
-  recorder
+  connector
       .dataset_write(field, h5::Selection::offsets({0}, {32}),
                      std::as_bytes(std::span<const float>(values)))
       ->wait();
-  recorder.wait_all();
-  const Trace trace = recorder.trace();
-  recorder.close();
+  connector.wait_all();
+  const Trace trace = recorder->trace();
+  connector.close();
   collector.set_enabled(false);
   collector.clear();
 

@@ -105,21 +105,23 @@ TEST(TwoPhaseTest, UnevenGroupSizes) {
 }
 
 TEST(TwoPhaseTest, ReducesRequestCountVersusDirect) {
-  // Count requests at the connector with a recording interposer.
+  // Count requests at the connector with an attached recorder.
   constexpr int kRanks = 8;
   constexpr std::uint64_t kPerRank = 64;
   auto file = mem_file();
-  TraceRecorder recorder(std::make_shared<NativeConnector>(file));
+  NativeConnector connector(file);
+  auto recorder = std::make_shared<TraceRecorder>();
+  connector.add_observer(recorder);
   auto ds = file->root().create_dataset(
       "d", h5::Datatype::kInt32, {kPerRank * kRanks});
 
   pmpi::run(kRanks, [&](pmpi::Communicator& comm) {
     const std::uint64_t offset = static_cast<std::uint64_t>(comm.rank()) * kPerRank;
-    write_slab(recorder, comm, ds, offset,
+    write_slab(connector, comm, ds, offset,
                std::vector<std::int32_t>(kPerRank, comm.rank()), 2);
   });
   // 8 ranks' worth of data reached storage in exactly 2 write calls.
-  const auto [writes, bytes] = recorded_writes(recorder);
+  const auto [writes, bytes] = recorded_writes(*recorder);
   EXPECT_EQ(writes, 2u);
   EXPECT_EQ(bytes, kPerRank * kRanks * sizeof(std::int32_t));
 }
@@ -143,15 +145,17 @@ TEST(TwoPhaseTest, NonAdjacentSlabsStaySeparateRequests) {
   // issues one request per piece.
   constexpr int kRanks = 4;
   auto file = mem_file();
-  TraceRecorder recorder(std::make_shared<NativeConnector>(file));
+  NativeConnector connector(file);
+  auto recorder = std::make_shared<TraceRecorder>();
+  connector.add_observer(recorder);
   auto ds = file->root().create_dataset("d", h5::Datatype::kInt32, {kRanks * 2 * 8});
 
   pmpi::run(kRanks, [&](pmpi::Communicator& comm) {
     // Rank r owns elements [r*16, r*16+8): gaps of 8 between pieces.
     const std::uint64_t offset = static_cast<std::uint64_t>(comm.rank()) * 16;
-    write_slab(recorder, comm, ds, offset, std::vector<std::int32_t>(8, comm.rank()), 1);
+    write_slab(connector, comm, ds, offset, std::vector<std::int32_t>(8, comm.rank()), 1);
   });
-  const auto [writes, bytes] = recorded_writes(recorder);
+  const auto [writes, bytes] = recorded_writes(*recorder);
   EXPECT_EQ(writes, 4u);  // nothing merged across the gaps
   EXPECT_EQ(bytes, kRanks * 8 * sizeof(std::int32_t));
 }

@@ -1,9 +1,8 @@
-// Tests for the VOL extensions: event sets (H5ES semantics), the
-// passthrough/stacking connector, SSD-staged transactional copies, and
-// the IoRecord each connector reports per operation.
+// Tests for the VOL extensions: event sets (H5ES semantics), the trace
+// recorder attached as an observer, SSD-staged transactional copies,
+// and the IoRecord each connector reports per operation.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <numeric>
 
 #include "common/error.h"
@@ -15,7 +14,6 @@
 #include "vol/async_connector.h"
 #include "vol/event_set.h"
 #include "vol/native_connector.h"
-#include "vol/passthrough_connector.h"
 #include "vol/trace.h"
 
 namespace apio::vol {
@@ -119,21 +117,21 @@ TEST(EventSetTest, RejectsNullRequest) {
 }
 
 // ---------------------------------------------------------------------------
-// PassthroughConnector
+// TraceRecorder attached to a connector
 
-/// One Connector call of each kind on `stack`, over dataset "d" of 16
+/// One Connector call of each kind on `conn`, over dataset "d" of 16
 /// doubles; reads back into `out`.
-void drive_every_op(Connector& stack, h5::Dataset ds, const std::vector<double>& values,
+void drive_every_op(Connector& conn, h5::Dataset ds, const std::vector<double>& values,
                     std::vector<double>& out) {
-  stack.dataset_write(ds, h5::Selection::all(),
-                      std::as_bytes(std::span<const double>(values)))
+  conn.dataset_write(ds, h5::Selection::all(),
+                     std::as_bytes(std::span<const double>(values)))
       ->wait();
-  stack.dataset_read(ds, h5::Selection::all(),
-                     std::as_writable_bytes(std::span<double>(out)))
+  conn.dataset_read(ds, h5::Selection::all(),
+                    std::as_writable_bytes(std::span<double>(out)))
       ->wait();
-  stack.prefetch(ds, h5::Selection::all());
-  stack.flush()->wait();
-  stack.wait_all();
+  conn.prefetch(ds, h5::Selection::all());
+  conn.flush()->wait();
+  conn.wait_all();
 }
 
 struct Tally {
@@ -165,158 +163,50 @@ void expect_one_of_each(const Trace& trace) {
   EXPECT_GT(profile.per_dataset().at("d").blocking_seconds, 0.0);
 }
 
-TEST(PassthroughTest, ForwardsAndCounts) {
-  // The passthrough forwards; a recorder stacked on it counts from the
-  // IoRecord stream the inner connector emits.
-  auto inner = make_async();
-  TraceRecorder stack(std::make_shared<PassthroughConnector>(inner));
-  auto ds = stack.file()->root().create_dataset("d", h5::Datatype::kFloat64, {16});
+TEST(TraceRecorderTest, CountsEveryOpKindOnAsync) {
+  // The recorder counts from the IoRecord stream the connector emits.
+  auto conn = make_async();
+  auto recorder = std::make_shared<TraceRecorder>();
+  conn->add_observer(recorder);
+  auto ds = conn->file()->root().create_dataset("d", h5::Datatype::kFloat64, {16});
   std::vector<double> values(16);
   std::iota(values.begin(), values.end(), 0.0);
   std::vector<double> out(16);
-  drive_every_op(stack, ds, values, out);
+  drive_every_op(*conn, ds, values, out);
 
-  expect_one_of_each(stack.trace());
+  expect_one_of_each(recorder->trace());
   EXPECT_EQ(out, values);
-  stack.close();
+  conn->close();
 }
 
-TEST(PassthroughTest, StacksOverNativeToo) {
+TEST(TraceRecorderTest, CountsEveryOpKindOnNative) {
   auto file = h5::File::create(std::make_shared<storage::MemoryBackend>());
-  TraceRecorder stack(
-      std::make_shared<PassthroughConnector>(std::make_shared<NativeConnector>(file)));
-  auto ds = stack.file()->root().create_dataset("d", h5::Datatype::kFloat64, {16});
+  NativeConnector conn(file);
+  auto recorder = std::make_shared<TraceRecorder>();
+  conn.add_observer(recorder);
+  auto ds = file->root().create_dataset("d", h5::Datatype::kFloat64, {16});
   std::vector<double> values(16, 2.5);
   std::vector<double> out(16);
-  drive_every_op(stack, ds, values, out);
+  drive_every_op(conn, ds, values, out);
 
-  expect_one_of_each(stack.trace());
+  expect_one_of_each(recorder->trace());
   EXPECT_EQ(out, values);
 }
 
-TEST(PassthroughTest, DoubleStackingComposes) {
-  auto inner = make_async();
-  auto mid = std::make_shared<TraceRecorder>(inner);
-  TraceRecorder outer(mid);
-  auto ds = outer.file()->root().create_dataset("d", h5::Datatype::kInt8, {2});
+TEST(TraceRecorderTest, TwoRecordersOnOneConnectorBothRecord) {
+  auto conn = make_async();
+  auto first = std::make_shared<TraceRecorder>();
+  auto second = std::make_shared<TraceRecorder>();
+  conn->add_observer(first);
+  conn->add_observer(second);
+  auto ds = conn->file()->root().create_dataset("d", h5::Datatype::kInt8, {2});
   const std::vector<std::int8_t> v{9, 9};
-  outer.dataset_write(ds, h5::Selection::all(),
+  conn->dataset_write(ds, h5::Selection::all(),
                       std::as_bytes(std::span<const std::int8_t>(v)));
-  outer.wait_all();
-  EXPECT_EQ(tally(outer.trace(), TraceEvent::Kind::kWrite), (Tally{1, 2}));
-  EXPECT_EQ(tally(mid->trace(), TraceEvent::Kind::kWrite), (Tally{1, 2}));
-  outer.close();
-}
-
-/// Inner connector that counts each Connector call it receives and
-/// reports one record per transfer, built with its own reported ranks.
-class CountingConnector final : public Connector {
- public:
-  enum Call { kFile, kWrite, kRead, kPrefetch, kFlush, kWaitAll, kClose,
-              kRanks, kAdd, kRemove, kNumCalls };
-
-  CountingConnector()
-      : file_(h5::File::create(std::make_shared<storage::MemoryBackend>())) {}
-
-  const h5::FilePtr& file() const override {
-    ++calls_[kFile];
-    return file_;
-  }
-  RequestPtr dataset_write(h5::Dataset, const h5::Selection& selection,
-                           std::span<const std::byte> data) override {
-    ++calls_[kWrite];
-    return report(IoOp::kWrite, data.size(), selection);
-  }
-  RequestPtr dataset_read(h5::Dataset, const h5::Selection& selection,
-                          std::span<std::byte> out) override {
-    ++calls_[kRead];
-    return report(IoOp::kRead, out.size(), selection);
-  }
-  void prefetch(h5::Dataset, const h5::Selection& selection) override {
-    ++calls_[kPrefetch];
-    report(IoOp::kPrefetch, 0, selection);
-  }
-  RequestPtr flush() override {
-    ++calls_[kFlush];
-    return done();
-  }
-  void wait_all() override { ++calls_[kWaitAll]; }
-  void close() override { ++calls_[kClose]; }
-  void set_reported_ranks(int ranks) override {
-    ++calls_[kRanks];
-    Connector::set_reported_ranks(ranks);
-  }
-  void add_observer(IoObserverPtr observer) override {
-    ++calls_[kAdd];
-    Connector::add_observer(std::move(observer));
-  }
-  void remove_observer(const IoObserverPtr& observer) override {
-    ++calls_[kRemove];
-    Connector::remove_observer(observer);
-  }
-
-  std::array<int, kNumCalls> calls() const { return calls_; }
-
- private:
-  static RequestPtr done() {
-    return Request::make_ready();
-  }
-  /// Fills the detail strings by hand: make_record would call file().
-  RequestPtr report(IoOp op, std::uint64_t bytes, const h5::Selection& selection) {
-    IoRecord record = make_record(op, bytes, /*async=*/false, 0.0, 0.0, 0.0);
-    record.dataset_path = "d";
-    record.selection = selection_to_token(selection);
-    observe(record);
-    return done();
-  }
-
-  h5::FilePtr file_;
-  mutable std::array<int, kNumCalls> calls_{};
-};
-
-TEST(PassthroughTest, ForwardsEveryConnectorCall) {
-  const auto check = [](const char* label, const std::shared_ptr<CountingConnector>& inner,
-                        Connector& wrapper) {
-    SCOPED_TRACE(label);
-    auto observer = std::make_shared<DetailObserver>();
-    auto ds = inner->file()->root().create_dataset("d", h5::Datatype::kUInt8, {8});
-    std::vector<std::byte> buffer(8);
-    const auto before = inner->calls();
-
-    (void)wrapper.file();
-    wrapper.set_reported_ranks(8);
-    wrapper.add_observer(observer);
-    wrapper.dataset_write(ds, h5::Selection::all(), buffer);
-    wrapper.dataset_read(ds, h5::Selection::all(), buffer);
-    wrapper.prefetch(ds, h5::Selection::all());
-    wrapper.flush();
-    wrapper.wait_all();
-    wrapper.remove_observer(observer);
-    wrapper.close();
-
-    const auto after = inner->calls();
-    for (int c = 0; c < CountingConnector::kNumCalls; ++c) {
-      EXPECT_EQ(after[c] - before[c], 1) << "call " << c;
-    }
-    EXPECT_EQ(wrapper.reported_ranks(), 8);
-    const auto records = observer->records();
-    ASSERT_EQ(records.size(), 3u);
-    for (const auto& r : records) EXPECT_EQ(r.ranks, 8);
-  };
-
-  auto bare = std::make_shared<CountingConnector>();
-  PassthroughConnector passthrough(bare);
-  check("PassthroughConnector", bare, passthrough);
-
-  auto recorded = std::make_shared<CountingConnector>();
-  TraceRecorder recorder(recorded);
-  check("TraceRecorder", recorded, recorder);
-  const Trace trace = recorder.trace();
-  ASSERT_EQ(trace.size(), 3u);
-}
-
-TEST(PassthroughTest, RequiresInner) {
-  EXPECT_THROW(PassthroughConnector(nullptr), InvalidArgumentError);
+  conn->wait_all();
+  EXPECT_EQ(tally(first->trace(), TraceEvent::Kind::kWrite), (Tally{1, 2}));
+  EXPECT_EQ(tally(second->trace(), TraceEvent::Kind::kWrite), (Tally{1, 2}));
+  conn->close();
 }
 
 // ---------------------------------------------------------------------------
@@ -523,9 +413,7 @@ TEST_F(IoRecordContractTest, RankCountBelowOneIsRejected) {
   conn->wait_all();
   EXPECT_EQ(conn->stats().failed_ops, 0u);
 
-  // The interposer and the router reach the same check through the base.
-  PassthroughConnector passthrough(conn);
-  EXPECT_THROW(passthrough.set_reported_ranks(-2), InvalidArgumentError);
+  // The router reaches the same check through the base.
   AdaptiveConnector adaptive(h5::File::create(std::make_shared<storage::MemoryBackend>()));
   EXPECT_THROW(adaptive.set_reported_ranks(0), InvalidArgumentError);
   adaptive.close();

@@ -1,8 +1,9 @@
 // apio-profile: observability front-end for the apio stack.
 //
 //   apio_profile report <trace.csv>
-//       Darshan-style summary of a recorded I/O trace (CSV produced by
-//       vol::TraceRecorder / Trace::to_csv): per-dataset operation
+//       Darshan-style summary of a recorded I/O trace (CSV from
+//       Trace::to_csv of a vol::TraceRecorder attached with
+//       connector->add_observer(recorder)): per-dataset operation
 //       counts, byte volumes, blocking time, request-size histogram.
 //
 //   apio_profile replay <trace.csv> [--mode sync|async] [--pfs-mibps N]
@@ -79,6 +80,7 @@
 #include "sched/report.h"
 #include "storage/memory_backend.h"
 #include "storage/backend_stack.h"
+#include "storage/cached_backend.h"
 #include "vol/adaptive_connector.h"
 #include "vol/async_connector.h"
 #include "vol/native_connector.h"
@@ -105,7 +107,9 @@ int usage(const char* argv0) {
                "[--export-report FILE] [--chrome FILE]\n"
                "       %s analyze [--scenario ideal|partial|slowdown|all] "
                "[--ranks N] [--epochs N] [--bytes-mib N] [--pfs-mibps N] "
-               "[--chrome FILE] [--max-drift PCT]\n",
+               "[--chrome FILE] [--max-drift PCT]\n"
+               "trace.csv is Trace::to_csv() of a vol::TraceRecorder "
+               "attached with connector->add_observer(recorder)\n",
                argv0, argv0, argv0, argv0, argv0);
   return 2;
 }
@@ -175,10 +179,9 @@ void write_chrome_trace(const std::string& path,
 /// profiles stay unchanged.
 void print_resilience_report(const obs::RegistrySnapshot& snap) {
   const std::uint64_t retries = snap.counter_total("io.retries");
-  const std::uint64_t trips = snap.counter_total("io.breaker_trips");
   const std::uint64_t deadline = snap.counter_total("io.deadline_exhausted");
   const std::uint64_t failed = snap.counter_total("vol.async.failed_ops");
-  if (retries + trips + deadline + failed == 0) return;
+  if (retries + deadline + failed == 0) return;
 
   std::printf("resilience:\n");
   double backoff = 0.0;
@@ -195,52 +198,39 @@ void print_resilience_report(const obs::RegistrySnapshot& snap) {
     std::printf("  deadline-abandoned retries %llu\n",
                 static_cast<unsigned long long>(deadline));
   }
-  if (trips > 0) {
-    std::printf("  breaker trips %llu\n", static_cast<unsigned long long>(trips));
-  }
 }
 
-/// Burst-buffer cache summary: hit/miss split, drain volume, failures.
-/// Printed only when a CachedBackend was actually in the stack, so
-/// cacheless profiles stay unchanged.
-void print_cache_report(const obs::RegistrySnapshot& snap) {
-  const std::uint64_t hits = snap.counter_total("io.cache.hits");
-  const std::uint64_t misses = snap.counter_total("io.cache.misses");
-  const std::uint64_t flushes = snap.counter_total("io.cache.flushes");
-  if (hits + misses + flushes == 0 &&
-      snap.counters.find("io.cache.hits") == snap.counters.end()) {
-    return;
-  }
-
+/// Burst-buffer cache summary: hit/miss split, drain volume, failures,
+/// from the cache's own counters plus the dirty-bytes gauge's
+/// high-water mark.  Printed only when a CachedBackend was in the stack,
+/// so cacheless profiles stay unchanged.
+void print_cache_report(const storage::CachedBackend& cache,
+                        const obs::RegistrySnapshot& snap) {
+  const auto c = cache.cache_snapshot();
   std::printf("cache:\n");
-  const double lookups = static_cast<double>(hits + misses);
+  const double lookups = static_cast<double>(c.hits + c.misses);
   std::printf("  hits %llu / misses %llu (%.1f%% hit rate, %s served "
               "from staging)\n",
-              static_cast<unsigned long long>(hits),
-              static_cast<unsigned long long>(misses),
-              lookups > 0.0 ? 100.0 * static_cast<double>(hits) / lookups : 0.0,
-              format_bytes(snap.counter_total("io.cache.hit_bytes")).c_str());
+              static_cast<unsigned long long>(c.hits),
+              static_cast<unsigned long long>(c.misses),
+              lookups > 0.0 ? 100.0 * static_cast<double>(c.hits) / lookups : 0.0,
+              format_bytes(c.hit_bytes).c_str());
   std::printf("  drains %llu (%s to the PFS tier)\n",
-              static_cast<unsigned long long>(flushes),
-              format_bytes(snap.counter_total("io.cache.flushed_bytes"))
-                  .c_str());
-  const std::uint64_t evictions = snap.counter_total("io.cache.evictions");
-  if (evictions > 0) {
+              static_cast<unsigned long long>(c.flushes),
+              format_bytes(c.flushed_bytes).c_str());
+  if (c.evictions > 0) {
     std::printf("  evictions %llu (%s written back under capacity "
                 "pressure)\n",
-                static_cast<unsigned long long>(evictions),
-                format_bytes(snap.counter_total("io.cache.writeback_bytes"))
-                    .c_str());
+                static_cast<unsigned long long>(c.evictions),
+                format_bytes(c.writeback_bytes).c_str());
   }
-  const std::uint64_t failures = snap.counter_total("io.cache.flush_failures");
-  if (failures > 0) {
+  if (c.flush_failures > 0) {
     std::printf("  flush failures %llu (dirty set retained and retried)\n",
-                static_cast<unsigned long long>(failures));
+                static_cast<unsigned long long>(c.flush_failures));
   }
-  const std::uint64_t lost = snap.counter_total("io.cache.lost_bytes");
-  if (lost > 0) {
+  if (c.lost_bytes > 0) {
     std::printf("  LOST %s (undrained dirty data at cache teardown)\n",
-                format_bytes(lost).c_str());
+                format_bytes(c.lost_bytes).c_str());
   }
   auto dirty = snap.gauges.find("io.cache.dirty_bytes");
   if (dirty != snap.gauges.end()) {
@@ -252,11 +242,12 @@ void print_cache_report(const obs::RegistrySnapshot& snap) {
   }
 }
 
-void print_observability_report() {
+/// `cache` is the stack's burst-buffer tier, or null when it has none.
+void print_observability_report(const storage::CachedBackend* cache = nullptr) {
   const auto snap = obs::Registry::instance().snapshot();
   std::fputs(snap.summary().c_str(), stdout);
   print_resilience_report(snap);
-  print_cache_report(snap);
+  if (cache != nullptr) print_cache_report(*cache, snap);
   // Multi-tenant QoS summary (per-tenant bytes/share, wait percentile
   // spread); empty for non-QoS profiles.
   std::fputs(sched::render_sched_report(snap).c_str(), stdout);
@@ -354,7 +345,10 @@ int cmd_run_vpic(int ranks, std::uint64_t particles, int steps,
     scheduler = std::make_shared<sched::FairScheduler>();
     scheduler->register_tenant("vpic", 1.0);
   }
-  auto file = h5::File::create(make_pfs(mibps, scheduler, cache_mode));
+  const auto pfs = make_pfs(mibps, scheduler, cache_mode);
+  // The cache, when there is one, is the outermost layer.
+  const auto cache = std::dynamic_pointer_cast<storage::CachedBackend>(pfs);
+  auto file = h5::File::create(pfs);
   std::shared_ptr<vol::Connector> connector;
   vol::AsyncConnector* async = nullptr;
   vol::AdaptiveConnector* adaptive = nullptr;
@@ -407,7 +401,7 @@ int cmd_run_vpic(int ranks, std::uint64_t particles, int steps,
                 static_cast<unsigned long long>(routed.writes_sync),
                 static_cast<unsigned long long>(routed.writes_async));
   }
-  print_observability_report();
+  print_observability_report(cache.get());
   if (!chrome_path.empty()) write_chrome_trace(chrome_path, traces);
 
   if (async != nullptr) {
