@@ -27,10 +27,8 @@
 #include "sim/epoch_sim.h"
 #include "sim/gpu_link_model.h"
 #include "workloads/bdcats_io.h"
-#include "workloads/castro.h"
+#include "workloads/checkpoint_app.h"
 #include "workloads/cosmoflow.h"
-#include "workloads/eqsim.h"
-#include "workloads/nyx.h"
 #include "workloads/vpic_io.h"
 
 namespace apio::bench {
@@ -50,17 +48,20 @@ sim::RunConfig vpic(const sim::SystemSpec& spec, int nodes, IoMode mode) {
 sim::RunConfig bdcats(const sim::SystemSpec& spec, int nodes, IoMode mode) {
   return workloads::BdCatsIoKernel::sim_config(spec, nodes, mode);
 }
+using workloads::CheckpointApp;
+using workloads::CheckpointParams;
+
 sim::RunConfig nyx_large(const sim::SystemSpec& spec, int nodes, IoMode mode) {
-  return workloads::NyxProxy::sim_config(spec, nodes, mode, workloads::NyxParams::large());
+  return CheckpointApp::sim_config(spec, nodes, mode, CheckpointParams::nyx_large(), 2.0);
 }
 sim::RunConfig nyx_small(const sim::SystemSpec& spec, int nodes, IoMode mode) {
-  return workloads::NyxProxy::sim_config(spec, nodes, mode, workloads::NyxParams::small());
+  return CheckpointApp::sim_config(spec, nodes, mode, CheckpointParams::nyx_small(), 2.0);
 }
 sim::RunConfig castro(const sim::SystemSpec& spec, int nodes, IoMode mode) {
-  return workloads::CastroProxy::sim_config(spec, nodes, mode, workloads::CastroParams{});
+  return CheckpointApp::sim_config(spec, nodes, mode, CheckpointParams::castro(), 2.0);
 }
 sim::RunConfig eqsim(const sim::SystemSpec& spec, int nodes, IoMode mode) {
-  return workloads::EqsimProxy::sim_config(spec, nodes, mode, workloads::EqsimParams{});
+  return CheckpointApp::sim_config(spec, nodes, mode, CheckpointParams::eqsim(), 1.0);
 }
 sim::RunConfig cosmoflow(const sim::SystemSpec& spec, int nodes, IoMode mode) {
   return workloads::CosmoflowProxy::sim_config(spec, nodes, mode,
@@ -283,14 +284,14 @@ int fig3_bdcats_read() {
 // small requests give poor sync bandwidth at all scales, and async is
 // limited by the staging copy's small-copy inefficiency.
 int fig4_nyx() {
-  const auto detail = [](const workloads::NyxParams& params) {
+  const auto detail = [](const CheckpointParams& params) {
     return "domain " + std::to_string(params.domain[0]) + "^3, " +
            std::to_string(params.ncomp) + " components, plotfile every " +
            std::to_string(params.schedule.steps_per_checkpoint) + " steps";
   };
-  plot("Fig. 4", "Nyx large, strong scaling", detail(workloads::NyxParams::large()),
+  plot("Fig. 4", "Nyx large, strong scaling", detail(CheckpointParams::nyx_large()),
        {"summit", sim::SystemSpec::summit(), nyx_large, {128, 256, 512, 1024, 2048}});
-  plot("Fig. 4", "Nyx small, strong scaling", detail(workloads::NyxParams::small()),
+  plot("Fig. 4", "Nyx small, strong scaling", detail(CheckpointParams::nyx_small()),
        {"cori", sim::SystemSpec::cori_haswell(), nyx_small, {4, 8, 16, 32, 64, 128}});
   return 0;
 }
@@ -306,7 +307,7 @@ int fig4_castro() {
               {2, 4, 8, 16, 32, 64, 128, 256}}}) {
     plot("Fig. 4", "Castro, strong scaling",
          "128^3, 6 components, 2 particles/cell, checkpoint bytes = " +
-             format_bytes(workloads::CastroProxy::checkpoint_bytes({})),
+             format_bytes(CheckpointApp::checkpoint_bytes(CheckpointParams::castro())),
          sweep);
   }
   return 0;
@@ -358,13 +359,12 @@ int fig7_overlap() {
   std::vector<BenchValue> values;
   for (int steps_per_phase : {1, 2, 4, 8, 16, 32, 64, 96, 192}) {
     const int checkpoints = total_steps / steps_per_phase;
-    workloads::NyxParams params = workloads::NyxParams::small();
+    CheckpointParams params = CheckpointParams::nyx_small();
     params.schedule.checkpoints = checkpoints;
     params.schedule.steps_per_checkpoint = steps_per_phase;
 
     const auto config = [&](IoMode mode) {
-      auto c = workloads::NyxProxy::sim_config(spec, nodes, mode, params,
-                                               seconds_per_step);
+      auto c = CheckpointApp::sim_config(spec, nodes, mode, params, seconds_per_step);
       c.contention_sigma_override = 0.0;
       c.observer = &advisor;
       return c;

@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
     else connector = std::make_shared<vol::NativeConnector>(file);
     connector->set_reported_ranks(ranks);
 
-    workloads::VpicRunResult result;
+    workloads::PhaseTimes result;
     pmpi::run(ranks, [&](pmpi::Communicator& comm) {
       auto r = kernel.run(*connector, comm);
       if (comm.rank() == 0) result = r;
@@ -65,10 +65,10 @@ int main(int argc, char** argv) {
   std::printf("\n%6s | %12s %16s\n", "mode", "step", "aggregate BW");
   for (bool async : {false, true}) {
     const auto result = run_mode(async);
-    for (std::size_t step = 0; step < result.step_io_seconds.size(); ++step) {
+    for (std::size_t step = 0; step < result.io_seconds.size(); ++step) {
       std::printf("%6s | %12zu %16s\n", async ? "async" : "sync", step,
-                  format_bandwidth(static_cast<double>(result.bytes_per_step) /
-                                   result.step_io_seconds[step])
+                  format_bandwidth(static_cast<double>(result.bytes_per_phase) /
+                                   result.io_seconds[step])
                       .c_str());
     }
     std::printf("%6s | %12s %16s\n", "", "peak",

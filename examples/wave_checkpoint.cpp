@@ -1,5 +1,5 @@
 // EQSIM-style example with genuine computation: a 4th-order
-// finite-difference wave kernel (the SW4 proxy's WaveGrid) alternating
+// finite-difference wave kernel (the EQSIM preset's WaveGrid) alternating
 // with checkpoint I/O phases, run over in-process MPI ranks through the
 // async VOL connector.  Demonstrates the "checkpoint-based application"
 // structure the paper evaluates, with real stencil work instead of
@@ -12,7 +12,7 @@
 #include "storage/memory_backend.h"
 #include "storage/backend_stack.h"
 #include "vol/async_connector.h"
-#include "workloads/eqsim.h"
+#include "workloads/checkpoint_app.h"
 
 int main() {
   using namespace apio;
@@ -25,21 +25,21 @@ int main() {
   auto connector = std::make_shared<vol::AsyncConnector>(file);
 
   // Epoch analyzer: consumes the connector's IoRecord stream plus the
-  // EpochScope markers run_checkpoint_app emits, and reconstructs per
+  // EpochScope markers CheckpointApp::run emits, and reconstructs per
   // checkpoint t_comp / t_io / t_transact with Eq. 2a/2b predictions.
   auto analyzer = std::make_shared<obs::EpochAnalyzer>();
   connector->add_observer(analyzer);
   analyzer->attach();
 
-  workloads::EqsimParams params;
+  auto params = workloads::CheckpointParams::eqsim();
   params.domain = {48, 48, 48};
   params.ncomp = 3;
   params.schedule.checkpoints = 4;
   params.schedule.steps_per_checkpoint = 30;
   params.real_compute = true;  // run the 4th-order stencil for real
-  workloads::EqsimProxy proxy(params);
+  workloads::CheckpointApp app(params);
 
-  std::printf("EQSIM proxy: %llux%llux%llu grid, %d components, "
+  std::printf("EQSIM preset: %llux%llux%llu grid, %d components, "
               "checkpoint every %d stencil steps, 2 ranks\n",
               static_cast<unsigned long long>(params.domain[0]),
               static_cast<unsigned long long>(params.domain[1]),
@@ -48,22 +48,21 @@ int main() {
 
   workloads::CheckpointRunResult result;
   pmpi::run(2, [&](pmpi::Communicator& comm) {
-    auto r = proxy.run(*connector, comm);
+    auto r = app.run(*connector, comm);
     if (comm.rank() == 0) result = r;
   });
 
   std::printf("\n%12s %16s %16s\n", "checkpoint", "io blocking [s]", "aggregate BW");
-  for (std::size_t c = 0; c < result.checkpoint_io_seconds.size(); ++c) {
-    std::printf("%12zu %16.4f %16s\n", c, result.checkpoint_io_seconds[c],
-                format_bandwidth(static_cast<double>(result.bytes_per_checkpoint) /
-                                 result.checkpoint_io_seconds[c])
+  for (std::size_t c = 0; c < result.io_seconds.size(); ++c) {
+    std::printf("%12zu %16.4f %16s\n", c, result.io_seconds[c],
+                format_bandwidth(static_cast<double>(result.bytes_per_phase) /
+                                 result.io_seconds[c])
                     .c_str());
   }
   std::printf("\ntotal runtime %.2f s for %s of checkpoints — the stencil\n"
               "computation overlapped the background transfers.\n",
               result.total_seconds,
-              format_bytes(result.bytes_per_checkpoint *
-                           result.checkpoint_io_seconds.size())
+              format_bytes(result.bytes_per_phase * result.io_seconds.size())
                   .c_str());
   connector->close();
 

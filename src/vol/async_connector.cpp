@@ -139,17 +139,14 @@ struct AsyncConnector::AsyncOp final : Request {
   double push_time = 0.0;    ///< kPoolWait phase anchor (queue push)
 };
 
-AsyncConnector::AsyncConnector(h5::FilePtr file, AsyncOptions options,
-                               const Clock* clock)
-    : file_(std::move(file)),
-      options_(std::move(options)),
-      clock_(clock != nullptr ? clock : &wall_clock_) {
+AsyncConnector::AsyncConnector(h5::FilePtr file, AsyncOptions options)
+    : file_(std::move(file)), options_(std::move(options)) {
   APIO_REQUIRE(file_ != nullptr, "AsyncConnector requires an open file");
-  const double t0 = clock_->now();
+  const double t0 = clock_.now();
   last_op_ = Request::make_ready();
   stream_ = std::thread([this] { run_stream(); });
   std::lock_guard lock(mutex_);
-  stats_.init_seconds = clock_->now() - t0;
+  stats_.init_seconds = clock_.now() - t0;
 }
 
 AsyncConnector::~AsyncConnector() {
@@ -163,7 +160,7 @@ AsyncConnector::~AsyncConnector() {
 
 void AsyncConnector::shutdown_machinery() {
   if (closed_.exchange(true)) return;
-  const double t0 = clock_->now();
+  const double t0 = clock_.now();
   wait_all();
   {
     std::lock_guard lock(mutex_);
@@ -173,7 +170,7 @@ void AsyncConnector::shutdown_machinery() {
   stream_.join();
   std::lock_guard lock(mutex_);
   clear_cache_locked();
-  stats_.term_seconds = clock_->now() - t0;
+  stats_.term_seconds = clock_.now() - t0;
 }
 
 template <typename Prepare>
@@ -201,7 +198,7 @@ RequestPtr AsyncConnector::submit(std::shared_ptr<AsyncOp> op,
   try {
     prepare(*op);
     // Only a write blocks its caller, for the staging copy.
-    const double blocking = kind == obs::IoOp::kWrite ? clock_->now() - t0 : 0.0;
+    const double blocking = kind == obs::IoOp::kWrite ? clock_.now() - t0 : 0.0;
     // Resolved unconditionally, before the op is queued: it rejects a
     // foreign handle, failures must carry the identity even with no
     // observer attached, and a dataset removed while the op waits in the
@@ -355,7 +352,7 @@ void AsyncConnector::finish(const std::shared_ptr<AsyncOp>& op,
   release_staging(*op, failed);
   if (failed && obs::enabled()) failed_counter().increment();
   if (op->record && !failed) {
-    op->record->completion_seconds = clock_->now() - op->record->issue_time;
+    op->record->completion_seconds = clock_.now() - op->record->issue_time;
     observe(*op->record);
   }
   // Seal the trace before the op completes, so waiters observe it
@@ -376,7 +373,7 @@ void AsyncConnector::finish(const std::shared_ptr<AsyncOp>& op,
 RequestPtr AsyncConnector::dataset_write(h5::Dataset ds,
                                          const h5::Selection& selection,
                                          std::span<const std::byte> data) {
-  const double t0 = clock_->now();
+  const double t0 = clock_.now();
   return submit(
       std::make_shared<AsyncOp>(obs::IoOp::kWrite, data.size()), &ds,
       selection, t0, [&](AsyncOp& op) {
@@ -400,7 +397,7 @@ RequestPtr AsyncConnector::dataset_write(h5::Dataset ds,
 RequestPtr AsyncConnector::dataset_read(h5::Dataset ds,
                                         const h5::Selection& selection,
                                         std::span<std::byte> out) {
-  const double t0 = clock_->now();
+  const double t0 = clock_.now();
 
   // Prefetch-cache hit: the data was pulled into node-local memory
   // during a previous compute phase; serve it with a memcpy.
@@ -428,7 +425,7 @@ RequestPtr AsyncConnector::dataset_read(h5::Dataset ds,
     if (error) std::rethrow_exception(error);
     APIO_REQUIRE(fits, "prefetched buffer size does not match read selection");
     if (has_observers()) {
-      const double dt = clock_->now() - t0;
+      const double dt = clock_.now() - t0;
       IoRecord hit = make_record(IoOp::kRead, out.size(), /*async=*/true, t0, dt,
                                  dt, &ds, selection);
       hit.cache_hit = true;
@@ -444,7 +441,7 @@ RequestPtr AsyncConnector::dataset_read(h5::Dataset ds,
 }
 
 void AsyncConnector::prefetch(h5::Dataset ds, const h5::Selection& selection) {
-  const double t0 = clock_->now();
+  const double t0 = clock_.now();
   const std::uint64_t bytes = selection.npoints(ds.dims()) * ds.element_size();
   const CacheKey key{ds.object_key(), selection};
   // A read that finds the entry waits on the prefetch's op, then copies
@@ -483,14 +480,14 @@ void AsyncConnector::prefetch(h5::Dataset ds, const h5::Selection& selection) {
   // Reported at issue: the caller's cost is the enqueue.
   if (has_observers()) {
     observe(make_record(IoOp::kPrefetch, bytes, /*async=*/true, t0,
-                        clock_->now() - t0, 0.0, &ds, selection));
+                        clock_.now() - t0, 0.0, &ds, selection));
   }
 }
 
 RequestPtr AsyncConnector::flush() {
   // Flushes ride the priority lane: they are the latency-sensitive
   // barrier ops the fairness gate protects.
-  const double t0 = clock_->now();
+  const double t0 = clock_.now();
   return submit(std::make_shared<AsyncOp>(obs::IoOp::kFlush, 0), nullptr,
                 h5::Selection::all(), t0, [](AsyncOp& op) {
                   op.submission.lane = sched::Lane::kPriority;

@@ -96,8 +96,7 @@ struct AsyncStats {
 
 class AsyncConnector final : public Connector {
  public:
-  explicit AsyncConnector(h5::FilePtr file, AsyncOptions options = {},
-                          const Clock* clock = nullptr);
+  explicit AsyncConnector(h5::FilePtr file, AsyncOptions options = {});
 
   /// Drains outstanding work and joins the background stream, but —
   /// unlike close() — leaves the container open: several connectors may
@@ -147,8 +146,7 @@ class AsyncConnector final : public Connector {
 
   h5::FilePtr file_;
   AsyncOptions options_;
-  WallClock wall_clock_;
-  const Clock* clock_;
+  WallClock clock_;
 
   /// The connector's one lock: guards the FIFO queue, its stop flag
   /// and last_op_, the staging budget and device offset, the buffer

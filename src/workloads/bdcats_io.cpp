@@ -6,14 +6,6 @@
 
 namespace apio::workloads {
 
-double BdCatsRunResult::peak_bandwidth() const {
-  double peak = 0.0;
-  for (double t : step_io_seconds) {
-    if (t > 0.0) peak = std::max(peak, static_cast<double>(bytes_per_step) / t);
-  }
-  return peak;
-}
-
 BdCatsIoKernel::BdCatsIoKernel(BdCatsParams params) : params_(params) {
   APIO_REQUIRE(params_.particles_per_rank >= 1, "need at least one particle");
   APIO_REQUIRE(params_.time_steps >= 1, "need at least one time step");
@@ -28,7 +20,7 @@ BdCatsRunResult BdCatsIoKernel::run(vol::Connector& connector,
   WallClock clock;
 
   BdCatsRunResult result;
-  result.bytes_per_step = total * kVpicProperties.size() * sizeof(float);
+  result.bytes_per_phase = total * kVpicProperties.size() * sizeof(float);
 
   const h5::Selection slab =
       h5::Selection::offsets({static_cast<std::uint64_t>(rank) * ppr}, {ppr});
@@ -75,18 +67,11 @@ BdCatsRunResult BdCatsIoKernel::run(vol::Connector& connector,
     simulated_compute(params_.compute_seconds);
     epoch.compute_done();
 
-    const double phase_io = comm.allreduce_max(blocking);
-    if (rank == 0) result.step_io_seconds.push_back(phase_io);
+    result.add_phase(comm, blocking);
     comm.barrier();
   }
 
-  const std::uint64_t failures = comm.allreduce_sum(result.verification_failures);
-  result.verification_failures = failures;
-
-  std::uint64_t n = rank == 0 ? result.step_io_seconds.size() : 0;
-  n = comm.allreduce_max(n);
-  result.step_io_seconds.resize(n);
-  comm.bcast(std::span<double>(result.step_io_seconds), 0);
+  result.verification_failures = comm.allreduce_sum(result.verification_failures);
   return result;
 }
 

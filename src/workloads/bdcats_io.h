@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "sim/epoch_sim.h"
 #include "workloads/vpic_io.h"
@@ -27,11 +26,9 @@ struct BdCatsParams {
   bool verify_data = false;
 };
 
-struct BdCatsRunResult {
-  std::vector<double> step_io_seconds;  ///< max-over-ranks blocking per step
-  std::uint64_t bytes_per_step = 0;
-  std::uint64_t verification_failures = 0;
-  double peak_bandwidth() const;
+/// One phase per step (identical on every rank).
+struct BdCatsRunResult : PhaseTimes {
+  std::uint64_t verification_failures = 0;  ///< summed over ranks
 };
 
 class BdCatsIoKernel {

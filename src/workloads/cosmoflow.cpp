@@ -11,14 +11,6 @@ constexpr const char* kSamplesDataset = "samples";
 
 }  // namespace
 
-double CosmoflowRunResult::peak_bandwidth() const {
-  double peak = 0.0;
-  for (double t : batch_io_seconds) {
-    if (t > 0.0) peak = std::max(peak, static_cast<double>(bytes_per_batch) / t);
-  }
-  return peak;
-}
-
 CosmoflowProxy::CosmoflowProxy(CosmoflowParams params) : params_(std::move(params)) {
   APIO_REQUIRE(!params_.sample_shape.empty(), "sample shape must be non-empty");
   APIO_REQUIRE(params_.batch_size >= 1, "batch size must be >= 1");
@@ -67,8 +59,7 @@ void CosmoflowProxy::prepare(vol::Connector& connector,
         ds, h5::Selection::offsets(start, count),
         std::as_bytes(std::span<const float>(sample))));
   }
-  for (auto& w : writes) w->wait();
-  comm.barrier();
+  drain_or_throw(comm, writes);
 }
 
 CosmoflowRunResult CosmoflowProxy::train(vol::Connector& connector,
@@ -83,7 +74,7 @@ CosmoflowRunResult CosmoflowProxy::train(vol::Connector& connector,
   const double t_start = clock.now();
 
   CosmoflowRunResult result;
-  result.bytes_per_batch = batch_elems * sizeof(float) *
+  result.bytes_per_phase = batch_elems * sizeof(float) *
                            static_cast<std::uint64_t>(comm.size());
 
   auto ds = connector.file()->root().open_dataset(kSamplesDataset);
@@ -128,17 +119,11 @@ CosmoflowRunResult CosmoflowProxy::train(vol::Connector& connector,
       simulated_compute(params_.seconds_per_batch);
       marker.compute_done();
 
-      const double phase_io = comm.allreduce_max(blocking);
-      if (rank == 0) result.batch_io_seconds.push_back(phase_io);
+      result.add_phase(comm, blocking);
     }
   }
   comm.barrier();
   result.total_seconds = clock.now() - t_start;
-
-  std::uint64_t n = rank == 0 ? result.batch_io_seconds.size() : 0;
-  n = comm.allreduce_max(n);
-  result.batch_io_seconds.resize(n);
-  comm.bcast(std::span<double>(result.batch_io_seconds), 0);
   return result;
 }
 

@@ -23,12 +23,9 @@ struct CosmoflowParams {
   bool prefetch = true;
 };
 
-struct CosmoflowRunResult {
-  /// Blocking read time per batch (max over ranks), all epochs in order.
-  std::vector<double> batch_io_seconds;
-  std::uint64_t bytes_per_batch = 0;  ///< aggregate over ranks
+/// One phase per batch, all epochs in order (identical on every rank).
+struct CosmoflowRunResult : PhaseTimes {
   double total_seconds = 0.0;
-  double peak_bandwidth() const;
 };
 
 class CosmoflowProxy {
@@ -36,7 +33,8 @@ class CosmoflowProxy {
   explicit CosmoflowProxy(CosmoflowParams params);
 
   /// Creates and fills the dataset ("samples", shape [N, voxels...])
-  /// collectively; call once before train().
+  /// collectively; call once before train().  Throws IoError on every
+  /// rank when a write failed.
   void prepare(vol::Connector& connector, pmpi::Communicator& comm) const;
 
   /// Runs `epochs` training epochs of batch reads + emulated compute.

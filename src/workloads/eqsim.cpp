@@ -1,15 +1,10 @@
 #include "workloads/eqsim.h"
 
 #include <cmath>
-#include <cstdio>
 
 #include "common/error.h"
-#include "workloads/workload_common.h"
 
 namespace apio::workloads {
-
-// ---------------------------------------------------------------------------
-// WaveGrid
 
 WaveGrid::WaveGrid(h5::Dims dims, double dx, double dt, double wave_speed)
     : dims_(std::move(dims)), dx_(dx), dt_(dt), c_(wave_speed) {
@@ -107,66 +102,6 @@ double WaveGrid::energy() const {
     }
   }
   return 0.5 * (kinetic + c_ * c_ * potential);
-}
-
-// ---------------------------------------------------------------------------
-// EqsimProxy
-
-EqsimProxy::EqsimProxy(EqsimParams params) : params_(std::move(params)) {
-  APIO_REQUIRE(params_.domain.size() == 3, "EQSIM domains are 3-D");
-}
-
-std::string EqsimProxy::checkpoint_name(int index) {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "ckpt%04d", index);
-  return buf;
-}
-
-CheckpointRunResult EqsimProxy::run(vol::Connector& connector,
-                                    pmpi::Communicator& comm) const {
-  const auto boxes = decompose_domain(params_.domain, comm.size());
-  MultiFab fields(params_.domain, params_.ncomp,
-                  {boxes[static_cast<std::size_t>(comm.rank())]});
-
-  // Optional genuine compute: a private small wave grid per rank,
-  // stepped `steps_per_checkpoint` times per phase.
-  std::unique_ptr<WaveGrid> wave;
-  if (params_.real_compute) {
-    wave = std::make_unique<WaveGrid>(h5::Dims{24, 24, 24}, /*dx=*/50.0,
-                                      /*dt=*/0.005, /*wave_speed=*/3000.0);
-    wave->seed_pulse(1.0, 3.0);
-  }
-
-  CheckpointSchedule schedule = params_.schedule;
-  if (params_.real_compute) schedule.seconds_per_step = 0.0;
-
-  return run_checkpoint_app(
-      connector, comm, schedule, fields.local_bytes(),
-      [&](int c) {
-        MultiFab::create_plotfile(connector, checkpoint_name(c), params_.domain,
-                                  params_.ncomp);
-      },
-      [&](int c, std::vector<vol::RequestPtr>& outstanding) {
-        if (wave) {
-          for (int s = 0; s < params_.schedule.steps_per_checkpoint; ++s) wave->step();
-        }
-        return fields.write_plotfile(connector, checkpoint_name(c), outstanding);
-      });
-}
-
-sim::RunConfig EqsimProxy::sim_config(const sim::SystemSpec& spec, int nodes,
-                                      model::IoMode mode, const EqsimParams& params,
-                                      double seconds_per_step) {
-  (void)spec;
-  sim::RunConfig config;
-  config.nodes = nodes;
-  config.mode = mode;
-  config.iterations = params.schedule.checkpoints;
-  config.compute_seconds = seconds_per_step * params.schedule.steps_per_checkpoint;
-  config.bytes_per_epoch = h5::num_elements(params.domain) *
-                           static_cast<std::uint64_t>(params.ncomp) * sizeof(float);
-  config.io_kind = storage::IoKind::kWrite;
-  return config;
 }
 
 }  // namespace apio::workloads

@@ -1,22 +1,22 @@
-// EQSIM/SW4 proxy: the earthquake simulation of Sec. IV-C.
+// The compute kernel of the EQSIM/SW4 preset (Sec. IV-C).
 //
 // SW4 solves fourth-order-accurate seismic wave equations; its I/O
-// phase checkpoints the displacement/velocity fields every N steps.
-// The proxy keeps a real (small) fourth-order finite-difference wave
-// kernel for the compute phase — so examples exercise genuine
-// computation, not just sleeps — and checkpoints through the VOL under
-// strong scaling, like the paper's grid-size-50 runs.
+// phase checkpoints the displacement/velocity fields every N steps
+// (CheckpointParams::eqsim()).  WaveGrid is a real (small)
+// fourth-order finite-difference wave kernel, run by CheckpointApp's
+// real_compute mode so examples exercise genuine computation, not
+// just sleeps.
 #pragma once
 
-#include "sim/epoch_sim.h"
-#include "workloads/amr.h"
-#include "workloads/checkpoint_app.h"
+#include <vector>
+
+#include "h5/dataspace.h"
 
 namespace apio::workloads {
 
 /// A 3-D scalar wave field updated with a 4th-order central-difference
 /// Laplacian and leapfrog time stepping.  Deterministic; used as the
-/// EQSIM proxy's compute phase and directly testable (a standing wave
+/// EQSIM preset's compute phase and directly testable (a standing wave
 /// must keep its energy bounded under a CFL-stable step).
 class WaveGrid {
  public:
@@ -49,37 +49,6 @@ class WaveGrid {
   std::vector<float> u_next_;
 
   std::size_t index(std::uint64_t i, std::uint64_t j, std::uint64_t k) const;
-};
-
-struct EqsimParams {
-  /// Paper run: 30000 x 30000 x 17000 m at grid size 50 m =>
-  /// 600 x 600 x 340 grid points.  Real executions use small grids.
-  h5::Dims domain{600, 600, 340};
-  int ncomp = 6;  ///< 3 displacement + 3 velocity components
-  CheckpointSchedule schedule{/*checkpoints=*/3, /*steps_per_checkpoint=*/100,
-                              /*seconds_per_step=*/0.0};
-  /// When true the compute phase runs the WaveGrid stencil (scaled to
-  /// a small private grid per rank) instead of sleeping.
-  bool real_compute = false;
-};
-
-class EqsimProxy {
- public:
-  explicit EqsimProxy(EqsimParams params);
-
-  CheckpointRunResult run(vol::Connector& connector, pmpi::Communicator& comm) const;
-
-  const EqsimParams& params() const { return params_; }
-
-  static std::string checkpoint_name(int index);
-
-  /// Simulator configuration reproducing Fig. 6 (Summit, strong scaling).
-  static sim::RunConfig sim_config(const sim::SystemSpec& spec, int nodes,
-                                   model::IoMode mode, const EqsimParams& params,
-                                   double seconds_per_step = 1.0);
-
- private:
-  EqsimParams params_;
 };
 
 }  // namespace apio::workloads

@@ -11,14 +11,6 @@ std::uint64_t vpic_bytes_per_rank_per_step(const VpicParams& params) {
   return params.particles_per_rank * kVpicProperties.size() * sizeof(float);
 }
 
-double VpicRunResult::peak_bandwidth() const {
-  double peak = 0.0;
-  for (double t : step_io_seconds) {
-    if (t > 0.0) peak = std::max(peak, static_cast<double>(bytes_per_step) / t);
-  }
-  return peak;
-}
-
 VpicIoKernel::VpicIoKernel(VpicParams params) : params_(params) {
   APIO_REQUIRE(params_.particles_per_rank >= 1, "need at least one particle");
   APIO_REQUIRE(params_.time_steps >= 1, "need at least one time step");
@@ -28,16 +20,16 @@ std::string VpicIoKernel::step_group(int step) {
   return "Step#" + std::to_string(step);
 }
 
-VpicRunResult VpicIoKernel::run(vol::Connector& connector,
-                                pmpi::Communicator& comm) const {
+PhaseTimes VpicIoKernel::run(vol::Connector& connector,
+                             pmpi::Communicator& comm) const {
   const int rank = comm.rank();
   const int size = comm.size();
   const std::uint64_t ppr = params_.particles_per_rank;
   const std::uint64_t total = ppr * static_cast<std::uint64_t>(size);
   WallClock clock;
 
-  VpicRunResult result;
-  result.bytes_per_step = total * kVpicProperties.size() * sizeof(float);
+  PhaseTimes result;
+  result.bytes_per_phase = total * kVpicProperties.size() * sizeof(float);
 
   // Particle buffer for this rank, refilled per property.
   std::vector<float> buffer(ppr);
@@ -73,24 +65,13 @@ VpicRunResult VpicIoKernel::run(vol::Connector& connector,
       outstanding.push_back(connector.dataset_write(
           ds, slab, std::as_bytes(std::span<const float>(buffer))));
     }
-    const double blocking = clock.now() - t0;
-
-    // The slowest rank determines the phase time.
-    const double phase_io = comm.allreduce_max(blocking);
-    if (rank == 0) result.step_io_seconds.push_back(phase_io);
+    result.add_phase(comm, clock.now() - t0);
     comm.barrier();
   }
 
   // Drain: the checkpoint is only durable once the background queue is
   // empty (async mode); sync requests are already complete.
-  for (auto& req : outstanding) req->wait();
-  comm.barrier();
-
-  // Replicate rank 0's timings everywhere so callers see one answer.
-  std::uint64_t n = rank == 0 ? result.step_io_seconds.size() : 0;
-  n = comm.allreduce_max(n);
-  result.step_io_seconds.resize(n);
-  comm.bcast(std::span<double>(result.step_io_seconds), 0);
+  drain_or_throw(comm, outstanding);
   return result;
 }
 

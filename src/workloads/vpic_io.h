@@ -11,7 +11,6 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "sim/epoch_sim.h"
 #include "workloads/workload_common.h"
@@ -32,16 +31,6 @@ inline constexpr std::array<const char*, 8> kVpicProperties = {
 /// Bytes one rank writes per time step (8 float32 properties).
 std::uint64_t vpic_bytes_per_rank_per_step(const VpicParams& params);
 
-/// Result of a real execution on one rank.
-struct VpicRunResult {
-  /// Per-step I/O phase blocking time (max across ranks).
-  std::vector<double> step_io_seconds;
-  /// Aggregate bytes written per step across all ranks.
-  std::uint64_t bytes_per_step = 0;
-  /// Aggregate observed bandwidth of the best step (peak, as Fig. 3 plots).
-  double peak_bandwidth() const;
-};
-
 class VpicIoKernel {
  public:
   explicit VpicIoKernel(VpicParams params);
@@ -49,8 +38,10 @@ class VpicIoKernel {
   /// Collective: every rank of `comm` must call run() with the same
   /// shared connector.  Writes `time_steps` groups "Step#<i>" each
   /// holding one 1-D dataset per property; rank r writes the slab
-  /// [r*ppr, (r+1)*ppr).  Returns identical results on every rank.
-  VpicRunResult run(vol::Connector& connector, pmpi::Communicator& comm) const;
+  /// [r*ppr, (r+1)*ppr); one phase per step.  Returns identical results
+  /// on every rank, and throws IoError on every rank when a write
+  /// failed.
+  PhaseTimes run(vol::Connector& connector, pmpi::Communicator& comm) const;
 
   const VpicParams& params() const { return params_; }
 

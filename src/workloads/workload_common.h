@@ -3,7 +3,9 @@
 
 #include <chrono>
 #include <cstdint>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "model/epoch_model.h"
 #include "pmpi/world.h"
@@ -26,5 +28,34 @@ inline float particle_value(std::uint64_t global_index, int property) {
   return static_cast<float>((global_index * 8 + static_cast<std::uint64_t>(property)) %
                             16777216ull);
 }
+
+/// Per-phase I/O times of one run.  Every rank holds the same values:
+/// each phase's time is the slowest rank's blocking time.
+struct PhaseTimes {
+  std::vector<double> io_seconds;     ///< one per I/O phase, max over ranks
+  std::uint64_t bytes_per_phase = 0;  ///< aggregate over ranks
+
+  /// Collective: appends the slowest rank's `blocking` seconds.
+  void add_phase(pmpi::Communicator& comm, double blocking) {
+    io_seconds.push_back(comm.allreduce_max(blocking));
+  }
+  /// Aggregate bandwidth of the fastest phase (the peak Fig. 3 plots);
+  /// phases that took 0 s are skipped.
+  double peak_bandwidth() const;
+};
+
+/// Collective drain: waits for every request without rethrowing
+/// (H5ESwait semantics), appends this rank's failure lines to
+/// `local_errors` and returns the failures summed over ranks.  A rank
+/// whose request failed thus still reaches the collective instead of
+/// leaving the other ranks waiting in it.
+std::uint64_t drain(pmpi::Communicator& comm,
+                    const std::vector<vol::RequestPtr>& requests,
+                    std::vector<std::string>& local_errors);
+
+/// drain() for runs that cannot degrade: throws IoError on every rank
+/// when any request failed.
+void drain_or_throw(pmpi::Communicator& comm,
+                    const std::vector<vol::RequestPtr>& requests);
 
 }  // namespace apio::workloads

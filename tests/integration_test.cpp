@@ -251,7 +251,7 @@ TEST(EndToEndTest, VpicThroughThrottledPfsShowsAsyncBandwidthAdvantage) {
     std::shared_ptr<vol::Connector> conn;
     if (async) conn = std::make_shared<vol::AsyncConnector>(file);
     else conn = std::make_shared<vol::NativeConnector>(file);
-    workloads::VpicRunResult result;
+    workloads::PhaseTimes result;
     pmpi::run(kRanks, [&](pmpi::Communicator& comm) {
       auto r = workloads::VpicIoKernel(params).run(*conn, comm);
       if (comm.rank() == 0) result = r;

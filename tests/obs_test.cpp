@@ -804,7 +804,7 @@ TEST(ObsEndToEndTest, BreakerRejectedAttemptsExecuteNoBytes) {
   auto ds = file->root().create_dataset("d", h5::Datatype::kUInt8, {64});
   const std::uint64_t leaf_writes = leaf->stats().write_ops;
   resilient->breaker()->on_failure();  // open until the clock moves on
-  vol::AsyncConnector connector(file, {}, &clock);
+  vol::AsyncConnector connector(file);
   const std::vector<std::uint8_t> data(64, 7);
   auto request = connector.dataset_write(
       ds, h5::Selection::all(), std::as_bytes(std::span<const std::uint8_t>(data)));

@@ -774,7 +774,7 @@ TEST_P(ResilienceMatrixTest, DrivesFaultToExpectedOutcome) {
   backend->set_plan(make_plan(op, pattern, data_offset));
 
   auto connector =
-      std::make_unique<vol::AsyncConnector>(file, vol::AsyncOptions{}, &manual);
+      std::make_unique<vol::AsyncConnector>(file);
 
   const std::vector<std::uint8_t> lead(16, 0xBB);
   const std::vector<std::uint8_t> payload(16, 0xAA);
@@ -932,7 +932,7 @@ TEST(ResilienceConcurrencyTest, EightRanksRetryMidEpochFaultsToCompletion) {
       std::make_shared<storage::ResilientBackend>(backend, ro, &manual, &manual);
   auto file = h5::File::create(resilient);
   auto ds = file->root().create_dataset("d", h5::Datatype::kUInt8, {kTotal});
-  vol::AsyncConnector connector(file, {}, &manual);
+  vol::AsyncConnector connector(file);
 
   FaultPlan plan;
   plan.fail_every_n_writes = 5;
@@ -1014,7 +1014,7 @@ TEST(ResilienceConcurrencyTest, CloseDrainsFailingRetriesWithoutDeadlock) {
   plan.transient = true;
   backend->set_plan(plan);
 
-  vol::AsyncConnector connector(file, {}, &manual);
+  vol::AsyncConnector connector(file);
 
   const std::vector<std::uint8_t> payload(16, 0xAA);
   std::vector<vol::RequestPtr> requests;
@@ -1084,8 +1084,7 @@ TEST_P(ResilienceConnectorTest, CountdownRetriesThroughResilientStack) {
   if (GetParam() == ConnectorKind::kNative) {
     connector = std::make_unique<vol::NativeConnector>(file);
   } else {
-    connector = std::make_unique<vol::AsyncConnector>(file, vol::AsyncOptions{},
-                                                      &manual);
+    connector = std::make_unique<vol::AsyncConnector>(file);
   }
   const std::vector<std::uint8_t> payload(16, 0xAA);
   vol::EventSet es;
@@ -1123,51 +1122,39 @@ INSTANTIATE_TEST_SUITE_P(
 // aborting it, and failures are counted collectively.
 
 TEST(ResilienceCheckpointTest, FaultsDegradeRunInsteadOfAborting) {
-  auto backend = std::make_shared<FaultyBackend>(
-      std::make_shared<storage::MemoryBackend>(), FaultPlan{});
+  auto memory = std::make_shared<storage::MemoryBackend>();
+  auto backend = std::make_shared<FaultyBackend>(memory, FaultPlan{});
   auto file = h5::File::create(backend);
   vol::AsyncConnector connector(file);  // default policy: no retries
 
-  // 3 checkpoints x 2 ranks = 6 data writes (metadata stays in memory
-  // until flush); every 3rd faults permanently -> exactly 2 failures.
+  // EQSIM preset with 1 component: 3 checkpoints x 2 ranks = 6 data
+  // writes, one contiguous slab each (metadata stays in memory until
+  // flush); every 3rd faults permanently -> exactly 2 failures.
   FaultPlan plan;
   plan.fail_every_n_writes = 3;
   backend->set_plan(plan);
+  const std::uint64_t writes_before = memory->stats().write_ops;
 
-  workloads::CheckpointSchedule schedule;
-  schedule.checkpoints = 3;
-  schedule.steps_per_checkpoint = 1;
-  schedule.seconds_per_step = 0.0;
+  auto params = workloads::CheckpointParams::eqsim();
+  params.domain = {4, 4, 4};
+  params.ncomp = 1;
+  params.schedule.checkpoints = 3;
+  params.schedule.steps_per_checkpoint = 1;
+  const workloads::CheckpointApp app(params);
 
   constexpr int kRanks = 2;
   std::array<workloads::CheckpointRunResult, kRanks> results;
   pmpi::run(kRanks, [&](pmpi::Communicator& comm) {
-    results[static_cast<std::size_t>(comm.rank())] =
-        workloads::run_checkpoint_app(
-            connector, comm, schedule, 16,
-            [&](int c) {
-              file->root().create_dataset("ckpt" + std::to_string(c),
-                                          h5::Datatype::kUInt8, {32});
-            },
-            [&](int c, std::vector<vol::RequestPtr>& outstanding) {
-              auto ds =
-                  file->root().open_dataset("ckpt" + std::to_string(c));
-              const std::vector<std::uint8_t> chunk(
-                  16, static_cast<std::uint8_t>(c));
-              outstanding.push_back(connector.dataset_write(
-                  ds,
-                  h5::Selection::offsets(
-                      {static_cast<std::uint64_t>(comm.rank()) * 16}, {16}),
-                  bytes_of(chunk)));
-              return 0.0;
-            });
+    results[static_cast<std::size_t>(comm.rank())] = app.run(connector, comm);
   });
+  EXPECT_EQ(backend->faults_injected(), 2u);
+  EXPECT_EQ(memory->stats().write_ops - writes_before, 4u);  // 6 issued, 2 rejected
 
   // The aggregated count is identical on every rank; the run completed
   // instead of aborting on the first failure.
   EXPECT_EQ(results[0].failed_requests, 2u);
   EXPECT_EQ(results[1].failed_requests, 2u);
-  EXPECT_EQ(results[0].checkpoint_io_seconds.size(), 3u);
+  EXPECT_EQ(results[0].io_seconds.size(), 3u);
 
   std::size_t local_error_lines = 0;
   for (const auto& result : results) {

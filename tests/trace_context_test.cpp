@@ -388,8 +388,7 @@ TEST_F(TraceCollectorTest, AsyncWriteSurvivingTwoFaultsYieldsFullCausalTrace) {
   outage.heal_after_faults = 2;
   faulty->set_plan(outage);
 
-  auto connector = std::make_unique<vol::AsyncConnector>(file, vol::AsyncOptions{},
-                                                         &manual);
+  auto connector = std::make_unique<vol::AsyncConnector>(file);
 
   const std::vector<std::uint8_t> payload(32, 0xAB);
   auto request = connector->dataset_write(

@@ -244,27 +244,27 @@ TEST(AsyncConnectorTest, SuccessorsWaitOutARetriedOp) {
       faulty, resilience_options, &manual, &manual);
   auto gate = std::make_shared<GateBackend>(resilient);
   auto file = h5::File::create(gate);
-  auto ds = file->root().create_dataset("d", h5::Datatype::kInt32, {1});
+  constexpr std::int32_t kWrites = 9;
+  auto ds = file->root().create_dataset("d", h5::Datatype::kInt32, {kWrites});
   storage::FaultPlan plan;
   plan.fail_writes_after = 0;
   plan.transient = true;
   plan.heal_after_faults = 2;
   faulty->set_plan(plan);
 
-  AsyncConnector conn(file, {}, &manual);
+  AsyncConnector conn(file);
   auto observer = std::make_shared<RecordingObserver>();
   conn.add_observer(observer);
 
-  // Write i is issued at virtual time i + 1, so its record's issue_time
-  // names it.
-  constexpr std::int32_t kWrites = 9;
+  // Write i covers elements [0, i] with the value i, so its record's
+  // byte count names it and element 0 ends with the last write's value.
   gate->set_open(false);
   std::vector<RequestPtr> requests;
   for (std::int32_t i = 0; i < kWrites; ++i) {
-    manual.advance(1.0);
-    const std::vector<std::int32_t> v{i};
+    const std::vector<std::int32_t> v(static_cast<std::size_t>(i) + 1, i);
     requests.push_back(conn.dataset_write(
-        ds, h5::Selection::all(), std::as_bytes(std::span<const std::int32_t>(v))));
+        ds, h5::Selection::offsets({0}, {v.size()}),
+        std::as_bytes(std::span<const std::int32_t>(v))));
   }
   gate->set_open(true);
   conn.wait_all();
@@ -275,8 +275,7 @@ TEST(AsyncConnectorTest, SuccessorsWaitOutARetriedOp) {
   const auto records = observer->records();
   ASSERT_EQ(records.size(), static_cast<std::size_t>(kWrites));
   for (std::size_t i = 0; i < records.size(); ++i) {
-    EXPECT_DOUBLE_EQ(records[i].issue_time, static_cast<double>(i + 1))
-        << "completion " << i;
+    EXPECT_EQ(records[i].bytes, (i + 1) * sizeof(std::int32_t)) << "completion " << i;
   }
   EXPECT_EQ(ds.read_vector<std::int32_t>(h5::Selection::all())[0], kWrites - 1);
   EXPECT_EQ(conn.stats().failed_ops, 0u);

@@ -369,7 +369,7 @@ int cmd_run_vpic(int ranks, std::uint64_t particles, int steps,
   auto metrics = std::make_shared<obs::MetricsObserver>();
   connector->add_observer(metrics);
 
-  workloads::VpicRunResult result;
+  workloads::PhaseTimes result;
   pmpi::run(ranks, [&](pmpi::Communicator& comm) {
     auto r = kernel.run(*connector, comm);
     if (comm.rank() == 0) result = r;
@@ -389,10 +389,10 @@ int cmd_run_vpic(int ranks, std::uint64_t particles, int steps,
                 "consumers see data at that boundary)\n",
                 cache_mode.c_str());
   }
-  for (std::size_t step = 0; step < result.step_io_seconds.size(); ++step) {
+  for (std::size_t step = 0; step < result.io_seconds.size(); ++step) {
     std::printf("  step %zu: %s aggregate\n", step,
-                format_bandwidth(static_cast<double>(result.bytes_per_step) /
-                                 result.step_io_seconds[step])
+                format_bandwidth(static_cast<double>(result.bytes_per_phase) /
+                                 result.io_seconds[step])
                     .c_str());
   }
   if (adaptive != nullptr) {
