@@ -167,10 +167,10 @@ else
   ctest --preset tsan -j "${JOBS}"
 fi
 
-echo "==> [8/8] asan-ubsan build + fault-matrix, async-connector, backend, handle-lifetime, path-index, cache, paged-memory, collective-write, two-phase, trace-recorder, adaptive-loop, request, close-race, staging-vs-prefetch-cache hammer, container-parsing, retry-loop, vectored-dataset, trace, posix-sequence, byte-ranges, hyperslab-generator, fair-scheduler-generator and workload run-loop suites"
+echo "==> [8/8] asan-ubsan build + fault-matrix, async-connector, backend, handle-lifetime, path-index, cache, paged-memory, collective-write, two-phase, trace-recorder, adaptive-loop, request, close-race, staging-vs-prefetch-cache hammer, container-parsing, retry-loop, vectored-dataset, trace, posix-sequence, byte-ranges, hyperslab-generator, fair-scheduler-generator, workload run-loop and record-rank suites"
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "${JOBS}"
 ctest --preset asan-ubsan -j "${JOBS}" \
-  -R 'Resilience|FaultInjection|AsyncConnector|VectoredBackend|BackendContract|HandleLifetime|PathIndex|Cache|PagedMemory|CollectiveWrite|TwoPhase|TraceRecorder|ModeAdvisor|AdaptiveConnector|FeedbackLoop|Alloc|RequestTest|ConnectorCloseRace|StagingBudgetAndPrefetchCacheShareTraffic|Corruption|H5Fuzz|Chunked|BreakerRejected|SurvivingTwoFaults|VectoredDataset|TraceTest|PosixSequence|ByteRanges|HyperslabGenerator|FairSchedulerGenerator|WorkloadMarker|CheckpointApp|VpicDrain|NyxProxy|CastroProxy|EqsimProxy'
+  -R 'Resilience|FaultInjection|AsyncConnector|VectoredBackend|BackendContract|HandleLifetime|PathIndex|Cache|PagedMemory|CollectiveWrite|TwoPhase|TraceRecorder|ModeAdvisor|AdaptiveConnector|FeedbackLoop|Alloc|RequestTest|ConnectorCloseRace|StagingBudgetAndPrefetchCacheShareTraffic|Corruption|H5Fuzz|Chunked|BreakerRejected|SurvivingTwoFaults|VectoredDataset|TraceTest|PosixSequence|ByteRanges|HyperslabGenerator|FairSchedulerGenerator|WorkloadMarker|CheckpointApp|VpicDrain|NyxProxy|CastroProxy|EqsimProxy|RecordRanks'
 
 echo "==> all checks passed"

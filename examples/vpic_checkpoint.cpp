@@ -51,7 +51,6 @@ int main(int argc, char** argv) {
     std::shared_ptr<vol::Connector> connector;
     if (async) connector = std::make_shared<vol::AsyncConnector>(file);
     else connector = std::make_shared<vol::NativeConnector>(file);
-    connector->set_reported_ranks(ranks);
 
     workloads::PhaseTimes result;
     pmpi::run(ranks, [&](pmpi::Communicator& comm) {

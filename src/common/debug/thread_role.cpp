@@ -6,9 +6,7 @@
 namespace apio::debug {
 namespace {
 
-thread_local ThreadRole t_role = ThreadRole::kUnassigned;
-thread_local int t_role_id = -1;
-thread_local const void* t_role_domain = nullptr;
+thread_local ThreadTag t_tag;
 
 [[noreturn]] void role_failure(const char* expectation, ThreadRole actual,
                                int actual_id, std::source_location loc) {
@@ -33,45 +31,36 @@ const char* thread_role_name(ThreadRole role) {
   return "<unknown role>";
 }
 
-ThreadRole current_thread_role() { return t_role; }
+const ThreadTag& thread_tag() { return t_tag; }
 
-int current_thread_role_id() { return t_role_id; }
-
-const void* current_thread_role_domain() { return t_role_domain; }
-
-ScopedThreadRole::ScopedThreadRole(ThreadRole role, int id, const void* domain)
-    : prev_role_(t_role), prev_id_(t_role_id), prev_domain_(t_role_domain) {
-  t_role = role;
-  t_role_id = id;
-  t_role_domain = domain;
+ScopedThreadRole::ScopedThreadRole(ThreadRole role, int id, const void* domain,
+                                   int world_size)
+    : prev_(t_tag) {
+  t_tag = {role, id, domain, world_size};
 }
 
-ScopedThreadRole::~ScopedThreadRole() {
-  t_role = prev_role_;
-  t_role_id = prev_id_;
-  t_role_domain = prev_domain_;
-}
+ScopedThreadRole::~ScopedThreadRole() { t_tag = prev_; }
 
 namespace detail {
 
 void assert_on_stream(std::source_location loc) {
-  if (t_role != ThreadRole::kStream) {
-    role_failure("this code must run on an execution stream", t_role,
-                 t_role_id, loc);
+  if (t_tag.role != ThreadRole::kStream) {
+    role_failure("this code must run on an execution stream", t_tag.role,
+                 t_tag.id, loc);
   }
 }
 
 void assert_on_rank(const void* domain, int rank, std::source_location loc) {
-  if (t_role == ThreadRole::kStream) {
+  if (t_tag.role == ThreadRole::kStream) {
     role_failure(
         "pmpi communicator calls may not run on an execution stream "
         "(a blocked stream starves its queue)",
-        t_role, t_role_id, loc);
+        t_tag.role, t_tag.id, loc);
   }
-  if (t_role == ThreadRole::kPmpiRank && t_role_domain == domain &&
-      t_role_id != rank) {
-    role_failure("this communicator belongs to a different pmpi rank", t_role,
-                 t_role_id, loc);
+  if (t_tag.role == ThreadRole::kPmpiRank && t_tag.domain == domain &&
+      t_tag.id != rank) {
+    role_failure("this communicator belongs to a different pmpi rank",
+                 t_tag.role, t_tag.id, loc);
   }
 }
 

@@ -1,4 +1,4 @@
-// Thread-role tagging: who is allowed to run what.
+// Thread tags: who is issuing, and who is allowed to run what.
 //
 // apio has three kinds of threads with different contracts:
 //   * application threads — issue VOL calls, may block on requests;
@@ -10,9 +10,13 @@
 //     by the thread that owns the communicator's rank, and never by an
 //     execution stream (a stream parked in a barrier starves its queue).
 //
-// ScopedThreadRole tags the current thread; the APIO_ASSERT_ON_* macros
-// make the contracts fail loudly at the call site.  Like the lock-rank
-// checker, everything compiles out without APIO_DEBUG_CHECKS.
+// ScopedThreadRole tags the current thread with its role, its rank or
+// stream number and, on a rank thread, its world and that world's size.
+// The tag is the one source of "who is issuing": IoRecords, trace spans,
+// epoch markers and counter shards all read it.  The APIO_ASSERT_ON_*
+// macros make the contracts fail loudly at the call site; like the
+// lock-rank checker they compile out without APIO_DEBUG_CHECKS, the tag
+// itself does not.
 #pragma once
 
 #include <source_location>
@@ -27,32 +31,41 @@ enum class ThreadRole : int {
 
 const char* thread_role_name(ThreadRole role);
 
-/// Current thread's role (kUnassigned unless inside a ScopedThreadRole).
-ThreadRole current_thread_role();
+/// What a ScopedThreadRole says about the calling thread.
+struct ThreadTag {
+  ThreadRole role = ThreadRole::kUnassigned;
+  /// The pmpi rank on a rank thread, the stream number on a stream, -1
+  /// on an application thread.
+  int id = -1;
+  /// Opaque owner of the rank (the pmpi World); nullptr elsewhere.
+  const void* domain = nullptr;
+  /// Ranks in that world; 1 outside an SPMD region.
+  int world_size = 1;
 
-/// Role-specific id: the pmpi rank for kPmpiRank threads, -1 otherwise.
-int current_thread_role_id();
+  /// The pmpi rank, or -1 off a rank thread.
+  int rank() const { return role == ThreadRole::kPmpiRank ? id : -1; }
+  /// The stream number, or -1 off a stream.
+  int stream() const { return role == ThreadRole::kStream ? id : -1; }
+};
 
-/// Opaque owner of the id (e.g. the pmpi World the rank belongs to);
-/// nullptr when no role is set.
-const void* current_thread_role_domain();
+/// The calling thread's tag (all defaults unless inside a
+/// ScopedThreadRole).
+const ThreadTag& thread_tag();
 
-/// RAII role tag.  Nests: the destructor restores the previous role, so
+/// RAII thread tag.  Nests: the destructor restores the previous tag, so
 /// e.g. a pmpi rank thread that constructs a nested SPMD region keeps a
 /// consistent tag stack.
 class ScopedThreadRole {
  public:
   explicit ScopedThreadRole(ThreadRole role, int id = -1,
-                            const void* domain = nullptr);
+                            const void* domain = nullptr, int world_size = 1);
   ~ScopedThreadRole();
 
   ScopedThreadRole(const ScopedThreadRole&) = delete;
   ScopedThreadRole& operator=(const ScopedThreadRole&) = delete;
 
  private:
-  ThreadRole prev_role_;
-  int prev_id_;
-  const void* prev_domain_;
+  ThreadTag prev_;
 };
 
 namespace detail {

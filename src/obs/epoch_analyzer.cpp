@@ -6,6 +6,7 @@
 #include <iomanip>
 #include <sstream>
 
+#include "common/debug/thread_role.h"
 #include "common/units.h"
 #include "obs/metrics.h"
 
@@ -65,10 +66,10 @@ void emit_epoch_event(const EpochEvent& event) {
 // ---------------------------------------------------------------------------
 // EpochScope
 
-EpochScope::EpochScope(std::int64_t epoch, int rank)
+EpochScope::EpochScope(std::int64_t epoch)
     : active_(epoch_sinks_active()),
       epoch_(epoch),
-      rank_(clamp_rank(rank < 0 ? thread_rank() : rank)) {
+      rank_(clamp_rank(debug::thread_tag().rank())) {
   if (!active_) return;
   emit_epoch_event({EpochEvent::Kind::kBegin, epoch_, rank_, steady_seconds()});
 }

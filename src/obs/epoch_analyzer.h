@@ -18,8 +18,9 @@
 // (IoRecord::origin_rank) and their issue timestamp; the analyzer files
 // each record into the epoch whose [begin, end) window contains the
 // issue time on that rank's timeline.  Records issued outside any epoch
-// are counted as orphans.  Both sides must sample the same clock
-// (WallClock / obs::steady_seconds, the steady clock).
+// are counted as orphans.  Both sides must sample the same clock, and
+// do: connectors time their records with obs::steady_seconds(), as
+// EpochScope times its markers.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +46,7 @@ struct EpochEvent {
   enum class Kind : std::uint8_t { kBegin, kComputeStart, kComputeDone, kEnd };
   Kind kind = Kind::kBegin;
   std::int64_t epoch = 0;  ///< caller-assigned epoch index (step, checkpoint)
-  int rank = 0;            ///< emitting rank (thread_rank clamped to >= 0)
+  int rank = 0;            ///< emitting pmpi rank (clamped to >= 0)
   double time_seconds = 0.0;  ///< steady-clock timestamp (obs::steady_seconds)
 };
 
@@ -82,9 +83,10 @@ void emit_epoch_event(const EpochEvent& event);
 ///   }                                     // epoch ends at scope exit
 class EpochScope {
  public:
-  /// `rank` < 0 means "the calling thread's pmpi rank" (clamped to 0
-  /// outside an SPMD region, so single-threaded tools get rank 0).
-  explicit EpochScope(std::int64_t epoch, int rank = -1);
+  /// Markers carry the calling thread's pmpi rank (debug::thread_tag()),
+  /// clamped to 0 outside an SPMD region, so single-threaded tools get
+  /// rank 0.
+  explicit EpochScope(std::int64_t epoch);
   EpochScope(const EpochScope&) = delete;
   EpochScope& operator=(const EpochScope&) = delete;
   ~EpochScope();

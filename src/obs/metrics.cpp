@@ -1,11 +1,12 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
 
+#include "common/clock.h"
+#include "common/debug/thread_role.h"
 #include "common/units.h"
 
 namespace apio::obs {
@@ -16,8 +17,6 @@ std::atomic<bool> g_enabled{false};
 std::atomic<int> g_next_slot{0};
 
 thread_local int t_shard = -1;
-thread_local int t_rank = -1;
-thread_local int t_stream = -1;
 
 }  // namespace
 
@@ -49,7 +48,9 @@ void set_enabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
 
 int thread_shard() {
   if (t_shard < 0) {
-    t_shard = g_next_slot.fetch_add(1, std::memory_order_relaxed) %
+    const int rank = debug::thread_tag().rank();
+    t_shard = (rank >= 0 ? rank
+                         : g_next_slot.fetch_add(1, std::memory_order_relaxed)) %
               static_cast<int>(kShards);
   }
   return t_shard;
@@ -59,21 +60,7 @@ void set_thread_shard(int shard) {
   t_shard = shard >= 0 ? shard % static_cast<int>(kShards) : -1;
 }
 
-int thread_rank() { return t_rank; }
-void set_thread_rank(int rank) {
-  t_rank = rank;
-  // Rank threads shard the counters by rank, so per-shard snapshot
-  // values read as per-rank values (the paper's per-rank accounting).
-  if (rank >= 0) set_thread_shard(rank);
-}
-
-int thread_stream() { return t_stream; }
-void set_thread_stream(int stream) { t_stream = stream; }
-
-double steady_seconds() {
-  using namespace std::chrono;
-  return duration<double>(steady_clock::now().time_since_epoch()).count();
-}
+double steady_seconds() { return WallClock().now(); }
 
 // ---------------------------------------------------------------------------
 // Counter

@@ -29,22 +29,15 @@ void set_enabled(bool on);
 /// their slot modulo this.
 inline constexpr std::size_t kShards = 16;
 
-/// The calling thread's shard slot.  Assigned round-robin on first use;
-/// pmpi rank threads override it with their rank (set_thread_shard) so
-/// per-shard counter values read as per-rank values.
+/// The calling thread's shard slot, fixed on first use: a pmpi rank
+/// thread takes its rank (from debug::thread_tag()), so per-shard
+/// counter values read as per-rank values; any other thread is assigned
+/// round-robin.  set_thread_shard() overrides it.
 int thread_shard();
 void set_thread_shard(int shard);
 
-/// Thread identity used to label trace spans (Chrome lanes).  pmpi::run
-/// sets the rank on rank threads, which also pins their counter shard
-/// to the rank; ExecutionStream workers set the stream id.  Both are -1
-/// on every other thread.
-int thread_rank();
-void set_thread_rank(int rank);
-int thread_stream();
-void set_thread_stream(int stream);
-
-/// Monotonic wall time in seconds (steady_clock).
+/// Monotonic wall time in seconds: WallClock::now(), the one steady
+/// clock records, spans and epoch markers share.
 double steady_seconds();
 
 /// `s` escaped for the inside of a JSON string literal: quotes,

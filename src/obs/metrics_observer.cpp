@@ -2,17 +2,17 @@
 
 namespace apio::obs {
 
-MetricsObserver::MetricsObserver(std::string prefix)
-    : bytes_written_(Registry::instance().counter(prefix + ".bytes_written")),
-      bytes_read_(Registry::instance().counter(prefix + ".bytes_read")),
-      writes_(Registry::instance().counter(prefix + ".writes")),
-      reads_(Registry::instance().counter(prefix + ".reads")),
-      prefetches_(Registry::instance().counter(prefix + ".prefetches")),
-      flushes_(Registry::instance().counter(prefix + ".flushes")),
-      cache_hits_(Registry::instance().counter(prefix + ".cache_hits")),
-      async_ops_(Registry::instance().counter(prefix + ".async_ops")),
-      blocking_(Registry::instance().histogram(prefix + ".blocking_seconds")),
-      completion_(Registry::instance().histogram(prefix + ".completion_seconds")) {}
+MetricsObserver::MetricsObserver()
+    : bytes_written_(Registry::instance().counter("io.bytes_written")),
+      bytes_read_(Registry::instance().counter("io.bytes_read")),
+      writes_(Registry::instance().counter("io.writes")),
+      reads_(Registry::instance().counter("io.reads")),
+      prefetches_(Registry::instance().counter("io.prefetches")),
+      flushes_(Registry::instance().counter("io.flushes")),
+      cache_hits_(Registry::instance().counter("io.cache_hits")),
+      async_ops_(Registry::instance().counter("io.async_ops")),
+      blocking_(Registry::instance().histogram("io.blocking_seconds")),
+      completion_(Registry::instance().histogram("io.completion_seconds")) {}
 
 void MetricsObserver::on_io(const IoRecord& record) {
   switch (record.op) {

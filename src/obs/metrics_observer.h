@@ -12,14 +12,10 @@ namespace apio::obs {
 
 class MetricsObserver final : public IoObserver {
  public:
-  /// Metric names are "<prefix>.<metric>"; default prefix "io".
-  explicit MetricsObserver(std::string prefix = "io");
+  /// Registers the ten "io.*" metrics.
+  MetricsObserver();
 
   void on_io(const IoRecord& record) override;
-
-  /// Counters aggregate per dataset path when detail is flowing; the
-  /// registry keys stay stable without it.
-  bool wants_detail() const override { return false; }
 
  private:
   Counter& bytes_written_;

@@ -37,15 +37,15 @@ struct IoRecord {
   std::string selection;
   /// Payload bytes moved by this rank's call.
   std::uint64_t bytes = 0;
-  /// Number of participating ranks the caller reports for the phase.
+  /// The issuing thread's pmpi world size; 1 outside an SPMD region.
   int ranks = 1;
   /// pmpi rank of the thread that *issued* the operation (-1 outside an
   /// SPMD region).  Captured at issue time, so async completion records
   /// emitted from the background stream still carry the issuing rank —
   /// the epoch analyzer attributes records to per-rank timelines by it.
   int origin_rank = -1;
-  /// Issue timestamp in seconds on the emitting connector's clock
-  /// (absolute; trace sinks rebase against their own start time).
+  /// Issue timestamp in seconds on obs::steady_seconds() (absolute;
+  /// trace sinks rebase against their own start time).
   double issue_time = 0.0;
   /// Seconds the *caller* was blocked.  For sync I/O this is the full
   /// transfer; for async it is the transactional (staging-copy) overhead.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "common/debug/thread_role.h"
 #include "obs/metrics.h"
 
 namespace apio::obs::trace {
@@ -267,8 +268,8 @@ void record_phase(const TraceContext& context, Phase phase,
   span.start_seconds = start_seconds;
   span.duration_seconds = duration_seconds;
   span.bytes = bytes;
-  span.rank = thread_rank();
-  span.stream = thread_stream();
+  span.rank = debug::thread_tag().rank();
+  span.stream = debug::thread_tag().stream();
   span.detail = std::move(detail);
   collector.record(context, std::move(span));
 }
@@ -321,8 +322,8 @@ void ScopedPhase::finish() {
   span.start_seconds = start_;
   span.duration_seconds = end - start_;
   span.bytes = bytes_;
-  span.rank = thread_rank();
-  span.stream = thread_stream();
+  span.rank = debug::thread_tag().rank();
+  span.stream = debug::thread_tag().stream();
   if (detail_ != nullptr) span.detail = detail_;
   TraceCollector::instance().record(context_, std::move(span));
 }

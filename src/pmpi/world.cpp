@@ -172,12 +172,11 @@ void run(int size, const std::function<void(Communicator&)>& body) {
 
   for (int r = 0; r < size; ++r) {
     threads.emplace_back([&world, &body, &error_mutex, &first_error, r] {
-      // Tag the thread with its rank so APIO_ASSERT_ON_RANK catches a
-      // communicator leaking to the wrong rank thread (or to a stream).
-      debug::ScopedThreadRole role(debug::ThreadRole::kPmpiRank, r, &world);
-      // Rank-tag the observability layer too: spans land in per-rank
-      // trace lanes and counter shards stripe by rank.
-      obs::set_thread_rank(r);
+      // The one rank tag: APIO_ASSERT_ON_RANK catches a communicator
+      // leaking to the wrong rank thread (or to a stream), records and
+      // spans carry the rank and world size, counter shards stripe by rank.
+      debug::ScopedThreadRole role(debug::ThreadRole::kPmpiRank, r, &world,
+                                   world.size());
       Communicator comm = world.comm(r);
       try {
         body(comm);

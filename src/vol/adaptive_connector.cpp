@@ -1,41 +1,23 @@
 #include "vol/adaptive_connector.h"
 
-#include "common/error.h"
-
 namespace apio::vol {
 
 AdaptiveConnector::AdaptiveConnector(h5::FilePtr file, model::ModeAdvisorPtr advisor,
                                      AsyncOptions async_options)
-    : file_(file),
+    : Connector(file),
       advisor_(advisor != nullptr ? std::move(advisor)
                                   : std::make_shared<model::ModeAdvisor>()),
       sync_(file),
       async_(std::move(file), async_options) {
-  // Both inner connectors feed the same feedback loop (Fig. 2).
-  sync_.add_observer(advisor_);
-  async_.add_observer(advisor_);
-}
-
-void AdaptiveConnector::set_reported_ranks(int ranks) {
-  Connector::set_reported_ranks(ranks);  // planned_mode() reads it
-  sync_.set_reported_ranks(ranks);
-  async_.set_reported_ranks(ranks);
-}
-
-void AdaptiveConnector::add_observer(IoObserverPtr observer) {
-  // Records originate in the routed-to inner connectors; subscribe the
-  // observer where the emission actually happens.
-  sync_.add_observer(observer);
-  async_.add_observer(std::move(observer));
-}
-
-void AdaptiveConnector::remove_observer(const IoObserverPtr& observer) {
-  sync_.remove_observer(observer);
-  async_.remove_observer(observer);
+  // The router emits no records: the two connectors it drives do, into
+  // its chain, which also feeds the advisor (Fig. 2).
+  sync_.observers_ = observer_chain();
+  async_.observers_ = observer_chain();
+  add_observer(advisor_);
 }
 
 model::IoMode AdaptiveConnector::planned_mode(std::uint64_t bytes) const {
-  return advisor_->recommend(bytes, reported_ranks());
+  return advisor_->recommend(bytes, debug::thread_tag().world_size);
 }
 
 RequestPtr AdaptiveConnector::dataset_write(h5::Dataset ds,

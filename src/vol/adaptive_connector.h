@@ -4,9 +4,10 @@
 // application developers" (Sec. II-B).
 //
 // The connector owns a native (sync) and an async connector over the
-// same container plus a ModeAdvisor.  Every transfer is reported to the
-// advisor (both connectors share it as their observer); each
-// dataset_write consults the advisor's Eq. 2a/2b comparison for the
+// same container plus a ModeAdvisor.  The two connectors share the
+// router's observer chain, so every transfer is reported to the advisor
+// and to every observer added to the router, whichever route it took;
+// each dataset_write consults the advisor's Eq. 2a/2b comparison for the
 // upcoming phase and routes accordingly.  The advisor learns compute
 // phases from the obs::EpochScope markers the application already
 // emits around each epoch, so adaptivity needs no extra call.
@@ -33,8 +34,6 @@ class AdaptiveConnector final : public Connector {
   AdaptiveConnector(h5::FilePtr file, model::ModeAdvisorPtr advisor = nullptr,
                     AsyncOptions async_options = {});
 
-  const h5::FilePtr& file() const override { return file_; }
-
   /// Routed per the advisor's recommendation for (bytes, ranks).  A
   /// sync-routed write or read first waits out the async FIFO, so it
   /// never overtakes an earlier async write.
@@ -51,20 +50,14 @@ class AdaptiveConnector final : public Connector {
   void wait_all() override;
   void close() override;
 
-  /// Subscriptions and the reported rank count go to both inner
-  /// connectors — they, not the router, emit the IoRecords.
-  void set_reported_ranks(int ranks) override;
-  void add_observer(IoObserverPtr observer) override;
-  void remove_observer(const IoObserverPtr& observer) override;
-
-  /// The mode the next write of this size/scale would take.
+  /// The mode the calling thread's next write of this size would take;
+  /// the scale is the thread's pmpi world size.
   model::IoMode planned_mode(std::uint64_t bytes) const;
 
   const model::ModeAdvisorPtr& advisor() const { return advisor_; }
   AdaptiveStats adaptive_stats() const;
 
  private:
-  h5::FilePtr file_;
   model::ModeAdvisorPtr advisor_;
   NativeConnector sync_;
   AsyncConnector async_;

@@ -140,13 +140,12 @@ struct AsyncConnector::AsyncOp final : Request {
 };
 
 AsyncConnector::AsyncConnector(h5::FilePtr file, AsyncOptions options)
-    : file_(std::move(file)), options_(std::move(options)) {
-  APIO_REQUIRE(file_ != nullptr, "AsyncConnector requires an open file");
-  const double t0 = clock_.now();
+    : Connector(std::move(file)), options_(std::move(options)) {
+  const double t0 = obs::steady_seconds();
   last_op_ = Request::make_ready();
   stream_ = std::thread([this] { run_stream(); });
   std::lock_guard lock(mutex_);
-  stats_.init_seconds = clock_.now() - t0;
+  stats_.init_seconds = obs::steady_seconds() - t0;
 }
 
 AsyncConnector::~AsyncConnector() {
@@ -160,7 +159,7 @@ AsyncConnector::~AsyncConnector() {
 
 void AsyncConnector::shutdown_machinery() {
   if (closed_.exchange(true)) return;
-  const double t0 = clock_.now();
+  const double t0 = obs::steady_seconds();
   wait_all();
   {
     std::lock_guard lock(mutex_);
@@ -170,7 +169,7 @@ void AsyncConnector::shutdown_machinery() {
   stream_.join();
   std::lock_guard lock(mutex_);
   clear_cache_locked();
-  stats_.term_seconds = clock_.now() - t0;
+  stats_.term_seconds = obs::steady_seconds() - t0;
 }
 
 template <typename Prepare>
@@ -183,12 +182,11 @@ RequestPtr AsyncConnector::submit(std::shared_ptr<AsyncOp> op,
   const std::uint64_t bytes = op->bytes();
   if (ds != nullptr) op->ds = *ds;
   op->selection = selection;
-  // Submission identity: connector-level tenant wins, then the issuing
-  // thread's binding.  Data ops ride the bulk lane.
+  // Submission identity: the issuing thread's binding.  Data ops ride
+  // the bulk lane.
   if (const sched::SubmissionContext* ctx = sched::current_submission()) {
     op->submission = *ctx;
   }
-  if (!options_.tenant.empty()) op->submission.tenant = options_.tenant;
   op->submission.lane = sched::Lane::kBulk;
 
   op->trace = obs::trace::TraceCollector::instance().start_trace();
@@ -198,7 +196,8 @@ RequestPtr AsyncConnector::submit(std::shared_ptr<AsyncOp> op,
   try {
     prepare(*op);
     // Only a write blocks its caller, for the staging copy.
-    const double blocking = kind == obs::IoOp::kWrite ? clock_.now() - t0 : 0.0;
+    const double blocking =
+        kind == obs::IoOp::kWrite ? obs::steady_seconds() - t0 : 0.0;
     // Resolved unconditionally, before the op is queued: it rejects a
     // foreign handle, failures must carry the identity even with no
     // observer attached, and a dataset removed while the op waits in the
@@ -261,10 +260,10 @@ RequestPtr AsyncConnector::submit(std::shared_ptr<AsyncOp> op,
 }
 
 void AsyncConnector::run_stream() {
-  // Tagged so op bodies can APIO_ASSERT_ON_STREAM(), and so pmpi
-  // collectives abort if they are ever driven from a stream.
-  debug::ScopedThreadRole role(debug::ThreadRole::kStream);
-  obs::set_thread_stream(next_stream_id());
+  // Tagged so op bodies can APIO_ASSERT_ON_STREAM(), pmpi collectives
+  // abort if they are ever driven from a stream, and spans land in the
+  // stream's trace lane.
+  debug::ScopedThreadRole role(debug::ThreadRole::kStream, next_stream_id());
   for (;;) {
     // Idle time between ops is the queue's dead air: the paper's
     // overlap efficiency shows as idle vs. execute time.
@@ -352,7 +351,8 @@ void AsyncConnector::finish(const std::shared_ptr<AsyncOp>& op,
   release_staging(*op, failed);
   if (failed && obs::enabled()) failed_counter().increment();
   if (op->record && !failed) {
-    op->record->completion_seconds = clock_.now() - op->record->issue_time;
+    op->record->completion_seconds =
+        obs::steady_seconds() - op->record->issue_time;
     observe(*op->record);
   }
   // Seal the trace before the op completes, so waiters observe it
@@ -373,7 +373,7 @@ void AsyncConnector::finish(const std::shared_ptr<AsyncOp>& op,
 RequestPtr AsyncConnector::dataset_write(h5::Dataset ds,
                                          const h5::Selection& selection,
                                          std::span<const std::byte> data) {
-  const double t0 = clock_.now();
+  const double t0 = obs::steady_seconds();
   return submit(
       std::make_shared<AsyncOp>(obs::IoOp::kWrite, data.size()), &ds,
       selection, t0, [&](AsyncOp& op) {
@@ -397,7 +397,7 @@ RequestPtr AsyncConnector::dataset_write(h5::Dataset ds,
 RequestPtr AsyncConnector::dataset_read(h5::Dataset ds,
                                         const h5::Selection& selection,
                                         std::span<std::byte> out) {
-  const double t0 = clock_.now();
+  const double t0 = obs::steady_seconds();
 
   // Prefetch-cache hit: the data was pulled into node-local memory
   // during a previous compute phase; serve it with a memcpy.
@@ -425,7 +425,7 @@ RequestPtr AsyncConnector::dataset_read(h5::Dataset ds,
     if (error) std::rethrow_exception(error);
     APIO_REQUIRE(fits, "prefetched buffer size does not match read selection");
     if (has_observers()) {
-      const double dt = clock_.now() - t0;
+      const double dt = obs::steady_seconds() - t0;
       IoRecord hit = make_record(IoOp::kRead, out.size(), /*async=*/true, t0, dt,
                                  dt, &ds, selection);
       hit.cache_hit = true;
@@ -441,7 +441,7 @@ RequestPtr AsyncConnector::dataset_read(h5::Dataset ds,
 }
 
 void AsyncConnector::prefetch(h5::Dataset ds, const h5::Selection& selection) {
-  const double t0 = clock_.now();
+  const double t0 = obs::steady_seconds();
   const std::uint64_t bytes = selection.npoints(ds.dims()) * ds.element_size();
   const CacheKey key{ds.object_key(), selection};
   // A read that finds the entry waits on the prefetch's op, then copies
@@ -480,14 +480,14 @@ void AsyncConnector::prefetch(h5::Dataset ds, const h5::Selection& selection) {
   // Reported at issue: the caller's cost is the enqueue.
   if (has_observers()) {
     observe(make_record(IoOp::kPrefetch, bytes, /*async=*/true, t0,
-                        clock_.now() - t0, 0.0, &ds, selection));
+                        obs::steady_seconds() - t0, 0.0, &ds, selection));
   }
 }
 
 RequestPtr AsyncConnector::flush() {
   // Flushes ride the priority lane: they are the latency-sensitive
   // barrier ops the fairness gate protects.
-  const double t0 = clock_.now();
+  const double t0 = obs::steady_seconds();
   return submit(std::make_shared<AsyncOp>(obs::IoOp::kFlush, 0), nullptr,
                 h5::Selection::all(), t0, [](AsyncOp& op) {
                   op.submission.lane = sched::Lane::kPriority;

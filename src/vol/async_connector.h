@@ -41,14 +41,17 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/clock.h"
 #include "common/debug/lock_rank.h"
 #include "sched/io_request.h"
 #include "vol/connector.h"
 
 namespace apio::vol {
 
-/// Tunables for the async connector.
+/// Tunables for the async connector.  A storage::QosBackend under the
+/// file charges each op to the sched::ScopedSubmission binding of the
+/// thread that issued it (unbound: its default tenant): the op captures
+/// the binding at issue and re-binds it on the background stream around
+/// its execution, so the stream draining it is never charged.
 struct AsyncOptions {
   /// Upper bound on bytes staged but not yet written; dataset_write
   /// blocks (back-pressure) when exceeded.  0 = unlimited.
@@ -60,14 +63,6 @@ struct AsyncOptions {
   /// a node-local SSD" (Sec. II-C).  The region is bump-allocated and
   /// recycled only across connector lifetimes.
   storage::BackendPtr staging_backend;
-  /// Fair-share identity charged for this connector's storage work when
-  /// the file sits on a storage::QosBackend.  Empty = inherit the
-  /// issuing thread's sched::ScopedSubmission binding (falling back to
-  /// the QosBackend's default tenant).  The connector captures the
-  /// identity at *issue* time and re-binds it on the background stream
-  /// around the op's execution, so admission always charges the tenant
-  /// that issued the op, never the stream draining it.
-  sched::TenantId tenant;
 };
 
 /// Counters exposed for tests, benches and the model.
@@ -102,8 +97,6 @@ class AsyncConnector final : public Connector {
   /// unlike close() — leaves the container open: several connectors may
   /// come and go over one file's lifetime.
   ~AsyncConnector() override;
-
-  const h5::FilePtr& file() const override { return file_; }
 
   RequestPtr dataset_write(h5::Dataset ds, const h5::Selection& selection,
                            std::span<const std::byte> data) override;
@@ -144,9 +137,7 @@ class AsyncConnector final : public Connector {
   /// prefetch's cache entry.
   struct AsyncOp;
 
-  h5::FilePtr file_;
   AsyncOptions options_;
-  WallClock clock_;
 
   /// The connector's one lock: guards the FIFO queue, its stop flag
   /// and last_op_, the staging budget and device offset, the buffer

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/clock.h"
+#include "common/debug/thread_role.h"
 #include "common/error.h"
 #include "obs/metrics.h"
 #include "obs/trace_context.h"
@@ -280,7 +281,7 @@ CollectiveWriteResult collective_write(Connector& connector, pmpi::Communicator&
           span.start_seconds = w0;
           span.duration_seconds = w1 - w0;
           span.bytes = mine[k].piece_bytes;
-          span.rank = obs::thread_rank();
+          span.rank = debug::thread_tag().rank();
           span.detail = "aggregator rank " + std::to_string(rank);
           collector.record(mine[k].source_trace_id, std::move(span));
         }

@@ -6,16 +6,20 @@
 // operation behind a staging copy (AsyncConnector) is decided by which
 // connector is plugged in — transparently, as with the HDF5 async VOL
 // DLL the paper evaluates.
+//
+// Every IoRecord is built on the thread that issued the call and takes
+// the issuing rank and the rank count from that thread's tag
+// (debug::thread_tag()): a call inside pmpi::run reports its world's
+// size, any other call 1.  Records are timed with obs::steady_seconds().
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <span>
 #include <string>
 
+#include "common/debug/thread_role.h"
 #include "common/error.h"
 #include "h5/file.h"
-#include "obs/metrics.h"
 #include "vol/observer.h"
 #include "vol/request.h"
 #include "vol/selection_token.h"
@@ -29,7 +33,7 @@ class Connector {
   /// The underlying container (metadata operations — create_group,
   /// create_dataset — go straight through; they are cheap and
   /// synchronous in the async VOL as well unless batched).
-  virtual const h5::FilePtr& file() const = 0;
+  const h5::FilePtr& file() const { return file_; }
 
   /// Writes `data` into the selection of `ds`.  The returned request
   /// completes when the data is resident on the target storage.  For
@@ -60,38 +64,25 @@ class Connector {
   /// Completes outstanding work, flushes and closes the container.
   virtual void close() = 0;
 
-  /// Number of ranks the caller reports for IoRecords (for the model's
-  /// scaling features).  Defaults to 1.  Virtual only so the adaptive
-  /// router also sets it on the two connectors that build its records;
-  /// an override calls this first, so a count below 1 throws
-  /// InvalidArgumentError before it reaches a record.  Atomic: it may be
-  /// read from several application threads while it is set.
-  virtual void set_reported_ranks(int ranks) {
-    APIO_REQUIRE(ranks >= 1, "the reported rank count must be >= 1");
-    reported_ranks_.store(ranks, std::memory_order_relaxed);
-  }
-  int reported_ranks() const {
-    return reported_ranks_.load(std::memory_order_relaxed);
-  }
-
   /// Appends an observer to the connector's chain (Fig. 2 feedback
   /// hooks, TraceRecorder, metrics bridges — any number of subscribers).
-  /// Virtual only so the adaptive router forwards subscriptions to the
-  /// two connectors that actually emit its records.
-  virtual void add_observer(IoObserverPtr observer) {
-    observers_->add(std::move(observer));
-  }
+  void add_observer(IoObserverPtr observer) { observers_->add(std::move(observer)); }
 
   /// Removes one previously added observer (by identity).
-  virtual void remove_observer(const IoObserverPtr& observer) {
-    observers_->remove(observer);
-  }
+  void remove_observer(const IoObserverPtr& observer) { observers_->remove(observer); }
 
-  /// The connector's own observer chain.  The adaptive router keeps its
-  /// chain empty and forwards add_observer() to its inner connectors.
+  /// The connector's observer chain.  The adaptive router shares its
+  /// chain with the two connectors it drives.
   const CompositeObserverPtr& observer_chain() const { return observers_; }
 
  protected:
+  explicit Connector(h5::FilePtr file) : file_(std::move(file)) {
+    APIO_REQUIRE(file_ != nullptr, "a connector requires an open file");
+  }
+
+  /// The container, never null.
+  h5::FilePtr file_;
+
   /// Emission fast path: one relaxed load when nobody subscribed.
   bool has_observers() const { return !observers_->empty(); }
 
@@ -103,11 +94,12 @@ class Connector {
     if (!observers_->empty()) observers_->on_io(record);
   }
 
-  /// The one IoRecord builder: op, bytes, the async flag, reported
-  /// ranks, the issuing rank and the call's timings.  The dataset path
-  /// and selection token of `ds` are added only when an observer wants
-  /// them (each is a string built per record; the path is an O(1) read
-  /// of the one the dataset captured at creation).
+  /// The one IoRecord builder, called on the issuing thread: op, bytes,
+  /// the async flag, the issuing thread's rank and world size, and the
+  /// call's timings.  The dataset path and selection token of `ds` are
+  /// added only when an observer wants them (each is a string built per
+  /// record; the path is an O(1) read of the one the dataset captured
+  /// at creation).
   IoRecord make_record(IoOp op, std::uint64_t bytes, bool async,
                        double issue_time, double blocking_seconds,
                        double completion_seconds, const h5::Dataset* ds = nullptr,
@@ -116,21 +108,23 @@ class Connector {
     record.op = op;
     record.bytes = bytes;
     record.async = async;
-    record.ranks = reported_ranks();
-    record.origin_rank = obs::thread_rank();
+    record.ranks = debug::thread_tag().world_size;
+    record.origin_rank = debug::thread_tag().rank();
     record.issue_time = issue_time;
     record.blocking_seconds = blocking_seconds;
     record.completion_seconds = completion_seconds;
     if (ds != nullptr && observers_want_detail()) {
-      record.dataset_path = file()->path_of(*ds);
+      record.dataset_path = file_->path_of(*ds);
       record.selection = selection_to_token(selection);
     }
     return record;
   }
 
  private:
+  /// Shares the router's chain with its two connectors.
+  friend class AdaptiveConnector;
+
   CompositeObserverPtr observers_ = std::make_shared<CompositeObserver>();
-  std::atomic<int> reported_ranks_{1};
 };
 
 using ConnectorPtr = std::shared_ptr<Connector>;

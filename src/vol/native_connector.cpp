@@ -1,6 +1,5 @@
 #include "vol/native_connector.h"
 
-#include "common/error.h"
 #include "obs/metrics.h"
 #include "obs/trace_context.h"
 #include "sched/io_request.h"
@@ -65,21 +64,17 @@ void traced_call(obs::IoOp op, std::uint64_t bytes, obs::Histogram& latency,
 
 }  // namespace
 
-NativeConnector::NativeConnector(h5::FilePtr file) : file_(std::move(file)) {
-  APIO_REQUIRE(file_ != nullptr, "NativeConnector requires an open file");
-}
-
 void NativeConnector::report(IoOp op, std::uint64_t bytes, double t0,
                              const h5::Dataset* ds, const h5::Selection& selection) {
   if (!has_observers()) return;
-  const double dt = clock_.now() - t0;
+  const double dt = obs::steady_seconds() - t0;
   observe(make_record(op, bytes, /*async=*/false, t0, dt, dt, ds, selection));
 }
 
 RequestPtr NativeConnector::dataset_write(h5::Dataset ds,
                                           const h5::Selection& selection,
                                           std::span<const std::byte> data) {
-  const double t0 = clock_.now();
+  const double t0 = obs::steady_seconds();
   traced_call(IoOp::kWrite, data.size(), sync_write_hist(), sync_bytes_written(),
               [&] { ds.write_raw(selection, data); });
   report(IoOp::kWrite, data.size(), t0, &ds, selection);
@@ -89,7 +84,7 @@ RequestPtr NativeConnector::dataset_write(h5::Dataset ds,
 RequestPtr NativeConnector::dataset_read(h5::Dataset ds,
                                          const h5::Selection& selection,
                                          std::span<std::byte> out) {
-  const double t0 = clock_.now();
+  const double t0 = obs::steady_seconds();
   traced_call(IoOp::kRead, out.size(), sync_read_hist(), sync_bytes_read(),
               [&] { ds.read_raw(selection, out); });
   report(IoOp::kRead, out.size(), t0, &ds, selection);
@@ -103,12 +98,13 @@ void NativeConnector::prefetch(h5::Dataset ds, const h5::Selection& selection) {
   if (has_observers()) {
     observe(make_record(IoOp::kPrefetch,
                         selection.npoints(ds.dims()) * ds.element_size(),
-                        /*async=*/false, clock_.now(), 0.0, 0.0, &ds, selection));
+                        /*async=*/false, obs::steady_seconds(), 0.0, 0.0, &ds,
+                        selection));
   }
 }
 
 RequestPtr NativeConnector::flush() {
-  const double t0 = clock_.now();
+  const double t0 = obs::steady_seconds();
   file_->flush();
   report(IoOp::kFlush, 0, t0);
   return completed_request();

@@ -2,16 +2,13 @@
 // a blocking call into the apio-h5 data path (synchronous I/O mode).
 #pragma once
 
-#include "common/clock.h"
 #include "vol/connector.h"
 
 namespace apio::vol {
 
 class NativeConnector final : public Connector {
  public:
-  explicit NativeConnector(h5::FilePtr file);
-
-  const h5::FilePtr& file() const override { return file_; }
+  explicit NativeConnector(h5::FilePtr file) : Connector(std::move(file)) {}
 
   RequestPtr dataset_write(h5::Dataset ds, const h5::Selection& selection,
                            std::span<const std::byte> data) override;
@@ -28,9 +25,6 @@ class NativeConnector final : public Connector {
   void report(IoOp op, std::uint64_t bytes, double t0,
               const h5::Dataset* ds = nullptr,
               const h5::Selection& selection = h5::Selection::all());
-
-  h5::FilePtr file_;
-  WallClock clock_;
 };
 
 }  // namespace apio::vol

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/error.h"
+#include "common/stats.h"
 #include "h5/file.h"
 #include "storage/backend_stack.h"
 #include "storage/memory_backend.h"
@@ -17,14 +18,9 @@
 namespace apio::workloads {
 namespace {
 
-double percentile(std::vector<double> samples, double q) {
-  if (samples.empty()) return 0.0;
-  const auto idx = static_cast<std::size_t>(
-      q * static_cast<double>(samples.size() - 1) + 0.5);
-  std::nth_element(samples.begin(),
-                   samples.begin() + static_cast<std::ptrdiff_t>(idx),
-                   samples.end());
-  return samples[idx];
+/// Linear-interpolated p99; 0 for a lane that saw no op.
+double p99(const std::vector<double>& samples) {
+  return samples.empty() ? 0.0 : percentile(samples, 99.0);
 }
 
 std::byte pattern_byte(const std::string& name, int step, std::uint64_t i) {
@@ -34,12 +30,12 @@ std::byte pattern_byte(const std::string& name, int step, std::uint64_t i) {
 }
 
 /// One rank of a tenant: steps `rank, rank + ranks, ...` of (compute,
-/// async op) over its own connector, then a full drain.
+/// async op) over its own connector, then a full drain.  The thread is
+/// bound to the tenant, so every op it issues is charged to it.
 void run_rank(const h5::FilePtr& file, h5::Dataset ds, const TenantSpec& spec,
               int rank) {
-  vol::AsyncOptions options;
-  options.tenant = spec.name;
-  vol::AsyncConnector conn(file, options);
+  sched::ScopedSubmission tenant({spec.name});
+  vol::AsyncConnector conn(file);
   std::vector<std::byte> chunk(spec.bytes_per_step);
   // Read targets stay alive (and untouched) until the drain; the inner
   // buffers never move when the outer vector grows.
@@ -233,10 +229,8 @@ MultiJobResult run_multi_job(const MultiJobParams& params) {
                           static_cast<double>(total_bulk_bytes)
                     : 0.0;
     row.fair_share = spec.weight / weight_sum;
-    row.priority_p99_wait = percentile(
-        fin.wait_samples[static_cast<int>(sched::Lane::kPriority)], 0.99);
-    row.bulk_p99_wait = percentile(
-        fin.wait_samples[static_cast<int>(sched::Lane::kBulk)], 0.99);
+    row.priority_p99_wait = p99(fin.wait_samples[prio]);
+    row.bulk_p99_wait = p99(fin.wait_samples[bulk]);
     row.priority_ops = fin.priority_ops;
     result.tenants.push_back(std::move(row));
   }

@@ -7,9 +7,9 @@
 // dispatched bytes track its weighted max-min share and priority-lane
 // flushes stay fast while bulk lanes saturate.
 //
-// Each tenant runs on its own thread with its own vol::AsyncConnector
-// (AsyncOptions::tenant set), all over one h5::File whose backend stack
-// is memory -> throttled -> qos.  Per-tenant shares are sampled at the
+// Each rank of a tenant runs on its own thread, bound to the tenant with
+// a sched::ScopedSubmission, through its own vol::AsyncConnector, all
+// over one h5::File whose backend stack is memory -> throttled -> qos.  Per-tenant shares are sampled at the
 // first tenant drain at which every tenant has been granted at least
 // once — normally the first drain, while every tenant is still
 // backlogged, so the measured split reflects scheduling, not total

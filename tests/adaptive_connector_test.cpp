@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/debug/thread_role.h"
 #include "common/units.h"
 #include "obs/epoch_analyzer.h"
 #include "pmpi/world.h"
@@ -197,16 +198,18 @@ class RecordingObserver final : public IoObserver {
 };
 
 TEST(AdaptiveConnectorTest, ObserversAndRankCountReachBothRoutes) {
-  // The router builds no records itself: a subscription and the rank
-  // count must reach both inner connectors, whichever route a write
-  // takes, and a removed observer must hear from neither.
+  // The router builds no records itself: a subscription must reach both
+  // inner connectors, and both must report the issuing thread's world
+  // size, whichever route a write takes; a removed observer must hear
+  // from neither.
   auto advisor = std::make_shared<model::ModeAdvisor>();
   auto file = h5::File::create(std::make_shared<storage::MemoryBackend>());
   AdaptiveConnector connector(file, advisor);
   auto observer = std::make_shared<RecordingObserver>();
-  connector.set_reported_ranks(8);
+  const int world = 0;
+  debug::ScopedThreadRole rank0(debug::ThreadRole::kPmpiRank, 0, &world, 8);
   connector.add_observer(observer);
-  EXPECT_EQ(connector.reported_ranks(), 8);
+  EXPECT_EQ(debug::thread_tag().world_size, 8);
 
   constexpr std::uint64_t kBytes = 4096;
   auto ds = file->root().create_dataset("d", h5::Datatype::kUInt8, {kBytes});

@@ -116,34 +116,43 @@ TEST(LockRankDeathTest, SameRankReacquisitionAborts) {
 #endif  // APIO_HAVE_DEATH_TESTS
 
 TEST(ThreadRoleTest, DefaultsToUnassigned) {
-  EXPECT_EQ(current_thread_role(), ThreadRole::kUnassigned);
-  EXPECT_EQ(current_thread_role_id(), -1);
-  EXPECT_EQ(current_thread_role_domain(), nullptr);
+  const ThreadTag& tag = thread_tag();
+  EXPECT_EQ(tag.role, ThreadRole::kUnassigned);
+  EXPECT_EQ(tag.id, -1);
+  EXPECT_EQ(tag.domain, nullptr);
+  EXPECT_EQ(tag.world_size, 1);
+  EXPECT_EQ(tag.rank(), -1);
+  EXPECT_EQ(tag.stream(), -1);
 }
 
 TEST(ThreadRoleTest, ScopeSetsAndRestores) {
   const int domain_tag = 0;
   {
-    ScopedThreadRole role(ThreadRole::kPmpiRank, 3, &domain_tag);
-#if defined(APIO_DEBUG_CHECKS)
-    EXPECT_EQ(current_thread_role(), ThreadRole::kPmpiRank);
-    EXPECT_EQ(current_thread_role_id(), 3);
-    EXPECT_EQ(current_thread_role_domain(), &domain_tag);
+    ScopedThreadRole role(ThreadRole::kPmpiRank, 3, &domain_tag, 4);
+    EXPECT_EQ(thread_tag().role, ThreadRole::kPmpiRank);
+    EXPECT_EQ(thread_tag().rank(), 3);
+    EXPECT_EQ(thread_tag().stream(), -1);
+    EXPECT_EQ(thread_tag().domain, &domain_tag);
+    EXPECT_EQ(thread_tag().world_size, 4);
     {
-      ScopedThreadRole nested(ThreadRole::kStream);
-      EXPECT_EQ(current_thread_role(), ThreadRole::kStream);
+      ScopedThreadRole nested(ThreadRole::kStream, 5);
+      EXPECT_EQ(thread_tag().role, ThreadRole::kStream);
+      EXPECT_EQ(thread_tag().stream(), 5);
+      EXPECT_EQ(thread_tag().rank(), -1);
+      EXPECT_EQ(thread_tag().world_size, 1);
     }
-    EXPECT_EQ(current_thread_role(), ThreadRole::kPmpiRank);
-    EXPECT_EQ(current_thread_role_id(), 3);
-#endif
+    EXPECT_EQ(thread_tag().role, ThreadRole::kPmpiRank);
+    EXPECT_EQ(thread_tag().rank(), 3);
+    EXPECT_EQ(thread_tag().world_size, 4);
   }
-  EXPECT_EQ(current_thread_role(), ThreadRole::kUnassigned);
+  EXPECT_EQ(thread_tag().role, ThreadRole::kUnassigned);
+  EXPECT_EQ(thread_tag().world_size, 1);
 }
 
 TEST(ThreadRoleTest, RolesAreThreadLocal) {
   ScopedThreadRole role(ThreadRole::kStream);
   std::thread other([] {
-    EXPECT_EQ(current_thread_role(), ThreadRole::kUnassigned);
+    EXPECT_EQ(thread_tag().role, ThreadRole::kUnassigned);
   });
   other.join();
 }

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <mutex>
 
+#include "common/debug/thread_role.h"
 #include "common/log.h"
 #include "storage/memory_backend.h"
 #include "storage/throttled_backend.h"
@@ -68,7 +69,8 @@ TEST(AdaptiveConnectorTest2, ReportedRanksFlowToAdvisorSamples) {
   vol::AdaptiveConnector connector(file);
   auto recorder = std::make_shared<RankRecorder>();
   connector.add_observer(recorder);
-  connector.set_reported_ranks(48);
+  const int world = 0;
+  debug::ScopedThreadRole rank0(debug::ThreadRole::kPmpiRank, 0, &world, 48);
   auto ds = file->root().create_dataset("d", h5::Datatype::kUInt8, {4096});
   std::vector<std::uint8_t> payload(1024, 1);
   connector

@@ -5,6 +5,7 @@
 // live drift alerting.
 #include <gtest/gtest.h>
 
+#include "common/debug/thread_role.h"
 #include "model/epoch_model.h"
 #include "obs/epoch_analyzer.h"
 
@@ -206,18 +207,21 @@ TEST(EpochAnalyzerTest, LiveDriftAlertFiresAtScopeEnd) {
 TEST(EpochAnalyzerTest, EpochScopeEmitsThroughSinkRegistry) {
   auto analyzer = std::make_shared<EpochAnalyzer>();
   analyzer->attach();
+  // The scopes take their rank from the thread's tag: rank 1 of 2.
+  const int world = 0;
+  debug::ScopedThreadRole rank1(debug::ThreadRole::kPmpiRank, 1, &world, 2);
   {
-    EpochScope scope(7, /*rank=*/1);
+    EpochScope scope(7);
     scope.compute_done();
   }  // RAII end
   {
-    EpochScope scope(8, /*rank=*/1);
+    EpochScope scope(8);
     scope.end();
     scope.end();  // idempotent: a second end is ignored
   }
   analyzer->detach();
   {
-    EpochScope scope(9, /*rank=*/1);  // no sink attached: dropped
+    EpochScope scope(9);  // no sink attached: dropped
   }
 
   const EpochReport report = analyzer->report();

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/debug/thread_role.h"
 #include "model/advisor.h"
 #include "obs/critical_path.h"
 #include "obs/metrics.h"
@@ -524,7 +525,7 @@ TEST(CompositeObserverTest, AddRemoveRacingDispatchHammer) {
 
 TEST(MetricsObserverTest, RoutesOpsToRegistryCounters) {
   ScopedObservability scoped;
-  MetricsObserver observer("t");
+  MetricsObserver observer;
 
   IoRecord write;
   write.op = IoOp::kWrite;
@@ -550,17 +551,17 @@ TEST(MetricsObserverTest, RoutesOpsToRegistryCounters) {
   observer.on_io(flush);
 
   const auto snap = Registry::instance().snapshot();
-  EXPECT_EQ(snap.counter_total("t.bytes_written"), 100u);
-  EXPECT_EQ(snap.counter_total("t.bytes_read"), 40u);
-  EXPECT_EQ(snap.counter_total("t.writes"), 1u);
-  EXPECT_EQ(snap.counter_total("t.reads"), 1u);
-  EXPECT_EQ(snap.counter_total("t.prefetches"), 1u);
-  EXPECT_EQ(snap.counter_total("t.flushes"), 1u);
-  EXPECT_EQ(snap.counter_total("t.cache_hits"), 1u);
-  EXPECT_EQ(snap.counter_total("t.async_ops"), 1u);
+  EXPECT_EQ(snap.counter_total("io.bytes_written"), 100u);
+  EXPECT_EQ(snap.counter_total("io.bytes_read"), 40u);
+  EXPECT_EQ(snap.counter_total("io.writes"), 1u);
+  EXPECT_EQ(snap.counter_total("io.reads"), 1u);
+  EXPECT_EQ(snap.counter_total("io.prefetches"), 1u);
+  EXPECT_EQ(snap.counter_total("io.flushes"), 1u);
+  EXPECT_EQ(snap.counter_total("io.cache_hits"), 1u);
+  EXPECT_EQ(snap.counter_total("io.async_ops"), 1u);
   // Latency histograms take one sample per record, whatever the op.
-  EXPECT_EQ(snap.histograms.at("t.blocking_seconds").count, 4u);
-  EXPECT_NEAR(snap.histograms.at("t.blocking_seconds").sum_seconds, 1e-4, 1e-6);
+  EXPECT_EQ(snap.histograms.at("io.blocking_seconds").count, 4u);
+  EXPECT_NEAR(snap.histograms.at("io.blocking_seconds").sum_seconds, 1e-4, 1e-6);
   EXPECT_FALSE(observer.wants_detail());
 }
 
@@ -597,12 +598,15 @@ TEST(TracerTest, ChromeExportIsValidTraceEventJson) {
                        steady_seconds());
   };
   traced(trace::Phase::kAttempt, "in\"ner\\path");
-  set_thread_rank(3);
-  traced(trace::Phase::kSubmit, "memory");
-  set_thread_rank(-1);
-  set_thread_stream(5);
-  traced(trace::Phase::kAttempt, "memory");
-  set_thread_stream(-1);
+  {
+    const int world = 0;
+    debug::ScopedThreadRole rank3(debug::ThreadRole::kPmpiRank, 3, &world, 4);
+    traced(trace::Phase::kSubmit, "memory");
+  }
+  {
+    debug::ScopedThreadRole stream5(debug::ThreadRole::kStream, 5);
+    traced(trace::Phase::kAttempt, "memory");
+  }
 
   const auto events = chrome_events(collector.drain());
   ASSERT_EQ(events.size(), 6u);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <cstddef>
 #include <numeric>
 #include <string>
@@ -449,19 +450,22 @@ namespace {
 // End-to-end attribution: ops issued through an AsyncConnector whose
 // AsyncOptions names a tenant are charged to that tenant by the
 // QosBackend underneath, including the priority-lane flush.
-TEST(AsyncConnectorSchedTest, TenantFlowsFromOptionsToScheduler) {
+TEST(AsyncConnectorSchedTest, TenantFlowsFromIssuingThreadToScheduler) {
   auto scheduler = std::make_shared<sched::FairScheduler>();
   auto file = h5::File::create(
       storage::BackendStack::memory().qos(scheduler).build());
   auto ds = file->root().create_dataset("d", h5::Datatype::kUInt8, {4096});
 
   {
-    AsyncOptions options;
-    options.tenant = "jobA";
-    AsyncConnector conn(file, options);
-    std::vector<std::byte> data(4096, std::byte{0x5a});
-    conn.dataset_write(ds, h5::Selection::all(), data);
-    conn.flush();
+    AsyncConnector conn(file);
+    {
+      // Captured at issue: the ops still run as jobA after the binding's
+      // scope closed.
+      sched::ScopedSubmission bind({"jobA"});
+      std::vector<std::byte> data(4096, std::byte{0x5a});
+      conn.dataset_write(ds, h5::Selection::all(), data);
+      conn.flush();
+    }
     conn.wait_all();
   }
 
@@ -471,6 +475,46 @@ TEST(AsyncConnectorSchedTest, TenantFlowsFromOptionsToScheduler) {
   EXPECT_GE(tenant.dispatched_bytes, 4096u);
   EXPECT_GE(tenant.priority_ops, 1u) << "flush must ride the priority lane";
   EXPECT_GE(tenant.lane_bytes[static_cast<int>(sched::Lane::kBulk)], 4096u);
+}
+
+TEST(AsyncConnectorSchedTest, TwoBindingsShareOneConnector) {
+  // Two jobs issue through one connector from their own threads, as a
+  // coupled producer and consumer do: each op is charged to the tenant
+  // bound on the thread that issued it, not to the stream that runs it.
+  constexpr std::uint64_t kChunk = 4096;
+  constexpr int kSteps = 8;
+  auto scheduler = std::make_shared<sched::FairScheduler>();
+  scheduler->register_tenant("vpic", 1.0);
+  scheduler->register_tenant("bdcats", 1.0);
+  auto file = h5::File::create(
+      storage::BackendStack::memory().qos(scheduler).build());
+  auto ds = file->root().create_dataset("d", h5::Datatype::kUInt8,
+                                        {2 * kSteps * kChunk});
+  AsyncConnector conn(file);
+
+  std::barrier step_barrier(2);
+  const auto issue = [&](const char* tenant, std::uint64_t slot) {
+    sched::ScopedSubmission bind({tenant});
+    const std::vector<std::byte> data(kChunk, std::byte{0x11});
+    for (int step = 0; step < kSteps; ++step) {
+      const std::uint64_t offset = (2 * static_cast<std::uint64_t>(step) + slot) * kChunk;
+      conn.dataset_write(ds, h5::Selection::offsets({offset}, {kChunk}), data);
+      step_barrier.arrive_and_wait();  // interleave the two jobs' writes
+    }
+  };
+  std::thread vpic(issue, "vpic", 0);
+  std::thread bdcats(issue, "bdcats", 1);
+  vpic.join();
+  bdcats.join();
+  conn.wait_all();
+
+  const auto stats = scheduler->stats();
+  constexpr int kBulk = static_cast<int>(sched::Lane::kBulk);
+  for (const char* tenant : {"vpic", "bdcats"}) {
+    ASSERT_TRUE(stats.tenants.count(tenant)) << tenant;
+    EXPECT_EQ(stats.tenants.at(tenant).lane_bytes[kBulk], kSteps * kChunk) << tenant;
+  }
+  conn.close();
 }
 
 }  // namespace

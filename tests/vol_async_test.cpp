@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "common/clock.h"
+#include "common/debug/thread_role.h"
 #include "common/error.h"
 #include "obs/metrics.h"
 #include "storage/backend_stack.h"
@@ -499,7 +500,9 @@ TEST(AsyncConnectorTest, ObserverSeesAsyncTimings) {
   auto conn = make_slow_connector(8.0 * 1024 * 1024, 0.02);
   auto observer = std::make_shared<RecordingObserver>();
   conn->add_observer(observer);
-  conn->set_reported_ranks(6);
+  // Issued as rank 0 of a 6-rank world: records carry its size.
+  const int world = 0;
+  debug::ScopedThreadRole rank0(debug::ThreadRole::kPmpiRank, 0, &world, 6);
 
   auto ds = conn->file()->root().create_dataset("d", h5::Datatype::kUInt8,
                                                 {256 * 1024});

@@ -5,6 +5,7 @@
 
 #include <numeric>
 
+#include "common/debug/thread_role.h"
 #include "common/error.h"
 #include "model/advisor.h"
 #include "obs/trace_context.h"
@@ -287,6 +288,12 @@ class IoRecordContractTest : public testing::Test {
   }
 };
 
+/// Tags the test thread as rank 0 of a 3-rank world, so every record it
+/// issues reports ranks == 3.
+struct ThreeRankWorld {
+  debug::ScopedThreadRole rank0{debug::ThreadRole::kPmpiRank, 0, this, 3};
+};
+
 /// The fields every record carries: kind, payload, async flag, cache
 /// hit, rank count and a non-negative caller-blocking time.
 void expect_record(const IoRecord& r, IoOp op, std::uint64_t bytes, bool async,
@@ -313,7 +320,7 @@ TEST_F(IoRecordContractTest, AsyncConnectorReportsOneRecordPerOp) {
   auto conn = make_async();
   auto observer = std::make_shared<DetailObserver>();
   conn->add_observer(observer);
-  conn->set_reported_ranks(3);
+  const ThreeRankWorld world;
   auto ds = conn->file()->root().create_dataset("d", h5::Datatype::kUInt8, {64});
   const std::vector<std::uint8_t> data(64, 5);
   std::vector<std::uint8_t> out(64);
@@ -368,7 +375,7 @@ TEST_F(IoRecordContractTest, NativeConnectorReportsOneRecordPerOp) {
   NativeConnector conn(file);
   auto observer = std::make_shared<DetailObserver>();
   conn.add_observer(observer);
-  conn.set_reported_ranks(3);
+  const ThreeRankWorld world;
   auto ds = file->root().create_dataset("d", h5::Datatype::kUInt8, {64});
   const std::vector<std::uint8_t> data(64, 5);
   std::vector<std::uint8_t> out(64);
@@ -395,29 +402,6 @@ TEST_F(IoRecordContractTest, NativeConnectorReportsOneRecordPerOp) {
     }
   }
   EXPECT_EQ(records[2].blocking_seconds, 0.0);  // a hint, nothing moved
-}
-
-TEST_F(IoRecordContractTest, RankCountBelowOneIsRejected) {
-  // A rank count below 1 must not reach the records: the advisor would
-  // reject the sample inside the op's completion, and a write whose
-  // bytes had landed would count as failed.
-  auto conn = make_async();
-  conn->add_observer(std::make_shared<model::ModeAdvisor>());
-  EXPECT_THROW(conn->set_reported_ranks(0), InvalidArgumentError);
-  EXPECT_EQ(conn->reported_ranks(), 1);
-  auto ds = conn->file()->root().create_dataset("d", h5::Datatype::kUInt8, {64});
-  const std::vector<std::uint8_t> data(64, 5);
-  conn->dataset_write(ds, h5::Selection::all(),
-                      std::as_bytes(std::span<const std::uint8_t>(data)))
-      ->wait();
-  conn->wait_all();
-  EXPECT_EQ(conn->stats().failed_ops, 0u);
-
-  // The router reaches the same check through the base.
-  AdaptiveConnector adaptive(h5::File::create(std::make_shared<storage::MemoryBackend>()));
-  EXPECT_THROW(adaptive.set_reported_ranks(0), InvalidArgumentError);
-  adaptive.close();
-  conn->close();
 }
 
 TEST_F(IoRecordContractTest, FailedOpsReportNoRecord) {

@@ -3,6 +3,7 @@
 
 #include <numeric>
 
+#include "common/debug/thread_role.h"
 #include "common/error.h"
 #include "storage/memory_backend.h"
 #include "vol/native_connector.h"
@@ -71,7 +72,9 @@ TEST(NativeConnectorTest, ObserverSeesSyncRecords) {
   auto conn = make_connector();
   auto observer = std::make_shared<RecordingObserver>();
   conn->add_observer(observer);
-  conn->set_reported_ranks(12);
+  // Issued as rank 0 of a 12-rank world: records carry its size.
+  const int world = 0;
+  debug::ScopedThreadRole rank0(debug::ThreadRole::kPmpiRank, 0, &world, 12);
   auto ds = conn->file()->root().create_dataset("d", h5::Datatype::kFloat64, {8});
   const std::vector<double> values(8, 1.0);
   conn->dataset_write(ds, h5::Selection::all(),

@@ -83,6 +83,66 @@ INSTANTIATE_TEST_SUITE_P(BothModes, KernelRoundTripTest,
                            return info.param == Mode::kSync ? "Sync" : "Async";
                          });
 
+// ---------------------------------------------------------------------------
+// Record rank counts: a record reports the issuing thread's pmpi world
+
+class WriteRecorder final : public obs::IoObserver {
+ public:
+  void on_io(const obs::IoRecord& record) override {
+    if (record.op != obs::IoOp::kWrite) return;
+    std::lock_guard lock(mutex_);
+    writes_.push_back(record);
+  }
+  std::vector<obs::IoRecord> writes() const {
+    std::lock_guard lock(mutex_);
+    return writes_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::vector<obs::IoRecord> writes_;
+};
+
+/// Runs VPIC-IO on 3 ranks, then one write from the test thread, and
+/// checks the rank fields of every write record.
+void expect_record_ranks(const std::shared_ptr<vol::Connector>& connector) {
+  constexpr int kRanks = 3;
+  auto recorder = std::make_shared<WriteRecorder>();
+  connector->add_observer(recorder);
+  VpicParams params;
+  params.particles_per_rank = 256;
+  params.time_steps = 2;
+  pmpi::run(kRanks, [&](pmpi::Communicator& comm) {
+    VpicIoKernel(params).run(*connector, comm);
+  });
+  connector->wait_all();
+
+  const auto spmd = recorder->writes();
+  ASSERT_EQ(spmd.size(), kRanks * params.time_steps * kVpicProperties.size());
+  for (const obs::IoRecord& r : spmd) {
+    EXPECT_EQ(r.ranks, kRanks);
+    EXPECT_GE(r.origin_rank, 0);
+    EXPECT_LT(r.origin_rank, kRanks);
+  }
+
+  auto ds = connector->file()->root().create_dataset("main", h5::Datatype::kUInt8, {64});
+  const std::vector<std::byte> data(64, std::byte{1});
+  connector->dataset_write(ds, h5::Selection::all(), data)->wait();
+  const auto all = recorder->writes();
+  ASSERT_EQ(all.size(), spmd.size() + 1);
+  EXPECT_EQ(all.back().ranks, 1);
+  EXPECT_EQ(all.back().origin_rank, -1);
+  connector->close();
+}
+
+TEST(RecordRanksTest, AsyncConnectorRecordsTheWorldSize) {
+  expect_record_ranks(std::make_shared<vol::AsyncConnector>(mem_file()));
+}
+
+TEST(RecordRanksTest, NativeConnectorRecordsTheWorldSize) {
+  expect_record_ranks(std::make_shared<vol::NativeConnector>(mem_file()));
+}
+
 TEST(VpicIoTest, BytesPerRankMatchesConfiguration) {
   VpicParams p;
   p.particles_per_rank = 8ull * 1024 * 1024;

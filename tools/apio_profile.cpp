@@ -359,18 +359,16 @@ int cmd_run_vpic(int ranks, std::uint64_t particles, int steps,
     adaptive = a.get();
     connector = std::move(a);
   } else {
-    vol::AsyncOptions options;
-    if (qos) options.tenant = "vpic";
-    auto a = std::make_shared<vol::AsyncConnector>(file, options);
+    auto a = std::make_shared<vol::AsyncConnector>(file);
     async = a.get();
     connector = std::move(a);
   }
-  connector->set_reported_ranks(ranks);
   auto metrics = std::make_shared<obs::MetricsObserver>();
   connector->add_observer(metrics);
 
   workloads::PhaseTimes result;
   pmpi::run(ranks, [&](pmpi::Communicator& comm) {
+    sched::ScopedSubmission tenant({qos ? "vpic" : ""});
     auto r = kernel.run(*connector, comm);
     if (comm.rank() == 0) result = r;
   });
@@ -447,10 +445,7 @@ int cmd_trace(int ranks, std::uint64_t particles, int steps, double mibps,
   auto scheduler = std::make_shared<sched::FairScheduler>();
   scheduler->register_tenant("vpic", 1.0);
   auto file = h5::File::create(make_pfs(mibps, scheduler));
-  vol::AsyncOptions options;
-  options.tenant = "vpic";
-  auto connector = std::make_shared<vol::AsyncConnector>(file, options);
-  connector->set_reported_ranks(ranks);
+  auto connector = std::make_shared<vol::AsyncConnector>(file);
   auto metrics = std::make_shared<obs::MetricsObserver>();
   connector->add_observer(metrics);
 
@@ -461,7 +456,10 @@ int cmd_trace(int ranks, std::uint64_t particles, int steps, double mibps,
   obs::trace::TelemetryExporter exporter(telemetry);
   if (!prom_path.empty() || !jsonl_path.empty()) exporter.start();
 
-  pmpi::run(ranks, [&](pmpi::Communicator& comm) { kernel.run(*connector, comm); });
+  pmpi::run(ranks, [&](pmpi::Communicator& comm) {
+    sched::ScopedSubmission tenant({"vpic"});
+    kernel.run(*connector, comm);
+  });
   connector->wait_all();
   connector->close();
   exporter.stop();
@@ -512,7 +510,6 @@ int run_analyze_scenario(const std::string& scenario, int ranks, int epochs,
                                 h5::Datatype::kUInt8, {bytes_per_rank});
   }
   auto connector = std::make_shared<vol::AsyncConnector>(file);
-  connector->set_reported_ranks(ranks);
   auto analyzer = std::make_shared<obs::EpochAnalyzer>();
   connector->add_observer(analyzer);
   analyzer->attach();
