@@ -5,9 +5,10 @@
 // A VOL connector emits one IoRecord per container operation (write,
 // read, prefetch, flush) and a CompositeObserver fans it out to however
 // many subscribers are attached with Connector::add_observer — the
-// model's history (ModeAdvisor), vol::TraceRecorder, the metrics
-// registry (MetricsObserver), a user probe.  Every consumer is an
-// observer of this one stream; none wraps a connector to see it.
+// model's history (ModeAdvisor), vol::TraceRecorder, a user probe.
+// Every consumer is an observer of this one stream; none wraps a
+// connector to see it.  Op and byte counts are read off the stream (or
+// a TraceRecorder's copy of it), not mirrored into the registry.
 #pragma once
 
 #include <atomic>

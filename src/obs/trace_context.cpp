@@ -289,11 +289,10 @@ ScopedPhase::ScopedPhase(Phase phase, std::uint64_t bytes, const char* detail)
 }
 
 ScopedPhase::ScopedPhase(Phase phase, std::uint64_t bytes, const char* detail,
-                         Histogram& latency, Counter* bytes_counter)
+                         Histogram& latency)
     : ScopedPhase(phase, bytes, detail) {
   if (!obs::enabled()) return;
   latency_ = &latency;
-  bytes_counter_ = bytes_counter;
   if (!active_) start_ = steady_seconds();
 }
 
@@ -302,7 +301,6 @@ void ScopedPhase::finish() {
   const double end = steady_seconds();
   if (latency_ != nullptr) {
     latency_->record_seconds(end - start_);
-    if (bytes_counter_ != nullptr) bytes_counter_->add(bytes_);
     latency_ = nullptr;
   }
   if (!active_) return;

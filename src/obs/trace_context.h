@@ -50,7 +50,6 @@
 #include "obs/record.h"
 
 namespace apio::obs {
-class Counter;
 class Histogram;
 }  // namespace apio::obs
 
@@ -272,17 +271,16 @@ void record_phase(const TraceContext& context, Phase phase,
 /// destruction (or finish()) pops and records.
 ///
 /// The metric-sink form also feeds the registry: when obs::enabled(),
-/// the same pair of clock reads records one `latency` sample and adds
-/// `bytes` to `bytes_counter` (when given).  The span and the metrics
-/// are gated independently, so either may be on alone.  Near-zero cost
-/// when metrics are off and the thread is unbound or the trace
-/// unsampled.
+/// the same pair of clock reads records one `latency` sample.  The span
+/// and the sample are gated independently, so either may be on alone.
+/// Near-zero cost when metrics are off and the thread is unbound or the
+/// trace unsampled.
 class ScopedPhase {
  public:
   explicit ScopedPhase(Phase phase, std::uint64_t bytes = 0,
                        const char* detail = nullptr);
   ScopedPhase(Phase phase, std::uint64_t bytes, const char* detail,
-              Histogram& latency, Counter* bytes_counter = nullptr);
+              Histogram& latency);
   ~ScopedPhase();
 
   ScopedPhase(const ScopedPhase&) = delete;
@@ -293,8 +291,7 @@ class ScopedPhase {
 
  private:
   bool active_ = false;           ///< recording a trace span
-  Histogram* latency_ = nullptr;  ///< non-null while metrics are owed
-  Counter* bytes_counter_ = nullptr;
+  Histogram* latency_ = nullptr;  ///< non-null while a sample is owed
   Phase phase_ = Phase::kOther;
   std::uint64_t bytes_ = 0;
   const char* detail_ = nullptr;

@@ -17,24 +17,6 @@ const Clock& default_clock() {
   return clock;
 }
 
-obs::Counter& submitted_counter() {
-  static auto& c = obs::Registry::instance().counter("sched.submitted");
-  return c;
-}
-obs::Counter& dispatched_counter() {
-  static auto& c = obs::Registry::instance().counter("sched.dispatched");
-  return c;
-}
-obs::Counter& dispatched_bytes_counter() {
-  static auto& c = obs::Registry::instance().counter("sched.dispatched_bytes");
-  return c;
-}
-obs::Counter& priority_dispatched_counter() {
-  static auto& c =
-      obs::Registry::instance().counter("sched.priority_dispatched");
-  return c;
-}
-
 }  // namespace
 
 const char* to_string(Lane lane) {
@@ -70,9 +52,8 @@ struct FairScheduler::Tenant {
   /// Queued tickets per lane, in arrival order.
   std::deque<TicketPtr> queue[kLanes];
   TenantStats stats;
-  /// Cached obs metric handles (stable references; looked up once).
-  obs::Counter* bytes_counter = nullptr;
-  obs::Gauge* depth_gauge = nullptr;
+  /// The tenant's registry wait histogram (a stable reference, looked
+  /// up once); every count lives in `stats` only.
   obs::Histogram* wait_hist = nullptr;
 };
 
@@ -103,11 +84,8 @@ struct FairScheduler::State {
       // tenant cannot have banked credit against active ones.
       t.vtime = virtual_time;
       t.stats.weight = t.weight;
-      const std::string prefix = "sched.tenant." + id + ".";
-      auto& reg = obs::Registry::instance();
-      t.bytes_counter = &reg.counter(prefix + "dispatched_bytes");
-      t.depth_gauge = &reg.gauge(prefix + "queue_depth");
-      t.wait_hist = &reg.histogram(prefix + "wait_seconds");
+      t.wait_hist =
+          &obs::Registry::instance().histogram("sched.tenant." + id + ".wait_seconds");
     }
     return t;
   }
@@ -143,17 +121,12 @@ TicketPtr FairScheduler::submit(const IoRequest& request) {
   ++s.submitted_ops;
   ++t.stats.submitted_ops;
   t.stats.submitted_bytes += ticket->request_.bytes;
-  if (obs::enabled()) submitted_counter().increment();
 
   t.queue[static_cast<int>(ticket->request_.lane)].push_back(ticket);
   ++s.queued_total;
   ++t.stats.queue_depth;
   t.stats.max_queue_depth =
       std::max(t.stats.max_queue_depth, t.stats.queue_depth);
-  if (obs::enabled()) {
-    t.depth_gauge->set(static_cast<std::int64_t>(t.stats.queue_depth));
-    t.depth_gauge->note_watermark();
-  }
 
   dispatch_locked(s);
   return ticket;
@@ -273,14 +246,7 @@ void FairScheduler::dispatch_locked(State& s) {
     auto& samples = t.stats.wait_samples[static_cast<int>(req.lane)];
     if (samples.size() < kMaxWaitSamples) samples.push_back(waited);
     if (req.lane == Lane::kPriority) ++t.stats.priority_ops;
-    if (obs::enabled()) {
-      dispatched_counter().increment();
-      dispatched_bytes_counter().add(req.bytes);
-      if (req.lane == Lane::kPriority) priority_dispatched_counter().increment();
-      t.bytes_counter->add(req.bytes);
-      t.wait_hist->record_seconds(waited);
-      t.depth_gauge->set(static_cast<std::int64_t>(t.stats.queue_depth));
-    }
+    if (obs::enabled()) t.wait_hist->record_seconds(waited);
 
     if (!s.closed) s.busy = true;
     ticket->granted_.store(true, std::memory_order_release);

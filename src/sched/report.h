@@ -1,18 +1,20 @@
-// Rendering of the fair scheduler's metrics into the human-readable
+// Rendering of the fair scheduler's accounting into the human-readable
 // `sched:` report block, shared by apio_profile and tests.
 //
-// Reads only an obs::RegistrySnapshot — per-tenant dispatched bytes and
-// channel share, and the full submit->grant wait percentile spread
-// (p50/p95/p99 from the per-tenant wait histograms).  Returns "" when
-// the scheduler dispatched nothing, so non-QoS profiles stay unchanged.
+// Reads only a SchedStats, the scheduler's one copy of its counts:
+// dispatched ops and bytes, the priority-lane and submitted counts, and
+// per tenant the dispatched bytes, channel share, queue-depth high-water
+// mark and exact submit->grant wait percentiles (p50/p95/p99 over both
+// lanes' wait_samples).  Returns "" when the scheduler dispatched
+// nothing.
 #pragma once
 
 #include <string>
 
-#include "obs/metrics.h"
+#include "sched/fair_scheduler.h"
 
 namespace apio::sched {
 
-std::string render_sched_report(const obs::RegistrySnapshot& snapshot);
+std::string render_sched_report(const SchedStats& stats);
 
 }  // namespace apio::sched

@@ -170,7 +170,7 @@ std::uint64_t MemoryBackend::write_v(std::span<const WriteExtent> extents) {
     total += e.data.size();
   }
   obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, total, "memory",
-                               storage_write_hist(), &storage_bytes_written());
+                               storage_write_hist());
   Lend* lend = lend_to_this();
   std::lock_guard lock(mutex_);
   for (const auto& e : extents) put_locked(lend, e.offset, e.data);
@@ -182,7 +182,7 @@ std::uint64_t MemoryBackend::read_v(std::span<const ReadExtent> extents) {
   if (extents.empty()) return 0;
   const std::uint64_t total = extent_bytes(extents);
   obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, total, "memory",
-                               storage_read_hist(), &storage_bytes_read());
+                               storage_read_hist());
   std::lock_guard lock(mutex_);
   for (const auto& e : extents) {
     APIO_INVARIANT(e.offset + e.out.size() >= e.offset,

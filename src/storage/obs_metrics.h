@@ -1,6 +1,7 @@
 // Shared registry entries for leaf storage backends (memory, posix).
 // Wrapper backends (throttled, faulty) delegate to a leaf and must NOT
-// record here — one physical transfer, one count.
+// record here — one physical transfer, one sample.  Byte and op counts
+// live in each backend's own BackendStats.
 #pragma once
 
 #include "obs/metrics.h"
@@ -15,16 +16,6 @@ inline obs::Histogram& storage_read_hist() {
 inline obs::Histogram& storage_write_hist() {
   static auto& h = obs::Registry::instance().histogram("storage.write_seconds");
   return h;
-}
-
-inline obs::Counter& storage_bytes_read() {
-  static auto& c = obs::Registry::instance().counter("storage.bytes_read");
-  return c;
-}
-
-inline obs::Counter& storage_bytes_written() {
-  static auto& c = obs::Registry::instance().counter("storage.bytes_written");
-  return c;
 }
 
 /// Data-sieved windows of vectored reads and writes (posix leaf).

@@ -247,7 +247,7 @@ std::uint64_t PosixBackend::write_v(std::span<const WriteExtent> extents) {
   if (extents.empty()) return 0;
   const std::uint64_t total = extent_bytes(extents);
   obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, total, "posix",
-                               storage_write_hist(), &storage_bytes_written());
+                               storage_write_hist());
   std::lock_guard lock(write_mutex_);
   write_pieces_.clear();
   for (const auto& e : extents) write_pieces_.add(e.offset, e.data.data(), e.data.size());
@@ -263,7 +263,7 @@ std::uint64_t PosixBackend::read_v(std::span<const ReadExtent> extents) {
   for (const auto& e : extents) pieces.add(e.offset, e.out.data(), e.out.size());
   const std::uint64_t total = extent_bytes(extents);
   obs::trace::ScopedPhase span(obs::trace::Phase::kBackend, total, "posix",
-                               storage_read_hist(), &storage_bytes_read());
+                               storage_read_hist());
   std::vector<std::byte> bounce;
   transfer(fd_, pieces, iov_limit_, path_, bounce, /*written=*/nullptr);
   count_read(total);

@@ -16,11 +16,6 @@ const Clock& default_clock() {
   return clock;
 }
 
-obs::Counter& retries_counter() {
-  static auto& c = obs::Registry::instance().counter("io.retries");
-  return c;
-}
-
 obs::Histogram& backoff_hist() {
   static auto& h = obs::Registry::instance().histogram("io.retry_backoff_seconds");
   return h;
@@ -156,10 +151,7 @@ void ResilientBackend::run(Transfer transfer) {
       if (obs::enabled()) deadline_exhausted_counter().increment();
       return false;
     }
-    if (obs::enabled()) {
-      retries_counter().increment();
-      backoff_hist().record_seconds(backoff);
-    }
+    if (obs::enabled()) backoff_hist().record_seconds(backoff);
     obs::trace::ScopedPhase backoff_span(obs::trace::Phase::kBackoff);
     sleeper_->sleep(backoff);
     return true;

@@ -32,10 +32,10 @@
 // budget can run out where per-extent retries would have finished.
 //
 // Metrics (recorded when obs is enabled):
-//   io.retries                 counter, one per backoff slept
 //   io.retry_backoff_seconds   histogram of individual backoff delays
 //   io.deadline_exhausted      counter, retries abandoned by deadline
-// The breaker's state and trips are read from CircuitBreaker itself.
+// The retry count is retries() and the breaker's state and trips are
+// CircuitBreaker's; the registry holds no copy of either.
 #pragma once
 
 #include <atomic>

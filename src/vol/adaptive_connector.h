@@ -56,6 +56,8 @@ class AdaptiveConnector final : public Connector {
 
   const model::ModeAdvisorPtr& advisor() const { return advisor_; }
   AdaptiveStats adaptive_stats() const;
+  /// The async route's own accounting (AsyncConnector::stats()).
+  AsyncStats async_stats() const { return async_.stats(); }
 
  private:
   model::ModeAdvisorPtr advisor_;

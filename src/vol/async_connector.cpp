@@ -25,28 +25,8 @@ obs::Histogram& execute_hist() {
   return h;
 }
 
-obs::Counter& staged_bytes_counter() {
-  static auto& c = obs::Registry::instance().counter("vol.async.bytes_staged");
-  return c;
-}
-
 obs::Counter& executed_bytes_counter() {
   static auto& c = obs::Registry::instance().counter("vol.async.bytes_executed");
-  return c;
-}
-
-obs::Counter& prefetch_hits_counter() {
-  static auto& c = obs::Registry::instance().counter("vol.async.prefetch_hits");
-  return c;
-}
-
-obs::Counter& prefetch_misses_counter() {
-  static auto& c = obs::Registry::instance().counter("vol.async.prefetch_misses");
-  return c;
-}
-
-obs::Counter& failed_counter() {
-  static auto& c = obs::Registry::instance().counter("vol.async.failed_ops");
   return c;
 }
 
@@ -128,8 +108,8 @@ struct AsyncConnector::AsyncOp final : Request {
   /// background stream for the op's execution so a QosBackend under
   /// the file charges the issuing tenant.
   sched::SubmissionContext submission;
-  /// The completion record, filled at issue when observers are attached
-  /// and emitted on success only.
+  /// The completion record, built at issue when emits_records() and
+  /// emitted on success only.
   std::optional<IoRecord> record;
 
   /// Causal trace identity, minted at submission; re-bound alongside
@@ -205,7 +185,7 @@ RequestPtr AsyncConnector::submit(std::shared_ptr<AsyncOp> op,
     // captured at creation.
     op->set_info(request_info(*file_, kind, ds, selection, bytes));
     // A prefetch reports at issue (prefetch()) and returns no request.
-    if (kind != obs::IoOp::kPrefetch && has_observers()) {
+    if (kind != obs::IoOp::kPrefetch && emits_records()) {
       op->record = make_record(kind, bytes, /*async=*/true, t0, blocking, 0.0);
       op->record->dataset_path = op->info().dataset_path;
       op->record->selection = op->info().selection;
@@ -349,7 +329,6 @@ void AsyncConnector::finish(const std::shared_ptr<AsyncOp>& op,
   const double completion_start = obs::steady_seconds();
   const bool failed = error != nullptr;
   release_staging(*op, failed);
-  if (failed && obs::enabled()) failed_counter().increment();
   if (op->record && !failed) {
     op->record->completion_seconds =
         obs::steady_seconds() - op->record->issue_time;
@@ -384,8 +363,7 @@ RequestPtr AsyncConnector::dataset_write(h5::Dataset ds,
         // configured, a node-local staging device (SSD) region.
         take_staging(op);
         obs::trace::ScopedPhase stage_span(obs::trace::Phase::kStageCopy,
-                                           data.size(), nullptr, stage_hist(),
-                                           &staged_bytes_counter());
+                                           data.size(), nullptr, stage_hist());
         if (options_.staging_backend) {
           options_.staging_backend->write(op.device_offset, data);
         } else {
@@ -411,7 +389,6 @@ RequestPtr AsyncConnector::dataset_read(h5::Dataset ds,
     }
   }
   if (entry.ready) {
-    if (obs::enabled()) prefetch_hits_counter().increment();
     entry.ready->wait_ignore_error();  // normally already complete
     const std::exception_ptr error = entry.ready->error();
     const bool fits = entry.data->size() == out.size();
@@ -424,7 +401,7 @@ RequestPtr AsyncConnector::dataset_read(h5::Dataset ds,
     }
     if (error) std::rethrow_exception(error);
     APIO_REQUIRE(fits, "prefetched buffer size does not match read selection");
-    if (has_observers()) {
+    if (emits_records()) {
       const double dt = obs::steady_seconds() - t0;
       IoRecord hit = make_record(IoOp::kRead, out.size(), /*async=*/true, t0, dt,
                                  dt, &ds, selection);
@@ -435,7 +412,6 @@ RequestPtr AsyncConnector::dataset_read(h5::Dataset ds,
         request_info(*file_, obs::IoOp::kRead, &ds, selection, out.size()));
   }
 
-  if (obs::enabled()) prefetch_misses_counter().increment();
   return submit(std::make_shared<AsyncOp>(obs::IoOp::kRead, out.size()), &ds,
                 selection, t0, [&](AsyncOp& op) { op.out = out; });
 }
@@ -478,7 +454,7 @@ void AsyncConnector::prefetch(h5::Dataset ds, const h5::Selection& selection) {
     throw;
   }
   // Reported at issue: the caller's cost is the enqueue.
-  if (has_observers()) {
+  if (emits_records()) {
     observe(make_record(IoOp::kPrefetch, bytes, /*async=*/true, t0,
                         obs::steady_seconds() - t0, 0.0, &ds, selection));
   }

@@ -11,6 +11,9 @@
 // the issuing rank and the rank count from that thread's tag
 // (debug::thread_tag()): a call inside pmpi::run reports its world's
 // size, any other call 1.  Records are timed with obs::steady_seconds().
+// While obs::enabled(), each record's blocking and completion times also
+// feed the registry's io.blocking_seconds / io.completion_seconds
+// histograms, here where records are emitted, observers or not.
 #pragma once
 
 #include <memory>
@@ -20,6 +23,7 @@
 #include "common/debug/thread_role.h"
 #include "common/error.h"
 #include "h5/file.h"
+#include "obs/metrics.h"
 #include "vol/observer.h"
 #include "vol/request.h"
 #include "vol/selection_token.h"
@@ -83,14 +87,22 @@ class Connector {
   /// The container, never null.
   h5::FilePtr file_;
 
-  /// Emission fast path: one relaxed load when nobody subscribed.
-  bool has_observers() const { return !observers_->empty(); }
+  /// Emission fast path: true when a record has a consumer, an observer
+  /// or the registry (obs::enabled()); two relaxed loads otherwise.
+  bool emits_records() const { return !observers_->empty() || obs::enabled(); }
 
   /// True when some subscriber consumes dataset_path/selection; the
   /// connector skips building those strings otherwise.
   bool observers_want_detail() const { return observers_->wants_detail(); }
 
   void observe(const IoRecord& record) {
+    if (obs::enabled()) {
+      static auto& blocking = obs::Registry::instance().histogram("io.blocking_seconds");
+      static auto& completion =
+          obs::Registry::instance().histogram("io.completion_seconds");
+      blocking.record_seconds(record.blocking_seconds);
+      completion.record_seconds(record.completion_seconds);
+    }
     if (!observers_->empty()) observers_->on_io(record);
   }
 

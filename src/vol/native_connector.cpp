@@ -25,23 +25,13 @@ obs::Histogram& sync_read_hist() {
   return h;
 }
 
-obs::Counter& sync_bytes_written() {
-  static auto& c = obs::Registry::instance().counter("vol.sync.bytes_written");
-  return c;
-}
-
-obs::Counter& sync_bytes_read() {
-  static auto& c = obs::Registry::instance().counter("vol.sync.bytes_read");
-  return c;
-}
-
 /// Runs one synchronous call as a traced request, the way AsyncConnector
 /// traces its ops: mint and bind a context, time `transfer` as the
-/// request's single attempt (which also feeds `latency` and
-/// `byte_counter` when metrics are on), then seal the trace.
+/// request's single attempt (which also feeds `latency` when metrics
+/// are on), then seal the trace.
 template <typename Transfer>
 void traced_call(obs::IoOp op, std::uint64_t bytes, obs::Histogram& latency,
-                 obs::Counter& byte_counter, Transfer&& transfer) {
+                 Transfer&& transfer) {
   auto& collector = obs::trace::TraceCollector::instance();
   const obs::trace::TraceContext trace = collector.start_trace();
   const double start = trace.recording() ? obs::steady_seconds() : 0.0;
@@ -53,7 +43,7 @@ void traced_call(obs::IoOp op, std::uint64_t bytes, obs::Histogram& latency,
   };
   try {
     obs::trace::ScopedPhase attempt(obs::trace::Phase::kAttempt, bytes, nullptr,
-                                    latency, &byte_counter);
+                                    latency);
     transfer();
   } catch (...) {
     seal(true);
@@ -66,7 +56,7 @@ void traced_call(obs::IoOp op, std::uint64_t bytes, obs::Histogram& latency,
 
 void NativeConnector::report(IoOp op, std::uint64_t bytes, double t0,
                              const h5::Dataset* ds, const h5::Selection& selection) {
-  if (!has_observers()) return;
+  if (!emits_records()) return;
   const double dt = obs::steady_seconds() - t0;
   observe(make_record(op, bytes, /*async=*/false, t0, dt, dt, ds, selection));
 }
@@ -75,7 +65,7 @@ RequestPtr NativeConnector::dataset_write(h5::Dataset ds,
                                           const h5::Selection& selection,
                                           std::span<const std::byte> data) {
   const double t0 = obs::steady_seconds();
-  traced_call(IoOp::kWrite, data.size(), sync_write_hist(), sync_bytes_written(),
+  traced_call(IoOp::kWrite, data.size(), sync_write_hist(),
               [&] { ds.write_raw(selection, data); });
   report(IoOp::kWrite, data.size(), t0, &ds, selection);
   return completed_request();
@@ -85,7 +75,7 @@ RequestPtr NativeConnector::dataset_read(h5::Dataset ds,
                                          const h5::Selection& selection,
                                          std::span<std::byte> out) {
   const double t0 = obs::steady_seconds();
-  traced_call(IoOp::kRead, out.size(), sync_read_hist(), sync_bytes_read(),
+  traced_call(IoOp::kRead, out.size(), sync_read_hist(),
               [&] { ds.read_raw(selection, out); });
   report(IoOp::kRead, out.size(), t0, &ds, selection);
   return completed_request();
@@ -95,7 +85,7 @@ void NativeConnector::prefetch(h5::Dataset ds, const h5::Selection& selection) {
   // Synchronous mode has no background machinery to prefetch with; the
   // hint is still reported (taking no time) so trace sinks capture the
   // full call stream.
-  if (has_observers()) {
+  if (emits_records()) {
     observe(make_record(IoOp::kPrefetch,
                         selection.npoints(ds.dims()) * ds.element_size(),
                         /*async=*/false, obs::steady_seconds(), 0.0, 0.0, &ds,

@@ -3,9 +3,10 @@
 // now live in the unified observability layer (src/obs); this header
 // re-exports them under apio::vol so connector-facing code keeps its
 // historical spelling.  Every VOL connector reports one IoRecord per
-// container operation; the performance model, trace sinks and the
-// metrics registry all subscribe to the same stream through a
-// CompositeObserver chain (Connector::add_observer).
+// container operation; the performance model and trace sinks subscribe
+// to the same stream through a CompositeObserver chain
+// (Connector::add_observer), and the connector feeds the registry's two
+// io.* latency histograms from it while obs is enabled.
 #pragma once
 
 #include "obs/record.h"

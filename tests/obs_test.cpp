@@ -1,9 +1,10 @@
 // Tests for the observability layer: metrics registry sharding and
 // snapshots, the one span stream (ScopedPhase spans in the trace ring,
 // its metric sink and the Chrome trace_event export), JSON escaping of
-// every exported string, the composable observer chain, and end-to-end
-// coherence of counters against connector statistics under
-// multi-threaded load.
+// every exported string, the composable observer chain, the connector's
+// per-record latency histograms, the registry's ownership rule (no
+// counter or gauge restates a stats struct or the record stream), and
+// per-shard counter coherence under multi-threaded load.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,16 +25,18 @@
 #include "model/advisor.h"
 #include "obs/critical_path.h"
 #include "obs/metrics.h"
-#include "obs/metrics_observer.h"
 #include "obs/record.h"
 #include "obs/telemetry.h"
 #include "obs/trace_context.h"
 #include "pmpi/world.h"
+#include "sched/fair_scheduler.h"
+#include "storage/backend_stack.h"
 #include "storage/memory_backend.h"
 #include "storage/resilient_backend.h"
 #include "vol/async_connector.h"
 #include "vol/native_connector.h"
 #include "vol/trace.h"
+#include "workloads/vpic_io.h"
 
 namespace apio::obs {
 namespace {
@@ -523,46 +526,54 @@ TEST(CompositeObserverTest, AddRemoveRacingDispatchHammer) {
   EXPECT_TRUE(composite.empty());
 }
 
-TEST(MetricsObserverTest, RoutesOpsToRegistryCounters) {
+// The connector feeds io.blocking_seconds / io.completion_seconds once
+// per record it emits, whatever the op, while obs is enabled, with no
+// observer attached; with obs off it records nothing.
+TEST(ConnectorLatencyTest, OneHistogramSamplePerRecordWithoutObservers) {
+  auto file = mem_file();
+  auto ds = file->root().create_dataset("d", h5::Datatype::kUInt8, {64});
+  vol::NativeConnector connector(file);
+  std::vector<std::uint8_t> data(64, 1);
+  const auto run_ops = [&] {
+    connector.dataset_write(ds, h5::Selection::all(),
+                            std::as_bytes(std::span<const std::uint8_t>(data)));
+    connector.dataset_read(
+        ds, h5::Selection::all(),
+        std::as_writable_bytes(std::span<std::uint8_t>(data)));
+    connector.prefetch(ds, h5::Selection::all());
+    connector.flush();
+  };
+
+  Registry::instance().reset();
+  run_ops();
+  auto snap = Registry::instance().snapshot();
+  EXPECT_EQ(snap.histograms["io.blocking_seconds"].count, 0u);
+  EXPECT_EQ(snap.histograms["io.completion_seconds"].count, 0u);
+
+  {
+    ScopedObservability scoped;
+    run_ops();
+    snap = Registry::instance().snapshot();
+  }
+  const auto& blocking = snap.histograms.at("io.blocking_seconds");
+  const auto& completion = snap.histograms.at("io.completion_seconds");
+  EXPECT_EQ(blocking.count, 4u);
+  EXPECT_EQ(completion.count, 4u);
+  // A sync call completes as it returns: both histograms saw one time.
+  EXPECT_DOUBLE_EQ(blocking.sum_seconds, completion.sum_seconds);
+
+  // An async write reports at completion: blocking covers the staging
+  // copy, completion the drain as well.
   ScopedObservability scoped;
-  MetricsObserver observer;
-
-  IoRecord write;
-  write.op = IoOp::kWrite;
-  write.bytes = 100;
-  write.blocking_seconds = 1e-4;
-  write.completion_seconds = 2e-4;
-  write.async = true;
-  observer.on_io(write);
-
-  IoRecord read;
-  read.op = IoOp::kRead;
-  read.bytes = 40;
-  read.cache_hit = true;
-  observer.on_io(read);
-
-  IoRecord prefetch;
-  prefetch.op = IoOp::kPrefetch;
-  prefetch.bytes = 8;
-  observer.on_io(prefetch);
-
-  IoRecord flush;
-  flush.op = IoOp::kFlush;
-  observer.on_io(flush);
-
-  const auto snap = Registry::instance().snapshot();
-  EXPECT_EQ(snap.counter_total("io.bytes_written"), 100u);
-  EXPECT_EQ(snap.counter_total("io.bytes_read"), 40u);
-  EXPECT_EQ(snap.counter_total("io.writes"), 1u);
-  EXPECT_EQ(snap.counter_total("io.reads"), 1u);
-  EXPECT_EQ(snap.counter_total("io.prefetches"), 1u);
-  EXPECT_EQ(snap.counter_total("io.flushes"), 1u);
-  EXPECT_EQ(snap.counter_total("io.cache_hits"), 1u);
-  EXPECT_EQ(snap.counter_total("io.async_ops"), 1u);
-  // Latency histograms take one sample per record, whatever the op.
-  EXPECT_EQ(snap.histograms.at("io.blocking_seconds").count, 4u);
-  EXPECT_NEAR(snap.histograms.at("io.blocking_seconds").sum_seconds, 1e-4, 1e-6);
-  EXPECT_FALSE(observer.wants_detail());
+  vol::AsyncConnector async(file);
+  async.dataset_write(ds, h5::Selection::all(),
+                      std::as_bytes(std::span<const std::uint8_t>(data)));
+  async.wait_all();
+  snap = Registry::instance().snapshot();
+  EXPECT_EQ(snap.histograms.at("io.blocking_seconds").count, 1u);
+  EXPECT_EQ(snap.histograms.at("io.completion_seconds").count, 1u);
+  EXPECT_LE(snap.histograms.at("io.blocking_seconds").sum_seconds,
+            snap.histograms.at("io.completion_seconds").sum_seconds);
 }
 
 // ---------------------------------------------------------------------------
@@ -637,17 +648,15 @@ TEST(TracerTest, ChromeExportIsValidTraceEventJson) {
 TEST(ScopedPhaseTest, MetricSinkAndSpanAreGatedIndependently) {
   auto& collector = trace::TraceCollector::instance();
   auto& latency = Registry::instance().histogram("obs_test.phase_seconds");
-  auto& bytes = Registry::instance().counter("obs_test.phase_bytes");
   Registry::instance().reset();
   collector.clear();
   collector.set_sampling_period(1);
   collector.set_enabled(true);
 
-  // Metrics on, thread unbound: one latency sample and N bytes, no span.
+  // Metrics on, thread unbound: one latency sample, no span.
   set_enabled(true);
-  { trace::ScopedPhase phase(trace::Phase::kBackend, 64, "probe", latency, &bytes); }
+  { trace::ScopedPhase phase(trace::Phase::kBackend, 64, "probe", latency); }
   EXPECT_EQ(latency.count(), 1u);
-  EXPECT_EQ(bytes.total(), 64u);
   EXPECT_EQ(collector.watermark().late_spans, 0u);
   EXPECT_TRUE(collector.drain().empty());
 
@@ -657,7 +666,7 @@ TEST(ScopedPhaseTest, MetricSinkAndSpanAreGatedIndependently) {
   ASSERT_TRUE(sampled.recording());
   {
     trace::ScopedTraceContext bind(sampled);
-    trace::ScopedPhase phase(trace::Phase::kBackend, 64, "probe", latency, &bytes);
+    trace::ScopedPhase phase(trace::Phase::kBackend, 64, "probe", latency);
   }
   collector.complete(sampled, IoOp::kWrite, "t", 64, false, 0.0, 1.0);
   const auto traces = collector.drain();
@@ -667,17 +676,15 @@ TEST(ScopedPhaseTest, MetricSinkAndSpanAreGatedIndependently) {
   EXPECT_EQ(traces[0].spans[0].bytes, 64u);
   EXPECT_EQ(traces[0].spans[0].detail, "probe");
   EXPECT_EQ(latency.count(), 1u);
-  EXPECT_EQ(bytes.total(), 64u);
 
   // Both off: nothing recorded anywhere.
   collector.set_enabled(false);
   const trace::TraceContext off = collector.start_trace();
   {
     trace::ScopedTraceContext bind(off);
-    trace::ScopedPhase phase(trace::Phase::kBackend, 64, "probe", latency, &bytes);
+    trace::ScopedPhase phase(trace::Phase::kBackend, 64, "probe", latency);
   }
   EXPECT_EQ(latency.count(), 1u);
-  EXPECT_EQ(bytes.total(), 64u);
   EXPECT_TRUE(collector.drain().empty());
 
   collector.clear();
@@ -714,14 +721,73 @@ TEST(JsonEscapeTest, HostileTenantAndDetailStayValidJson) {
 }
 
 // ---------------------------------------------------------------------------
+// Registry ownership: a counter or gauge exists only for a fact nothing
+// else holds.  AsyncStats, SchedStats/TenantStats, each backend's
+// BackendStats, ResilientBackend::retries() and the IoRecord stream own
+// their counts; the registry keeps histograms plus these.
+
+const std::set<std::string> kRegistryOnlyCounters = {
+    "pmpi.barriers",          "obs.epoch.drift_alerts",
+    "io.deadline_exhausted",  "io.vectored_ops",
+    "io.extents_merged",      "io.aggregated_bytes",
+    "storage.sieve_windows",  "storage.sieve_hole_bytes",
+    "storage.sieve_reads_skipped", "vol.async.bytes_executed"};
+const std::set<std::string> kRegistryOnlyGauges = {
+    "vol.async.queue_depth", "vol.async.staged_outstanding",
+    "io.cache.dirty_bytes", "io.cache.cached_bytes"};
+
+TEST(RegistryOwnershipTest, VpicRunsMoveOnlyAllowListedCountersAndGauges) {
+  for (const bool async : {true, false}) {
+    SCOPED_TRACE(async ? "async" : "sync over qos");
+    ScopedObservability scoped;
+    const auto before = Registry::instance().snapshot();
+    auto stack = storage::BackendStack::memory();
+    auto scheduler = std::make_shared<sched::FairScheduler>();
+    if (!async) stack.qos(scheduler);
+    auto file = h5::File::create(stack.build());
+    std::shared_ptr<vol::Connector> connector;
+    if (async) {
+      connector = std::make_shared<vol::AsyncConnector>(file);
+    } else {
+      connector = std::make_shared<vol::NativeConnector>(file);
+    }
+    workloads::VpicParams params;
+    params.particles_per_rank = 1024;
+    params.time_steps = 2;
+    workloads::VpicIoKernel kernel(params);
+    pmpi::run(2, [&](pmpi::Communicator& comm) {
+      sched::ScopedSubmission tenant({"vpic"});
+      kernel.run(*connector, comm);
+    });
+    connector->wait_all();
+    connector->close();
+
+    // Every name this run registered or moved must be allow-listed.
+    const auto snap = Registry::instance().snapshot();
+    for (const auto& [name, c] : snap.counters) {
+      if (before.counters.contains(name) && c.total == 0) continue;
+      EXPECT_TRUE(kRegistryOnlyCounters.contains(name))
+          << "counter " << name << " restates a fact another layer owns";
+    }
+    for (const auto& [name, g] : snap.gauges) {
+      if (before.gauges.contains(name) && g.value == 0 && g.high_watermark == 0) {
+        continue;
+      }
+      EXPECT_TRUE(kRegistryOnlyGauges.contains(name))
+          << "gauge " << name << " restates a fact another layer owns";
+    }
+    EXPECT_GT(snap.counter_total("pmpi.barriers"), 0u);
+    EXPECT_EQ(scheduler->stats().dispatched_ops > 0, !async);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // End-to-end: instrumented stack
 
 TEST(ObsEndToEndTest, WorkloadEmitsSpansFromAllFourLayers) {
   ScopedObservability scoped;
   auto file = mem_file();
   auto connector = std::make_shared<vol::AsyncConnector>(file);
-  auto metrics = std::make_shared<MetricsObserver>();
-  connector->add_observer(metrics);
 
   constexpr std::uint64_t kBytesPerRank = 64 * 1024;
   auto ds = file->root().create_dataset("d", h5::Datatype::kUInt8,
@@ -773,18 +839,19 @@ TEST(ObsEndToEndTest, WorkloadEmitsSpansFromAllFourLayers) {
   EXPECT_TRUE(saw_memory_leaf) << "no memory leaf span";
   EXPECT_TRUE(saw_quoted);
 
-  // Registry counters agree with the connector's own accounting and the
-  // observer bridge.
-  const auto snap = Registry::instance().snapshot();
-  EXPECT_EQ(snap.counter_total("vol.async.bytes_staged"), stats.bytes_staged);
-  EXPECT_EQ(snap.counter_total("io.bytes_written"), stats.bytes_staged);
+  // Staged bytes live in AsyncStats; the registry keeps one latency
+  // sample per record, with no observer attached.
   EXPECT_EQ(stats.bytes_staged, 2 * kBytesPerRank);
+  const auto snap = Registry::instance().snapshot();
+  EXPECT_EQ(snap.histograms.at("io.blocking_seconds").count, 2u);
+  EXPECT_EQ(snap.histograms.at("io.completion_seconds").count, 2u);
 
   // Rank threads pinned their shard to the rank: the per-shard view of
-  // the staging counter is the per-rank byte count.
-  const auto& staged = snap.counters.at("vol.async.bytes_staged");
-  EXPECT_EQ(staged.per_shard[0], kBytesPerRank);
-  EXPECT_EQ(staged.per_shard[1], kBytesPerRank);
+  // the barrier counter is each rank's two barriers.
+  const auto& barriers = snap.counters.at("pmpi.barriers");
+  EXPECT_EQ(barriers.per_shard[0], 2u);
+  EXPECT_EQ(barriers.per_shard[1], 2u);
+  EXPECT_EQ(barriers.total, 4u);
 
   // pmpi: both ranks passed both barriers, timed into the registry.
   EXPECT_GE(snap.histograms.at("pmpi.barrier_wait_seconds").count, 4u);
@@ -817,19 +884,20 @@ TEST(ObsEndToEndTest, BreakerRejectedAttemptsExecuteNoBytes) {
   clock.advance(101.0);  // half-open: close() may flush the metadata
   connector.close();
 
+  EXPECT_EQ(connector.stats().bytes_staged, 64u);
+  EXPECT_EQ(connector.stats().failed_ops, 1u);
   const auto snap = Registry::instance().snapshot();
-  EXPECT_EQ(snap.counter_total("vol.async.bytes_staged"), 64u);
   EXPECT_EQ(snap.counter_total("vol.async.bytes_executed"), 0u);
-  EXPECT_EQ(snap.counter_total("vol.async.failed_ops"), 1u);
   const auto traces = trace::TraceCollector::instance().drain();
   ASSERT_EQ(traces.size(), 1u);
   EXPECT_TRUE(traces[0].failed);
 }
 
-// The satellite stress requirement: one connector hammered from 8
-// threads with metrics + trace + model observers attached; snapshots
-// must stay coherent (sum of per-shard counters == total == AsyncStats
-// accounting) and every operation must surface in the trace.
+// One connector hammered from 8 threads with metrics on and trace and
+// model observers attached: a counter each writer adds its bytes to
+// stays coherent (sum of per-shard values == total == AsyncStats
+// accounting, shard t == thread t's bytes), and every operation
+// surfaces in the trace.
 TEST(ObsHammerTest, EightWriterThreadsSnapshotCoherence) {
   ScopedObservability scoped;
   constexpr int kThreads = 8;
@@ -839,11 +907,10 @@ TEST(ObsHammerTest, EightWriterThreadsSnapshotCoherence) {
   auto file = mem_file();
   auto inner = std::make_shared<vol::AsyncConnector>(file);
   auto recorder = std::make_shared<vol::TraceRecorder>();
-  auto metrics = std::make_shared<MetricsObserver>();
   auto advisor = std::make_shared<model::ModeAdvisor>();
   inner->add_observer(recorder);
-  inner->add_observer(metrics);
   inner->add_observer(advisor);
+  auto& written = Registry::instance().counter("obs_test.hammer_bytes");
 
   auto ds = file->root().create_dataset(
       "d", h5::Datatype::kUInt8,
@@ -863,6 +930,7 @@ TEST(ObsHammerTest, EightWriterThreadsSnapshotCoherence) {
         inner->dataset_write(
             ds, h5::Selection::offsets({offset}, {kChunk}),
             std::as_bytes(std::span<const std::uint8_t>(data)));
+        written.add(kChunk);
       }
     });
   }
@@ -877,19 +945,20 @@ TEST(ObsHammerTest, EightWriterThreadsSnapshotCoherence) {
             static_cast<std::uint64_t>(kThreads) * kWritesPerThread);
 
   const auto snap = Registry::instance().snapshot();
-  const auto& staged = snap.counters.at("vol.async.bytes_staged");
-  EXPECT_EQ(staged.total, kTotal);
+  const auto& hammered = snap.counters.at("obs_test.hammer_bytes");
+  EXPECT_EQ(hammered.total, stats.bytes_staged);
   std::uint64_t shard_sum = 0;
-  for (std::size_t s = 0; s < staged.per_shard.size(); ++s) {
-    shard_sum += staged.per_shard[s];
+  for (std::size_t s = 0; s < hammered.per_shard.size(); ++s) {
+    shard_sum += hammered.per_shard[s];
   }
-  EXPECT_EQ(shard_sum, staged.total);
+  EXPECT_EQ(shard_sum, hammered.total);
   for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(staged.per_shard[static_cast<std::size_t>(t)],
+    EXPECT_EQ(hammered.per_shard[static_cast<std::size_t>(t)],
               static_cast<std::uint64_t>(kWritesPerThread) * kChunk)
         << "shard " << t;
   }
-  EXPECT_EQ(snap.counter_total("io.bytes_written"), kTotal);
+  EXPECT_EQ(snap.histograms.at("io.blocking_seconds").count,
+            static_cast<std::uint64_t>(kThreads) * kWritesPerThread);
 
   // Every write surfaced on the unified stream: the trace sink saw all
   // of them, and the model accumulated usable samples.

@@ -18,9 +18,9 @@
 
 #include "common/clock.h"
 #include "common/error.h"
+#include "common/stats.h"
 #include "common/units.h"
 #include "h5/file.h"
-#include "obs/metrics.h"
 #include "sched/fair_scheduler.h"
 #include "sched/io_request.h"
 #include "sched/report.h"
@@ -290,45 +290,51 @@ TEST(ScopedSubmissionTest, BindsNestsAndRestores) {
 }
 
 // ---------------------------------------------------------------------------
-// render_sched_report: the shared `sched:` block (apio_profile + tests).
+// render_sched_report: the shared `sched:` block (apio_profile + tests),
+// rendered from SchedStats alone.
 
 TEST(SchedReportTest, EmptyWhenNothingDispatched) {
-  obs::Registry::instance().reset();
-  EXPECT_TRUE(render_sched_report(obs::Registry::instance().snapshot()).empty());
+  EXPECT_TRUE(render_sched_report(SchedStats{}).empty());
 }
 
 TEST(SchedReportTest, RendersPerTenantWaitPercentiles) {
-  auto& registry = obs::Registry::instance();
-  registry.reset();
-  obs::set_enabled(true);
-  registry.counter("sched.dispatched").add(6);
-  registry.counter("sched.dispatched_bytes").add(1024);
-  registry.counter("sched.tenant.alpha.dispatched_bytes").add(768);
-  registry.counter("sched.tenant.beta.dispatched_bytes").add(256);
-  auto& wait = registry.histogram("sched.tenant.alpha.wait_seconds");
-  wait.record_seconds(1e-4);
-  wait.record_seconds(2e-3);
-  wait.record_seconds(5e-2);
-  const auto snap = registry.snapshot();
-  obs::set_enabled(false);
+  SchedStats stats;
+  stats.submitted_ops = 7;
+  stats.dispatched_ops = 6;
+  stats.dispatched_bytes = 1024;
+  TenantStats& alpha = stats.tenants["alpha"];
+  alpha.dispatched_bytes = 768;
+  alpha.priority_ops = 1;
+  alpha.max_queue_depth = 3;
+  alpha.wait_samples[static_cast<int>(Lane::kBulk)] = {1e-4, 5e-2};
+  alpha.wait_samples[static_cast<int>(Lane::kPriority)] = {2e-3};
+  stats.tenants["beta"].dispatched_bytes = 256;
 
-  const std::string report = render_sched_report(snap);
-  EXPECT_NE(report.find("dispatched 6 ops"), std::string::npos);
-  EXPECT_NE(report.find("tenant alpha"), std::string::npos);
-  EXPECT_NE(report.find("share  75.0%"), std::string::npos);
+  const std::string report = render_sched_report(stats);
+  EXPECT_NE(report.find("dispatched 6 ops / " + format_bytes(1024) +
+                        " (priority 1), submitted 7\n"),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("tenant alpha: " + format_bytes(768) +
+                        "  share  75.0%  max queue 3"),
+            std::string::npos)
+      << report;
 
-  // The full percentile spread renders from the wait histogram —
-  // exactly the values the snapshot itself reports.
-  const auto& h = snap.histograms.at("sched.tenant.alpha.wait_seconds");
+  // Exact percentiles over both lanes' samples, not histogram bucket
+  // bounds: the median of {0.1 ms, 2 ms, 50 ms} is 2 ms.
+  const std::vector<double> waits = {1e-4, 5e-2, 2e-3};
   const std::string spread = "wait p50/p95/p99 " +
-                             format_seconds(h.p50_seconds()) + "/" +
-                             format_seconds(h.p95_seconds()) + "/" +
-                             format_seconds(h.p99_seconds()) + " (n=3)";
+                             format_seconds(percentile(waits, 50.0)) + "/" +
+                             format_seconds(percentile(waits, 95.0)) + "/" +
+                             format_seconds(percentile(waits, 99.0)) + " (n=3)";
+  EXPECT_EQ(format_seconds(percentile(waits, 50.0)), format_seconds(2e-3));
   EXPECT_NE(report.find(spread), std::string::npos) << report;
 
-  // beta recorded no waits: its line renders bytes and share only.
-  EXPECT_NE(report.find("tenant beta"), std::string::npos);
-  EXPECT_NE(report.find("share  25.0%"), std::string::npos);
+  // beta recorded no waits: its line renders bytes, share and depth only.
+  EXPECT_NE(report.find("tenant beta: " + format_bytes(256) +
+                        "  share  25.0%  max queue 0\n"),
+            std::string::npos)
+      << report;
 }
 
 }  // namespace

@@ -294,7 +294,7 @@ TEST(CriticalPathTest, TenantPercentilesSplitByTenant) {
 TEST_F(TraceCollectorTest, PrometheusRenderingCoversRegistryAndWatermark) {
   obs::Registry::instance().reset();
   obs::set_enabled(true);
-  obs::Registry::instance().counter("io.writes").add(7);
+  obs::Registry::instance().counter("pmpi.barriers").add(7);
   const auto snapshot = obs::Registry::instance().snapshot();
   obs::set_enabled(false);
 
@@ -304,8 +304,8 @@ TEST_F(TraceCollectorTest, PrometheusRenderingCoversRegistryAndWatermark) {
 
   const std::string prom =
       obs::trace::to_prometheus(snapshot, c.watermark());
-  EXPECT_NE(prom.find("# TYPE apio_io_writes counter"), std::string::npos);
-  EXPECT_NE(prom.find("apio_io_writes 7"), std::string::npos);
+  EXPECT_NE(prom.find("# TYPE apio_pmpi_barriers counter"), std::string::npos);
+  EXPECT_NE(prom.find("apio_pmpi_barriers 7"), std::string::npos);
   EXPECT_NE(prom.find("apio_trace_completed 1"), std::string::npos);
 }
 

@@ -10,7 +10,8 @@
 //                [--chrome FILE]
 //       Re-executes the trace against a synthesized twin container on a
 //       throttled in-memory "PFS", with the metrics registry enabled:
-//       prints the registry summary, and with --chrome records every
+//       prints the registry summary and the counts of the layers that
+//       own them (see run vpic), and with --chrome records every
 //       request's spans and writes them as Chrome trace_event JSON (load
 //       it in chrome://tracing or Perfetto).  Dataset geometry is
 //       synthesized byte-addressed; op order, sizes and inter-op gaps are
@@ -21,14 +22,18 @@
 //                [--chrome FILE]
 //       Runs the VPIC-IO checkpoint kernel over in-process MPI ranks
 //       with metrics on (and every request traced for --chrome), then
-//       cross-checks the registry's byte counters against the
-//       connector's own AsyncStats and exits non-zero on disagreement.
+//       prints the registry's histograms and the facts it has no other
+//       owner for, and each count from its one owner: op counts and
+//       bytes from the record stream (a vol::TraceRecorder), staging
+//       and failures from AsyncStats, leaf bytes from the memory leaf's
+//       BackendStats, and the sched: block from SchedStats.
 //       Adaptive runs print how many writes the advisor routed each way.
 //       Async runs lay out rank and stream lanes in the Chrome
 //       timeline, sync runs rank lanes only.  --qos routes the PFS
 //       through a sched::FairScheduler admission gate and attributes the kernel
 //       to a "vpic" tenant; the report then includes a sched: block
-//       (per-tenant bytes/share, p50/p95/p99 submit->grant wait).
+//       (per-tenant bytes/share, queue-depth high-water mark, p50/p95/p99
+//       submit->grant wait).
 //
 //   apio_profile trace [--ranks N] [--particles N] [--steps N]
 //                [--pfs-mibps N] [--sample-rate N]
@@ -73,7 +78,6 @@
 #include "obs/critical_path.h"
 #include "obs/epoch_analyzer.h"
 #include "obs/metrics.h"
-#include "obs/metrics_observer.h"
 #include "obs/telemetry.h"
 #include "obs/trace_context.h"
 #include "sched/fair_scheduler.h"
@@ -122,14 +126,23 @@ std::string read_file(const char* path) {
   return buffer.str();
 }
 
-storage::BackendPtr make_pfs(double mibps,
-                             sched::FairSchedulerPtr scheduler = nullptr,
-                             const std::string& cache_mode = "") {
+/// The modelled PFS: a memory leaf under a throttle, optionally behind
+/// a FairScheduler admission gate and a burst-buffer cache.
+struct Pfs {
+  storage::BackendPtr top;
+  /// Its BackendStats are the run's one count of the bytes that
+  /// reached storage.
+  std::shared_ptr<storage::MemoryBackend> leaf;
+};
+
+Pfs make_pfs(double mibps, sched::FairSchedulerPtr scheduler = nullptr,
+             const std::string& cache_mode = "") {
   storage::ThrottleParams params;
   params.bandwidth = mibps * kMiB;
   params.latency = 2e-3;
   params.time_scale = 1.0;
-  auto stack = storage::BackendStack::memory().throttled(params);
+  auto leaf = std::make_shared<storage::MemoryBackend>();
+  auto stack = storage::BackendStack::wrap(leaf).throttled(params);
   if (scheduler != nullptr) stack.qos(scheduler);
   if (!cache_mode.empty()) {
     storage::CacheOptions options;
@@ -138,7 +151,7 @@ storage::BackendPtr make_pfs(double mibps,
         "unknown cache consistency mode '" + cache_mode + "'");
     stack.cached(options);
   }
-  return stack.build();
+  return {stack.build(), std::move(leaf)};
 }
 
 /// Turns the registry on and resets it, so one invocation's numbers
@@ -174,40 +187,18 @@ void write_chrome_trace(const std::string& path,
               traces.size(), path.c_str());
 }
 
-/// Resilience summary: how much of the run was spent surviving faults.
-/// Printed only when retries or failures actually happened, so fault-free
-/// profiles stay unchanged.
-void print_resilience_report(const obs::RegistrySnapshot& snap) {
-  const std::uint64_t retries = snap.counter_total("io.retries");
-  const std::uint64_t deadline = snap.counter_total("io.deadline_exhausted");
-  const std::uint64_t failed = snap.counter_total("vol.async.failed_ops");
-  if (retries + deadline + failed == 0) return;
-
-  std::printf("resilience:\n");
-  double backoff = 0.0;
-  auto it = snap.histograms.find("io.retry_backoff_seconds");
-  if (it != snap.histograms.end()) backoff = it->second.sum_seconds;
-  std::printf("  retries %llu (backoff %s)\n",
-              static_cast<unsigned long long>(retries),
-              format_seconds(backoff).c_str());
-  if (failed > 0) {
-    std::printf("  failed ops %llu (completed with an error)\n",
-                static_cast<unsigned long long>(failed));
-  }
-  if (deadline > 0) {
-    std::printf("  deadline-abandoned retries %llu\n",
-                static_cast<unsigned long long>(deadline));
-  }
-}
-
-/// Burst-buffer cache summary: hit/miss split, drain volume, failures,
-/// from the cache's own counters plus the dirty-bytes gauge's
-/// high-water mark.  Printed only when a CachedBackend was in the stack,
-/// so cacheless profiles stay unchanged.
+/// Burst-buffer cache summary: staged bytes, hit/miss split, drain
+/// volume, failures, from the cache's own counters plus the dirty-bytes
+/// gauge's high-water mark.  Printed only when a CachedBackend was in
+/// the stack, so cacheless profiles stay unchanged.
 void print_cache_report(const storage::CachedBackend& cache,
                         const obs::RegistrySnapshot& snap) {
   const auto c = cache.cache_snapshot();
+  const auto staged = cache.stats();
   std::printf("cache:\n");
+  std::printf("  staged %s in %llu writes\n",
+              format_bytes(staged.bytes_written).c_str(),
+              static_cast<unsigned long long>(staged.write_ops));
   const double lookups = static_cast<double>(c.hits + c.misses);
   std::printf("  hits %llu / misses %llu (%.1f%% hit rate, %s served "
               "from staging)\n",
@@ -242,15 +233,48 @@ void print_cache_report(const storage::CachedBackend& cache,
   }
 }
 
-/// `cache` is the stack's burst-buffer tier, or null when it has none.
-void print_observability_report(const storage::CachedBackend* cache = nullptr) {
+/// The registry summary, then each count from the layer that owns it.
+/// `async` is null for a sync run and `scheduler` without --qos.
+void print_observability_report(const vol::Trace& records, const Pfs& pfs,
+                                const vol::AsyncStats* async,
+                                const sched::FairScheduler* scheduler) {
   const auto snap = obs::Registry::instance().snapshot();
   std::fputs(snap.summary().c_str(), stdout);
-  print_resilience_report(snap);
-  if (cache != nullptr) print_cache_report(*cache, snap);
-  // Multi-tenant QoS summary (per-tenant bytes/share, wait percentile
-  // spread); empty for non-QoS profiles.
-  std::fputs(sched::render_sched_report(snap).c_str(), stdout);
+
+  // Indexed by IoOp: write, read, prefetch, flush.
+  unsigned long long ops[4] = {};
+  std::uint64_t bytes[4] = {};
+  for (const auto& e : records.events()) {
+    ++ops[static_cast<int>(e.kind)];
+    bytes[static_cast<int>(e.kind)] += e.bytes;
+  }
+  std::printf("records: %llu writes (%s), %llu reads (%s), %llu prefetches, "
+              "%llu flushes\n",
+              ops[0], format_bytes(bytes[0]).c_str(), ops[1],
+              format_bytes(bytes[1]).c_str(), ops[2], ops[3]);
+  if (async != nullptr) {
+    std::printf("vol.async: %llu writes / %s staged, %llu failed ops, "
+                "prefetch cache %llu hits / %llu misses\n",
+                static_cast<unsigned long long>(async->writes_enqueued),
+                format_bytes(async->bytes_staged).c_str(),
+                static_cast<unsigned long long>(async->failed_ops),
+                static_cast<unsigned long long>(async->cache_hits),
+                static_cast<unsigned long long>(async->cache_misses));
+  }
+  const auto leaf = pfs.leaf->stats();
+  std::printf("storage: leaf wrote %s in %llu ops, read %s in %llu ops\n",
+              format_bytes(leaf.bytes_written).c_str(),
+              static_cast<unsigned long long>(leaf.write_ops),
+              format_bytes(leaf.bytes_read).c_str(),
+              static_cast<unsigned long long>(leaf.read_ops));
+  // The cache, when there is one, is the outermost layer.
+  if (const auto* cache =
+          dynamic_cast<const storage::CachedBackend*>(pfs.top.get())) {
+    print_cache_report(*cache, snap);
+  }
+  if (scheduler != nullptr) {
+    std::fputs(sched::render_sched_report(scheduler->stats()).c_str(), stdout);
+  }
 }
 
 int cmd_report(const char* csv_path) {
@@ -286,7 +310,8 @@ int cmd_replay(const vol::Trace& trace, const std::string& mode, double mibps,
   std::map<std::string, std::uint64_t> extents;
   const vol::Trace replayable = byte_addressed(trace, extents);
 
-  auto file = h5::File::create(make_pfs(mibps));
+  const Pfs pfs = make_pfs(mibps);
+  auto file = h5::File::create(pfs.top);
   for (const auto& [path, extent] : extents) {
     const std::size_t slash = path.find_last_of('/');
     auto group = slash == std::string::npos
@@ -300,17 +325,21 @@ int cmd_replay(const vol::Trace& trace, const std::string& mode, double mibps,
   enable_observability();
   if (!chrome_path.empty()) start_tracing(1);
   std::shared_ptr<vol::Connector> connector;
+  std::shared_ptr<vol::AsyncConnector> async;
   if (mode == "async") {
-    connector = std::make_shared<vol::AsyncConnector>(file);
+    async = std::make_shared<vol::AsyncConnector>(file);
+    connector = async;
   } else {
     connector = std::make_shared<vol::NativeConnector>(file);
   }
-  auto metrics = std::make_shared<obs::MetricsObserver>();
-  connector->add_observer(metrics);
+  auto recorder = std::make_shared<vol::TraceRecorder>();
+  connector->add_observer(recorder);
 
   vol::ReplayOptions options;
   options.time_scale = 1.0;
   const auto result = replay_trace(replayable, *connector, options);
+  connector->wait_all();
+  const auto async_stats = async != nullptr ? async->stats() : vol::AsyncStats{};
   connector->close();
   obs::set_enabled(false);
   const auto traces = stop_tracing();
@@ -320,7 +349,8 @@ int cmd_replay(const vol::Trace& trace, const std::string& mode, double mibps,
               format_bytes(result.bytes_read).c_str(),
               format_seconds(result.total_seconds).c_str(),
               format_seconds(result.blocking_seconds).c_str());
-  print_observability_report();
+  print_observability_report(recorder->trace(), pfs,
+                             async != nullptr ? &async_stats : nullptr, nullptr);
   if (!chrome_path.empty()) write_chrome_trace(chrome_path, traces);
   return 0;
 }
@@ -339,16 +369,14 @@ int cmd_run_vpic(int ranks, std::uint64_t particles, int steps,
   if (!chrome_path.empty()) start_tracing(1);
   // --qos interposes a FairScheduler in front of the throttled PFS and
   // attributes the kernel's traffic to a "vpic" tenant, so the sched:
-  // block of the report (shares, waits) is populated.
+  // block of the report (shares, queue depths, waits) is populated.
   sched::FairSchedulerPtr scheduler;
   if (qos) {
     scheduler = std::make_shared<sched::FairScheduler>();
     scheduler->register_tenant("vpic", 1.0);
   }
-  const auto pfs = make_pfs(mibps, scheduler, cache_mode);
-  // The cache, when there is one, is the outermost layer.
-  const auto cache = std::dynamic_pointer_cast<storage::CachedBackend>(pfs);
-  auto file = h5::File::create(pfs);
+  const Pfs pfs = make_pfs(mibps, scheduler, cache_mode);
+  auto file = h5::File::create(pfs.top);
   std::shared_ptr<vol::Connector> connector;
   vol::AsyncConnector* async = nullptr;
   vol::AdaptiveConnector* adaptive = nullptr;
@@ -363,8 +391,8 @@ int cmd_run_vpic(int ranks, std::uint64_t particles, int steps,
     async = a.get();
     connector = std::move(a);
   }
-  auto metrics = std::make_shared<obs::MetricsObserver>();
-  connector->add_observer(metrics);
+  auto recorder = std::make_shared<vol::TraceRecorder>();
+  connector->add_observer(recorder);
 
   workloads::PhaseTimes result;
   pmpi::run(ranks, [&](pmpi::Communicator& comm) {
@@ -373,8 +401,10 @@ int cmd_run_vpic(int ranks, std::uint64_t particles, int steps,
     if (comm.rank() == 0) result = r;
   });
   connector->wait_all();
-  const auto snapshot_stats =
-      async != nullptr ? async->stats() : vol::AsyncStats{};
+  const auto async_stats = async != nullptr      ? async->stats()
+                           : adaptive != nullptr ? adaptive->async_stats()
+                                                 : vol::AsyncStats{};
+  const vol::Trace records = recorder->trace();
   connector->close();
   obs::set_enabled(false);
   const auto traces = stop_tracing();
@@ -394,33 +424,22 @@ int cmd_run_vpic(int ranks, std::uint64_t particles, int steps,
                     .c_str());
   }
   if (adaptive != nullptr) {
-    const auto routed = adaptive->adaptive_stats();
-    std::printf("adaptive: %llu sync / %llu async writes\n",
-                static_cast<unsigned long long>(routed.writes_sync),
-                static_cast<unsigned long long>(routed.writes_async));
-  }
-  print_observability_report(cache.get());
-  if (!chrome_path.empty()) write_chrome_trace(chrome_path, traces);
-
-  if (async != nullptr) {
-    // Cross-check: the registry's staging byte counter and the observer
-    // bridge must agree with the connector's own accounting.
-    const auto snap = obs::Registry::instance().snapshot();
-    const std::uint64_t staged = snap.counter_total("vol.async.bytes_staged");
-    const std::uint64_t observed = snap.counter_total("io.bytes_written");
-    if (staged != snapshot_stats.bytes_staged ||
-        observed != snapshot_stats.bytes_staged) {
-      std::fprintf(stderr,
-                   "apio_profile: counter mismatch: registry staged=%llu "
-                   "observer=%llu AsyncStats=%llu\n",
-                   static_cast<unsigned long long>(staged),
-                   static_cast<unsigned long long>(observed),
-                   static_cast<unsigned long long>(snapshot_stats.bytes_staged));
-      return 1;
+    // Each write took one route, so the sync route wrote what the async
+    // route did not stage.
+    std::uint64_t written = 0;
+    for (const auto& e : records.events()) {
+      if (e.kind == vol::IoOp::kWrite) written += e.bytes;
     }
-    std::printf("counters consistent: %s staged == AsyncStats.bytes_staged\n",
-                format_bytes(staged).c_str());
+    const auto routed = adaptive->adaptive_stats();
+    std::printf("adaptive: %llu sync / %llu async writes (%s sync)\n",
+                static_cast<unsigned long long>(routed.writes_sync),
+                static_cast<unsigned long long>(routed.writes_async),
+                format_bytes(written - async_stats.bytes_staged).c_str());
   }
+  print_observability_report(records, pfs,
+                             mode == "sync" ? nullptr : &async_stats,
+                             scheduler.get());
+  if (!chrome_path.empty()) write_chrome_trace(chrome_path, traces);
   return 0;
 }
 
@@ -444,10 +463,8 @@ int cmd_trace(int ranks, std::uint64_t particles, int steps, double mibps,
 
   auto scheduler = std::make_shared<sched::FairScheduler>();
   scheduler->register_tenant("vpic", 1.0);
-  auto file = h5::File::create(make_pfs(mibps, scheduler));
+  auto file = h5::File::create(make_pfs(mibps, scheduler).top);
   auto connector = std::make_shared<vol::AsyncConnector>(file);
-  auto metrics = std::make_shared<obs::MetricsObserver>();
-  connector->add_observer(metrics);
 
   obs::trace::TelemetryOptions telemetry;
   telemetry.interval_seconds = 0.2;
@@ -504,7 +521,7 @@ int run_analyze_scenario(const std::string& scenario, int ranks, int epochs,
                          double mibps, std::uint64_t bytes_per_rank,
                          double comp_factor, const std::string& chrome_path,
                          double max_drift_pct) {
-  auto file = h5::File::create(make_pfs(mibps));
+  auto file = h5::File::create(make_pfs(mibps).top);
   for (int r = 0; r < ranks; ++r) {
     file->root().create_dataset("rank" + std::to_string(r),
                                 h5::Datatype::kUInt8, {bytes_per_rank});
