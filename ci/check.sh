@@ -5,7 +5,8 @@
 #      concurrency-hygiene check, the apio_analyze static-analysis
 #      gate and the bench-smoke fixtures as test cases), plus 60 more
 #      seeds of the seeded model generators,
-#   2. apio_analyze over src/ + tools/ with the checked-in baseline,
+#   2. apio_analyze over the GCC dumps the build leaves for src/ +
+#      tools/ (target apio_analysis_dumps), with the checked-in baseline,
 #      archiving the machine-readable report to
 #      build/analysis-report.json (see DESIGN.md "Static analysis"),
 #   3. bench regression gate: the gated benches (the apio_figures
@@ -28,35 +29,13 @@
 #      installed — the GCC-only CI image does not ship it),
 #   7. ThreadSanitizer build + the `tsan`-labelled suite (the whole unit
 #      suite plus reduced-iteration stress tests; zero reports allowed),
-#   8. Address+UB-sanitizer build + the fault-matrix resilience suite:
-#      failed and retried ops below the async connector return staged
-#      buffers on the background stream, so they run under asan/ubsan
-#      explicitly, and so do the backend suites, for the posix sieve's
-#      bounce-buffer offset arithmetic, the handle-lifetime and
-#      path-index suites, for handles that outlive Group::remove and
-#      recycled buffers, and
-#      the cache and paged-memory suites, for drains that hand pinned
-#      staging pages to the inner tier while eviction frees pages, and
-#      the collective-write and two-phase suites, for the aggregators'
-#      piece slicing and extent bounds arithmetic, and the trace-recorder
-#      suite, for records the background stream hands an observer, and the
-#      advisor, adaptive-connector and feedback-loop suites, for the
-#      advisor that rank threads (epoch markers) and the background
-#      stream (records) call at once, and the allocation, eventual,
-#      pool and execution-stream suites, for ops that submitters push
-#      straight onto the stream's pool and the recycler's shared
-#      prefetch buffers, and the staging-budget-vs-prefetch-cache
-#      hammer, for a prefetch op that its cache entry, a racing read and
-#      the stream share, and the corruption, h5-fuzz and chunked suites,
-#      for the metadata parser's bounds on container bytes, and the
-#      breaker-rejection and two-fault trace cases, which run the
-#      resilient backend's retry loop under the async connector, and
-#      the vectored-dataset and trace suites, for the dataset planner's
-#      buffer-slice arithmetic and the trace CSV's number parser, and
-#      the posix-sequence, byte-ranges and hyperslab-generator suites,
-#      for the sieve's recorded-range interval set and the selection
-#      odometer's index arithmetic, and the fair-scheduler generator,
-#      for the admission queues' grant order.
+#   8. Address+UB-sanitizer build + the `asan`-labelled cases: each test
+#      suite names its asan cases where tests/CMakeLists.txt registers
+#      it (apio_add_test ... ASAN), for code that does buffer, offset or
+#      lifetime arithmetic across threads — staged buffers the
+#      background stream returns, the posix sieve, lent cache pages,
+#      aggregator slicing, the metadata parser, and the seeded
+#      generators that drive them.
 #
 # Usage: ci/check.sh [--skip-tsan]
 set -euo pipefail
@@ -83,7 +62,7 @@ build/tests/seeded_model_test --gtest_shuffle --gtest_random_seed=1 \
   --gtest_repeat=60 --gtest_brief=1
 
 echo "==> [2/8] static analysis (apio_analyze)"
-build/tools/apio_analyze . \
+build/tools/apio_analyze . build/tools/CMakeFiles/apio_analysis_dumps.dir \
   --baseline tools/analysis/baseline.json \
   --json build/analysis-report.json
 echo "    report archived at build/analysis-report.json"
@@ -167,10 +146,9 @@ else
   ctest --preset tsan -j "${JOBS}"
 fi
 
-echo "==> [8/8] asan-ubsan build + fault-matrix, async-connector, backend, handle-lifetime, path-index, cache, paged-memory, collective-write, two-phase, trace-recorder, adaptive-loop, request, close-race, staging-vs-prefetch-cache hammer, container-parsing, retry-loop, vectored-dataset, trace, posix-sequence, byte-ranges, hyperslab-generator, fair-scheduler-generator, workload run-loop and record-rank suites"
+echo "==> [8/8] asan-ubsan build + asan-labelled suite"
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "${JOBS}"
-ctest --preset asan-ubsan -j "${JOBS}" \
-  -R 'Resilience|FaultInjection|AsyncConnector|VectoredBackend|BackendContract|HandleLifetime|PathIndex|Cache|PagedMemory|CollectiveWrite|TwoPhase|TraceRecorder|ModeAdvisor|AdaptiveConnector|FeedbackLoop|Alloc|RequestTest|ConnectorCloseRace|StagingBudgetAndPrefetchCacheShareTraffic|Corruption|H5Fuzz|Chunked|BreakerRejected|SurvivingTwoFaults|VectoredDataset|TraceTest|PosixSequence|ByteRanges|HyperslabGenerator|FairSchedulerGenerator|WorkloadMarker|CheckpointApp|VpicDrain|NyxProxy|CastroProxy|EqsimProxy|RecordRanks'
+ctest --preset asan-ubsan -j "${JOBS}" -L asan
 
 echo "==> all checks passed"

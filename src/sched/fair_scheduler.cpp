@@ -137,7 +137,9 @@ void FairScheduler::wait(const TicketPtr& ticket) {
   if (ticket->granted()) return;
   State& s = *state_;
   std::unique_lock lock(s.mutex);
-  s.grant_cv.wait(lock, [&] { return ticket->granted(); });
+  // Deliberate: an execution stream waits here for its share of the
+  // channel, exactly as an application thread does.
+  s.grant_cv.wait(lock, [&] { return ticket->granted(); });  // apio-lint: allow(thread-context)
 }
 
 void FairScheduler::complete(const TicketPtr& ticket) {

@@ -54,13 +54,13 @@ class Backend {
   /// Reads exactly out.size() bytes at `offset`: read_v of one extent.
   virtual void read(std::uint64_t offset, std::span<std::byte> out) {
     const ReadExtent extent{offset, out};
-    (void)read_v({&extent, 1});
+    (void)read_v({&extent, 1});  // read_v moves every byte or throws
   }
 
   /// Writes data at `offset`: write_v of one extent.
   virtual void write(std::uint64_t offset, std::span<const std::byte> data) {
     const WriteExtent extent{offset, data};
-    (void)write_v({&extent, 1});
+    (void)write_v({&extent, 1});  // write_v moves every byte or throws
   }
 
   /// Vectored write: the extents must be sorted by offset and pairwise

@@ -267,7 +267,7 @@ void CachedBackend::fetch(const Runs& gaps, std::vector<std::byte>& buf) {
     }
     pos += ge - gb;
   }
-  if (!reads.empty()) (void)inner_->read_v(reads);
+  if (!reads.empty()) (void)inner_->read_v(reads);  // a short read throws
   misses_.fetch_add(1, std::memory_order_relaxed);
   miss_bytes_.fetch_add(fetched, std::memory_order_relaxed);
 }
@@ -286,7 +286,7 @@ void CachedBackend::stage_fetched_locked(const Runs& gaps,
     pos += ge - gb;
   }
   if (stage.empty()) return;
-  (void)staging_.write_v(stage);
+  (void)staging_.write_v(stage);  // the staging store writes in full or throws
   for (const auto& e : stage) valid_.add(e.offset, e.offset + e.data.size());
   update_gauges_locked();
 }

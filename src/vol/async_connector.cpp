@@ -183,7 +183,7 @@ RequestPtr AsyncConnector::submit(std::shared_ptr<AsyncOp> op,
     // observer attached, and a dataset removed while the op waits in the
     // FIFO has no path left to resolve.  path_of reads the path the node
     // captured at creation.
-    op->set_info(request_info(*file_, kind, ds, selection, bytes));
+    op->set_info(request_info(*file(), kind, ds, selection, bytes));
     // A prefetch reports at issue (prefetch()) and returns no request.
     if (kind != obs::IoOp::kPrefetch && emits_records()) {
       op->record = make_record(kind, bytes, /*async=*/true, t0, blocking, 0.0);
@@ -293,7 +293,7 @@ void AsyncConnector::execute_op(AsyncOp& op) {
       op.ds->read_raw(op.selection, *op.buffer);
       break;
     case obs::IoOp::kFlush:
-      file_->flush();
+      file()->flush();
       break;
   }
 }
@@ -409,7 +409,7 @@ RequestPtr AsyncConnector::dataset_read(h5::Dataset ds,
       observe(hit);
     }
     return Request::make_ready(
-        request_info(*file_, obs::IoOp::kRead, &ds, selection, out.size()));
+        request_info(*file(), obs::IoOp::kRead, &ds, selection, out.size()));
   }
 
   return submit(std::make_shared<AsyncOp>(obs::IoOp::kRead, out.size()), &ds,
@@ -556,7 +556,7 @@ void AsyncConnector::wait_all() {
 
 void AsyncConnector::close() {
   shutdown_machinery();
-  if (file_->is_open()) file_->close();
+  if (file()->is_open()) file()->close();
 }
 
 AsyncStats AsyncConnector::stats() const {

@@ -84,9 +84,6 @@ class Connector {
     APIO_REQUIRE(file_ != nullptr, "a connector requires an open file");
   }
 
-  /// The container, never null.
-  h5::FilePtr file_;
-
   /// Emission fast path: true when a record has a consumer, an observer
   /// or the registry (obs::enabled()); two relaxed loads otherwise.
   bool emits_records() const { return !observers_->empty() || obs::enabled(); }
@@ -126,7 +123,7 @@ class Connector {
     record.blocking_seconds = blocking_seconds;
     record.completion_seconds = completion_seconds;
     if (ds != nullptr && observers_want_detail()) {
-      record.dataset_path = file_->path_of(*ds);
+      record.dataset_path = file()->path_of(*ds);
       record.selection = selection_to_token(selection);
     }
     return record;
@@ -136,6 +133,8 @@ class Connector {
   /// Shares the router's chain with its two connectors.
   friend class AdaptiveConnector;
 
+  /// The container, never null.
+  h5::FilePtr file_;
   CompositeObserverPtr observers_ = std::make_shared<CompositeObserver>();
 };
 

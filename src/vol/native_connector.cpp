@@ -95,13 +95,13 @@ void NativeConnector::prefetch(h5::Dataset ds, const h5::Selection& selection) {
 
 RequestPtr NativeConnector::flush() {
   const double t0 = obs::steady_seconds();
-  file_->flush();
+  file()->flush();
   report(IoOp::kFlush, 0, t0);
   return completed_request();
 }
 
 void NativeConnector::close() {
-  if (file_->is_open()) file_->close();
+  if (file()->is_open()) file()->close();
 }
 
 }  // namespace apio::vol

@@ -66,7 +66,7 @@ class Request {
   void wait_ignore_error() const;
 
   /// Non-blocking completion probe.
-  bool test() const { return state_.load(std::memory_order_acquire) != kPending; }
+  [[nodiscard]] bool test() const { return state_.load(std::memory_order_acquire) != kPending; }
 
   bool failed() const { return error() != nullptr; }
 

@@ -1,13 +1,14 @@
 // apio_analyze — whole-repo call-graph static analyzer.
 //
 // Usage:
-//   apio_analyze <repo-root> [--dirs a,b,...] [--json FILE]
+//   apio_analyze <repo-root> <dump-dir> [--json FILE]
 //                [--baseline FILE] [--write-baseline FILE]
 //
-// Tokenizes every .h/.cpp under <repo-root>/src and <repo-root>/tools
-// (override with --dirs), extracts a heuristic call graph, and runs
-// three flow passes: lock-rank order, thread-context blocking, and
-// unchecked I/O outcomes (see DESIGN.md "Static analysis").
+// Reads the GCC dumps under <dump-dir> (the apio_analysis_dumps build
+// target: every src/ and tools/ translation unit), builds the call
+// graph GCC saw, and runs two flow passes over the code in
+// <repo-root>: lock-rank order and thread-context blocking (see
+// DESIGN.md "Static analysis").
 //
 // Exit codes: 0 clean (modulo waivers/baseline), 1 findings or stale
 // waivers, 2 usage/environment error.  --json writes a SARIF-lite
@@ -17,7 +18,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -29,19 +29,9 @@ namespace {
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " <repo-root> [--dirs a,b,...] [--json FILE]"
+            << " <repo-root> <dump-dir> [--json FILE]"
                " [--baseline FILE] [--write-baseline FILE]\n";
   return 2;
-}
-
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::string cur;
-  std::istringstream in(s);
-  while (std::getline(in, cur, ',')) {
-    if (!cur.empty()) out.push_back(cur);
-  }
-  return out;
 }
 
 }  // namespace
@@ -49,8 +39,7 @@ std::vector<std::string> split_csv(const std::string& s) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage(argv[0]);
 
-  fs::path root;
-  std::vector<std::string> dirs = {"src", "tools"};
+  fs::path root, dumps;
   std::string json_path, baseline_path, write_baseline_path;
 
   for (int i = 1; i < argc; ++i) {
@@ -60,11 +49,7 @@ int main(int argc, char** argv) {
       slot = argv[++i];
       return true;
     };
-    if (arg == "--dirs") {
-      std::string csv;
-      if (!next(csv)) return usage(argv[0]);
-      dirs = split_csv(csv);
-    } else if (arg == "--json") {
+    if (arg == "--json") {
       if (!next(json_path)) return usage(argv[0]);
     } else if (arg == "--baseline") {
       if (!next(baseline_path)) return usage(argv[0]);
@@ -74,11 +59,13 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     } else if (root.empty()) {
       root = arg;
+    } else if (dumps.empty()) {
+      dumps = arg;
     } else {
       return usage(argv[0]);
     }
   }
-  if (root.empty()) return usage(argv[0]);
+  if (dumps.empty()) return usage(argv[0]);
 
   std::error_code ec;
   root = fs::canonical(root, ec);
@@ -87,14 +74,9 @@ int main(int argc, char** argv) {
               << "\n";
     return 2;
   }
-  bool any_dir = false;
-  for (const auto& d : dirs) {
-    if (fs::exists(root / d)) any_dir = true;
-  }
-  if (!any_dir) {
-    std::cerr << "apio_analyze: none of the requested directories exist "
-                 "under "
-              << root << "\n";
+  if (!fs::is_directory(dumps)) {
+    std::cerr << "apio_analyze: no dump directory " << dumps
+              << " (build the apio_analysis_dumps target)\n";
     return 2;
   }
 
@@ -108,28 +90,22 @@ int main(int argc, char** argv) {
   }
 
   const apio::analysis::CodeModel model =
-      apio::analysis::build_model(root, dirs);
+      apio::analysis::load_model(root, dumps);
   const apio::analysis::Analysis result =
       apio::analysis::analyze(model, baseline);
 
   apio::analysis::print_text(result, result.clean() ? std::cout : std::cerr);
 
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out) {
-      std::cerr << "apio_analyze: cannot write " << json_path << "\n";
+  const std::pair<std::string, std::string> outputs[] = {
+      {json_path, apio::analysis::to_json(result)},
+      {write_baseline_path, apio::analysis::baseline_json(result)}};
+  for (const auto& [path, text] : outputs) {
+    if (path.empty()) continue;
+    std::ofstream out(path);
+    if (!(out << text)) {
+      std::cerr << "apio_analyze: cannot write " << path << "\n";
       return 2;
     }
-    out << apio::analysis::to_json(result);
-  }
-  if (!write_baseline_path.empty()) {
-    std::ofstream out(write_baseline_path);
-    if (!out) {
-      std::cerr << "apio_analyze: cannot write " << write_baseline_path
-                << "\n";
-      return 2;
-    }
-    out << apio::analysis::baseline_json(result);
   }
 
   return result.clean() ? 0 : 1;

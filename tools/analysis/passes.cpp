@@ -9,214 +9,118 @@
 namespace apio::analysis {
 namespace {
 
-bool is_sleep_name(const std::string& s) {
-  return s == "sleep_for" || s == "sleep_until" || s == "usleep" ||
-         s == "nanosleep" || s == "join";
-}
-
-bool is_cv_wait_name(const std::string& s) {
-  return s == "wait" || s == "wait_for" || s == "wait_until";
-}
-
-/// Results a caller must not silently drop (mirrors the [[nodiscard]]
-/// annotations on the real APIs; the pass also covers code paths built
-/// before the attribute existed).
-bool is_must_check_name(const std::string& s) {
-  static const std::set<std::string> kSet = {
-      "write_v", "read_v", "errors", "num_errors", "error_messages", "test"};
-  return kSet.count(s) > 0;
-}
-
 struct PassContext {
   const CodeModel& model;
-  /// call_targets[f][c] = resolved callee indices of functions[f].calls[c].
-  std::vector<std::vector<std::vector<std::size_t>>> call_targets;
   /// may_acquire[f] = ranks function f may acquire, transitively.
-  std::vector<std::set<std::string>> may_acquire;
+  std::vector<std::set<int>> may_acquire;
 
-  explicit PassContext(const CodeModel& m) : model(m) {
-    const std::size_t count = m.functions.size();
-    call_targets.resize(count);
-    may_acquire.resize(count);
-    for (std::size_t f = 0; f < count; ++f) {
-      const Function& fn = m.functions[f];
-      call_targets[f].reserve(fn.calls.size());
-      for (const CallSite& call : fn.calls) {
-        call_targets[f].push_back(m.resolve(call, fn.cls));
-      }
-      for (const AcquireSite& a : fn.acquires) {
-        may_acquire[f].insert(a.rank);
+  explicit PassContext(const CodeModel& m) : model(m), may_acquire(m.functions.size()) {
+    // Each acquisition flows to every caller, over the reversed graph.
+    std::vector<std::vector<std::size_t>> callers(m.functions.size());
+    std::vector<std::pair<std::size_t, int>> work;
+    for (std::size_t f = 0; f < m.functions.size(); ++f) {
+      for (const Call& c : m.functions[f].calls) callers[c.callee].push_back(f);
+      for (const Acquire& a : m.functions[f].acquires) {
+        if (may_acquire[f].insert(a.rank).second) work.push_back({f, a.rank});
       }
     }
-    // Fixpoint: propagate callee acquisitions to callers.
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (std::size_t f = 0; f < count; ++f) {
-        for (const auto& targets : call_targets[f]) {
-          for (const std::size_t g : targets) {
-            for (const std::string& r : may_acquire[g]) {
-              if (may_acquire[f].insert(r).second) changed = true;
-            }
-          }
-        }
+    while (!work.empty()) {
+      const auto [f, r] = work.back();
+      work.pop_back();
+      for (const std::size_t g : callers[f]) {
+        if (may_acquire[g].insert(r).second) work.push_back({g, r});
       }
     }
   }
 
-  /// BFS parent chains from `start`; parents[g] = (parent fn, call line).
-  std::map<std::size_t, std::pair<std::size_t, int>> reach(
+  /// BFS parents from `start`: parents[g] = (caller, index of its call).
+  std::map<std::size_t, std::pair<std::size_t, std::size_t>> reach(
       std::size_t start) const {
-    std::map<std::size_t, std::pair<std::size_t, int>> parents;
+    std::map<std::size_t, std::pair<std::size_t, std::size_t>> parents;
     std::deque<std::size_t> work{start};
     std::set<std::size_t> seen{start};
     while (!work.empty()) {
       const std::size_t f = work.front();
       work.pop_front();
-      const Function& fn = model.functions[f];
-      for (std::size_t c = 0; c < fn.calls.size(); ++c) {
-        for (const std::size_t g : call_targets[f][c]) {
-          if (!seen.insert(g).second) continue;
-          parents[g] = {f, fn.calls[c].line};
-          work.push_back(g);
-        }
+      const auto& calls = model.functions[f].calls;
+      for (std::size_t c = 0; c < calls.size(); ++c) {
+        if (!seen.insert(calls[c].callee).second) continue;
+        parents[calls[c].callee] = {f, c};
+        work.push_back(calls[c].callee);
       }
     }
     return parents;
   }
 
-  /// Witness chain root -> ... -> g using `parents` from reach(root).
+  /// Witness chain root -> ... -> g (parents from reach(root)), ending
+  /// at `last` in g.
   std::vector<WitnessStep> chain(
       std::size_t root, std::size_t g,
-      const std::map<std::size_t, std::pair<std::size_t, int>>& parents) const {
-    std::vector<std::size_t> order{g};
-    std::vector<int> lines{0};
-    std::size_t cur = g;
-    while (cur != root) {
+      const std::map<std::size_t, std::pair<std::size_t, std::size_t>>& parents,
+      const Site& last, const std::string& note) const {
+    std::vector<WitnessStep> steps{{model.functions[g].name, last.file, last.line, note}};
+    for (std::size_t cur = g; cur != root && steps.size() <= 64;) {
       auto it = parents.find(cur);
       if (it == parents.end()) break;
-      lines.push_back(it->second.second);
-      cur = it->second.first;
-      order.push_back(cur);
-      if (order.size() > 64) break;  // cycle guard
+      const auto [f, c] = it->second;
+      const Call& call = model.functions[f].calls[c];
+      steps.push_back({model.functions[f].name, call.file, call.line,
+                       "calls " + model.functions[cur].short_name()});
+      cur = f;
     }
-    std::reverse(order.begin(), order.end());
-    std::reverse(lines.begin(), lines.end());
-    std::vector<WitnessStep> steps;
-    for (std::size_t k = 0; k < order.size(); ++k) {
-      const Function& fn = model.functions[order[k]];
-      WitnessStep step;
-      step.function = fn.qualified;
-      step.file = fn.file;
-      // lines[k] is where order[k] calls order[k+1] (lines was built
-      // innermost-first and reversed alongside order).
-      step.line = k + 1 < order.size() ? lines[k] : fn.line;
-      step.note = k + 1 < order.size()
-                      ? "calls " + model.functions[order[k + 1]].name
-                      : "";
-      steps.push_back(std::move(step));
-    }
+    std::reverse(steps.begin(), steps.end());
     return steps;
   }
 };
 
-std::string rank_label(const CodeModel& m, const std::string& rank) {
-  const int v = m.ranks.rank_of(rank);
-  return rank + " (rank " + std::to_string(v) + ")";
-}
-
 void pass_lock_rank(const PassContext& ctx, std::vector<Finding>& out) {
   const CodeModel& m = ctx.model;
   std::set<std::string> seen;
-  for (std::size_t f = 0; f < m.functions.size(); ++f) {
-    const Function& fn = m.functions[f];
+  for (const Function& fn : m.functions) {
     // Direct: an acquire site with an equal-or-higher rank already held.
-    for (const AcquireSite& a : fn.acquires) {
-      const int av = m.ranks.rank_of(a.rank);
-      if (av < 0) continue;
-      for (const std::string& h : a.held_before) {
-        const int hv = m.ranks.rank_of(h);
-        if (hv < 0 || hv < av) continue;
-        Finding fd;
-        fd.rule = kRuleLockRank;
-        fd.file = fn.file;
-        fd.line = a.line;
-        fd.function = fn.qualified;
-        fd.message = (h == a.rank ? "may re-acquire " : "acquires ") +
-                     rank_label(m, a.rank) + " while holding " +
-                     rank_label(m, h) +
-                     "; the declared order requires strictly increasing ranks";
-        fd.key = std::string(kRuleLockRank) + "|" + fn.qualified + "|" + h +
-                 ">" + a.rank + "|direct";
-        fd.witness.push_back(
-            {fn.qualified, fn.file, a.line, "acquires " + a.rank});
+    for (const Acquire& a : fn.acquires) {
+      for (const int h : a.held_before) {
+        if (h < a.rank) continue;
+        Finding fd{kRuleLockRank, a.file, a.line, fn.name,
+                   (h == a.rank ? "may re-acquire " : "acquires ") + m.rank_label(a.rank) +
+                       " while holding " + m.rank_label(h) +
+                       "; the declared order requires strictly increasing ranks",
+                   std::string(kRuleLockRank) + "|" + fn.name + "|" + m.rank_name(h) + ">" +
+                       m.rank_name(a.rank) + "|direct",
+                   {{fn.name, a.file, a.line, "acquires " + m.rank_name(a.rank)}}};
         if (seen.insert(fd.key).second) out.push_back(std::move(fd));
       }
     }
     // Transitive: a callee may acquire a rank <= one held at the call.
-    for (std::size_t c = 0; c < fn.calls.size(); ++c) {
-      const CallSite& call = fn.calls[c];
-      if (call.held.empty()) continue;
-      for (const std::size_t g : ctx.call_targets[f][c]) {
-        for (const std::string& r : ctx.may_acquire[g]) {
-          const int rv = m.ranks.rank_of(r);
-          if (rv < 0) continue;
-          for (const std::string& h : call.held) {
-            const int hv = m.ranks.rank_of(h);
-            if (hv < 0 || hv < rv) continue;
-            const Function& callee = m.functions[g];
-            Finding fd;
-            fd.rule = kRuleLockRank;
-            fd.file = fn.file;
-            fd.line = call.line;
-            fd.function = fn.qualified;
-            fd.message = "call to " + callee.qualified + " may acquire " +
-                         rank_label(m, r) + " while " + rank_label(m, h) +
-                         " is held";
-            fd.key = std::string(kRuleLockRank) + "|" + fn.qualified + "|" +
-                     h + ">" + r + "|" + callee.qualified;
-            if (!seen.insert(fd.key).second) continue;
-            // Witness: this call site, then the path inside the callee
-            // down to a function that directly acquires r.
-            fd.witness.push_back({fn.qualified, fn.file, call.line,
-                                  "calls " + callee.name + " holding " + h});
-            const auto parents = ctx.reach(g);
-            std::size_t target = g;
-            bool found = false;
-            auto acquires_r = [&](std::size_t idx) {
-              for (const AcquireSite& a : m.functions[idx].acquires) {
-                if (a.rank == r) return true;
-              }
-              return false;
-            };
-            if (acquires_r(g)) {
-              found = true;
-            } else {
-              for (const auto& [idx, _] : parents) {
-                if (acquires_r(idx)) {
-                  target = idx;
-                  found = true;
-                  break;
-                }
-              }
+    for (const Call& call : fn.calls) {
+      const Function& callee = m.functions[call.callee];
+      for (const int r : ctx.may_acquire[call.callee]) {
+        for (const int h : call.held) {
+          if (h < r) continue;
+          const std::string rn = m.rank_name(r), hn = m.rank_name(h);
+          Finding fd{kRuleLockRank, call.file, call.line, fn.name,
+                     "call to " + callee.name + " may acquire " + m.rank_label(r) +
+                         " while " + m.rank_label(h) + " is held",
+                     std::string(kRuleLockRank) + "|" + fn.name + "|" + hn + ">" + rn + "|" +
+                         callee.name,
+                     {{fn.name, call.file, call.line,
+                       "calls " + callee.short_name() + " holding " + hn}}};
+          if (!seen.insert(fd.key).second) continue;
+          // Witness: this call site, then the path inside the callee
+          // down to a function that directly acquires r.
+          auto parents = ctx.reach(call.callee);
+          parents[call.callee] = {};
+          for (const auto& [g, _] : parents) {
+            const auto& acq = m.functions[g].acquires;
+            auto a = std::find_if(acq.begin(), acq.end(),
+                                  [&](const Acquire& x) { return x.rank == r; });
+            if (a == acq.end()) continue;
+            for (auto& step : ctx.chain(call.callee, g, parents, *a, "acquires " + rn)) {
+              fd.witness.push_back(std::move(step));
             }
-            if (found) {
-              auto steps = ctx.chain(g, target, parents);
-              for (auto& s : steps) {
-                if (s.note.empty()) {
-                  for (const AcquireSite& a : m.functions[target].acquires) {
-                    if (a.rank == r) {
-                      s.line = a.line;
-                      break;
-                    }
-                  }
-                  s.note = "acquires " + r;
-                }
-                fd.witness.push_back(std::move(s));
-              }
-            }
-            out.push_back(std::move(fd));
+            break;
           }
+          out.push_back(std::move(fd));
         }
       }
     }
@@ -227,84 +131,33 @@ void pass_thread_context(const PassContext& ctx, std::vector<Finding>& out) {
   const CodeModel& m = ctx.model;
   std::set<std::string> seen;
   for (std::size_t root = 0; root < m.functions.size(); ++root) {
-    if (!m.functions[root].asserts_stream) continue;
-    const Function& rfn = m.functions[root];
+    if (m.functions[root].stream_asserts.empty()) continue;
+    const std::string& rname = m.functions[root].name;
     const auto parents = ctx.reach(root);
+    auto report = [&](std::size_t g, const Site& site, const std::string& what,
+                      const std::string& message, const std::string& note) {
+      const Function& fn = m.functions[g];
+      Finding fd{kRuleThreadContext, site.file, site.line, fn.name, message,
+                 std::string(kRuleThreadContext) + "|" + rname + "|" + fn.name + "|" + what,
+                 ctx.chain(root, g, parents, site, note)};
+      if (seen.insert(fd.key).second) out.push_back(std::move(fd));
+    };
     auto visit = [&](std::size_t g) {
       const Function& fn = m.functions[g];
-      if (g != root && fn.asserts_rank) {
-        Finding fd;
-        fd.rule = kRuleThreadContext;
-        fd.file = fn.file;
-        fd.line = fn.assert_rank_line;
-        fd.function = fn.qualified;
-        fd.message = fn.qualified +
-                     " asserts rank context but is reachable from stream "
-                     "context " +
-                     rfn.qualified;
-        fd.key = std::string(kRuleThreadContext) + "|" + rfn.qualified + "|" +
-                 fn.qualified + "|rank-context";
-        if (seen.insert(fd.key).second) {
-          fd.witness = ctx.chain(root, g, parents);
-          if (!fd.witness.empty()) {
-            fd.witness.back().line = fn.assert_rank_line;
-            fd.witness.back().note = "asserts rank context";
-          }
-          out.push_back(std::move(fd));
-        }
+      for (const Site& s : fn.rank_asserts) {
+        if (g == root) continue;
+        report(g, s, "rank-context",
+               fn.name + " asserts rank context but is reachable from stream context " + rname,
+               "asserts rank context");
       }
-      for (const CallSite& call : fn.calls) {
-        const bool sleeps = is_sleep_name(call.name);
-        const bool cv_wait = is_cv_wait_name(call.name) &&
-                             !call.receiver.empty() &&
-                             m.cv_names.count(call.receiver) > 0;
-        if (!sleeps && !cv_wait) continue;
-        Finding fd;
-        fd.rule = kRuleThreadContext;
-        fd.file = fn.file;
-        fd.line = call.line;
-        fd.function = fn.qualified;
-        fd.message = "blocking " + call.name +
-                     (cv_wait ? " on " + call.receiver : "") +
-                     " reachable from stream context " + rfn.qualified;
-        fd.key = std::string(kRuleThreadContext) + "|" + rfn.qualified + "|" +
-                 fn.qualified + "|" + call.name;
-        if (!seen.insert(fd.key).second) continue;
-        fd.witness = ctx.chain(root, g, parents);
-        if (!fd.witness.empty()) {
-          fd.witness.back().line = call.line;
-          fd.witness.back().note = "blocks in " + call.name;
-        }
-        out.push_back(std::move(fd));
+      for (const Block& b : fn.blocks) {
+        report(g, b, b.primitive,
+               "blocking " + b.primitive + " reachable from stream context " + rname,
+               "blocks in " + b.primitive);
       }
     };
     visit(root);
     for (const auto& [g, _] : parents) visit(g);
-  }
-}
-
-void pass_unchecked_outcome(const PassContext& ctx, std::vector<Finding>& out) {
-  const CodeModel& m = ctx.model;
-  std::map<std::string, int> ordinal;
-  for (const Function& fn : m.functions) {
-    for (const CallSite& call : fn.calls) {
-      if (!call.stmt_discard || !is_must_check_name(call.name)) continue;
-      Finding fd;
-      fd.rule = kRuleUncheckedOutcome;
-      fd.file = fn.file;
-      fd.line = call.line;
-      fd.function = fn.qualified;
-      fd.message = "result of " + call.name +
-                   "() is discarded; check it, or waive with a comment";
-      std::string key = std::string(kRuleUncheckedOutcome) + "|" +
-                        fn.qualified + "|" + call.name;
-      const int count = ordinal[key]++;
-      if (count > 0) key += "|#" + std::to_string(count + 1);
-      fd.key = std::move(key);
-      fd.witness.push_back({fn.qualified, fn.file, call.line,
-                            "discards result of " + call.name});
-      out.push_back(std::move(fd));
-    }
   }
 }
 
@@ -355,7 +208,6 @@ Analysis analyze(const CodeModel& model, const std::set<std::string>& baseline) 
   std::vector<Finding> raw;
   pass_lock_rank(ctx, raw);
   pass_thread_context(ctx, raw);
-  pass_unchecked_outcome(ctx, raw);
 
   Analysis result;
   // (file, line, rule) of waivers that suppressed something.
@@ -375,8 +227,7 @@ Analysis analyze(const CodeModel& model, const std::set<std::string>& baseline) 
   }
 
   // Waivers naming our rules that suppressed nothing are stale.
-  static const char* kRules[] = {kRuleLockRank, kRuleThreadContext,
-                                 kRuleUncheckedOutcome};
+  static const char* kRules[] = {kRuleLockRank, kRuleThreadContext};
   for (const SourceFile& sf : model.files) {
     for (std::size_t li = 0; li < sf.raw.size(); ++li) {
       for (const char* rule : kRules) {
@@ -469,43 +320,23 @@ std::string baseline_json(const Analysis& analysis) {
 bool read_baseline(const std::filesystem::path& path,
                    std::set<std::string>& keys, std::string& err) {
   std::ifstream in(path);
-  if (!in) {
-    err = "cannot open " + path.string();
-    return false;
-  }
   std::ostringstream buf;
   buf << in.rdbuf();
   const std::string text = buf.str();
   const std::size_t anchor = text.find("\"findings\"");
-  if (anchor == std::string::npos) {
-    err = "no \"findings\" array in " + path.string();
-    return false;
-  }
   const std::size_t open = text.find('[', anchor);
-  if (open == std::string::npos) {
-    err = "malformed baseline " + path.string();
-    return false;
+  err = !in ? "cannot open " + path.string()
+            : anchor == std::string::npos || open == std::string::npos
+                ? "no \"findings\" array in " + path.string()
+                : "";
+  for (std::size_t i = open + 1; err.empty() && i < text.size() && text[i] != ']'; ++i) {
+    if (text[i] != '"') continue;
+    std::string key;
+    while (++i < text.size() && text[i] != '"') key += text[i] == '\\' ? text[++i] : text[i];
+    if (i >= text.size()) err = "unterminated string in " + path.string();
+    keys.insert(key);
   }
-  std::size_t i = open + 1;
-  while (i < text.size() && text[i] != ']') {
-    if (text[i] == '"') {
-      std::string cur;
-      ++i;
-      while (i < text.size() && text[i] != '"') {
-        if (text[i] == '\\' && i + 1 < text.size()) ++i;
-        cur += text[i++];
-      }
-      if (i >= text.size()) {
-        err = "unterminated string in " + path.string();
-        return false;
-      }
-      ++i;  // closing quote
-      keys.insert(cur);
-    } else {
-      ++i;
-    }
-  }
-  return true;
+  return err.empty();
 }
 
 }  // namespace apio::analysis

@@ -1,18 +1,18 @@
-// apio_analyze's flow passes over the extracted CodeModel, plus the
-// reporting/waiver/baseline machinery shared by the CLI and the tests.
+// apio_analyze's flow passes over the CodeModel read from GCC's dumps,
+// plus the reporting/waiver/baseline machinery shared by the CLI and
+// the tests.
 //
-//   lock-rank          a call path may acquire LockRanks out of the
-//                      global order in src/common/debug/lock_rank.h
-//                      (direct re-acquisition/inversion at an acquire
-//                      site, or transitively through callees while a
-//                      rank is held)
-//   thread-context     a blocking primitive (sleep, condition-variable
-//                      wait) or a rank-thread-only function
-//                      (APIO_ASSERT_ON_RANK) is reachable from a
-//                      stream-context root (APIO_ASSERT_ON_STREAM)
-//   unchecked-outcome  a statement discards the result of an I/O
-//                      outcome API (write_v/read_v byte counts,
-//                      EventSet test() and error accessors)
+//   lock-rank       a call path may acquire LockRanks out of the global
+//                   order in src/common/debug/lock_rank.h (direct
+//                   re-acquisition/inversion at an acquire site, or
+//                   transitively through callees while a rank is held)
+//   thread-context  a blocking primitive (sleep, join, condition-variable
+//                   or atomic wait) or a rank-thread-only function
+//                   (APIO_ASSERT_ON_RANK) is reachable from a
+//                   stream-context root (APIO_ASSERT_ON_STREAM)
+//
+// A discarded I/O outcome is the compiler's to catch: the outcome APIs
+// are [[nodiscard]] and every build has -Werror=unused-result.
 //
 // Findings carry a call-chain witness and a stable key (no line
 // numbers) so baselines survive unrelated edits.  A finding is
@@ -24,13 +24,12 @@
 #include <iosfwd>
 #include <set>
 
-#include "analysis/call_graph.h"
+#include "analysis/gcc_model.h"
 
 namespace apio::analysis {
 
 inline constexpr const char* kRuleLockRank = "lock-rank";
 inline constexpr const char* kRuleThreadContext = "thread-context";
-inline constexpr const char* kRuleUncheckedOutcome = "unchecked-outcome";
 
 /// One hop of a finding's call-chain witness.
 struct WitnessStep {
@@ -65,7 +64,7 @@ struct Analysis {
   bool clean() const { return findings.empty() && stale_waivers.empty(); }
 };
 
-/// Runs all three passes.  `baseline` holds finding keys frozen by
+/// Runs both passes.  `baseline` holds finding keys frozen by
 /// --baseline (empty set = everything is active).
 Analysis analyze(const CodeModel& model, const std::set<std::string>& baseline);
 

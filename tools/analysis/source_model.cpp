@@ -170,68 +170,4 @@ std::vector<fs::path> collect_sources(const fs::path& root,
   return files;
 }
 
-std::vector<Token> tokenize(const SourceFile& file) {
-  std::vector<Token> toks;
-  bool in_directive = false;
-  for (std::size_t li = 0; li < file.code.size(); ++li) {
-    const std::string& raw = li < file.raw.size() ? file.raw[li] : file.code[li];
-    const int lineno = static_cast<int>(li) + 1;
-
-    // Preprocessor lines (and their continuations) contribute nothing.
-    const std::size_t first = raw.find_first_not_of(" \t");
-    const bool continues = !raw.empty() && raw.back() == '\\';
-    if (in_directive) {
-      in_directive = continues;
-      continue;
-    }
-    if (first != std::string::npos && raw[first] == '#') {
-      in_directive = continues;
-      continue;
-    }
-
-    const std::string& code = file.code[li];
-    std::size_t i = 0;
-    while (i < code.size()) {
-      const char c = code[i];
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        ++i;
-        continue;
-      }
-      if (is_ident_char(c) && !(c >= '0' && c <= '9')) {
-        std::size_t j = i + 1;
-        while (j < code.size() && is_ident_char(code[j])) ++j;
-        toks.push_back({Token::Kind::kIdent, code.substr(i, j - i), lineno});
-        i = j;
-        continue;
-      }
-      if (c >= '0' && c <= '9') {
-        std::size_t j = i + 1;
-        while (j < code.size() &&
-               (is_ident_char(code[j]) || code[j] == '.' ||
-                ((code[j] == '+' || code[j] == '-') &&
-                 (code[j - 1] == 'e' || code[j - 1] == 'E' ||
-                  code[j - 1] == 'p' || code[j - 1] == 'P')))) {
-          ++j;
-        }
-        toks.push_back({Token::Kind::kNumber, code.substr(i, j - i), lineno});
-        i = j;
-        continue;
-      }
-      if (c == ':' && i + 1 < code.size() && code[i + 1] == ':') {
-        toks.push_back({Token::Kind::kPunct, "::", lineno});
-        i += 2;
-        continue;
-      }
-      if (c == '-' && i + 1 < code.size() && code[i + 1] == '>') {
-        toks.push_back({Token::Kind::kPunct, "->", lineno});
-        i += 2;
-        continue;
-      }
-      toks.push_back({Token::Kind::kPunct, std::string(1, c), lineno});
-      ++i;
-    }
-  }
-  return toks;
-}
-
 }  // namespace apio::analysis

@@ -1,17 +1,10 @@
-// Shared source model for apio's dependency-free static tools.
+// Shared source model for apio's static tools.
 //
-// Both `apio_lint` (token/line-level hygiene rules) and `apio_analyze`
-// (whole-repo call-graph flow passes) read the same C++ sources with
-// the same heuristics: comment- and string-aware stripping, identifier
-// token matching, and the common `// apio-lint: allow(<rule>)` waiver
-// syntax.  Keeping that logic in one library means the two tools cannot
-// drift — a waiver accepted by one is recognised by the other, and a
-// construct skipped as a comment by one is never misread as code by the
-// other.
-//
-// Deliberately dependency-free (no libclang): the model is heuristic
-// and documents its limits (see DESIGN.md "Static analysis"), but it
-// builds in every configuration, including sanitizer presets.
+// `apio_lint` (token/line-level hygiene rules) reads C++ sources with
+// comment- and string-aware stripping and identifier token matching;
+// `apio_analyze` (flow passes over GCC's dumps) reads the same files for
+// waivers.  Both use the one `// apio-lint: allow(<rule>)` syntax, so a
+// waiver accepted by one is recognised by the other.
 #pragma once
 
 #include <filesystem>
@@ -43,9 +36,8 @@ struct StripState {
 
 /// Strips // and /* */ comments and the *contents* of string and
 /// character literals (the delimiting quotes are kept so the token
-/// stream stays balanced).  Preprocessor lines are passed through;
-/// tokenize() is responsible for skipping them.  Digit separators
-/// (1'000) are not mistaken for character literals.
+/// stream stays balanced).  Preprocessor lines are passed through.
+/// Digit separators (1'000) are not mistaken for character literals.
 std::string strip_noncode(const std::string& line, StripState& state);
 
 /// One loaded source file: raw lines (for waivers and preprocessor
@@ -71,25 +63,5 @@ bool load_source(const std::filesystem::path& root,
 /// deterministic reports.  Missing dirs are skipped.
 std::vector<std::filesystem::path> collect_sources(
     const std::filesystem::path& root, const std::vector<std::string>& dirs);
-
-/// A lexical token of the stripped source.
-struct Token {
-  enum class Kind { kIdent, kNumber, kPunct };
-  Kind kind = Kind::kPunct;
-  std::string text;
-  int line = 0;  ///< 1-based source line
-
-  bool is_ident() const { return kind == Kind::kIdent; }
-  bool is(std::string_view s) const { return text == s; }
-};
-
-/// Tokenizes the stripped code of `file`.  Preprocessor directives
-/// (lines whose first non-blank character is '#', plus their backslash
-/// continuations) are skipped entirely, so macro *definitions* never
-/// contribute tokens — macro *uses* in ordinary code do.  Multi-char
-/// punctuators are folded only where scanning needs them ("::", "->");
-/// everything else is emitted one character at a time, which keeps
-/// template brackets unambiguous (">>" is two closes).
-std::vector<Token> tokenize(const SourceFile& file);
 
 }  // namespace apio::analysis

@@ -67,6 +67,17 @@
 //                 instead of propagating one) is flagged.  The
 //                 collective writer's deliberate cross-rank context
 //                 reconstruction carries per-line waivers.
+//   discard-reason  an I/O outcome (write_v/read_v byte counts, EventSet
+//                 errors/num_errors/error_messages, Request::test) is
+//                 [[nodiscard]] and every build has
+//                 -Werror=unused-result, so dropping one takes a (void)
+//                 cast; that cast needs its reason in a comment on the
+//                 line or the line above.  GCC 12 drops [[nodiscard]]
+//                 on calls through a virtual, so under src/ a statement
+//                 that is only a recv->write_v(...) or recv.read_v(...)
+//                 call is rejected here too (tests have helpers of those
+//                 names).  A discard inside EXPECT_THROW / ASSERT_THROW
+//                 states its reason already.
 //
 // Any other rule can be waived for one line with a trailing comment:
 //   // apio-lint: allow(<rule>)
@@ -82,6 +93,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/source_model.h"
@@ -106,6 +118,36 @@ std::vector<Violation> g_violations;
 void report(const std::string& file, std::size_t line, std::string rule,
             std::string message) {
   g_violations.push_back({file, line, std::move(rule), std::move(message)});
+}
+
+/// True when `code` (one stripped line) discards an I/O outcome: a
+/// (void) cast of a must-check call, or (with `bare`) a statement that
+/// is nothing but a receiver's write_v/read_v call.
+bool discards_outcome(const std::string& code, bool bare) {
+  const std::size_t start = code.find_first_not_of(" \t");
+  if (start == std::string::npos) return false;
+  const std::size_t cast = code.find("(void)");
+  if (cast != std::string::npos) {
+    for (const char* name : {"write_v", "read_v", "errors", "num_errors",
+                             "error_messages", "test"}) {
+      const std::string tail = code.substr(cast);
+      if (has_token(tail, name) && contains(tail, std::string(name) + "(")) return true;
+    }
+  }
+  for (const char* name : {"write_v(", "read_v("}) {
+    const std::size_t at = bare ? code.find(name, start) : std::string::npos;
+    if (at == std::string::npos) continue;
+    // The receiver is a chain like `inner_->`, `leaf.` or `file()->`.
+    std::string recv = code.substr(start, at - start);
+    for (std::size_t p; (p = recv.find("()")) != std::string::npos;) recv.erase(p, 2);
+    const bool chain = recv.find_first_not_of(
+                           "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                           "0123456789_:.->[]*") == std::string::npos;
+    if (chain && (recv.empty() || recv.ends_with("->") || recv.ends_with("."))) {
+      return true;
+    }
+  }
+  return false;
 }
 
 bool path_under(const fs::path& file, const fs::path& dir) {
@@ -249,6 +291,25 @@ void lint_file(const fs::path& root, const fs::path& file) {
                "propagate the submitter's context (current_trace / "
                "ScopedTraceContext) or annotate a deliberate cross-rank "
                "reconstruction with apio-lint: allow(trace-phase)");
+      }
+    }
+
+    if (discards_outcome(code, in_src) && !contains(code, "_THROW(")) {
+      // The statement must start on this line, and a comment on it or
+      // alone on the line above gives the reason.
+      const std::string prev = li > 0 ? sf.code[li - 1] : "";
+      const std::size_t last = prev.find_last_not_of(" \t");
+      const bool starts = last == std::string::npos ||
+                          std::string_view(";{}:").find(prev[last]) != std::string_view::npos;
+      auto commented = [&](std::size_t i) {
+        return contains(sf.raw[i], "//") && !contains(sf.code[i], "//");
+      };
+      const bool reason = commented(li) ||
+                          (li > 0 && last == std::string::npos && commented(li - 1));
+      if (starts && !reason) {
+        report(sf.path, lineno, "discard-reason",
+               "an I/O outcome is dropped without a reason: check the "
+               "result, or cast it to void with a comment saying why");
       }
     }
 
