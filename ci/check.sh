@@ -22,7 +22,7 @@
 #      `det` lines into bench JSON; apio_bench_compare --tol-det 0 diffs
 #      them against bench/baselines/e2e/ (any drift fails),
 #   5. trace artifacts: a small traced VPIC run through `apio_profile
-#      trace` archives build/trace-report.json (critical-path report),
+#      run vpic --qos` archives build/trace-report.json (critical-path report),
 #      build/trace-metrics.prom (Prometheus snapshot) and
 #      build/trace-chrome.json (Chrome timeline, checked to parse),
 #   6. clang-tidy preset (skipped with a notice when clang-tidy is not
@@ -119,8 +119,8 @@ ci/e2e_det.sh "${BENCH_JSON_DIR}/e2e_det.jsonl"
 build/tools/apio_bench_compare "${BENCH_JSON_DIR}/e2e_det.jsonl" \
   --baselines bench/baselines/e2e --tol-det 0
 
-echo "==> [5/8] trace artifacts (apio_profile trace)"
-build/tools/apio_profile trace --ranks 4 --steps 2 \
+echo "==> [5/8] trace artifacts (apio_profile run vpic)"
+build/tools/apio_profile run vpic --qos --ranks 4 --steps 2 \
   --export-report build/trace-report.json \
   --export-prom build/trace-metrics.prom \
   --chrome build/trace-chrome.json >/dev/null

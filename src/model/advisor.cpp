@@ -12,10 +12,10 @@ ModeAdvisor::ModeAdvisor() { obs::add_epoch_sink(this); }
 // list's guard, so no marker reaches a destroyed advisor.
 ModeAdvisor::~ModeAdvisor() { obs::remove_epoch_sink(this); }
 
-void ModeAdvisor::on_io(const vol::IoRecord& record) {
+void ModeAdvisor::on_io(const obs::IoRecord& record) {
   // Prefetch hints and flushes move no caller-timed payload; letting
   // them into the fits would pollute the transfer rates.
-  if (record.op == vol::IoOp::kPrefetch || record.op == vol::IoOp::kFlush) return;
+  if (record.op == obs::IoOp::kPrefetch || record.op == obs::IoOp::kFlush) return;
   // Async reads completed in the background report 0 blocking time and
   // carry no rate information for the caller-visible cost; skip them.
   if (record.blocking_seconds <= 0.0 || record.bytes == 0) return;

@@ -22,11 +22,11 @@
 #include "model/epoch_model.h"
 #include "model/estimator.h"
 #include "obs/epoch_analyzer.h"
-#include "vol/observer.h"
+#include "obs/record.h"
 
 namespace apio::model {
 
-class ModeAdvisor : public vol::IoObserver, public obs::EpochSink {
+class ModeAdvisor : public obs::IoObserver, public obs::EpochSink {
  public:
   /// Registers on the epoch-marker stream; the destructor unregisters.
   ModeAdvisor();
@@ -36,7 +36,7 @@ class ModeAdvisor : public vol::IoObserver, public obs::EpochSink {
 
   /// IoObserver hook: called by the connector on every transfer
   /// (possibly from the background stream; thread-safe).
-  void on_io(const vol::IoRecord& record) override;
+  void on_io(const obs::IoRecord& record) override;
 
   /// EpochSink hook: called from rank threads; closed compute windows
   /// go to record_compute().  An epoch without compute_done adds none.

@@ -10,9 +10,15 @@
 // the I/O is paid (partial overlap, Fig. 1b).  The staging copy
 // t_transact is always paid, which makes async a slowdown whenever the
 // achievable overlap cannot amortise it (Fig. 1c).
+//
+// Header-only, so obs (the epoch analyzer) can evaluate Eq. 2 without
+// linking apio_model.
 #pragma once
 
+#include <algorithm>
 #include <string>
+
+#include "common/error.h"
 
 namespace apio::model {
 
@@ -26,19 +32,32 @@ struct EpochCosts {
 /// I/O execution mode.
 enum class IoMode { kSync, kAsync };
 
-std::string to_string(IoMode mode);
+inline std::string to_string(IoMode mode) {
+  return mode == IoMode::kSync ? "sync" : "async";
+}
 
 /// Eq. 2a.
-double sync_epoch_seconds(const EpochCosts& costs);
+inline double sync_epoch_seconds(const EpochCosts& costs) {
+  return costs.t_io + costs.t_comp;
+}
 
 /// Eq. 2b.
-double async_epoch_seconds(const EpochCosts& costs);
+inline double async_epoch_seconds(const EpochCosts& costs) {
+  return std::max(costs.t_comp, costs.t_io - costs.t_comp) + costs.t_transact;
+}
 
 /// Epoch duration under `mode`.
-double epoch_seconds(const EpochCosts& costs, IoMode mode);
+inline double epoch_seconds(const EpochCosts& costs, IoMode mode) {
+  return mode == IoMode::kSync ? sync_epoch_seconds(costs)
+                               : async_epoch_seconds(costs);
+}
 
 /// Speedup of async over sync for one epoch (> 1 means async wins).
-double async_speedup(const EpochCosts& costs);
+inline double async_speedup(const EpochCosts& costs) {
+  const double async = async_epoch_seconds(costs);
+  APIO_REQUIRE(async > 0.0, "async epoch time must be positive");
+  return sync_epoch_seconds(costs) / async;
+}
 
 /// The three timeline scenarios of Fig. 1.
 enum class OverlapScenario {
@@ -47,12 +66,25 @@ enum class OverlapScenario {
   kSlowdown,  ///< overhead exceeds the achievable overlap (Fig. 1c)
 };
 
-std::string to_string(OverlapScenario scenario);
-
-OverlapScenario classify_overlap(const EpochCosts& costs);
+inline std::string to_string(OverlapScenario scenario) {
+  switch (scenario) {
+    case OverlapScenario::kIdeal: return "ideal";
+    case OverlapScenario::kPartial: return "partial";
+    case OverlapScenario::kSlowdown: return "slowdown";
+  }
+  return "?";
+}
 
 /// True when Eq. 2b < Eq. 2a: asynchronous I/O shortens the epoch.
-bool async_is_beneficial(const EpochCosts& costs);
+inline bool async_is_beneficial(const EpochCosts& costs) {
+  return async_epoch_seconds(costs) < sync_epoch_seconds(costs);
+}
+
+inline OverlapScenario classify_overlap(const EpochCosts& costs) {
+  if (!async_is_beneficial(costs)) return OverlapScenario::kSlowdown;
+  if (costs.t_comp >= costs.t_io) return OverlapScenario::kIdeal;
+  return OverlapScenario::kPartial;
+}
 
 /// Whole-application schedule (Eq. 1) with uniform epochs.
 struct AppSchedule {
@@ -62,9 +94,13 @@ struct AppSchedule {
   EpochCosts epoch;
 };
 
-/// Eq. 1 under `mode`.  Async additionally pays the trailing
-/// un-overlapped I/O of the final iteration (there is no following
-/// computation to hide it behind), which close()/wait_all() exposes.
-double app_seconds(const AppSchedule& schedule, IoMode mode);
+/// Eq. 1 under `mode`: uniform epochs plus t_init and t_term.  The
+/// terminal queue drain of the real async connector is not part of the
+/// paper's model; the simulator (sim::EpochSimulator) accounts for it.
+inline double app_seconds(const AppSchedule& schedule, IoMode mode) {
+  APIO_REQUIRE(schedule.iterations >= 0, "iterations must be >= 0");
+  return schedule.t_init + schedule.t_term +
+         schedule.iterations * epoch_seconds(schedule.epoch, mode);
+}
 
 }  // namespace apio::model

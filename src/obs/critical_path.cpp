@@ -27,12 +27,7 @@ Percentiles percentiles_of(const std::vector<double>& samples) {
 /// time is still attributed.
 PhaseBreakdown decompose(const CompletedTrace& trace) {
   PhaseBreakdown b;
-  b.trace_id = trace.trace_id;
-  b.op = trace.op;
-  b.tenant = trace.tenant;
-  b.bytes = trace.bytes;
-  b.failed = trace.failed;
-  b.duration_seconds = trace.duration_seconds;
+  b.trace = &trace;
 
   // children duration per span id (root included).
   std::map<std::uint64_t, double> child_total;
@@ -95,8 +90,8 @@ std::map<std::string, Percentiles> CriticalPathAnalyzer::tenant_percentiles()
     const {
   std::map<std::string, std::vector<double>> samples;
   for (const auto& b : breakdowns_) {
-    samples[b.tenant.empty() ? "(none)" : b.tenant].push_back(
-        b.duration_seconds);
+    samples[b.trace->tenant.empty() ? "(none)" : b.trace->tenant].push_back(
+        b.trace->duration_seconds);
   }
   std::map<std::string, Percentiles> out;
   for (auto& [tenant, values] : samples) {
@@ -130,12 +125,11 @@ std::vector<Straggler> CriticalPathAnalyzer::stragglers(
   }
 
   for (const auto& b : breakdowns_) {
-    if (b.duration_seconds <= threshold * median_duration_) continue;
+    const double duration = b.trace->duration_seconds;
+    if (duration <= threshold * median_duration_) continue;
     Straggler s;
-    s.trace_id = b.trace_id;
-    s.tenant = b.tenant;
-    s.duration_seconds = b.duration_seconds;
-    s.factor = b.duration_seconds / median_duration_;
+    s.trace = b.trace;
+    s.factor = duration / median_duration_;
     for (int p = 0; p < kPhaseCount; ++p) {
       const double excess = b.phase_seconds[static_cast<std::size_t>(p)] -
                             phase_median[static_cast<std::size_t>(p)];
@@ -144,10 +138,10 @@ std::vector<Straggler> CriticalPathAnalyzer::stragglers(
         s.dominant = static_cast<Phase>(p);
       }
     }
-    out.push_back(std::move(s));
+    out.push_back(s);
   }
   std::sort(out.begin(), out.end(), [](const Straggler& a, const Straggler& b) {
-    return a.duration_seconds > b.duration_seconds;
+    return a.trace->duration_seconds > b.trace->duration_seconds;
   });
   return out;
 }
@@ -233,11 +227,12 @@ std::string CriticalPathAnalyzer::report(double straggler_threshold,
   if (!slow.empty()) {
     os << "  stragglers (> " << straggler_threshold << "x median):\n";
     for (const auto& s : slow) {
-      os << "    trace " << s.trace_id << " " << format_seconds(s.duration_seconds)
+      os << "    trace " << s.trace->trace_id << " "
+         << format_seconds(s.trace->duration_seconds)
          << " (" << static_cast<int>(std::lround(s.factor)) << "x median), "
          << "blown phase: " << phase_name(s.dominant) << " (+"
          << format_seconds(s.dominant_excess_seconds) << ")";
-      if (!s.tenant.empty()) os << " tenant=" << s.tenant;
+      if (!s.trace->tenant.empty()) os << " tenant=" << s.trace->tenant;
       os << '\n';
     }
   }
@@ -283,8 +278,8 @@ std::string CriticalPathAnalyzer::to_json(double straggler_threshold) const {
   os << "},\"stragglers\":[";
   first = true;
   for (const auto& s : stragglers(straggler_threshold)) {
-    os << (first ? "" : ",") << "{\"trace_id\":" << s.trace_id
-       << ",\"seconds\":" << s.duration_seconds << ",\"factor\":" << s.factor
+    os << (first ? "" : ",") << "{\"trace_id\":" << s.trace->trace_id
+       << ",\"seconds\":" << s.trace->duration_seconds << ",\"factor\":" << s.factor
        << ",\"phase\":\"" << phase_name(s.dominant) << "\"}";
     first = false;
   }

@@ -29,12 +29,8 @@ namespace apio::obs::trace {
 
 /// One request's wall time decomposed into phase self-times.
 struct PhaseBreakdown {
-  std::uint64_t trace_id = 0;
-  IoOp op = IoOp::kWrite;
-  std::string tenant;
-  std::uint64_t bytes = 0;
-  bool failed = false;
-  double duration_seconds = 0.0;
+  /// The decomposed request, owned by the analyzer.
+  const CompletedTrace* trace = nullptr;
   /// Self time per phase (index by static_cast<int>(Phase)); the
   /// kOther slot holds the root's own self time.
   std::array<double, kPhaseCount> phase_seconds{};
@@ -42,8 +38,8 @@ struct PhaseBreakdown {
   [[nodiscard]] double phase(Phase p) const {
     return phase_seconds[static_cast<std::size_t>(p)];
   }
-  /// Sum of all phase self-times; equals duration_seconds up to
-  /// clock-read jitter (clamped negatives).
+  /// Sum of all phase self-times; equals the trace's duration_seconds
+  /// up to clock-read jitter (clamped negatives).
   [[nodiscard]] double phase_total() const;
 };
 
@@ -57,24 +53,24 @@ struct Percentiles {
 /// One flagged straggler: a request whose wall time exceeded
 /// k x median, with the phase that blew up.
 struct Straggler {
-  std::uint64_t trace_id = 0;
-  std::string tenant;
-  double duration_seconds = 0.0;
+  /// The slow request, owned by the analyzer.
+  const CompletedTrace* trace = nullptr;
   double factor = 0.0;  ///< duration / median duration
   Phase dominant = Phase::kOther;  ///< phase with the largest excess
   double dominant_excess_seconds = 0.0;
 };
 
+/// Breakdowns and stragglers point into the analyzer's own traces, so
+/// it is not copyable.
 class CriticalPathAnalyzer {
  public:
   explicit CriticalPathAnalyzer(std::vector<CompletedTrace> traces);
+  CriticalPathAnalyzer(const CriticalPathAnalyzer&) = delete;
+  CriticalPathAnalyzer& operator=(const CriticalPathAnalyzer&) = delete;
 
   [[nodiscard]] const std::vector<PhaseBreakdown>& breakdowns() const {
     return breakdowns_;
   }
-
-  /// Request wall-time median across all analyzed traces (0 when none).
-  [[nodiscard]] double median_duration() const { return median_duration_; }
 
   /// Percentiles of per-request self time for each phase that appeared.
   [[nodiscard]] std::map<Phase, Percentiles> phase_percentiles() const;

@@ -115,7 +115,7 @@ struct EpochAnalyzer::RankEpoch {
   int async_ops = 0;
   int cache_hits = 0;
   std::uint64_t bytes = 0;
-  std::vector<EpochIoSpan> io;
+  std::vector<IoRecord> io;
 };
 
 /// Resolves one rank-epoch into EpochRankStats.  The compute phase is
@@ -224,15 +224,7 @@ void EpochAnalyzer::on_io(const IoRecord& record) {
     ++orphans_;
     return;
   }
-  EpochIoSpan span;
-  span.op = record.op;
-  span.issue_seconds = record.issue_time;
-  span.blocking_seconds = record.blocking_seconds;
-  span.completion_seconds = record.completion_seconds;
-  span.bytes = record.bytes;
-  span.async = record.async;
-  span.cache_hit = record.cache_hit;
-  re->io.push_back(span);
+  re->io.push_back(record);
 
   if (re->first_issue < 0.0 || record.issue_time < re->first_issue) {
     re->first_issue = record.issue_time;
@@ -487,10 +479,10 @@ std::string EpochReport::to_chrome_json() const {
         emit("compute", r.rank * 2, r.compute_start_seconds, r.t_comp, e.epoch,
              0);
       }
-      for (const auto& span : r.io) {
-        emit(to_string(span.op), r.rank * 2 + 1, span.issue_seconds,
-             span.async ? span.completion_seconds : span.blocking_seconds,
-             e.epoch, span.bytes);
+      for (const auto& io : r.io) {
+        emit(to_string(io.op), r.rank * 2 + 1, io.issue_time,
+             io.async ? io.completion_seconds : io.blocking_seconds, e.epoch,
+             io.bytes);
       }
     }
   }

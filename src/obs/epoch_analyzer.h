@@ -110,17 +110,6 @@ class EpochScope {
 // ---------------------------------------------------------------------------
 // Reconstruction
 
-/// One attributed I/O operation (for the per-epoch trace lanes).
-struct EpochIoSpan {
-  IoOp op = IoOp::kWrite;
-  double issue_seconds = 0.0;
-  double blocking_seconds = 0.0;
-  double completion_seconds = 0.0;
-  std::uint64_t bytes = 0;
-  bool async = false;
-  bool cache_hit = false;
-};
-
 /// One rank's reconstructed view of one epoch.
 struct EpochRankStats {
   int rank = 0;
@@ -138,7 +127,8 @@ struct EpochRankStats {
   int async_ops = 0;
   int cache_hits = 0;
   std::uint64_t bytes = 0;
-  std::vector<EpochIoSpan> io;  ///< attributed operations, in issue order
+  /// Attributed records, whole (trace_id included), in arrival order.
+  std::vector<IoRecord> io;
 
   double observed_seconds() const { return end_seconds - begin_seconds; }
 };

@@ -25,8 +25,10 @@ enum class IoOp : std::uint8_t { kWrite = 0, kRead = 1, kPrefetch = 2, kFlush = 
 
 const char* to_string(IoOp op);
 
-/// One observed container operation — the unified record shape shared
-/// by the model history, trace recording and the metrics registry.
+/// One observed container operation: the one per-op struct.  The
+/// connector emits it to the observer chain, a vol::Trace persists it,
+/// the epoch analyzer attributes it, and an async request carries it as
+/// its identity (Request::info()), so a failure reports the op it was.
 struct IoRecord {
   IoOp op = IoOp::kWrite;
   /// Container path of the dataset ("" for flush).  Only filled when an
@@ -36,6 +38,9 @@ struct IoRecord {
   /// Compact selection token (vol::selection_to_token form); empty when
   /// no observer wants detail, or for flush.
   std::string selection;
+  /// Linearized byte offset of the selection start within the dataset
+  /// (0 for an all-selection); filled with the path and selection.
+  std::uint64_t offset = 0;
   /// Payload bytes moved by this rank's call.
   std::uint64_t bytes = 0;
   /// The issuing thread's pmpi world size; 1 outside an SPMD region.
@@ -52,7 +57,8 @@ struct IoRecord {
   /// transfer; for async it is the transactional (staging-copy) overhead.
   double blocking_seconds = 0.0;
   /// Seconds until the data was resident on the target storage
-  /// (equals blocking_seconds for sync I/O).
+  /// (equals blocking_seconds for sync I/O).  An async request's own
+  /// record has it only once the request completed.
   double completion_seconds = 0.0;
   /// Whether the async path served/handled this transfer.
   bool async = false;

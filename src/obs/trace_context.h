@@ -172,9 +172,6 @@ class TraceCollector {
   /// singleton is first touched; the production value 0 costs a single
   /// relaxed load on the minting path and nothing when tracing is off.
   void set_injected_delay_us(std::uint64_t us);
-  [[nodiscard]] std::uint64_t injected_delay_us() const {
-    return injected_delay_us_.load(std::memory_order_relaxed);
-  }
 
   /// Completed-trace ring capacity; the oldest trace is evicted first.
   void set_capacity(std::size_t capacity);

@@ -156,9 +156,9 @@ RunResult EpochSimulator::run(const RunConfig& config) const {
     result.epochs.push_back(epoch);
 
     if (config.observer != nullptr) {
-      vol::IoRecord record;
-      record.op = config.io_kind == storage::IoKind::kWrite ? vol::IoOp::kWrite
-                                                            : vol::IoOp::kRead;
+      obs::IoRecord record;
+      record.op = config.io_kind == storage::IoKind::kWrite ? obs::IoOp::kWrite
+                                                            : obs::IoOp::kRead;
       record.bytes = config.bytes_per_epoch;
       record.ranks = ranks;
       record.blocking_seconds = epoch.io_blocking_seconds;

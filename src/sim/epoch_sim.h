@@ -17,7 +17,7 @@
 
 #include "model/epoch_model.h"
 #include "sim/system_spec.h"
-#include "vol/observer.h"
+#include "obs/record.h"
 
 namespace apio::sim {
 
@@ -54,7 +54,7 @@ struct RunConfig {
   /// Override the machine's contention sigma; negative = use the spec.
   double contention_sigma_override = -1.0;
   /// Optional model feedback hook; receives one IoRecord per I/O phase.
-  vol::IoObserver* observer = nullptr;
+  obs::IoObserver* observer = nullptr;
 };
 
 /// Per-epoch observation.

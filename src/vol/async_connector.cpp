@@ -51,42 +51,15 @@ int next_stream_id() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
-/// Byte offset of the selection's first element within the dataset's
-/// linearized (row-major) extent; 0 for an all-selection.
-std::uint64_t selection_offset_bytes(const h5::Dataset& ds,
-                                     const h5::Selection& selection) {
-  if (selection.is_all()) return 0;
-  const auto pitches = h5::row_pitches(ds.dims());
-  const h5::Dims& start = selection.slab().start;
-  std::uint64_t elems = 0;
-  const std::size_t rank = std::min(start.size(), pitches.size());
-  for (std::size_t i = 0; i < rank; ++i) elems += start[i] * pitches[i];
-  return elems * ds.element_size();
-}
-
-/// Identity captured at issue time so a failure can be reported with
-/// full context after the issuing call returned.
-RequestInfo request_info(const h5::File& file, obs::IoOp kind,
-                         const h5::Dataset* ds, const h5::Selection& selection,
-                         std::uint64_t bytes) {
-  RequestInfo info;
-  info.op = kind;
-  info.bytes = bytes;
-  if (ds != nullptr) {
-    info.dataset_path = file.path_of(*ds);
-    info.selection = selection_to_token(selection);
-    info.offset = selection_offset_bytes(*ds, selection);
-  }
-  return info;
-}
-
 }  // namespace
 
 struct AsyncConnector::AsyncOp final : Request {
-  /// submit() resolves the rest of the identity.
-  AsyncOp(obs::IoOp kind, std::uint64_t bytes)
-      : Request(RequestInfo{kind, {}, {}, 0, bytes}) {}
-  using Request::set_info;
+  /// submit() builds the rest of the op's record.
+  AsyncOp(obs::IoOp kind, std::uint64_t bytes) {
+    record().op = kind;
+    record().bytes = bytes;
+  }
+  using Request::record;
 
   obs::IoOp kind() const { return info().op; }
   std::uint64_t bytes() const { return info().bytes; }
@@ -108,9 +81,6 @@ struct AsyncConnector::AsyncOp final : Request {
   /// background stream for the op's execution so a QosBackend under
   /// the file charges the issuing tenant.
   sched::SubmissionContext submission;
-  /// The completion record, built at issue when emits_records() and
-  /// emitted on success only.
-  std::optional<IoRecord> record;
 
   /// Causal trace identity, minted at submission; re-bound alongside
   /// the submission context on the background stream.
@@ -178,20 +148,16 @@ RequestPtr AsyncConnector::submit(std::shared_ptr<AsyncOp> op,
     // Only a write blocks its caller, for the staging copy.
     const double blocking =
         kind == obs::IoOp::kWrite ? obs::steady_seconds() - t0 : 0.0;
-    // Resolved unconditionally, before the op is queued: it rejects a
-    // foreign handle, failures must carry the identity even with no
-    // observer attached, and a dataset removed while the op waits in the
-    // FIFO has no path left to resolve.  path_of reads the path the node
-    // captured at creation.
-    op->set_info(request_info(*file(), kind, ds, selection, bytes));
-    // A prefetch reports at issue (prefetch()) and returns no request.
-    if (kind != obs::IoOp::kPrefetch && emits_records()) {
-      op->record = make_record(kind, bytes, /*async=*/true, t0, blocking, 0.0);
-      op->record->dataset_path = op->info().dataset_path;
-      op->record->selection = op->info().selection;
-      op->record->trace_id = op->trace.trace_id;
-      op->record->span_id = op->trace.span_id;
-    }
+    // The op's one record, built here on the issuing thread.  Its
+    // identity is described unconditionally, before the op is queued:
+    // it rejects a foreign handle, failures must carry the identity even
+    // with no observer attached, and a dataset removed while the op waits
+    // in the FIFO has no path left to resolve.
+    IoRecord& record = op->record();
+    record = make_record(kind, bytes, /*async=*/true, t0, blocking, 0.0);
+    if (ds != nullptr) describe(record, *ds, selection);
+    record.trace_id = op->trace.trace_id;
+    record.span_id = op->trace.span_id;
   } catch (...) {
     release_staging(*op, /*failed=*/false);  // the op never reached the FIFO
     throw;
@@ -329,10 +295,12 @@ void AsyncConnector::finish(const std::shared_ptr<AsyncOp>& op,
   const double completion_start = obs::steady_seconds();
   const bool failed = error != nullptr;
   release_staging(*op, failed);
-  if (op->record && !failed) {
-    op->record->completion_seconds =
-        obs::steady_seconds() - op->record->issue_time;
-    observe(*op->record);
+  // The record is emitted on success only; a prefetch reported at issue
+  // (prefetch()).
+  IoRecord& record = op->record();
+  record.completion_seconds = obs::steady_seconds() - record.issue_time;
+  if (!failed && op->kind() != obs::IoOp::kPrefetch && emits_records()) {
+    observe(record);
   }
   // Seal the trace before the op completes, so waiters observe it
   // sealed.
@@ -401,15 +369,12 @@ RequestPtr AsyncConnector::dataset_read(h5::Dataset ds,
     }
     if (error) std::rethrow_exception(error);
     APIO_REQUIRE(fits, "prefetched buffer size does not match read selection");
-    if (emits_records()) {
-      const double dt = obs::steady_seconds() - t0;
-      IoRecord hit = make_record(IoOp::kRead, out.size(), /*async=*/true, t0, dt,
-                                 dt, &ds, selection);
-      hit.cache_hit = true;
-      observe(hit);
-    }
-    return Request::make_ready(
-        request_info(*file(), obs::IoOp::kRead, &ds, selection, out.size()));
+    const double dt = obs::steady_seconds() - t0;
+    IoRecord hit = make_record(IoOp::kRead, out.size(), /*async=*/true, t0, dt, dt);
+    describe(hit, ds, selection);
+    hit.cache_hit = true;
+    if (emits_records()) observe(hit);
+    return Request::make_ready(std::move(hit));
   }
 
   return submit(std::make_shared<AsyncOp>(obs::IoOp::kRead, out.size()), &ds,
@@ -562,11 +527,6 @@ void AsyncConnector::close() {
 AsyncStats AsyncConnector::stats() const {
   std::lock_guard lock(mutex_);
   return stats_;
-}
-
-void AsyncConnector::clear_cache() {
-  std::lock_guard lock(mutex_);
-  clear_cache_locked();
 }
 
 void AsyncConnector::clear_cache_locked() {

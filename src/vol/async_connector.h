@@ -111,9 +111,6 @@ class AsyncConnector final : public Connector {
   /// while the background stream is running.
   AsyncStats stats() const;
 
-  /// Drops any unconsumed prefetch buffers.
-  void clear_cache();
-
  private:
   using Buffer = std::shared_ptr<std::vector<std::byte>>;
 
@@ -131,8 +128,8 @@ class AsyncConnector final : public Connector {
     Buffer data;
   };
 
-  /// One background operation's full state: payload, identity, record
-  /// and trace.  It is the Request its caller waits on, so one heap
+  /// One background operation's full state: payload, record and
+  /// trace.  It is the Request its caller waits on, so one heap
   /// object is shared by the queue, the caller, last_op_ and a
   /// prefetch's cache entry.
   struct AsyncOp;
@@ -180,8 +177,8 @@ class AsyncConnector final : public Connector {
   /// The one submission path, for every entry point: mints and binds
   /// the op's trace, opens its submit phase, runs `prepare` (what the
   /// entry point adds: the write's stage copy, the read's destination,
-  /// the prefetch's buffer, the flush's lane), resolves the op's
-  /// RequestInfo and its completion record, then pushes the op onto
+  /// the prefetch's buffer, the flush's lane), builds the op's one
+  /// record, then pushes the op onto
   /// the queue and counts it as enqueued, in one hold.  Returns the op
   /// for every kind but a prefetch.  Staging budget taken by `prepare`
   /// is returned if the op throws before reaching the queue.

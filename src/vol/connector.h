@@ -105,10 +105,8 @@ class Connector {
 
   /// The one IoRecord builder, called on the issuing thread: op, bytes,
   /// the async flag, the issuing thread's rank and world size, and the
-  /// call's timings.  The dataset path and selection token of `ds` are
-  /// added only when an observer wants them (each is a string built per
-  /// record; the path is an O(1) read of the one the dataset captured
-  /// at creation).
+  /// call's timings.  describe() adds the detail of `ds` only when an
+  /// observer wants it.
   IoRecord make_record(IoOp op, std::uint64_t bytes, bool async,
                        double issue_time, double blocking_seconds,
                        double completion_seconds, const h5::Dataset* ds = nullptr,
@@ -122,11 +120,19 @@ class Connector {
     record.issue_time = issue_time;
     record.blocking_seconds = blocking_seconds;
     record.completion_seconds = completion_seconds;
-    if (ds != nullptr && observers_want_detail()) {
-      record.dataset_path = file()->path_of(*ds);
-      record.selection = selection_to_token(selection);
-    }
+    if (ds != nullptr && observers_want_detail()) describe(record, *ds, selection);
     return record;
+  }
+
+  /// Adds the dataset path, selection token and byte offset of `ds` to
+  /// `record` (two strings built per record; the path is an O(1) read of
+  /// the one the dataset captured at creation).  Throws on a dataset of
+  /// another file.
+  void describe(IoRecord& record, const h5::Dataset& ds,
+                const h5::Selection& selection) const {
+    record.dataset_path = file()->path_of(ds);
+    record.selection = selection_to_token(selection);
+    record.offset = selection_offset_bytes(selection, ds.dims(), ds.element_size());
   }
 
  private:

@@ -5,7 +5,11 @@
 namespace apio::vol {
 
 std::string EventError::to_string() const {
-  return info.to_string() + ": " + message +
+  std::string out = obs::to_string(info.op);
+  if (!info.dataset_path.empty()) out += " " + info.dataset_path;
+  if (!info.selection.empty()) out += " " + info.selection;
+  out += " @+" + std::to_string(info.offset) + " (" + std::to_string(info.bytes) + " B)";
+  return out + ": " + message +
          " [category=" + (category.empty() ? "unknown" : category) + "]";
 }
 

@@ -19,7 +19,7 @@ namespace apio::vol {
 /// One collected failure: the error plus the failed request's identity,
 /// mirroring H5ESget_err_info's per-op error records.
 struct EventError {
-  RequestInfo info;
+  obs::IoRecord info;
   std::string message;
   /// Taxonomy name from apio::error_category ("transient-io", "io", ...).
   std::string category;

@@ -1,7 +1,6 @@
 #include "vol/native_connector.h"
 
 #include "obs/metrics.h"
-#include "obs/trace_context.h"
 #include "sched/io_request.h"
 
 namespace apio::vol {
@@ -28,10 +27,10 @@ obs::Histogram& sync_read_hist() {
 /// Runs one synchronous call as a traced request, the way AsyncConnector
 /// traces its ops: mint and bind a context, time `transfer` as the
 /// request's single attempt (which also feeds `latency` when metrics
-/// are on), then seal the trace.
+/// are on), then seal the trace.  Returns the context, for the record.
 template <typename Transfer>
-void traced_call(obs::IoOp op, std::uint64_t bytes, obs::Histogram& latency,
-                 Transfer&& transfer) {
+obs::trace::TraceContext traced_call(obs::IoOp op, std::uint64_t bytes,
+                                     obs::Histogram& latency, Transfer&& transfer) {
   auto& collector = obs::trace::TraceCollector::instance();
   const obs::trace::TraceContext trace = collector.start_trace();
   const double start = trace.recording() ? obs::steady_seconds() : 0.0;
@@ -50,24 +49,29 @@ void traced_call(obs::IoOp op, std::uint64_t bytes, obs::Histogram& latency,
     throw;
   }
   seal(false);
+  return trace;
 }
 
 }  // namespace
 
 void NativeConnector::report(IoOp op, std::uint64_t bytes, double t0,
+                             const obs::trace::TraceContext& trace,
                              const h5::Dataset* ds, const h5::Selection& selection) {
   if (!emits_records()) return;
   const double dt = obs::steady_seconds() - t0;
-  observe(make_record(op, bytes, /*async=*/false, t0, dt, dt, ds, selection));
+  IoRecord record = make_record(op, bytes, /*async=*/false, t0, dt, dt, ds, selection);
+  record.trace_id = trace.trace_id;
+  record.span_id = trace.span_id;
+  observe(record);
 }
 
 RequestPtr NativeConnector::dataset_write(h5::Dataset ds,
                                           const h5::Selection& selection,
                                           std::span<const std::byte> data) {
   const double t0 = obs::steady_seconds();
-  traced_call(IoOp::kWrite, data.size(), sync_write_hist(),
-              [&] { ds.write_raw(selection, data); });
-  report(IoOp::kWrite, data.size(), t0, &ds, selection);
+  const auto trace = traced_call(IoOp::kWrite, data.size(), sync_write_hist(),
+                                 [&] { ds.write_raw(selection, data); });
+  report(IoOp::kWrite, data.size(), t0, trace, &ds, selection);
   return completed_request();
 }
 
@@ -75,9 +79,9 @@ RequestPtr NativeConnector::dataset_read(h5::Dataset ds,
                                          const h5::Selection& selection,
                                          std::span<std::byte> out) {
   const double t0 = obs::steady_seconds();
-  traced_call(IoOp::kRead, out.size(), sync_read_hist(),
-              [&] { ds.read_raw(selection, out); });
-  report(IoOp::kRead, out.size(), t0, &ds, selection);
+  const auto trace = traced_call(IoOp::kRead, out.size(), sync_read_hist(),
+                                 [&] { ds.read_raw(selection, out); });
+  report(IoOp::kRead, out.size(), t0, trace, &ds, selection);
   return completed_request();
 }
 

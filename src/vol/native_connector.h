@@ -2,6 +2,7 @@
 // a blocking call into the apio-h5 data path (synchronous I/O mode).
 #pragma once
 
+#include "obs/trace_context.h"
 #include "vol/connector.h"
 
 namespace apio::vol {
@@ -20,9 +21,10 @@ class NativeConnector final : public Connector {
   void close() override;
 
  private:
-  /// Reports a completed blocking call issued at `t0`: the caller was
-  /// blocked for the whole transfer.
+  /// Reports a completed blocking call issued at `t0` under `trace`:
+  /// the caller was blocked for the whole transfer.
   void report(IoOp op, std::uint64_t bytes, double t0,
+              const obs::trace::TraceContext& trace = {},
               const h5::Dataset* ds = nullptr,
               const h5::Selection& selection = h5::Selection::all());
 };

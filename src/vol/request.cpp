@@ -4,15 +4,7 @@
 
 namespace apio::vol {
 
-std::string RequestInfo::to_string() const {
-  std::string out = obs::to_string(op);
-  if (!dataset_path.empty()) out += " " + dataset_path;
-  if (!selection.empty()) out += " " + selection;
-  out += " @+" + std::to_string(offset) + " (" + std::to_string(bytes) + " B)";
-  return out;
-}
-
-RequestPtr Request::make_ready(RequestInfo info) {
+RequestPtr Request::make_ready(obs::IoRecord info) {
   auto request = std::make_shared<Request>(std::move(info));
   request->complete();
   return request;

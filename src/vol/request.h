@@ -13,24 +13,6 @@
 
 namespace apio::vol {
 
-/// Identity of one VOL operation, captured at issue time so failures
-/// can be reported with full context long after the issuing call
-/// returned (the request may fail on the background stream).
-struct RequestInfo {
-  obs::IoOp op = obs::IoOp::kWrite;
-  /// Full in-file path of the dataset ("" when unknown).
-  std::string dataset_path;
-  /// Human-readable selection description ("all", "[start..start+count)").
-  std::string selection;
-  /// Linearized byte offset of the selection start within the dataset.
-  std::uint64_t offset = 0;
-  /// Payload size in bytes.
-  std::uint64_t bytes = 0;
-
-  /// "write tiles/temperature [8..24) @+64 (16 B)" style summary.
-  std::string to_string() const;
-};
-
 class Request;
 using RequestPtr = std::shared_ptr<Request>;
 
@@ -47,12 +29,16 @@ using RequestPtr = std::shared_ptr<Request>;
 /// return, and drop the last reference, as soon as the store lands.
 /// AsyncConnector's ops derive from Request, so the op a connector runs
 /// is the request its caller waits on.
+///
+/// A request's identity is its op's one obs::IoRecord, captured at issue
+/// so a failure is reported with full context long after the issuing
+/// call returned (the request may fail on the background stream).
 class Request {
  public:
-  explicit Request(RequestInfo info = {}) : info_(std::move(info)) {}
+  explicit Request(obs::IoRecord info = {}) : info_(std::move(info)) {}
 
   /// A request that is already complete, for an op that finished inline.
-  static RequestPtr make_ready(RequestInfo info = {});
+  static RequestPtr make_ready(obs::IoRecord info = {});
 
   /// Completes the request (`error` null on success) and releases its
   /// waiters.  Called exactly once, by the connector that issued it.
@@ -80,16 +66,18 @@ class Request {
   /// pending or on success.
   std::string error_category() const { return apio::error_category(error()); }
 
-  const RequestInfo& info() const { return info_; }
+  /// The op's record.  Its identity fields never change once the op is
+  /// queued; completion_seconds is valid only after completion.
+  const obs::IoRecord& info() const { return info_; }
 
   /// The request's own completion: the frozen bench/e2e benchmark waits
   /// through `eventual()->wait_ignore_error()`.
   Request* eventual() { return this; }
 
  protected:
-  /// For an op that resolves its identity after construction, before
-  /// any other thread reads it.
-  void set_info(RequestInfo info) { info_ = std::move(info); }
+  /// For the connector that issued the op: it sets the identity before
+  /// the op is queued, and completion_seconds before complete().
+  obs::IoRecord& record() { return info_; }
 
  private:
   static constexpr int kPending = 0;
@@ -98,7 +86,7 @@ class Request {
   std::atomic<int> state_{kPending};
   /// Written once, before the release store of state_.
   std::exception_ptr error_;
-  RequestInfo info_;
+  obs::IoRecord info_;
 };
 
 }  // namespace apio::vol

@@ -1,5 +1,6 @@
 #include "vol/selection_token.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <vector>
 
@@ -67,6 +68,18 @@ h5::Selection selection_from_token(const std::string& token) {
     slab.block = parse_dims_token(parts[3]);
   }
   return h5::Selection::hyperslab(std::move(slab));
+}
+
+std::uint64_t selection_offset_bytes(const h5::Selection& selection,
+                                     const h5::Dims& dims,
+                                     std::uint64_t element_size) {
+  if (selection.is_all()) return 0;
+  const auto pitches = h5::row_pitches(dims);
+  const h5::Dims& start = selection.slab().start;
+  std::uint64_t elems = 0;
+  const std::size_t rank = std::min(start.size(), pitches.size());
+  for (std::size_t i = 0; i < rank; ++i) elems += start[i] * pitches[i];
+  return elems * element_size;
 }
 
 }  // namespace apio::vol

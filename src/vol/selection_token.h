@@ -7,6 +7,7 @@
 // collide with CSV separators.
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "h5/dataspace.h"
@@ -19,5 +20,11 @@ std::string selection_to_token(const h5::Selection& selection);
 /// token decodes to Selection::all() (records of path-less operations
 /// such as flush carry no selection).
 h5::Selection selection_from_token(const std::string& token);
+
+/// Byte offset of the selection's first element within a dataset of
+/// `dims` (row-major); 0 for an all-selection.
+std::uint64_t selection_offset_bytes(const h5::Selection& selection,
+                                     const h5::Dims& dims,
+                                     std::uint64_t element_size);
 
 }  // namespace apio::vol

@@ -123,16 +123,16 @@ double parse_seconds(const std::string& field, std::size_t row, const char* what
 
 }  // namespace
 
-void Trace::append(TraceEvent event) { events_.push_back(std::move(event)); }
+void Trace::append(IoRecord record) { events_.push_back(std::move(record)); }
 
 std::string Trace::to_csv() const {
   std::string out = "kind,path,selection,bytes,issue_time,blocking,trace_id,span_id\n";
   for (const auto& e : events_) {
-    out += std::to_string(static_cast<int>(e.kind));
+    out += std::to_string(static_cast<int>(e.op));
     out += ',';
     append_csv_field(out, e.dataset_path);
     out += ',';
-    out += selection_to_token(e.selection);
+    out += e.selection.empty() ? "all" : e.selection;
     out += ',';
     out += std::to_string(e.bytes);
     out += ',';
@@ -158,12 +158,13 @@ Trace Trace::from_csv(const std::string& csv) {
       throw FormatError("trace row " + std::to_string(r) + " has " +
                         std::to_string(fields.size()) + " fields");
     }
-    TraceEvent e;
+    IoRecord e;
     const int kind = parse_number<int>(fields[0], r, "kind");
     if (kind < 0 || kind > 3) bad_field(r, "kind", fields[0]);
-    e.kind = static_cast<TraceEvent::Kind>(kind);
+    e.op = static_cast<IoOp>(kind);
     e.dataset_path = fields[1];
-    e.selection = selection_from_token(fields[2]);
+    // Validated, and kept in the canonical form the recorder writes.
+    e.selection = selection_to_token(selection_from_token(fields[2]));
     e.bytes = parse_number<std::uint64_t>(fields[3], r, "bytes");
     e.issue_time = parse_seconds(fields[4], r, "issue time");
     e.blocking_seconds = parse_seconds(fields[5], r, "blocking time");
@@ -178,21 +179,12 @@ Trace Trace::from_csv(const std::string& csv) {
 // TraceRecorder
 
 void TraceRecorder::on_io(const IoRecord& record) {
-  TraceEvent event;
-  event.kind = record.op;
-  event.dataset_path = record.dataset_path;
-  event.selection = selection_from_token(record.selection);
-  event.bytes = record.bytes;
-  event.issue_time = record.issue_time;
-  event.blocking_seconds = record.blocking_seconds;
-  event.trace_id = record.trace_id;
-  event.span_id = record.span_id;
   std::lock_guard lock(mutex_);
-  events_.push_back(std::move(event));
+  events_.push_back(record);
 }
 
 Trace TraceRecorder::trace() const {
-  std::vector<TraceEvent> events;
+  std::vector<IoRecord> events;
   {
     std::lock_guard lock(mutex_);
     events = events_;
@@ -200,7 +192,7 @@ Trace TraceRecorder::trace() const {
   // Async connectors report at completion, which may disagree with
   // issue order; a trace is by definition issue-ordered.
   std::stable_sort(events.begin(), events.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
+                   [](const IoRecord& a, const IoRecord& b) {
                      return a.issue_time < b.issue_time;
                    });
   Trace trace;
@@ -234,28 +226,29 @@ ReplayResult replay_trace(const Trace& trace, Connector& connector,
     prev_issue = event.issue_time;
 
     const double t0 = clock.now();
-    switch (event.kind) {
-      case TraceEvent::Kind::kWrite: {
+    const h5::Selection selection = selection_from_token(event.selection);
+    switch (event.op) {
+      case IoOp::kWrite: {
         auto ds = connector.file()->dataset_at(event.dataset_path);
         std::vector<std::byte> payload(event.bytes, kReplayFill);
-        outstanding.push_back(connector.dataset_write(ds, event.selection, payload));
+        outstanding.push_back(connector.dataset_write(ds, selection, payload));
         result.bytes_written += event.bytes;
         break;
       }
-      case TraceEvent::Kind::kRead: {
+      case IoOp::kRead: {
         auto ds = connector.file()->dataset_at(event.dataset_path);
         std::vector<std::byte> sink(event.bytes);
-        auto req = connector.dataset_read(ds, event.selection, sink);
+        auto req = connector.dataset_read(ds, selection, sink);
         req->wait();  // the original caller consumed the data
         result.bytes_read += event.bytes;
         break;
       }
-      case TraceEvent::Kind::kPrefetch: {
+      case IoOp::kPrefetch: {
         auto ds = connector.file()->dataset_at(event.dataset_path);
-        connector.prefetch(ds, event.selection);
+        connector.prefetch(ds, selection);
         break;
       }
-      case TraceEvent::Kind::kFlush:
+      case IoOp::kFlush:
         outstanding.push_back(connector.flush());
         break;
     }
@@ -274,10 +267,10 @@ ReplayResult replay_trace(const Trace& trace, Connector& connector,
 IoProfile::IoProfile(const Trace& trace) : histogram_(48, 0) {
   for (const auto& e : trace.events()) {
     ++total_ops_;
-    if (e.kind == TraceEvent::Kind::kFlush) continue;
+    if (e.op == IoOp::kFlush) continue;
     auto& p = per_dataset_[e.dataset_path];
     p.blocking_seconds += e.blocking_seconds;
-    if (e.kind == TraceEvent::Kind::kWrite) {
+    if (e.op == IoOp::kWrite) {
       ++p.writes;
       p.bytes_written += e.bytes;
     } else {

@@ -19,52 +19,36 @@
 
 namespace apio::vol {
 
-/// One recorded operation.  Kind is the unified op enum shared with the
-/// IoRecord stream (obs::IoOp) — traces are just persisted projections
-/// of that stream.
-struct TraceEvent {
-  using Kind = IoOp;
-
-  Kind kind = Kind::kWrite;
-  std::string dataset_path;  ///< empty for flush
-  h5::Selection selection;   ///< meaningful for dataset ops
-  std::uint64_t bytes = 0;
-  /// Seconds since the trace's first operation at which the call was issued.
-  double issue_time = 0.0;
-  /// Caller-visible blocking duration of the call.
-  double blocking_seconds = 0.0;
-  /// Causal trace identity (obs::trace), carried through from the
-  /// IoRecord stream; 0 when tracing was off when the op ran.
-  std::uint64_t trace_id = 0;
-  std::uint64_t span_id = 0;
-};
-
-/// An ordered trace with CSV persistence.
+/// An ordered list of IoRecords with CSV persistence: a trace is a
+/// persisted projection of the record stream, in issue order, with
+/// issue_time relative to the trace's first operation.
 class Trace {
  public:
-  void append(TraceEvent event);
-  const std::vector<TraceEvent>& events() const { return events_; }
+  void append(IoRecord record);
+  const std::vector<IoRecord>& events() const { return events_; }
   std::size_t size() const { return events_.size(); }
 
   /// CSV: kind,path,selection,bytes,issue_time,blocking,trace_id,span_id
-  /// Selections serialise as "all" or "start0xstart1:count0xcount1".
-  /// Paths containing commas, quotes or newlines are RFC4180-quoted
-  /// (embedded quotes doubled); from_csv understands quoted fields and
-  /// throws FormatError on unterminated quotes or malformed rows; a row
-  /// with any column count but 8 is malformed.
+  /// where kind is the IoOp number and selection the selection token
+  /// ("all" when empty).  Paths containing commas, quotes or newlines
+  /// are RFC4180-quoted (embedded quotes doubled); from_csv understands
+  /// quoted fields and throws FormatError on unterminated quotes,
+  /// malformed rows or a malformed selection token; a row with any
+  /// column count but 8 is malformed.  The other IoRecord fields are
+  /// not persisted.
   std::string to_csv() const;
   static Trace from_csv(const std::string& csv);
 
  private:
-  std::vector<TraceEvent> events_;
+  std::vector<IoRecord> events_;
 };
 
 /// Observer that records every operation a connector reports.
 ///
 /// Attach it with connector->add_observer(recorder): it asks for the
-/// detail strings (path, selection token) and converts each IoRecord
-/// into a TraceEvent, so a trace is a persisted projection of the
-/// unified record stream, not a second record path.  With an async
+/// detail strings (path, selection token) and keeps each IoRecord as
+/// it arrives, so a trace is the unified record stream itself, not a
+/// second record path.  With an async
 /// connector records surface at completion time, so call wait_all()
 /// before trace() to capture in-flight ops; trace() sorts by issue time
 /// and rebases it to the first operation.
@@ -78,7 +62,7 @@ class TraceRecorder final : public IoObserver {
 
  private:
   mutable debug::RankedMutex<debug::LockRank::kVolTrace> mutex_;
-  std::vector<TraceEvent> events_;
+  std::vector<IoRecord> events_;
 };
 
 /// Replay options.

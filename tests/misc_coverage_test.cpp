@@ -22,10 +22,11 @@ TEST(ReplayTimingTest, TimeScaleReproducesComputeGaps) {
   // must take >= 50 ms, replay at scale 0 should be near-instant.
   vol::Trace trace;
   for (int i = 0; i < 2; ++i) {
-    vol::TraceEvent e;
-    e.kind = vol::TraceEvent::Kind::kWrite;
+    vol::IoRecord e;
+    e.op = vol::IoOp::kWrite;
     e.dataset_path = "d";
-    e.selection = h5::Selection::offsets({static_cast<std::uint64_t>(i) * 8}, {8});
+    e.selection = vol::selection_to_token(
+        h5::Selection::offsets({static_cast<std::uint64_t>(i) * 8}, {8}));
     e.bytes = 8;
     e.issue_time = 0.1 * i;
     trace.append(e);
@@ -99,8 +100,8 @@ TEST(LogTest, LevelsGateOutput) {
 
 TEST(TraceProfileTest, FlushOnlyTraceProfiles) {
   vol::Trace trace;
-  vol::TraceEvent e;
-  e.kind = vol::TraceEvent::Kind::kFlush;
+  vol::IoRecord e;
+  e.op = vol::IoOp::kFlush;
   trace.append(e);
   vol::IoProfile profile(trace);
   EXPECT_EQ(profile.total_operations(), 1u);

@@ -10,9 +10,9 @@
 namespace apio::model {
 namespace {
 
-vol::IoRecord sync_write(std::uint64_t bytes, int ranks, double seconds) {
-  vol::IoRecord r;
-  r.op = vol::IoOp::kWrite;
+obs::IoRecord sync_write(std::uint64_t bytes, int ranks, double seconds) {
+  obs::IoRecord r;
+  r.op = obs::IoOp::kWrite;
   r.bytes = bytes;
   r.ranks = ranks;
   r.blocking_seconds = seconds;
@@ -21,10 +21,10 @@ vol::IoRecord sync_write(std::uint64_t bytes, int ranks, double seconds) {
   return r;
 }
 
-vol::IoRecord async_write(std::uint64_t bytes, int ranks, double staging_seconds,
+obs::IoRecord async_write(std::uint64_t bytes, int ranks, double staging_seconds,
                           double completion_seconds) {
-  vol::IoRecord r;
-  r.op = vol::IoOp::kWrite;
+  obs::IoRecord r;
+  r.op = obs::IoOp::kWrite;
   r.bytes = bytes;
   r.ranks = ranks;
   r.blocking_seconds = staging_seconds;
@@ -69,7 +69,7 @@ TEST(ModeAdvisorTest, ExplorationOrderSyncThenAsync) {
 
 TEST(ModeAdvisorTest, IgnoresZeroBlockingRecords) {
   ModeAdvisor advisor;
-  vol::IoRecord r = async_write(1000, 1, 0.0, 1.0);  // background read style
+  obs::IoRecord r = async_write(1000, 1, 0.0, 1.0);  // background read style
   advisor.on_io(r);
   EXPECT_EQ(advisor.sample_count(), 0u);
 }

@@ -967,7 +967,7 @@ TEST(ObsHammerTest, EightWriterThreadsSnapshotCoherence) {
             static_cast<std::size_t>(kThreads) * kWritesPerThread);
   double prev = -1.0;
   for (const auto& e : trace.events()) {
-    EXPECT_EQ(e.kind, vol::TraceEvent::Kind::kWrite);
+    EXPECT_EQ(e.op, vol::IoOp::kWrite);
     EXPECT_EQ(e.bytes, kChunk);
     EXPECT_GE(e.issue_time, prev);
     prev = e.issue_time;

@@ -318,14 +318,14 @@ TEST(EpochSimTest, ContentionMakesSyncVaryButNotAsync) {
 }
 
 TEST(EpochSimTest, ObserverReceivesOneRecordPerEpoch) {
-  class Counter : public vol::IoObserver {
+  class Counter : public obs::IoObserver {
    public:
-    void on_io(const vol::IoRecord& record) override {
+    void on_io(const obs::IoRecord& record) override {
       ++count;
       last = record;
     }
     int count = 0;
-    vol::IoRecord last;
+    obs::IoRecord last;
   };
   Counter counter;
   EpochSimulator simulator(SystemSpec::summit());

@@ -10,6 +10,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "common/clock.h"
 #include "common/units.h"
 #include "obs/critical_path.h"
+#include "obs/epoch_analyzer.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "obs/trace_context.h"
@@ -26,6 +28,7 @@
 #include "storage/memory_backend.h"
 #include "storage/throttled_backend.h"
 #include "vol/async_connector.h"
+#include "vol/native_connector.h"
 
 namespace apio {
 namespace {
@@ -243,7 +246,7 @@ TEST(CriticalPathTest, SelfTimeDecompositionSumsToWall) {
   EXPECT_DOUBLE_EQ(b.phase(Phase::kQueueWait), 4.0);
   EXPECT_DOUBLE_EQ(b.phase(Phase::kAttempt), 2.0);
   EXPECT_DOUBLE_EQ(b.phase(Phase::kBackend), 4.0);
-  EXPECT_NEAR(b.phase_total(), b.duration_seconds, 1e-12);
+  EXPECT_NEAR(b.phase_total(), b.trace->duration_seconds, 1e-12);
 }
 
 TEST(CriticalPathTest, StragglerAttributionNamesTheBlownPhase) {
@@ -262,7 +265,7 @@ TEST(CriticalPathTest, StragglerAttributionNamesTheBlownPhase) {
   CriticalPathAnalyzer analyzer(traces);
   const auto stragglers = analyzer.stragglers(3.0);
   ASSERT_EQ(stragglers.size(), 1u);
-  EXPECT_EQ(stragglers[0].trace_id, 6u);
+  EXPECT_EQ(stragglers[0].trace->trace_id, 6u);
   EXPECT_EQ(stragglers[0].dominant, Phase::kQueueWait);
   EXPECT_GT(stragglers[0].factor, 7.0);
 
@@ -463,6 +466,59 @@ TEST_F(TraceCollectorTest, AsyncWriteSurvivingTwoFaultsYieldsFullCausalTrace) {
   const auto wm = TraceCollector::instance().watermark();
   EXPECT_EQ(wm.dropped_spans, 0u);
   EXPECT_EQ(wm.late_spans, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The epoch analyzer's join key: it keeps each attributed IoRecord
+// whole, so every record carries the trace id the collector minted for
+// its write.
+
+void expect_epoch_records_carry_trace_ids(vol::Connector& connector) {
+  auto ds = connector.file()->root().create_dataset("d", h5::Datatype::kUInt8, {64});
+  auto analyzer = std::make_shared<obs::EpochAnalyzer>();
+  connector.add_observer(analyzer);
+  analyzer->attach();
+  // One write per epoch, each of its own size, so its trace is found by
+  // its bytes.
+  for (std::uint64_t epoch = 0; epoch < 3; ++epoch) {
+    obs::EpochScope scope(static_cast<std::int64_t>(epoch));
+    const std::vector<std::uint8_t> payload(8 * (epoch + 1), 0x5A);
+    connector.dataset_write(ds, h5::Selection::offsets({0}, {payload.size()}),
+                            bytes_of(payload))->wait();
+  }
+  connector.wait_all();
+  analyzer->detach();
+
+  std::map<std::uint64_t, std::uint64_t> minted;  // bytes -> trace id
+  for (const auto& t : TraceCollector::instance().drain()) {
+    if (t.op == obs::IoOp::kWrite) minted[t.bytes] = t.trace_id;
+  }
+  ASSERT_EQ(minted.size(), 3u);
+  std::size_t attributed = 0;
+  for (const auto& epoch : analyzer->report().epochs) {
+    for (const auto& rank : epoch.per_rank) {
+      for (const obs::IoRecord& record : rank.io) {
+        ASSERT_EQ(minted.count(record.bytes), 1u) << record.bytes;
+        EXPECT_NE(record.trace_id, 0u);
+        EXPECT_EQ(record.trace_id, minted.at(record.bytes));
+        ++attributed;
+      }
+    }
+  }
+  EXPECT_EQ(attributed, 3u);
+  connector.close();
+}
+
+TEST_F(TraceCollectorTest, EpochRecordsCarryTheirTraceIdNative) {
+  vol::NativeConnector connector(
+      h5::File::create(std::make_shared<storage::MemoryBackend>()));
+  expect_epoch_records_carry_trace_ids(connector);
+}
+
+TEST_F(TraceCollectorTest, EpochRecordsCarryTheirTraceIdAsync) {
+  vol::AsyncConnector connector(
+      h5::File::create(std::make_shared<storage::MemoryBackend>()));
+  expect_epoch_records_carry_trace_ids(connector);
 }
 
 }  // namespace

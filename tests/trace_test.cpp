@@ -10,6 +10,7 @@
 #include "storage/memory_backend.h"
 #include "vol/async_connector.h"
 #include "vol/native_connector.h"
+#include "vol/selection_token.h"
 #include "vol/trace.h"
 
 namespace apio::vol {
@@ -56,14 +57,14 @@ TEST(TraceRecorderTest, CapturesAllOperationKinds) {
   auto file = make_structure();
   const Trace trace = record_sample_workload(file);
   ASSERT_EQ(trace.size(), 6u);
-  EXPECT_EQ(trace.events()[0].kind, TraceEvent::Kind::kWrite);
+  EXPECT_EQ(trace.events()[0].op, IoOp::kWrite);
   EXPECT_EQ(trace.events()[0].dataset_path, "out/field");
   EXPECT_EQ(trace.events()[0].bytes, 32u * sizeof(float));
   EXPECT_EQ(trace.events()[2].dataset_path, "out/ids");
-  EXPECT_EQ(trace.events()[3].kind, TraceEvent::Kind::kRead);
-  EXPECT_EQ(trace.events()[4].kind, TraceEvent::Kind::kPrefetch);
+  EXPECT_EQ(trace.events()[3].op, IoOp::kRead);
+  EXPECT_EQ(trace.events()[4].op, IoOp::kPrefetch);
   EXPECT_EQ(trace.events()[4].bytes, 32u * sizeof(float));
-  EXPECT_EQ(trace.events()[5].kind, TraceEvent::Kind::kFlush);
+  EXPECT_EQ(trace.events()[5].op, IoOp::kFlush);
 }
 
 TEST(TraceRecorderTest, CausalTraceIdsRideTheRecordStream) {
@@ -108,7 +109,7 @@ TEST(TraceTest, CsvRoundTrip) {
   auto file = make_structure();
   Trace trace = record_sample_workload(file);
   // Times past six significant digits, and ids past 2^53.
-  TraceEvent precise;
+  IoRecord precise;
   precise.dataset_path = "out/field";
   precise.issue_time = 0.0123456789;
   precise.blocking_seconds = 1.0 / 3.0;
@@ -121,17 +122,19 @@ TEST(TraceTest, CsvRoundTrip) {
   for (std::size_t i = 0; i < trace.size(); ++i) {
     const auto& a = trace.events()[i];
     const auto& b = parsed.events()[i];
-    EXPECT_EQ(a.kind, b.kind) << i;
+    EXPECT_EQ(a.op, b.op) << i;
     EXPECT_EQ(a.dataset_path, b.dataset_path) << i;
     EXPECT_EQ(a.bytes, b.bytes) << i;
     EXPECT_EQ(a.issue_time, b.issue_time) << i;
     EXPECT_EQ(a.blocking_seconds, b.blocking_seconds) << i;
     EXPECT_EQ(a.trace_id, b.trace_id) << i;
     EXPECT_EQ(a.span_id, b.span_id) << i;
-    EXPECT_EQ(a.selection.is_all(), b.selection.is_all()) << i;
-    if (!a.selection.is_all()) {
-      EXPECT_EQ(a.selection.slab().start, b.selection.slab().start) << i;
-      EXPECT_EQ(a.selection.slab().count, b.selection.slab().count) << i;
+    const h5::Selection sa = selection_from_token(a.selection);
+    const h5::Selection sb = selection_from_token(b.selection);
+    EXPECT_EQ(sa.is_all(), sb.is_all()) << i;
+    if (!sa.is_all()) {
+      EXPECT_EQ(sa.slab().start, sb.slab().start) << i;
+      EXPECT_EQ(sa.slab().count, sb.slab().count) << i;
     }
   }
 }
@@ -179,10 +182,10 @@ TEST(TraceTest, CsvRejectsGarbage) {
 
 TEST(TraceTest, CsvCarriesTraceIds) {
   Trace trace;
-  TraceEvent e;
-  e.kind = TraceEvent::Kind::kWrite;
+  IoRecord e;
+  e.op = IoOp::kWrite;
   e.dataset_path = "d";
-  e.selection = h5::Selection::offsets({0}, {8});
+  e.selection = selection_to_token(h5::Selection::offsets({0}, {8}));
   e.bytes = 8;
   e.trace_id = 42;
   e.span_id = 7;
@@ -211,10 +214,10 @@ TEST(TraceTest, CsvEscapesAwkwardPaths) {
   Trace trace;
   std::uint64_t bytes = 8;
   for (const auto& path : paths) {
-    TraceEvent e;
-    e.kind = TraceEvent::Kind::kWrite;
+    IoRecord e;
+    e.op = IoOp::kWrite;
     e.dataset_path = path;
-    e.selection = h5::Selection::offsets({0}, {bytes});
+    e.selection = selection_to_token(h5::Selection::offsets({0}, {bytes}));
     e.bytes = bytes;
     trace.append(e);
     bytes += 8;
@@ -237,21 +240,39 @@ TEST(TraceTest, CsvRejectsMalformedQuoting) {
   EXPECT_THROW(Trace::from_csv("0,\"p,all,1,0,0,0,0\"\n"), FormatError);
 }
 
+// The written format, pinned: a header, one row of each op kind, an
+// RFC 4180-quoted path, a strided hyperslab token and non-zero trace
+// ids parse and re-serialize byte for byte.
+TEST(TraceTest, GoldenCsvRoundTripsByteIdentically) {
+  const std::string golden =
+      "kind,path,selection,bytes,issue_time,blocking,trace_id,span_id\n"
+      "0,out/field,0:32,128,0,0.00025,11,12\n"
+      "1,\"run,1/\"\"x\"\"\",1x2:3x4:2x2:1x2,96,0.5,1.25e-05,13,14\n"
+      "2,out/field,32:32,128,0.75,0,15,16\n"
+      "3,,all,0,1,0.003,17,18\n";
+  const Trace trace = Trace::from_csv(golden);
+  ASSERT_EQ(trace.size(), 4u);
+  EXPECT_EQ(trace.events()[1].dataset_path, "run,1/\"x\"");
+  EXPECT_EQ(trace.events()[1].selection, "1x2:3x4:2x2:1x2");
+  EXPECT_EQ(trace.to_csv(), golden);
+}
+
 TEST(TraceTest, StridedSelectionSurvivesCsv) {
   Trace trace;
-  TraceEvent e;
-  e.kind = TraceEvent::Kind::kWrite;
+  IoRecord e;
+  e.op = IoOp::kWrite;
   e.dataset_path = "d";
   h5::Hyperslab slab;
   slab.start = {1, 2};
   slab.count = {3, 4};
   slab.stride = {2, 2};
   slab.block = {1, 2};
-  e.selection = h5::Selection::hyperslab(slab);
+  e.selection = selection_to_token(h5::Selection::hyperslab(slab));
   e.bytes = 96;
   trace.append(e);
   const Trace parsed = Trace::from_csv(trace.to_csv());
-  const auto& s = parsed.events()[0].selection.slab();
+  const h5::Selection selection = selection_from_token(parsed.events()[0].selection);
+  const auto& s = selection.slab();
   EXPECT_EQ(s.stride, (h5::Dims{2, 2}));
   EXPECT_EQ(s.block, (h5::Dims{1, 2}));
 }

@@ -68,7 +68,7 @@ std::pair<std::uint64_t, std::uint64_t> recorded_writes(const TraceRecorder& rec
   std::uint64_t bytes = 0;
   const Trace trace = recorder.trace();
   for (const auto& e : trace.events()) {
-    if (e.kind != TraceEvent::Kind::kWrite) continue;
+    if (e.op != IoOp::kWrite) continue;
     ++writes;
     bytes += e.bytes;
   }

@@ -111,7 +111,7 @@ TEST(RequestTest, CompleteReleasesWait) {
 }
 
 TEST(RequestTest, MakeReadyIsComplete) {
-  RequestInfo info;
+  obs::IoRecord info;
   info.dataset_path = "/d";
   const RequestPtr request = Request::make_ready(info);
   EXPECT_TRUE(request->test());

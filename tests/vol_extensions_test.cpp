@@ -142,10 +142,10 @@ struct Tally {
 };
 
 /// Events of `kind` in `trace` and their summed bytes.
-Tally tally(const Trace& trace, TraceEvent::Kind kind) {
+Tally tally(const Trace& trace, IoOp kind) {
   Tally t;
   for (const auto& e : trace.events()) {
-    if (e.kind != kind) continue;
+    if (e.op != kind) continue;
     ++t.ops;
     t.bytes += e.bytes;
   }
@@ -155,10 +155,10 @@ Tally tally(const Trace& trace, TraceEvent::Kind kind) {
 /// What drive_every_op leaves in a recorder's trace: one op of each
 /// kind, 128 B each way, and some caller-visible blocking.
 void expect_one_of_each(const Trace& trace) {
-  EXPECT_EQ(tally(trace, TraceEvent::Kind::kWrite), (Tally{1, 128}));
-  EXPECT_EQ(tally(trace, TraceEvent::Kind::kRead), (Tally{1, 128}));
-  EXPECT_EQ(tally(trace, TraceEvent::Kind::kPrefetch).ops, 1u);
-  EXPECT_EQ(tally(trace, TraceEvent::Kind::kFlush).ops, 1u);
+  EXPECT_EQ(tally(trace, IoOp::kWrite), (Tally{1, 128}));
+  EXPECT_EQ(tally(trace, IoOp::kRead), (Tally{1, 128}));
+  EXPECT_EQ(tally(trace, IoOp::kPrefetch).ops, 1u);
+  EXPECT_EQ(tally(trace, IoOp::kFlush).ops, 1u);
   const IoProfile profile(trace);
   EXPECT_EQ(profile.total_operations(), 4u);
   EXPECT_GT(profile.per_dataset().at("d").blocking_seconds, 0.0);
@@ -205,8 +205,8 @@ TEST(TraceRecorderTest, TwoRecordersOnOneConnectorBothRecord) {
   conn->dataset_write(ds, h5::Selection::all(),
                       std::as_bytes(std::span<const std::int8_t>(v)));
   conn->wait_all();
-  EXPECT_EQ(tally(first->trace(), TraceEvent::Kind::kWrite), (Tally{1, 2}));
-  EXPECT_EQ(tally(second->trace(), TraceEvent::Kind::kWrite), (Tally{1, 2}));
+  EXPECT_EQ(tally(first->trace(), IoOp::kWrite), (Tally{1, 2}));
+  EXPECT_EQ(tally(second->trace(), IoOp::kWrite), (Tally{1, 2}));
   conn->close();
 }
 

@@ -19,7 +19,9 @@
 //
 //   apio_profile run vpic [--ranks N] [--particles N] [--steps N]
 //                [--mode sync|async|adaptive] [--pfs-mibps N] [--qos]
-//                [--chrome FILE]
+//                [--cache MODE] [--chrome FILE] [--sample-rate N]
+//                [--straggler-threshold X] [--export-prom FILE]
+//                [--export-jsonl FILE] [--export-report FILE]
 //       Runs the VPIC-IO checkpoint kernel over in-process MPI ranks
 //       with metrics on (and every request traced for --chrome), then
 //       prints the registry's histograms and the facts it has no other
@@ -34,21 +36,16 @@
 //       to a "vpic" tenant; the report then includes a sched: block
 //       (per-tenant bytes/share, queue-depth high-water mark, p50/p95/p99
 //       submit->grant wait).
-//
-//   apio_profile trace [--ranks N] [--particles N] [--steps N]
-//                [--pfs-mibps N] [--sample-rate N]
-//                [--straggler-threshold X] [--export-prom FILE]
-//                [--export-jsonl FILE] [--export-report FILE] [--chrome FILE]
-//       Runs the VPIC-IO kernel under QoS with end-to-end causal
-//       request tracing (obs::trace) enabled: every write carries a
-//       TraceContext from submission through queue wait, admission,
-//       attempts/backoff and the leaf backend.  Afterwards the
-//       critical-path analyzer prints per-phase self-time percentiles,
-//       per-tenant latency, stragglers (with the phase that blew up)
-//       and span flames for the slowest requests.  A TelemetryExporter
-//       runs live during the kernel when --export-prom/--export-jsonl
-//       are given; --export-report writes the analyzer's JSON and
-//       --chrome the sampled requests' spans as Chrome trace_event JSON.
+//       Any of the five tracing flags traces one request in every
+//       --sample-rate (default 1) with obs::trace, from submission
+//       through queue wait, admission, attempts and the leaf backend,
+//       runs a live TelemetryExporter (--export-prom/--export-jsonl),
+//       and after the run prints the critical-path analyzer's per-phase
+//       self-time percentiles, per-tenant latency, stragglers over
+//       --straggler-threshold x the median (with the phase that blew
+//       up) and span flames for the slowest requests; --export-report
+//       writes the analyzer's JSON.  A traced run that completes no
+//       trace exits 1.
 //
 //   apio_profile analyze [--scenario ideal|partial|slowdown|all]
 //                [--ranks N] [--epochs N] [--bytes-mib N] [--pfs-mibps N]
@@ -104,17 +101,15 @@ int usage(const char* argv0) {
                "       %s run vpic [--ranks N] [--particles N] [--steps N] "
                "[--mode sync|async|adaptive] [--pfs-mibps N] [--qos] "
                "[--cache after-write|after-close|after-epoch|after-job] "
-               "[--chrome FILE]\n"
-               "       %s trace [--ranks N] [--particles N] [--steps N] "
-               "[--pfs-mibps N] [--sample-rate N] [--straggler-threshold X] "
+               "[--chrome FILE] [--sample-rate N] [--straggler-threshold X] "
                "[--export-prom FILE] [--export-jsonl FILE] "
-               "[--export-report FILE] [--chrome FILE]\n"
+               "[--export-report FILE]\n"
                "       %s analyze [--scenario ideal|partial|slowdown|all] "
                "[--ranks N] [--epochs N] [--bytes-mib N] [--pfs-mibps N] "
                "[--chrome FILE] [--max-drift PCT]\n"
                "trace.csv is Trace::to_csv() of a vol::TraceRecorder "
                "attached with connector->add_observer(recorder)\n",
-               argv0, argv0, argv0, argv0, argv0);
+               argv0, argv0, argv0, argv0);
   return 2;
 }
 
@@ -162,10 +157,10 @@ void enable_observability() {
 }
 
 /// Starts a fresh trace ring recording 1-in-`sampling_period` requests.
-void start_tracing(std::uint64_t sampling_period) {
+void start_tracing(int sampling_period) {
   auto& collector = obs::trace::TraceCollector::instance();
   collector.clear();
-  collector.set_sampling_period(sampling_period);
+  collector.set_sampling_period(static_cast<std::uint64_t>(sampling_period));
   collector.set_enabled(true);
 }
 
@@ -245,8 +240,8 @@ void print_observability_report(const vol::Trace& records, const Pfs& pfs,
   unsigned long long ops[4] = {};
   std::uint64_t bytes[4] = {};
   for (const auto& e : records.events()) {
-    ++ops[static_cast<int>(e.kind)];
-    bytes[static_cast<int>(e.kind)] += e.bytes;
+    ++ops[static_cast<int>(e.op)];
+    bytes[static_cast<int>(e.op)] += e.bytes;
   }
   std::printf("records: %llu writes (%s), %llu reads (%s), %llu prefetches, "
               "%llu flushes\n",
@@ -292,13 +287,12 @@ vol::Trace byte_addressed(const vol::Trace& trace,
                           std::map<std::string, std::uint64_t>& extents) {
   vol::Trace rewritten;
   for (const auto& e : trace.events()) {
-    vol::TraceEvent b = e;
-    if (e.kind != vol::TraceEvent::Kind::kFlush) {
+    vol::IoRecord b = e;
+    if (e.op != vol::IoOp::kFlush) {
       auto& extent = extents[e.dataset_path];
       extent = std::max(extent, std::max<std::uint64_t>(e.bytes, 1));
-      b.selection = e.bytes > 0
-                        ? h5::Selection::offsets({0}, {e.bytes})
-                        : h5::Selection::all();
+      b.selection = vol::selection_to_token(
+          e.bytes > 0 ? h5::Selection::offsets({0}, {e.bytes}) : h5::Selection::all());
     }
     rewritten.append(std::move(b));
   }
@@ -355,10 +349,44 @@ int cmd_replay(const vol::Trace& trace, const std::string& mode, double mibps,
   return 0;
 }
 
+/// The causal-tracing flags of `run vpic`; `on` once any is given.
+struct TraceFlags {
+  bool on = false;
+  int sample_rate = 1;
+  double straggler_threshold = 3.0;
+  std::string prom_path;
+  std::string jsonl_path;
+  std::string report_path;
+};
+
+/// Prints the critical-path analysis of a traced run and writes the
+/// exports its flags asked for.
+void print_trace_report(const std::vector<obs::trace::CompletedTrace>& traces,
+                        const TraceFlags& tracing,
+                        const obs::trace::TelemetryExporter& exporter) {
+  obs::trace::CriticalPathAnalyzer analyzer(traces);
+  std::printf("tracing: sampling 1-in-%d\n", tracing.sample_rate);
+  std::fputs(analyzer.report(tracing.straggler_threshold).c_str(), stdout);
+  if (!tracing.report_path.empty()) {
+    std::ofstream out(tracing.report_path);
+    if (!out) throw IoError("cannot write '" + tracing.report_path + "'");
+    out << analyzer.to_json(tracing.straggler_threshold) << '\n';
+    std::printf("trace report -> %s\n", tracing.report_path.c_str());
+  }
+  if (!tracing.prom_path.empty()) {
+    std::printf("prometheus snapshot -> %s (%llu flushes)\n",
+                tracing.prom_path.c_str(),
+                static_cast<unsigned long long>(exporter.flush_count()));
+  }
+  if (!tracing.jsonl_path.empty()) {
+    std::printf("trace jsonl -> %s\n", tracing.jsonl_path.c_str());
+  }
+}
+
 int cmd_run_vpic(int ranks, std::uint64_t particles, int steps,
                  const std::string& mode, double mibps, bool qos,
-                 const std::string& cache_mode,
-                 const std::string& chrome_path) {
+                 const std::string& cache_mode, const std::string& chrome_path,
+                 const TraceFlags& tracing) {
   workloads::VpicParams params;
   params.particles_per_rank = particles;
   params.time_steps = steps;
@@ -366,7 +394,7 @@ int cmd_run_vpic(int ranks, std::uint64_t particles, int steps,
   workloads::VpicIoKernel kernel(params);
 
   enable_observability();
-  if (!chrome_path.empty()) start_tracing(1);
+  if (tracing.on || !chrome_path.empty()) start_tracing(tracing.sample_rate);
   // --qos interposes a FairScheduler in front of the throttled PFS and
   // attributes the kernel's traffic to a "vpic" tenant, so the sched:
   // block of the report (shares, queue depths, waits) is populated.
@@ -393,6 +421,8 @@ int cmd_run_vpic(int ranks, std::uint64_t particles, int steps,
   }
   auto recorder = std::make_shared<vol::TraceRecorder>();
   connector->add_observer(recorder);
+  obs::trace::TelemetryExporter exporter({0.2, tracing.prom_path, tracing.jsonl_path});
+  if (tracing.on) exporter.start();
 
   workloads::PhaseTimes result;
   pmpi::run(ranks, [&](pmpi::Communicator& comm) {
@@ -406,6 +436,7 @@ int cmd_run_vpic(int ranks, std::uint64_t particles, int steps,
                                                  : vol::AsyncStats{};
   const vol::Trace records = recorder->trace();
   connector->close();
+  exporter.stop();
   obs::set_enabled(false);
   const auto traces = stop_tracing();
 
@@ -428,7 +459,7 @@ int cmd_run_vpic(int ranks, std::uint64_t particles, int steps,
     // route did not stage.
     std::uint64_t written = 0;
     for (const auto& e : records.events()) {
-      if (e.kind == vol::IoOp::kWrite) written += e.bytes;
+      if (e.op == vol::IoOp::kWrite) written += e.bytes;
     }
     const auto routed = adaptive->adaptive_stats();
     std::printf("adaptive: %llu sync / %llu async writes (%s sync)\n",
@@ -439,71 +470,9 @@ int cmd_run_vpic(int ranks, std::uint64_t particles, int steps,
   print_observability_report(records, pfs,
                              mode == "sync" ? nullptr : &async_stats,
                              scheduler.get());
+  if (tracing.on) print_trace_report(traces, tracing, exporter);
   if (!chrome_path.empty()) write_chrome_trace(chrome_path, traces);
-  return 0;
-}
-
-/// VPIC run under QoS with end-to-end causal tracing: every request's
-/// TraceContext is carried from submission through queue wait,
-/// admission, attempts and the leaf backend; the analyzer then
-/// decomposes each request's wall time into per-phase self-time and
-/// flags stragglers by the phase that blew up relative to the median.
-int cmd_trace(int ranks, std::uint64_t particles, int steps, double mibps,
-              int sample_rate, double straggler_threshold,
-              const std::string& prom_path, const std::string& jsonl_path,
-              const std::string& report_path, const std::string& chrome_path) {
-  workloads::VpicParams params;
-  params.particles_per_rank = particles;
-  params.time_steps = steps;
-  params.compute_seconds = 0.02;
-  workloads::VpicIoKernel kernel(params);
-
-  enable_observability();
-  start_tracing(static_cast<std::uint64_t>(sample_rate));
-
-  auto scheduler = std::make_shared<sched::FairScheduler>();
-  scheduler->register_tenant("vpic", 1.0);
-  auto file = h5::File::create(make_pfs(mibps, scheduler).top);
-  auto connector = std::make_shared<vol::AsyncConnector>(file);
-
-  obs::trace::TelemetryOptions telemetry;
-  telemetry.interval_seconds = 0.2;
-  telemetry.prom_path = prom_path;
-  telemetry.jsonl_path = jsonl_path;
-  obs::trace::TelemetryExporter exporter(telemetry);
-  if (!prom_path.empty() || !jsonl_path.empty()) exporter.start();
-
-  pmpi::run(ranks, [&](pmpi::Communicator& comm) {
-    sched::ScopedSubmission tenant({"vpic"});
-    kernel.run(*connector, comm);
-  });
-  connector->wait_all();
-  connector->close();
-  exporter.stop();
-  obs::set_enabled(false);
-  const auto traces = stop_tracing();
-  obs::trace::CriticalPathAnalyzer analyzer(traces);
-  std::printf("vpic trace: %d ranks x %llu particles x 8 props x %d steps, "
-              "sampling 1-in-%d\n",
-              ranks, static_cast<unsigned long long>(particles), steps,
-              sample_rate);
-  std::fputs(analyzer.report(straggler_threshold).c_str(), stdout);
-
-  if (!report_path.empty()) {
-    std::ofstream out(report_path);
-    if (!out) throw IoError("cannot write '" + report_path + "'");
-    out << analyzer.to_json(straggler_threshold) << '\n';
-    std::printf("trace report -> %s\n", report_path.c_str());
-  }
-  if (!prom_path.empty()) {
-    std::printf("prometheus snapshot -> %s (%llu flushes)\n", prom_path.c_str(),
-                static_cast<unsigned long long>(exporter.flush_count()));
-  }
-  if (!jsonl_path.empty()) {
-    std::printf("trace jsonl -> %s\n", jsonl_path.c_str());
-  }
-  if (!chrome_path.empty()) write_chrome_trace(chrome_path, traces);
-  return traces.empty() ? 1 : 0;
+  return tracing.on && traces.empty() ? 1 : 0;
 }
 
 /// Runs one deterministic Fig. 1 scenario through the epoch analyzer:
@@ -644,15 +613,13 @@ int main(int argc, char** argv) {
   std::uint64_t bytes_mib = 16;
   double max_drift = 0.0;
   bool qos = false;
-  int sample_rate = 1;
-  double straggler_threshold = 3.0;
-  std::string prom_path;
-  std::string jsonl_path;
-  std::string report_path;
+  TraceFlags tracing;
 
   auto parse_flags = [&](int start) -> bool {
     for (int i = start; i < argc; ++i) {
       const std::string flag = argv[i];
+      tracing.on |= flag == "--sample-rate" || flag == "--straggler-threshold" ||
+                    flag.starts_with("--export-");
       auto next = [&]() -> const char* {
         if (i + 1 >= argc) return nullptr;
         return argv[++i];
@@ -706,23 +673,23 @@ int main(int argc, char** argv) {
       } else if (flag == "--sample-rate") {
         const char* v = next();
         if (v == nullptr) return false;
-        sample_rate = std::atoi(v);
+        tracing.sample_rate = std::atoi(v);
       } else if (flag == "--straggler-threshold") {
         const char* v = next();
         if (v == nullptr) return false;
-        straggler_threshold = std::atof(v);
+        tracing.straggler_threshold = std::atof(v);
       } else if (flag == "--export-prom") {
         const char* v = next();
         if (v == nullptr) return false;
-        prom_path = v;
+        tracing.prom_path = v;
       } else if (flag == "--export-jsonl") {
         const char* v = next();
         if (v == nullptr) return false;
-        jsonl_path = v;
+        tracing.jsonl_path = v;
       } else if (flag == "--export-report") {
         const char* v = next();
         if (v == nullptr) return false;
-        report_path = v;
+        tracing.report_path = v;
       } else {
         std::fprintf(stderr, "apio_profile: unknown flag '%s'\n", flag.c_str());
         return false;
@@ -749,7 +716,10 @@ int main(int argc, char** argv) {
       if (mode != "sync" && mode != "async" && mode != "adaptive") {
         return usage(argv[0]);
       }
-      if (ranks < 1 || steps < 1 || particles == 0) return usage(argv[0]);
+      if (ranks < 1 || steps < 1 || particles == 0 || tracing.sample_rate < 1 ||
+          tracing.straggler_threshold <= 1.0) {
+        return usage(argv[0]);
+      }
       if (!cache_mode.empty()) {
         storage::CacheConsistency parsed;
         if (!storage::parse_cache_consistency(cache_mode, parsed)) {
@@ -757,17 +727,7 @@ int main(int argc, char** argv) {
         }
       }
       return cmd_run_vpic(ranks, particles, steps, mode, mibps, qos,
-                          cache_mode, chrome_path);
-    }
-    if (cmd == "trace") {
-      if (!parse_flags(2)) return usage(argv[0]);
-      if (ranks < 1 || steps < 1 || particles == 0 || sample_rate < 1 ||
-          straggler_threshold <= 1.0) {
-        return usage(argv[0]);
-      }
-      return cmd_trace(ranks, particles, steps, mibps, sample_rate,
-                       straggler_threshold, prom_path, jsonl_path,
-                       report_path, chrome_path);
+                          cache_mode, chrome_path, tracing);
     }
     if (cmd == "analyze") {
       ranks = 2;
